@@ -11,12 +11,21 @@ Two constructions share the Codebook type:
 
 Codebooks are never serialized: encoder and decoder regenerate identical
 entries from (pmf, n, cardinality, seed), which is exactly the shared
-common-randomness contract.
+common-randomness contract. Within one process the regeneration hands back
+the live codebook of the same spec, whose entries are those same draws.
+
+Codeword search (nearest row, unique row within D) is exact, and ties go
+to the lowest row index. Binary Hamming searches compare bit-packed rows:
+a codebook searched over at least INDEX_MIN_ROWS = 2^16 rows gets a
+multi-index hash, built once and cached; smaller ones are scanned.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +60,15 @@ __all__ = [
 ]
 
 DEFAULT_CARDINALITY_CAP = 1 << 20
+# Codebooks are drawn this many symbols at a time.
+GEN_CHUNK_SYMBOLS = 1 << 22
+# Binary Hamming searches over at least this many rows use the multi-index
+# hash; smaller ones scan every row.
+INDEX_MIN_ROWS = 1 << 16
+_SUBSTRING_BITS = 16      # log2 INDEX_MIN_ROWS: about one row per bucket or more
+_SCAN_BLOCK = 1 << 17     # elements of one (lanes, rows) scan block
+_PROBE_BLOCK = 1 << 20    # candidates compared at once by the index
+_PROBE_COST = 16          # one probed candidate costs about this many scanned rows
 
 CHANNEL_EMBEDDING = "channel-embedding"
 SOURCE_COMPRESSION = "source-compression"
@@ -180,7 +198,12 @@ class RatePlan:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """cardinality x n symbol table regenerable from its generation spec."""
+    """cardinality x n symbol table regenerable from its generation spec.
+
+    Every generated codebook stays registered under its spec for as long as
+    something else holds it, so ``from_spec`` hands a decoder the encoder's
+    live table (and its search index) instead of drawing it again.
+    """
 
     kind: str
     n: int
@@ -201,16 +224,19 @@ class Codebook:
     ) -> "Codebook":
         if cardinality < 1:
             raise ValueError("cardinality must be >= 1")
-        if cardinality > cap:
-            raise CodebookCapError(
-                f"cardinality {cardinality} exceeds cap {cap}; use a smaller "
-                f"n * rate product (or raise the cap explicitly)"
-            )
-        entries = sample_iid_array(
-            gen_pmf, n * cardinality, common_seed.generator()
-        ).reshape(cardinality, n)
+        _check_cap(cardinality, cap)
+        # chunks of one generator's stream reproduce a single draw exactly,
+        # without the whole table's float64 uniforms at once
+        entries = np.empty((cardinality, n), dtype=gen_pmf.alphabet.dtype)
+        gen = common_seed.generator()
+        rows = max(1, GEN_CHUNK_SYMBOLS // max(n, 1))
+        for a in range(0, cardinality, rows):
+            b = min(a + rows, cardinality)
+            entries[a:b] = sample_iid_array(gen_pmf, (b - a) * n, gen).reshape(b - a, n)
         entries.flags.writeable = False
-        return cls(kind, n, cardinality, gen_pmf, common_seed, entries)
+        codebook = cls(kind, n, cardinality, gen_pmf, common_seed, entries)
+        _LIVE_CODEBOOKS[_spec_key(codebook.spec())] = codebook
+        return codebook
 
     def spec(self) -> dict:
         """Everything needed to regenerate the entries bit-exactly."""
@@ -224,7 +250,15 @@ class Codebook:
         }
 
     @classmethod
-    def from_spec(cls, spec: dict, cap: int = DEFAULT_CARDINALITY_CAP) -> "Codebook":
+    def from_spec(
+        cls, spec: dict, cap: int = DEFAULT_CARDINALITY_CAP, fresh: bool = False
+    ) -> "Codebook":
+        """The codebook of a spec: the live one generated from it if there
+        is one, otherwise (or with ``fresh``) a new draw."""
+        _check_cap(spec["cardinality"], cap)
+        live = None if fresh else _LIVE_CODEBOOKS.get(_spec_key(spec))
+        if live is not None:
+            return live
         return cls.generate(
             spec["kind"],
             Pmf.from_probs(spec["gen_probs"]),
@@ -242,6 +276,41 @@ class Codebook:
         packed = _pack_bits(self.entries) if _packable(self.entries, self.n) else None
         object.__setattr__(self, "_packed_cache", packed)
         return packed
+
+    def _hamming_index(self, m: int) -> "_HammingIndex":
+        """Multi-index hash over the first m packed rows, built once."""
+        cache = getattr(self, "_index_cache", None)
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_index_cache", cache)
+        if m not in cache:
+            cache[m] = _HammingIndex(self.packed()[:m], self.n)
+        return cache[m]
+
+
+# Codebooks generated in this process, by spec; holds no codebook alive.
+_LIVE_CODEBOOKS: "weakref.WeakValueDictionary[tuple, Codebook]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _spec_key(spec: dict) -> tuple:
+    return (
+        spec["kind"],
+        spec["n"],
+        spec["cardinality"],
+        tuple(spec["gen_probs"]),
+        spec["seed"],
+        spec["stream_id"],
+    )
+
+
+def _check_cap(cardinality: int, cap: int) -> None:
+    if cardinality > cap:
+        raise CodebookCapError(
+            f"cardinality {cardinality} exceeds cap {cap}; use a smaller "
+            f"n * rate product (or raise the cap explicitly)"
+        )
 
 
 def _packable(arr: np.ndarray, n: int) -> bool:
@@ -269,55 +338,218 @@ def _hamming_scale(metric: DistortionMetric) -> float | None:
     return None
 
 
-def _avg_distortions_to_rows(
-    entries: np.ndarray, packed, block: np.ndarray, metric: DistortionMetric
-) -> np.ndarray:
-    """Average distortion from every codebook row to one block, (rows,)."""
-    scale = _hamming_scale(metric)
-    n = entries.shape[1]
-    if packed is not None and scale is not None:
-        word = _pack_bits(block.reshape(1, -1))[0]
-        return np.bitwise_count(packed ^ word) * (scale / n)
-    per = metric.table[entries.astype(np.int64), block.astype(np.int64)[None, :]]
-    return per.mean(axis=1)
+def _scan_distances(packed: np.ndarray, words: np.ndarray):
+    """Yield (first lane, (lanes, rows) Hamming distances) block by block."""
+    step = max(1, _SCAN_BLOCK // max(len(packed), 1))
+    for a in range(0, len(words), step):
+        yield a, np.bitwise_count(words[a : a + step, None] ^ packed[None, :])
+
+
+def _scan_nearest(packed: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest row and its distance per word by exhaustive scan."""
+    rows = np.empty(len(words), dtype=np.int64)
+    dist = np.empty(len(words), dtype=np.int64)
+    for a, d in _scan_distances(packed, words):
+        j = d.argmin(axis=1)
+        rows[a : a + len(j)] = j
+        dist[a : a + len(j)] = d[np.arange(len(j)), j]
+    return rows, dist
+
+
+def _scan_within(packed: np.ndarray, words: np.ndarray, thresh: int) -> np.ndarray:
+    """Unique row within distance ``thresh`` per word by exhaustive scan."""
+    out = np.empty(len(words), dtype=np.int64)
+    for a, d in _scan_distances(packed, words):
+        within = d <= thresh
+        count = within.sum(axis=1)
+        out[a : a + len(count)] = np.where(
+            count == 1, within.argmax(axis=1), np.where(count == 0, NONE_WITHIN, AMBIGUOUS)
+        )
+    return out
+
+
+@functools.cache
+def _weight_masks(width: int, r: int) -> np.ndarray:
+    """Every width-bit mask with exactly r bits set (shared, read-only)."""
+    masks = np.array(
+        [sum(1 << i for i in c) for c in itertools.combinations(range(width), r)],
+        dtype=np.int64,
+    )
+    masks.flags.writeable = False
+    return masks
+
+
+class _HammingIndex:
+    """Exact multi-index hash over packed n-bit codewords (Norouzi, Punjani
+    & Fleet, CVPR 2012).
+
+    Each word is cut into s substrings of at most 16 bits. Per substring
+    the rows are kept sorted by substring value, with a dense table of
+    bucket offsets. By pigeonhole, a row within distance s(r+1) - 1 of a
+    query differs from it in at most r bits on some substring, so probing
+    every substring's buckets within radius r finds all such rows. A lane
+    whose probes would cost more than a scan of the whole table is
+    scanned instead.
+    """
+
+    def __init__(self, packed: np.ndarray, n: int):
+        self.m = len(packed)
+        self.n = n
+        self.packed = packed
+        self.budget = self.m // _PROBE_COST  # lookups + candidates per lane
+        self.s = -(-n // _SUBSTRING_BITS)
+        base, extra = divmod(n, self.s)
+        values = packed >> np.uint64(64 - n)
+        self.parts = []
+        shift = n
+        for k in range(self.s):
+            width = base + (k < extra)
+            shift -= width
+            keys = ((values >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(
+                np.uint16
+            )
+            order = np.argsort(keys, kind="stable")
+            offsets = np.zeros((1 << width) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(keys, minlength=1 << width), out=offsets[1:])
+            self.parts.append((shift, width, offsets, order.astype(np.int32), packed[order]))
+
+    def _keys(self, words: np.ndarray) -> list[np.ndarray]:
+        values = words >> np.uint64(64 - self.n)
+        return [
+            ((values >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(np.int64)
+            for shift, width, *_ in self.parts
+        ]
+
+    def _probe(self, words, keys, lanes, spent, r):
+        """Candidates of ``lanes`` in every substring's buckets at radius
+        exactly r, as runs from ``_runs``.
+
+        Returns the lanes probed, the lanes that would go over budget (left
+        unprobed: first by the mean bucket load, then by the actual one) and
+        the runs; ``spent`` counts each lane's candidates so far.
+        """
+        probes = sum(len(_weight_masks(w, r)) for _, w, *_ in self.parts)
+        load = probes + sum(len(_weight_masks(w, r)) * self.m >> w for _, w, *_ in self.parts)
+        likely = spent[lanes] + load <= self.budget
+        over = lanes[~likely]
+        lanes = lanes[likely]
+        spans = []
+        for (_, width, offsets, _, _), key in zip(self.parts, keys):
+            bucket = key[lanes, None] ^ _weight_masks(width, r)[None, :]
+            lo = offsets[bucket]
+            spans.append((lo, offsets[bucket + 1] - lo))
+        need = spent[lanes] + probes + sum(cnt.sum(axis=1) for _, cnt in spans)
+        fits = need <= self.budget
+        if not fits.all():
+            over = np.concatenate([over, lanes[~fits]])
+            lanes = lanes[fits]
+            spans = [(lo[fits], cnt[fits]) for lo, cnt in spans]
+        spent[lanes] = need[fits]
+        return lanes, over, self._runs(words, lanes, spans)
+
+    def _runs(self, words, lanes, spans):
+        """Yield (lanes, candidates per lane, sorted rows, positions,
+        distances) per substring, in chunks of about _PROBE_BLOCK
+        candidates; each lane's candidates are contiguous."""
+        for (_, _, _, rows, packed), (lo, cnt) in zip(self.parts, spans):
+            per_lane = cnt.sum(axis=1)
+            cuts = np.searchsorted(
+                np.cumsum(per_lane), np.arange(_PROBE_BLOCK, per_lane.sum(), _PROBE_BLOCK)
+            )
+            for a, b in itertools.pairwise([0, *np.unique(cuts).tolist(), len(lanes)]):
+                if a == b:
+                    continue
+                flat = cnt[a:b].ravel()
+                pos = np.repeat(lo[a:b].ravel() - (np.cumsum(flat) - flat), flat)
+                pos += np.arange(len(pos))
+                lane_words = np.repeat(words[lanes[a:b]], per_lane[a:b])
+                dist = np.bitwise_count(packed[pos] ^ lane_words)
+                yield lanes[a:b], per_lane[a:b], rows, pos, dist
+
+    def nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest row and its distance per word; ties to the lowest row."""
+        keys = self._keys(words)
+        best = np.full(len(words), np.iinfo(np.int64).max)  # distance << 32 | row
+        spent = np.zeros(len(words), dtype=np.int64)
+        lanes = np.arange(len(words))
+        scan = [np.empty(0, dtype=np.int64)]
+        for r in range(_SUBSTRING_BITS + 1):
+            lanes, over, runs = self._probe(words, keys, lanes, spent, r)
+            scan.append(over)
+            for run_lanes, per_lane, rows, pos, dist in runs:
+                ends = np.cumsum(per_lane)
+                filled = per_lane > 0
+                low = np.minimum.reduceat(dist, (ends - per_lane)[filled])
+                # only candidates at their lane's minimum can win; the
+                # lowest row among them breaks the tie
+                tied = np.flatnonzero(dist == np.repeat(low, per_lane[filled]))
+                owner = run_lanes[np.searchsorted(ends, tied, side="right")]
+                key = (dist[tied].astype(np.int64) << 32) | rows[pos[tied]]
+                np.minimum.at(best, owner, key)
+            lanes = lanes[(best[lanes] >> 32) > self.s * (r + 1) - 1]
+            if not len(lanes):
+                break
+        rows, dist = best & 0xFFFFFFFF, best >> 32
+        scan = np.concatenate(scan)
+        if len(scan):
+            rows[scan], dist[scan] = _scan_nearest(self.packed, words[scan])
+        return rows, dist
+
+    def within(self, words: np.ndarray, thresh: int) -> np.ndarray:
+        """Unique row within distance ``thresh`` per word, else NONE_WITHIN
+        or AMBIGUOUS."""
+        keys = self._keys(words)
+        low = np.full(len(words), self.m, dtype=np.int64)
+        high = np.full(len(words), -1, dtype=np.int64)
+        spent = np.zeros(len(words), dtype=np.int64)
+        lanes = np.arange(len(words))
+        scan = [np.empty(0, dtype=np.int64)]
+        for r in range(thresh // self.s + 1):
+            lanes, over, runs = self._probe(words, keys, lanes, spent, r)
+            scan.append(over)
+            for run_lanes, per_lane, rows, pos, dist in runs:
+                hit = np.flatnonzero(dist <= thresh)
+                owner = run_lanes[np.searchsorted(np.cumsum(per_lane), hit, side="right")]
+                np.minimum.at(low, owner, rows[pos[hit]])
+                np.maximum.at(high, owner, rows[pos[hit]])
+        out = np.where(high < 0, NONE_WITHIN, np.where(low == high, low, AMBIGUOUS))
+        scan = np.concatenate(scan)
+        if len(scan):
+            out[scan] = _scan_within(self.packed, words[scan], thresh)
+        return out
+
+
+def _search_rows(codebook: Codebook, restrict: int | None) -> int:
+    return codebook.cardinality if restrict is None else min(restrict, codebook.cardinality)
 
 
 def batch_min_distortion_rows(
-    codebook: Codebook, blocks: np.ndarray, metric: DistortionMetric
+    codebook: Codebook,
+    blocks: np.ndarray,
+    metric: DistortionMetric,
+    restrict: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row index and average distortion of the closest codeword per block.
 
-    ``blocks`` is (batch, n); ties pick the lowest row index. Uses the
-    bit-packed Hamming path when available, otherwise a chunked gather.
+    ``blocks`` is (batch, n); ``restrict`` limits the search to the first
+    rows. Exact, with ties to the lowest row index. Binary Hamming searches
+    go through the packed rows (multi-index hashed from INDEX_MIN_ROWS rows
+    up, scanned below); other metrics gather per block.
     """
+    m = _search_rows(codebook, restrict)
     scale = _hamming_scale(metric)
     packed = codebook.packed()
-    m, n = codebook.entries.shape
-    batch = blocks.shape[0]
     if packed is not None and scale is not None:
         words = _pack_bits(blocks)
-        best_idx = np.empty(batch, dtype=np.int64)
-        best_avg = np.empty(batch, dtype=np.float64)
-        if m >= 65536:
-            # one flat (m,) pass per lane: contiguous and cache-friendly,
-            # and large enough to amortize the per-call overhead
-            for i in range(batch):
-                dist = np.bitwise_count(packed ^ words[i])
-                j = int(dist.argmin())
-                best_idx[i] = j
-                best_avg[i] = dist[j] * (scale / n)
-            return best_idx, best_avg
-        chunk = max(1, min(batch, int(4e6 // max(m, 1)) or 1))
-        for a in range(0, batch, chunk):
-            b = min(a + chunk, batch)
-            dist = np.bitwise_count(packed[:, None] ^ words[None, a:b])
-            idx = dist.argmin(axis=0)
-            best_idx[a:b] = idx
-            best_avg[a:b] = dist[idx, np.arange(b - a)] * (scale / n)
-        return best_idx, best_avg
+        if m >= INDEX_MIN_ROWS:
+            rows, dist = codebook._hamming_index(m).nearest(words)
+        else:
+            rows, dist = _scan_nearest(packed[:m], words)
+        return rows, dist * (scale / codebook.n)
+    batch = blocks.shape[0]
     best_idx = np.empty(batch, dtype=np.int64)
     best_avg = np.empty(batch, dtype=np.float64)
-    entries64 = codebook.entries.astype(np.int64)
+    entries64 = codebook.entries[:m].astype(np.int64)
     for i in range(batch):
         avg = metric.table[entries64, blocks[i].astype(np.int64)[None, :]].mean(axis=1)
         best_idx[i] = int(avg.argmin())
@@ -337,39 +569,21 @@ def batch_unique_within_decode(
     restrict: int | None = None,
 ) -> np.ndarray:
     """Unique-within-D decode per block: the message index, or NONE_WITHIN /
-    AMBIGUOUS codes. ``restrict`` limits the scan to the first rows."""
-    m = codebook.cardinality if restrict is None else min(restrict, codebook.cardinality)
-    entries = codebook.entries[:m]
+    AMBIGUOUS codes. ``restrict`` limits the search to the first rows.
+    Exact: rows count once however they are found, so two identical rows
+    within D are AMBIGUOUS."""
+    m = _search_rows(codebook, restrict)
     scale = _hamming_scale(metric)
     packed = codebook.packed()
-    n = codebook.n
-    batch = blocks.shape[0]
-    out = np.empty(batch, dtype=np.int64)
     if packed is not None and scale is not None:
-        packed = packed[:m]
         words = _pack_bits(blocks)
-        thresh = math.floor(level * n / scale + 1e-12)
-        if m >= 65536:
-            for i in range(batch):
-                within = np.bitwise_count(packed ^ words[i]) <= thresh
-                count = int(within.sum())
-                if count == 1:
-                    out[i] = int(within.argmax())
-                else:
-                    out[i] = NONE_WITHIN if count == 0 else AMBIGUOUS
-            return out
-        chunk = max(1, min(batch, int(4e6 // max(m, 1)) or 1))
-        for a in range(0, batch, chunk):
-            b = min(a + chunk, batch)
-            dist = np.bitwise_count(packed[:, None] ^ words[None, a:b])
-            within = dist <= thresh
-            counts = within.sum(axis=0)
-            first = within.argmax(axis=0)
-            seg = np.where(counts == 1, first, np.where(counts == 0, NONE_WITHIN, AMBIGUOUS))
-            out[a:b] = seg
-        return out
-    entries64 = entries.astype(np.int64)
-    for i in range(batch):
+        thresh = math.floor(level * codebook.n / scale + 1e-12)
+        if m >= INDEX_MIN_ROWS:
+            return codebook._hamming_index(m).within(words, thresh)
+        return _scan_within(packed[:m], words, thresh)
+    out = np.empty(blocks.shape[0], dtype=np.int64)
+    entries64 = codebook.entries[:m].astype(np.int64)
+    for i in range(blocks.shape[0]):
         avg = metric.table[entries64, blocks[i].astype(np.int64)[None, :]].mean(axis=1)
         hits = np.flatnonzero(avg <= level + 0.0)
         if len(hits) == 1:
@@ -425,11 +639,7 @@ def channel_decode(
         raise ValueError(f"received length {len(received)} != n {codebook.n}")
     block = received.values[None, :]
     if rule == "argmin":
-        idx, _ = batch_min_distortion_rows(
-            codebook if restrict is None else _restricted(codebook, restrict),
-            block,
-            metric,
-        )
+        idx, _ = batch_min_distortion_rows(codebook, block, metric, restrict)
         return int(idx[0])
     if rule != "within_d":
         raise ValueError(f"unknown decode rule {rule!r}")
@@ -441,17 +651,6 @@ def channel_decode(
     if code == AMBIGUOUS:
         return DecodeFailure("ambiguous")
     return code
-
-
-def _restricted(codebook: Codebook, m: int) -> Codebook:
-    return Codebook(
-        codebook.kind,
-        codebook.n,
-        min(m, codebook.cardinality),
-        codebook.gen_pmf,
-        codebook.common_seed,
-        codebook.entries[: min(m, codebook.cardinality)],
-    )
 
 
 def build_source_codebook(
@@ -543,11 +742,7 @@ def mbp_estimate(
         else:
             received = _apply_dmc(sent, channel, gen)
         if rule == "argmin":
-            decoded, _ = batch_min_distortion_rows(
-                codebook if restrict is None else _restricted(codebook, restrict),
-                received,
-                metric,
-            )
+            decoded, _ = batch_min_distortion_rows(codebook, received, metric, restrict)
         else:
             decoded = batch_unique_within_decode(
                 codebook, received, metric, budget_level, restrict

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,6 @@ from .netmodel import (
     MarkovLinkRule,
     NetworkSystem,
     PassthroughModem,
-    baseline_guarantee,
     gilbert_elliott_rule,
     make_dmc_medium,
     make_markov_medium,
@@ -36,11 +35,7 @@ from .netmodel import (
 from .probcore import (
     Pmf,
     RandomnessHandle,
-    Sequence,
-    chi_square_homogeneity,
-    empirical_pmf,
     sample_iid,
-    tv_distance,
     two_sample_test,
 )
 from .ratedist import (
@@ -617,8 +612,8 @@ def _suite_codec(root: RandomnessHandle) -> dict:
                          rate_at_level=0.4564355568, rate_at_level_prime=0.2780719051,
                          n_prime=48, psi=0.25, alpha=0.15)
     cb = build_channel_codebook(plan, pmf, root.derive("cb"))
-    cb2 = Codebook.from_spec(cb.spec())
-    regen_ok = np.array_equal(cb.entries, cb2.entries)
+    cb2 = Codebook.from_spec(cb.spec(), fresh=True)
+    regen_ok = cb2 is not cb and np.array_equal(cb.entries, cb2.entries)
     gen = root.derive("msgs").generator()
     oks = []
     for name, probs in (("uniform", None), ("zipf", zipf_message_pmf(cb.cardinality, 0.5).probs)):

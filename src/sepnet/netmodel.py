@@ -16,13 +16,12 @@ codes).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .probcore import (
     Alphabet,
-    Pmf,
     RandomnessHandle,
     sample_iid_array,
     wilson_half_width,

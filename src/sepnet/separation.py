@@ -11,7 +11,7 @@ guarantees and source statistics, never the medium.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +33,14 @@ from .netmodel import (
     Modem,
     ModemView,
     NetworkSystem,
-    Trajectory,
-    baseline_guarantee,
     block_average_distortions,
     rollout,
 )
 from .probcore import (
-    Pmf,
     RandomnessHandle,
-    Sequence,
     chi_square_homogeneity,
     sample_iid_array,
-    tv_distance,
-    two_sample_test,
     wilson_half_width,
-    empirical_pmf,
 )
 from .ratedist import DistortionBudget, DistortionMetric, blahut_arimoto
 
@@ -226,7 +219,9 @@ class SeparationRecvModem(Modem):
     channel block, and emit the source-decoded block as the reproduction.
 
     The decoder regenerates both codebooks from their generation specs:
-    shared randomness with the encoder is exactly shared seeds.
+    shared randomness with the encoder is exactly shared seeds. Within one
+    process ``Codebook.from_spec`` hands back the encoder's live codebook,
+    whose entries are those same draws.
     """
 
     def __init__(self, inner: Modem, pair: tuple, plan: RatePlan,
@@ -267,9 +262,10 @@ class SeparationRecvModem(Modem):
     def _decode_block(self, state, ys_block):
         if self.decode_rule == "argmin":
             codes, _ = batch_min_distortion_rows(
-                _first_rows(state["channel_cb"], self.plan.source_cardinality),
+                state["channel_cb"],
                 ys_block,
                 self.metric,
+                restrict=self.plan.source_cardinality,
             )
             return codes
         return batch_unique_within_decode(
@@ -300,12 +296,6 @@ class SeparationRecvModem(Modem):
         return iota, repro_map
 
 
-def _first_rows(cb: Codebook, m: int) -> Codebook:
-    if m >= cb.cardinality:
-        return cb
-    return Codebook(cb.kind, cb.n, m, cb.gen_pmf, cb.common_seed, cb.entries[:m])
-
-
 def plan_separation(
     system: NetworkSystem,
     guarantee: GuaranteeReport,
@@ -330,6 +320,12 @@ def plan_separation(
     metric = target.metric
     r_at = blahut_arimoto(pmf, metric, target.level, tol=1e-9)
     r_at_prime = blahut_arimoto(pmf, metric, target.level_prime, tol=1e-9)
+    for point in (r_at, r_at_prime):
+        if not point.converged:
+            raise PlanInfeasible(
+                f"Blahut-Arimoto did not converge at D = {point.distortion} "
+                f"after {point.iterations} iterations; its rate is not trusted"
+            )
     if r_at_prime.rate >= r_at.rate - RATE_STRICTNESS:
         raise PlanInfeasible(
             f"need R(D') strictly below R(D): R({target.level_prime}) = "

@@ -93,7 +93,8 @@ class TestChannelCodebook:
 
     def test_regeneration_from_spec(self, fair_coin, root):
         cb = build_channel_codebook(small_plan(), fair_coin, root.derive("rg"))
-        again = Codebook.from_spec(cb.spec())
+        again = Codebook.from_spec(cb.spec(), fresh=True)
+        assert again is not cb
         assert np.array_equal(cb.entries, again.entries)
 
     def test_pooled_symbols_match_generation_law(self, fair_coin, root):
@@ -154,7 +155,7 @@ class TestChannelDecode:
     def test_shared_seed_roundtrip_noiseless(self, root):
         cb = build_channel_codebook(small_plan(), self.pmf, root.derive("rt"))
         assert len(np.unique(cb.packed())) == cb.cardinality  # distinct rows
-        decoder_cb = Codebook.from_spec(cb.spec())
+        decoder_cb = Codebook.from_spec(cb.spec(), fresh=True)
         for m in range(0, cb.cardinality, 97):
             y = channel_encode(cb, m)
             assert channel_decode(decoder_cb, y, self.metric, 0.0) == m

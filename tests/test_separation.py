@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -16,6 +18,7 @@ from sepnet.netmodel import (
     rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
+from sepnet import separation
 from sepnet.ratedist import DistortionBudget, hamming_metric
 from sepnet.separation import (
     PairTarget,
@@ -96,6 +99,17 @@ class TestPlanSeparation:
         system = single_link_system(0.11, block_length=32)
         target = PairTarget((0, 1), hamming2, 0.125, 0.125, n=32)
         with pytest.raises(PlanInfeasible):
+            plan_separation(system, stock_guarantee(), target, root.derive("c"))
+
+    def test_unconverged_rate_rejected(self, root, hamming2, monkeypatch):
+        # a skewed source needs ~1000 BA iterations; one is not enough
+        system = single_link_system(0.11, source_probs=(0.7, 0.3), block_length=32)
+        target = PairTarget((0, 1), hamming2, 0.1, 0.2, n=32)
+        plan_separation(system, stock_guarantee(), target, root.derive("c"))
+        monkeypatch.setattr(
+            separation, "blahut_arimoto", functools.partial(separation.blahut_arimoto, max_iter=1)
+        )
+        with pytest.raises(PlanInfeasible, match="did not converge"):
             plan_separation(system, stock_guarantee(), target, root.derive("c"))
 
     def test_dmax_target_rate_is_pure_slack(self, root, hamming2):
