@@ -34,10 +34,12 @@ from .probcore import (
     Pmf,
     RandomnessHandle,
     Sequence,
+    _row_cumsum,
+    _sample_categorical,
     sample_iid_array,
     wilson_half_width,
 )
-from .ratedist import DistortionMetric, blahut_arimoto
+from .ratedist import DistortionMetric, RdPoint
 
 __all__ = [
     "CHANNEL_EMBEDDING",
@@ -655,16 +657,15 @@ def channel_decode(
 
 def build_source_codebook(
     plan: RatePlan,
-    x_pmf: Pmf,
-    metric: DistortionMetric,
-    level_prime: float,
+    point: RdPoint,
     c_seed: RandomnessHandle,
     cap: int = DEFAULT_CARDINALITY_CAP,
 ) -> Codebook:
     """Lossy source codebook: rows i.i.d. from the optimal reproduction
-    marginal q* of the rate-distortion solution at the target level."""
-    point = blahut_arimoto(x_pmf, metric, level_prime, tol=1e-9)
-    q_star = Pmf(metric.repro_alphabet, point.repro_marginal)
+    marginal q* of ``point``, the rate-distortion solution at the target
+    level D'. The caller solves and checks it (``plan_separation`` rejects
+    an unconverged solve); nothing is solved again here."""
+    q_star = Pmf.from_probs(point.repro_marginal)
     return Codebook.generate(
         SOURCE_COMPRESSION, q_star, plan.n_prime, plan.source_cardinality, c_seed, cap=cap
     )
@@ -701,15 +702,6 @@ class MbpReport:
     rule: str
 
 
-def _apply_dmc(blocks: np.ndarray, matrix: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(np.asarray(matrix, dtype=np.float64), axis=1)
-    cum[:, -1] = 1.0
-    rows = cum[blocks.reshape(-1).astype(np.int64)]
-    u = gen.random(rows.shape[0])
-    out = np.minimum((rows <= u[:, None]).sum(axis=1), cum.shape[1] - 1)
-    return out.reshape(blocks.shape).astype(blocks.dtype)
-
-
 def mbp_estimate(
     codebook: Codebook,
     channel,
@@ -734,13 +726,16 @@ def mbp_estimate(
         np.arange(codebook.cardinality) if messages is None else np.asarray(messages)
     )
     gen = seeds.derive("mbp").generator()
+    if not callable(channel):
+        cum = _row_cumsum(np.asarray(channel, dtype=np.float64))
     errors = np.zeros(len(msg_list), dtype=np.int64)
     for k, m in enumerate(msg_list):
         sent = np.repeat(codebook.entries[int(m)][None, :], trials_per_message, axis=0)
         if callable(channel):
             received = channel(sent, gen)
         else:
-            received = _apply_dmc(sent, channel, gen)
+            rows = cum[sent.reshape(-1).astype(np.int64)]
+            received = _sample_categorical(rows, gen).reshape(sent.shape).astype(sent.dtype)
         if rule == "argmin":
             decoded, _ = batch_min_distortion_rows(codebook, received, metric, restrict)
         else:

@@ -9,6 +9,7 @@ a result record is a pure function of (config digest, seed root).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -83,6 +84,18 @@ def _link_matrix(entry: dict) -> np.ndarray:
     raise ConfigError(f"link {entry}: need 'flip' or 'matrix'")
 
 
+def _checked(key: str, build):
+    """Run a config builder; its errors become a ConfigError naming ``key``."""
+    try:
+        return build()
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{key}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:  # WiringError is a ValueError
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _canonical_digest(data: dict) -> str:
     blob = json.dumps(data, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -114,12 +127,14 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        """Check the keys, then build the medium, the wired system and the
+        targets as the commands do, so that a bad value fails here."""
         d = self.data
         for key in ("users", "medium", "sources", "modems", "block_length"):
             if key not in d:
                 raise ConfigError(f"missing required key '{key}'")
         users = int(d["users"])
-        pairs = {(int(s["src"]), int(s["dst"])) for s in d["sources"]}
+        pairs = set(_checked("sources", self.source_pmfs))
         for (i, j) in pairs:
             if not (0 <= i < users and 0 <= j < users) or i == j:
                 raise ConfigError(f"sources: pair ({i},{j}) is invalid for {users} users")
@@ -130,6 +145,14 @@ class ExperimentConfig:
         for p in d.get("noninterference", {}).get("untouched", []):
             if (int(p[0]), int(p[1])) not in pairs:
                 raise ConfigError(f"noninterference.untouched: unknown pair {p}")
+        for e in d.get("latency", []):
+            if (int(e["src"]), int(e["dst"])) not in pairs:
+                raise ConfigError(f"latency: unknown pair [{e['src']}, {e['dst']}]")
+        _checked("medium", self.build_medium)
+        system = _checked("modems", self.build_system)
+        for modem in system.modems:
+            _checked("modems", lambda: modem.check_wiring(system))
+        _checked("targets", self.targets)
 
     @property
     def seed(self) -> int:
@@ -154,15 +177,12 @@ class ExperimentConfig:
         med = self.data["medium"]
         users = int(self.data["users"])
         kind = med.get("kind", "dmc")
-        if kind == "dmc":
+        if kind in ("dmc", "coupled_dmc"):
             mats = {
                 (int(e["src"]), int(e["dst"])): _link_matrix(e) for e in med["links"]
             }
-            return make_dmc_medium(users, mats)
-        if kind == "coupled_dmc":
-            mats = {
-                (int(e["src"]), int(e["dst"])): _link_matrix(e) for e in med["links"]
-            }
+            if kind == "dmc":
+                return make_dmc_medium(users, mats)
             coupling = {}
             for e in med.get("coupling", []):
                 link = (int(e["src"]), int(e["dst"]))
@@ -289,18 +309,7 @@ class ResultRecord:
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "schema": self.schema,
-                "experiment_id": self.experiment_id,
-                "command": self.command,
-                "config_digest": self.config_digest,
-                "seed_root": self.seed_root,
-                "wall_clock_s": self.wall_clock_s,
-                "payload": self.payload,
-            },
-            sort_keys=True,
-            indent=2,
-            default=_json_default,
+            dataclasses.asdict(self), sort_keys=True, indent=2, default=_json_default
         )
 
     def save(self, out_dir) -> Path:
@@ -339,21 +348,27 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
         writer.writerows(rows)
 
 
+def _seed_root(config: ExperimentConfig, seed: int | None) -> int:
+    return seed if seed is not None else config.seed
+
+
+def _save_record(config: ExperimentConfig, out_dir, command: str, seed: int | None,
+                 overwrite: bool, t0: float, payload: dict) -> tuple[ResultRecord, Path]:
+    """Build the command's record, timed from ``t0``, and save it; returns
+    the record and its directory."""
+    record = ResultRecord(
+        experiment_id=_allocate_experiment_id(out_dir, command, config.digest, overwrite),
+        command=command,
+        config_digest=config.digest,
+        seed_root=_seed_root(config, seed),
+        payload=payload,
+        wall_clock_s=time.time() - t0,
+    )
+    return record, record.save(out_dir).parent
+
+
 def _guarantee_payload(report: GuaranteeReport) -> dict:
-    out = {
-        "pair": list(report.pair),
-        "level": report.level,
-        "epsilon_hat": report.epsilon_hat,
-        "half_width": report.half_width,
-        "trials": report.trials,
-        "block_length": report.block_length,
-        "exceed_count": report.exceed_count,
-    }
-    for extra in ("xi_hat", "xi_half_width", "eta_hat", "eta_half_width",
-                  "none_within_count", "ambiguous_count"):
-        if hasattr(report, extra):
-            out[extra] = getattr(report, extra)
-    return out
+    return {**dataclasses.asdict(report), "pair": list(report.pair)}
 
 
 def cmd_rd(config: ExperimentConfig, out_dir, seed: int | None = None,
@@ -375,18 +390,11 @@ def cmd_rd(config: ExperimentConfig, out_dir, seed: int | None = None,
         except InfeasibleDistortionError as exc:
             rows.append([float(level), math.nan, math.nan, 0, False])
             notes.append(str(exc))
-    seed_root = seed if seed is not None else config.seed
-    record = ResultRecord(
-        experiment_id=_allocate_experiment_id(out_dir, "rd", config.digest, overwrite),
-        command="rd",
-        config_digest=config.digest,
-        seed_root=seed_root,
-        payload={"rows": rows, "notes": notes},
+    record, out = _save_record(
+        config, out_dir, "rd", seed, overwrite, t0, {"rows": rows, "notes": notes}
     )
-    record.wall_clock_s = time.time() - t0
-    path = record.save(out_dir)
     _write_csv(
-        path.parent / "rd_sweep.csv",
+        out / "rd_sweep.csv",
         ["D", "R_bits", "slope", "iterations", "converged"],
         rows,
     )
@@ -398,11 +406,10 @@ def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
     """Measure the untransformed system's excess-distortion guarantees."""
     t0 = time.time()
     system = config.build_system()
-    seed_root = seed if seed is not None else config.seed
-    root = RandomnessHandle(seed_root)
+    root = RandomnessHandle(_seed_root(config, seed))
     trials = int(trials or config.data.get("trials", 10_000))
     payload = {"pairs": {}}
-    for target in config.targets() or _default_targets(config):
+    for target in config.targets() or _default_targets(config, system):
         budget = DistortionBudget(target.level, target.metric)
         report = measure_end_to_end(
             system,
@@ -413,17 +420,9 @@ def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
             block_length=config.data["block_length"],
         )
         payload["pairs"][str(list(target.pair))] = _guarantee_payload(report)
-    record = ResultRecord(
-        experiment_id=_allocate_experiment_id(out_dir, "baseline", config.digest, overwrite),
-        command="baseline",
-        config_digest=config.digest,
-        seed_root=seed_root,
-        payload=payload,
-    )
-    record.wall_clock_s = time.time() - t0
-    path = record.save(out_dir)
+    record, out = _save_record(config, out_dir, "baseline", seed, overwrite, t0, payload)
     _write_csv(
-        path.parent / "baseline.csv",
+        out / "baseline.csv",
         ["pair", "D", "epsilon_hat", "half_width", "trials", "block_length"],
         [
             [k, v["level"], v["epsilon_hat"], v["half_width"], v["trials"], v["block_length"]]
@@ -433,12 +432,11 @@ def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
     return record
 
 
-def _default_targets(config: ExperimentConfig) -> list[PairTarget]:
+def _default_targets(config: ExperimentConfig, system: NetworkSystem) -> list[PairTarget]:
     # Without explicit targets, measure the pair of interest under Hamming
     # at the configured default level.
-    system_sources = config.source_pmfs()
-    pair = tuple(config.data.get("pair_of_interest", next(iter(sorted(system_sources)))))
-    size = system_sources[pair].alphabet.size
+    pair = system.pair_of_interest
+    size = system.sources[pair].alphabet.size
     level = float(config.data.get("default_level", 0.125))
     return [
         PairTarget(pair=pair, metric=hamming_metric(size), level=level,
@@ -453,10 +451,9 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
     t0 = time.time()
     targets = config.targets()
     if not targets:
-        return _separate_noop(config, out_dir, seed, overwrite)
+        return _separate_noop(config, out_dir, seed, overwrite, t0)
     system = config.build_system()
-    seed_root = seed if seed is not None else config.seed
-    root = RandomnessHandle(seed_root)
+    root = RandomnessHandle(_seed_root(config, seed))
     common = root.derive("common-randomness")
     trials = int(trials or config.data.get("separate_trials", 3000))
     block_lengths = config.target_block_lengths()
@@ -517,17 +514,9 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
                 for pair, res in results.items()
             }
         payload["runs"].append(run)
-    record = ResultRecord(
-        experiment_id=_allocate_experiment_id(out_dir, "separate", config.digest, overwrite),
-        command="separate",
-        config_digest=config.digest,
-        seed_root=seed_root,
-        payload=payload,
-    )
-    record.wall_clock_s = time.time() - t0
-    path = record.save(out_dir)
+    record, out = _save_record(config, out_dir, "separate", seed, overwrite, t0, payload)
     _write_csv(
-        path.parent / "separation_trend.csv",
+        out / "separation_trend.csv",
         ["n", "pair", "excess_prob", "half_width", "xi_hat", "eta_hat", "trials"],
         payload["trend_rows"],
     )
@@ -536,38 +525,20 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
 
 def _resize_target(t: PairTarget, n: int) -> PairTarget:
     ratio = (t.n_prime / t.n) if (t.n and t.n_prime) else 1.0
-    return PairTarget(
-        pair=t.pair,
-        metric=t.metric,
-        level=t.level,
-        level_prime=t.level_prime,
-        n=n,
-        n_prime=max(1, int(round(ratio * n))),
-        psi=t.psi,
-        alpha=t.alpha,
-        decode_rule=t.decode_rule,
-    )
+    return dataclasses.replace(t, n=n, n_prime=max(1, int(round(ratio * n))))
 
 
-def _separate_noop(config, out_dir, seed, overwrite) -> ResultRecord:
+def _separate_noop(config, out_dir, seed, overwrite, t0) -> ResultRecord:
     # Empty target set: the transformed system IS the system; record rollout
     # digests to prove bit-identity.
     system = config.build_system()
-    seed_root = seed if seed is not None else config.seed
-    root = RandomnessHandle(seed_root)
+    root = RandomnessHandle(_seed_root(config, seed))
     traj = rollout(system, root.derive("noop"), lanes=4, horizon=min(system.horizon, 2000))
     digest = hashlib.sha256()
     for pair in sorted(traj.repro):
         digest.update(traj.repro[pair].tobytes())
-    record = ResultRecord(
-        experiment_id=_allocate_experiment_id(out_dir, "separate", config.digest, overwrite),
-        command="separate",
-        config_digest=config.digest,
-        seed_root=seed_root,
-        payload={"noop": True, "rollout_digest": digest.hexdigest()},
-    )
-    record.save(out_dir)
-    return record
+    payload = {"noop": True, "rollout_digest": digest.hexdigest()}
+    return _save_record(config, out_dir, "separate", seed, overwrite, t0, payload)[0]
 
 
 # --- verify suites ----------------------------------------------------------
@@ -683,10 +654,8 @@ def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) ->
         system, small.pair, budget, 1000, root.derive("nc_base"), block_length=32
     )
     wrong_pmf = Pmf.from_probs([0.8, 0.2])
-    wrong_sources = dict(system.sources)
     plan = plan_separation(system, guar, small, root.derive("nc_common"))
     # rebuild the channel codebook with the wrong marginal
-    from dataclasses import replace as _replace
     bad_cb = Codebook.generate(
         plan.channel_cb.kind, wrong_pmf, plan.channel_cb.n,
         plan.channel_cb.cardinality, plan.channel_cb.common_seed,
@@ -694,7 +663,7 @@ def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) ->
     bad_send = type(plan.h_s_wrapped)(
         plan.h_s, small.pair, plan.rate_plan, plan.source_cb, bad_cb, small.metric
     )
-    bad_plan = _replace(plan, h_s_wrapped=bad_send, channel_cb=bad_cb)
+    bad_plan = dataclasses.replace(plan, h_s_wrapped=bad_send, channel_cb=bad_cb)
     after = apply_separation(system, bad_plan)
     ni_cfg = config.data.get("noninterference", {})
     untouched = [tuple(int(v) for v in p) for p in ni_cfg.get("untouched", [])]
@@ -716,8 +685,7 @@ def cmd_verify(config: ExperimentConfig, out_dir, seed: int | None = None,
                overwrite: bool = False) -> tuple[ResultRecord, bool]:
     """Run the invariant suites; returns (record, all_ok)."""
     t0 = time.time()
-    seed_root = seed if seed is not None else config.seed
-    root = RandomnessHandle(seed_root)
+    root = RandomnessHandle(_seed_root(config, seed))
     suites = {
         "probcore_calibration": lambda: _suite_probcore(root.derive("s1")),
         "ratedist_oracles": lambda: _suite_ratedist(),
@@ -738,13 +706,5 @@ def cmd_verify(config: ExperimentConfig, out_dir, seed: int | None = None,
         results[name] = {"status": status, "detail": res["detail"]}
         all_ok = all_ok and res["ok"]
         print(f"{status:>13}  {name}: {res['detail']}")
-    record = ResultRecord(
-        experiment_id=_allocate_experiment_id(out_dir, "verify", config.digest, overwrite),
-        command="verify",
-        config_digest=config.digest,
-        seed_root=seed_root,
-        payload={"suites": results},
-    )
-    record.wall_clock_s = time.time() - t0
-    record.save(out_dir)
-    return record, all_ok
+    payload = {"suites": results}
+    return _save_record(config, out_dir, "verify", seed, overwrite, t0, payload)[0], all_ok

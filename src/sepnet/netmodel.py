@@ -23,6 +23,8 @@ import numpy as np
 from .probcore import (
     Alphabet,
     RandomnessHandle,
+    _row_cumsum,
+    _sample_categorical,
     sample_iid_array,
     wilson_half_width,
 )
@@ -61,19 +63,6 @@ def _check_stochastic(mat: np.ndarray, what: str) -> np.ndarray:
     if np.any(mat < 0) or not np.allclose(mat.sum(axis=1), 1.0, atol=1e-9):
         raise WiringError(f"{what} rows must be probability vectors")
     return mat
-
-
-def _row_cumsum(mat: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(mat, axis=-1)
-    cum[..., -1] = 1.0
-    return cum
-
-
-def _sample_categorical(cum_rows: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Sample one symbol per row of pre-gathered cumulative distributions."""
-    u = gen.random(cum_rows.shape[0])
-    out = (cum_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(out, cum_rows.shape[1] - 1)
 
 
 class MediumKernel(ABC):
@@ -129,11 +118,11 @@ class DmcMedium(MediumKernel):
         return None
 
     def step(self, tau, state, iota_prev, gen):
-        out = {}
-        for (i, j), cum in self._cums.items():
-            rows = cum[iota_prev[i]]
-            out[(i, j)] = _sample_categorical(rows, gen)
-        return out
+        return {link: _sample_categorical(self._rows(link, iota_prev), gen) for link in self._cums}
+
+    def _rows(self, link, iota_prev):
+        """Per-lane cumulative output distributions of ``link``."""
+        return self._cums[link][iota_prev[link[0]]]
 
 
 class CoupledDmcMedium(DmcMedium):
@@ -151,22 +140,22 @@ class CoupledDmcMedium(DmcMedium):
         for link, (watch, stack) in coupling.items():
             if link not in self._mats:
                 raise WiringError(f"coupling references unknown link {link}")
+            watch = int(watch)
+            if not 0 <= watch < self.num_users:
+                raise WiringError(f"coupling of link {link} watches unknown user {watch}")
             stack = np.asarray(stack, dtype=np.float64)
+            want = (self.user_input_alphabet(watch).size, *self._mats[link].shape)
+            if stack.shape != want:
+                raise WiringError(f"coupling of link {link} needs shape {want}, got {stack.shape}")
             for s in range(stack.shape[0]):
                 _check_stochastic(stack[s], f"coupled matrix {link}[{s}]")
-            self._coupling[link] = (int(watch), _row_cumsum(stack))
+            self._coupling[link] = (watch, _row_cumsum(stack))
 
-    def step(self, tau, state, iota_prev, gen):
-        out = {}
-        for (i, j), cum in self._cums.items():
-            link = (i, j)
-            if link in self._coupling:
-                watch, cum3 = self._coupling[link]
-                rows = cum3[iota_prev[watch], iota_prev[i]]
-            else:
-                rows = cum[iota_prev[i]]
-            out[link] = _sample_categorical(rows, gen)
-        return out
+    def _rows(self, link, iota_prev):
+        if link not in self._coupling:
+            return super()._rows(link, iota_prev)
+        watch, cum3 = self._coupling[link]
+        return cum3[iota_prev[watch], iota_prev[link[0]]]
 
 
 @dataclass(frozen=True)
@@ -207,6 +196,9 @@ class MarkovMedium(MediumKernel):
         self._rules = dict(link_rules)
         self._emit_cums = {lk: _row_cumsum(r.emission) for lk, r in self._rules.items()}
         self._trans_cums = {lk: _row_cumsum(r.transition) for lk, r in self._rules.items()}
+        self._state_dtypes = {
+            lk: Alphabet(r.transition.shape[0]).dtype for lk, r in self._rules.items()
+        }
 
     def user_input_alphabet(self, user: int) -> Alphabet:
         for (i, _), rule in self._rules.items():
@@ -219,7 +211,7 @@ class MarkovMedium(MediumKernel):
 
     def start(self, lanes: int):
         return {
-            lk: np.full(lanes, rule.initial_state, dtype=np.int8)
+            lk: np.full(lanes, rule.initial_state, dtype=self._state_dtypes[lk])
             for lk, rule in self._rules.items()
         }
 
@@ -230,7 +222,9 @@ class MarkovMedium(MediumKernel):
             st = state[link]
             rows = self._emit_cums[link][st, iota_prev[i]]
             out[link] = _sample_categorical(rows, gen)
-            state[link] = _sample_categorical(self._trans_cums[link][st], gen).astype(np.int8)
+            state[link] = _sample_categorical(self._trans_cums[link][st], gen).astype(
+                self._state_dtypes[link]
+            )
         return out
 
 
@@ -481,7 +475,8 @@ def rollout(
             arr = sample_iid_array(pmf, T * B, gen).reshape(T, B)
         sources[pair] = arr
 
-    iota = np.zeros((N, T, B), dtype=np.int8)
+    iota_dtype = np.result_type(*(medium.user_input_alphabet(u).dtype for u in range(N)))
+    iota = np.zeros((N, T, B), dtype=iota_dtype)
     link_out = {
         link: np.zeros((T, B), dtype=medium.link_output_alphabet(link).dtype)
         for link in medium.links
@@ -596,16 +591,20 @@ def baseline_guarantee(
     budget: DistortionBudget,
     trials: int,
     seeds: RandomnessHandle,
-    lanes: int | None = None,
+    pair: tuple | None = None,
     block_length: int | None = None,
 ) -> GuaranteeReport:
-    """Monte Carlo estimate of the excess-distortion probability for the
-    system's pair of interest."""
+    """Monte Carlo estimate of the excess-distortion probability for one
+    pair of an uncoded system, by default its pair of interest.
+
+    ``trials`` blocks of ``block_length`` (default: the system's) are read
+    after the warm-up, 4096 lanes at a time at most.
+    """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful estimate")
-    pair = system.pair_of_interest
+    pair = tuple(pair) if pair is not None else system.pair_of_interest
     n = int(block_length if block_length is not None else system.block_length)
-    B = int(lanes) if lanes else min(trials, 4096)
+    B = min(trials, 4096)
     blocks = -(-trials // B)
     lat = system.latency_map[pair]
     T = system.warmup + blocks * n + lat + 1

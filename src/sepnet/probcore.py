@@ -172,9 +172,21 @@ def sample_iid_array(pmf: Pmf, n: int, gen: np.random.Generator) -> np.ndarray:
     u = gen.random(n)
     if pmf.alphabet.size == 2:
         return (u >= pmf.probs[0]).astype(pmf.alphabet.dtype)
-    cum = np.cumsum(pmf.probs)
-    cum[-1] = 1.0
+    cum = _row_cumsum(pmf.probs)
     return np.searchsorted(cum, u, side="right").astype(pmf.alphabet.dtype)
+
+
+def _row_cumsum(mat: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(mat, axis=-1)
+    cum[..., -1] = 1.0
+    return cum
+
+
+def _sample_categorical(cum_rows: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Sample one symbol per row of pre-gathered cumulative distributions."""
+    u = gen.random(cum_rows.shape[0])
+    out = (cum_rows <= u[:, None]).sum(axis=1)
+    return np.minimum(out, cum_rows.shape[1] - 1)
 
 
 def empirical_pmf(seq: Sequence) -> Pmf:

@@ -11,6 +11,7 @@ guarantees and source statistics, never the medium.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,12 @@ from .netmodel import (
     Modem,
     ModemView,
     NetworkSystem,
-    block_average_distortions,
+    baseline_guarantee,
     rollout,
 )
 from .probcore import (
     RandomnessHandle,
+    _kgram_counts,
     chi_square_homogeneity,
     sample_iid_array,
     wilson_half_width,
@@ -63,6 +65,7 @@ __all__ = [
 ]
 
 RATE_STRICTNESS = 1e-9
+DECODE_RULES = ("argmin", "within_d")
 
 
 class PlanInfeasible(ValueError):
@@ -96,6 +99,10 @@ class PairTarget:
     alpha: float | None = None
     decode_rule: str = "within_d"
 
+    def __post_init__(self):
+        if self.decode_rule not in DECODE_RULES:
+            raise ValueError(f"decode_rule {self.decode_rule!r} is not one of {DECODE_RULES}")
+
 
 @dataclass(frozen=True, eq=False)
 class SeparationPlan:
@@ -114,19 +121,9 @@ class SeparationPlan:
     guarantee: GuaranteeReport
 
     def summary(self) -> dict:
-        rp = self.rate_plan
         return {
             "pair": list(self.pair),
-            "n": rp.n,
-            "n_prime": rp.n_prime,
-            "level": rp.level,
-            "level_prime": rp.level_prime,
-            "rate_at_level": rp.rate_at_level,
-            "rate_at_level_prime": rp.rate_at_level_prime,
-            "psi": rp.psi,
-            "alpha": rp.alpha,
-            "channel_rate": rp.channel_rate,
-            "source_rate": rp.source_rate,
+            **dataclasses.asdict(self.rate_plan),
             "decode_rule": self.decode_rule,
             "source_codebook": self.source_cb.spec(),
             "channel_codebook": self.channel_cb.spec(),
@@ -351,12 +348,7 @@ def plan_separation(
             rate_plan, pmf, common_seed.derive("cb", *pair, "channel"), cap=cap
         )
         source_cb = build_source_codebook(
-            rate_plan,
-            pmf,
-            metric,
-            target.level_prime,
-            common_seed.derive("cb", *pair, "source"),
-            cap=cap,
+            rate_plan, r_at_prime, common_seed.derive("cb", *pair, "source"), cap=cap
         )
     except CodebookCapError as exc:
         raise PlanInfeasible(
@@ -433,28 +425,6 @@ class SeparatedGuaranteeReport(GuaranteeReport):
     ambiguous_count: int = 0
 
 
-def _measure_plain_pair(system, pair, budget, trials, seeds, block_length):
-    n = int(block_length)
-    B = min(trials, 4096)
-    blocks = -(-trials // B)
-    lat = system.latency_map[pair]
-    T = system.warmup + blocks * n + lat + 1
-    traj = rollout(system, seeds, lanes=B, horizon=T)
-    avgs = block_average_distortions(
-        traj, pair, budget.metric, n, start=system.warmup, num_blocks=blocks
-    )[:trials]
-    exceed = int((avgs > budget.level).sum())
-    return GuaranteeReport(
-        pair=tuple(pair),
-        level=budget.level,
-        epsilon_hat=exceed / trials,
-        half_width=wilson_half_width(exceed, trials),
-        trials=trials,
-        block_length=n,
-        exceed_count=exceed,
-    )
-
-
 def _measure_separated_pair(system, pair, budget, trials, seeds):
     send_modem = system.modem_for(pair[0])
     plan = send_modem.plan
@@ -523,14 +493,21 @@ def measure_end_to_end(
     block_length: int | None = None,
 ) -> GuaranteeReport:
     """Excess-distortion estimate for any pair of the (possibly transformed)
-    system; separated pairs also report the channel/source error split."""
+    system, from at least 1000 trials.
+
+    A plain pair is measured by ``baseline_guarantee`` at ``block_length``
+    (default: the system's). A separated pair is scored per source block of
+    its plan, ignoring ``block_length``, and also reports the channel/source
+    error split.
+    """
     if trials < 1000:
         raise ValueError("need >= 1000 trials")
     pair = tuple(pair)
     if is_separated(system, pair):
         return _measure_separated_pair(system, pair, budget, trials, seeds)
-    n = block_length if block_length is not None else system.block_length
-    return _measure_plain_pair(system, pair, budget, trials, seeds, n)
+    return baseline_guarantee(
+        system, budget, trials, seeds, pair=pair, block_length=block_length
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,16 +581,11 @@ def verify_noninterference(
             ya = traj_a.repro[pair][t0 + lat_a : t0 + lat_a + samples, lane]
             xb = traj_b.sources[pair][t0 : t0 + samples, lane]
             xa = traj_a.sources[pair][t0 : t0 + samples, lane]
-            cb1 = np.bincount(yb, minlength=size)
-            ca1 = np.bincount(ya, minlength=size)
+            cb1 = _kgram_counts(yb, size, 1)
+            ca1 = _kgram_counts(ya, size, 1)
             p1[lane] = chi_square_homogeneity(cb1, ca1, 1).p_value
-            m = (samples // 2) * 2
-            cb2 = np.bincount(
-                yb[0:m:2].astype(np.int64) * size + yb[1:m:2], minlength=size * size
-            )
-            ca2 = np.bincount(
-                ya[0:m:2].astype(np.int64) * size + ya[1:m:2], minlength=size * size
-            )
+            cb2 = _kgram_counts(yb, size, 2)
+            ca2 = _kgram_counts(ya, size, 2)
             p2[lane] = chi_square_homogeneity(cb2, ca2, 2).p_value
             jb = _joint_counts(xb, yb, size, size)
             ja = _joint_counts(xa, ya, size, size)

@@ -219,9 +219,12 @@ class TestSourceCodec:
         self.metric = hamming_metric(2)
         self.pmf = Pmf.from_probs([0.5, 0.5])
 
+    def q_point(self, level_prime):
+        """The R(D') solution a plan hands to build_source_codebook."""
+        return blahut_arimoto(self.pmf, self.metric, level_prime, tol=1e-9)
+
     def test_symmetric_marginal_is_uniform(self, root):
-        cb = build_source_codebook(small_plan(), self.pmf, self.metric, 0.2,
-                                   root.derive("q"))
+        cb = build_source_codebook(small_plan(), self.q_point(0.2), root.derive("q"))
         assert np.allclose(cb.gen_pmf.probs, [0.5, 0.5], atol=1e-6)
 
     def test_near_dmax_marginal_concentrates(self, root):
@@ -231,15 +234,12 @@ class TestSourceCodec:
         assert pt.repro_marginal[0] > 0.95
 
     def test_same_seed_identical(self, root):
-        a = build_source_codebook(small_plan(), self.pmf, self.metric, 0.2,
-                                  root.derive("s"))
-        b = build_source_codebook(small_plan(), self.pmf, self.metric, 0.2,
-                                  root.derive("s"))
+        a = build_source_codebook(small_plan(), self.q_point(0.2), root.derive("s"))
+        b = build_source_codebook(small_plan(), self.q_point(0.2), root.derive("s"))
         assert np.array_equal(a.entries, b.entries)
 
     def test_encode_matches_rows(self, root):
-        cb = build_source_codebook(small_plan(), self.pmf, self.metric, 0.2,
-                                   root.derive("e"))
+        cb = build_source_codebook(small_plan(), self.q_point(0.2), root.derive("e"))
         x = Sequence(Alphabet(2), cb.entries[17])
         m = source_encode(cb, x, self.metric)
         # an identical row earlier in the table may win the tie
@@ -252,8 +252,8 @@ class TestSourceCodec:
         assert len(source_decode(cb, 0)) == 16
 
     def test_roundtrip_is_row_minimum(self, root):
-        cb = build_source_codebook(small_plan(n=16, n_prime=16), self.pmf,
-                                   self.metric, 0.2, root.derive("rt"))
+        cb = build_source_codebook(small_plan(n=16, n_prime=16), self.q_point(0.2),
+                                   root.derive("rt"))
         gen = root.derive("rtx").generator()
         x = Sequence(Alphabet(2), gen.integers(0, 2, 16).astype(np.int8))
         m = source_encode(cb, x, self.metric)
@@ -262,8 +262,7 @@ class TestSourceCodec:
         assert float((y.values != x.values).mean()) == pytest.approx(best)
 
     def test_encode_decode_identity_on_distinct_rows(self, root):
-        cb = build_source_codebook(small_plan(), self.pmf, self.metric, 0.2,
-                                   root.derive("id"))
+        cb = build_source_codebook(small_plan(), self.q_point(0.2), root.derive("id"))
         if len(np.unique(cb.packed())) == cb.cardinality:
             for m in range(0, cb.cardinality, 199):
                 assert source_encode(cb, source_decode(cb, m), self.metric) == m
@@ -271,7 +270,7 @@ class TestSourceCodec:
     def test_overshoot_point_estimate(self, root):
         # codeword chosen for a fresh block exceeds D' + 0.05 rarely
         plan = small_plan(n=32, n_prime=32)
-        cb = build_source_codebook(plan, self.pmf, self.metric, 0.2, root.derive("ov"))
+        cb = build_source_codebook(plan, self.q_point(0.2), root.derive("ov"))
         gen = root.derive("ovx").generator()
         blocks = gen.integers(0, 2, (1000, 32)).astype(np.int8)
         _, avg = batch_min_distortion_rows(cb, blocks, self.metric)
@@ -286,8 +285,7 @@ class TestSourceCodec:
                                  rate_at_level=R_125,
                                  rate_at_level_prime=1 - h2(0.3),
                                  n_prime=n_prime, psi=0.25, alpha=0.15)
-            cb = build_source_codebook(plan, self.pmf, self.metric, 0.3,
-                                       root.derive("dec", n_prime))
+            cb = build_source_codebook(plan, self.q_point(0.3), root.derive("dec", n_prime))
             gen = root.derive("decx", n_prime).generator()
             blocks = gen.integers(0, 2, (2000, n_prime)).astype(np.int8)
             _, avg = batch_min_distortion_rows(cb, blocks, self.metric)

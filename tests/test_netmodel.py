@@ -5,6 +5,7 @@ from scipy.stats import binom
 from conftest import bsc, single_link_system
 
 from sepnet.netmodel import (
+    CoupledDmcMedium,
     ForwardRelayModem,
     MarkovLinkRule,
     NetworkSystem,
@@ -17,7 +18,7 @@ from sepnet.netmodel import (
     make_markov_medium,
     rollout,
 )
-from sepnet.probcore import Pmf
+from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet.ratedist import DistortionBudget, hamming_metric
 
 
@@ -29,6 +30,17 @@ class TestMediumConstruction:
     def test_unknown_user_rejected(self):
         with pytest.raises(WiringError):
             make_dmc_medium(2, {(0, 5): np.eye(2)})
+
+    def test_coupling_watch_must_be_a_user(self):
+        links = {(0, 1): bsc(0.11), (2, 3): bsc(0.11)}
+        with pytest.raises(WiringError):
+            CoupledDmcMedium(4, links, {(2, 3): (7, np.stack([bsc(0.08), bsc(0.14)]))})
+
+    def test_coupling_stack_must_fit_watch_and_link(self):
+        links = {(0, 1): bsc(0.11), (2, 3): bsc(0.11)}
+        for stack in (np.stack([np.eye(3), np.eye(3)]), np.stack([bsc(0.1)] * 3)):
+            with pytest.raises(WiringError):
+                CoupledDmcMedium(4, links, {(2, 3): (0, stack)})
 
     def test_markov_rule_validation(self):
         with pytest.raises(WiringError):
@@ -268,3 +280,41 @@ class TestBaselineGuarantee:
     def test_too_few_trials_rejected(self, root, hamming2, bsc_system):
         with pytest.raises(ValueError):
             baseline_guarantee(bsc_system, DistortionBudget(0.125, hamming2), 10, root)
+
+
+class TestWideAlphabets:
+    """Symbols and states past 127 survive the rollout's buffers."""
+
+    def two_user(self, medium, size):
+        return NetworkSystem(
+            medium=medium,
+            modems=(
+                PassthroughModem(0, send_pair=(0, 1)),
+                PassthroughModem(1, recv_pairs=[(0, 1)]),
+            ),
+            sources={(0, 1): Pmf.uniform(size)},
+            pair_of_interest=(0, 1),
+            horizon=2000,
+            block_length=100,
+            latency_map={(0, 1): 3},
+        )
+
+    def test_noiseless_200_symbol_link_is_exact(self):
+        system = self.two_user(make_dmc_medium(2, {(0, 1): np.eye(200)}), 200)
+        traj = rollout(system, RandomnessHandle(1), lanes=4, horizon=2000)
+        x = traj.sources[(0, 1)][:-3]
+        assert (x >= 128).sum() > 0
+        assert np.array_equal(traj.repro[(0, 1)][3:], x)
+
+    def test_markov_chain_past_127_states(self, root):
+        # a deterministic cycle through 200 states; states >= 128 flip the bit
+        states = 200
+        transition = np.roll(np.eye(states), 1, axis=1)
+        emission = np.stack([np.eye(2) if s < 128 else np.eye(2)[::-1] for s in range(states)])
+        rule = MarkovLinkRule(transition, emission)
+        system = self.two_user(make_markov_medium(2, states, {(0, 1): rule}), 2)
+        T = 1001
+        traj = rollout(system, root, lanes=2, horizon=T)
+        sent = traj.medium_inputs[0, : T - 1]
+        flipped = (np.arange(T - 1) % states >= 128)[:, None]
+        assert np.array_equal(traj.link_outputs[(0, 1)][1:], sent ^ flipped)
