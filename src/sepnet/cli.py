@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="YAML experiment config")
         cmd.add_argument("--seed", type=int, default=None, help="seed root override")
         cmd.add_argument("--out", default="results", help="output directory")
-        cmd.add_argument("--trials", type=int, default=None, help="trial count override")
+        cmd.add_argument("--trials", type=int, default=None,
+                         help="trial count override (baseline and separate only)")
         cmd.add_argument("--overwrite", action="store_true",
                          help="reuse the first experiment id instead of creating a new one")
     return parser
@@ -52,6 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.trials is not None and args.command in ("rd", "verify"):
+        print(f"error: --trials does not apply to {args.command}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         config = ExperimentConfig.load(args.config)
     except (ConfigError, FileNotFoundError, OSError) as exc:

@@ -31,11 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .probcore import (
+    Alphabet,
     Pmf,
     RandomnessHandle,
     Sequence,
     _row_cumsum,
-    _sample_categorical,
+    _sample_indexed,
     sample_iid_array,
     wilson_half_width,
 )
@@ -71,6 +72,7 @@ _SUBSTRING_BITS = 16      # log2 INDEX_MIN_ROWS: about one row per bucket or mor
 _SCAN_BLOCK = 1 << 17     # elements of one (lanes, rows) scan block
 _PROBE_BLOCK = 1 << 20    # candidates compared at once by the index
 _PROBE_COST = 16          # one probed candidate costs about this many scanned rows
+_INDEX_QUERIES = 1 << 11  # words per pass through the index; its probe arrays grow with them
 
 CHANNEL_EMBEDDING = "channel-embedding"
 SOURCE_COMPRESSION = "source-compression"
@@ -470,6 +472,14 @@ class _HammingIndex:
 
     def nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest row and its distance per word; ties to the lowest row."""
+        rows = np.empty(len(words), dtype=np.int64)
+        dist = np.empty(len(words), dtype=np.int64)
+        for a in range(0, len(words), _INDEX_QUERIES):
+            part = slice(a, a + _INDEX_QUERIES)
+            rows[part], dist[part] = self._nearest(words[part])
+        return rows, dist
+
+    def _nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys = self._keys(words)
         best = np.full(len(words), np.iinfo(np.int64).max)  # distance << 32 | row
         spent = np.zeros(len(words), dtype=np.int64)
@@ -500,6 +510,13 @@ class _HammingIndex:
     def within(self, words: np.ndarray, thresh: int) -> np.ndarray:
         """Unique row within distance ``thresh`` per word, else NONE_WITHIN
         or AMBIGUOUS."""
+        out = np.empty(len(words), dtype=np.int64)
+        for a in range(0, len(words), _INDEX_QUERIES):
+            part = slice(a, a + _INDEX_QUERIES)
+            out[part] = self._within(words[part], thresh)
+        return out
+
+    def _within(self, words: np.ndarray, thresh: int) -> np.ndarray:
         keys = self._keys(words)
         low = np.full(len(words), self.m, dtype=np.int64)
         high = np.full(len(words), -1, dtype=np.int64)
@@ -561,6 +578,7 @@ def batch_min_distortion_rows(
 
 NONE_WITHIN = -1
 AMBIGUOUS = -2
+DECODE_RULES = ("argmin", "within_d")
 
 
 def batch_unique_within_decode(
@@ -722,20 +740,22 @@ def mbp_estimate(
     """
     if trials_per_message < 100:
         raise ValueError("need >= 100 trials per message")
+    if rule not in DECODE_RULES:
+        raise ValueError(f"unknown decode rule {rule!r}")
     msg_list = (
         np.arange(codebook.cardinality) if messages is None else np.asarray(messages)
     )
     gen = seeds.derive("mbp").generator()
     if not callable(channel):
         cum = _row_cumsum(np.asarray(channel, dtype=np.float64))
+        out_dtype = Alphabet(cum.shape[1]).dtype
     errors = np.zeros(len(msg_list), dtype=np.int64)
     for k, m in enumerate(msg_list):
         sent = np.repeat(codebook.entries[int(m)][None, :], trials_per_message, axis=0)
         if callable(channel):
             received = channel(sent, gen)
         else:
-            rows = cum[sent.reshape(-1).astype(np.int64)]
-            received = _sample_categorical(rows, gen).reshape(sent.shape).astype(sent.dtype)
+            received = _sample_indexed(cum, sent, gen.random(sent.shape), out_dtype)
         if rule == "argmin":
             decoded, _ = batch_min_distortion_rows(codebook, received, metric, restrict)
         else:

@@ -24,6 +24,7 @@ from .codec import Codebook, build_channel_codebook, RatePlan, zipf_message_pmf
 from .netmodel import (
     ForwardRelayModem,
     CoupledDmcMedium,
+    DmcMedium,
     GuaranteeReport,
     MarkovLinkRule,
     NetworkSystem,
@@ -597,9 +598,9 @@ def _suite_codec(root: RandomnessHandle) -> dict:
     return {"ok": ok, "detail": f"regen={regen_ok}, gof pass={oks}"}
 
 
-class _PoisonMedium(make_dmc_medium(2, {(0, 1): np.eye(2)}).__class__):
-    """Medium whose dynamic surface explodes on touch: planning and applying
-    a separation must never reach it."""
+class _PoisonMedium(DmcMedium):
+    """Two-user medium whose dynamic surface explodes on touch: planning and
+    applying a separation must never reach it."""
 
     def __init__(self):
         super().__init__(2, {(0, 1): np.eye(2)})
@@ -607,7 +608,7 @@ class _PoisonMedium(make_dmc_medium(2, {(0, 1): np.eye(2)}).__class__):
     def start(self, lanes):
         raise AssertionError("separation transformer touched the medium")
 
-    def step(self, *a, **k):
+    def window(self, *args, **kwargs):
         raise AssertionError("separation transformer touched the medium")
 
 

@@ -1,20 +1,27 @@
 """N-user system model: stochastic medium, modems, and the rollout engine.
 
-The system evolves in discrete time. Within each step every modem fires
-first and then the medium fires; both condition on strictly past values
-only, so the order within a step carries no information. The engine
-advances ``lanes`` independent replicas in lockstep, with all per-step
-work vectorized across lanes; a rollout is bit-reproducible from
-(system, seeds, lanes, horizon).
+The system evolves in discrete time. Every hop delays by at least one
+step: a modem's medium input and reproductions at step tau read its
+sources and incoming links up to tau-1 only, and a medium link's output at
+tau reads the medium inputs up to tau-1 (and its own hidden state). So the
+engine steps whole time windows [t0, t1): it runs the components, each
+modem and each medium link, one after another over the whole window, in
+topological order of the user/link graph, with the work vectorized across
+the window's steps and ``lanes`` independent replicas. A graph with a
+cycle falls back to windows of one step, where any order is causal.
+Windows hold at most ``WINDOW_LANE_STEPS`` lane-steps, which bounds the
+engine's temporaries whatever the horizon.
 
 Randomness is namespaced off a single root handle: one stream per source
-pair, one for the medium, one private stream per modem, and a common
-stream shared by all modems (the common randomness available for random
-codes).
+pair, one for the medium and one private stream per modem. The medium
+draws a fixed block of uniforms per step, laid out the same whatever the
+window, so a rollout is bit-reproducible from (system, seeds, lanes,
+horizon) and does not depend on how the horizon is cut into windows.
 """
 
 from __future__ import annotations
 
+import graphlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 
@@ -24,7 +31,7 @@ from .probcore import (
     Alphabet,
     RandomnessHandle,
     _row_cumsum,
-    _sample_categorical,
+    _sample_indexed,
     sample_iid_array,
     wilson_half_width,
 )
@@ -51,6 +58,11 @@ __all__ = [
     "rollout",
 ]
 
+# A rollout window covers at most this many (step, lane) cells.
+WINDOW_LANE_STEPS = 1 << 18
+# Per-letter distortions are looked up this many cells at a time.
+_DISTORTION_CELLS = 1 << 20
+
 
 class WiringError(ValueError):
     """Alphabet or topology mismatch detected before simulation starts."""
@@ -70,11 +82,14 @@ class MediumKernel(ABC):
 
     Outputs at step tau may depend only on inputs up to tau-1 and the
     medium's own (opaque) state. Link outputs at tau=0 are the zero symbol;
-    the kernel is first consulted at tau=1.
+    the kernel is first consulted at tau=1. For every step from tau=1 on,
+    the engine draws ``draws_per_step`` rows of ``lanes`` uniforms from the
+    medium's stream, and each link reads its own rows of that block.
     """
 
     num_users: int
     links: tuple
+    draws_per_step: int
 
     @abstractmethod
     def user_input_alphabet(self, user: int) -> Alphabet: ...
@@ -82,17 +97,30 @@ class MediumKernel(ABC):
     @abstractmethod
     def link_output_alphabet(self, link) -> Alphabet: ...
 
+    def reads(self, link) -> tuple:
+        """Users whose past medium inputs ``link`` reads."""
+        return (link[0],)
+
     @abstractmethod
     def start(self, lanes: int):
         """Allocate per-rollout state for ``lanes`` replicas."""
 
     @abstractmethod
-    def step(self, tau: int, state, iota_prev: np.ndarray, gen: np.random.Generator) -> dict:
-        """Produce {link: (lanes,) outputs} from inputs at tau-1."""
+    def window(self, link, state, iota_prev: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Outputs (steps, lanes) of ``link`` over a window of steps.
+
+        ``iota_prev`` (users, steps, lanes) holds the medium inputs one step
+        before each step of the window and ``u`` (steps, draws_per_step,
+        lanes) the window's uniforms.
+        """
 
 
 class DmcMedium(MediumKernel):
-    """Memoryless medium: each link applies its own stochastic matrix."""
+    """Memoryless medium: each link applies its own stochastic matrix.
+
+    Per step, each link reads one row of uniforms, in the order the link
+    matrices were given.
+    """
 
     def __init__(self, num_users: int, link_matrices: dict):
         self.num_users = int(num_users)
@@ -104,6 +132,8 @@ class DmcMedium(MediumKernel):
         self.links = tuple(sorted(mats))
         self._mats = mats
         self._cums = {lk: _row_cumsum(m) for lk, m in mats.items()}
+        self._slot = {lk: k for k, lk in enumerate(mats)}
+        self.draws_per_step = len(mats)
 
     def user_input_alphabet(self, user: int) -> Alphabet:
         for (i, _), mat in self._mats.items():
@@ -117,12 +147,15 @@ class DmcMedium(MediumKernel):
     def start(self, lanes: int):
         return None
 
-    def step(self, tau, state, iota_prev, gen):
-        return {link: _sample_categorical(self._rows(link, iota_prev), gen) for link in self._cums}
+    def window(self, link, state, iota_prev, u):
+        cum, rows = self._table(link, iota_prev)
+        return _sample_indexed(
+            cum, rows, u[:, self._slot[link]], self.link_output_alphabet(link).dtype
+        )
 
-    def _rows(self, link, iota_prev):
-        """Per-lane cumulative output distributions of ``link``."""
-        return self._cums[link][iota_prev[link[0]]]
+    def _table(self, link, iota_prev):
+        """Cumulative output table of ``link`` and the row each cell reads."""
+        return self._cums[link], iota_prev[link[0]]
 
 
 class CoupledDmcMedium(DmcMedium):
@@ -149,13 +182,20 @@ class CoupledDmcMedium(DmcMedium):
                 raise WiringError(f"coupling of link {link} needs shape {want}, got {stack.shape}")
             for s in range(stack.shape[0]):
                 _check_stochastic(stack[s], f"coupled matrix {link}[{s}]")
-            self._coupling[link] = (watch, _row_cumsum(stack))
+            # row (watched input) * |link input alphabet| + link input
+            self._coupling[link] = (watch, _row_cumsum(stack).reshape(-1, want[2]))
 
-    def _rows(self, link, iota_prev):
+    def reads(self, link):
         if link not in self._coupling:
-            return super()._rows(link, iota_prev)
-        watch, cum3 = self._coupling[link]
-        return cum3[iota_prev[watch], iota_prev[link[0]]]
+            return super().reads(link)
+        return (link[0], self._coupling[link][0])
+
+    def _table(self, link, iota_prev):
+        if link not in self._coupling:
+            return super()._table(link, iota_prev)
+        watch, cum = self._coupling[link]
+        size = self._mats[link].shape[0]
+        return cum, iota_prev[watch].astype(np.intp) * size + iota_prev[link[0]]
 
 
 @dataclass(frozen=True)
@@ -184,7 +224,8 @@ class MarkovMedium(MediumKernel):
     """Medium with memory: each link carries an independent state chain.
 
     At each step the link emits through its current state's matrix, then
-    the state advances.
+    the state advances. Per step, each link in sorted order reads one row
+    of uniforms for its emission and then one for its transition.
     """
 
     def __init__(self, num_users: int, link_rules: dict):
@@ -194,11 +235,17 @@ class MarkovMedium(MediumKernel):
             if not (0 <= i < num_users and 0 <= j < num_users and i != j):
                 raise WiringError(f"link ({i},{j}) references unknown users")
         self._rules = dict(link_rules)
-        self._emit_cums = {lk: _row_cumsum(r.emission) for lk, r in self._rules.items()}
+        # row (state) * |link input alphabet| + link input
+        self._emit_cums = {
+            lk: _row_cumsum(r.emission).reshape(-1, r.emission.shape[2])
+            for lk, r in self._rules.items()
+        }
         self._trans_cums = {lk: _row_cumsum(r.transition) for lk, r in self._rules.items()}
         self._state_dtypes = {
             lk: Alphabet(r.transition.shape[0]).dtype for lk, r in self._rules.items()
         }
+        self._slot = {lk: 2 * k for k, lk in enumerate(self.links)}
+        self.draws_per_step = 2 * len(self.links)
 
     def user_input_alphabet(self, user: int) -> Alphabet:
         for (i, _), rule in self._rules.items():
@@ -215,17 +262,26 @@ class MarkovMedium(MediumKernel):
             for lk, rule in self._rules.items()
         }
 
-    def step(self, tau, state, iota_prev, gen):
-        out = {}
-        for (i, j) in self.links:
-            link = (i, j)
-            st = state[link]
-            rows = self._emit_cums[link][st, iota_prev[i]]
-            out[link] = _sample_categorical(rows, gen)
-            state[link] = _sample_categorical(self._trans_cums[link][st], gen).astype(
-                self._state_dtypes[link]
-            )
-        return out
+    def window(self, link, state, iota_prev, u):
+        slot = self._slot[link]
+        path = self._state_path(link, state, u[:, slot + 1])
+        size = self._rules[link].emission.shape[1]
+        rows = path.astype(np.intp) * size + iota_prev[link[0]]
+        return _sample_indexed(
+            self._emit_cums[link], rows, u[:, slot], self.link_output_alphabet(link).dtype
+        )
+
+    def _state_path(self, link, state, u):
+        """The state in force at each step of the window, from the
+        transition uniforms ``u`` (steps, lanes); advances ``state``."""
+        cum, dtype = self._trans_cums[link], self._state_dtypes[link]
+        path = np.empty(u.shape, dtype=dtype)
+        current = state[link]
+        for t in range(u.shape[0]):
+            path[t] = current
+            current = _sample_indexed(cum, current, u[t], dtype)
+        state[link] = current
+        return path
 
 
 def make_dmc_medium(num_users: int, link_matrices: dict) -> DmcMedium:
@@ -259,12 +315,14 @@ def gilbert_elliott_rule(
 
 
 class ModemView:
-    """Per-rollout window a modem gets on the trajectory.
+    """What a modem sees of one rollout.
 
     Only the modem's own slices are present: its outgoing pairs' source
-    arrays, its incoming links' output arrays, and its own emission array.
-    The medium state is never exposed. Reading columns >= tau during step
-    tau breaks causality and is checked by perturbation tests.
+    arrays and its incoming links' output arrays, all (horizon, lanes). The
+    medium state is never exposed. When a modem steps the window [t0, t1),
+    its incoming links may already be filled up to row t1-1, so causality
+    is the modem's duty: its value at step tau may read rows before tau
+    only. Perturbation tests check that it does.
     """
 
     __slots__ = (
@@ -274,29 +332,24 @@ class ModemView:
         "sources",
         "source_pmfs",
         "link_in",
-        "own_iota",
-        "common",
         "private_gen",
         "telemetry",
     )
 
-    def __init__(self, user, lanes, horizon, sources, source_pmfs, link_in,
-                 own_iota, common, private_gen):
+    def __init__(self, user, lanes, horizon, sources, source_pmfs, link_in, private_gen):
         self.user = user
         self.lanes = lanes
         self.horizon = horizon
         self.sources = sources
         self.source_pmfs = source_pmfs
         self.link_in = link_in
-        self.own_iota = own_iota
-        self.common = common
         self.private_gen = private_gen
         self.telemetry = {}
 
 
 class Modem(ABC):
     """User protocol box: maps past observations to a medium input and
-    source reproductions, one symbol per step."""
+    source reproductions, one symbol per step and lane."""
 
     user: int
 
@@ -308,8 +361,20 @@ class Modem(ABC):
         return None
 
     @abstractmethod
-    def step(self, tau: int, state, view: ModemView):
-        """Return (medium input vector or None, {pair: reproduction vector})."""
+    def window(self, t0: int, t1: int, state, view: ModemView):
+        """Return (medium inputs or None, {pair: reproductions}) for the
+        steps [t0, t1), each array (t1 - t0, lanes)."""
+
+
+def _delayed(stream: np.ndarray, t0: int, t1: int, first=0) -> np.ndarray:
+    """``stream`` one step late over the window [t0, t1): step tau reads
+    row tau-1, and step 0, which has no earlier row, is ``first``."""
+    if t0 >= 1:
+        return stream[t0 - 1 : t1 - 1]
+    out = np.empty((t1, stream.shape[1]), dtype=stream.dtype)
+    out[0] = first
+    out[1:] = stream[: t1 - 1]
+    return out
 
 
 class PassthroughModem(Modem):
@@ -351,20 +416,18 @@ class PassthroughModem(Modem):
             if link[1] != self.user:
                 raise WiringError(f"modem {self.user} cannot hear link {link}")
 
-    def step(self, tau, state, view):
+    def window(self, t0, t1, state, view):
         iota = None
         if self.send_pair:
-            if tau == 0:
+            first = 0
+            if t0 == 0:
                 pmf = view.source_pmfs[self.send_pair]
-                iota = sample_iid_array(pmf, view.lanes, view.private_gen)
-            else:
-                iota = view.sources[self.send_pair][tau - 1]
-        repro = {}
-        for pair in self.recv_pairs:
-            if tau == 0:
-                repro[pair] = np.zeros(view.lanes, dtype=np.int8)
-            else:
-                repro[pair] = view.link_in[self.recv_link[pair]][tau - 1]
+                first = sample_iid_array(pmf, view.lanes, view.private_gen)
+            iota = _delayed(view.sources[self.send_pair], t0, t1, first)
+        repro = {
+            pair: _delayed(view.link_in[self.recv_link[pair]], t0, t1)
+            for pair in self.recv_pairs
+        }
         return iota, repro
 
 
@@ -381,10 +444,8 @@ class ForwardRelayModem(Modem):
         if self.in_link[1] != self.user:
             raise WiringError(f"relay {self.user} cannot hear link {self.in_link}")
 
-    def step(self, tau, state, view):
-        if tau == 0:
-            return np.zeros(view.lanes, dtype=np.int8), {}
-        return view.link_in[self.in_link][tau - 1], {}
+    def window(self, t0, t1, state, view):
+        return _delayed(view.link_in[self.in_link], t0, t1), {}
 
 
 @dataclass(frozen=True)
@@ -443,6 +504,19 @@ class Trajectory:
     lanes: int
 
 
+def _schedule(system: NetworkSystem) -> list | None:
+    """Users (ints) and links (tuples) ordered so that every link comes
+    after the users it reads and every user after the links into it; None
+    if the user/link graph has a cycle."""
+    medium = system.medium
+    inputs = {m.user: [lk for lk in medium.links if lk[1] == m.user] for m in system.modems}
+    inputs.update({lk: list(medium.reads(lk)) for lk in medium.links})
+    try:
+        return list(graphlib.TopologicalSorter(inputs).static_order())
+    except graphlib.CycleError:
+        return None
+
+
 def rollout(
     system: NetworkSystem,
     seeds: RandomnessHandle,
@@ -455,6 +529,13 @@ def rollout(
     ``source_override`` substitutes explicit (horizon, lanes) source arrays
     for chosen pairs; everything else still follows the seeded streams.
     """
+    return _rollout(system, seeds, lanes, horizon, source_override)
+
+
+def _rollout(system, seeds, lanes, horizon, source_override, window=None) -> Trajectory:
+    """The engine behind ``rollout``. ``window`` fixes the steps per window
+    (default: as many as ``WINDOW_LANE_STEPS`` allows); a cyclic graph
+    always gets 1. The result is the same for every choice."""
     T = int(horizon if horizon is not None else system.horizon)
     B = int(lanes)
     if T < 1 or B < 1:
@@ -486,39 +567,44 @@ def rollout(
         for pair, pmf in system.sources.items()
     }
 
-    common = seeds.derive("common")
-    views = []
+    modems = {}
     for modem in system.modems:
         u = modem.user
-        views.append(
-            ModemView(
-                user=u,
-                lanes=B,
-                horizon=T,
-                sources={p: a for p, a in sources.items() if p[0] == u},
-                source_pmfs={p: f for p, f in system.sources.items() if p[0] == u},
-                link_in={lk: link_out[lk] for lk in medium.links if lk[1] == u},
-                own_iota=iota[u],
-                common=common,
-                private_gen=seeds.derive("modem", u).generator(),
-            )
+        view = ModemView(
+            user=u,
+            lanes=B,
+            horizon=T,
+            sources={p: a for p, a in sources.items() if p[0] == u},
+            source_pmfs={p: f for p, f in system.sources.items() if p[0] == u},
+            link_in={lk: link_out[lk] for lk in medium.links if lk[1] == u},
+            private_gen=seeds.derive("modem", u).generator(),
         )
-
-    states = [m.start(v) for m, v in zip(system.modems, views)]
+        modems[u] = (modem, modem.start(view), view)
     med_state = medium.start(B)
     med_gen = seeds.derive("medium").generator()
 
-    for tau in range(T):
-        for modem, st, view in zip(system.modems, states, views):
-            iota_vec, repro_map = modem.step(tau, st, view)
-            if iota_vec is not None:
-                iota[modem.user, tau] = iota_vec
-            for pair, vec in repro_map.items():
-                repro[pair][tau] = vec
-        if tau >= 1:
-            outs = medium.step(tau, med_state, iota[:, tau - 1, :], med_gen)
-            for link, vec in outs.items():
-                link_out[link][tau] = vec
+    order = _schedule(system)
+    if order is None:
+        # with one step per window every input comes from an earlier window
+        order, window = [*modems, *medium.links], 1
+    W = int(window or max(1, WINDOW_LANE_STEPS // B))
+    for t0 in range(0, T, W):
+        t1 = min(t0 + W, T)
+        a = max(t0, 1)  # the medium is first consulted at step 1
+        u_block = med_gen.random((t1 - a, medium.draws_per_step, B))
+        for node in order:
+            if isinstance(node, tuple):
+                if t1 > a:
+                    link_out[node][a:t1] = medium.window(
+                        node, med_state, iota[:, a - 1 : t1 - 1], u_block
+                    )
+                continue
+            modem, state, view = modems[node]
+            iota_w, repro_w = modem.window(t0, t1, state, view)
+            if iota_w is not None:
+                iota[node, t0:t1] = iota_w
+            for pair, arr in repro_w.items():
+                repro[pair][t0:t1] = arr
 
     for arr in sources.values():
         arr.flags.writeable = False
@@ -528,7 +614,7 @@ def rollout(
     for arr in repro.values():
         arr.flags.writeable = False
 
-    telemetry = {v.user: v.telemetry for v in views if v.telemetry}
+    telemetry = {v.user: v.telemetry for _, _, v in modems.values() if v.telemetry}
     return Trajectory(
         sources=sources,
         medium_inputs=iota,
@@ -539,6 +625,35 @@ def rollout(
         horizon=T,
         lanes=B,
     )
+
+
+def _block_distortions(
+    metric: DistortionMetric,
+    x: np.ndarray,
+    y: np.ndarray,
+    x_starts: np.ndarray,
+    y_starts: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Average distortion of each block x[a : a+n] against y[b : b+n],
+    per lane: (blocks, lanes) for the starts a, b.
+
+    The per-letter table is read at x*K + y, a few blocks at a time, so the
+    temporaries stay near ``_DISTORTION_CELLS`` cells.
+    """
+    table = metric.table.reshape(-1)
+    size = metric.table.shape[1]
+    cell_dtype = Alphabet(table.size).dtype
+    lanes = x.shape[1]
+    step = max(1, _DISTORTION_CELLS // (n * lanes))
+    offsets = np.arange(n)
+    out = np.empty((len(x_starts), lanes))
+    for c in range(0, len(x_starts), step):
+        cells = x[x_starts[c : c + step, None] + offsets].astype(cell_dtype, copy=False)
+        cells *= size
+        cells += y[y_starts[c : c + step, None] + offsets]
+        out[c : c + step] = table.take(cells).mean(axis=1)
+    return out
 
 
 def block_average_distortions(
@@ -556,16 +671,14 @@ def block_average_distortions(
     """
     n = int(block_length)
     lat = traj.latency_map[pair]
-    x = traj.sources[pair]
-    y = traj.repro[pair]
     avail = (traj.horizon - lat - start) // n
     k = avail if num_blocks is None else min(num_blocks, avail)
     if k < 1:
         raise ValueError("horizon too short for one aligned block")
-    xs = x[start : start + k * n]
-    ys = y[start + lat : start + lat + k * n]
-    per_letter = metric.table[xs.astype(np.int64), ys.astype(np.int64)]
-    return per_letter.reshape(k, n, traj.lanes).mean(axis=1).reshape(-1)
+    starts = start + n * np.arange(k)
+    return _block_distortions(
+        metric, traj.sources[pair], traj.repro[pair], starts, starts + lat, n
+    ).reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -182,11 +182,23 @@ def _row_cumsum(mat: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _sample_categorical(cum_rows: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Sample one symbol per row of pre-gathered cumulative distributions."""
-    u = gen.random(cum_rows.shape[0])
-    out = (cum_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(out, cum_rows.shape[1] - 1)
+def _sample_indexed(cum: np.ndarray, idx, u: np.ndarray, dtype) -> np.ndarray:
+    """One symbol per uniform in ``u``, drawn from row ``idx`` of the
+    cumulative table ``cum`` (rows, K): the number of columns k < K-1 with
+    ``u >= cum[idx, k]``, read by one ``take`` per column.
+
+    ``idx`` has the shape of ``u``. Draw for draw this equals gathering the
+    rows and counting ``rows <= u``, since ``_row_cumsum`` pins the last
+    column to 1 and ``u < 1``.
+    """
+    size = cum.shape[-1]
+    if size == 1:
+        return np.zeros(u.shape, dtype=dtype)
+    # a bool array is 0/1 bytes, so the first column's hits are its counts
+    out = (u >= cum[:, 0].take(idx)).view(np.int8).astype(dtype, copy=False)
+    for k in range(1, size - 1):
+        out += u >= cum[:, k].take(idx)
+    return out
 
 
 def empirical_pmf(seq: Sequence) -> Pmf:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .codec import (
     AMBIGUOUS,
+    DECODE_RULES,
     DEFAULT_CARDINALITY_CAP,
     NONE_WITHIN,
     Codebook,
@@ -34,6 +35,7 @@ from .netmodel import (
     Modem,
     ModemView,
     NetworkSystem,
+    _block_distortions,
     baseline_guarantee,
     rollout,
 )
@@ -65,7 +67,6 @@ __all__ = [
 ]
 
 RATE_STRICTNESS = 1e-9
-DECODE_RULES = ("argmin", "within_d")
 
 
 class PlanInfeasible(ValueError):
@@ -140,7 +141,8 @@ class SeparationSendModem(Modem):
     earlier unsent blocks are dropped when n' < n (the stream outpaces the
     codec, which only matters for continuous runs). Until the first window
     the simulated stream is fresh i.i.d. symbols from the source law, so
-    the inner modem's input law is exact from step 0.
+    the inner modem's input law is exact from step 0. All channel windows
+    that start within one rollout window are encoded in one search.
     """
 
     def __init__(self, inner: Modem, pair: tuple, plan: RatePlan,
@@ -172,8 +174,6 @@ class SeparationSendModem(Modem):
             sources=inner_sources,
             source_pmfs=view.source_pmfs,
             link_in=view.link_in,
-            own_iota=view.own_iota,
-            common=view.common,
             private_gen=view.private_gen,
         )
         view.telemetry["sep_send"] = {"windows": [], "sim_stream": virt}
@@ -185,29 +185,42 @@ class SeparationSendModem(Modem):
             "windows": view.telemetry["sep_send"]["windows"],
         }
 
-    def step(self, tau, state, view):
+    def window(self, t0, t1, state, view):
         n, npr = self.plan.n, self.plan.n_prime
-        if tau >= npr and (tau - npr) % n == 0:
-            w = (tau - npr) // n
-            block_idx = tau // npr - 1
-            a = block_idx * npr
-            x_block = state["true_sources"][a : a + npr].T  # (B, n')
-            messages, roundtrip = batch_min_distortion_rows(
-                self.source_cb, x_block, self.metric
-            )
-            codewords = self.channel_cb.entries[messages]  # (B, n)
-            end = min(tau + n, view.horizon)
-            state["virt"][tau:end] = codewords.T[: end - tau]
-            state["windows"].append(
-                {
-                    "window": w,
-                    "src_start": a,
-                    "emit_start": tau,
-                    "messages": messages,
-                    "roundtrip_avg": roundtrip,
-                }
-            )
-        return self.inner.step(tau, state["inner_state"], state["inner_view"])
+        emit = _clock_ticks(npr, n, t0, t1)
+        if len(emit):
+            src = (emit // npr - 1) * npr
+            x = _blocks(state["true_sources"], src, npr)
+            messages, roundtrip = batch_min_distortion_rows(self.source_cb, x, self.metric)
+            messages = messages.reshape(len(emit), -1)
+            roundtrip = roundtrip.reshape(len(emit), -1)
+            for k, tau in enumerate(emit.tolist()):
+                end = min(tau + n, view.horizon)
+                state["virt"][tau:end] = self.channel_cb.entries[messages[k]].T[: end - tau]
+                state["windows"].append(
+                    {
+                        "window": (tau - npr) // n,
+                        "src_start": int(src[k]),
+                        "emit_start": tau,
+                        "messages": messages[k],
+                        "roundtrip_avg": roundtrip[k],
+                    }
+                )
+        return self.inner.window(t0, t1, state["inner_state"], state["inner_view"])
+
+
+def _clock_ticks(first: int, period: int, t0: int, t1: int) -> np.ndarray:
+    """Steps first + w*period (w >= 0) that fall in [t0, t1)."""
+    lo = max(0, -(-(t0 - first) // period))
+    hi = max(lo, -(-(t1 - first) // period))
+    return first + period * np.arange(lo, hi)
+
+
+def _blocks(stream: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """Rows [a, a+n) of a (steps, lanes) stream for each start a, as
+    (len(starts) * lanes, n) blocks, start-major."""
+    rows = stream[starts[:, None] + np.arange(n)]  # (starts, n, lanes)
+    return rows.transpose(0, 2, 1).reshape(-1, n)
 
 
 class SeparationRecvModem(Modem):
@@ -218,7 +231,8 @@ class SeparationRecvModem(Modem):
     The decoder regenerates both codebooks from their generation specs:
     shared randomness with the encoder is exactly shared seeds. Within one
     process ``Codebook.from_spec`` hands back the encoder's live codebook,
-    whose entries are those same draws.
+    whose entries are those same draws. All channel blocks whose decode
+    step falls within one rollout window are decoded in one search.
     """
 
     def __init__(self, inner: Modem, pair: tuple, plan: RatePlan,
@@ -256,40 +270,42 @@ class SeparationRecvModem(Modem):
             "windows": view.telemetry["sep_recv"]["windows"],
         }
 
-    def _decode_block(self, state, ys_block):
+    def _decode(self, state, ys_blocks):
         if self.decode_rule == "argmin":
             codes, _ = batch_min_distortion_rows(
                 state["channel_cb"],
-                ys_block,
+                ys_blocks,
                 self.metric,
                 restrict=self.plan.source_cardinality,
             )
             return codes
         return batch_unique_within_decode(
             state["channel_cb"],
-            ys_block,
+            ys_blocks,
             self.metric,
             self.plan.level,
             restrict=self.plan.source_cardinality,
         )
 
-    def step(self, tau, state, view):
-        iota, repro_map = self.inner.step(tau, state["inner_state"], view)
+    def window(self, t0, t1, state, view):
+        iota, repro_map = self.inner.window(t0, t1, state["inner_state"], view)
         repro_map = dict(repro_map)
         if self.pair in repro_map:
-            state["ys"][tau] = repro_map.pop(self.pair)
+            state["ys"][t0:t1] = repro_map.pop(self.pair)
         n, npr, lat = self.plan.n, self.plan.n_prime, self.inner_latency
-        if tau >= npr + n + lat and (tau - npr - n - lat) % n == 0:
-            w = (tau - npr - n - lat) // n
-            ys_start = npr + w * n + lat
-            ys_block = state["ys"][ys_start : ys_start + n].T  # (B, n)
-            codes = self._decode_block(state, ys_block)
+        decode = _clock_ticks(npr + n + lat, n, t0, t1)
+        if len(decode):
+            # block w was received over [n' + w*n + lat, n' + (w+1)*n + lat)
+            codes = self._decode(state, _blocks(state["ys"], decode - n, n))
+            codes = codes.reshape(len(decode), -1)
             safe = np.clip(codes, 0, state["source_cb"].cardinality - 1)
-            blocks = state["source_cb"].entries[safe]  # (B, n')
-            end = min(tau + npr, view.horizon)
-            state["emit"][tau:end] = blocks.T[: end - tau]
-            state["windows"].append({"window": w, "decode_tau": tau, "codes": codes})
-        repro_map[self.pair] = state["emit"][tau]
+            for k, tau in enumerate(decode.tolist()):
+                end = min(tau + npr, view.horizon)
+                state["emit"][tau:end] = state["source_cb"].entries[safe[k]].T[: end - tau]
+                state["windows"].append(
+                    {"window": (tau - npr - n - lat) // n, "decode_tau": tau, "codes": codes[k]}
+                )
+        repro_map[self.pair] = state["emit"][t0:t1]
         return iota, repro_map
 
 
@@ -438,33 +454,27 @@ def _measure_separated_pair(system, pair, budget, trials, seeds):
     send_tel = traj.telemetry[pair[0]]["sep_send"]["windows"]
     recv_tel = traj.telemetry[pair[1]]["sep_recv"]["windows"]
     recv_by_w = {w["window"]: w for w in recv_tel}
-    x = traj.sources[pair]
-    y = traj.repro[pair]
-    table = budget.metric.table
 
-    e2e, xi, eta = [], [], []
-    none_within = ambiguous = 0
-    for sw in send_tel:
-        w = sw["window"]
-        if w not in recv_by_w:
-            continue
-        rw = recv_by_w[w]
-        a, td = sw["src_start"], rw["decode_tau"]
-        if td + npr > T:
-            continue
-        xs = x[a : a + npr].astype(np.int64)
-        ys = y[td : td + npr].astype(np.int64)
-        e2e.append(table[xs, ys].mean(axis=0))
-        codes = rw["codes"]
-        xi.append(codes != sw["messages"])
-        eta.append(sw["roundtrip_avg"] > budget.level)
-        none_within += int((codes == NONE_WITHIN).sum())
-        ambiguous += int((codes == AMBIGUOUS).sum())
-    if not e2e:
+    scored = [
+        (sw, recv_by_w[sw["window"]])
+        for sw in send_tel
+        if sw["window"] in recv_by_w and recv_by_w[sw["window"]]["decode_tau"] + npr <= T
+    ]
+    if not scored:
         raise ValueError("horizon too short: no complete scored block")
-    e2e = np.concatenate(e2e)[:trials]
-    xi = np.concatenate(xi)[:trials]
-    eta = np.concatenate(eta)[:trials]
+    e2e = _block_distortions(
+        budget.metric,
+        traj.sources[pair],
+        traj.repro[pair],
+        np.array([sw["src_start"] for sw, _ in scored]),
+        np.array([rw["decode_tau"] for _, rw in scored]),
+        npr,
+    ).reshape(-1)[:trials]
+    codes = np.concatenate([rw["codes"] for _, rw in scored])
+    xi = (codes != np.concatenate([sw["messages"] for sw, _ in scored]))[:trials]
+    eta = np.concatenate([sw["roundtrip_avg"] > budget.level for sw, _ in scored])[:trials]
+    none_within = int((codes == NONE_WITHIN).sum())
+    ambiguous = int((codes == AMBIGUOUS).sum())
     k = len(e2e)
     exceed = int((e2e > budget.level).sum())
     return SeparatedGuaranteeReport(

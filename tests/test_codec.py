@@ -213,6 +213,13 @@ class TestMbp:
         rep = mbp_estimate(cb, noiseless, 100, self.metric, 0.0, root.derive("cct"))
         assert rep.sup == 0.0
 
+    def test_unknown_rule_rejected(self, root):
+        # a misspelt rule used to run within-D decoding silently
+        cb = build_channel_codebook(small_plan(n=16), self.pmf, root.derive("rule"))
+        with pytest.raises(ValueError, match="argmn"):
+            mbp_estimate(cb, np.eye(2), 100, self.metric, 0.0, root.derive("rt"),
+                         rule="argmn")
+
 
 class TestSourceCodec:
     def setup_method(self):

@@ -4,6 +4,7 @@ from there up, and the index's scan fallback for costly lanes)."""
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,19 +64,23 @@ def search_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=search_cases(), budget=st.sampled_from([0, 6, 10**9]))
-def test_index_matches_bruteforce(case, budget):
-    # budget 0 scans every lane, 10**9 never does, 6 mixes the two
+@given(case=search_cases(), budget=st.sampled_from([0, 6, 10**9]),
+       queries=st.sampled_from([2, codec._INDEX_QUERIES]))
+def test_index_matches_bruteforce(case, budget, queries):
+    # budget 0 scans every lane, 10**9 never does, 6 mixes the two; two
+    # words per pass through the index splits most batches
     entries, blocks, restrict, thresh = case
     m = min(restrict or len(entries), len(entries))
     d = brute_distances(entries[:m], blocks)
     index = codec._HammingIndex(codec._pack_bits(entries[:m]), entries.shape[1])
     index.budget = budget
     words = codec._pack_bits(blocks)
-    rows, dist = index.nearest(words)
+    with mock.patch.object(codec, "_INDEX_QUERIES", queries):
+        rows, dist = index.nearest(words)
+        within = index.within(words, thresh)
     assert np.array_equal(rows, d.argmin(axis=1))
     assert np.array_equal(dist, d.min(axis=1))
-    assert np.array_equal(index.within(words, thresh), brute_within(d, thresh))
+    assert np.array_equal(within, brute_within(d, thresh))
 
 
 def test_index_probes_up_to_the_pigeonhole_bound():

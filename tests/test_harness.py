@@ -116,6 +116,14 @@ def test_exit_validation_on_missing_file(tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["rd", "verify"])
+def test_trials_rejected_where_it_does_not_apply(command, tmp_path, capsys):
+    code = run_cli(command, "--config", SINGLE_BSC, "--out", tmp_path, "--trials", 5)
+    assert code == cli.EXIT_VALIDATION
+    assert "--trials" in capsys.readouterr().err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_exit_runtime_on_too_few_trials(tmp_path):
     code = run_cli("baseline", "--config", SINGLE_BSC, "--out", tmp_path, "--trials", 500)
     assert code == cli.EXIT_RUNTIME

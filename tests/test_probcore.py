@@ -12,6 +12,8 @@ from sepnet.probcore import (
     Sequence,
     empirical_pmf,
     sample_iid,
+    _row_cumsum,
+    _sample_indexed,
     tv_distance,
     two_sample_test,
     wilson_half_width,
@@ -83,6 +85,24 @@ class TestSampling:
             counts = np.bincount(seq.values, minlength=2)
             _, p = chisquare(counts, pmf.probs * counts.sum())
             assert p > 0.001
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 6), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_indexed_sampler_equals_row_gather(rows, size, seed):
+    # the gathered-rows count it replaced, on uniforms that include the
+    # table's own thresholds, where >= and > part ways
+    rng = np.random.default_rng(seed)
+    cum = _row_cumsum(rng.dirichlet(np.ones(size), size=rows))
+    idx = rng.integers(0, rows, (5, 40))
+    u = rng.random((5, 40))
+    u[0] = cum[idx[0], rng.integers(0, size, 40)]
+    u[1, :3] = 0.0
+    u = np.minimum(u, np.nextafter(1.0, 0.0))
+    gathered = np.minimum((cum[idx] <= u[..., None]).sum(axis=-1), size - 1)
+    out = _sample_indexed(cum, idx, u, Alphabet(size).dtype)
+    assert out.dtype == Alphabet(size).dtype
+    assert np.array_equal(out, gathered)
 
 
 class TestEmpiricalPmf:

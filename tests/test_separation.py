@@ -17,6 +17,7 @@ from sepnet.netmodel import (
     make_dmc_medium,
     rollout,
 )
+from sepnet.harness import _PoisonMedium
 from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet import separation
 from sepnet.ratedist import DistortionBudget, hamming_metric
@@ -65,20 +66,6 @@ def two_pair_system(coupled=False):
         block_length=32,
         latency_map={(0, 1): 3, (2, 3): 3},
     )
-
-
-class PoisonMedium(DmcMedium):
-    """Planning and applying a separation must never touch the medium's
-    dynamic surface."""
-
-    def __init__(self):
-        super().__init__(2, {(0, 1): np.eye(2)})
-
-    def start(self, lanes):
-        raise AssertionError("transformer touched the medium")
-
-    def step(self, *args, **kwargs):
-        raise AssertionError("transformer touched the medium")
 
 
 class TestPlanSeparation:
@@ -139,7 +126,7 @@ class TestPlanSeparation:
 
     def test_medium_blindness(self, root, hamming2):
         system = NetworkSystem(
-            medium=PoisonMedium(),
+            medium=_PoisonMedium(),
             modems=(PassthroughModem(0, send_pair=(0, 1)),
                     PassthroughModem(1, recv_pairs=[(0, 1)])),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
