@@ -21,6 +21,7 @@ from .harness import (
     cmd_separate,
     cmd_verify,
 )
+from .separation import MIN_TRIALS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -55,6 +56,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.trials is not None and args.command in ("rd", "verify"):
         print(f"error: --trials does not apply to {args.command}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if args.trials is not None and args.trials < MIN_TRIALS:
+        print(f"error: --trials {args.trials} is below the floor of {MIN_TRIALS}",
+              file=sys.stderr)
         return EXIT_VALIDATION
     try:
         config = ExperimentConfig.load(args.config)

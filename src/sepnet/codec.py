@@ -9,10 +9,10 @@ Two constructions share the Codebook type:
   optimal reproduction marginal at the target level, encoder picks the
   closest row.
 
-Codebooks are never serialized: encoder and decoder regenerate identical
-entries from (pmf, n, cardinality, seed), which is exactly the shared
-common-randomness contract. Within one process the regeneration hands back
-the live codebook of the same spec, whose entries are those same draws.
+Codebooks are never serialized. Encoder and decoder share the common
+randomness (pmf, n, cardinality, seed) of a codebook, and ``from_spec``
+draws the identical entries anew from it. Within one process the encoder
+and decoder of a pair simply hold the same Codebook object.
 
 Codeword search (nearest row, unique row within D) is exact, and ties go
 to the lowest row index. Binary Hamming searches compare bit-packed rows:
@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +61,8 @@ __all__ = [
     "zipf_message_pmf",
 ]
 
-DEFAULT_CARDINALITY_CAP = 1 << 20
+# Desk-scale ceiling on the rows of any codebook.
+CARDINALITY_CAP = 1 << 20
 # Codebooks are drawn this many symbols at a time.
 GEN_CHUNK_SYMBOLS = 1 << 22
 # Binary Hamming searches over at least this many rows use the multi-index
@@ -204,9 +204,8 @@ class RatePlan:
 class Codebook:
     """cardinality x n symbol table regenerable from its generation spec.
 
-    Every generated codebook stays registered under its spec for as long as
-    something else holds it, so ``from_spec`` hands a decoder the encoder's
-    live table (and its search index) instead of drawing it again.
+    The bit-packed rows and the search index are built on first use and
+    kept with the table.
     """
 
     kind: str
@@ -224,11 +223,14 @@ class Codebook:
         n: int,
         cardinality: int,
         common_seed: RandomnessHandle,
-        cap: int = DEFAULT_CARDINALITY_CAP,
     ) -> "Codebook":
         if cardinality < 1:
             raise ValueError("cardinality must be >= 1")
-        _check_cap(cardinality, cap)
+        if cardinality > CARDINALITY_CAP:
+            raise CodebookCapError(
+                f"cardinality {cardinality} exceeds cap {CARDINALITY_CAP}; "
+                f"use a smaller n * rate product"
+            )
         # chunks of one generator's stream reproduce a single draw exactly,
         # without the whole table's float64 uniforms at once
         entries = np.empty((cardinality, n), dtype=gen_pmf.alphabet.dtype)
@@ -238,9 +240,7 @@ class Codebook:
             b = min(a + rows, cardinality)
             entries[a:b] = sample_iid_array(gen_pmf, (b - a) * n, gen).reshape(b - a, n)
         entries.flags.writeable = False
-        codebook = cls(kind, n, cardinality, gen_pmf, common_seed, entries)
-        _LIVE_CODEBOOKS[_spec_key(codebook.spec())] = codebook
-        return codebook
+        return cls(kind, n, cardinality, gen_pmf, common_seed, entries)
 
     def spec(self) -> dict:
         """Everything needed to regenerate the entries bit-exactly."""
@@ -254,22 +254,14 @@ class Codebook:
         }
 
     @classmethod
-    def from_spec(
-        cls, spec: dict, cap: int = DEFAULT_CARDINALITY_CAP, fresh: bool = False
-    ) -> "Codebook":
-        """The codebook of a spec: the live one generated from it if there
-        is one, otherwise (or with ``fresh``) a new draw."""
-        _check_cap(spec["cardinality"], cap)
-        live = None if fresh else _LIVE_CODEBOOKS.get(_spec_key(spec))
-        if live is not None:
-            return live
+    def from_spec(cls, spec: dict) -> "Codebook":
+        """Draw the codebook of a spec anew; its entries equal the original's."""
         return cls.generate(
             spec["kind"],
             Pmf.from_probs(spec["gen_probs"]),
             spec["n"],
             spec["cardinality"],
             RandomnessHandle(spec["seed"], spec["stream_id"]),
-            cap=cap,
         )
 
     def packed(self) -> np.ndarray | None:
@@ -290,31 +282,6 @@ class Codebook:
         if m not in cache:
             cache[m] = _HammingIndex(self.packed()[:m], self.n)
         return cache[m]
-
-
-# Codebooks generated in this process, by spec; holds no codebook alive.
-_LIVE_CODEBOOKS: "weakref.WeakValueDictionary[tuple, Codebook]" = (
-    weakref.WeakValueDictionary()
-)
-
-
-def _spec_key(spec: dict) -> tuple:
-    return (
-        spec["kind"],
-        spec["n"],
-        spec["cardinality"],
-        tuple(spec["gen_probs"]),
-        spec["seed"],
-        spec["stream_id"],
-    )
-
-
-def _check_cap(cardinality: int, cap: int) -> None:
-    if cardinality > cap:
-        raise CodebookCapError(
-            f"cardinality {cardinality} exceeds cap {cap}; use a smaller "
-            f"n * rate product (or raise the cap explicitly)"
-        )
 
 
 def _packable(arr: np.ndarray, n: int) -> bool:
@@ -542,6 +509,16 @@ def _search_rows(codebook: Codebook, restrict: int | None) -> int:
     return codebook.cardinality if restrict is None else min(restrict, codebook.cardinality)
 
 
+def _gathered_distortions(
+    codebook: Codebook, blocks: np.ndarray, metric: DistortionMetric, m: int
+):
+    """Yield each block's average distortion to the first m rows, by table
+    lookup: the search path for metrics the packed rows do not serve."""
+    entries64 = codebook.entries[:m].astype(np.int64)
+    for block in blocks:
+        yield metric.table[entries64, block.astype(np.int64)[None, :]].mean(axis=1)
+
+
 def batch_min_distortion_rows(
     codebook: Codebook,
     blocks: np.ndarray,
@@ -565,13 +542,10 @@ def batch_min_distortion_rows(
         else:
             rows, dist = _scan_nearest(packed[:m], words)
         return rows, dist * (scale / codebook.n)
-    batch = blocks.shape[0]
-    best_idx = np.empty(batch, dtype=np.int64)
-    best_avg = np.empty(batch, dtype=np.float64)
-    entries64 = codebook.entries[:m].astype(np.int64)
-    for i in range(batch):
-        avg = metric.table[entries64, blocks[i].astype(np.int64)[None, :]].mean(axis=1)
-        best_idx[i] = int(avg.argmin())
+    best_idx = np.empty(len(blocks), dtype=np.int64)
+    best_avg = np.empty(len(blocks), dtype=np.float64)
+    for i, avg in enumerate(_gathered_distortions(codebook, blocks, metric, m)):
+        best_idx[i] = avg.argmin()
         best_avg[i] = avg[best_idx[i]]
     return best_idx, best_avg
 
@@ -601,16 +575,32 @@ def batch_unique_within_decode(
         if m >= INDEX_MIN_ROWS:
             return codebook._hamming_index(m).within(words, thresh)
         return _scan_within(packed[:m], words, thresh)
-    out = np.empty(blocks.shape[0], dtype=np.int64)
-    entries64 = codebook.entries[:m].astype(np.int64)
-    for i in range(blocks.shape[0]):
-        avg = metric.table[entries64, blocks[i].astype(np.int64)[None, :]].mean(axis=1)
+    out = np.empty(len(blocks), dtype=np.int64)
+    for i, avg in enumerate(_gathered_distortions(codebook, blocks, metric, m)):
         hits = np.flatnonzero(avg <= level + 0.0)
         if len(hits) == 1:
             out[i] = hits[0]
         else:
             out[i] = NONE_WITHIN if len(hits) == 0 else AMBIGUOUS
     return out
+
+
+def _decode_blocks(
+    codebook: Codebook,
+    blocks: np.ndarray,
+    metric: DistortionMetric,
+    level: float,
+    rule: str,
+    restrict: int | None = None,
+) -> np.ndarray:
+    """Channel-decode each block under ``rule``: ``argmin`` gives the nearest
+    row, ``within_d`` the unique row within ``level`` or NONE_WITHIN /
+    AMBIGUOUS."""
+    if rule == "argmin":
+        return batch_min_distortion_rows(codebook, blocks, metric, restrict)[0]
+    if rule == "within_d":
+        return batch_unique_within_decode(codebook, blocks, metric, level, restrict)
+    raise ValueError(f"unknown decode rule {rule!r}")
 
 
 @dataclass(frozen=True)
@@ -625,12 +615,9 @@ def build_channel_codebook(
     plan: RatePlan,
     p_x: Pmf,
     c_seed: RandomnessHandle,
-    cap: int = DEFAULT_CARDINALITY_CAP,
 ) -> Codebook:
     """Embedding codebook: codewords i.i.d. from the source law itself."""
-    return Codebook.generate(
-        CHANNEL_EMBEDDING, p_x, plan.n, plan.channel_cardinality, c_seed, cap=cap
-    )
+    return Codebook.generate(CHANNEL_EMBEDDING, p_x, plan.n, plan.channel_cardinality, c_seed)
 
 
 def channel_encode(codebook: Codebook, message: int) -> Sequence:
@@ -658,14 +645,7 @@ def channel_decode(
     if len(received) != codebook.n:
         raise ValueError(f"received length {len(received)} != n {codebook.n}")
     block = received.values[None, :]
-    if rule == "argmin":
-        idx, _ = batch_min_distortion_rows(codebook, block, metric, restrict)
-        return int(idx[0])
-    if rule != "within_d":
-        raise ValueError(f"unknown decode rule {rule!r}")
-    code = int(
-        batch_unique_within_decode(codebook, block, metric, budget_level, restrict)[0]
-    )
+    code = int(_decode_blocks(codebook, block, metric, budget_level, rule, restrict)[0])
     if code == NONE_WITHIN:
         return DecodeFailure("none_within_D")
     if code == AMBIGUOUS:
@@ -677,7 +657,6 @@ def build_source_codebook(
     plan: RatePlan,
     point: RdPoint,
     c_seed: RandomnessHandle,
-    cap: int = DEFAULT_CARDINALITY_CAP,
 ) -> Codebook:
     """Lossy source codebook: rows i.i.d. from the optimal reproduction
     marginal q* of ``point``, the rate-distortion solution at the target
@@ -685,7 +664,7 @@ def build_source_codebook(
     an unconverged solve); nothing is solved again here."""
     q_star = Pmf.from_probs(point.repro_marginal)
     return Codebook.generate(
-        SOURCE_COMPRESSION, q_star, plan.n_prime, plan.source_cardinality, c_seed, cap=cap
+        SOURCE_COMPRESSION, q_star, plan.n_prime, plan.source_cardinality, c_seed
     )
 
 
@@ -740,8 +719,6 @@ def mbp_estimate(
     """
     if trials_per_message < 100:
         raise ValueError("need >= 100 trials per message")
-    if rule not in DECODE_RULES:
-        raise ValueError(f"unknown decode rule {rule!r}")
     msg_list = (
         np.arange(codebook.cardinality) if messages is None else np.asarray(messages)
     )
@@ -756,12 +733,7 @@ def mbp_estimate(
             received = channel(sent, gen)
         else:
             received = _sample_indexed(cum, sent, gen.random(sent.shape), out_dtype)
-        if rule == "argmin":
-            decoded, _ = batch_min_distortion_rows(codebook, received, metric, restrict)
-        else:
-            decoded = batch_unique_within_decode(
-                codebook, received, metric, budget_level, restrict
-            )
+        decoded = _decode_blocks(codebook, received, metric, budget_level, rule, restrict)
         errors[k] = int((decoded != int(m)).sum())
     rates = errors / trials_per_message
     worst = int(rates.argmax())

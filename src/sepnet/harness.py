@@ -49,8 +49,10 @@ from .ratedist import (
     rd_sweep,
 )
 from .separation import (
+    MIN_TRIALS,
     PairTarget,
     PlanInfeasible,
+    SeparationSendModem,
     apply_separation,
     measure_end_to_end,
     plan_separation,
@@ -149,6 +151,19 @@ class ExperimentConfig:
         for e in d.get("latency", []):
             if (int(e["src"]), int(e["dst"])) not in pairs:
                 raise ConfigError(f"latency: unknown pair [{e['src']}, {e['dst']}]")
+        ni = d.get("noninterference") or {}
+        counts = {key: d.get(key) for key in ("trials", "separate_trials", "recheck_trials")}
+        counts["noninterference.trials_blocks"] = ni.get("trials_blocks")
+        for key, value in counts.items():
+            if value is not None and _checked(key, lambda: int(value)) < MIN_TRIALS:
+                raise ConfigError(f"{key}: {value} is below the floor of {MIN_TRIALS}")
+        if _checked("noninterference.repetitions", lambda: int(ni.get("repetitions", 1))) < 1:
+            raise ConfigError("noninterference.repetitions: need >= 1")
+        # separate runs every target at the first target's block lengths
+        lengths = [_checked("targets", lambda: self.target_block_lengths(k))
+                   for k in range(len(d.get("targets", [])))]
+        if any(ls != lengths[0] for ls in lengths):
+            raise ConfigError(f"targets: block lengths {lengths} differ between targets")
         _checked("medium", self.build_medium)
         system = _checked("modems", self.build_system)
         for modem in system.modems:
@@ -408,7 +423,7 @@ def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
     t0 = time.time()
     system = config.build_system()
     root = RandomnessHandle(_seed_root(config, seed))
-    trials = int(trials or config.data.get("trials", 10_000))
+    trials = int(trials if trials is not None else config.data.get("trials", 10_000))
     payload = {"pairs": {}}
     for target in config.targets() or _default_targets(config, system):
         budget = DistortionBudget(target.level, target.metric)
@@ -456,7 +471,7 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
     system = config.build_system()
     root = RandomnessHandle(_seed_root(config, seed))
     common = root.derive("common-randomness")
-    trials = int(trials or config.data.get("separate_trials", 3000))
+    trials = int(trials if trials is not None else config.data.get("separate_trials", 3000))
     block_lengths = config.target_block_lengths()
     payload = {"runs": [], "trend_rows": []}
     for n in block_lengths:
@@ -584,7 +599,7 @@ def _suite_codec(root: RandomnessHandle) -> dict:
                          rate_at_level=0.4564355568, rate_at_level_prime=0.2780719051,
                          n_prime=48, psi=0.25, alpha=0.15)
     cb = build_channel_codebook(plan, pmf, root.derive("cb"))
-    cb2 = Codebook.from_spec(cb.spec(), fresh=True)
+    cb2 = Codebook.from_spec(cb.spec())
     regen_ok = cb2 is not cb and np.array_equal(cb.entries, cb2.entries)
     gen = root.derive("msgs").generator()
     oks = []
@@ -657,15 +672,12 @@ def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) ->
     wrong_pmf = Pmf.from_probs([0.8, 0.2])
     plan = plan_separation(system, guar, small, root.derive("nc_common"))
     # rebuild the channel codebook with the wrong marginal
-    bad_cb = Codebook.generate(
-        plan.channel_cb.kind, wrong_pmf, plan.channel_cb.n,
-        plan.channel_cb.cardinality, plan.channel_cb.common_seed,
+    send, cb = plan.send, plan.send.channel_cb
+    bad_cb = Codebook.generate(cb.kind, wrong_pmf, cb.n, cb.cardinality, cb.common_seed)
+    bad_send = SeparationSendModem(
+        send.inner, send.pair, send.plan, send.source_cb, bad_cb, send.metric
     )
-    bad_send = type(plan.h_s_wrapped)(
-        plan.h_s, small.pair, plan.rate_plan, plan.source_cb, bad_cb, small.metric
-    )
-    bad_plan = dataclasses.replace(plan, h_s_wrapped=bad_send, channel_cb=bad_cb)
-    after = apply_separation(system, bad_plan)
+    after = apply_separation(system, dataclasses.replace(plan, send=bad_send))
     ni_cfg = config.data.get("noninterference", {})
     untouched = [tuple(int(v) for v in p) for p in ni_cfg.get("untouched", [])]
     if not untouched:

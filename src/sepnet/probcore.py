@@ -170,10 +170,7 @@ def sample_iid(pmf: Pmf, n: int, rng: RandomnessHandle) -> Sequence:
 def sample_iid_array(pmf: Pmf, n: int, gen: np.random.Generator) -> np.ndarray:
     """Array-returning i.i.d. sampler advancing an existing generator."""
     u = gen.random(n)
-    if pmf.alphabet.size == 2:
-        return (u >= pmf.probs[0]).astype(pmf.alphabet.dtype)
-    cum = _row_cumsum(pmf.probs)
-    return np.searchsorted(cum, u, side="right").astype(pmf.alphabet.dtype)
+    return _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, u, pmf.alphabet.dtype)
 
 
 def _row_cumsum(mat: np.ndarray) -> np.ndarray:

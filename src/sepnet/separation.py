@@ -19,14 +19,13 @@ import numpy as np
 from .codec import (
     AMBIGUOUS,
     DECODE_RULES,
-    DEFAULT_CARDINALITY_CAP,
     NONE_WITHIN,
     Codebook,
     CodebookCapError,
     RatePlan,
     RatePlanError,
+    _decode_blocks,
     batch_min_distortion_rows,
-    batch_unique_within_decode,
     build_channel_codebook,
     build_source_codebook,
 )
@@ -67,6 +66,9 @@ __all__ = [
 ]
 
 RATE_STRICTNESS = 1e-9
+# Fewest trials (blocks) an excess-distortion or noninterference estimate
+# is made from.
+MIN_TRIALS = 1000
 
 
 class PlanInfeasible(ValueError):
@@ -107,27 +109,22 @@ class PairTarget:
 
 @dataclass(frozen=True, eq=False)
 class SeparationPlan:
-    """Everything needed to install the transformed modems for one pair."""
+    """The wrapped modems for one pair; they hold the inner modems h_s and
+    h_r, both codebooks, the decode rule and the inner latency."""
 
     pair: tuple
     rate_plan: RatePlan
-    source_cb: Codebook
-    channel_cb: Codebook
-    decode_rule: str
-    h_s: Modem
-    h_r: Modem
-    h_s_wrapped: "SeparationSendModem"
-    h_r_wrapped: "SeparationRecvModem"
-    inner_latency: int
+    send: "SeparationSendModem"
+    recv: "SeparationRecvModem"
     guarantee: GuaranteeReport
 
     def summary(self) -> dict:
         return {
             "pair": list(self.pair),
             **dataclasses.asdict(self.rate_plan),
-            "decode_rule": self.decode_rule,
-            "source_codebook": self.source_cb.spec(),
-            "channel_codebook": self.channel_cb.spec(),
+            "decode_rule": self.recv.decode_rule,
+            "source_codebook": self.send.source_cb.spec(),
+            "channel_codebook": self.send.channel_cb.spec(),
             "baseline_epsilon": self.guarantee.epsilon_hat,
         }
 
@@ -228,64 +225,38 @@ class SeparationRecvModem(Modem):
     (the simulated source as received), decode the embedded message per
     channel block, and emit the source-decoded block as the reproduction.
 
-    The decoder regenerates both codebooks from their generation specs:
-    shared randomness with the encoder is exactly shared seeds. Within one
-    process ``Codebook.from_spec`` hands back the encoder's live codebook,
-    whose entries are those same draws. All channel blocks whose decode
-    step falls within one rollout window are decoded in one search.
+    The decoder holds the encoder's two codebooks, the common randomness
+    of the pair. Only the first source-cardinality rows of the channel
+    codebook carry messages, so the search is restricted to them. All
+    channel blocks whose decode step falls within one rollout window are
+    decoded in one search.
     """
 
     def __init__(self, inner: Modem, pair: tuple, plan: RatePlan,
-                 source_cb_spec: dict, channel_cb_spec: dict,
-                 metric: DistortionMetric, inner_latency: int,
-                 decode_rule: str = "within_d",
-                 cap: int = DEFAULT_CARDINALITY_CAP):
+                 source_cb: Codebook, channel_cb: Codebook,
+                 metric: DistortionMetric, inner_latency: int, decode_rule: str):
         self.user = inner.user
         self.inner = inner
         self.pair = tuple(pair)
         self.plan = plan
-        self.source_cb_spec = dict(source_cb_spec)
-        self.channel_cb_spec = dict(channel_cb_spec)
+        self.source_cb = source_cb
+        self.channel_cb = channel_cb
         self.metric = metric
         self.inner_latency = int(inner_latency)
         self.decode_rule = decode_rule
-        self.cap = cap
 
     def check_wiring(self, system):
         self.inner.check_wiring(system)
 
     def start(self, view: ModemView):
         T, B = view.horizon, view.lanes
-        source_cb = Codebook.from_spec(self.source_cb_spec, cap=self.cap)
-        channel_cb = Codebook.from_spec(self.channel_cb_spec, cap=self.cap)
-        ys = np.zeros((T, B), dtype=channel_cb.gen_pmf.alphabet.dtype)
-        emit = np.zeros((T, B), dtype=source_cb.gen_pmf.alphabet.dtype)
         view.telemetry["sep_recv"] = {"windows": []}
         return {
-            "source_cb": source_cb,
-            "channel_cb": channel_cb,
-            "ys": ys,
-            "emit": emit,
+            "ys": np.zeros((T, B), dtype=self.channel_cb.gen_pmf.alphabet.dtype),
+            "emit": np.zeros((T, B), dtype=self.source_cb.gen_pmf.alphabet.dtype),
             "inner_state": self.inner.start(view),
             "windows": view.telemetry["sep_recv"]["windows"],
         }
-
-    def _decode(self, state, ys_blocks):
-        if self.decode_rule == "argmin":
-            codes, _ = batch_min_distortion_rows(
-                state["channel_cb"],
-                ys_blocks,
-                self.metric,
-                restrict=self.plan.source_cardinality,
-            )
-            return codes
-        return batch_unique_within_decode(
-            state["channel_cb"],
-            ys_blocks,
-            self.metric,
-            self.plan.level,
-            restrict=self.plan.source_cardinality,
-        )
 
     def window(self, t0, t1, state, view):
         iota, repro_map = self.inner.window(t0, t1, state["inner_state"], view)
@@ -296,12 +267,18 @@ class SeparationRecvModem(Modem):
         decode = _clock_ticks(npr + n + lat, n, t0, t1)
         if len(decode):
             # block w was received over [n' + w*n + lat, n' + (w+1)*n + lat)
-            codes = self._decode(state, _blocks(state["ys"], decode - n, n))
-            codes = codes.reshape(len(decode), -1)
-            safe = np.clip(codes, 0, state["source_cb"].cardinality - 1)
+            codes = _decode_blocks(
+                self.channel_cb,
+                _blocks(state["ys"], decode - n, n),
+                self.metric,
+                self.plan.level,
+                self.decode_rule,
+                restrict=self.plan.source_cardinality,
+            ).reshape(len(decode), -1)
+            safe = np.clip(codes, 0, self.source_cb.cardinality - 1)
             for k, tau in enumerate(decode.tolist()):
                 end = min(tau + npr, view.horizon)
-                state["emit"][tau:end] = state["source_cb"].entries[safe[k]].T[: end - tau]
+                state["emit"][tau:end] = self.source_cb.entries[safe[k]].T[: end - tau]
                 state["windows"].append(
                     {"window": (tau - npr - n - lat) // n, "decode_tau": tau, "codes": codes[k]}
                 )
@@ -314,7 +291,6 @@ def plan_separation(
     guarantee: GuaranteeReport,
     target: PairTarget,
     common_seed: RandomnessHandle,
-    cap: int = DEFAULT_CARDINALITY_CAP,
 ) -> SeparationPlan:
     """Size the rate plan and both codebooks for one pair.
 
@@ -361,10 +337,10 @@ def plan_separation(
 
     try:
         channel_cb = build_channel_codebook(
-            rate_plan, pmf, common_seed.derive("cb", *pair, "channel"), cap=cap
+            rate_plan, pmf, common_seed.derive("cb", *pair, "channel")
         )
         source_cb = build_source_codebook(
-            rate_plan, r_at_prime, common_seed.derive("cb", *pair, "source"), cap=cap
+            rate_plan, r_at_prime, common_seed.derive("cb", *pair, "source")
         )
     except CodebookCapError as exc:
         raise PlanInfeasible(
@@ -373,33 +349,21 @@ def plan_separation(
         ) from exc
 
     s, r = pair
-    h_s = system.modem_for(s)
-    h_r = system.modem_for(r)
-    inner_latency = system.latency_map[pair]
-    send = SeparationSendModem(h_s, pair, rate_plan, source_cb, channel_cb, metric)
+    send = SeparationSendModem(
+        system.modem_for(s), pair, rate_plan, source_cb, channel_cb, metric
+    )
     recv = SeparationRecvModem(
-        h_r,
+        system.modem_for(r),
         pair,
         rate_plan,
-        source_cb.spec(),
-        channel_cb.spec(),
+        source_cb,
+        channel_cb,
         metric,
-        inner_latency,
-        decode_rule=target.decode_rule,
-        cap=cap,
+        system.latency_map[pair],
+        target.decode_rule,
     )
     return SeparationPlan(
-        pair=pair,
-        rate_plan=rate_plan,
-        source_cb=source_cb,
-        channel_cb=channel_cb,
-        decode_rule=target.decode_rule,
-        h_s=h_s,
-        h_r=h_r,
-        h_s_wrapped=send,
-        h_r_wrapped=recv,
-        inner_latency=inner_latency,
-        guarantee=guarantee,
+        pair=pair, rate_plan=rate_plan, send=send, recv=recv, guarantee=guarantee
     )
 
 
@@ -409,13 +373,13 @@ def apply_separation(system: NetworkSystem, plan: SeparationPlan) -> NetworkSyst
     new_modems = []
     for modem in system.modems:
         if modem.user == s:
-            new_modems.append(plan.h_s_wrapped)
+            new_modems.append(plan.send)
         elif modem.user == r:
-            new_modems.append(plan.h_r_wrapped)
+            new_modems.append(plan.recv)
         else:
             new_modems.append(modem)
     latency = dict(system.latency_map)
-    latency[plan.pair] = plan.rate_plan.n + plan.rate_plan.n_prime + plan.inner_latency
+    latency[plan.pair] = plan.rate_plan.n + plan.rate_plan.n_prime + plan.recv.inner_latency
     return system.with_modems(new_modems, latency)
 
 
@@ -503,15 +467,15 @@ def measure_end_to_end(
     block_length: int | None = None,
 ) -> GuaranteeReport:
     """Excess-distortion estimate for any pair of the (possibly transformed)
-    system, from at least 1000 trials.
+    system, from at least MIN_TRIALS trials.
 
     A plain pair is measured by ``baseline_guarantee`` at ``block_length``
     (default: the system's). A separated pair is scored per source block of
     its plan, ignoring ``block_length``, and also reports the channel/source
     error split.
     """
-    if trials < 1000:
-        raise ValueError("need >= 1000 trials")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need >= {MIN_TRIALS} trials")
     pair = tuple(pair)
     if is_separated(system, pair):
         return _measure_separated_pair(system, pair, budget, trials, seeds)
@@ -564,8 +528,8 @@ def verify_noninterference(
     reproduction) joint law. ``trials`` counts blocks; the stream length
     is trials * block_length.
     """
-    if trials < 1000:
-        raise ValueError("need >= 1000 blocks")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need >= {MIN_TRIALS} blocks")
     samples = trials * before.block_length
     max_lat = max(before.latency_map.values())
     T = before.warmup + samples + max_lat + 1
@@ -639,7 +603,6 @@ def separate_network(
     recheck_trials: int = 2000,
     recheck_slack: float = 0.02,
     recheck: bool = True,
-    cap: int = DEFAULT_CARDINALITY_CAP,
 ):
     """Apply the transformation to every target pair, one at a time.
 
@@ -665,7 +628,7 @@ def separate_network(
             seeds.derive("plan_guess", *target.pair),
             block_length=target.n or system.block_length,
         )
-        plan = plan_separation(current, guar, target, common_seed, cap=cap)
+        plan = plan_separation(current, guar, target, common_seed)
         new_system = apply_separation(current, plan)
         rechecks = {}
         if recheck:

@@ -93,7 +93,7 @@ class TestChannelCodebook:
 
     def test_regeneration_from_spec(self, fair_coin, root):
         cb = build_channel_codebook(small_plan(), fair_coin, root.derive("rg"))
-        again = Codebook.from_spec(cb.spec(), fresh=True)
+        again = Codebook.from_spec(cb.spec())
         assert again is not cb
         assert np.array_equal(cb.entries, again.entries)
 
@@ -155,7 +155,7 @@ class TestChannelDecode:
     def test_shared_seed_roundtrip_noiseless(self, root):
         cb = build_channel_codebook(small_plan(), self.pmf, root.derive("rt"))
         assert len(np.unique(cb.packed())) == cb.cardinality  # distinct rows
-        decoder_cb = Codebook.from_spec(cb.spec(), fresh=True)
+        decoder_cb = Codebook.from_spec(cb.spec())
         for m in range(0, cb.cardinality, 97):
             y = channel_encode(cb, m)
             assert channel_decode(decoder_cb, y, self.metric, 0.0) == m

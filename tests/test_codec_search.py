@@ -2,8 +2,6 @@
 whichever path runs (scan below INDEX_MIN_ROWS rows, multi-index hash
 from there up, and the index's scan fallback for costly lanes)."""
 
-import gc
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -160,23 +158,8 @@ def test_chunked_generation_equals_one_shot(monkeypatch, root, probs, n, m, chun
     assert not cb.entries.flags.writeable
 
 
-class TestLiveCodebooks:
-    def test_from_spec_returns_the_live_codebook(self, root):
-        cb = Codebook.generate("channel-embedding", COIN, 24, 300, root.derive("live"))
-        assert Codebook.from_spec(cb.spec()) is cb
-        fresh = Codebook.from_spec(cb.spec(), fresh=True)
-        assert fresh is not cb and np.array_equal(fresh.entries, cb.entries)
-
-    def test_registry_keeps_nothing_alive(self, root):
-        cb = Codebook.generate("channel-embedding", COIN, 24, 300, root.derive("gone"))
-        spec, entries, ref = cb.spec(), cb.entries.copy(), weakref.ref(cb)
-        del cb
-        gc.collect()
-        assert ref() is None
-        again = Codebook.from_spec(spec)
-        assert np.array_equal(again.entries, entries)
-
-    def test_cap_applies_to_live_codebooks(self, root):
-        cb = Codebook.generate("channel-embedding", COIN, 24, 300, root.derive("cap"))
-        with pytest.raises(CodebookCapError):
-            Codebook.from_spec(cb.spec(), cap=299)
+def test_cap_applies_to_regeneration(monkeypatch, root):
+    cb = Codebook.generate("channel-embedding", COIN, 24, 300, root.derive("cap"))
+    monkeypatch.setattr(codec, "CARDINALITY_CAP", 299)
+    with pytest.raises(CodebookCapError):
+        Codebook.from_spec(cb.spec())

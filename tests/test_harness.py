@@ -1,6 +1,7 @@
 """Harness and CLI: a payload is a pure function of (config digest, seed
 root); bad configs fail validation with exit 1; exit codes; experiment ids."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +20,9 @@ from sepnet.harness import (
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 SINGLE_BSC = CONFIG_DIR / "single_bsc.yaml"
+TWO_PAIR = CONFIG_DIR / "two_pair_interference.yaml"
+# sha256 prefix of the separate payload on single_bsc at n = 32, 1000 trials
+SEPARATE_SINGLE_BSC_N32 = "f5463a6a788bb042"
 
 
 def payload_json(record) -> str:
@@ -45,11 +49,27 @@ def with_misspelled_rule(d):
     d["targets"][0]["decode_rule"] = "argmn"
 
 
+def with_count(key, value):
+    def edit(d):
+        *path, last = key.split(".")
+        section = d
+        for name in path:
+            section = section.setdefault(name, {})
+        section[last] = value
+
+    return edit
+
+
 BAD_CONFIGS = {
     "D_prime": without_d_prime,
     "modems": without_a_modem,
     "medium": with_flip_above_one,
     "decode_rule": with_misspelled_rule,
+    "trials": with_count("trials", 50),
+    "separate_trials": with_count("separate_trials", 500),
+    "recheck_trials": with_count("recheck_trials", 999),
+    "noninterference.trials_blocks": with_count("noninterference.trials_blocks", 10),
+    "noninterference.repetitions": with_count("noninterference.repetitions", 0),
 }
 
 
@@ -79,6 +99,8 @@ def test_separate_payload_repeats(tmp_path):
     runs = [cmd_separate(config, tmp_path / side, trials=1000) for side in "ab"]
     assert runs[0].payload["runs"][0]["pairs"], "the target was not separated"
     assert payload_json(runs[0]) == payload_json(runs[1])
+    blob = payload_json(runs[0]).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == SEPARATE_SINGLE_BSC_N32
 
 
 def test_separate_without_targets_is_timed(tmp_path):
@@ -93,6 +115,24 @@ def test_separate_without_targets_is_timed(tmp_path):
 def test_bad_config_fails_validation_naming_the_key(key):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_dict(bad_config(key))
+
+
+def test_targets_must_share_block_lengths():
+    # separate would run the second target at the first one's block lengths
+    data = yaml.safe_load(TWO_PAIR.read_text())
+    second = {"pair": [2, 3], "metric": "hamming", "D": 0.2, "D_prime": 0.3,
+              "block_lengths": [32], "n": 32, "n_prime": 32, "decode_rule": "argmin"}
+    data["targets"].append(second)
+    ExperimentConfig.from_dict(data)
+    second["block_lengths"] = [48]
+    with pytest.raises(ConfigError, match="targets"):
+        ExperimentConfig.from_dict(data)
+
+
+def test_zero_trials_is_not_the_config_default(tmp_path):
+    config = ExperimentConfig.load(SINGLE_BSC)
+    with pytest.raises(ValueError, match="1000"):
+        cmd_baseline(config, tmp_path, trials=0)
 
 
 def run_cli(*args) -> int:
@@ -124,8 +164,20 @@ def test_trials_rejected_where_it_does_not_apply(command, tmp_path, capsys):
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
-def test_exit_runtime_on_too_few_trials(tmp_path):
-    code = run_cli("baseline", "--config", SINGLE_BSC, "--out", tmp_path, "--trials", 500)
+@pytest.mark.parametrize("trials", [0, 500])
+def test_exit_validation_on_too_few_trials(trials, tmp_path, capsys):
+    code = run_cli("separate", "--config", SINGLE_BSC, "--out", tmp_path, "--trials", trials)
+    assert code == cli.EXIT_VALIDATION
+    assert "--trials" in capsys.readouterr().err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+def test_exit_runtime_when_a_command_raises(tmp_path, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(cli, "cmd_baseline", crash)
+    code = run_cli("baseline", "--config", SINGLE_BSC, "--out", tmp_path)
     assert code == cli.EXIT_RUNTIME
 
 

@@ -12,6 +12,7 @@ from sepnet.probcore import (
     Sequence,
     empirical_pmf,
     sample_iid,
+    sample_iid_array,
     _row_cumsum,
     _sample_indexed,
     tv_distance,
@@ -103,6 +104,36 @@ def test_indexed_sampler_equals_row_gather(rows, size, seed):
     out = _sample_indexed(cum, idx, u, Alphabet(size).dtype)
     assert out.dtype == Alphabet(size).dtype
     assert np.array_equal(out, gathered)
+
+
+class _FixedUniforms:
+    """Generator stand-in that hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "probs", [(0.5, 0.5), (0.3, 0.7), (0.15, 0.35, 0.5), (0.2, 0, 0.3, 0.5), (1.0,)]
+)
+def test_iid_sampler_equals_threshold_search(probs, root):
+    # the binary threshold and the sorted search it replaced, draw for draw,
+    # on uniforms that include the pmf's own thresholds
+    pmf = Pmf.from_probs(list(probs))
+    cum = _row_cumsum(pmf.probs)
+    u = np.concatenate(
+        [root.derive("u").generator().random(4000), cum[:-1], [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    reference = np.searchsorted(cum, u, side="right")
+    if len(probs) == 2:
+        assert np.array_equal(reference, u >= pmf.probs[0])
+    out = sample_iid_array(pmf, len(u), _FixedUniforms(u))
+    assert out.dtype == pmf.alphabet.dtype
+    assert np.array_equal(out, reference)
 
 
 class TestEmpiricalPmf:

@@ -156,6 +156,21 @@ class TestApplySeparation:
         assert after.modems[1].inner is system.modems[1]
         assert is_separated(after, (0, 1)) and not is_separated(after, (2, 3))
 
+    def test_rollout_draws_no_codebook(self, root, hamming2, monkeypatch):
+        # the wrappers hold the plan's codebooks; a rollout draws none anew
+        system = single_link_system(0.11, block_length=32)
+        target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
+        plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
+        after = apply_separation(system, plan)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the rollout drew a codebook")
+
+        for name in ("generate", "from_spec"):
+            monkeypatch.setattr(Codebook, name, classmethod(no_draw))
+        traj = rollout(after, root.derive("r"), lanes=2, horizon=300)
+        assert traj.telemetry[1]["sep_recv"]["windows"]
+
     def test_simulated_stream_feeds_inner_modem(self, root, hamming2):
         system = single_link_system(0.11, block_length=32)
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
@@ -197,7 +212,7 @@ class TestApplySeparation:
                 continue
             assert np.array_equal(recv[w]["codes"], sw["messages"])
             td = recv[w]["decode_tau"]
-            roundtrip = plan.source_cb.entries[sw["messages"]]
+            roundtrip = plan.send.source_cb.entries[sw["messages"]]
             assert np.array_equal(y[td : td + 24].T, roundtrip)
             checked += 1
         assert checked >= 10
@@ -213,8 +228,7 @@ class TestApplySeparation:
         send = SeparationSendModem(system.modems[0], (0, 1), plan_rp, src_cb,
                                    chan_cb, hamming2)
         recv = SeparationRecvModem(system.modems[1], (0, 1), plan_rp,
-                                   src_cb.spec(), chan_cb.spec(), hamming2, 3,
-                                   decode_rule="argmin")
+                                   src_cb, chan_cb, hamming2, 3, decode_rule="argmin")
         after = system.with_modems([send, recv])
         traj = rollout(after, root.derive("r"), lanes=2, horizon=200)
         recv_tel = traj.telemetry[1]["sep_recv"]["windows"]
@@ -280,17 +294,18 @@ class TestNoninterference:
         system = two_pair_system(coupled=True)
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, decode_rule="argmin")
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
+        channel_cb = plan.send.channel_cb
         wrong = Codebook.generate(
-            plan.channel_cb.kind, Pmf.from_probs([0.8, 0.2]), plan.channel_cb.n,
-            plan.channel_cb.cardinality, plan.channel_cb.common_seed,
+            channel_cb.kind, Pmf.from_probs([0.8, 0.2]), channel_cb.n,
+            channel_cb.cardinality, channel_cb.common_seed,
         )
         bad_send = SeparationSendModem(
-            system.modems[0], (0, 1), plan.rate_plan, plan.source_cb, wrong, hamming2
+            system.modems[0], (0, 1), plan.rate_plan, plan.send.source_cb, wrong, hamming2
         )
         after = system.with_modems(
-            [bad_send, plan.h_r_wrapped, system.modems[2], system.modems[3]],
+            [bad_send, plan.recv, system.modems[2], system.modems[3]],
             {**system.latency_map,
-             (0, 1): plan.rate_plan.n + plan.rate_plan.n_prime + plan.inner_latency},
+             (0, 1): plan.rate_plan.n + plan.rate_plan.n_prime + plan.recv.inner_latency},
         )
         results = verify_noninterference(
             system, after, [(2, 3)], 3000, root.derive("ni"), repetitions=1
