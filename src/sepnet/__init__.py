@@ -2,9 +2,10 @@
 architectures over unknown discrete-time networks.
 
 The library is organized around six pieces: finite-alphabet probability
-primitives (``probcore``), distortion accounting and rate-distortion
-computation (``ratedist``), the N-user medium/modem rollout engine
-(``netmodel``), random-codebook codecs (``codec``), the pair-by-pair
+primitives (``probcore``), distortion metrics and rate-distortion
+computation (``ratedist``), the N-user medium/modem rollout engine and its
+batched excess-distortion measurement (``netmodel``), random-codebook
+codecs with batched codeword search (``codec``), the pair-by-pair
 architecture transformer (``separation``), and the experiment harness
 (``harness`` / ``cli``).
 """
@@ -15,9 +16,7 @@ from .probcore import (
     Pmf,
     RandomnessHandle,
     Sequence,
-    empirical_pmf,
     sample_iid,
-    tv_distance,
     two_sample_test,
 )
 from .ratedist import (
@@ -26,9 +25,6 @@ from .ratedist import (
     InfeasibleDistortionError,
     RdPoint,
     blahut_arimoto,
-    block_distortion,
-    excess_distortion_prob,
-    expected_distortion,
     hamming_metric,
     rd_sweep,
 )
@@ -40,24 +36,17 @@ from .netmodel import (
     Trajectory,
     baseline_guarantee,
     gilbert_elliott_rule,
-    make_dmc_medium,
     make_markov_medium,
     rollout,
 )
 from .codec import (
     Codebook,
     CodebookCapError,
-    DecodeFailure,
-    MessageSet,
     RatePlan,
     RatePlanError,
     build_channel_codebook,
     build_source_codebook,
-    channel_decode,
-    channel_encode,
     mbp_estimate,
-    source_decode,
-    source_encode,
 )
 from .separation import (
     PairTarget,

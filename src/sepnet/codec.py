@@ -12,16 +12,20 @@ Two constructions share the Codebook type:
 Codebooks are never serialized. Encoder and decoder share the common
 randomness (pmf, n, cardinality, seed) of a codebook, and ``from_spec``
 draws the identical entries anew from it. Within one process the encoder
-and decoder of a pair simply hold the same Codebook object.
+and decoder of a pair simply hold the same entries. Generation is
+prefix-stable: the first m rows of a draw are the draw of m rows, so
+``prefix(m)`` is a codebook of its own that shares the table.
 
-Codeword search (nearest row, unique row within D) is exact, and ties go
-to the lowest row index. Binary Hamming searches compare bit-packed rows:
-a codebook searched over at least INDEX_MIN_ROWS = 2^16 rows gets a
-multi-index hash, built once and cached; smaller ones are scanned.
+Codeword search (nearest row, unique row within D) runs over every row
+of a codebook, batched over blocks; it is exact, and ties go to the
+lowest row index. Binary Hamming searches compare bit-packed rows: a
+codebook of at least INDEX_MIN_ROWS = 2^16 rows gets a multi-index hash,
+built once and cached; smaller ones are scanned.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -33,7 +37,6 @@ from .probcore import (
     Alphabet,
     Pmf,
     RandomnessHandle,
-    Sequence,
     _row_cumsum,
     _sample_indexed,
     sample_iid_array,
@@ -45,19 +48,13 @@ __all__ = [
     "CHANNEL_EMBEDDING",
     "Codebook",
     "CodebookCapError",
-    "DecodeFailure",
     "MbpReport",
-    "MessageSet",
     "RatePlan",
     "RatePlanError",
     "SOURCE_COMPRESSION",
     "build_channel_codebook",
     "build_source_codebook",
-    "channel_decode",
-    "channel_encode",
     "mbp_estimate",
-    "source_decode",
-    "source_encode",
     "zipf_message_pmf",
 ]
 
@@ -84,19 +81,6 @@ class CodebookCapError(MemoryError):
 
 class RatePlanError(ValueError):
     """Rate bookkeeping violates the construction's hypotheses."""
-
-
-@dataclass(frozen=True)
-class MessageSet:
-    """Message set of cardinality ceil(2^(n*rate))."""
-
-    rate: float
-    block_length: int
-    cardinality: int = field(init=False)
-
-    def __post_init__(self):
-        card = cardinality_for(self.rate, self.block_length)
-        object.__setattr__(self, "cardinality", card)
 
 
 def cardinality_for(rate: float, n: int) -> int:
@@ -264,6 +248,13 @@ class Codebook:
             RandomnessHandle(spec["seed"], spec["stream_id"]),
         )
 
+    def prefix(self, m: int) -> "Codebook":
+        """The first m rows as a codebook sharing this one's entries; its
+        spec regenerates exactly those rows."""
+        if not 1 <= m <= self.cardinality:
+            raise ValueError(f"prefix of {m} rows out of range [1, {self.cardinality}]")
+        return dataclasses.replace(self, cardinality=m, entries=self.entries[:m])
+
     def packed(self) -> np.ndarray | None:
         """Bit-packed rows for the binary fast path (None if not binary)."""
         cached = getattr(self, "_packed_cache", None)
@@ -273,15 +264,13 @@ class Codebook:
         object.__setattr__(self, "_packed_cache", packed)
         return packed
 
-    def _hamming_index(self, m: int) -> "_HammingIndex":
-        """Multi-index hash over the first m packed rows, built once."""
-        cache = getattr(self, "_index_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_index_cache", cache)
-        if m not in cache:
-            cache[m] = _HammingIndex(self.packed()[:m], self.n)
-        return cache[m]
+    def _hamming_index(self) -> "_HammingIndex":
+        """Multi-index hash over the packed rows, built once."""
+        index = getattr(self, "_index_cache", None)
+        if index is None:
+            index = _HammingIndex(self.packed(), self.n)
+            object.__setattr__(self, "_index_cache", index)
+        return index
 
 
 def _packable(arr: np.ndarray, n: int) -> bool:
@@ -505,16 +494,12 @@ class _HammingIndex:
         return out
 
 
-def _search_rows(codebook: Codebook, restrict: int | None) -> int:
-    return codebook.cardinality if restrict is None else min(restrict, codebook.cardinality)
-
-
 def _gathered_distortions(
-    codebook: Codebook, blocks: np.ndarray, metric: DistortionMetric, m: int
+    codebook: Codebook, blocks: np.ndarray, metric: DistortionMetric
 ):
-    """Yield each block's average distortion to the first m rows, by table
+    """Yield each block's average distortion to every row, by table
     lookup: the search path for metrics the packed rows do not serve."""
-    entries64 = codebook.entries[:m].astype(np.int64)
+    entries64 = codebook.entries.astype(np.int64)
     for block in blocks:
         yield metric.table[entries64, block.astype(np.int64)[None, :]].mean(axis=1)
 
@@ -523,28 +508,26 @@ def batch_min_distortion_rows(
     codebook: Codebook,
     blocks: np.ndarray,
     metric: DistortionMetric,
-    restrict: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row index and average distortion of the closest codeword per block.
 
-    ``blocks`` is (batch, n); ``restrict`` limits the search to the first
-    rows. Exact, with ties to the lowest row index. Binary Hamming searches
-    go through the packed rows (multi-index hashed from INDEX_MIN_ROWS rows
-    up, scanned below); other metrics gather per block.
+    ``blocks`` is (batch, n). Exact, with ties to the lowest row index.
+    Binary Hamming searches go through the packed rows (multi-index hashed
+    from INDEX_MIN_ROWS rows up, scanned below); other metrics gather per
+    block.
     """
-    m = _search_rows(codebook, restrict)
     scale = _hamming_scale(metric)
     packed = codebook.packed()
     if packed is not None and scale is not None:
         words = _pack_bits(blocks)
-        if m >= INDEX_MIN_ROWS:
-            rows, dist = codebook._hamming_index(m).nearest(words)
+        if codebook.cardinality >= INDEX_MIN_ROWS:
+            rows, dist = codebook._hamming_index().nearest(words)
         else:
-            rows, dist = _scan_nearest(packed[:m], words)
+            rows, dist = _scan_nearest(packed, words)
         return rows, dist * (scale / codebook.n)
     best_idx = np.empty(len(blocks), dtype=np.int64)
     best_avg = np.empty(len(blocks), dtype=np.float64)
-    for i, avg in enumerate(_gathered_distortions(codebook, blocks, metric, m)):
+    for i, avg in enumerate(_gathered_distortions(codebook, blocks, metric)):
         best_idx[i] = avg.argmin()
         best_avg[i] = avg[best_idx[i]]
     return best_idx, best_avg
@@ -560,23 +543,20 @@ def batch_unique_within_decode(
     blocks: np.ndarray,
     metric: DistortionMetric,
     level: float,
-    restrict: int | None = None,
 ) -> np.ndarray:
     """Unique-within-D decode per block: the message index, or NONE_WITHIN /
-    AMBIGUOUS codes. ``restrict`` limits the search to the first rows.
-    Exact: rows count once however they are found, so two identical rows
-    within D are AMBIGUOUS."""
-    m = _search_rows(codebook, restrict)
+    AMBIGUOUS codes. Exact: rows count once however they are found, so two
+    identical rows within D are AMBIGUOUS."""
     scale = _hamming_scale(metric)
     packed = codebook.packed()
     if packed is not None and scale is not None:
         words = _pack_bits(blocks)
         thresh = math.floor(level * codebook.n / scale + 1e-12)
-        if m >= INDEX_MIN_ROWS:
-            return codebook._hamming_index(m).within(words, thresh)
-        return _scan_within(packed[:m], words, thresh)
+        if codebook.cardinality >= INDEX_MIN_ROWS:
+            return codebook._hamming_index().within(words, thresh)
+        return _scan_within(packed, words, thresh)
     out = np.empty(len(blocks), dtype=np.int64)
-    for i, avg in enumerate(_gathered_distortions(codebook, blocks, metric, m)):
+    for i, avg in enumerate(_gathered_distortions(codebook, blocks, metric)):
         hits = np.flatnonzero(avg <= level + 0.0)
         if len(hits) == 1:
             out[i] = hits[0]
@@ -591,24 +571,15 @@ def _decode_blocks(
     metric: DistortionMetric,
     level: float,
     rule: str,
-    restrict: int | None = None,
 ) -> np.ndarray:
     """Channel-decode each block under ``rule``: ``argmin`` gives the nearest
     row, ``within_d`` the unique row within ``level`` or NONE_WITHIN /
     AMBIGUOUS."""
     if rule == "argmin":
-        return batch_min_distortion_rows(codebook, blocks, metric, restrict)[0]
+        return batch_min_distortion_rows(codebook, blocks, metric)[0]
     if rule == "within_d":
-        return batch_unique_within_decode(codebook, blocks, metric, level, restrict)
+        return batch_unique_within_decode(codebook, blocks, metric, level)
     raise ValueError(f"unknown decode rule {rule!r}")
-
-
-@dataclass(frozen=True)
-class DecodeFailure:
-    """Channel decoding failed: either no codeword within the level, or
-    more than one qualified."""
-
-    reason: str  # "none_within_D" | "ambiguous"
 
 
 def build_channel_codebook(
@@ -618,39 +589,6 @@ def build_channel_codebook(
 ) -> Codebook:
     """Embedding codebook: codewords i.i.d. from the source law itself."""
     return Codebook.generate(CHANNEL_EMBEDDING, p_x, plan.n, plan.channel_cardinality, c_seed)
-
-
-def channel_encode(codebook: Codebook, message: int) -> Sequence:
-    """Codeword row for a message; this block is fed to the unchanged modem
-    in place of a real source block."""
-    if not 0 <= message < codebook.cardinality:
-        raise ValueError(f"message {message} out of range [0, {codebook.cardinality})")
-    return Sequence(codebook.gen_pmf.alphabet, codebook.entries[message])
-
-
-def channel_decode(
-    codebook: Codebook,
-    received: Sequence,
-    metric: DistortionMetric,
-    budget_level: float,
-    rule: str = "within_d",
-    restrict: int | None = None,
-):
-    """Decode one received block.
-
-    ``within_d`` returns the unique codeword with average distortion <= D,
-    or a DecodeFailure when zero or several qualify. ``argmin`` returns the
-    closest codeword unconditionally.
-    """
-    if len(received) != codebook.n:
-        raise ValueError(f"received length {len(received)} != n {codebook.n}")
-    block = received.values[None, :]
-    code = int(_decode_blocks(codebook, block, metric, budget_level, rule, restrict)[0])
-    if code == NONE_WITHIN:
-        return DecodeFailure("none_within_D")
-    if code == AMBIGUOUS:
-        return DecodeFailure("ambiguous")
-    return code
 
 
 def build_source_codebook(
@@ -666,21 +604,6 @@ def build_source_codebook(
     return Codebook.generate(
         SOURCE_COMPRESSION, q_star, plan.n_prime, plan.source_cardinality, c_seed
     )
-
-
-def source_encode(codebook: Codebook, x: Sequence, metric: DistortionMetric) -> int:
-    """Index of the minimum-distortion codeword; ties break to the lowest."""
-    if len(x) != codebook.n:
-        raise ValueError(f"block length {len(x)} != n' {codebook.n}")
-    idx, _ = batch_min_distortion_rows(codebook, x.values[None, :], metric)
-    return int(idx[0])
-
-
-def source_decode(codebook: Codebook, message: int) -> Sequence:
-    """Reproduction block for a source-coder message."""
-    if not 0 <= message < codebook.cardinality:
-        raise ValueError(f"message {message} out of range [0, {codebook.cardinality})")
-    return Sequence(codebook.gen_pmf.alphabet, codebook.entries[message])
 
 
 @dataclass(frozen=True, eq=False)
@@ -708,7 +631,6 @@ def mbp_estimate(
     seeds: RandomnessHandle,
     rule: str = "within_d",
     messages: np.ndarray | None = None,
-    restrict: int | None = None,
 ) -> MbpReport:
     """Monte Carlo per-message error rates under the maximal-error criterion.
 
@@ -733,7 +655,7 @@ def mbp_estimate(
             received = channel(sent, gen)
         else:
             received = _sample_indexed(cum, sent, gen.random(sent.shape), out_dtype)
-        decoded = _decode_blocks(codebook, received, metric, budget_level, rule, restrict)
+        decoded = _decode_blocks(codebook, received, metric, budget_level, rule)
         errors[k] = int((decoded != int(m)).sum())
     rates = errors / trials_per_message
     worst = int(rates.argmax())

@@ -53,7 +53,6 @@ __all__ = [
     "baseline_guarantee",
     "block_average_distortions",
     "gilbert_elliott_rule",
-    "make_dmc_medium",
     "make_markov_medium",
     "rollout",
 ]
@@ -282,11 +281,6 @@ class MarkovMedium(MediumKernel):
             current = _sample_indexed(cum, current, u[t], dtype)
         state[link] = current
         return path
-
-
-def make_dmc_medium(num_users: int, link_matrices: dict) -> DmcMedium:
-    """Memoryless medium from per-link stochastic matrices."""
-    return DmcMedium(num_users, link_matrices)
 
 
 def make_markov_medium(num_users: int, state_count: int, transition_rule: dict) -> MarkovMedium:

@@ -20,9 +20,7 @@ __all__ = [
     "RandomnessHandle",
     "Sequence",
     "TestReport",
-    "empirical_pmf",
     "sample_iid",
-    "tv_distance",
     "two_sample_test",
     "wilson_half_width",
 ]
@@ -196,22 +194,6 @@ def _sample_indexed(cum: np.ndarray, idx, u: np.ndarray, dtype) -> np.ndarray:
     for k in range(1, size - 1):
         out += u >= cum[:, k].take(idx)
     return out
-
-
-def empirical_pmf(seq: Sequence) -> Pmf:
-    """Normalized symbol counts of a sequence."""
-    counts = np.bincount(seq.values, minlength=seq.alphabet.size)
-    return Pmf(seq.alphabet, counts / counts.sum())
-
-
-def tv_distance(p: Pmf, q: Pmf) -> float:
-    """Total variation distance 0.5 * sum |p - q|."""
-    if p.alphabet.size != q.alphabet.size:
-        raise AlphabetMismatchError(
-            f"distributions on alphabets of size {p.alphabet.size} and "
-            f"{q.alphabet.size} are not comparable"
-        )
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
 @dataclass(frozen=True)

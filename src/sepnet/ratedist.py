@@ -1,8 +1,9 @@
-"""Distortion accounting and numerical rate-distortion computation.
+"""Distortion metrics and numerical rate-distortion computation.
 
-Additive block distortion, excess-distortion probability estimates, and a
-Blahut-Arimoto solver for R(D) with bisection on the Lagrange slope. All
-rates are in bits.
+Per-letter distortion tables, distortion budgets, and a Blahut-Arimoto
+solver for R(D) with bisection on the Lagrange slope. All rates are in
+bits. Block distortions and excess-distortion estimates are measured on
+rollouts, batched over blocks and lanes, by ``netmodel``.
 """
 
 from __future__ import annotations
@@ -12,18 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probcore import Alphabet, Pmf, Sequence, wilson_half_width
+from .probcore import Alphabet, Pmf
 
 __all__ = [
     "DistortionBudget",
     "DistortionMetric",
-    "ExcessReport",
     "InfeasibleDistortionError",
     "RdPoint",
     "blahut_arimoto",
-    "block_distortion",
-    "excess_distortion_prob",
-    "expected_distortion",
     "hamming_metric",
     "rd_sweep",
 ]
@@ -78,55 +75,6 @@ class DistortionBudget:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("distortion level must be >= 0")
-
-
-def block_distortion(x: Sequence, y: Sequence, metric: DistortionMetric):
-    """Additive block distortion: (total, average) over aligned positions."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if (
-        x.alphabet.size != metric.source_alphabet.size
-        or y.alphabet.size != metric.repro_alphabet.size
-    ):
-        raise ValueError("sequence alphabets do not match the metric")
-    total = float(metric.table[x.values, y.values].sum())
-    return total, total / len(x)
-
-
-@dataclass(frozen=True)
-class ExcessReport:
-    """Excess-distortion estimate with its 95% Wilson half-width."""
-
-    estimate: float
-    half_width: float
-    trials: int
-    exceed_count: int
-
-
-def excess_distortion_prob(trials, budget: DistortionBudget) -> ExcessReport:
-    """Fraction of (x, y) pairs with average distortion strictly above D.
-
-    The inequality is strict: a trial landing exactly on D counts as a
-    success, matching the excess-distortion criterion.
-    """
-    pairs = list(trials)
-    if not pairs:
-        raise ValueError("need at least one trial")
-    exceed = 0
-    for x, y in pairs:
-        _, avg = block_distortion(x, y, budget.metric)
-        if avg > budget.level:
-            exceed += 1
-    n = len(pairs)
-    return ExcessReport(exceed / n, wilson_half_width(exceed, n), n, exceed)
-
-
-def expected_distortion(trials, metric: DistortionMetric) -> float:
-    """Mean per-trial average distortion (the classical expectation criterion)."""
-    pairs = list(trials)
-    if not pairs:
-        raise ValueError("need at least one trial")
-    return float(np.mean([block_distortion(x, y, metric)[1] for x, y in pairs]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -225,11 +225,12 @@ class SeparationRecvModem(Modem):
     (the simulated source as received), decode the embedded message per
     channel block, and emit the source-decoded block as the reproduction.
 
-    The decoder holds the encoder's two codebooks, the common randomness
-    of the pair. Only the first source-cardinality rows of the channel
-    codebook carry messages, so the search is restricted to them. All
-    channel blocks whose decode step falls within one rollout window are
-    decoded in one search.
+    The decoder shares the encoder's codebooks, the common randomness of
+    the pair. Only the first source-cardinality rows of the channel
+    codebook carry messages, so ``channel_cb`` is that prefix of the
+    encoder's channel codebook, a view of the same entries, and decoding
+    searches all of its rows. All channel blocks whose decode step falls
+    within one rollout window are decoded in one search.
     """
 
     def __init__(self, inner: Modem, pair: tuple, plan: RatePlan,
@@ -273,7 +274,6 @@ class SeparationRecvModem(Modem):
                 self.metric,
                 self.plan.level,
                 self.decode_rule,
-                restrict=self.plan.source_cardinality,
             ).reshape(len(decode), -1)
             safe = np.clip(codes, 0, self.source_cb.cardinality - 1)
             for k, tau in enumerate(decode.tolist()):
@@ -357,7 +357,7 @@ def plan_separation(
         pair,
         rate_plan,
         source_cb,
-        channel_cb,
+        channel_cb.prefix(rate_plan.source_cardinality),
         metric,
         system.latency_map[pair],
         target.decode_rule,

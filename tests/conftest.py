@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepnet.netmodel import NetworkSystem, PassthroughModem, make_dmc_medium
+from sepnet.netmodel import DmcMedium, NetworkSystem, PassthroughModem
 from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet.ratedist import hamming_metric
 
@@ -31,7 +31,7 @@ def single_link_system(flip: float, source_probs=(0.5, 0.5), block_length=1000,
                        warmup=8) -> NetworkSystem:
     """Uncoded 2-user system over one binary symmetric link."""
     return NetworkSystem(
-        medium=make_dmc_medium(2, {(0, 1): bsc(flip)}),
+        medium=DmcMedium(2, {(0, 1): bsc(flip)}),
         modems=(
             PassthroughModem(0, send_pair=(0, 1)),
             PassthroughModem(1, recv_pairs=[(0, 1)]),

@@ -5,24 +5,21 @@ import pytest
 from scipy.stats import binom, chisquare
 
 from sepnet.codec import (
+    AMBIGUOUS,
+    NONE_WITHIN,
     Codebook,
     CodebookCapError,
-    DecodeFailure,
-    MessageSet,
     RatePlan,
     RatePlanError,
     batch_min_distortion_rows,
+    batch_unique_within_decode,
     build_channel_codebook,
     build_source_codebook,
     cardinality_for,
-    channel_decode,
-    channel_encode,
     mbp_estimate,
-    source_decode,
-    source_encode,
     zipf_message_pmf,
 )
-from sepnet.probcore import Alphabet, Pmf, Sequence
+from sepnet.probcore import Pmf
 from sepnet.ratedist import DistortionMetric, blahut_arimoto, hamming_metric
 
 R_125 = 0.4564355568004036   # R(0.125), binary uniform + Hamming
@@ -43,9 +40,8 @@ def small_plan(n=32, n_prime=None, psi=None, alpha=None):
 
 class TestMessageSetAndPlan:
     def test_cardinality_ceiling(self):
-        ms = MessageSet(rate=0.5, block_length=10)
-        assert ms.cardinality == 32
-        assert MessageSet(rate=0.26, block_length=16).cardinality == 18
+        assert cardinality_for(0.5, 10) == 32
+        assert cardinality_for(0.26, 16) == 18
 
     def test_default_psi_matches_equal_block_choice(self):
         plan = RatePlan.make(n=64, level=0.125, level_prime=0.2,
@@ -81,9 +77,12 @@ class TestMessageSetAndPlan:
 class TestChannelCodebook:
     def test_cardinality_one_constant_encoder(self, fair_coin, root):
         cb = Codebook.generate("channel-embedding", fair_coin, 8, 1, root)
-        assert np.array_equal(channel_encode(cb, 0).values, cb.entries[0])
+        assert cb.entries.shape == (1, 8)
+        blocks = root.derive("y").generator().integers(0, 2, (5, 8)).astype(np.int8)
+        assert np.array_equal(batch_min_distortion_rows(cb, blocks, hamming_metric(2))[0],
+                              np.zeros(5))
         with pytest.raises(ValueError):
-            channel_encode(cb, 1)
+            cb.prefix(2)
 
     def test_same_seed_identical(self, fair_coin, root):
         plan = small_plan()
@@ -130,35 +129,35 @@ class TestChannelDecode:
         return Codebook("channel-embedding", arr.shape[1], arr.shape[0],
                         self.pmf, __import__("sepnet").RandomnessHandle(0), arr)
 
+    def within(self, cb, rows, level):
+        return batch_unique_within_decode(cb, np.array(rows, dtype=np.int8), self.metric, level)
+
     def test_unique_qualifier(self):
         cb = self.hand_codebook([[0] * 8, [1] * 8])
-        y = Sequence(Alphabet(2), np.array([0] * 7 + [1]))
-        assert channel_decode(cb, y, self.metric, 0.25) == 0
+        assert self.within(cb, [[0] * 7 + [1]], 0.25)[0] == 0
 
     def test_ambiguous_tie(self):
         cb = self.hand_codebook([[0] * 8, [0] * 7 + [1]])
-        y = Sequence(Alphabet(2), np.array([0] * 8))
-        out = channel_decode(cb, y, self.metric, 0.25)
-        assert isinstance(out, DecodeFailure) and out.reason == "ambiguous"
+        assert self.within(cb, [[0] * 8], 0.25)[0] == AMBIGUOUS
 
     def test_none_within(self):
         cb = self.hand_codebook([[0] * 8, [1] * 8])
-        y = Sequence(Alphabet(2), np.array([0, 1] * 4))
-        out = channel_decode(cb, y, self.metric, 0.125)
-        assert isinstance(out, DecodeFailure) and out.reason == "none_within_D"
+        assert self.within(cb, [[0, 1] * 4], 0.125)[0] == NONE_WITHIN
 
     def test_argmin_rule(self):
+        # equidistant from both rows: the lowest row wins
         cb = self.hand_codebook([[0] * 8, [1] * 8])
-        y = Sequence(Alphabet(2), np.array([0, 1] * 4))
-        assert channel_decode(cb, y, self.metric, 0.125, rule="argmin") == 0
+        blocks = np.array([[0, 1] * 4], dtype=np.int8)
+        rows, avg = batch_min_distortion_rows(cb, blocks, self.metric)
+        assert (rows[0], avg[0]) == (0, 0.5)
 
     def test_shared_seed_roundtrip_noiseless(self, root):
         cb = build_channel_codebook(small_plan(), self.pmf, root.derive("rt"))
         assert len(np.unique(cb.packed())) == cb.cardinality  # distinct rows
         decoder_cb = Codebook.from_spec(cb.spec())
-        for m in range(0, cb.cardinality, 97):
-            y = channel_encode(cb, m)
-            assert channel_decode(decoder_cb, y, self.metric, 0.0) == m
+        messages = np.arange(0, cb.cardinality, 97)
+        decoded = batch_unique_within_decode(decoder_cb, cb.entries[messages], self.metric, 0.0)
+        assert np.array_equal(decoded, messages)
 
     def test_matches_bruteforce_on_nonbinary(self, root):
         # gather path vs an explicit double loop
@@ -245,34 +244,34 @@ class TestSourceCodec:
         b = build_source_codebook(small_plan(), self.q_point(0.2), root.derive("s"))
         assert np.array_equal(a.entries, b.entries)
 
+    def encode(self, cb, blocks):
+        return batch_min_distortion_rows(cb, blocks, self.metric)[0]
+
     def test_encode_matches_rows(self, root):
         cb = build_source_codebook(small_plan(), self.q_point(0.2), root.derive("e"))
-        x = Sequence(Alphabet(2), cb.entries[17])
-        m = source_encode(cb, x, self.metric)
+        m = self.encode(cb, cb.entries[[17]])[0]
         # an identical row earlier in the table may win the tie
         assert np.array_equal(cb.entries[m], cb.entries[17]) or m == 17
 
     def test_cardinality_one(self, root):
         cb = Codebook.generate("source-compression", self.pmf, 16, 1, root.derive("c1"))
-        x = Sequence(Alphabet(2), np.ones(16, dtype=np.int8))
-        assert source_encode(cb, x, self.metric) == 0
-        assert len(source_decode(cb, 0)) == 16
+        assert self.encode(cb, np.ones((1, 16), dtype=np.int8))[0] == 0
+        assert cb.entries[0].shape == (16,)
 
     def test_roundtrip_is_row_minimum(self, root):
         cb = build_source_codebook(small_plan(n=16, n_prime=16), self.q_point(0.2),
                                    root.derive("rt"))
         gen = root.derive("rtx").generator()
-        x = Sequence(Alphabet(2), gen.integers(0, 2, 16).astype(np.int8))
-        m = source_encode(cb, x, self.metric)
-        y = source_decode(cb, m)
-        best = min(float((row != x.values).mean()) for row in cb.entries)
-        assert float((y.values != x.values).mean()) == pytest.approx(best)
+        x = gen.integers(0, 2, (1, 16)).astype(np.int8)
+        y = cb.entries[self.encode(cb, x)[0]]
+        best = min(float((row != x[0]).mean()) for row in cb.entries)
+        assert float((y != x[0]).mean()) == pytest.approx(best)
 
     def test_encode_decode_identity_on_distinct_rows(self, root):
         cb = build_source_codebook(small_plan(), self.q_point(0.2), root.derive("id"))
         if len(np.unique(cb.packed())) == cb.cardinality:
-            for m in range(0, cb.cardinality, 199):
-                assert source_encode(cb, source_decode(cb, m), self.metric) == m
+            messages = np.arange(0, cb.cardinality, 199)
+            assert np.array_equal(self.encode(cb, cb.entries[messages]), messages)
 
     def test_overshoot_point_estimate(self, root):
         # codeword chosen for a fresh block exceeds D' + 0.05 rarely

@@ -1,6 +1,7 @@
-"""The codeword-search contract: exact answers, ties to the lowest row,
-whichever path runs (scan below INDEX_MIN_ROWS rows, multi-index hash
-from there up, and the index's scan fallback for costly lanes)."""
+"""The codeword-search contract: exact answers over every row of a
+codebook (a prefix codebook included), ties to the lowest row, whichever
+path runs (scan below INDEX_MIN_ROWS rows, multi-index hash from there up,
+and the index's scan fallback for costly lanes)."""
 
 from unittest import mock
 
@@ -56,9 +57,9 @@ def search_cases(draw):
     entries = g.integers(0, 2, (pool, n), dtype=np.int8)[g.integers(0, pool, m)]
     noise = (g.random((lanes, n)) < flip).astype(np.int8)
     blocks = entries[g.integers(0, m, lanes)] ^ noise
-    restrict = draw(st.none() | st.integers(1, m + 2))
+    prefix = draw(st.none() | st.integers(1, m))
     thresh = draw(st.integers(-1, n))
-    return entries, blocks, restrict, thresh
+    return entries, blocks, prefix, thresh
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,10 +68,10 @@ def search_cases(draw):
 def test_index_matches_bruteforce(case, budget, queries):
     # budget 0 scans every lane, 10**9 never does, 6 mixes the two; two
     # words per pass through the index splits most batches
-    entries, blocks, restrict, thresh = case
-    m = min(restrict or len(entries), len(entries))
-    d = brute_distances(entries[:m], blocks)
-    index = codec._HammingIndex(codec._pack_bits(entries[:m]), entries.shape[1])
+    entries, blocks, prefix, thresh = case
+    entries = entries[:prefix]
+    d = brute_distances(entries, blocks)
+    index = codec._HammingIndex(codec._pack_bits(entries), entries.shape[1])
     index.budget = budget
     words = codec._pack_bits(blocks)
     with mock.patch.object(codec, "_INDEX_QUERIES", queries):
@@ -101,16 +102,17 @@ def test_index_probes_up_to_the_pigeonhole_bound():
 @settings(max_examples=150, deadline=None)
 @given(case=search_cases())
 def test_public_search_matches_bruteforce(case):
-    entries, blocks, restrict, thresh = case
-    m = min(restrict or len(entries), len(entries))
-    d = brute_distances(entries[:m], blocks)
-    n = entries.shape[1]
+    entries, blocks, prefix, thresh = case
     cb = hand_codebook(entries)
-    rows, avg = batch_min_distortion_rows(cb, blocks, METRIC, restrict=restrict)
+    if prefix is not None:
+        cb, entries = cb.prefix(prefix), entries[:prefix]
+    d = brute_distances(entries, blocks)
+    n = entries.shape[1]
+    rows, avg = batch_min_distortion_rows(cb, blocks, METRIC)
     assert np.array_equal(rows, d.argmin(axis=1))
     assert np.array_equal(avg, d.min(axis=1) * (1 / n))  # as the codec scales
     level = thresh / n
-    codes = batch_unique_within_decode(cb, blocks, METRIC, level, restrict=restrict)
+    codes = batch_unique_within_decode(cb, blocks, METRIC, level)
     assert np.array_equal(codes, brute_within(d, thresh))
 
 
@@ -119,26 +121,27 @@ def test_both_sides_of_the_index_threshold(m):
     g = np.random.default_rng(m)
     entries = g.integers(0, 2, (m, 64), dtype=np.int8)
     entries[-1] = entries[5]  # exact duplicate: ties go to row 5
-    cb = hand_codebook(entries)
+    full = hand_codebook(entries)
     sent = np.array([5, m - 1, 17, 17, 40_000, m // 2, 3, 9])
     flips = np.array([0, 0, 3, 8, 6, 12, 1, 20])
     noise = np.zeros((len(sent), 64), dtype=np.int8)
     for k, f in enumerate(flips):
         noise[k, g.choice(64, f, replace=False)] = 1
     blocks = np.concatenate([entries[sent] ^ noise, g.integers(0, 2, (4, 64), dtype=np.int8)])
-    for restrict in (None, m - 1):
-        rows_m = min(restrict or m, m)
-        d = brute_distances(entries[:rows_m], blocks)
-        rows, avg = batch_min_distortion_rows(cb, blocks, METRIC, restrict=restrict)
+    for cb in (full, full.prefix(m - 1)):
+        d = brute_distances(entries[: cb.cardinality], blocks)
+        rows, avg = batch_min_distortion_rows(cb, blocks, METRIC)
         assert np.array_equal(rows, d.argmin(axis=1))
         assert np.array_equal(avg, d.min(axis=1) * (1 / 64))
         assert rows[0] == rows[1] == 5  # row 5's duplicate loses the tie
         for level in (0.0, 0.125, 0.2):
-            codes = batch_unique_within_decode(cb, blocks, METRIC, level, restrict=restrict)
+            codes = batch_unique_within_decode(cb, blocks, METRIC, level)
             assert np.array_equal(codes, brute_within(d, int(level * 64)))
-    indexed = set(getattr(cb, "_index_cache", {}))
-    assert indexed == {k for k in (m, m - 1) if k >= INDEX_MIN_ROWS}
-    codes = batch_unique_within_decode(cb, blocks, METRIC, 0.125)
+        # one index per codebook, over all of its rows, built on first use
+        index = getattr(cb, "_index_cache", None)
+        assert (index is not None) == (cb.cardinality >= INDEX_MIN_ROWS)
+        assert index is None or (index.m == cb.cardinality and cb._hamming_index() is index)
+    codes = batch_unique_within_decode(full, blocks, METRIC, 0.125)
     assert codes[0] == AMBIGUOUS and NONE_WITHIN in codes and (codes >= 0).any()
 
 
@@ -156,6 +159,20 @@ def test_chunked_generation_equals_one_shot(monkeypatch, root, probs, n, m, chun
     one_shot = sample_iid_array(pmf, n * m, handle.generator()).reshape(m, n)
     assert np.array_equal(cb.entries, one_shot)
     assert not cb.entries.flags.writeable
+
+
+@pytest.mark.parametrize("probs", [[0.3, 0.7], [0.2, 0.3, 0.5]])
+def test_prefix_regenerates_from_its_spec(monkeypatch, root, probs):
+    # 14 rows per 100-symbol chunk: the 30-row prefix ends inside the third
+    monkeypatch.setattr(codec, "GEN_CHUNK_SYMBOLS", 100)
+    cb = Codebook.generate("channel-embedding", Pmf.from_probs(probs), 7, 61, root.derive("pre"))
+    prefix = cb.prefix(30)
+    assert prefix.cardinality == len(prefix.entries) == 30
+    assert np.shares_memory(prefix.entries, cb.entries)
+    assert np.array_equal(Codebook.from_spec(prefix.spec()).entries, cb.entries[:30])
+    for m in (0, 62):
+        with pytest.raises(ValueError):
+            cb.prefix(m)
 
 
 def test_cap_applies_to_regeneration(monkeypatch, root):

@@ -21,12 +21,12 @@ from sepnet.codec import Codebook, mbp_estimate
 from sepnet.harness import ExperimentConfig
 from sepnet.netmodel import (
     CoupledDmcMedium,
+    DmcMedium,
     ForwardRelayModem,
     GuaranteeReport,
     MarkovLinkRule,
     NetworkSystem,
     PassthroughModem,
-    make_dmc_medium,
     make_markov_medium,
     rollout,
 )
@@ -78,7 +78,7 @@ def ternary_systems() -> dict:
     trans = np.array([[0.8, 0.15, 0.05], [0.2, 0.7, 0.1], [0.1, 0.3, 0.6]])
     emission = np.stack([np.eye(3), mat, mat[::-1]])
     media = {
-        "ternary_dmc": make_dmc_medium(2, {(0, 1): mat}),
+        "ternary_dmc": DmcMedium(2, {(0, 1): mat}),
         "ternary_markov": make_markov_medium(
             2, 3, {(0, 1): MarkovLinkRule(trans, emission, initial_state=2)}
         ),

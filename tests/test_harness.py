@@ -49,6 +49,30 @@ def with_misspelled_rule(d):
     d["targets"][0]["decode_rule"] = "argmn"
 
 
+def with_users_as_a_word(d):
+    d["users"] = "two"
+
+
+def with_a_target_without_pair(d):
+    del d["targets"][0]["pair"]
+
+
+def with_a_latency_without_dst(d):
+    del d["latency"][0]["dst"]
+
+
+def with_a_one_user_untouched_pair(d):
+    d["noninterference"] = {"untouched": [[0]]}
+
+
+def with_the_target_twice(d):
+    d["targets"].append(dict(d["targets"][0]))
+
+
+def with_block_length_as_a_word(d):
+    d["block_length"] = "long"
+
+
 def with_count(key, value):
     def edit(d):
         *path, last = key.split(".")
@@ -70,6 +94,12 @@ BAD_CONFIGS = {
     "recheck_trials": with_count("recheck_trials", 999),
     "noninterference.trials_blocks": with_count("noninterference.trials_blocks", 10),
     "noninterference.repetitions": with_count("noninterference.repetitions", 0),
+    "users": with_users_as_a_word,
+    "targets.pair": with_a_target_without_pair,
+    "latency": with_a_latency_without_dst,
+    "noninterference.untouched": with_a_one_user_untouched_pair,
+    "targets": with_the_target_twice,
+    "block_length": with_block_length_as_a_word,
 }
 
 

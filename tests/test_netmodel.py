@@ -6,6 +6,7 @@ from conftest import bsc, single_link_system
 
 from sepnet.netmodel import (
     CoupledDmcMedium,
+    DmcMedium,
     ForwardRelayModem,
     MarkovLinkRule,
     NetworkSystem,
@@ -14,7 +15,6 @@ from sepnet.netmodel import (
     baseline_guarantee,
     block_average_distortions,
     gilbert_elliott_rule,
-    make_dmc_medium,
     make_markov_medium,
     rollout,
 )
@@ -25,11 +25,11 @@ from sepnet.ratedist import DistortionBudget, hamming_metric
 class TestMediumConstruction:
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(WiringError):
-            make_dmc_medium(2, {(0, 1): np.array([[0.5, 0.6], [0.1, 0.9]])})
+            DmcMedium(2, {(0, 1): np.array([[0.5, 0.6], [0.1, 0.9]])})
 
     def test_unknown_user_rejected(self):
         with pytest.raises(WiringError):
-            make_dmc_medium(2, {(0, 5): np.eye(2)})
+            DmcMedium(2, {(0, 5): np.eye(2)})
 
     def test_coupling_watch_must_be_a_user(self):
         links = {(0, 1): bsc(0.11), (2, 3): bsc(0.11)}
@@ -129,7 +129,7 @@ class TestRollout:
         assert not np.array_equal(ta.repro[(0, 1)], tb.repro[(0, 1)])
 
     def test_pair_stream_independence(self, root):
-        medium = make_dmc_medium(
+        medium = DmcMedium(
             4, {(0, 1): bsc(0.11), (2, 3): bsc(0.11)}
         )
         system = NetworkSystem(
@@ -155,7 +155,7 @@ class TestRollout:
 
     def test_wiring_error_before_simulation(self):
         system = NetworkSystem(
-            medium=make_dmc_medium(2, {(0, 1): np.eye(2)}),
+            medium=DmcMedium(2, {(0, 1): np.eye(2)}),
             modems=(
                 PassthroughModem(0, send_pair=(0, 1)),
                 PassthroughModem(1, recv_pairs=[(1, 0)]),  # wrong direction
@@ -171,7 +171,7 @@ class TestRollout:
 
     def test_alphabet_mismatch_detected(self):
         system = NetworkSystem(
-            medium=make_dmc_medium(2, {(0, 1): np.eye(3) }),
+            medium=DmcMedium(2, {(0, 1): np.eye(3) }),
             modems=(
                 PassthroughModem(0, send_pair=(0, 1)),
                 PassthroughModem(1, recv_pairs=[(0, 1)]),
@@ -188,7 +188,7 @@ class TestRollout:
 
 class TestRelayChain:
     def build(self, flip):
-        medium = make_dmc_medium(3, {(0, 1): bsc(flip), (1, 2): bsc(flip)})
+        medium = DmcMedium(3, {(0, 1): bsc(flip), (1, 2): bsc(flip)})
         return NetworkSystem(
             medium=medium,
             modems=(
@@ -300,7 +300,7 @@ class TestWideAlphabets:
         )
 
     def test_noiseless_200_symbol_link_is_exact(self):
-        system = self.two_user(make_dmc_medium(2, {(0, 1): np.eye(200)}), 200)
+        system = self.two_user(DmcMedium(2, {(0, 1): np.eye(200)}), 200)
         traj = rollout(system, RandomnessHandle(1), lanes=4, horizon=2000)
         x = traj.sources[(0, 1)][:-3]
         assert (x >= 128).sum() > 0

@@ -1,50 +1,75 @@
+"""Distortion accounting and the R(D) solver.
+
+Block distortions and excess-distortion estimates are measured batched,
+over the blocks and lanes of a rollout, by ``netmodel``; they are held
+here to hand-computed values and exact oracles.
+"""
+
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from sepnet.probcore import Alphabet, Pmf, RandomnessHandle, Sequence, sample_iid
+from conftest import single_link_system
+
+from sepnet.netmodel import (
+    DmcMedium,
+    Trajectory,
+    baseline_guarantee,
+    block_average_distortions,
+    rollout,
+)
+from sepnet.probcore import Alphabet, Pmf
 from sepnet.ratedist import (
     DistortionBudget,
     DistortionMetric,
     InfeasibleDistortionError,
     blahut_arimoto,
-    block_distortion,
-    excess_distortion_prob,
-    expected_distortion,
     hamming_metric,
     rd_sweep,
 )
+
+PAIR = (0, 1)
 
 
 def h2(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def seq(vals, size=2) -> Sequence:
-    return Sequence(Alphabet(size), np.array(vals))
+def hand_trajectory(x, y) -> Trajectory:
+    """A trajectory whose lane k carries source row x[k] and, with no
+    latency, reproduction row y[k]."""
+    x, y = np.array(x, dtype=np.int8).T, np.array(y, dtype=np.int8).T
+    return Trajectory(sources={PAIR: x}, medium_inputs=None, link_outputs={},
+                      repro={PAIR: y}, telemetry={}, latency_map={PAIR: 0},
+                      horizon=len(x), lanes=x.shape[1])
+
+
+def block_avgs(x, y, metric, **kwargs) -> np.ndarray:
+    """Per-block average distortions of the rows, one block per row."""
+    return block_average_distortions(hand_trajectory(x, y), PAIR, metric, len(x[0]), **kwargs)
 
 
 class TestBlockDistortion:
     def test_identical_hamming(self, hamming2):
-        total, avg = block_distortion(seq([0, 1, 0]), seq([0, 1, 0]), hamming2)
-        assert (total, avg) == (0.0, 0.0)
+        assert block_avgs([[0, 1, 0]], [[0, 1, 0]], hamming2).tolist() == [0.0]
 
     def test_single_disagreement(self, hamming2):
-        total, avg = block_distortion(seq([0, 0, 1, 1]), seq([0, 1, 1, 1]), hamming2)
-        assert (total, avg) == (1.0, 0.25)
+        assert block_avgs([[0, 0, 1, 1]], [[0, 1, 1, 1]], hamming2).tolist() == [0.25]
 
     def test_constant_metric(self):
         c = 2.5
         metric = DistortionMetric(Alphabet(2), Alphabet(2), np.full((2, 2), c))
-        total, avg = block_distortion(seq([0, 1, 0, 1]), seq([1, 1, 0, 0]), metric)
-        assert total == pytest.approx(c * 4)
-        assert avg == pytest.approx(c)
+        avg = block_avgs([[0, 1, 0, 1]], [[1, 1, 0, 0]], metric)
+        assert avg.tolist() == [pytest.approx(c)]
 
     def test_length_mismatch(self, hamming2):
-        with pytest.raises(ValueError):
-            block_distortion(seq([0, 1]), seq([0]), hamming2)
+        # a block longer than the streams cannot be scored
+        traj = hand_trajectory([[0, 1]], [[0, 1]])
+        with pytest.raises(ValueError, match="too short"):
+            block_average_distortions(traj, PAIR, hamming2, 3)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -52,64 +77,62 @@ class TestBlockDistortion:
 
 
 class TestExcessDistortion:
-    def test_identical_pairs_zero(self, hamming2):
-        trials = [(seq([0, 1, 1]), seq([0, 1, 1]))] * 5
-        rep = excess_distortion_prob(trials, DistortionBudget(0.0, hamming2))
-        assert rep.estimate == 0.0
+    def test_identical_pairs_zero(self, root):
+        system = dataclasses.replace(
+            single_link_system(0.0, source_probs=(0.2, 0.3, 0.5), block_length=16),
+            medium=DmcMedium(2, {PAIR: np.eye(3)}),
+        )
+        rep = baseline_guarantee(
+            system, DistortionBudget(0.0, hamming_metric(3)), 1000, root.derive("same")
+        )
+        assert rep.epsilon_hat == 0.0
 
-    def test_boundary_is_success(self, hamming2):
-        # average exactly at the level: strict inequality counts it in budget
-        trials = [(seq([0, 0, 1, 1]), seq([0, 1, 1, 1]))]  # avg = 0.25
-        rep = excess_distortion_prob(trials, DistortionBudget(0.25, hamming2))
-        assert rep.estimate == 0.0
+    def test_boundary_is_success(self, root, hamming2):
+        # every block of an always-flipping link sits exactly at average 1:
+        # the strict inequality counts it in budget
+        system = single_link_system(1.0, block_length=4)
+        at = baseline_guarantee(system, DistortionBudget(1.0, hamming2), 1000, root)
+        below = DistortionBudget(np.nextafter(1.0, 0.0), hamming2)
+        assert at.epsilon_hat == 0.0
+        assert baseline_guarantee(system, below, 1000, root).epsilon_hat == 1.0
 
     def test_flip_noise_matches_binomial_tail(self, hamming2, root):
         # exact oracle: Pr(Binomial(100, 0.2) > 25)
-        q, n, level, trials = 0.2, 100, 0.25, 10_000
-        gen = root.derive("flip").generator()
-        pairs = []
-        for _ in range(trials):
-            x = gen.integers(0, 2, n).astype(np.int8)
-            flips = (gen.random(n) < q).astype(np.int8)
-            pairs.append((seq(x), seq(x ^ flips)))
-        rep = excess_distortion_prob(pairs, DistortionBudget(level, hamming2))
+        system = single_link_system(0.2, block_length=100)
+        rep = baseline_guarantee(
+            system, DistortionBudget(0.25, hamming2), 10_000, root.derive("flip")
+        )
         oracle = binom.sf(25, 100, 0.2)
-        assert abs(rep.estimate - oracle) <= 0.02
+        assert abs(rep.epsilon_hat - oracle) <= 0.02
 
     def test_empty_trials_error(self, hamming2):
+        traj = hand_trajectory([[0, 1]], [[0, 1]])
         with pytest.raises(ValueError):
-            excess_distortion_prob([], DistortionBudget(0.1, hamming2))
+            block_average_distortions(traj, PAIR, hamming2, 2, num_blocks=0)
 
     def test_level_above_max_entry_is_exactly_zero(self, hamming2, root):
-        gen = root.derive("above").generator()
-        pairs = [
-            (seq(gen.integers(0, 2, 16).astype(np.int8)),
-             seq(gen.integers(0, 2, 16).astype(np.int8)))
-            for _ in range(50)
-        ]
-        rep = excess_distortion_prob(pairs, DistortionBudget(2.0, hamming2))
-        assert rep.estimate == 0.0
+        system = single_link_system(0.5, block_length=16)
+        rep = baseline_guarantee(system, DistortionBudget(2.0, hamming2), 1000, root)
+        assert rep.epsilon_hat == 0.0
 
 
 class TestExpectedDistortion:
     def test_identical_pairs(self, hamming2):
-        assert expected_distortion([(seq([0, 1]), seq([0, 1]))], hamming2) == 0.0
+        assert block_avgs([[0, 1], [1, 1]], [[0, 1], [1, 1]], hamming2).mean() == 0.0
 
     def test_two_trial_mean(self, hamming2):
-        trials = [
-            (seq([0] * 10), seq([1] + [0] * 9)),                 # avg 0.1
-            (seq([0] * 10), seq([1, 1, 1] + [0] * 7)),           # avg 0.3
-        ]
-        assert expected_distortion(trials, hamming2) == pytest.approx(0.2)
+        x = [[0] * 10, [0] * 10]
+        y = [[1] + [0] * 9, [1, 1, 1] + [0] * 7]  # averages 0.1 and 0.3
+        assert block_avgs(x, y, hamming2).mean() == pytest.approx(0.2)
 
     def test_flip_noise_mean(self, hamming2, root):
+        # 100 lanes x 20 blocks of 200 symbols
         q, n = 0.15, 200
-        gen = root.derive("mean").generator()
-        pairs = []
-        for _ in range(2000):
-            x = gen.integers(0, 2, n).astype(np.int8)
-            pairs.append((seq(x), seq(x ^ (gen.random(n) < q).astype(np.int8))))
-        assert expected_distortion(pairs, hamming2) == pytest.approx(q, abs=0.01)
+        traj = rollout(single_link_system(q, block_length=n), root.derive("mean"),
+                       lanes=100, horizon=8 + 20 * n + 3)
+        avgs = block_average_distortions(traj, PAIR, hamming2, n, start=8)
+        assert len(avgs) == 2000
+        assert avgs.mean() == pytest.approx(q, abs=0.01)
 
 
 class TestBlahutArimoto:

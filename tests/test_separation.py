@@ -14,7 +14,6 @@ from sepnet.netmodel import (
     NetworkSystem,
     PassthroughModem,
     baseline_guarantee,
-    make_dmc_medium,
     rollout,
 )
 from sepnet.harness import _PoisonMedium
@@ -81,6 +80,19 @@ class TestPlanSeparation:
         # the stated defaults for equal blocks
         assert rp.psi == pytest.approx(0.5 * (R_125 - R_200) / R_125)
         assert rp.alpha == pytest.approx(R_125 / (R_125 + rp.psi) * rp.psi / 2)
+
+    def test_receiver_holds_the_message_rows(self, root, hamming2):
+        # only source-coder messages are sent, so the decoder holds that
+        # prefix of the sender's channel table: the same memory, nothing drawn
+        system = single_link_system(0.11, block_length=32)
+        target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
+        plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
+        sent, held = plan.send.channel_cb, plan.recv.channel_cb
+        rp = plan.rate_plan
+        assert held.cardinality == len(held.entries) == rp.source_cardinality
+        assert sent.cardinality == rp.channel_cardinality > rp.source_cardinality
+        assert np.shares_memory(held.entries, sent.entries)
+        assert plan.summary()["channel_codebook"] == sent.spec()
 
     def test_strictness_rejected(self, root, hamming2):
         system = single_link_system(0.11, block_length=32)

@@ -11,12 +11,12 @@ from test_golden import golden_system, trajectory_digests
 
 from sepnet import netmodel
 from sepnet.netmodel import (
+    DmcMedium,
     ForwardRelayModem,
     NetworkSystem,
     PassthroughModem,
     _rollout,
     _schedule,
-    make_dmc_medium,
     rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
@@ -64,7 +64,7 @@ def echo_system(flip):
     listens: a cycle 0 -> (0, 1) -> 1 -> (1, 0) -> 0 that data travels
     around, five steps from x[t] to the echo."""
     return NetworkSystem(
-        medium=make_dmc_medium(2, {(0, 1): bsc(flip), (1, 0): bsc(flip)}),
+        medium=DmcMedium(2, {(0, 1): bsc(flip), (1, 0): bsc(flip)}),
         modems=(PassthroughModem(0, send_pair=(0, 1), recv_pairs=[(1, 0)]),
                 ForwardRelayModem(1, in_link=(0, 1))),
         sources={(0, 1): Pmf.from_probs([0.5, 0.5]), (1, 0): Pmf.from_probs([0.5, 0.5])},
