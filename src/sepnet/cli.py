@@ -4,7 +4,8 @@ Subcommands: ``rd``, ``baseline``, ``separate``, ``verify``. All commands
 are non-interactive; every stochastic result is reproducible from the
 config digest plus the seed root (--seed overrides the config's seed).
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure,
+Exit codes: 0 success, 1 validation error (every config key is checked
+at load, and the message names the bad key), 2 runtime failure,
 3 acceptance failure (a verify suite did not pass).
 """
 

@@ -1,7 +1,10 @@
 """Experiment orchestration: configs, commands, and result persistence.
 
 A single YAML config describes the network, sources, budgets, and the set
-of pairs to transform. Configs are hashed over their canonical JSON form,
+of pairs to transform. Every config key is checked at load: the parse in
+``ExperimentConfig.from_dict`` reads each key once, names any bad, missing
+or unknown key in a ConfigError, and keeps the parsed values, which are all
+the commands read. Configs are hashed over their canonical JSON form,
 so the digest is stable under key reordering; every stochastic estimate in
 a result record is a pure function of (config digest, seed root).
 """
@@ -74,6 +77,22 @@ class ConfigError(ValueError):
     """Config failed validation; the message names the offending key."""
 
 
+# Every key the parse reads, by section; any other key is a ConfigError.
+_KEYS = {
+    "config": ("name", "users", "seed", "medium", "modems", "sources", "latency",
+               "pair_of_interest", "block_length", "horizon", "warmup", "trials",
+               "separate_trials", "recheck_trials", "targets", "rd", "noninterference"),
+    "targets": ("pair", "metric", "D", "D_prime", "block_lengths", "n", "n_prime",
+                "n_prime_ratio", "psi", "alpha", "decode_rule"),
+    "rd": ("source", "metric", "grid", "tol"),
+    "noninterference": ("untouched", "trials_blocks", "repetitions"),
+}
+_REQUIRED = object()
+# Hamming level that baseline measures the pair of interest at when the
+# config names no target.
+DEFAULT_LEVEL = 0.125
+
+
 def _bsc(q: float) -> np.ndarray:
     return np.array([[1.0 - q, q], [q, 1.0 - q]])
 
@@ -98,10 +117,181 @@ def _checked(key: str, build):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _pair(key: str, get) -> tuple:
-    """The [src, dst] pair ``get()`` reads from a config entry, as ints; a
-    bad entry becomes a ConfigError naming ``key``."""
-    return _checked(key, lambda: tuple(int(v) for v in get()))
+def _section(where: str, value, accepted) -> dict:
+    """``value`` as a mapping whose keys are all in ``accepted``; ``where``
+    is the section's key, empty at the top level."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or 'config root'} must be a mapping")
+    unknown = [f"{where}.{key}" if where else key for key in value if key not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}")
+    return value
+
+
+def _get(entry: dict, name: str, parse, default=_REQUIRED):
+    """``parse`` of the value at the key ``name`` (the last dotted part is
+    its key in ``entry``), or ``default`` when the key is absent; a bad or
+    missing required value is a ConfigError naming ``name``."""
+    key = name.rpartition(".")[2]
+    if key not in entry:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key '{name}'")
+        return default
+    return _checked(name, lambda: parse(entry[key]))
+
+
+def _at_least(floor: int):
+    """Parser of an integer that must be >= ``floor``."""
+    def parse(value) -> int:
+        if int(value) < floor:
+            raise ValueError(f"{value} is below the floor of {floor}")
+        return int(value)
+
+    return parse
+
+
+def _known_pair(value, sources: dict) -> tuple:
+    """``value`` as a (src, dst) pair that has a source entry."""
+    pair = tuple(int(v) for v in value)
+    if pair not in sources:
+        raise ValueError(f"pair {list(pair)} has no source entry")
+    return pair
+
+
+def _sources(entries, users: int) -> dict:
+    out = {}
+    for s in entries:
+        i, j = int(s["src"]), int(s["dst"])
+        if not (0 <= i < users and 0 <= j < users) or i == j:
+            raise ValueError(f"pair ({i},{j}) is invalid for {users} users")
+        if (i, j) in out:
+            raise ValueError(f"pair ({i},{j}) is listed twice")
+        out[(i, j)] = Pmf.from_probs(s["probs"])
+    if not out:
+        raise ValueError("need at least one source pair")
+    return out
+
+
+def _metric(spec, size: int) -> DistortionMetric:
+    if spec == "hamming" or spec is None:
+        return hamming_metric(size)
+    return DistortionMetric(
+        hamming_metric(size).source_alphabet,
+        hamming_metric(size).repro_alphabet,
+        np.asarray(spec, dtype=np.float64),
+    )
+
+
+def _medium(med: dict, users: int):
+    kind = med.get("kind", "dmc")
+    if kind in ("dmc", "coupled_dmc"):
+        mats = {
+            (int(e["src"]), int(e["dst"])): _link_matrix(e) for e in med["links"]
+        }
+        if kind == "dmc":
+            return DmcMedium(users, mats)
+        coupling = {}
+        for e in med.get("coupling", []):
+            link = (int(e["src"]), int(e["dst"]))
+            if "flips" in e:
+                stack = np.stack([_bsc(float(q)) for q in e["flips"]])
+            else:
+                stack = np.asarray(e["matrices"], dtype=np.float64)
+            coupling[link] = (int(e["watch"]), stack)
+        return CoupledDmcMedium(users, mats, coupling)
+    if kind == "markov":
+        rules = {}
+        for e in med["rules"]:
+            link = (int(e["src"]), int(e["dst"]))
+            if "gilbert_elliott" in e:
+                ge = e["gilbert_elliott"]
+                rules[link] = gilbert_elliott_rule(
+                    float(ge["flip_good"]),
+                    float(ge["flip_bad"]),
+                    float(ge["p_good_to_bad"]),
+                    float(ge["p_bad_to_good"]),
+                    int(ge.get("initial", 0)),
+                )
+            else:
+                rules[link] = MarkovLinkRule(
+                    np.asarray(e["transition"], dtype=np.float64),
+                    np.asarray(e["emission"], dtype=np.float64),
+                    int(e.get("initial", 0)),
+                )
+        states = int(med.get("states", 2))
+        return make_markov_medium(users, states, rules)
+    raise ConfigError(f"medium.kind '{kind}' unknown")
+
+
+def _modems(entries) -> tuple:
+    modems = []
+    for e in entries:
+        kind = e.get("kind", "passthrough")
+        user = int(e["user"])
+        if kind == "passthrough":
+            send = tuple(int(v) for v in e["send"]) if "send" in e else None
+            recv = [tuple(int(v) for v in p) for p in e.get("recv", [])]
+            links = {
+                tuple(int(v) for v in o["pair"]): tuple(int(v) for v in o["link"])
+                for o in e.get("recv_links", [])
+            }
+            modems.append(
+                PassthroughModem(user, send_pair=send, recv_pairs=recv, recv_links=links)
+            )
+        elif kind == "relay":
+            modems.append(ForwardRelayModem(user, tuple(int(v) for v in e["in_link"])))
+        else:
+            raise ConfigError(f"modems: kind '{kind}' unknown")
+    return tuple(modems)
+
+
+def _target(entry, sources: dict, block_length: int) -> tuple:
+    """One ``targets`` entry: its PairTarget and the block lengths it runs at."""
+    t = _section("targets", entry, _KEYS["targets"])
+    pair = _get(t, "targets.pair", lambda v: _known_pair(v, sources))
+    size = sources[pair].alphabet.size
+    n = _get(t, "targets.n", _at_least(1), None)
+    # separate keeps the ratio n'/n at every block length, so n' needs n
+    for key in ("n_prime", "n_prime_ratio"):
+        if key in t and n is None:
+            raise ConfigError(f"targets.{key}: needs 'n'")
+    if "n_prime" in t and "n_prime_ratio" in t:
+        raise ConfigError("targets.n_prime_ratio: excludes 'n_prime'")
+    n_prime = _get(t, "targets.n_prime", _at_least(1), None)
+    n_prime = _get(t, "targets.n_prime_ratio",
+                   lambda v: _at_least(1)(round(float(v) * n)), n_prime)
+    lengths = _get(t, "targets.block_lengths", lambda v: [_at_least(1)(k) for k in v],
+                   [n if n is not None else block_length])
+    metric = _get(t, "targets.metric", lambda v: _metric(v, size), hamming_metric(size))
+    level, level_prime = _get(t, "targets.D", float), _get(t, "targets.D_prime", float)
+    psi, alpha = _get(t, "targets.psi", float, None), _get(t, "targets.alpha", float, None)
+    rule = _get(t, "targets.decode_rule", str, "within_d")
+    # PairTarget rejects an unknown rule
+    target = _checked("targets.decode_rule", lambda: PairTarget(
+        pair, metric, level, level_prime, n, n_prime, psi, alpha, rule))
+    return target, lengths
+
+
+@dataclass(frozen=True)
+class RdSweep:
+    """The ``rd`` section: the levels to solve R(D) at for one source."""
+
+    source: Pmf
+    metric: DistortionMetric
+    grid: tuple  # of float levels
+    tol: float
+
+
+def _rd(entry) -> RdSweep:
+    r = _section("rd", entry, _KEYS["rd"])
+    source = _get(r, "rd.source", Pmf.from_probs)
+    size = source.alphabet.size
+    return RdSweep(
+        source=source,
+        metric=_get(r, "rd.metric", lambda v: _metric(v, size), hamming_metric(size)),
+        grid=_get(r, "rd.grid", lambda v: tuple(float(level) for level in v)),
+        tol=_get(r, "rd.tol", float, 1e-6),
+    )
 
 
 def _canonical_digest(data: dict) -> str:
@@ -111,10 +301,26 @@ def _canonical_digest(data: dict) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description plus its canonical digest."""
+    """An experiment description parsed once, plus its canonical digest.
+
+    ``from_dict`` reads every key of ``data`` exactly once and keeps the
+    results here; the commands read these fields, never ``data``.
+    """
 
     data: dict
     digest: str
+    name: str | None
+    seed: int
+    system: NetworkSystem
+    targets: tuple  # PairTarget per ``targets`` entry
+    block_lengths: tuple  # the block lengths every target runs at
+    trials: int  # baseline
+    separate_trials: int
+    recheck_trials: int
+    untouched: tuple  # noninterference pairs
+    ni_trials_blocks: int
+    ni_repetitions: int
+    rd: RdSweep | None
     path: str | None = None
 
     @classmethod
@@ -128,191 +334,60 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict, path: str | None = None) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a mapping")
-        cfg = cls(data=data, digest=_canonical_digest(data), path=path)
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        """Check the keys, then build the medium, the wired system and the
-        targets as the commands do, so that a bad value fails here."""
-        d = self.data
-        for key in ("users", "medium", "sources", "modems", "block_length"):
-            if key not in d:
-                raise ConfigError(f"missing required key '{key}'")
-        users = _checked("users", lambda: int(d["users"]))
-        _checked("block_length", lambda: int(d["block_length"]))
-        pairs = set(_checked("sources", self.source_pmfs))
-        for (i, j) in pairs:
-            if not (0 <= i < users and 0 <= j < users) or i == j:
-                raise ConfigError(f"sources: pair ({i},{j}) is invalid for {users} users")
-        targets = [_pair("targets.pair", lambda: t["pair"]) for t in d.get("targets", [])]
-        for pair in targets:
-            if pair not in pairs:
-                raise ConfigError(f"targets: pair {list(pair)} has no source entry")
-        if len(set(targets)) != len(targets):
-            raise ConfigError(f"targets: pairs {targets} are not distinct")
-        for p in d.get("noninterference", {}).get("untouched", []):
-            if _pair("noninterference.untouched", lambda: p) not in pairs:
-                raise ConfigError(f"noninterference.untouched: unknown pair {p}")
-        for e in d.get("latency", []):
-            if _pair("latency", lambda: (e["src"], e["dst"])) not in pairs:
-                raise ConfigError(f"latency: unknown pair [{e['src']}, {e['dst']}]")
-        ni = d.get("noninterference") or {}
-        counts = {key: d.get(key) for key in ("trials", "separate_trials", "recheck_trials")}
-        counts["noninterference.trials_blocks"] = ni.get("trials_blocks")
-        for key, value in counts.items():
-            if value is not None and _checked(key, lambda: int(value)) < MIN_TRIALS:
-                raise ConfigError(f"{key}: {value} is below the floor of {MIN_TRIALS}")
-        if _checked("noninterference.repetitions", lambda: int(ni.get("repetitions", 1))) < 1:
-            raise ConfigError("noninterference.repetitions: need >= 1")
-        # separate runs every target at the first target's block lengths
-        lengths = [_checked("targets", lambda: self.target_block_lengths(k))
-                   for k in range(len(d.get("targets", [])))]
-        if any(ls != lengths[0] for ls in lengths):
-            raise ConfigError(f"targets: block lengths {lengths} differ between targets")
-        _checked("medium", self.build_medium)
-        system = _checked("modems", self.build_system)
-        for modem in system.modems:
-            _checked("modems", lambda: modem.check_wiring(system))
-        _checked("targets", self.targets)
-
-    @property
-    def seed(self) -> int:
-        return int(self.data.get("seed", 0))
-
-    def source_pmfs(self) -> dict:
-        return {
-            (int(s["src"]), int(s["dst"])): Pmf.from_probs(s["probs"])
-            for s in self.data["sources"]
-        }
-
-    def metric_for(self, spec, size: int) -> DistortionMetric:
-        if spec == "hamming" or spec is None:
-            return hamming_metric(size)
-        return DistortionMetric(
-            hamming_metric(size).source_alphabet,
-            hamming_metric(size).repro_alphabet,
-            np.asarray(spec, dtype=np.float64),
-        )
-
-    def build_medium(self):
-        med = self.data["medium"]
-        users = int(self.data["users"])
-        kind = med.get("kind", "dmc")
-        if kind in ("dmc", "coupled_dmc"):
-            mats = {
-                (int(e["src"]), int(e["dst"])): _link_matrix(e) for e in med["links"]
-            }
-            if kind == "dmc":
-                return DmcMedium(users, mats)
-            coupling = {}
-            for e in med.get("coupling", []):
-                link = (int(e["src"]), int(e["dst"]))
-                if "flips" in e:
-                    stack = np.stack([_bsc(float(q)) for q in e["flips"]])
-                else:
-                    stack = np.asarray(e["matrices"], dtype=np.float64)
-                coupling[link] = (int(e["watch"]), stack)
-            return CoupledDmcMedium(users, mats, coupling)
-        if kind == "markov":
-            rules = {}
-            for e in med["rules"]:
-                link = (int(e["src"]), int(e["dst"]))
-                if "gilbert_elliott" in e:
-                    ge = e["gilbert_elliott"]
-                    rules[link] = gilbert_elliott_rule(
-                        float(ge["flip_good"]),
-                        float(ge["flip_bad"]),
-                        float(ge["p_good_to_bad"]),
-                        float(ge["p_bad_to_good"]),
-                        int(ge.get("initial", 0)),
-                    )
-                else:
-                    rules[link] = MarkovLinkRule(
-                        np.asarray(e["transition"], dtype=np.float64),
-                        np.asarray(e["emission"], dtype=np.float64),
-                        int(e.get("initial", 0)),
-                    )
-            states = int(med.get("states", 2))
-            return make_markov_medium(users, states, rules)
-        raise ConfigError(f"medium.kind '{kind}' unknown")
-
-    def build_modems(self) -> tuple:
-        modems = []
-        for e in self.data["modems"]:
-            kind = e.get("kind", "passthrough")
-            user = int(e["user"])
-            if kind == "passthrough":
-                send = tuple(int(v) for v in e["send"]) if "send" in e else None
-                recv = [tuple(int(v) for v in p) for p in e.get("recv", [])]
-                links = {
-                    tuple(int(v) for v in o["pair"]): tuple(int(v) for v in o["link"])
-                    for o in e.get("recv_links", [])
-                }
-                modems.append(
-                    PassthroughModem(user, send_pair=send, recv_pairs=recv, recv_links=links)
-                )
-            elif kind == "relay":
-                modems.append(ForwardRelayModem(user, tuple(int(v) for v in e["in_link"])))
-            else:
-                raise ConfigError(f"modems: kind '{kind}' unknown")
-        return tuple(modems)
-
-    def build_system(self) -> NetworkSystem:
-        d = self.data
-        sources = self.source_pmfs()
-        latency = {
-            (int(e["src"]), int(e["dst"])): int(e["steps"])
-            for e in d.get("latency", [])
-        }
+        """Parse ``data``; a bad, missing or unknown key is a ConfigError
+        naming it."""
+        d = _section("", data, _KEYS["config"])
+        users = _get(d, "users", int)
+        block_length = _get(d, "block_length", _at_least(1))
+        sources = _get(d, "sources", lambda v: _sources(v, users))
+        latency = _get(d, "latency", lambda v: {
+            _known_pair((e["src"], e["dst"]), sources): int(e["steps"]) for e in v
+        }, {})
         for pair in sources:
             latency.setdefault(pair, 3)
-        poi = d.get("pair_of_interest")
-        poi = tuple(int(v) for v in poi) if poi else next(iter(sorted(sources)))
-        return NetworkSystem(
-            medium=self.build_medium(),
-            modems=self.build_modems(),
-            sources=sources,
-            pair_of_interest=poi,
-            horizon=int(d.get("horizon", 10 * int(d["block_length"]))),
-            block_length=int(d["block_length"]),
-            latency_map=latency,
-            warmup=int(d.get("warmup", 8)),
+        medium = _get(d, "medium", lambda v: _medium(v, users))
+        modems = _get(d, "modems", _modems)
+        poi = _get(d, "pair_of_interest", lambda v: _known_pair(v, sources), min(sources))
+        horizon = _get(d, "horizon", int, 10 * block_length)
+        warmup = _get(d, "warmup", int, 8)
+        system = _checked("modems", lambda: NetworkSystem(
+            medium, modems, sources, poi, horizon, block_length, latency, warmup))
+        for modem in system.modems:
+            _checked("modems", lambda: modem.check_wiring(system))
+        parsed = [_target(t, sources, block_length) for t in _get(d, "targets", list, [])]
+        targets = tuple(target for target, _ in parsed)
+        pairs = [target.pair for target in targets]
+        if len(set(pairs)) != len(pairs):
+            raise ConfigError(f"targets: pairs {pairs} are not distinct")
+        # separate runs every target at the first target's block lengths
+        lengths = [ls for _, ls in parsed]
+        if any(ls != lengths[0] for ls in lengths):
+            raise ConfigError(f"targets: block lengths {lengths} differ between targets")
+        ni = _section("noninterference", d.get("noninterference", {}),
+                      _KEYS["noninterference"])
+        return cls(
+            data=data,
+            digest=_canonical_digest(data),
+            name=_get(d, "name", str, None),
+            seed=_get(d, "seed", int, 0),
+            system=system,
+            targets=targets,
+            block_lengths=tuple(lengths[0]) if lengths else (),
+            trials=_get(d, "trials", _at_least(MIN_TRIALS), 10_000),
+            separate_trials=_get(d, "separate_trials", _at_least(MIN_TRIALS), 3000),
+            recheck_trials=_get(d, "recheck_trials", _at_least(MIN_TRIALS), 2000),
+            untouched=_get(ni, "noninterference.untouched",
+                           lambda v: tuple(_known_pair(p, sources) for p in v), ()),
+            ni_trials_blocks=_get(ni, "noninterference.trials_blocks",
+                                  _at_least(MIN_TRIALS), 2000),
+            ni_repetitions=_get(ni, "noninterference.repetitions", _at_least(1), 1),
+            rd=_get(d, "rd", _rd, None),
+            path=path,
         )
 
-    def targets(self) -> list[PairTarget]:
-        out = []
-        sources = self.source_pmfs()
-        for t in self.data.get("targets", []):
-            pair = (int(t["pair"][0]), int(t["pair"][1]))
-            size = sources[pair].alphabet.size
-            metric = self.metric_for(t.get("metric", "hamming"), size)
-            n = t.get("n")
-            n_prime = t.get("n_prime")
-            if n is not None and n_prime is None and "n_prime_ratio" in t:
-                n_prime = int(round(float(t["n_prime_ratio"]) * int(n)))
-            out.append(
-                PairTarget(
-                    pair=pair,
-                    metric=metric,
-                    level=float(t["D"]),
-                    level_prime=float(t["D_prime"]),
-                    n=int(n) if n is not None else None,
-                    n_prime=int(n_prime) if n_prime is not None else None,
-                    psi=float(t["psi"]) if "psi" in t else None,
-                    alpha=float(t["alpha"]) if "alpha" in t else None,
-                    decode_rule=t.get("decode_rule", "within_d"),
-                )
-            )
-        return out
-
-    def target_block_lengths(self, t_index: int = 0) -> list[int]:
-        t = self.data.get("targets", [])[t_index]
-        if "block_lengths" in t:
-            return [int(v) for v in t["block_lengths"]]
-        return [int(t.get("n", self.data["block_length"]))]
+    def build_system(self) -> NetworkSystem:
+        """The system the config describes, built once at load."""
+        return self.system
 
 
 @dataclass
@@ -400,19 +475,17 @@ def cmd_rd(config: ExperimentConfig, out_dir, seed: int | None = None,
     """Rate-distortion sweep; writes (D, R_bits, slope, iterations,
     converged) CSV rows, reporting infeasible grid values without dying."""
     t0 = time.time()
-    rd = config.data.get("rd")
+    rd = config.rd
     if rd is None:
         raise ConfigError("missing 'rd' section (source, metric, grid)")
-    source = Pmf.from_probs(rd["source"])
-    metric = config.metric_for(rd.get("metric", "hamming"), source.alphabet.size)
     rows = []
     notes = []
-    for level in rd["grid"]:
+    for level in rd.grid:
         try:
-            pt = blahut_arimoto(source, metric, float(level), tol=float(rd.get("tol", 1e-6)))
+            pt = blahut_arimoto(rd.source, rd.metric, level, tol=rd.tol)
             rows.append([pt.distortion, pt.rate, pt.lagrange_s, pt.iterations, pt.converged])
         except InfeasibleDistortionError as exc:
-            rows.append([float(level), math.nan, math.nan, 0, False])
+            rows.append([level, math.nan, math.nan, 0, False])
             notes.append(str(exc))
     record, out = _save_record(
         config, out_dir, "rd", seed, overwrite, t0, {"rows": rows, "notes": notes}
@@ -429,11 +502,11 @@ def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
                  overwrite: bool = False, trials: int | None = None) -> ResultRecord:
     """Measure the untransformed system's excess-distortion guarantees."""
     t0 = time.time()
-    system = config.build_system()
+    system = config.system
     root = RandomnessHandle(_seed_root(config, seed))
-    trials = int(trials if trials is not None else config.data.get("trials", 10_000))
+    trials = int(trials if trials is not None else config.trials)
     payload = {"pairs": {}}
-    for target in config.targets() or _default_targets(config, system):
+    for target in config.targets or _default_targets(system):
         budget = DistortionBudget(target.level, target.metric)
         report = measure_end_to_end(
             system,
@@ -441,7 +514,7 @@ def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
             budget,
             trials,
             root.derive("baseline", *target.pair),
-            block_length=config.data["block_length"],
+            block_length=system.block_length,
         )
         payload["pairs"][str(list(target.pair))] = _guarantee_payload(report)
     record, out = _save_record(config, out_dir, "baseline", seed, overwrite, t0, payload)
@@ -456,15 +529,14 @@ def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
     return record
 
 
-def _default_targets(config: ExperimentConfig, system: NetworkSystem) -> list[PairTarget]:
+def _default_targets(system: NetworkSystem) -> list[PairTarget]:
     # Without explicit targets, measure the pair of interest under Hamming
-    # at the configured default level.
+    # at DEFAULT_LEVEL.
     pair = system.pair_of_interest
     size = system.sources[pair].alphabet.size
-    level = float(config.data.get("default_level", 0.125))
     return [
-        PairTarget(pair=pair, metric=hamming_metric(size), level=level,
-                   level_prime=min(2 * level, 0.49))
+        PairTarget(pair=pair, metric=hamming_metric(size), level=DEFAULT_LEVEL,
+                   level_prime=min(2 * DEFAULT_LEVEL, 0.49))
     ]
 
 
@@ -473,17 +545,15 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
     """Plan, apply, and verify the transformation for every target pair
     across the configured block lengths."""
     t0 = time.time()
-    targets = config.targets()
-    if not targets:
+    if not config.targets:
         return _separate_noop(config, out_dir, seed, overwrite, t0)
-    system = config.build_system()
+    system = config.system
     root = RandomnessHandle(_seed_root(config, seed))
     common = root.derive("common-randomness")
-    trials = int(trials if trials is not None else config.data.get("separate_trials", 3000))
-    block_lengths = config.target_block_lengths()
+    trials = int(trials if trials is not None else config.separate_trials)
     payload = {"runs": [], "trend_rows": []}
-    for n in block_lengths:
-        sized = [ _resize_target(t, n) for t in targets ]
+    for n in config.block_lengths:
+        sized = [_resize_target(t, n) for t in config.targets]
         run = {"n": n, "pairs": {}, "steps": [], "infeasible": {}}
         current = system
         try:
@@ -492,8 +562,7 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
                 sized,
                 root.derive("sep", n),
                 common,
-                recheck_trials=int(config.data.get("recheck_trials", 2000)),
-                recheck=bool(config.data.get("recheck", True)),
+                recheck_trials=config.recheck_trials,
             )
             run["steps"] = [
                 {"pair": list(s.pair), "plan": s.plan_summary, "rechecks":
@@ -515,16 +584,14 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
                 [n, str(list(target.pair)), stats["epsilon_hat"], stats["half_width"],
                  stats.get("xi_hat", ""), stats.get("eta_hat", ""), stats["trials"]]
             )
-        ni_cfg = config.data.get("noninterference")
-        if ni_cfg and ni_cfg.get("untouched"):
-            untouched = [tuple(int(v) for v in p) for p in ni_cfg["untouched"]]
+        if config.untouched:
             results = verify_noninterference(
                 system,
                 current,
-                untouched,
-                int(ni_cfg.get("trials_blocks", 2000)),
+                config.untouched,
+                config.ni_trials_blocks,
                 root.derive("ni", n),
-                repetitions=int(ni_cfg.get("repetitions", 1)),
+                repetitions=config.ni_repetitions,
             )
             run["noninterference"] = {
                 str(list(pair)): {
@@ -555,7 +622,7 @@ def _resize_target(t: PairTarget, n: int) -> PairTarget:
 def _separate_noop(config, out_dir, seed, overwrite, t0) -> ResultRecord:
     # Empty target set: the transformed system IS the system; record rollout
     # digests to prove bit-identity.
-    system = config.build_system()
+    system = config.system
     root = RandomnessHandle(_seed_root(config, seed))
     traj = rollout(system, root.derive("noop"), lanes=4, horizon=min(system.horizon, 2000))
     digest = hashlib.sha256()
@@ -669,12 +736,10 @@ def _suite_separation(root: RandomnessHandle) -> dict:
 def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) -> dict:
     # Wrong generation law on an interference medium must be DETECTED by the
     # noninterference tests; detection is the expected outcome.
-    system = config.build_system()
-    targets = config.targets()
-    if not targets:
+    system = config.system
+    if not config.targets:
         return {"ok": True, "detail": "skipped: no targets in config", "expected_fail": False}
-    target = targets[0]
-    small = _resize_target(target, 32)
+    small = _resize_target(config.targets[0], 32)
     budget = DistortionBudget(small.level, small.metric)
     guar = measure_end_to_end(
         system, small.pair, budget, 1000, root.derive("nc_base"), block_length=32
@@ -688,12 +753,10 @@ def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) ->
         send.inner, send.pair, send.plan, send.source_cb, bad_cb, send.metric
     )
     after = apply_separation(system, dataclasses.replace(plan, send=bad_send))
-    ni_cfg = config.data.get("noninterference", {})
-    untouched = [tuple(int(v) for v in p) for p in ni_cfg.get("untouched", [])]
-    if not untouched:
+    if not config.untouched:
         return {"ok": True, "detail": "skipped: no untouched pairs", "expected_fail": False}
     results = verify_noninterference(
-        system, after, untouched, 3000, root.derive("nc_ni"), repetitions=1
+        system, after, config.untouched, 3000, root.derive("nc_ni"), repetitions=1
     )
     min_p = min(res.min_joint_p for res in results.values())
     detected = min_p < 1e-4

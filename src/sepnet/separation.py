@@ -69,6 +69,9 @@ RATE_STRICTNESS = 1e-9
 # Fewest trials (blocks) an excess-distortion or noninterference estimate
 # is made from.
 MIN_TRIALS = 1000
+# Slack, on top of the summed confidence half-widths, that a remaining
+# pair's excess probability may rise by across a separation step.
+RECHECK_SLACK = 0.02
 
 
 class PlanInfeasible(ValueError):
@@ -601,14 +604,12 @@ def separate_network(
     seeds: RandomnessHandle,
     common_seed: RandomnessHandle,
     recheck_trials: int = 2000,
-    recheck_slack: float = 0.02,
-    recheck: bool = True,
 ):
     """Apply the transformation to every target pair, one at a time.
 
     After each step the remaining targets' guarantees are re-measured and
     must be statistically unchanged; a degradation beyond combined
-    confidence widths plus ``recheck_slack`` aborts loudly. Returns the
+    confidence widths plus ``RECHECK_SLACK`` aborts loudly. Returns the
     final system and per-step reports; an empty target list returns the
     system unchanged.
     """
@@ -631,39 +632,38 @@ def separate_network(
         plan = plan_separation(current, guar, target, common_seed)
         new_system = apply_separation(current, plan)
         rechecks = {}
-        if recheck:
-            for other in targets[k + 1 :]:
-                obudget = DistortionBudget(other.level, other.metric)
-                g_old = measure_end_to_end(
-                    current,
-                    other.pair,
-                    obudget,
-                    recheck_trials,
-                    seeds.derive("recheck_old", k, *other.pair),
-                    block_length=other.n or system.block_length,
+        for other in targets[k + 1 :]:
+            obudget = DistortionBudget(other.level, other.metric)
+            g_old = measure_end_to_end(
+                current,
+                other.pair,
+                obudget,
+                recheck_trials,
+                seeds.derive("recheck_old", k, *other.pair),
+                block_length=other.n or system.block_length,
+            )
+            g_new = measure_end_to_end(
+                new_system,
+                other.pair,
+                obudget,
+                recheck_trials,
+                seeds.derive("recheck_new", k, *other.pair),
+                block_length=other.n or system.block_length,
+            )
+            tol = g_old.half_width + g_new.half_width + RECHECK_SLACK
+            ok = g_new.epsilon_hat <= g_old.epsilon_hat + tol
+            rechecks[tuple(other.pair)] = {
+                "before": g_old.epsilon_hat,
+                "after": g_new.epsilon_hat,
+                "tolerance": tol,
+                "ok": ok,
+            }
+            if not ok:
+                raise SeparationInterferenceError(
+                    f"after separating {target.pair}, pair {other.pair} degraded: "
+                    f"{g_old.epsilon_hat:.4f} -> {g_new.epsilon_hat:.4f} "
+                    f"(tolerance {tol:.4f}); this falsifies the construction"
                 )
-                g_new = measure_end_to_end(
-                    new_system,
-                    other.pair,
-                    obudget,
-                    recheck_trials,
-                    seeds.derive("recheck_new", k, *other.pair),
-                    block_length=other.n or system.block_length,
-                )
-                tol = g_old.half_width + g_new.half_width + recheck_slack
-                ok = g_new.epsilon_hat <= g_old.epsilon_hat + tol
-                rechecks[tuple(other.pair)] = {
-                    "before": g_old.epsilon_hat,
-                    "after": g_new.epsilon_hat,
-                    "tolerance": tol,
-                    "ok": ok,
-                }
-                if not ok:
-                    raise SeparationInterferenceError(
-                        f"after separating {target.pair}, pair {other.pair} degraded: "
-                        f"{g_old.epsilon_hat:.4f} -> {g_new.epsilon_hat:.4f} "
-                        f"(tolerance {tol:.4f}); this falsifies the construction"
-                    )
         steps.append(
             SeparationStepReport(
                 pair=tuple(target.pair),

@@ -122,7 +122,7 @@ def coupled_relay_system():
 
 def separated_single_bsc(decode_rule):
     config, system = config_system("single_bsc")
-    target = dataclasses.replace(config.targets()[0], n=32, n_prime=24,
+    target = dataclasses.replace(config.targets[0], n=32, n_prime=24,
                                  decode_rule=decode_rule)
     guar = GuaranteeReport((0, 1), 0.125, 0.06, 0.01, 1000, 32, 60)
     root = RandomnessHandle(config.seed)

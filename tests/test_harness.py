@@ -1,6 +1,7 @@
 """Harness and CLI: a payload is a pure function of (config digest, seed
 root); bad configs fail validation with exit 1; exit codes; experiment ids."""
 
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -73,7 +74,27 @@ def with_block_length_as_a_word(d):
     d["block_length"] = "long"
 
 
-def with_count(key, value):
+def with_a_latency_without_steps(d):
+    del d["latency"][0]["steps"]
+
+
+def with_n_prime_ratio_but_no_n(d):
+    del d["targets"][0]["n"]
+
+
+def with_n_prime_ratio_and_n_prime(d):
+    d["targets"][0]["n_prime"] = 48
+
+
+def with_the_source_twice(d):
+    d["sources"].append({"src": 0, "dst": 1, "probs": [0.9, 0.1]})
+
+
+def with_a_misspelled_target_key(d):
+    d["targets"][0]["Dprime"] = d["targets"][0].pop("D_prime")
+
+
+def with_value(key, value):
     def edit(d):
         *path, last = key.split(".")
         section = d
@@ -89,18 +110,41 @@ BAD_CONFIGS = {
     "modems": without_a_modem,
     "medium": with_flip_above_one,
     "decode_rule": with_misspelled_rule,
-    "trials": with_count("trials", 50),
-    "separate_trials": with_count("separate_trials", 500),
-    "recheck_trials": with_count("recheck_trials", 999),
-    "noninterference.trials_blocks": with_count("noninterference.trials_blocks", 10),
-    "noninterference.repetitions": with_count("noninterference.repetitions", 0),
+    "trials": with_value("trials", 50),
+    "separate_trials": with_value("separate_trials", 500),
+    "recheck_trials": with_value("recheck_trials", 999),
+    "noninterference.trials_blocks": with_value("noninterference.trials_blocks", 10),
+    "noninterference.repetitions": with_value("noninterference.repetitions", 0),
     "users": with_users_as_a_word,
     "targets.pair": with_a_target_without_pair,
     "latency": with_a_latency_without_dst,
     "noninterference.untouched": with_a_one_user_untouched_pair,
     "targets": with_the_target_twice,
     "block_length": with_block_length_as_a_word,
+    "block_length (zero)": with_value("block_length", 0),
+    "seed": with_value("seed", "x"),
+    "latency (no steps)": with_a_latency_without_steps,
+    "warmup": with_value("warmup", "x"),
+    "horizon": with_value("horizon", "x"),
+    "pair_of_interest": with_value("pair_of_interest", [5, 6]),
+    "sources": with_the_source_twice,
+    "rd.source": with_value("rd.source", [0.5, 0.6]),
+    "rd.grid": with_value("rd.grid", ["a"]),
+    "n_prime_ratio": with_n_prime_ratio_but_no_n,
+    "n_prime_ratio (with n_prime)": with_n_prime_ratio_and_n_prime,
+    "separate_trial": with_value("separate_trial", 5),
+    "recheck": with_value("recheck", False),
+    "default_level": with_value("default_level", 0.1),
+    "targets.Dprime": with_a_misspelled_target_key,
+    "rd.tolerance": with_value("rd.tolerance", 1e-9),
+    "noninterference.trial_blocks": with_value("noninterference.trial_blocks", 3000),
 }
+
+
+def named_key(case: str) -> str:
+    """The key a BAD_CONFIGS case's error must name: the case id up to any
+    parenthesised note."""
+    return case.split(" (")[0]
 
 
 def bad_config(key: str) -> dict:
@@ -133,6 +177,25 @@ def test_separate_payload_repeats(tmp_path):
     assert hashlib.sha256(blob).hexdigest()[:16] == SEPARATE_SINGLE_BSC_N32
 
 
+def test_commands_read_only_the_parsed_config(tmp_path):
+    data = single_bsc_data()
+    data["targets"][0]["block_lengths"] = [32]
+    payloads = {}
+    for side in ("kept", "cleared"):
+        config = ExperimentConfig.from_dict(copy.deepcopy(data))
+        if side == "cleared":
+            config.data.clear()
+        out = tmp_path / side
+        payloads[side] = [
+            payload_json(cmd_rd(config, out)),
+            payload_json(cmd_baseline(config, out, trials=1000)),
+            payload_json(cmd_separate(config, out, trials=1000)),
+        ]
+    assert payloads["cleared"] == payloads["kept"]
+    blob = payloads["cleared"][2].encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == SEPARATE_SINGLE_BSC_N32
+
+
 def test_separate_without_targets_is_timed(tmp_path):
     data = single_bsc_data()
     del data["targets"]
@@ -143,7 +206,7 @@ def test_separate_without_targets_is_timed(tmp_path):
 
 @pytest.mark.parametrize("key", BAD_CONFIGS)
 def test_bad_config_fails_validation_naming_the_key(key):
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=named_key(key)):
         ExperimentConfig.from_dict(bad_config(key))
 
 

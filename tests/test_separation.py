@@ -353,7 +353,7 @@ class TestSeparateNetwork:
         system = two_pair_system()
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, decode_rule="argmin")
         final, steps = separate_network(
-            system, [target], root.derive("s"), root.derive("c"), recheck=False
+            system, [target], root.derive("s"), root.derive("c")
         )
         assert is_separated(final, (0, 1))
         assert len(steps) == 1
