@@ -54,7 +54,6 @@ from .separation import (
     MIN_TRIALS,
     PairTarget,
     PlanInfeasible,
-    SeparationSendModem,
     apply_separation,
     measure_end_to_end,
     plan_separation,
@@ -70,6 +69,9 @@ __all__ = [
     "cmd_rd",
     "cmd_separate",
     "cmd_verify",
+    # bound here, unused, so that bench/tests can check that its tracer
+    # wraps every module's binding of the rollout
+    "rollout",
 ]
 
 
@@ -77,11 +79,24 @@ class ConfigError(ValueError):
     """Config failed validation; the message names the offending key."""
 
 
-# Every key the parse reads, by section; any other key is a ConfigError.
+# Every key the parse reads, by section (and by kind, where the section has
+# kinds); any other key is a ConfigError.
 _KEYS = {
     "config": ("name", "users", "seed", "medium", "modems", "sources", "latency",
                "pair_of_interest", "block_length", "horizon", "warmup", "trials",
                "separate_trials", "recheck_trials", "targets", "rd", "noninterference"),
+    "medium": {"dmc": ("kind", "links"), "coupled_dmc": ("kind", "links", "coupling"),
+               "markov": ("kind", "states", "rules")},
+    "medium.links": ("src", "dst", "flip", "matrix"),
+    "medium.coupling": ("src", "dst", "watch", "flips", "matrices"),
+    "medium.rules": ("src", "dst", "gilbert_elliott", "transition", "emission", "initial"),
+    "medium.rules.gilbert_elliott": ("flip_good", "flip_bad", "p_good_to_bad",
+                                     "p_bad_to_good", "initial"),
+    "modems": {"passthrough": ("user", "kind", "send", "recv", "recv_links"),
+               "relay": ("user", "kind", "in_link")},
+    "modems.recv_links": ("pair", "link"),
+    "sources": ("src", "dst", "probs"),
+    "latency": ("src", "dst", "steps"),
     "targets": ("pair", "metric", "D", "D_prime", "block_lengths", "n", "n_prime",
                 "n_prime_ratio", "psi", "alpha", "decode_rule"),
     "rd": ("source", "metric", "grid", "tol"),
@@ -128,6 +143,26 @@ def _section(where: str, value, accepted) -> dict:
     return value
 
 
+def _keyed(where: str, entries, key, value) -> dict:
+    """``{key(e): value(e)}`` over the list of entries at ``where``, each a
+    mapping of keys accepted there; a key listed twice is a ConfigError."""
+    out = {}
+    for entry in entries:
+        k = key(_section(where, entry, _KEYS[where]))
+        if k in out:
+            raise ConfigError(f"{where}: {k} is listed twice")
+        out[k] = value(entry)
+    return out
+
+
+def _src_dst(entry: dict) -> tuple:
+    return int(entry["src"]), int(entry["dst"])
+
+
+def _ints(value) -> tuple:
+    return tuple(int(v) for v in value)
+
+
 def _get(entry: dict, name: str, parse, default=_REQUIRED):
     """``parse`` of the value at the key ``name`` (the last dotted part is
     its key in ``entry``), or ``default`` when the key is absent; a bad or
@@ -152,21 +187,17 @@ def _at_least(floor: int):
 
 def _known_pair(value, sources: dict) -> tuple:
     """``value`` as a (src, dst) pair that has a source entry."""
-    pair = tuple(int(v) for v in value)
+    pair = _ints(value)
     if pair not in sources:
         raise ValueError(f"pair {list(pair)} has no source entry")
     return pair
 
 
 def _sources(entries, users: int) -> dict:
-    out = {}
-    for s in entries:
-        i, j = int(s["src"]), int(s["dst"])
+    out = _keyed("sources", entries, _src_dst, lambda s: Pmf.from_probs(s["probs"]))
+    for i, j in out:
         if not (0 <= i < users and 0 <= j < users) or i == j:
             raise ValueError(f"pair ({i},{j}) is invalid for {users} users")
-        if (i, j) in out:
-            raise ValueError(f"pair ({i},{j}) is listed twice")
-        out[(i, j)] = Pmf.from_probs(s["probs"])
     if not out:
         raise ValueError("need at least one source pair")
     return out
@@ -182,67 +213,72 @@ def _metric(spec, size: int) -> DistortionMetric:
     )
 
 
+def _kind(where: str, entry, default: str) -> str:
+    """The ``kind`` of the entry at ``where``, whose other keys must be
+    those ``_KEYS`` accepts for that kind."""
+    kind = entry.get("kind", default) if isinstance(entry, dict) else default
+    if kind not in _KEYS[where]:
+        raise ConfigError(f"{where}.kind '{kind}' unknown")
+    _section(where, entry, _KEYS[where][kind])
+    return kind
+
+
+def _coupling(e: dict) -> tuple:
+    if "flips" in e:
+        return int(e["watch"]), np.stack([_bsc(float(q)) for q in e["flips"]])
+    return int(e["watch"]), np.asarray(e["matrices"], dtype=np.float64)
+
+
+def _markov_rule(e: dict) -> MarkovLinkRule:
+    if "gilbert_elliott" in e:
+        ge = _section("medium.rules.gilbert_elliott", e["gilbert_elliott"],
+                      _KEYS["medium.rules.gilbert_elliott"])
+        return gilbert_elliott_rule(
+            float(ge["flip_good"]),
+            float(ge["flip_bad"]),
+            float(ge["p_good_to_bad"]),
+            float(ge["p_bad_to_good"]),
+            int(ge.get("initial", 0)),
+        )
+    return MarkovLinkRule(
+        np.asarray(e["transition"], dtype=np.float64),
+        np.asarray(e["emission"], dtype=np.float64),
+        int(e.get("initial", 0)),
+    )
+
+
 def _medium(med: dict, users: int):
-    kind = med.get("kind", "dmc")
-    if kind in ("dmc", "coupled_dmc"):
-        mats = {
-            (int(e["src"]), int(e["dst"])): _link_matrix(e) for e in med["links"]
-        }
-        if kind == "dmc":
-            return DmcMedium(users, mats)
-        coupling = {}
-        for e in med.get("coupling", []):
-            link = (int(e["src"]), int(e["dst"]))
-            if "flips" in e:
-                stack = np.stack([_bsc(float(q)) for q in e["flips"]])
-            else:
-                stack = np.asarray(e["matrices"], dtype=np.float64)
-            coupling[link] = (int(e["watch"]), stack)
-        return CoupledDmcMedium(users, mats, coupling)
+    kind = _kind("medium", med, "dmc")
     if kind == "markov":
-        rules = {}
-        for e in med["rules"]:
-            link = (int(e["src"]), int(e["dst"]))
-            if "gilbert_elliott" in e:
-                ge = e["gilbert_elliott"]
-                rules[link] = gilbert_elliott_rule(
-                    float(ge["flip_good"]),
-                    float(ge["flip_bad"]),
-                    float(ge["p_good_to_bad"]),
-                    float(ge["p_bad_to_good"]),
-                    int(ge.get("initial", 0)),
-                )
-            else:
-                rules[link] = MarkovLinkRule(
-                    np.asarray(e["transition"], dtype=np.float64),
-                    np.asarray(e["emission"], dtype=np.float64),
-                    int(e.get("initial", 0)),
-                )
-        states = int(med.get("states", 2))
-        return make_markov_medium(users, states, rules)
-    raise ConfigError(f"medium.kind '{kind}' unknown")
+        rules = _keyed("medium.rules", med["rules"], _src_dst, _markov_rule)
+        return make_markov_medium(users, int(med.get("states", 2)), rules)
+    mats = _keyed("medium.links", med["links"], _src_dst, _link_matrix)
+    if kind == "dmc":
+        return DmcMedium(users, mats)
+    coupling = _keyed("medium.coupling", med.get("coupling", []), _src_dst, _coupling)
+    return CoupledDmcMedium(users, mats, coupling)
 
 
 def _modems(entries) -> tuple:
     modems = []
     for e in entries:
-        kind = e.get("kind", "passthrough")
         user = int(e["user"])
-        if kind == "passthrough":
-            send = tuple(int(v) for v in e["send"]) if "send" in e else None
-            recv = [tuple(int(v) for v in p) for p in e.get("recv", [])]
-            links = {
-                tuple(int(v) for v in o["pair"]): tuple(int(v) for v in o["link"])
-                for o in e.get("recv_links", [])
-            }
-            modems.append(
-                PassthroughModem(user, send_pair=send, recv_pairs=recv, recv_links=links)
-            )
-        elif kind == "relay":
-            modems.append(ForwardRelayModem(user, tuple(int(v) for v in e["in_link"])))
-        else:
-            raise ConfigError(f"modems: kind '{kind}' unknown")
+        if _kind("modems", e, "passthrough") == "relay":
+            modems.append(ForwardRelayModem(user, _ints(e["in_link"])))
+            continue
+        send = _ints(e["send"]) if "send" in e else None
+        recv = [_ints(p) for p in e.get("recv", [])]
+        links = _keyed("modems.recv_links", e.get("recv_links", []),
+                       lambda o: _ints(o["pair"]), lambda o: _ints(o["link"]))
+        modems.append(PassthroughModem(user, send_pair=send, recv_pairs=recv, recv_links=links))
     return tuple(modems)
+
+
+def _block_lengths(value) -> list:
+    lengths = [_at_least(1)(k) for k in value]
+    if not lengths:
+        raise ValueError("need at least one block length")
+    return lengths
 
 
 def _target(entry, sources: dict, block_length: int) -> tuple:
@@ -260,12 +296,13 @@ def _target(entry, sources: dict, block_length: int) -> tuple:
     n_prime = _get(t, "targets.n_prime", _at_least(1), None)
     n_prime = _get(t, "targets.n_prime_ratio",
                    lambda v: _at_least(1)(round(float(v) * n)), n_prime)
-    lengths = _get(t, "targets.block_lengths", lambda v: [_at_least(1)(k) for k in v],
+    lengths = _get(t, "targets.block_lengths", _block_lengths,
                    [n if n is not None else block_length])
     metric = _get(t, "targets.metric", lambda v: _metric(v, size), hamming_metric(size))
     level, level_prime = _get(t, "targets.D", float), _get(t, "targets.D_prime", float)
     psi, alpha = _get(t, "targets.psi", float, None), _get(t, "targets.alpha", float, None)
     rule = _get(t, "targets.decode_rule", str, "within_d")
+    n = lengths[0] if n is None else n
     # PairTarget rejects an unknown rule
     target = _checked("targets.decode_rule", lambda: PairTarget(
         pair, metric, level, level_prime, n, n_prime, psi, alpha, rule))
@@ -340,9 +377,9 @@ class ExperimentConfig:
         users = _get(d, "users", int)
         block_length = _get(d, "block_length", _at_least(1))
         sources = _get(d, "sources", lambda v: _sources(v, users))
-        latency = _get(d, "latency", lambda v: {
-            _known_pair((e["src"], e["dst"]), sources): int(e["steps"]) for e in v
-        }, {})
+        latency = _get(d, "latency", lambda v: _keyed(
+            "latency", v, lambda e: _known_pair(_src_dst(e), sources), lambda e: int(e["steps"])
+        ), {})
         for pair in sources:
             latency.setdefault(pair, 3)
         medium = _get(d, "medium", lambda v: _medium(v, users))
@@ -365,6 +402,13 @@ class ExperimentConfig:
             raise ConfigError(f"targets: block lengths {lengths} differ between targets")
         ni = _section("noninterference", d.get("noninterference", {}),
                       _KEYS["noninterference"])
+        untouched = _get(ni, "noninterference.untouched",
+                         lambda v: tuple(_known_pair(p, sources) for p in v), ())
+        # a target's law changes by design, so testing it for interference
+        # would detect the separation itself
+        both = sorted(set(untouched) & set(pairs))
+        if both:
+            raise ConfigError(f"noninterference.untouched: {both} are also targets")
         return cls(
             data=data,
             digest=_canonical_digest(data),
@@ -376,8 +420,7 @@ class ExperimentConfig:
             trials=_get(d, "trials", _at_least(MIN_TRIALS), 10_000),
             separate_trials=_get(d, "separate_trials", _at_least(MIN_TRIALS), 3000),
             recheck_trials=_get(d, "recheck_trials", _at_least(MIN_TRIALS), 2000),
-            untouched=_get(ni, "noninterference.untouched",
-                           lambda v: tuple(_known_pair(p, sources) for p in v), ()),
+            untouched=untouched,
             ni_trials_blocks=_get(ni, "noninterference.trials_blocks",
                                   _at_least(MIN_TRIALS), 2000),
             ni_repetitions=_get(ni, "noninterference.repetitions", _at_least(1), 1),
@@ -536,7 +579,7 @@ def _default_targets(system: NetworkSystem) -> list[PairTarget]:
     size = system.sources[pair].alphabet.size
     return [
         PairTarget(pair=pair, metric=hamming_metric(size), level=DEFAULT_LEVEL,
-                   level_prime=min(2 * DEFAULT_LEVEL, 0.49))
+                   level_prime=min(2 * DEFAULT_LEVEL, 0.49), n=system.block_length)
     ]
 
 
@@ -545,8 +588,6 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
     """Plan, apply, and verify the transformation for every target pair
     across the configured block lengths."""
     t0 = time.time()
-    if not config.targets:
-        return _separate_noop(config, out_dir, seed, overwrite, t0)
     system = config.system
     root = RandomnessHandle(_seed_root(config, seed))
     common = root.derive("common-randomness")
@@ -615,21 +656,7 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
 
 
 def _resize_target(t: PairTarget, n: int) -> PairTarget:
-    ratio = (t.n_prime / t.n) if (t.n and t.n_prime) else 1.0
-    return dataclasses.replace(t, n=n, n_prime=max(1, int(round(ratio * n))))
-
-
-def _separate_noop(config, out_dir, seed, overwrite, t0) -> ResultRecord:
-    # Empty target set: the transformed system IS the system; record rollout
-    # digests to prove bit-identity.
-    system = config.system
-    root = RandomnessHandle(_seed_root(config, seed))
-    traj = rollout(system, root.derive("noop"), lanes=4, horizon=min(system.horizon, 2000))
-    digest = hashlib.sha256()
-    for pair in sorted(traj.repro):
-        digest.update(traj.repro[pair].tobytes())
-    payload = {"noop": True, "rollout_digest": digest.hexdigest()}
-    return _save_record(config, out_dir, "separate", seed, overwrite, t0, payload)[0]
+    return dataclasses.replace(t, n=n, n_prime=max(1, int(round(t.n_prime / t.n * n))))
 
 
 # --- verify suites ----------------------------------------------------------
@@ -747,12 +774,9 @@ def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) ->
     wrong_pmf = Pmf.from_probs([0.8, 0.2])
     plan = plan_separation(system, guar, small, root.derive("nc_common"))
     # rebuild the channel codebook with the wrong marginal
-    send, cb = plan.send, plan.send.channel_cb
+    cb = plan.channel_cb
     bad_cb = Codebook.generate(cb.kind, wrong_pmf, cb.n, cb.cardinality, cb.common_seed)
-    bad_send = SeparationSendModem(
-        send.inner, send.pair, send.plan, send.source_cb, bad_cb, send.metric
-    )
-    after = apply_separation(system, dataclasses.replace(plan, send=bad_send))
+    after = apply_separation(system, dataclasses.replace(plan, channel_cb=bad_cb))
     if not config.untouched:
         return {"ok": True, "detail": "skipped: no untouched pairs", "expected_fail": False}
     results = verify_noninterference(

@@ -88,18 +88,19 @@ class SeparationInterferenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PairTarget:
-    """Distortion target for one pair: tighten from level D to D'.
+    """Distortion target for one pair: tighten from level D to D' with
+    channel blocks of n and source blocks of n' symbols.
 
-    D' may exceed D; what must hold strictly is R(D') < R(D). Optional
-    fields override the plan defaults (block lengths, slack parameters,
-    and the channel decode rule).
+    D' may exceed D; what must hold strictly is R(D') < R(D). n is
+    required; n' defaults to n. The optional slack parameters and the
+    channel decode rule override the plan defaults.
     """
 
     pair: tuple
     metric: DistortionMetric
     level: float
     level_prime: float
-    n: int | None = None
+    n: int
     n_prime: int | None = None
     psi: float | None = None
     alpha: float | None = None
@@ -108,26 +109,45 @@ class PairTarget:
     def __post_init__(self):
         if self.decode_rule not in DECODE_RULES:
             raise ValueError(f"decode_rule {self.decode_rule!r} is not one of {DECODE_RULES}")
+        if self.n_prime is None:
+            object.__setattr__(self, "n_prime", self.n)
 
 
 @dataclass(frozen=True, eq=False)
 class SeparationPlan:
-    """The wrapped modems for one pair; they hold the inner modems h_s and
-    h_r, both codebooks, the decode rule and the inner latency."""
+    """The codec of one separated pair, shared by both of its wrapped
+    modems: the rate plan, both codebooks (the common randomness), the
+    metric and decode rule, and the latency of the inner modems it wraps.
+    ``channel_cb`` is the sender's whole table; the receiver holds only its
+    message-carrying rows."""
 
     pair: tuple
     rate_plan: RatePlan
-    send: "SeparationSendModem"
-    recv: "SeparationRecvModem"
+    source_cb: Codebook
+    channel_cb: Codebook
+    metric: DistortionMetric
+    decode_rule: str
+    inner_latency: int
     guarantee: GuaranteeReport
+
+    @property
+    def latency(self) -> int:
+        """Steps from a source block's start to its decoded reproduction:
+        n' to collect the block, n to send its codeword, then the inner
+        latency. Exact for every block only when n' = n. Otherwise window w
+        carries the source block that starts at w*n rounded down to a
+        multiple of n', while its decode step is ``latency`` + w*n, so the
+        per-block delay cycles: single_bsc at n = 32, n' = 24 gives 59, 67,
+        75, 59, ... against a declared 59."""
+        return self.rate_plan.n + self.rate_plan.n_prime + self.inner_latency
 
     def summary(self) -> dict:
         return {
             "pair": list(self.pair),
             **dataclasses.asdict(self.rate_plan),
-            "decode_rule": self.recv.decode_rule,
-            "source_codebook": self.send.source_cb.spec(),
-            "channel_codebook": self.send.channel_cb.spec(),
+            "decode_rule": self.decode_rule,
+            "source_codebook": self.source_cb.spec(),
+            "channel_codebook": self.channel_cb.spec(),
             "baseline_epsilon": self.guarantee.epsilon_hat,
         }
 
@@ -145,28 +165,23 @@ class SeparationSendModem(Modem):
     that start within one rollout window are encoded in one search.
     """
 
-    def __init__(self, inner: Modem, pair: tuple, plan: RatePlan,
-                 source_cb: Codebook, channel_cb: Codebook,
-                 metric: DistortionMetric):
+    def __init__(self, inner: Modem, plan: SeparationPlan):
         self.user = inner.user
         self.inner = inner
-        self.pair = tuple(pair)
         self.plan = plan
-        self.source_cb = source_cb
-        self.channel_cb = channel_cb
-        self.metric = metric
 
     def check_wiring(self, system):
         self.inner.check_wiring(system)
 
     def start(self, view: ModemView):
         T, B = view.horizon, view.lanes
-        pmf = view.source_pmfs[self.pair]
+        pair = self.plan.pair
+        pmf = view.source_pmfs[pair]
         virt = np.zeros((T, B), dtype=pmf.alphabet.dtype)
-        head = min(self.plan.n_prime, T)
+        head = min(self.plan.rate_plan.n_prime, T)
         virt[:head] = sample_iid_array(pmf, head * B, view.private_gen).reshape(head, B)
         inner_sources = dict(view.sources)
-        inner_sources[self.pair] = virt
+        inner_sources[pair] = virt
         inner_view = ModemView(
             user=view.user,
             lanes=B,
@@ -181,22 +196,23 @@ class SeparationSendModem(Modem):
             "virt": virt,
             "inner_view": inner_view,
             "inner_state": self.inner.start(inner_view),
-            "true_sources": view.sources[self.pair],
+            "true_sources": view.sources[pair],
             "windows": view.telemetry["sep_send"]["windows"],
         }
 
     def window(self, t0, t1, state, view):
-        n, npr = self.plan.n, self.plan.n_prime
+        plan = self.plan
+        n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
         emit = _clock_ticks(npr, n, t0, t1)
         if len(emit):
             src = (emit // npr - 1) * npr
             x = _blocks(state["true_sources"], src, npr)
-            messages, roundtrip = batch_min_distortion_rows(self.source_cb, x, self.metric)
+            messages, roundtrip = batch_min_distortion_rows(plan.source_cb, x, plan.metric)
             messages = messages.reshape(len(emit), -1)
             roundtrip = roundtrip.reshape(len(emit), -1)
             for k, tau in enumerate(emit.tolist()):
                 end = min(tau + n, view.horizon)
-                state["virt"][tau:end] = self.channel_cb.entries[messages[k]].T[: end - tau]
+                state["virt"][tau:end] = plan.channel_cb.entries[messages[k]].T[: end - tau]
                 state["windows"].append(
                     {
                         "window": (tau - npr) // n,
@@ -228,26 +244,20 @@ class SeparationRecvModem(Modem):
     (the simulated source as received), decode the embedded message per
     channel block, and emit the source-decoded block as the reproduction.
 
-    The decoder shares the encoder's codebooks, the common randomness of
-    the pair. Only the first source-cardinality rows of the channel
-    codebook carry messages, so ``channel_cb`` is that prefix of the
-    encoder's channel codebook, a view of the same entries, and decoding
-    searches all of its rows. All channel blocks whose decode step falls
-    within one rollout window are decoded in one search.
+    The decoder shares the encoder's plan, so its codebooks are the common
+    randomness of the pair. Only the first source-cardinality rows of the
+    channel codebook carry messages, so ``channel_cb`` is that prefix of
+    the plan's channel codebook, a view of the same entries, and decoding
+    searches all of its rows. Block w is decoded at step ``plan.latency`` +
+    w*n. All channel blocks whose decode step falls within one rollout
+    window are decoded in one search.
     """
 
-    def __init__(self, inner: Modem, pair: tuple, plan: RatePlan,
-                 source_cb: Codebook, channel_cb: Codebook,
-                 metric: DistortionMetric, inner_latency: int, decode_rule: str):
+    def __init__(self, inner: Modem, plan: SeparationPlan):
         self.user = inner.user
         self.inner = inner
-        self.pair = tuple(pair)
         self.plan = plan
-        self.source_cb = source_cb
-        self.channel_cb = channel_cb
-        self.metric = metric
-        self.inner_latency = int(inner_latency)
-        self.decode_rule = decode_rule
+        self.channel_cb = plan.channel_cb.prefix(plan.source_cb.cardinality)
 
     def check_wiring(self, system):
         self.inner.check_wiring(system)
@@ -257,35 +267,36 @@ class SeparationRecvModem(Modem):
         view.telemetry["sep_recv"] = {"windows": []}
         return {
             "ys": np.zeros((T, B), dtype=self.channel_cb.gen_pmf.alphabet.dtype),
-            "emit": np.zeros((T, B), dtype=self.source_cb.gen_pmf.alphabet.dtype),
+            "emit": np.zeros((T, B), dtype=self.plan.source_cb.gen_pmf.alphabet.dtype),
             "inner_state": self.inner.start(view),
             "windows": view.telemetry["sep_recv"]["windows"],
         }
 
     def window(self, t0, t1, state, view):
         iota, repro_map = self.inner.window(t0, t1, state["inner_state"], view)
+        plan = self.plan
         repro_map = dict(repro_map)
-        if self.pair in repro_map:
-            state["ys"][t0:t1] = repro_map.pop(self.pair)
-        n, npr, lat = self.plan.n, self.plan.n_prime, self.inner_latency
-        decode = _clock_ticks(npr + n + lat, n, t0, t1)
+        if plan.pair in repro_map:
+            state["ys"][t0:t1] = repro_map.pop(plan.pair)
+        n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
+        decode = _clock_ticks(plan.latency, n, t0, t1)
         if len(decode):
             # block w was received over [n' + w*n + lat, n' + (w+1)*n + lat)
             codes = _decode_blocks(
                 self.channel_cb,
                 _blocks(state["ys"], decode - n, n),
-                self.metric,
-                self.plan.level,
-                self.decode_rule,
+                plan.metric,
+                plan.rate_plan.level,
+                plan.decode_rule,
             ).reshape(len(decode), -1)
-            safe = np.clip(codes, 0, self.source_cb.cardinality - 1)
+            safe = np.clip(codes, 0, plan.source_cb.cardinality - 1)
             for k, tau in enumerate(decode.tolist()):
                 end = min(tau + npr, view.horizon)
-                state["emit"][tau:end] = self.source_cb.entries[safe[k]].T[: end - tau]
+                state["emit"][tau:end] = plan.source_cb.entries[safe[k]].T[: end - tau]
                 state["windows"].append(
-                    {"window": (tau - npr - n - lat) // n, "decode_tau": tau, "codes": codes[k]}
+                    {"window": (tau - plan.latency) // n, "decode_tau": tau, "codes": codes[k]}
                 )
-        repro_map[self.pair] = state["emit"][t0:t1]
+        repro_map[plan.pair] = state["emit"][t0:t1]
         return iota, repro_map
 
 
@@ -323,10 +334,9 @@ def plan_separation(
             f"need R(D') strictly below R(D): R({target.level_prime}) = "
             f"{r_at_prime.rate:.6f} vs R({target.level}) = {r_at.rate:.6f}"
         )
-    n = target.n if target.n is not None else guarantee.block_length
     try:
         rate_plan = RatePlan.make(
-            n=n,
+            n=target.n,
             level=target.level,
             level_prime=target.level_prime,
             rate_at_level=r_at.rate,
@@ -351,44 +361,37 @@ def plan_separation(
             f"use a larger D' or a smaller block length"
         ) from exc
 
-    s, r = pair
-    send = SeparationSendModem(
-        system.modem_for(s), pair, rate_plan, source_cb, channel_cb, metric
-    )
-    recv = SeparationRecvModem(
-        system.modem_for(r),
-        pair,
-        rate_plan,
-        source_cb,
-        channel_cb.prefix(rate_plan.source_cardinality),
-        metric,
-        system.latency_map[pair],
-        target.decode_rule,
-    )
     return SeparationPlan(
-        pair=pair, rate_plan=rate_plan, send=send, recv=recv, guarantee=guarantee
+        pair=pair,
+        rate_plan=rate_plan,
+        source_cb=source_cb,
+        channel_cb=channel_cb,
+        metric=target.metric,
+        decode_rule=target.decode_rule,
+        inner_latency=system.latency_map[pair],
+        guarantee=guarantee,
     )
 
 
 def apply_separation(system: NetworkSystem, plan: SeparationPlan) -> NetworkSystem:
-    """Install the wrapped modems; every other modem stays object-identical."""
-    s, r = plan.pair
-    new_modems = []
-    for modem in system.modems:
-        if modem.user == s:
-            new_modems.append(plan.send)
-        elif modem.user == r:
-            new_modems.append(plan.recv)
-        else:
-            new_modems.append(modem)
-    latency = dict(system.latency_map)
-    latency[plan.pair] = plan.rate_plan.n + plan.rate_plan.n_prime + plan.recv.inner_latency
-    return system.with_modems(new_modems, latency)
+    """Wrap the system's modems of ``plan.pair`` in the plan's codec; every
+    other modem stays object-identical.
+
+    The pair's declared latency becomes ``plan.latency``, exact for every
+    block only when n' = n (see ``SeparationPlan.latency``).
+    ``measure_end_to_end`` scores a separated pair from the plan's block
+    clock, not from ``latency_map``.
+    """
+    wrappers = {plan.pair[0]: SeparationSendModem, plan.pair[1]: SeparationRecvModem}
+    modems = [
+        wrappers[m.user](m, plan) if m.user in wrappers else m for m in system.modems
+    ]
+    return system.with_modems(modems, {**system.latency_map, plan.pair: plan.latency})
 
 
 def is_separated(system: NetworkSystem, pair: tuple) -> bool:
     modem = system.modem_for(pair[0])
-    return isinstance(modem, SeparationSendModem) and modem.pair == tuple(pair)
+    return isinstance(modem, SeparationSendModem) and modem.plan.pair == tuple(pair)
 
 
 @dataclass(frozen=True)
@@ -409,24 +412,18 @@ class SeparatedGuaranteeReport(GuaranteeReport):
 
 
 def _measure_separated_pair(system, pair, budget, trials, seeds):
-    send_modem = system.modem_for(pair[0])
-    plan = send_modem.plan
-    n, npr = plan.n, plan.n_prime
-    lat_inner = system.modem_for(pair[1]).inner_latency
+    plan = system.modem_for(pair[0]).plan
+    n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
     B = min(trials, 2048)
     windows = -(-trials // B)
-    T = npr + windows * n + lat_inner + n + npr + 2
+    T = plan.latency + windows * n + npr + 2
     traj = rollout(system, seeds, lanes=B, horizon=T)
 
+    # both wrappers log windows 0, 1, ... in order, so the k-th entries of
+    # the two logs are the same block (the sender's log may run longer)
     send_tel = traj.telemetry[pair[0]]["sep_send"]["windows"]
     recv_tel = traj.telemetry[pair[1]]["sep_recv"]["windows"]
-    recv_by_w = {w["window"]: w for w in recv_tel}
-
-    scored = [
-        (sw, recv_by_w[sw["window"]])
-        for sw in send_tel
-        if sw["window"] in recv_by_w and recv_by_w[sw["window"]]["decode_tau"] + npr <= T
-    ]
+    scored = [(sw, rw) for sw, rw in zip(send_tel, recv_tel) if rw["decode_tau"] + npr <= T]
     if not scored:
         raise ValueError("horizon too short: no complete scored block")
     e2e = _block_distortions(
@@ -627,7 +624,7 @@ def separate_network(
             budget,
             recheck_trials,
             seeds.derive("plan_guess", *target.pair),
-            block_length=target.n or system.block_length,
+            block_length=target.n,
         )
         plan = plan_separation(current, guar, target, common_seed)
         new_system = apply_separation(current, plan)
@@ -640,7 +637,7 @@ def separate_network(
                 obudget,
                 recheck_trials,
                 seeds.derive("recheck_old", k, *other.pair),
-                block_length=other.n or system.block_length,
+                block_length=other.n,
             )
             g_new = measure_end_to_end(
                 new_system,
@@ -648,7 +645,7 @@ def separate_network(
                 obudget,
                 recheck_trials,
                 seeds.derive("recheck_new", k, *other.pair),
-                block_length=other.n or system.block_length,
+                block_length=other.n,
             )
             tol = g_old.half_width + g_new.half_width + RECHECK_SLACK
             ok = g_new.epsilon_hat <= g_old.epsilon_hat + tol

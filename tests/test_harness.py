@@ -17,6 +17,7 @@ from sepnet.harness import (
     cmd_rd,
     cmd_separate,
 )
+from sepnet.probcore import RandomnessHandle
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
@@ -90,8 +91,68 @@ def with_the_source_twice(d):
     d["sources"].append({"src": 0, "dst": 1, "probs": [0.9, 0.1]})
 
 
+def with_no_block_lengths(d):
+    d["targets"][0]["block_lengths"] = []
+
+
 def with_a_misspelled_target_key(d):
     d["targets"][0]["Dprime"] = d["targets"][0].pop("D_prime")
+
+
+def with_a_link_twice(d):
+    d["medium"]["links"].append({"src": 0, "dst": 1, "flip": 0.4})
+
+
+def with_a_latency_twice(d):
+    d["latency"].append({"src": 0, "dst": 1, "steps": 7})
+
+
+COUPLING = {"src": 0, "dst": 1, "watch": 1, "flips": [0.08, 0.14]}
+GILBERT_ELLIOTT = {"flip_good": 0.01, "flip_bad": 0.3, "p_good_to_bad": 0.1,
+                   "p_bad_to_good": 0.1}
+
+
+def with_a_coupled_medium(d):
+    d["medium"].update(kind="coupled_dmc", coupling=[dict(COUPLING)])
+
+
+def with_a_markov_medium(d):
+    rule = {"src": 0, "dst": 1, "gilbert_elliott": dict(GILBERT_ELLIOTT)}
+    d["medium"] = {"kind": "markov", "rules": [rule]}
+
+
+def with_recv_links(d):
+    d["modems"][1]["recv_links"] = [{"pair": [0, 1], "link": [0, 1]}]
+
+
+def section_at(d, path: str):
+    """The entry at a dotted path whose numeric parts index lists."""
+    for name in path.split("."):
+        d = d[int(name)] if isinstance(d, list) else d[name]
+    return d
+
+
+def with_a_key_in(path, key="colour", value="red"):
+    def edit(d):
+        section_at(d, path)[key] = value
+
+    return edit
+
+
+def with_the_first_entry_twice(path):
+    def edit(d):
+        entries = section_at(d, path)
+        entries.append(copy.deepcopy(entries[0]))
+
+    return edit
+
+
+def then(*edits):
+    def edit(d):
+        for one in edits:
+            one(d)
+
+    return edit
 
 
 def with_value(key, value):
@@ -138,6 +199,28 @@ BAD_CONFIGS = {
     "targets.Dprime": with_a_misspelled_target_key,
     "rd.tolerance": with_value("rd.tolerance", 1e-9),
     "noninterference.trial_blocks": with_value("noninterference.trial_blocks", 3000),
+    "medium.links (twice)": with_a_link_twice,
+    "latency (twice)": with_a_latency_twice,
+    "medium.coupling (twice)": then(with_a_coupled_medium,
+                                    with_the_first_entry_twice("medium.coupling")),
+    "medium.rules (twice)": then(with_a_markov_medium,
+                                 with_the_first_entry_twice("medium.rules")),
+    "modems.recv_links (twice)": then(with_recv_links,
+                                      with_the_first_entry_twice("modems.1.recv_links")),
+    "medium.colour": with_a_key_in("medium"),
+    "medium.links.colour": with_a_key_in("medium.links.0"),
+    "medium.links.flp": with_a_key_in("medium.links.0", "flp", 0.2),
+    "medium.coupling (on a dmc)": with_value("medium.coupling", [COUPLING]),
+    "medium.coupling.colour": then(with_a_coupled_medium, with_a_key_in("medium.coupling.0")),
+    "medium.rules.colour": then(with_a_markov_medium, with_a_key_in("medium.rules.0")),
+    "medium.rules.gilbert_elliott.colour": then(
+        with_a_markov_medium, with_a_key_in("medium.rules.0.gilbert_elliott")),
+    "modems.colour": with_a_key_in("modems.0"),
+    "modems.recv_links.colour": then(with_recv_links, with_a_key_in("modems.1.recv_links.0")),
+    "sources.colour": with_a_key_in("sources.0"),
+    "latency.colour": with_a_key_in("latency.0"),
+    "targets.block_lengths": with_no_block_lengths,
+    "noninterference.untouched (a target)": with_value("noninterference.untouched", [[0, 1]]),
 }
 
 
@@ -196,11 +279,21 @@ def test_commands_read_only_the_parsed_config(tmp_path):
     assert hashlib.sha256(blob).hexdigest()[:16] == SEPARATE_SINGLE_BSC_N32
 
 
+def test_negative_control_is_pinned():
+    # the wrong-law control at the config seed, as cmd_verify seeds it:
+    # refactoring how the control builds its sender must not move it
+    config = ExperimentConfig.load(TWO_PAIR)
+    result = harness._suite_negative_control(
+        config, RandomnessHandle(config.seed).derive("s5"))
+    assert result["ok"] and result["expected_fail"]
+    assert result["detail"] == "wrong-pmf control min joint p = 2.09e-41 (want < 1e-4)"
+
+
 def test_separate_without_targets_is_timed(tmp_path):
     data = single_bsc_data()
     del data["targets"]
     record = cmd_separate(ExperimentConfig.from_dict(data), tmp_path)
-    assert record.payload["noop"]
+    assert record.payload == {"runs": [], "trend_rows": []}
     assert record.wall_clock_s > 0
 
 
@@ -210,9 +303,18 @@ def test_bad_config_fails_validation_naming_the_key(key):
         ExperimentConfig.from_dict(bad_config(key))
 
 
+def test_untouched_pairs_must_not_be_targets():
+    # separate would chi-square-test a pair whose law changes by design
+    data = yaml.safe_load(TWO_PAIR.read_text())
+    data["noninterference"]["untouched"] = [[2, 3], [0, 1]]
+    with pytest.raises(ConfigError, match="noninterference.untouched"):
+        ExperimentConfig.from_dict(data)
+
+
 def test_targets_must_share_block_lengths():
     # separate would run the second target at the first one's block lengths
     data = yaml.safe_load(TWO_PAIR.read_text())
+    del data["noninterference"]  # its untouched pair becomes a target here
     second = {"pair": [2, 3], "metric": "hamming", "D": 0.2, "D_prime": 0.3,
               "block_lengths": [32], "n": 32, "n_prime": 32, "decode_rule": "argmin"}
     data["targets"].append(second)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -23,6 +24,7 @@ from sepnet.ratedist import DistortionBudget, hamming_metric
 from sepnet.separation import (
     PairTarget,
     PlanInfeasible,
+    SeparationPlan,
     SeparationRecvModem,
     SeparationSendModem,
     apply_separation,
@@ -87,7 +89,7 @@ class TestPlanSeparation:
         system = single_link_system(0.11, block_length=32)
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
-        sent, held = plan.send.channel_cb, plan.recv.channel_cb
+        sent, held = plan.channel_cb, SeparationRecvModem(system.modems[1], plan).channel_cb
         rp = plan.rate_plan
         assert held.cardinality == len(held.entries) == rp.source_cardinality
         assert sent.cardinality == rp.channel_cardinality > rp.source_cardinality
@@ -224,7 +226,7 @@ class TestApplySeparation:
                 continue
             assert np.array_equal(recv[w]["codes"], sw["messages"])
             td = recv[w]["decode_tau"]
-            roundtrip = plan.send.source_cb.entries[sw["messages"]]
+            roundtrip = plan.source_cb.entries[sw["messages"]]
             assert np.array_equal(y[td : td + 24].T, roundtrip)
             checked += 1
         assert checked >= 10
@@ -237,11 +239,9 @@ class TestApplySeparation:
         seed = root.derive("deg")
         chan_cb = Codebook.generate("channel-embedding", fair_coin, 8, 1, seed)
         src_cb = Codebook.generate("source-compression", fair_coin, 8, 1, seed)
-        send = SeparationSendModem(system.modems[0], (0, 1), plan_rp, src_cb,
-                                   chan_cb, hamming2)
-        recv = SeparationRecvModem(system.modems[1], (0, 1), plan_rp,
-                                   src_cb, chan_cb, hamming2, 3, decode_rule="argmin")
-        after = system.with_modems([send, recv])
+        plan = SeparationPlan((0, 1), plan_rp, src_cb, chan_cb, hamming2, "argmin",
+                              inner_latency=3, guarantee=stock_guarantee(n=8))
+        after = apply_separation(system, plan)
         traj = rollout(after, root.derive("r"), lanes=2, horizon=200)
         recv_tel = traj.telemetry[1]["sep_recv"]["windows"]
         assert len(recv_tel) >= 5
@@ -306,19 +306,12 @@ class TestNoninterference:
         system = two_pair_system(coupled=True)
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, decode_rule="argmin")
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
-        channel_cb = plan.send.channel_cb
+        channel_cb = plan.channel_cb
         wrong = Codebook.generate(
             channel_cb.kind, Pmf.from_probs([0.8, 0.2]), channel_cb.n,
             channel_cb.cardinality, channel_cb.common_seed,
         )
-        bad_send = SeparationSendModem(
-            system.modems[0], (0, 1), plan.rate_plan, plan.send.source_cb, wrong, hamming2
-        )
-        after = system.with_modems(
-            [bad_send, plan.recv, system.modems[2], system.modems[3]],
-            {**system.latency_map,
-             (0, 1): plan.rate_plan.n + plan.rate_plan.n_prime + plan.recv.inner_latency},
-        )
+        after = apply_separation(system, dataclasses.replace(plan, channel_cb=wrong))
         results = verify_noninterference(
             system, after, [(2, 3)], 3000, root.derive("ni"), repetitions=1
         )
