@@ -20,7 +20,11 @@ Codeword search (nearest row, unique row within D) runs over every row
 of a codebook, batched over blocks; it is exact, and ties go to the
 lowest row index. Binary Hamming searches compare bit-packed rows: a
 codebook of at least INDEX_MIN_ROWS = 2^16 rows gets a multi-index hash,
-built once and cached; smaller ones are scanned.
+built once and cached; smaller ones are scanned. The hash cuts a word into
+s substrings and probes them one at a time, radius r by radius; after
+substring k is probed at radius r, every row within distance s*r + k has
+been found, so a search stops at the first probe whose bound covers its
+answer.
 """
 
 from __future__ import annotations
@@ -345,11 +349,16 @@ class _HammingIndex:
 
     Each word is cut into s substrings of at most 16 bits. Per substring
     the rows are kept sorted by substring value, with a dense table of
-    bucket offsets. By pigeonhole, a row within distance s(r+1) - 1 of a
-    query differs from it in at most r bits on some substring, so probing
-    every substring's buckets within radius r finds all such rows. A lane
-    whose probes would cost more than a scan of the whole table is
-    scanned instead.
+    bucket offsets. Probing substring k at radius r looks up the buckets
+    exactly r bits from the query's key there. The (r, k) pairs are probed
+    in order, one substring at a time, so once substring k is probed at
+    radius r, the substrings before it are probed up to r and those after
+    it up to r - 1. A row still unfound differs from the query in at least
+    r + 1 bits on each of substrings 0..k and r on the rest: by pigeonhole,
+    every row within distance s*r + k has been found. ``nearest`` stops a
+    lane as soon as its best distance is within that bound, ``within``
+    after the probe whose bound reaches its threshold. A lane whose probes
+    would cost more than a scan of the whole table is scanned instead.
     """
 
     def __init__(self, packed: np.ndarray, n: int):
@@ -373,58 +382,60 @@ class _HammingIndex:
             np.cumsum(np.bincount(keys, minlength=1 << width), out=offsets[1:])
             self.parts.append((shift, width, offsets, order.astype(np.int32), packed[order]))
 
-    def _keys(self, words: np.ndarray) -> list[np.ndarray]:
+    def _schedule(self, words: np.ndarray):
+        """Yield (bound, radius, substring, the words' keys on it) in probe
+        order; once that probe is done, every row within ``bound`` of a
+        word has been found."""
         values = words >> np.uint64(64 - self.n)
-        return [
+        keys = [
             ((values >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(np.int64)
             for shift, width, *_ in self.parts
         ]
+        for r in range(_SUBSTRING_BITS + 1):
+            for k, part in enumerate(self.parts):
+                yield self.s * r + k, r, part, keys[k]
 
-    def _probe(self, words, keys, lanes, spent, r):
-        """Candidates of ``lanes`` in every substring's buckets at radius
+    def _probe(self, words, part, key, lanes, spent, r):
+        """Candidates of ``lanes`` in one substring's buckets at radius
         exactly r, as runs from ``_runs``.
 
         Returns the lanes probed, the lanes that would go over budget (left
         unprobed: first by the mean bucket load, then by the actual one) and
-        the runs; ``spent`` counts each lane's candidates so far.
+        the runs; ``spent`` counts each lane's lookups and candidates so far.
         """
-        probes = sum(len(_weight_masks(w, r)) for _, w, *_ in self.parts)
-        load = probes + sum(len(_weight_masks(w, r)) * self.m >> w for _, w, *_ in self.parts)
-        likely = spent[lanes] + load <= self.budget
+        _, width, offsets, rows, packed = part
+        masks = _weight_masks(width, r)
+        likely = spent[lanes] + len(masks) + (len(masks) * self.m >> width) <= self.budget
         over = lanes[~likely]
         lanes = lanes[likely]
-        spans = []
-        for (_, width, offsets, _, _), key in zip(self.parts, keys):
-            bucket = key[lanes, None] ^ _weight_masks(width, r)[None, :]
-            lo = offsets[bucket]
-            spans.append((lo, offsets[bucket + 1] - lo))
-        need = spent[lanes] + probes + sum(cnt.sum(axis=1) for _, cnt in spans)
+        bucket = key[lanes, None] ^ masks[None, :]
+        lo = offsets[bucket]
+        cnt = offsets[bucket + 1] - lo
+        need = spent[lanes] + len(masks) + cnt.sum(axis=1)
         fits = need <= self.budget
         if not fits.all():
             over = np.concatenate([over, lanes[~fits]])
-            lanes = lanes[fits]
-            spans = [(lo[fits], cnt[fits]) for lo, cnt in spans]
+            lanes, lo, cnt = lanes[fits], lo[fits], cnt[fits]
         spent[lanes] = need[fits]
-        return lanes, over, self._runs(words, lanes, spans)
+        return lanes, over, self._runs(words, rows, packed, lanes, lo, cnt)
 
-    def _runs(self, words, lanes, spans):
+    def _runs(self, words, rows, packed, lanes, lo, cnt):
         """Yield (lanes, candidates per lane, sorted rows, positions,
-        distances) per substring, in chunks of about _PROBE_BLOCK
-        candidates; each lane's candidates are contiguous."""
-        for (_, _, _, rows, packed), (lo, cnt) in zip(self.parts, spans):
-            per_lane = cnt.sum(axis=1)
-            cuts = np.searchsorted(
-                np.cumsum(per_lane), np.arange(_PROBE_BLOCK, per_lane.sum(), _PROBE_BLOCK)
-            )
-            for a, b in itertools.pairwise([0, *np.unique(cuts).tolist(), len(lanes)]):
-                if a == b:
-                    continue
-                flat = cnt[a:b].ravel()
-                pos = np.repeat(lo[a:b].ravel() - (np.cumsum(flat) - flat), flat)
-                pos += np.arange(len(pos))
-                lane_words = np.repeat(words[lanes[a:b]], per_lane[a:b])
-                dist = np.bitwise_count(packed[pos] ^ lane_words)
-                yield lanes[a:b], per_lane[a:b], rows, pos, dist
+        distances) in chunks of about _PROBE_BLOCK candidates; each lane's
+        candidates are contiguous."""
+        per_lane = cnt.sum(axis=1)
+        cuts = np.searchsorted(
+            np.cumsum(per_lane), np.arange(_PROBE_BLOCK, per_lane.sum(), _PROBE_BLOCK)
+        )
+        for a, b in itertools.pairwise([0, *np.unique(cuts).tolist(), len(lanes)]):
+            if a == b:
+                continue
+            flat = cnt[a:b].ravel()
+            pos = np.repeat(lo[a:b].ravel() - (np.cumsum(flat) - flat), flat)
+            pos += np.arange(len(pos))
+            lane_words = np.repeat(words[lanes[a:b]], per_lane[a:b])
+            dist = np.bitwise_count(packed[pos] ^ lane_words)
+            yield lanes[a:b], per_lane[a:b], rows, pos, dist
 
     def nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest row and its distance per word; ties to the lowest row."""
@@ -436,13 +447,12 @@ class _HammingIndex:
         return rows, dist
 
     def _nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys = self._keys(words)
         best = np.full(len(words), np.iinfo(np.int64).max)  # distance << 32 | row
         spent = np.zeros(len(words), dtype=np.int64)
         lanes = np.arange(len(words))
         scan = [np.empty(0, dtype=np.int64)]
-        for r in range(_SUBSTRING_BITS + 1):
-            lanes, over, runs = self._probe(words, keys, lanes, spent, r)
+        for bound, r, part, key in self._schedule(words):
+            lanes, over, runs = self._probe(words, part, key, lanes, spent, r)
             scan.append(over)
             for run_lanes, per_lane, rows, pos, dist in runs:
                 ends = np.cumsum(per_lane)
@@ -452,9 +462,11 @@ class _HammingIndex:
                 # lowest row among them breaks the tie
                 tied = np.flatnonzero(dist == np.repeat(low, per_lane[filled]))
                 owner = run_lanes[np.searchsorted(ends, tied, side="right")]
-                key = (dist[tied].astype(np.int64) << 32) | rows[pos[tied]]
-                np.minimum.at(best, owner, key)
-            lanes = lanes[(best[lanes] >> 32) > self.s * (r + 1) - 1]
+                found = (dist[tied].astype(np.int64) << 32) | rows[pos[tied]]
+                np.minimum.at(best, owner, found)
+            # every row within ``bound`` is found, so a best at or below it
+            # is final, ties included
+            lanes = lanes[(best[lanes] >> 32) > bound]
             if not len(lanes):
                 break
         rows, dist = best & 0xFFFFFFFF, best >> 32
@@ -473,14 +485,15 @@ class _HammingIndex:
         return out
 
     def _within(self, words: np.ndarray, thresh: int) -> np.ndarray:
-        keys = self._keys(words)
         low = np.full(len(words), self.m, dtype=np.int64)
         high = np.full(len(words), -1, dtype=np.int64)
         spent = np.zeros(len(words), dtype=np.int64)
         lanes = np.arange(len(words))
         scan = [np.empty(0, dtype=np.int64)]
-        for r in range(thresh // self.s + 1):
-            lanes, over, runs = self._probe(words, keys, lanes, spent, r)
+        for bound, r, part, key in self._schedule(words):
+            if bound > thresh:  # the previous probe found every row within thresh
+                break
+            lanes, over, runs = self._probe(words, part, key, lanes, spent, r)
             scan.append(over)
             for run_lanes, per_lane, rows, pos, dist in runs:
                 hit = np.flatnonzero(dist <= thresh)

@@ -112,12 +112,23 @@ def _bsc(q: float) -> np.ndarray:
     return np.array([[1.0 - q, q], [q, 1.0 - q]])
 
 
+def _uses(where: str, entry: dict, key: str, others: tuple) -> bool:
+    """Whether the entry at ``where`` gives ``key`` rather than its
+    alternative ``others``; an entry that gives both is a ConfigError."""
+    if key not in entry:
+        return False
+    both = [k for k in others if k in entry]
+    if both:
+        raise ConfigError(f"{where}: '{key}' excludes {both}")
+    return True
+
+
 def _link_matrix(entry: dict) -> np.ndarray:
-    if "flip" in entry:
+    if _uses("medium.links", entry, "flip", ("matrix",)):
         return _bsc(float(entry["flip"]))
     if "matrix" in entry:
         return np.asarray(entry["matrix"], dtype=np.float64)
-    raise ConfigError(f"link {entry}: need 'flip' or 'matrix'")
+    raise ConfigError(f"medium.links: {entry} needs 'flip' or 'matrix'")
 
 
 def _checked(key: str, build):
@@ -224,13 +235,13 @@ def _kind(where: str, entry, default: str) -> str:
 
 
 def _coupling(e: dict) -> tuple:
-    if "flips" in e:
+    if _uses("medium.coupling", e, "flips", ("matrices",)):
         return int(e["watch"]), np.stack([_bsc(float(q)) for q in e["flips"]])
     return int(e["watch"]), np.asarray(e["matrices"], dtype=np.float64)
 
 
 def _markov_rule(e: dict) -> MarkovLinkRule:
-    if "gilbert_elliott" in e:
+    if _uses("medium.rules", e, "gilbert_elliott", ("transition", "emission", "initial")):
         ge = _section("medium.rules.gilbert_elliott", e["gilbert_elliott"],
                       _KEYS["medium.rules.gilbert_elliott"])
         return gilbert_elliott_rule(

@@ -412,20 +412,30 @@ class SeparatedGuaranteeReport(GuaranteeReport):
 
 
 def _measure_separated_pair(system, pair, budget, trials, seeds):
+    """Score the first ``trials`` source blocks of a separated pair, B lanes
+    per channel window.
+
+    The horizon ends where the last scored block's reproduction ends, at
+    ``plan.latency`` + (windows - 1)*n + n', so the receiver decodes only
+    scored windows. A longer horizon scores the same blocks bit for bit:
+    sources are drawn as one (T, B) array per pair, the medium's uniforms
+    window by window in time order, and the sender's head draw does not
+    depend on T, so every draw is a prefix of the same stream.
+    """
     plan = system.modem_for(pair[0]).plan
     n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
     B = min(trials, 2048)
     windows = -(-trials // B)
-    T = plan.latency + windows * n + npr + 2
+    T = plan.latency + (windows - 1) * n + npr
     traj = rollout(system, seeds, lanes=B, horizon=T)
 
     # both wrappers log windows 0, 1, ... in order, so the k-th entries of
-    # the two logs are the same block (the sender's log may run longer)
+    # the two logs are the same block. The first ``windows`` of them are
+    # scored; the sender's log runs longer (it encodes windows whose decode
+    # step lies past the horizon), and so does the receiver's when n' > n
     send_tel = traj.telemetry[pair[0]]["sep_send"]["windows"]
     recv_tel = traj.telemetry[pair[1]]["sep_recv"]["windows"]
-    scored = [(sw, rw) for sw, rw in zip(send_tel, recv_tel) if rw["decode_tau"] + npr <= T]
-    if not scored:
-        raise ValueError("horizon too short: no complete scored block")
+    scored = list(zip(send_tel, recv_tel))[:windows]
     e2e = _block_distortions(
         budget.metric,
         traj.sources[pair],
@@ -434,8 +444,8 @@ def _measure_separated_pair(system, pair, budget, trials, seeds):
         np.array([rw["decode_tau"] for _, rw in scored]),
         npr,
     ).reshape(-1)[:trials]
-    codes = np.concatenate([rw["codes"] for _, rw in scored])
-    xi = (codes != np.concatenate([sw["messages"] for sw, _ in scored]))[:trials]
+    codes = np.concatenate([rw["codes"] for _, rw in scored])[:trials]
+    xi = codes != np.concatenate([sw["messages"] for sw, _ in scored])[:trials]
     eta = np.concatenate([sw["roundtrip_avg"] > budget.level for sw, _ in scored])[:trials]
     none_within = int((codes == NONE_WITHIN).sum())
     ambiguous = int((codes == AMBIGUOUS).sum())
@@ -472,7 +482,9 @@ def measure_end_to_end(
     A plain pair is measured by ``baseline_guarantee`` at ``block_length``
     (default: the system's). A separated pair is scored per source block of
     its plan, ignoring ``block_length``, and also reports the channel/source
-    error split.
+    error split over the same blocks. Its rollout stops where the last
+    scored block ends; every draw is a prefix of the same stream, so a
+    longer rollout would score the same blocks bit for bit.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} trials")

@@ -83,20 +83,32 @@ def test_index_matches_bruteforce(case, budget, queries):
 
 
 def test_index_probes_up_to_the_pigeonhole_bound():
-    # n = 32 is two 16-bit substrings. Both rows are 2 bits from the zero
-    # query: row 1 in one substring (found at radius 0), row 0 one bit in
-    # each (found only at radius 1). Radius 0 proves distances <= 1 only,
-    # so the search must go on to radius 1 to see that row 0 ties.
-    entries = np.zeros((2, 32), dtype=np.int8)
-    entries[0, [0, 16]] = 1
-    entries[1, [0, 1]] = 1
-    index = codec._HammingIndex(codec._pack_bits(entries), 32)
+    # n = 40 is three substrings of 14, 13 and 13 bits, probed one at a
+    # time; after substring k at radius r every row within 3r + k is found.
+    # Both rows are 3 bits from the zero query. Row 1 has all three in the
+    # last substring, so the first probe (r = 0, k = 0) finds it. Row 0 has
+    # one bit at the end of each substring, so only the fourth probe
+    # (r = 1, k = 0, bound 3) finds it. Stopping one probe early, at bound
+    # 2 < 3, would return the tied higher row 1.
+    entries = np.zeros((2, 40), dtype=np.int8)
+    entries[0, [13, 26, 39]] = 1
+    entries[1, [27, 28, 29]] = 1
+    index = codec._HammingIndex(codec._pack_bits(entries), 40)
+    assert [width for _, width, *_ in index.parts] == [14, 13, 13]
     index.budget = 10**9
-    words = codec._pack_bits(np.zeros((1, 32), dtype=np.int8))
-    rows, dist = index.nearest(words)
-    assert (rows[0], dist[0]) == (0, 2)
-    assert index.within(words, 2)[0] == AMBIGUOUS
-    assert index.within(words, 1)[0] == NONE_WITHIN
+    words = codec._pack_bits(np.zeros((1, 40), dtype=np.int8))
+
+    def probed(search, *args):
+        with mock.patch.object(index, "_probe", wraps=index._probe) as probe:
+            return search(words, *args), probe.call_count
+
+    # each search makes the probes up to its bound and no more
+    (rows, dist), probes = probed(index.nearest)
+    assert (rows[0], dist[0], probes) == (0, 3, 4)
+    codes, probes = probed(index.within, 3)
+    assert (codes[0], probes) == (AMBIGUOUS, 4)
+    codes, probes = probed(index.within, 2)
+    assert (codes[0], probes) == (NONE_WITHIN, 3)
 
 
 @settings(max_examples=150, deadline=None)

@@ -200,6 +200,12 @@ BAD_CONFIGS = {
     "rd.tolerance": with_value("rd.tolerance", 1e-9),
     "noninterference.trial_blocks": with_value("noninterference.trial_blocks", 3000),
     "medium.links (twice)": with_a_link_twice,
+    "medium.links (flip and matrix)": with_a_key_in("medium.links.0", "matrix", [[0, 1], [1, 0]]),
+    "medium.coupling (flips and matrices)": then(
+        with_a_coupled_medium,
+        with_a_key_in("medium.coupling.0", "matrices", [[[1, 0], [0, 1]]] * 2)),
+    "medium.rules (gilbert_elliott and transition)": then(
+        with_a_markov_medium, with_a_key_in("medium.rules.0", "transition", [[1.0]])),
     "latency (twice)": with_a_latency_twice,
     "medium.coupling (twice)": then(with_a_coupled_medium,
                                     with_the_first_entry_twice("medium.coupling")),

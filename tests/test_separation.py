@@ -276,6 +276,44 @@ class TestMeasureEndToEnd:
         assert rep.epsilon_hat <= rep.xi_hat + rep.eta_hat + 1e-12
         assert rep.trials >= 2000
 
+    def separated_within_d(self, root, hamming2):
+        # n' = 24 < n = 32 and within-D channel decoding, which fails often
+        # over BSC(0.11) at D = 0.125
+        system = single_link_system(0.11, block_length=32)
+        target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, n_prime=24, psi=0.3)
+        plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
+        return plan, apply_separation(system, plan)
+
+    def test_horizon_ends_at_the_last_scored_block(self, root, hamming2, monkeypatch):
+        plan, after = self.separated_within_d(root, hamming2)
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append((kwargs["horizon"], rollout(*args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(separation, "rollout", recorded)
+        rep = measure_end_to_end(
+            after, (0, 1), DistortionBudget(0.2, hamming2), 3000, root.derive("m")
+        )
+        [(horizon, traj)] = runs
+        windows = 2  # 3000 trials at 2048 lanes per window
+        assert horizon == plan.latency + (windows - 1) * 32 + 24
+        # every window the receiver logs is scored, and only those
+        recv = traj.telemetry[1]["sep_recv"]["windows"]
+        assert [w["window"] for w in recv] == list(range(windows))
+        assert all(w["decode_tau"] + 24 <= horizon for w in recv)
+        assert rep.trials == 3000
+
+    def test_decode_failure_split_counts_the_scored_trials(self, root, hamming2):
+        _, after = self.separated_within_d(root, hamming2)
+        rep = measure_end_to_end(
+            after, (0, 1), DistortionBudget(0.2, hamming2), 3000, root.derive("m")
+        )
+        # a NONE_WITHIN or AMBIGUOUS code is a message error of the same trial
+        assert rep.none_within_count > 0
+        assert rep.none_within_count + rep.ambiguous_count <= round(rep.xi_hat * rep.trials)
+
     def test_plain_pair_matches_baseline_guarantee(self, root, hamming2, bsc_system):
         a = measure_end_to_end(
             bsc_system, (0, 1), DistortionBudget(0.125, hamming2), 2000,
