@@ -3,11 +3,11 @@ architectures over unknown discrete-time networks.
 
 The library is organized around six pieces: finite-alphabet probability
 primitives (``probcore``), distortion metrics and rate-distortion
-computation (``ratedist``), the N-user medium/modem rollout engine and its
-batched excess-distortion measurement (``netmodel``), random-codebook
-codecs with batched codeword search (``codec``), the pair-by-pair
-architecture transformer (``separation``), and the experiment harness
-(``harness`` / ``cli``).
+computation (``ratedist``), the N-user medium/modem rollout engine
+(``netmodel``), random-codebook codecs with batched codeword search
+(``codec``), the pair-by-pair architecture transformer and the one
+excess-distortion measurement of any pair, plain or separated
+(``separation``), and the experiment harness (``harness`` / ``cli``).
 """
 
 from .probcore import (
@@ -30,13 +30,11 @@ from .ratedist import (
 )
 from .netmodel import (
     ForwardRelayModem,
-    GuaranteeReport,
+    MarkovMedium,
     NetworkSystem,
     PassthroughModem,
     Trajectory,
-    baseline_guarantee,
     gilbert_elliott_rule,
-    make_markov_medium,
     rollout,
 )
 from .codec import (
@@ -49,6 +47,7 @@ from .codec import (
     mbp_estimate,
 )
 from .separation import (
+    GuaranteeReport,
     PairTarget,
     PlanInfeasible,
     SeparationPlan,

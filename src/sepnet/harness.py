@@ -28,12 +28,11 @@ from .netmodel import (
     ForwardRelayModem,
     CoupledDmcMedium,
     DmcMedium,
-    GuaranteeReport,
     MarkovLinkRule,
+    MarkovMedium,
     NetworkSystem,
     PassthroughModem,
     gilbert_elliott_rule,
-    make_markov_medium,
     rollout,
 )
 from .probcore import (
@@ -52,6 +51,7 @@ from .ratedist import (
 )
 from .separation import (
     MIN_TRIALS,
+    GuaranteeReport,
     PairTarget,
     PlanInfeasible,
     apply_separation,
@@ -83,10 +83,10 @@ class ConfigError(ValueError):
 # kinds); any other key is a ConfigError.
 _KEYS = {
     "config": ("name", "users", "seed", "medium", "modems", "sources", "latency",
-               "pair_of_interest", "block_length", "horizon", "warmup", "trials",
+               "pair_of_interest", "block_length", "warmup", "trials",
                "separate_trials", "recheck_trials", "targets", "rd", "noninterference"),
     "medium": {"dmc": ("kind", "links"), "coupled_dmc": ("kind", "links", "coupling"),
-               "markov": ("kind", "states", "rules")},
+               "markov": ("kind", "rules")},
     "medium.links": ("src", "dst", "flip", "matrix"),
     "medium.coupling": ("src", "dst", "watch", "flips", "matrices"),
     "medium.rules": ("src", "dst", "gilbert_elliott", "transition", "emission", "initial"),
@@ -186,14 +186,20 @@ def _get(entry: dict, name: str, parse, default=_REQUIRED):
     return _checked(name, lambda: parse(entry[key]))
 
 
-def _at_least(floor: int):
-    """Parser of an integer that must be >= ``floor``."""
-    def parse(value) -> int:
-        if int(value) < floor:
+def _at_least(floor, parse=int):
+    """Parser of a value, read by ``parse``, that must be >= ``floor``."""
+    def parse_floored(value):
+        if not parse(value) >= floor:
             raise ValueError(f"{value} is below the floor of {floor}")
-        return int(value)
+        return parse(value)
 
-    return parse
+    return parse_floored
+
+
+def _positive(value) -> float:
+    if not float(value) > 0:
+        raise ValueError(f"{value} is not positive")
+    return float(value)
 
 
 def _known_pair(value, sources: dict) -> tuple:
@@ -262,7 +268,7 @@ def _medium(med: dict, users: int):
     kind = _kind("medium", med, "dmc")
     if kind == "markov":
         rules = _keyed("medium.rules", med["rules"], _src_dst, _markov_rule)
-        return make_markov_medium(users, int(med.get("states", 2)), rules)
+        return MarkovMedium(users, rules)
     mats = _keyed("medium.links", med["links"], _src_dst, _link_matrix)
     if kind == "dmc":
         return DmcMedium(users, mats)
@@ -310,7 +316,9 @@ def _target(entry, sources: dict, block_length: int) -> tuple:
     lengths = _get(t, "targets.block_lengths", _block_lengths,
                    [n if n is not None else block_length])
     metric = _get(t, "targets.metric", lambda v: _metric(v, size), hamming_metric(size))
-    level, level_prime = _get(t, "targets.D", float), _get(t, "targets.D_prime", float)
+    # R(D) of the pair's source is defined only from its d_min on
+    floor = _at_least(metric.d_min(sources[pair]), float)
+    level, level_prime = _get(t, "targets.D", floor), _get(t, "targets.D_prime", floor)
     psi, alpha = _get(t, "targets.psi", float, None), _get(t, "targets.alpha", float, None)
     rule = _get(t, "targets.decode_rule", str, "within_d")
     n = lengths[0] if n is None else n
@@ -338,7 +346,7 @@ def _rd(entry) -> RdSweep:
         source=source,
         metric=_get(r, "rd.metric", lambda v: _metric(v, size), hamming_metric(size)),
         grid=_get(r, "rd.grid", lambda v: tuple(float(level) for level in v)),
-        tol=_get(r, "rd.tol", float, 1e-6),
+        tol=_get(r, "rd.tol", _positive, 1e-6),
     )
 
 
@@ -389,17 +397,17 @@ class ExperimentConfig:
         block_length = _get(d, "block_length", _at_least(1))
         sources = _get(d, "sources", lambda v: _sources(v, users))
         latency = _get(d, "latency", lambda v: _keyed(
-            "latency", v, lambda e: _known_pair(_src_dst(e), sources), lambda e: int(e["steps"])
+            "latency", v, lambda e: _known_pair(_src_dst(e), sources),
+            lambda e: _get(e, "latency.steps", _at_least(0)),
         ), {})
         for pair in sources:
             latency.setdefault(pair, 3)
         medium = _get(d, "medium", lambda v: _medium(v, users))
         modems = _get(d, "modems", _modems)
         poi = _get(d, "pair_of_interest", lambda v: _known_pair(v, sources), min(sources))
-        horizon = _get(d, "horizon", int, 10 * block_length)
-        warmup = _get(d, "warmup", int, 8)
+        warmup = _get(d, "warmup", _at_least(0), 8)
         system = _checked("modems", lambda: NetworkSystem(
-            medium, modems, sources, poi, horizon, block_length, latency, warmup))
+            medium, modems, sources, poi, block_length, latency, warmup))
         for modem in system.modems:
             _checked("modems", lambda: modem.check_wiring(system))
         parsed = [_target(t, sources, block_length) for t in _get(d, "targets", list, [])]
@@ -751,7 +759,6 @@ def _suite_separation(root: RandomnessHandle) -> dict:
                 PassthroughModem(1, recv_pairs=[(0, 1)])),
         sources={(0, 1): pmf},
         pair_of_interest=(0, 1),
-        horizon=1000,
         block_length=32,
         latency_map={(0, 1): 3},
     )

@@ -33,15 +33,12 @@ from .probcore import (
     _row_cumsum,
     _sample_indexed,
     sample_iid_array,
-    wilson_half_width,
 )
-from .ratedist import DistortionBudget, DistortionMetric
 
 __all__ = [
     "CoupledDmcMedium",
     "DmcMedium",
     "ForwardRelayModem",
-    "GuaranteeReport",
     "MarkovLinkRule",
     "MarkovMedium",
     "MediumKernel",
@@ -50,17 +47,12 @@ __all__ = [
     "NetworkSystem",
     "Trajectory",
     "WiringError",
-    "baseline_guarantee",
-    "block_average_distortions",
     "gilbert_elliott_rule",
-    "make_markov_medium",
     "rollout",
 ]
 
 # A rollout window covers at most this many (step, lane) cells.
 WINDOW_LANE_STEPS = 1 << 18
-# Per-letter distortions are looked up this many cells at a time.
-_DISTORTION_CELLS = 1 << 20
 
 
 class WiringError(ValueError):
@@ -283,14 +275,6 @@ class MarkovMedium(MediumKernel):
         return path
 
 
-def make_markov_medium(num_users: int, state_count: int, transition_rule: dict) -> MarkovMedium:
-    """Stateful medium from per-link ``MarkovLinkRule`` values."""
-    for link, rule in transition_rule.items():
-        if rule.transition.shape[0] != state_count:
-            raise WiringError(f"link {link} rule has wrong state count")
-    return MarkovMedium(num_users, transition_rule)
-
-
 def gilbert_elliott_rule(
     flip_good: float,
     flip_bad: float,
@@ -447,15 +431,16 @@ class NetworkSystem:
     """Complete system description: medium, modems, sources, and timing.
 
     ``latency_map`` gives the fixed per-pair reproduction delay: the
-    reproduction of x[m] is read at y[m + L]. Sources for distinct pairs
-    always draw from independent randomness streams.
+    reproduction of x[m] is read at y[m + L]. A pair's blocks are scored
+    from x[warmup] on, ``block_length`` symbols each unless the measurement
+    asks for another length. Sources for distinct pairs always draw from
+    independent randomness streams.
     """
 
     medium: MediumKernel
     modems: tuple
     sources: dict
     pair_of_interest: tuple
-    horizon: int
     block_length: int
     latency_map: dict
     warmup: int = 8
@@ -515,7 +500,8 @@ def rollout(
     system: NetworkSystem,
     seeds: RandomnessHandle,
     lanes: int = 1,
-    horizon: int | None = None,
+    *,
+    horizon: int,
     source_override: dict | None = None,
 ) -> Trajectory:
     """Simulate the system for ``horizon`` steps across ``lanes`` replicas.
@@ -530,7 +516,7 @@ def _rollout(system, seeds, lanes, horizon, source_override, window=None) -> Tra
     """The engine behind ``rollout``. ``window`` fixes the steps per window
     (default: as many as ``WINDOW_LANE_STEPS`` allows); a cyclic graph
     always gets 1. The result is the same for every choice."""
-    T = int(horizon if horizon is not None else system.horizon)
+    T = int(horizon)
     B = int(lanes)
     if T < 1 or B < 1:
         raise ValueError("horizon and lanes must be >= 1")
@@ -618,114 +604,4 @@ def _rollout(system, seeds, lanes, horizon, source_override, window=None) -> Tra
         latency_map=dict(system.latency_map),
         horizon=T,
         lanes=B,
-    )
-
-
-def _block_distortions(
-    metric: DistortionMetric,
-    x: np.ndarray,
-    y: np.ndarray,
-    x_starts: np.ndarray,
-    y_starts: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """Average distortion of each block x[a : a+n] against y[b : b+n],
-    per lane: (blocks, lanes) for the starts a, b.
-
-    The per-letter table is read at x*K + y, a few blocks at a time, so the
-    temporaries stay near ``_DISTORTION_CELLS`` cells.
-    """
-    table = metric.table.reshape(-1)
-    size = metric.table.shape[1]
-    cell_dtype = Alphabet(table.size).dtype
-    lanes = x.shape[1]
-    step = max(1, _DISTORTION_CELLS // (n * lanes))
-    offsets = np.arange(n)
-    out = np.empty((len(x_starts), lanes))
-    for c in range(0, len(x_starts), step):
-        cells = x[x_starts[c : c + step, None] + offsets].astype(cell_dtype, copy=False)
-        cells *= size
-        cells += y[y_starts[c : c + step, None] + offsets]
-        out[c : c + step] = table.take(cells).mean(axis=1)
-    return out
-
-
-def block_average_distortions(
-    traj: Trajectory,
-    pair: tuple,
-    metric: DistortionMetric,
-    block_length: int,
-    start: int = 0,
-    num_blocks: int | None = None,
-) -> np.ndarray:
-    """Per-block average distortions, flattened across blocks and lanes.
-
-    Block k covers source positions [start + k*n, start + (k+1)*n); the
-    reproduction is read at the pair's declared latency offset.
-    """
-    n = int(block_length)
-    lat = traj.latency_map[pair]
-    avail = (traj.horizon - lat - start) // n
-    k = avail if num_blocks is None else min(num_blocks, avail)
-    if k < 1:
-        raise ValueError("horizon too short for one aligned block")
-    starts = start + n * np.arange(k)
-    return _block_distortions(
-        metric, traj.sources[pair], traj.repro[pair], starts, starts + lat, n
-    ).reshape(-1)
-
-
-@dataclass(frozen=True)
-class GuaranteeReport:
-    """Measured excess-distortion guarantee for one pair.
-
-    This is the empirical contract separation planning starts from: the
-    system delivers the pair's source within ``level`` except with
-    probability about ``epsilon_hat``.
-    """
-
-    pair: tuple
-    level: float
-    epsilon_hat: float
-    half_width: float
-    trials: int
-    block_length: int
-    exceed_count: int
-
-
-def baseline_guarantee(
-    system: NetworkSystem,
-    budget: DistortionBudget,
-    trials: int,
-    seeds: RandomnessHandle,
-    pair: tuple | None = None,
-    block_length: int | None = None,
-) -> GuaranteeReport:
-    """Monte Carlo estimate of the excess-distortion probability for one
-    pair of an uncoded system, by default its pair of interest.
-
-    ``trials`` blocks of ``block_length`` (default: the system's) are read
-    after the warm-up, 4096 lanes at a time at most.
-    """
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful estimate")
-    pair = tuple(pair) if pair is not None else system.pair_of_interest
-    n = int(block_length if block_length is not None else system.block_length)
-    B = min(trials, 4096)
-    blocks = -(-trials // B)
-    lat = system.latency_map[pair]
-    T = system.warmup + blocks * n + lat + 1
-    traj = rollout(system, seeds, lanes=B, horizon=T)
-    avgs = block_average_distortions(
-        traj, pair, budget.metric, n, start=system.warmup, num_blocks=blocks
-    )[:trials]
-    exceed = int((avgs > budget.level).sum())
-    return GuaranteeReport(
-        pair=pair,
-        level=budget.level,
-        epsilon_hat=exceed / trials,
-        half_width=wilson_half_width(exceed, trials),
-        trials=trials,
-        block_length=n,
-        exceed_count=exceed,
     )

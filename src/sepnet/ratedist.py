@@ -3,7 +3,8 @@
 Per-letter distortion tables, distortion budgets, and a Blahut-Arimoto
 solver for R(D) with bisection on the Lagrange slope. All rates are in
 bits. Block distortions and excess-distortion estimates are measured on
-rollouts, batched over blocks and lanes, by ``netmodel``.
+rollouts, batched over blocks and lanes, by
+``separation.measure_end_to_end``.
 """
 
 from __future__ import annotations

@@ -29,16 +29,9 @@ from .codec import (
     build_channel_codebook,
     build_source_codebook,
 )
-from .netmodel import (
-    GuaranteeReport,
-    Modem,
-    ModemView,
-    NetworkSystem,
-    _block_distortions,
-    baseline_guarantee,
-    rollout,
-)
+from .netmodel import Modem, ModemView, NetworkSystem, rollout
 from .probcore import (
+    Alphabet,
     RandomnessHandle,
     _kgram_counts,
     chi_square_homogeneity,
@@ -48,6 +41,7 @@ from .probcore import (
 from .ratedist import DistortionBudget, DistortionMetric, blahut_arimoto
 
 __all__ = [
+    "GuaranteeReport",
     "NoninterferenceResult",
     "PairTarget",
     "PlanInfeasible",
@@ -72,6 +66,8 @@ MIN_TRIALS = 1000
 # Slack, on top of the summed confidence half-widths, that a remaining
 # pair's excess probability may rise by across a separation step.
 RECHECK_SLACK = 0.02
+# Per-letter distortions are looked up this many cells at a time.
+_DISTORTION_CELLS = 1 << 20
 
 
 class PlanInfeasible(ValueError):
@@ -135,11 +131,17 @@ class SeparationPlan:
         """Steps from a source block's start to its decoded reproduction:
         n' to collect the block, n to send its codeword, then the inner
         latency. Exact for every block only when n' = n. Otherwise window w
-        carries the source block that starts at w*n rounded down to a
-        multiple of n', while its decode step is ``latency`` + w*n, so the
-        per-block delay cycles: single_bsc at n = 32, n' = 24 gives 59, 67,
-        75, 59, ... against a declared 59."""
+        carries the block at ``source_start(w)``, while its decode step is
+        ``latency`` + w*n, so the per-block delay cycles: single_bsc at
+        n = 32, n' = 24 gives 59, 67, 75, 59, ... against a declared 59."""
         return self.rate_plan.n + self.rate_plan.n_prime + self.inner_latency
+
+    def source_start(self, window):
+        """Start of the source block that channel window ``window`` (an int
+        or an array) carries: the newest complete block at the window's
+        emit step n' + w*n, so w*n rounded down to a multiple of n'."""
+        n, npr = self.rate_plan.n, self.rate_plan.n_prime
+        return window * n // npr * npr
 
     def summary(self) -> dict:
         return {
@@ -205,7 +207,7 @@ class SeparationSendModem(Modem):
         n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
         emit = _clock_ticks(npr, n, t0, t1)
         if len(emit):
-            src = (emit // npr - 1) * npr
+            src = plan.source_start((emit - npr) // n)
             x = _blocks(state["true_sources"], src, npr)
             messages, roundtrip = batch_min_distortion_rows(plan.source_cb, x, plan.metric)
             messages = messages.reshape(len(emit), -1)
@@ -395,6 +397,24 @@ def is_separated(system: NetworkSystem, pair: tuple) -> bool:
 
 
 @dataclass(frozen=True)
+class GuaranteeReport:
+    """Measured excess-distortion guarantee for one pair.
+
+    This is the empirical contract separation planning starts from: the
+    system delivers the pair's source within ``level`` except with
+    probability about ``epsilon_hat``.
+    """
+
+    pair: tuple
+    level: float
+    epsilon_hat: float
+    half_width: float
+    trials: int
+    block_length: int
+    exceed_count: int
+
+
+@dataclass(frozen=True)
 class SeparatedGuaranteeReport(GuaranteeReport):
     """End-to-end excess report plus the channel/source error split.
 
@@ -411,61 +431,33 @@ class SeparatedGuaranteeReport(GuaranteeReport):
     ambiguous_count: int = 0
 
 
-def _measure_separated_pair(system, pair, budget, trials, seeds):
-    """Score the first ``trials`` source blocks of a separated pair, B lanes
-    per channel window.
+def _block_distortions(
+    metric: DistortionMetric,
+    x: np.ndarray,
+    y: np.ndarray,
+    x_starts: np.ndarray,
+    y_starts: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Average distortion of each block x[a : a+n] against y[b : b+n],
+    per lane: (blocks, lanes) for the starts a, b.
 
-    The horizon ends where the last scored block's reproduction ends, at
-    ``plan.latency`` + (windows - 1)*n + n', so the receiver decodes only
-    scored windows. A longer horizon scores the same blocks bit for bit:
-    sources are drawn as one (T, B) array per pair, the medium's uniforms
-    window by window in time order, and the sender's head draw does not
-    depend on T, so every draw is a prefix of the same stream.
+    The per-letter table is read at x*K + y, a few blocks at a time, so the
+    temporaries stay near ``_DISTORTION_CELLS`` cells.
     """
-    plan = system.modem_for(pair[0]).plan
-    n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
-    B = min(trials, 2048)
-    windows = -(-trials // B)
-    T = plan.latency + (windows - 1) * n + npr
-    traj = rollout(system, seeds, lanes=B, horizon=T)
-
-    # both wrappers log windows 0, 1, ... in order, so the k-th entries of
-    # the two logs are the same block. The first ``windows`` of them are
-    # scored; the sender's log runs longer (it encodes windows whose decode
-    # step lies past the horizon), and so does the receiver's when n' > n
-    send_tel = traj.telemetry[pair[0]]["sep_send"]["windows"]
-    recv_tel = traj.telemetry[pair[1]]["sep_recv"]["windows"]
-    scored = list(zip(send_tel, recv_tel))[:windows]
-    e2e = _block_distortions(
-        budget.metric,
-        traj.sources[pair],
-        traj.repro[pair],
-        np.array([sw["src_start"] for sw, _ in scored]),
-        np.array([rw["decode_tau"] for _, rw in scored]),
-        npr,
-    ).reshape(-1)[:trials]
-    codes = np.concatenate([rw["codes"] for _, rw in scored])[:trials]
-    xi = codes != np.concatenate([sw["messages"] for sw, _ in scored])[:trials]
-    eta = np.concatenate([sw["roundtrip_avg"] > budget.level for sw, _ in scored])[:trials]
-    none_within = int((codes == NONE_WITHIN).sum())
-    ambiguous = int((codes == AMBIGUOUS).sum())
-    k = len(e2e)
-    exceed = int((e2e > budget.level).sum())
-    return SeparatedGuaranteeReport(
-        pair=tuple(pair),
-        level=budget.level,
-        epsilon_hat=exceed / k,
-        half_width=wilson_half_width(exceed, k),
-        trials=k,
-        block_length=npr,
-        exceed_count=exceed,
-        xi_hat=float(xi.mean()),
-        xi_half_width=wilson_half_width(int(xi.sum()), k),
-        eta_hat=float(eta.mean()),
-        eta_half_width=wilson_half_width(int(eta.sum()), k),
-        none_within_count=none_within,
-        ambiguous_count=ambiguous,
-    )
+    table = metric.table.reshape(-1)
+    size = metric.table.shape[1]
+    cell_dtype = Alphabet(table.size).dtype
+    lanes = x.shape[1]
+    step = max(1, _DISTORTION_CELLS // (n * lanes))
+    offsets = np.arange(n)
+    out = np.empty((len(x_starts), lanes))
+    for c in range(0, len(x_starts), step):
+        cells = x[x_starts[c : c + step, None] + offsets].astype(cell_dtype, copy=False)
+        cells *= size
+        cells += y[y_starts[c : c + step, None] + offsets]
+        out[c : c + step] = table.take(cells).mean(axis=1)
+    return out
 
 
 def measure_end_to_end(
@@ -477,22 +469,66 @@ def measure_end_to_end(
     block_length: int | None = None,
 ) -> GuaranteeReport:
     """Excess-distortion estimate for any pair of the (possibly transformed)
-    system, from at least MIN_TRIALS trials.
+    system, from ``trials`` >= MIN_TRIALS blocks.
 
-    A plain pair is measured by ``baseline_guarantee`` at ``block_length``
-    (default: the system's). A separated pair is scored per source block of
-    its plan, ignoring ``block_length``, and also reports the channel/source
-    error split over the same blocks. Its rollout stops where the last
-    scored block ends; every draw is a prefix of the same stream, so a
-    longer rollout would score the same blocks bit for bit.
+    The scored blocks are fixed before the rollout: the k-th block start of
+    each lane compares the source from x_k with the reproduction from y_k.
+    A plain pair has blocks of ``block_length`` (default: the system's)
+    from the warm-up on, at its declared latency, in up to 4096 lanes. A
+    separated pair has one block of n' per channel window w, from
+    ``plan.source_start(w)`` against its decode step ``plan.latency`` +
+    w*n, in up to 2048 lanes; it ignores ``block_length`` and also reports
+    the channel/source error split over the same blocks. Trials fill the
+    lanes of one block start before the next. The rollout stops where the
+    last scored block ends; every draw is a prefix of the same stream, so
+    a longer rollout would score the same blocks bit for bit.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} trials")
     pair = tuple(pair)
-    if is_separated(system, pair):
-        return _measure_separated_pair(system, pair, budget, trials, seeds)
-    return baseline_guarantee(
-        system, budget, trials, seeds, pair=pair, block_length=block_length
+    plan = system.modem_for(pair[0]).plan if is_separated(system, pair) else None
+    if plan is None:
+        n = int(block_length if block_length is not None else system.block_length)
+        lanes = min(trials, 4096)
+        x_starts = system.warmup + n * np.arange(-(-trials // lanes))
+        y_starts = x_starts + system.latency_map[pair]
+    else:
+        n = plan.rate_plan.n_prime
+        lanes = min(trials, 2048)
+        windows = np.arange(-(-trials // lanes))
+        x_starts = plan.source_start(windows)
+        y_starts = plan.latency + windows * plan.rate_plan.n
+    traj = rollout(system, seeds, lanes=lanes, horizon=int(y_starts[-1]) + n)
+    avgs = _block_distortions(
+        budget.metric, traj.sources[pair], traj.repro[pair], x_starts, y_starts, n
+    ).reshape(-1)[:trials]
+    exceed = int((avgs > budget.level).sum())
+    report = dict(
+        pair=pair,
+        level=budget.level,
+        epsilon_hat=exceed / trials,
+        half_width=wilson_half_width(exceed, trials),
+        trials=trials,
+        block_length=n,
+        exceed_count=exceed,
+    )
+    if plan is None:
+        return GuaranteeReport(**report)
+
+    # both wrappers log windows 0, 1, ... in order; the first ones are scored
+    send = traj.telemetry[pair[0]]["sep_send"]["windows"][: len(windows)]
+    recv = traj.telemetry[pair[1]]["sep_recv"]["windows"][: len(windows)]
+    codes = np.concatenate([w["codes"] for w in recv])[:trials]
+    xi = codes != np.concatenate([w["messages"] for w in send])[:trials]
+    eta = np.concatenate([w["roundtrip_avg"] for w in send])[:trials] > budget.level
+    return SeparatedGuaranteeReport(
+        **report,
+        xi_hat=float(xi.mean()),
+        xi_half_width=wilson_half_width(int(xi.sum()), trials),
+        eta_hat=float(eta.mean()),
+        eta_half_width=wilson_half_width(int(eta.sum()), trials),
+        none_within_count=int((codes == NONE_WITHIN).sum()),
+        ambiguous_count=int((codes == AMBIGUOUS).sum()),
     )
 
 

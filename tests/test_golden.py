@@ -23,16 +23,15 @@ from sepnet.netmodel import (
     CoupledDmcMedium,
     DmcMedium,
     ForwardRelayModem,
-    GuaranteeReport,
     MarkovLinkRule,
+    MarkovMedium,
     NetworkSystem,
     PassthroughModem,
-    make_markov_medium,
     rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet.ratedist import hamming_metric
-from sepnet.separation import apply_separation, plan_separation
+from sepnet.separation import GuaranteeReport, apply_separation, plan_separation
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 LANES, HORIZON = 3, 300
@@ -79,8 +78,8 @@ def ternary_systems() -> dict:
     emission = np.stack([np.eye(3), mat, mat[::-1]])
     media = {
         "ternary_dmc": DmcMedium(2, {(0, 1): mat}),
-        "ternary_markov": make_markov_medium(
-            2, 3, {(0, 1): MarkovLinkRule(trans, emission, initial_state=2)}
+        "ternary_markov": MarkovMedium(
+            2, {(0, 1): MarkovLinkRule(trans, emission, initial_state=2)}
         ),
     }
     return {
@@ -90,7 +89,6 @@ def ternary_systems() -> dict:
                     PassthroughModem(1, recv_pairs=[(0, 1)])),
             sources={(0, 1): Pmf.from_probs([0.5, 0.3, 0.2])},
             pair_of_interest=(0, 1),
-            horizon=HORIZON,
             block_length=10,
             latency_map={(0, 1): 3},
         )
@@ -114,7 +112,6 @@ def coupled_relay_system():
                 PassthroughModem(2, recv_pairs=[(0, 2)])),
         sources={(0, 2): Pmf.from_probs([0.6, 0.4])},
         pair_of_interest=(0, 2),
-        horizon=HORIZON,
         block_length=10,
         latency_map={(0, 2): 3},
     )

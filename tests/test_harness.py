@@ -226,6 +226,15 @@ BAD_CONFIGS = {
     "sources.colour": with_a_key_in("sources.0"),
     "latency.colour": with_a_key_in("latency.0"),
     "targets.block_lengths": with_no_block_lengths,
+    "warmup (negative)": with_value("warmup", -20),
+    "latency.steps": with_a_key_in("latency.0", "steps", -2),
+    "targets.D (negative)": with_a_key_in("targets.0", "D", -0.1),
+    "targets.D_prime (negative)": with_a_key_in("targets.0", "D_prime", -0.2),
+    "targets.D (below the metric's floor)": then(
+        with_a_key_in("targets.0", "metric", [[0.1, 1.0], [1.0, 0.1]]),
+        with_a_key_in("targets.0", "D", 0.05)),
+    "rd.tol": with_value("rd.tol", -1),
+    "medium.states": then(with_a_markov_medium, with_a_key_in("medium", "states", 2)),
     "noninterference.untouched (a target)": with_value("noninterference.untouched", [[0, 1]]),
 }
 

@@ -9,17 +9,16 @@ from sepnet.netmodel import (
     DmcMedium,
     ForwardRelayModem,
     MarkovLinkRule,
+    MarkovMedium,
     NetworkSystem,
     PassthroughModem,
     WiringError,
-    baseline_guarantee,
-    block_average_distortions,
     gilbert_elliott_rule,
-    make_markov_medium,
     rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet.ratedist import DistortionBudget, hamming_metric
+from sepnet.separation import _block_distortions, measure_end_to_end
 
 
 class TestMediumConstruction:
@@ -45,10 +44,6 @@ class TestMediumConstruction:
     def test_markov_rule_validation(self):
         with pytest.raises(WiringError):
             MarkovLinkRule(np.array([[0.5, 0.5]]), np.stack([np.eye(2), np.eye(2)]))
-        with pytest.raises(WiringError):
-            make_markov_medium(
-                2, 3, {(0, 1): gilbert_elliott_rule(0.01, 0.3, 0.1, 0.1)}
-            )
 
 
 class TestRollout:
@@ -73,7 +68,8 @@ class TestRollout:
         # 100 block trials, n = 1000: mean distortion ~= 0.11
         system = single_link_system(0.11)
         traj = rollout(system, root.derive("mean"), lanes=100, horizon=1012)
-        avgs = block_average_distortions(traj, (0, 1), hamming2, 1000, start=8)
+        avgs = _block_distortions(hamming2, traj.sources[(0, 1)], traj.repro[(0, 1)],
+                                  np.array([8]), np.array([8 + 3]), 1000)
         assert abs(float(avgs.mean()) - 0.11) <= 0.02
 
     def test_empirical_crossover(self, root):
@@ -105,7 +101,6 @@ class TestRollout:
             ),
             sources=sys_a.sources,
             pair_of_interest=(0, 1),
-            horizon=sys_a.horizon,
             block_length=sys_a.block_length,
             latency_map=sys_a.latency_map,
         )
@@ -143,7 +138,6 @@ class TestRollout:
             sources={(0, 1): Pmf.from_probs([0.5, 0.5]),
                      (2, 3): Pmf.from_probs([0.5, 0.5])},
             pair_of_interest=(0, 1),
-            horizon=100_000,
             block_length=100,
             latency_map={(0, 1): 3, (2, 3): 3},
         )
@@ -162,7 +156,6 @@ class TestRollout:
             ),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
             pair_of_interest=(0, 1),
-            horizon=10,
             block_length=5,
             latency_map={(0, 1): 3},
         )
@@ -178,7 +171,6 @@ class TestRollout:
             ),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},  # binary source
             pair_of_interest=(0, 1),
-            horizon=10,
             block_length=5,
             latency_map={(0, 1): 3},
         )
@@ -198,7 +190,6 @@ class TestRelayChain:
             ),
             sources={(0, 2): Pmf.from_probs([0.5, 0.5])},
             pair_of_interest=(0, 2),
-            horizon=100_000,
             block_length=1000,
             latency_map={(0, 2): 5},
         )
@@ -228,7 +219,6 @@ class TestMarkovMedium:
             ),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
             pair_of_interest=(0, 1),
-            horizon=100_000,
             block_length=1000,
             latency_map={(0, 1): 3},
             warmup=64,
@@ -242,44 +232,44 @@ class TestMarkovMedium:
 
     def test_single_state_reduces_to_dmc(self, root):
         rule = MarkovLinkRule(np.array([[1.0]]), bsc(0.11)[None, :, :])
-        system = self.two_user(make_markov_medium(2, 1, {(0, 1): rule}))
+        system = self.two_user(MarkovMedium(2, {(0, 1): rule}))
         assert abs(self.flip_rate(system, root.derive("one")) - 0.11) <= 0.01
 
     def test_gilbert_elliott_long_run(self, root):
         # symmetric switching 0.1 -> stationary (0.5, 0.5); flip = 0.155
-        medium = make_markov_medium(2, 2, {(0, 1): gilbert_elliott_rule(0.01, 0.3, 0.1, 0.1)})
+        medium = MarkovMedium(2, {(0, 1): gilbert_elliott_rule(0.01, 0.3, 0.1, 0.1)})
         assert abs(self.flip_rate(self.two_user(medium), root.derive("ge")) - 0.155) <= 0.015
 
     def test_absorbing_bad_state(self, root):
         rule = gilbert_elliott_rule(0.01, 0.3, 0.0, 0.0, initial_state=1)
-        medium = make_markov_medium(2, 2, {(0, 1): rule})
+        medium = MarkovMedium(2, {(0, 1): rule})
         assert abs(self.flip_rate(self.two_user(medium), root.derive("abs")) - 0.3) <= 0.01
 
 
 class TestBaselineGuarantee:
     def test_noiseless_zero(self, root, hamming2):
         system = single_link_system(0.0, block_length=100)
-        rep = baseline_guarantee(
-            system, DistortionBudget(0.0, hamming2), 500, root.derive("nz")
+        rep = measure_end_to_end(
+            system, (0, 1), DistortionBudget(0.0, hamming2), 1000, root.derive("nz")
         )
         assert rep.epsilon_hat == 0.0
 
     def test_bsc_binomial_tail(self, root, hamming2, bsc_system):
-        rep = baseline_guarantee(
-            bsc_system, DistortionBudget(0.125, hamming2), 10_000, root.derive("tail")
+        rep = measure_end_to_end(
+            bsc_system, (0, 1), DistortionBudget(0.125, hamming2), 10_000, root.derive("tail")
         )
         oracle = binom.sf(125, 1000, 0.11)
         assert abs(rep.epsilon_hat - oracle) <= 0.03
 
     def test_far_level_exactly_zero(self, root, hamming2, bsc_system):
-        rep = baseline_guarantee(
-            bsc_system, DistortionBudget(0.5, hamming2), 1000, root.derive("far")
+        rep = measure_end_to_end(
+            bsc_system, (0, 1), DistortionBudget(0.5, hamming2), 1000, root.derive("far")
         )
         assert rep.epsilon_hat == 0.0
 
     def test_too_few_trials_rejected(self, root, hamming2, bsc_system):
         with pytest.raises(ValueError):
-            baseline_guarantee(bsc_system, DistortionBudget(0.125, hamming2), 10, root)
+            measure_end_to_end(bsc_system, (0, 1), DistortionBudget(0.125, hamming2), 10, root)
 
 
 class TestWideAlphabets:
@@ -294,7 +284,6 @@ class TestWideAlphabets:
             ),
             sources={(0, 1): Pmf.uniform(size)},
             pair_of_interest=(0, 1),
-            horizon=2000,
             block_length=100,
             latency_map={(0, 1): 3},
         )
@@ -312,7 +301,7 @@ class TestWideAlphabets:
         transition = np.roll(np.eye(states), 1, axis=1)
         emission = np.stack([np.eye(2) if s < 128 else np.eye(2)[::-1] for s in range(states)])
         rule = MarkovLinkRule(transition, emission)
-        system = self.two_user(make_markov_medium(2, states, {(0, 1): rule}), 2)
+        system = self.two_user(MarkovMedium(2, {(0, 1): rule}), 2)
         T = 1001
         traj = rollout(system, root, lanes=2, horizon=T)
         sent = traj.medium_inputs[0, : T - 1]

@@ -1,7 +1,7 @@
 """Distortion accounting and the R(D) solver.
 
 Block distortions and excess-distortion estimates are measured batched,
-over the blocks and lanes of a rollout, by ``netmodel``; they are held
+over the blocks and lanes of a rollout, by ``separation``; they are held
 here to hand-computed values and exact oracles.
 """
 
@@ -14,13 +14,7 @@ from scipy.stats import binom
 
 from conftest import single_link_system
 
-from sepnet.netmodel import (
-    DmcMedium,
-    Trajectory,
-    baseline_guarantee,
-    block_average_distortions,
-    rollout,
-)
+from sepnet.netmodel import DmcMedium, rollout
 from sepnet.probcore import Alphabet, Pmf
 from sepnet.ratedist import (
     DistortionBudget,
@@ -30,6 +24,8 @@ from sepnet.ratedist import (
     hamming_metric,
     rd_sweep,
 )
+from sepnet import separation
+from sepnet.separation import _block_distortions, measure_end_to_end
 
 PAIR = (0, 1)
 
@@ -38,18 +34,12 @@ def h2(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def hand_trajectory(x, y) -> Trajectory:
-    """A trajectory whose lane k carries source row x[k] and, with no
-    latency, reproduction row y[k]."""
+def block_avgs(x, y, metric) -> np.ndarray:
+    """Average distortion of source row x[k] against reproduction row y[k],
+    one block per row, each row in a lane of its own."""
     x, y = np.array(x, dtype=np.int8).T, np.array(y, dtype=np.int8).T
-    return Trajectory(sources={PAIR: x}, medium_inputs=None, link_outputs={},
-                      repro={PAIR: y}, telemetry={}, latency_map={PAIR: 0},
-                      horizon=len(x), lanes=x.shape[1])
-
-
-def block_avgs(x, y, metric, **kwargs) -> np.ndarray:
-    """Per-block average distortions of the rows, one block per row."""
-    return block_average_distortions(hand_trajectory(x, y), PAIR, metric, len(x[0]), **kwargs)
+    start = np.array([0])
+    return _block_distortions(metric, x, y, start, start, len(x)).reshape(-1)
 
 
 class TestBlockDistortion:
@@ -65,11 +55,20 @@ class TestBlockDistortion:
         avg = block_avgs([[0, 1, 0, 1]], [[1, 1, 0, 0]], metric)
         assert avg.tolist() == [pytest.approx(c)]
 
-    def test_length_mismatch(self, hamming2):
-        # a block longer than the streams cannot be scored
-        traj = hand_trajectory([[0, 1]], [[0, 1]])
-        with pytest.raises(ValueError, match="too short"):
-            block_average_distortions(traj, PAIR, hamming2, 3)
+    def test_blocks_match_a_loop_at_their_own_starts(self, monkeypatch):
+        # a ternary metric, x and y starts apart by a varying delay, and two
+        # blocks per chunk of the table lookup
+        rng = np.random.default_rng(5)
+        table = rng.random((3, 3))
+        metric = DistortionMetric(Alphabet(3), Alphabet(3), table)
+        x = rng.integers(0, 3, (200, 4), dtype=np.int8)
+        y = rng.integers(0, 3, (200, 4), dtype=np.int8)
+        xs, ys, n = np.array([0, 20, 40, 97, 150]), np.array([3, 30, 41, 101, 180]), 16
+        monkeypatch.setattr(separation, "_DISTORTION_CELLS", 2 * n * 4)
+        got = _block_distortions(metric, x, y, xs, ys, n)
+        want = [[np.mean([table[x[a + i, lane], y[b + i, lane]] for i in range(n)])
+                 for lane in range(4)] for a, b in zip(xs, ys)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -82,8 +81,8 @@ class TestExcessDistortion:
             single_link_system(0.0, source_probs=(0.2, 0.3, 0.5), block_length=16),
             medium=DmcMedium(2, {PAIR: np.eye(3)}),
         )
-        rep = baseline_guarantee(
-            system, DistortionBudget(0.0, hamming_metric(3)), 1000, root.derive("same")
+        rep = measure_end_to_end(
+            system, PAIR, DistortionBudget(0.0, hamming_metric(3)), 1000, root.derive("same")
         )
         assert rep.epsilon_hat == 0.0
 
@@ -91,28 +90,23 @@ class TestExcessDistortion:
         # every block of an always-flipping link sits exactly at average 1:
         # the strict inequality counts it in budget
         system = single_link_system(1.0, block_length=4)
-        at = baseline_guarantee(system, DistortionBudget(1.0, hamming2), 1000, root)
+        at = measure_end_to_end(system, PAIR, DistortionBudget(1.0, hamming2), 1000, root)
         below = DistortionBudget(np.nextafter(1.0, 0.0), hamming2)
         assert at.epsilon_hat == 0.0
-        assert baseline_guarantee(system, below, 1000, root).epsilon_hat == 1.0
+        assert measure_end_to_end(system, PAIR, below, 1000, root).epsilon_hat == 1.0
 
     def test_flip_noise_matches_binomial_tail(self, hamming2, root):
         # exact oracle: Pr(Binomial(100, 0.2) > 25)
         system = single_link_system(0.2, block_length=100)
-        rep = baseline_guarantee(
-            system, DistortionBudget(0.25, hamming2), 10_000, root.derive("flip")
+        rep = measure_end_to_end(
+            system, PAIR, DistortionBudget(0.25, hamming2), 10_000, root.derive("flip")
         )
         oracle = binom.sf(25, 100, 0.2)
         assert abs(rep.epsilon_hat - oracle) <= 0.02
 
-    def test_empty_trials_error(self, hamming2):
-        traj = hand_trajectory([[0, 1]], [[0, 1]])
-        with pytest.raises(ValueError):
-            block_average_distortions(traj, PAIR, hamming2, 2, num_blocks=0)
-
     def test_level_above_max_entry_is_exactly_zero(self, hamming2, root):
         system = single_link_system(0.5, block_length=16)
-        rep = baseline_guarantee(system, DistortionBudget(2.0, hamming2), 1000, root)
+        rep = measure_end_to_end(system, PAIR, DistortionBudget(2.0, hamming2), 1000, root)
         assert rep.epsilon_hat == 0.0
 
 
@@ -130,8 +124,10 @@ class TestExpectedDistortion:
         q, n = 0.15, 200
         traj = rollout(single_link_system(q, block_length=n), root.derive("mean"),
                        lanes=100, horizon=8 + 20 * n + 3)
-        avgs = block_average_distortions(traj, PAIR, hamming2, n, start=8)
-        assert len(avgs) == 2000
+        starts = 8 + n * np.arange(20)
+        avgs = _block_distortions(hamming2, traj.sources[PAIR], traj.repro[PAIR],
+                                  starts, starts + 3, n)
+        assert avgs.shape == (20, 100)
         assert avgs.mean() == pytest.approx(q, abs=0.01)
 
 

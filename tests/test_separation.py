@@ -11,10 +11,8 @@ from sepnet.codec import Codebook, RatePlan
 from sepnet.netmodel import (
     DmcMedium,
     CoupledDmcMedium,
-    GuaranteeReport,
     NetworkSystem,
     PassthroughModem,
-    baseline_guarantee,
     rollout,
 )
 from sepnet.harness import _PoisonMedium
@@ -22,6 +20,7 @@ from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet import separation
 from sepnet.ratedist import DistortionBudget, hamming_metric
 from sepnet.separation import (
+    GuaranteeReport,
     PairTarget,
     PlanInfeasible,
     SeparationPlan,
@@ -63,7 +62,6 @@ def two_pair_system(coupled=False):
         sources={(0, 1): Pmf.from_probs([0.5, 0.5]),
                  (2, 3): Pmf.from_probs([0.7, 0.3])},
         pair_of_interest=(0, 1),
-        horizon=10_000,
         block_length=32,
         latency_map={(0, 1): 3, (2, 3): 3},
     )
@@ -145,7 +143,6 @@ class TestPlanSeparation:
                     PassthroughModem(1, recv_pairs=[(0, 1)])),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
             pair_of_interest=(0, 1),
-            horizon=100,
             block_length=32,
             latency_map={(0, 1): 3},
         )
@@ -305,6 +302,16 @@ class TestMeasureEndToEnd:
         assert all(w["decode_tau"] + 24 <= horizon for w in recv)
         assert rep.trials == 3000
 
+        # a plain pair: 10,000 trials are 3 blocks of 4096 lanes, and the
+        # last one ends at the reproduction of x[warmup + 3n - 1]
+        plain = single_link_system(0.11, block_length=32, warmup=5)
+        rep = measure_end_to_end(
+            plain, (0, 1), DistortionBudget(0.2, hamming2), 10_000, root.derive("p")
+        )
+        horizon, traj = runs[-1]
+        assert horizon == 5 + 3 * 32 + 3
+        assert traj.lanes == 4096 and rep.trials == 10_000
+
     def test_decode_failure_split_counts_the_scored_trials(self, root, hamming2):
         _, after = self.separated_within_d(root, hamming2)
         rep = measure_end_to_end(
@@ -314,15 +321,22 @@ class TestMeasureEndToEnd:
         assert rep.none_within_count > 0
         assert rep.none_within_count + rep.ambiguous_count <= round(rep.xi_hat * rep.trials)
 
-    def test_plain_pair_matches_baseline_guarantee(self, root, hamming2, bsc_system):
-        a = measure_end_to_end(
-            bsc_system, (0, 1), DistortionBudget(0.125, hamming2), 2000,
-            root.derive("same"), block_length=1000,
+    def test_plain_pair_is_pinned(self, root, hamming2):
+        # 3 blocks of 4096 lanes; block k of a lane starts at warmup + k*n
+        system = single_link_system(0.11, block_length=32)
+        rep = measure_end_to_end(
+            system, (0, 1), DistortionBudget(0.125, hamming2), 10_000, root.derive("pin")
         )
-        b = baseline_guarantee(
-            bsc_system, DistortionBudget(0.125, hamming2), 2000, root.derive("same")
+        assert (rep.trials, rep.block_length, rep.exceed_count) == (10_000, 32, 2761)
+
+    def test_separated_split_is_pinned(self, root, hamming2):
+        _, after = self.separated_within_d(root, hamming2)
+        rep = measure_end_to_end(
+            after, (0, 1), DistortionBudget(0.2, hamming2), 3000, root.derive("m")
         )
-        assert a.epsilon_hat == b.epsilon_hat
+        assert (rep.trials, rep.block_length, rep.exceed_count) == (3000, 24, 1650)
+        xi, eta = round(rep.xi_hat * rep.trials), round(rep.eta_hat * rep.trials)
+        assert (xi, eta, rep.none_within_count, rep.ambiguous_count) == (841, 1136, 809, 18)
 
 
 class TestNoninterference:

@@ -69,7 +69,6 @@ def echo_system(flip):
                 ForwardRelayModem(1, in_link=(0, 1))),
         sources={(0, 1): Pmf.from_probs([0.5, 0.5]), (1, 0): Pmf.from_probs([0.5, 0.5])},
         pair_of_interest=(0, 1),
-        horizon=200,
         block_length=10,
         latency_map={(0, 1): 3, (1, 0): 5},
     )
