@@ -3,6 +3,13 @@
 Distributions, seeded sampling, empirical statistics, and the chi-square
 two-sample machinery used everywhere else to verify that two symbol streams
 have the same law.
+
+Every chi-square p-value comes from ``_chi2_sf``, which evaluates
+``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf`` itself calls,
+so the values are the same bits. It is the only place in the package that
+imports scipy, and it does so on first use: most commands never compute a
+p-value, and importing scipy at start-up would cost them most of their
+start-up time.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 __all__ = [
     "Alphabet",
@@ -217,6 +223,13 @@ def _kgram_counts(values: np.ndarray, size: int, order: int) -> np.ndarray:
     return np.bincount(pairs, minlength=size * size)
 
 
+def _chi2_sf(stat, df):
+    """P[chi-square with ``df`` degrees of freedom > ``stat``], a numpy scalar."""
+    from scipy.special import chdtrc
+
+    return chdtrc(df, stat)
+
+
 def chi_square_homogeneity(counts_a: np.ndarray, counts_b: np.ndarray, order: int = 1) -> TestReport:
     """Two-sample chi-square homogeneity test on two count vectors."""
     counts_a = np.asarray(counts_a, dtype=np.float64)
@@ -233,9 +246,16 @@ def chi_square_homogeneity(counts_a: np.ndarray, counts_b: np.ndarray, order: in
     eb = col * (nb / total)
     stat = float((((a - ea) ** 2) / ea).sum() + (((b - eb) ** 2) / eb).sum())
     df = k - 1
-    p = float(chi2.sf(stat, df))
+    p = float(_chi2_sf(stat, df))
     low = float(np.mean((ea < 5) | (eb < 5))) > 0.2
     return TestReport(stat, p, df, order, low)
+
+
+def _goodness_of_fit_p(counts: np.ndarray, probs: np.ndarray):
+    """Pearson chi-square p-value of ``counts`` against the law ``probs``, as
+    a numpy scalar: the bits ``scipy.stats.chisquare`` gives."""
+    expected = probs * counts.sum()
+    return _chi2_sf(((counts - expected) ** 2 / expected).sum(), counts.size - 1)
 
 
 def two_sample_test(a: Sequence, b: Sequence, order: int = 1) -> TestReport:

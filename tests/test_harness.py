@@ -233,6 +233,9 @@ BAD_CONFIGS = {
     "targets.D (below the metric's floor)": then(
         with_a_key_in("targets.0", "metric", [[0.1, 1.0], [1.0, 0.1]]),
         with_a_key_in("targets.0", "D", 0.05)),
+    "targets.psi (negative)": with_a_key_in("targets.0", "psi", -0.1),
+    "targets.psi (zero)": with_a_key_in("targets.0", "psi", 0),
+    "targets.alpha (negative)": with_a_key_in("targets.0", "alpha", -0.5),
     "rd.tol": with_value("rd.tol", -1),
     "medium.states": then(with_a_markov_medium, with_a_key_in("medium", "states", 2)),
     "noninterference.untouched (a target)": with_value("noninterference.untouched", [[0, 1]]),

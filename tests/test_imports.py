@@ -1,6 +1,7 @@
 """Every name a sepnet module imports is used there (or re-exported in
-``__all__``). Checked with the standard library's ``ast``. The package's
-``__init__`` is left out: its imports are the package's public names."""
+``__all__``), and scipy is imported in one place only. Checked with the
+standard library's ``ast``. The package's ``__init__`` is left out of the
+unused-import check: its imports are the package's public names."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,44 @@ def test_checker_flags_an_unused_import():
         "    return math.pi + len(dumps(x))\n"
     )
     assert unused_imports(source) == ["line 3: loads"]
+
+
+def scipy_imports(source: str) -> list[tuple[str, str]]:
+    """(enclosing function or class, or '<module>'; imported scipy module)
+    for each import of scipy in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            found.extend((scope, m) for m in names if m == "scipy" or m.startswith("scipy."))
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+PACKAGE = sorted(SRC.glob("*.py"))
+
+
+def test_no_module_imports_scipy_stats():
+    stats = {p.name: [m for _, m in scipy_imports(p.read_text())
+                      if m == "scipy.stats" or m.startswith("scipy.stats.")]
+             for p in PACKAGE}
+    assert {name: mods for name, mods in stats.items() if mods} == {}
+
+
+def test_scipy_is_imported_only_by_the_chi_square_tail():
+    found = {p.name: scipy_imports(p.read_text()) for p in PACKAGE}
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "probcore.py": [("_chi2_sf", "scipy.special")]}

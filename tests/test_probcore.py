@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 from sepnet.probcore import (
     Alphabet,
@@ -10,8 +10,10 @@ from sepnet.probcore import (
     Pmf,
     RandomnessHandle,
     Sequence,
+    chi_square_homogeneity,
     sample_iid,
     sample_iid_array,
+    _goodness_of_fit_p,
     _row_cumsum,
     _sample_indexed,
     two_sample_test,
@@ -180,6 +182,51 @@ class TestTwoSampleTest:
         s = sample_iid(fair_coin, 10, root)
         with pytest.raises(ValueError):
             two_sample_test(s, s, 3)
+
+
+DFS = range(1, 16)
+
+
+def _tail_cases(df: int, rng) -> list:
+    """Count vectors over df + 1 cells: random, and one whose statistic is
+    large enough that the chi-square tail underflows to 0."""
+    k = df + 1
+    flat = rng.integers(1, 200, size=k)
+    lopsided = np.ones(k, dtype=np.int64)
+    lopsided[0] = 10**6
+    return [flat, rng.multinomial(5000, rng.dirichlet(np.ones(k))), lopsided]
+
+
+@pytest.mark.parametrize("df", DFS)
+def test_homogeneity_tail_is_scipy_stats_bit_for_bit(df):
+    rng = np.random.default_rng(df)
+    a_cases = _tail_cases(df, rng)
+    b_cases = [a_cases[0], rng.integers(1, 200, size=df + 1), np.roll(a_cases[2], 1)]
+    reports = [chi_square_homogeneity(a, b) for a, b in zip(a_cases, b_cases)]
+    assert [r.df for r in reports] == [df] * 3
+    assert (reports[0].statistic, reports[0].p_value) == (0.0, 1.0)
+    assert reports[2].p_value == 0.0
+    for rep in reports:
+        assert rep.p_value == chi2.sf(rep.statistic, rep.df)
+
+
+@pytest.mark.parametrize("df", DFS)
+def test_goodness_of_fit_is_scipy_chisquare_bit_for_bit(df):
+    rng = np.random.default_rng(100 + df)
+    k = df + 1
+    laws = [np.full(k, 1 / k), rng.dirichlet(np.ones(k)), np.full(k, 1 / k)]
+    cases = _tail_cases(df, rng)
+    if k & (k - 1) == 0:
+        # 1/k is exact, so equal counts meet their expectation exactly
+        cases.append(np.full(k, 7))
+        laws.append(np.full(k, 1 / k))
+    for counts, probs in zip(cases, laws):
+        p = _goodness_of_fit_p(counts, probs)
+        assert isinstance(p, np.floating)
+        assert p == chisquare(counts, probs * counts.sum()).pvalue
+    assert _goodness_of_fit_p(cases[2], laws[2]) == 0.0
+    if k & (k - 1) == 0:
+        assert _goodness_of_fit_p(cases[3], laws[3]) == 1.0
 
 
 def test_wilson_half_width_matches_formula():
