@@ -44,7 +44,6 @@ from .codec import (
     RatePlanError,
     build_channel_codebook,
     build_source_codebook,
-    mbp_estimate,
 )
 from .separation import (
     GuaranteeReport,

@@ -37,28 +37,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probcore import (
-    Alphabet,
-    Pmf,
-    RandomnessHandle,
-    _row_cumsum,
-    _sample_indexed,
-    sample_iid_array,
-    wilson_half_width,
-)
+from .probcore import Pmf, RandomnessHandle, sample_iid_array
 from .ratedist import DistortionMetric, RdPoint
 
 __all__ = [
     "CHANNEL_EMBEDDING",
     "Codebook",
     "CodebookCapError",
-    "MbpReport",
     "RatePlan",
     "RatePlanError",
     "SOURCE_COMPRESSION",
     "build_channel_codebook",
     "build_source_codebook",
-    "mbp_estimate",
     "zipf_message_pmf",
 ]
 
@@ -616,69 +606,6 @@ def build_source_codebook(
     q_star = Pmf.from_probs(point.repro_marginal)
     return Codebook.generate(
         SOURCE_COMPRESSION, q_star, plan.n_prime, plan.source_cardinality, c_seed
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class MbpReport:
-    """Per-message error rates with the worst case highlighted.
-
-    The maximal error always dominates the average; ``sup_half_width`` is
-    the Wilson half-width of the worst message's estimate.
-    """
-
-    per_message: np.ndarray
-    sup: float
-    sup_half_width: float
-    average: float
-    trials_per_message: int
-    rule: str
-
-
-def mbp_estimate(
-    codebook: Codebook,
-    channel,
-    trials_per_message: int,
-    metric: DistortionMetric,
-    budget_level: float,
-    seeds: RandomnessHandle,
-    rule: str = "within_d",
-    messages: np.ndarray | None = None,
-) -> MbpReport:
-    """Monte Carlo per-message error rates under the maximal-error criterion.
-
-    ``channel`` is either a per-symbol stochastic matrix or a callable
-    mapping (batch, n) codeword blocks to received blocks (a network
-    adapter fits here). Every message gets ``trials_per_message``
-    independent transmissions.
-    """
-    if trials_per_message < 100:
-        raise ValueError("need >= 100 trials per message")
-    msg_list = (
-        np.arange(codebook.cardinality) if messages is None else np.asarray(messages)
-    )
-    gen = seeds.derive("mbp").generator()
-    if not callable(channel):
-        cum = _row_cumsum(np.asarray(channel, dtype=np.float64))
-        out_dtype = Alphabet(cum.shape[1]).dtype
-    errors = np.zeros(len(msg_list), dtype=np.int64)
-    for k, m in enumerate(msg_list):
-        sent = np.repeat(codebook.entries[int(m)][None, :], trials_per_message, axis=0)
-        if callable(channel):
-            received = channel(sent, gen)
-        else:
-            received = _sample_indexed(cum, sent, gen.random(sent.shape), out_dtype)
-        decoded = _decode_blocks(codebook, received, metric, budget_level, rule)
-        errors[k] = int((decoded != int(m)).sum())
-    rates = errors / trials_per_message
-    worst = int(rates.argmax())
-    return MbpReport(
-        per_message=rates,
-        sup=float(rates[worst]),
-        sup_half_width=wilson_half_width(int(errors[worst]), trials_per_message),
-        average=float(rates.mean()),
-        trials_per_message=trials_per_message,
-        rule=rule,
     )
 
 

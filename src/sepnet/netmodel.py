@@ -300,7 +300,8 @@ class ModemView:
     medium state is never exposed. When a modem steps the window [t0, t1),
     its incoming links may already be filled up to row t1-1, so causality
     is the modem's duty: its value at step tau may read rows before tau
-    only. Perturbation tests check that it does.
+    only. ``test_causality_source_perturbation`` in tests/test_netmodel.py
+    checks it for the senders of plain and separated pairs.
     """
 
     __slots__ = (
@@ -502,20 +503,13 @@ def rollout(
     lanes: int = 1,
     *,
     horizon: int,
-    source_override: dict | None = None,
 ) -> Trajectory:
     """Simulate the system for ``horizon`` steps across ``lanes`` replicas.
 
-    ``source_override`` substitutes explicit (horizon, lanes) source arrays
-    for chosen pairs; everything else still follows the seeded streams.
+    The horizon is stepped in windows of ``WINDOW_LANE_STEPS // lanes``
+    steps (at least one), or of one step on a graph with a cycle. The
+    result is the same for every window length.
     """
-    return _rollout(system, seeds, lanes, horizon, source_override)
-
-
-def _rollout(system, seeds, lanes, horizon, source_override, window=None) -> Trajectory:
-    """The engine behind ``rollout``. ``window`` fixes the steps per window
-    (default: as many as ``WINDOW_LANE_STEPS`` allows); a cyclic graph
-    always gets 1. The result is the same for every choice."""
     T = int(horizon)
     B = int(lanes)
     if T < 1 or B < 1:
@@ -527,14 +521,8 @@ def _rollout(system, seeds, lanes, horizon, source_override, window=None) -> Tra
 
     sources = {}
     for pair, pmf in sorted(system.sources.items()):
-        if source_override and pair in source_override:
-            arr = np.asarray(source_override[pair]).astype(pmf.alphabet.dtype)
-            if arr.shape != (T, B):
-                raise ValueError(f"override for {pair} must have shape {(T, B)}")
-        else:
-            gen = seeds.derive("src", *pair).generator()
-            arr = sample_iid_array(pmf, T * B, gen).reshape(T, B)
-        sources[pair] = arr
+        gen = seeds.derive("src", *pair).generator()
+        sources[pair] = sample_iid_array(pmf, T * B, gen).reshape(T, B)
 
     iota_dtype = np.result_type(*(medium.user_input_alphabet(u).dtype for u in range(N)))
     iota = np.zeros((N, T, B), dtype=iota_dtype)
@@ -564,10 +552,10 @@ def _rollout(system, seeds, lanes, horizon, source_override, window=None) -> Tra
     med_gen = seeds.derive("medium").generator()
 
     order = _schedule(system)
+    W = max(1, WINDOW_LANE_STEPS // B)
     if order is None:
         # with one step per window every input comes from an earlier window
-        order, window = [*modems, *medium.links], 1
-    W = int(window or max(1, WINDOW_LANE_STEPS // B))
+        order, W = [*modems, *medium.links], 1
     for t0 in range(0, T, W):
         t1 = min(t0 + W, T)
         a = max(t0, 1)  # the medium is first consulted at step 1

@@ -53,7 +53,6 @@ __all__ = [
     "SeparationStepReport",
     "apply_separation",
     "measure_end_to_end",
-    "network_block_channel",
     "plan_separation",
     "separate_network",
     "verify_noninterference",
@@ -718,35 +717,3 @@ def separate_network(
         )
         current = new_system
     return current, steps
-
-
-def network_block_channel(system: NetworkSystem, pair: tuple, seeds: RandomnessHandle):
-    """Adapter exposing a pair's end-to-end path as a block channel.
-
-    Returns a callable (blocks, gen) -> received blocks usable by
-    mbp_estimate: each call rides the sent blocks through the real system
-    as the pair's source blocks and returns the aligned reproductions.
-    Successive calls use fresh derived randomness.
-    """
-    pair = tuple(pair)
-    state = {"calls": 0}
-
-    def channel(blocks: np.ndarray, gen) -> np.ndarray:
-        B, n = blocks.shape
-        lat = system.latency_map[pair]
-        t0 = system.warmup
-        T = t0 + n + lat + 1
-        override = {}
-        call_seed = seeds.derive("netchan", *pair, state["calls"])
-        state["calls"] += 1
-        for p, pmf in system.sources.items():
-            arr = sample_iid_array(
-                pmf, T * B, call_seed.derive("fill", *p).generator()
-            ).reshape(T, B)
-            if p == pair:
-                arr[t0 : t0 + n] = blocks.T
-            override[p] = arr
-        traj = rollout(system, call_seed, lanes=B, horizon=T, source_override=override)
-        return traj.repro[pair][t0 + lat : t0 + lat + n].T
-
-    return channel

@@ -11,12 +11,12 @@ from sepnet.codec import (
     CodebookCapError,
     RatePlan,
     RatePlanError,
+    _decode_blocks,
     batch_min_distortion_rows,
     batch_unique_within_decode,
     build_channel_codebook,
     build_source_codebook,
     cardinality_for,
-    mbp_estimate,
     zipf_message_pmf,
 )
 from sepnet.probcore import Pmf
@@ -136,6 +136,12 @@ class TestChannelDecode:
         cb = self.hand_codebook([[0] * 8, [1] * 8])
         assert self.within(cb, [[0] * 7 + [1]], 0.25)[0] == 0
 
+    def test_unknown_rule_rejected(self):
+        # a misspelt rule used to run within-D decoding silently
+        cb = self.hand_codebook([[0] * 8, [1] * 8])
+        with pytest.raises(ValueError, match="argmn"):
+            _decode_blocks(cb, np.zeros((1, 8), dtype=np.int8), self.metric, 0.0, "argmn")
+
     def test_ambiguous_tie(self):
         cb = self.hand_codebook([[0] * 8, [0] * 7 + [1]])
         assert self.within(cb, [[0] * 8], 0.25)[0] == AMBIGUOUS
@@ -171,53 +177,6 @@ class TestChannelDecode:
             dists = [(cb.entries[m] != blocks[k]).mean() for m in range(40)]
             assert idx[k] == int(np.argmin(dists))
             assert avg[k] == pytest.approx(min(dists))
-
-
-class TestMbp:
-    def setup_method(self):
-        self.metric = hamming_metric(2)
-        self.pmf = Pmf.from_probs([0.5, 0.5])
-
-    def test_noiseless_sup_zero(self, root):
-        cb = build_channel_codebook(small_plan(), self.pmf, root.derive("m0"))
-        identity = np.eye(2)
-        rep = mbp_estimate(cb, identity, 100, self.metric, 0.0, root.derive("m0t"),
-                           messages=np.arange(0, cb.cardinality, 50))
-        assert rep.sup == 0.0
-
-    def test_cardinality_one_noiseless(self, root):
-        cb = Codebook.generate("channel-embedding", self.pmf, 16, 1, root.derive("m1"))
-        rep = mbp_estimate(cb, np.eye(2), 100, self.metric, 0.0, root.derive("m1t"))
-        assert rep.sup == 0.0
-
-    def test_duplicate_rows_always_ambiguous(self, root):
-        row = np.array([0, 1] * 8, dtype=np.int8)
-        cb = Codebook("channel-embedding", 16, 2, self.pmf,
-                      root, np.stack([row, row]))
-        rep = mbp_estimate(cb, np.eye(2), 100, self.metric, 0.0, root.derive("dup"))
-        assert rep.sup == 1.0
-
-    def test_sup_dominates_average(self, root):
-        cb = build_channel_codebook(small_plan(n=16), self.pmf, root.derive("dom"))
-        chan = np.array([[0.89, 0.11], [0.11, 0.89]])
-        rep = mbp_estimate(cb, chan, 200, self.metric, 0.125, root.derive("domt"))
-        assert rep.sup >= rep.average
-
-    def test_callable_channel(self, root):
-        cb = build_channel_codebook(small_plan(n=16), self.pmf, root.derive("cc"))
-
-        def noiseless(blocks, gen):
-            return blocks
-
-        rep = mbp_estimate(cb, noiseless, 100, self.metric, 0.0, root.derive("cct"))
-        assert rep.sup == 0.0
-
-    def test_unknown_rule_rejected(self, root):
-        # a misspelt rule used to run within-D decoding silently
-        cb = build_channel_codebook(small_plan(n=16), self.pmf, root.derive("rule"))
-        with pytest.raises(ValueError, match="argmn"):
-            mbp_estimate(cb, np.eye(2), 100, self.metric, 0.0, root.derive("rt"),
-                         rule="argmn")
 
 
 class TestSourceCodec:

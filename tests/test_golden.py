@@ -17,7 +17,6 @@ import pytest
 
 from conftest import bsc
 
-from sepnet.codec import Codebook, mbp_estimate
 from sepnet.harness import ExperimentConfig
 from sepnet.netmodel import (
     CoupledDmcMedium,
@@ -30,7 +29,6 @@ from sepnet.netmodel import (
     rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
-from sepnet.ratedist import hamming_metric
 from sepnet.separation import GuaranteeReport, apply_separation, plan_separation
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -225,19 +223,3 @@ def test_rollout_arrays_match_golden_digests(name):
     traj = rollout(system, RandomnessHandle(20240801).derive("golden", name),
                    lanes=LANES, horizon=HORIZON)
     assert trajectory_digests(traj) == GOLDEN[name]
-
-
-MBP_GOLDEN = {"bsc": "1c2f1ecf1239b4d1", "ternary": "2bb722467e575061"}
-
-
-@pytest.mark.parametrize("kind", sorted(MBP_GOLDEN))
-def test_mbp_matrix_channel_matches_golden_digest(kind):
-    size = 2 if kind == "bsc" else 3
-    pmf = Pmf.uniform(size)
-    cb = Codebook.generate("channel-embedding", pmf, 12, 16,
-                           RandomnessHandle(7).derive("golden-mbp", kind))
-    channel = bsc(0.11) if kind == "bsc" else np.array(
-        [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]])
-    rep = mbp_estimate(cb, channel, 100, hamming_metric(size), 0.25,
-                       RandomnessHandle(7).derive("golden-mbp-run", kind), rule="argmin")
-    assert digest(rep.per_message) == MBP_GOLDEN[kind]

@@ -406,6 +406,20 @@ def test_exit_acceptance_when_a_suite_fails(tmp_path, monkeypatch):
     assert code == cli.EXIT_ACCEPTANCE
 
 
+def test_exit_acceptance_when_no_block_length_is_feasible(tmp_path):
+    # alpha = 5 leaves no channel rate at n = 32; the record is still written
+    data = single_bsc_data()
+    data["targets"][0].update(alpha=5, block_lengths=[32])
+    path = tmp_path / "infeasible.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    code = run_cli("separate", "--config", path, "--out", out, "--trials", 1000)
+    assert code == cli.EXIT_ACCEPTANCE
+    (record,) = out.glob("*/record.json")
+    (run,) = json.loads(record.read_text())["payload"]["runs"]
+    assert run["infeasible"] and not run["pairs"]
+
+
 def test_overwrite_reuses_the_first_id(tmp_path, capsys):
     def record_id(*extra) -> str:
         assert run_cli("rd", "--config", SINGLE_BSC, "--out", tmp_path, *extra) == 0

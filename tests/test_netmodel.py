@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import binom
 
 from conftest import bsc, single_link_system
+from test_golden import golden_system
 
 from sepnet.netmodel import (
     CoupledDmcMedium,
@@ -10,6 +11,8 @@ from sepnet.netmodel import (
     ForwardRelayModem,
     MarkovLinkRule,
     MarkovMedium,
+    Modem,
+    ModemView,
     NetworkSystem,
     PassthroughModem,
     WiringError,
@@ -18,7 +21,42 @@ from sepnet.netmodel import (
 )
 from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet.ratedist import DistortionBudget, hamming_metric
-from sepnet.separation import _block_distortions, measure_end_to_end
+from sepnet.separation import _block_distortions, is_separated, measure_end_to_end
+
+
+CAUSALITY_SYSTEMS = ["single_bsc", "relay_chain", "gilbert_elliott", "two_pair_interference",
+                     "separated_argmin", "separated_within_d"]
+T_HIT = 150
+
+
+class FlippedSource(Modem):
+    """Wraps a sender and hands it a view whose ``pair`` source has the
+    symbol at step ``t_hit`` flipped in every lane."""
+
+    def __init__(self, inner, pair, t_hit):
+        self.inner, self.user, self.pair, self.t_hit = inner, inner.user, pair, t_hit
+
+    def check_wiring(self, system):
+        self.inner.check_wiring(system)
+
+    def start(self, view):
+        source = view.sources[self.pair].copy()
+        source[self.t_hit] = (source[self.t_hit] + 1) % view.source_pmfs[self.pair].alphabet.size
+        inner_view = ModemView(view.user, view.lanes, view.horizon,
+                               {**view.sources, self.pair: source}, view.source_pmfs,
+                               view.link_in, view.private_gen)
+        inner_view.telemetry = view.telemetry
+        return inner_view, self.inner.start(inner_view)
+
+    def window(self, t0, t1, state, view):
+        inner_view, inner_state = state
+        return self.inner.window(t0, t1, inner_state, inner_view)
+
+
+def first_change(a, b, axis=1) -> int:
+    """First step at which two arrays differ (their length if never)."""
+    changed = np.flatnonzero((a != b).any(axis=axis))
+    return int(changed[0]) if len(changed) else a.shape[-2]
 
 
 class TestMediumConstruction:
@@ -108,20 +146,30 @@ class TestRollout:
         tb = rollout(sys_b, root, lanes=3, horizon=100)
         assert np.array_equal(ta.sources[(0, 1)], tb.sources[(0, 1)])
 
-    def test_causality_source_perturbation(self, root, fair_coin):
-        # changing x at time t must not change anything at times <= t
-        system = single_link_system(0.11, block_length=10)
-        T, B, t_hit = 40, 2, 17
-        base = np.zeros((T, B), dtype=np.int8)
-        pert = base.copy()
-        pert[t_hit] = 1
-        ta = rollout(system, root, lanes=B, horizon=T, source_override={(0, 1): base})
-        tb = rollout(system, root, lanes=B, horizon=T, source_override={(0, 1): pert})
-        for tr_a, tr_b in ((ta.repro[(0, 1)], tb.repro[(0, 1)]),
-                           (ta.medium_inputs, tb.medium_inputs)):
-            assert np.array_equal(tr_a[..., : t_hit + 1, :], tr_b[..., : t_hit + 1, :])
-        # and the perturbation does eventually propagate
-        assert not np.array_equal(ta.repro[(0, 1)], tb.repro[(0, 1)])
+    @pytest.mark.parametrize("name", CAUSALITY_SYSTEMS)
+    def test_causality_source_perturbation(self, name):
+        # flipping x at step t_hit must not change anything at steps <= t_hit
+        system = golden_system(name)
+        pair = system.pair_of_interest
+        sender = system.modem_for(pair[0])
+        flipped = system.with_modems(
+            [FlippedSource(m, pair, T_HIT) if m is sender else m for m in system.modems]
+        )
+        seeds = RandomnessHandle(5).derive("causality", name)
+        ta = rollout(system, seeds, lanes=3, horizon=300)
+        tb = rollout(flipped, seeds, lanes=3, horizon=300)
+        first = {"medium_inputs": first_change(ta.medium_inputs, tb.medium_inputs, axis=(0, 2))}
+        for key in ta.link_outputs:
+            first[f"link {key}"] = first_change(ta.link_outputs[key], tb.link_outputs[key])
+        for key in ta.repro:
+            first[f"repro {key}"] = first_change(ta.repro[key], tb.repro[key])
+        assert all(t > T_HIT for t in first.values()), first
+        # the flip does reach the receiver, and an uncoded pair's repro
+        # changes exactly one end-to-end latency later
+        if is_separated(system, pair):
+            assert first[f"repro {pair}"] < 300
+        else:
+            assert first[f"repro {pair}"] == T_HIT + system.latency_map[pair]
 
     def test_pair_stream_independence(self, root):
         medium = DmcMedium(

@@ -29,7 +29,6 @@ from sepnet.separation import (
     apply_separation,
     is_separated,
     measure_end_to_end,
-    network_block_channel,
     plan_separation,
     separate_network,
     verify_noninterference,
@@ -433,14 +432,3 @@ class TestSeparateNetwork:
                 root.derive("fin", *target.pair),
             )
             assert rep.epsilon_hat <= 0.12
-
-
-class TestNetworkBlockChannel:
-    def test_adapter_reproduces_link_noise(self, root, hamming2, fair_coin):
-        system = single_link_system(0.11, block_length=32)
-        chan = network_block_channel(system, (0, 1), root.derive("ad"))
-        blocks = np.zeros((400, 32), dtype=np.int8)
-        received = chan(blocks, None)
-        assert received.shape == (400, 32)
-        flip = float(received.mean())
-        assert abs(flip - 0.11) <= 0.02

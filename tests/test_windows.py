@@ -1,7 +1,8 @@
 """The rollout engine steps windows of steps; the result must not depend on
 the window. One step per window is the reference: every component then
 reads only values from earlier windows. A system whose user/link graph has
-a cycle must fall back to it."""
+a cycle must fall back to it. A window is ``WINDOW_LANE_STEPS // lanes``
+steps, so the tests pick one by setting ``WINDOW_LANE_STEPS``."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from sepnet.netmodel import (
     ForwardRelayModem,
     NetworkSystem,
     PassthroughModem,
-    _rollout,
     _schedule,
     rollout,
 )
@@ -34,29 +34,38 @@ SYSTEMS = [
 ]
 
 
-def run(system, lanes, horizon, window=None):
-    return trajectory_digests(
-        _rollout(system, RandomnessHandle(11).derive("windows"), lanes, horizon, None,
-                 window=window)
-    )
+@pytest.fixture
+def run(monkeypatch):
+    """Digests of a rollout whose windows are ``window_steps`` steps (default:
+    the engine's own choice)."""
+    default = netmodel.WINDOW_LANE_STEPS
+
+    def run(system, lanes, horizon, window_steps=None):
+        budget = default if window_steps is None else window_steps * lanes
+        monkeypatch.setattr(netmodel, "WINDOW_LANE_STEPS", budget)
+        return trajectory_digests(
+            rollout(system, RandomnessHandle(11).derive("windows"), lanes, horizon=horizon)
+        )
+
+    return run
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_window_does_not_change_the_rollout(name):
+def test_window_does_not_change_the_rollout(name, run):
     system = golden_system(name)
     assert _schedule(system) is not None
-    one = run(system, 3, 300, window=1)
-    assert run(system, 3, 300, window=7) == one
-    assert run(system, 3, 300, window=300) == one
+    one = run(system, 3, 300, window_steps=1)
+    assert run(system, 3, 300, window_steps=7) == one
+    assert run(system, 3, 300, window_steps=300) == one
     assert run(system, 3, 300) == one
 
 
 @pytest.mark.parametrize("name", ["single_bsc", "separated_argmin"])
-def test_wide_rollout_is_cut_into_windows(name):
+def test_wide_rollout_is_cut_into_windows(name, run):
     # at this many lanes the default window is 64 steps, so 300 steps take five
     lanes = netmodel.WINDOW_LANE_STEPS // 64
     system = golden_system(name)
-    assert run(system, lanes, 300) == run(system, lanes, 300, window=1)
+    assert run(system, lanes, 300) == run(system, lanes, 300, window_steps=1)
 
 
 def echo_system(flip):
@@ -82,6 +91,6 @@ def test_cycle_falls_back_to_one_step_windows():
     assert np.array_equal(traj.repro[(1, 0)][5:], traj.sources[(0, 1)][:-5])
 
 
-def test_cycle_rollout_ignores_a_requested_window():
+def test_cycle_rollout_ignores_a_requested_window(run):
     system = echo_system(0.11)
-    assert run(system, 4, 200, window=50) == run(system, 4, 200, window=1)
+    assert run(system, 4, 200, window_steps=50) == run(system, 4, 200, window_steps=1)
