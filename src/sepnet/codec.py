@@ -12,9 +12,11 @@ Two constructions share the Codebook type:
 Codebooks are never serialized. Encoder and decoder share the common
 randomness (pmf, n, cardinality, seed) of a codebook, and ``from_spec``
 draws the identical entries anew from it. Within one process the encoder
-and decoder of a pair simply hold the same entries. Generation is
-prefix-stable: the first m rows of a draw are the draw of m rows, so
-``prefix(m)`` is a codebook of its own that shares the table.
+and decoder of a pair simply hold the same entries. A table is one
+``sample_iid_array`` draw of cardinality * n symbols, row by row, which
+``probcore`` shares out over its worker pool. Generation is prefix-stable:
+the first m rows of a draw are the draw of m rows, so ``prefix(m)`` is a
+codebook of its own that shares the table.
 
 Codeword search (nearest row, unique row within D) runs over every row
 of a codebook, batched over blocks; it is exact, and ties go to the
@@ -24,7 +26,9 @@ built once and cached; smaller ones are scanned. The hash cuts a word into
 s substrings and probes them one at a time, radius r by radius; after
 substring k is probed at radius r, every row within distance s*r + k has
 been found, so a search stops at the first probe whose bound covers its
-answer.
+answer. A search cuts its words into shares of _QUERY_GROUP; a large one
+runs them on ``probcore``'s worker pool. Each word's answer depends on
+that word alone, so the rows found do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probcore import Pmf, RandomnessHandle, sample_iid_array
+from .probcore import Pmf, RandomnessHandle, _run_shares, sample_iid_array
 from .ratedist import DistortionMetric, RdPoint
 
 __all__ = [
@@ -54,16 +58,17 @@ __all__ = [
 
 # Desk-scale ceiling on the rows of any codebook.
 CARDINALITY_CAP = 1 << 20
-# Codebooks are drawn this many symbols at a time.
-GEN_CHUNK_SYMBOLS = 1 << 22
 # Binary Hamming searches over at least this many rows use the multi-index
 # hash; smaller ones scan every row.
 INDEX_MIN_ROWS = 1 << 16
 _SUBSTRING_BITS = 16      # log2 INDEX_MIN_ROWS: about one row per bucket or more
 _SCAN_BLOCK = 1 << 17     # elements of one (lanes, rows) scan block
-_PROBE_BLOCK = 1 << 20    # candidates compared at once by the index
+_PROBE_BLOCK = 1 << 18    # candidates compared at once by the index
 _PROBE_COST = 16          # one probed candidate costs about this many scanned rows
-_INDEX_QUERIES = 1 << 11  # words per pass through the index; its probe arrays grow with them
+_QUERY_GROUP = 1 << 9     # words per share of a search; the index's probe arrays grow with them
+# A search of at least this many (word, row) pairs sends its shares to the
+# worker pool; a smaller one runs them on the calling thread.
+_POOL_COMPARISONS = 1 << 24
 
 CHANNEL_EMBEDDING = "channel-embedding"
 SOURCE_COMPRESSION = "source-compression"
@@ -209,14 +214,8 @@ class Codebook:
                 f"cardinality {cardinality} exceeds cap {CARDINALITY_CAP}; "
                 f"use a smaller n * rate product"
             )
-        # chunks of one generator's stream reproduce a single draw exactly,
-        # without the whole table's float64 uniforms at once
-        entries = np.empty((cardinality, n), dtype=gen_pmf.alphabet.dtype)
-        gen = common_seed.generator()
-        rows = max(1, GEN_CHUNK_SYMBOLS // max(n, 1))
-        for a in range(0, cardinality, rows):
-            b = min(a + rows, cardinality)
-            entries[a:b] = sample_iid_array(gen_pmf, (b - a) * n, gen).reshape(b - a, n)
+        entries = sample_iid_array(gen_pmf, cardinality * n, common_seed.generator())
+        entries = entries.reshape(cardinality, n)
         entries.flags.writeable = False
         return cls(kind, n, cardinality, gen_pmf, common_seed, entries)
 
@@ -297,6 +296,22 @@ def _scan_distances(packed: np.ndarray, words: np.ndarray):
     step = max(1, _SCAN_BLOCK // max(len(packed), 1))
     for a in range(0, len(words), step):
         yield a, np.bitwise_count(words[a : a + step, None] ^ packed[None, :])
+
+
+def _by_shares(search, words: np.ndarray, rows: int):
+    """``search(words)`` over shares of _QUERY_GROUP words, joined. The
+    shares go to the worker pool when the words meet at least
+    _POOL_COMPARISONS (word, row) pairs over ``rows`` rows. Each word's
+    answer depends on that word alone, so the split changes no result."""
+    starts = range(0, max(len(words), 1), _QUERY_GROUP)  # one share for no words
+    shares = [(words[a : a + _QUERY_GROUP],) for a in starts]
+    if len(words) * rows >= _POOL_COMPARISONS:
+        found = _run_shares(search, shares)
+    else:
+        found = [search(*share) for share in shares]
+    if isinstance(found[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*found))
+    return np.concatenate(found)
 
 
 def _scan_nearest(packed: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,12 +444,7 @@ class _HammingIndex:
 
     def nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest row and its distance per word; ties to the lowest row."""
-        rows = np.empty(len(words), dtype=np.int64)
-        dist = np.empty(len(words), dtype=np.int64)
-        for a in range(0, len(words), _INDEX_QUERIES):
-            part = slice(a, a + _INDEX_QUERIES)
-            rows[part], dist[part] = self._nearest(words[part])
-        return rows, dist
+        return _by_shares(self._nearest, words, self.m)
 
     def _nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         best = np.full(len(words), np.iinfo(np.int64).max)  # distance << 32 | row
@@ -468,11 +478,7 @@ class _HammingIndex:
     def within(self, words: np.ndarray, thresh: int) -> np.ndarray:
         """Unique row within distance ``thresh`` per word, else NONE_WITHIN
         or AMBIGUOUS."""
-        out = np.empty(len(words), dtype=np.int64)
-        for a in range(0, len(words), _INDEX_QUERIES):
-            part = slice(a, a + _INDEX_QUERIES)
-            out[part] = self._within(words[part], thresh)
-        return out
+        return _by_shares(functools.partial(self._within, thresh=thresh), words, self.m)
 
     def _within(self, words: np.ndarray, thresh: int) -> np.ndarray:
         low = np.full(len(words), self.m, dtype=np.int64)
@@ -526,7 +532,8 @@ def batch_min_distortion_rows(
         if codebook.cardinality >= INDEX_MIN_ROWS:
             rows, dist = codebook._hamming_index().nearest(words)
         else:
-            rows, dist = _scan_nearest(packed, words)
+            scan = functools.partial(_scan_nearest, packed)
+            rows, dist = _by_shares(scan, words, len(packed))
         return rows, dist * (scale / codebook.n)
     best_idx = np.empty(len(blocks), dtype=np.int64)
     best_avg = np.empty(len(blocks), dtype=np.float64)
@@ -557,7 +564,8 @@ def batch_unique_within_decode(
         thresh = math.floor(level * codebook.n / scale + 1e-12)
         if codebook.cardinality >= INDEX_MIN_ROWS:
             return codebook._hamming_index().within(words, thresh)
-        return _scan_within(packed, words, thresh)
+        scan = functools.partial(_scan_within, packed, thresh=thresh)
+        return _by_shares(scan, words, len(packed))
     out = np.empty(len(blocks), dtype=np.int64)
     for i, avg in enumerate(_gathered_distortions(codebook, blocks, metric)):
         hits = np.flatnonzero(avg <= level + 0.0)

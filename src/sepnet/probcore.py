@@ -10,11 +10,29 @@ so the values are the same bits. It is the only place in the package that
 imports scipy, and it does so on first use: most commands never compute a
 p-value, and importing scipy at start-up would cost them most of their
 start-up time.
+
+Large draws use every CPU the process may run on. Philox is counter-based
+(Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2,
+3", SC 2011): four 64-bit words come from each counter value, so a copy of
+a generator moved ahead by counter draws any slice of its stream on its
+own. ``sample_iid_array`` cuts a Philox draw of at least two
+``SAMPLE_SLICE``-symbol slices into one contiguous share per worker; each
+share draws from its own copy and maps uniforms to symbols one slice at a
+time, and the caller's generator ends where a sequential draw would leave
+it. Codeword search (``codec``) shares its queries out on the same pool.
+The pool is module-private, started on first use, one thread per CPU in
+the process's affinity mask (at most ``_MAX_WORKERS``); work already on a
+worker thread runs inline rather than waiting on the pool. Every result is
+the same, draw for draw and row for row, whatever the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +55,48 @@ PMF_SUM_TOL = 1e-12
 PMF_RENORM_TOL = 1e-9
 
 _MASK64 = (1 << 64) - 1
+
+# Symbols a share maps from uniforms at a time; a multiple of Philox's
+# four-word block, and small enough that its uniforms stay in cache.
+SAMPLE_SLICE = 1 << 16
+# Ceiling on the worker pool's threads.
+_MAX_WORKERS = 4
+
+_pool = None  # the worker pool, started on first use
+_pool_lock = threading.Lock()
+_on_worker = threading.local()
+
+
+@functools.cache
+def _worker_count() -> int:
+    """Threads the pool runs: the CPUs this process may use, capped."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+    return min(os.cpu_count() or 1, _MAX_WORKERS)
+
+
+def _mark_worker() -> None:
+    _on_worker.active = True
+
+
+def _run_shares(fn, shares) -> list:
+    """``[fn(*share) for share in shares]``, the calls spread over the worker
+    pool. With one worker, one share, or when called from a worker thread
+    (which must not wait on its own pool), the calls run here in order."""
+    shares = list(shares)
+    if len(shares) < 2 or _worker_count() < 2 or getattr(_on_worker, "active", False):
+        return [fn(*share) for share in shares]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: start-up would otherwise pay for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                _worker_count(), thread_name_prefix="sepnet", initializer=_mark_worker
+            )
+    futures = [_pool.submit(fn, *share) for share in shares]
+    return [f.result() for f in futures]
 
 
 class AlphabetMismatchError(ValueError):
@@ -172,9 +232,49 @@ def sample_iid(pmf: Pmf, n: int, rng: RandomnessHandle) -> Sequence:
 
 
 def sample_iid_array(pmf: Pmf, n: int, gen: np.random.Generator) -> np.ndarray:
-    """Array-returning i.i.d. sampler advancing an existing generator."""
-    u = gen.random(n)
-    return _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, u, pmf.alphabet.dtype)
+    """Array-returning i.i.d. sampler advancing an existing generator.
+
+    Draw for draw the result is ``_sample_indexed(cum, 0, gen.random(n))``
+    and ``gen`` ends in the state that draw leaves. A Philox draw of at
+    least two slices is shared out over the worker pool: the words still
+    buffered in ``gen`` come first, then each share draws its run of
+    four-word blocks from a copy of ``gen`` advanced to it, and ``gen``
+    itself skips those blocks and draws the tail of fewer than four words.
+    """
+    cum = _row_cumsum(pmf.probs)[None, :]
+    dtype = pmf.alphabet.dtype
+    bitgen = getattr(gen, "bit_generator", None)
+    if n < 2 * SAMPLE_SLICE or not isinstance(bitgen, np.random.Philox):
+        return _sample_indexed(cum, 0, gen.random(n), dtype)
+    out = np.empty(n, dtype=dtype)
+    start = bitgen.state
+    head = 4 - start["buffer_pos"]
+    _sample_indexed(cum, 0, gen.random(head), dtype, out=out[:head])
+    blocks = (n - head) // 4
+    workers = _worker_count()
+    cuts = [head + 4 * (blocks * k // workers) for k in range(workers + 1)]
+    draw = functools.partial(_draw_share, cum, start["state"]["counter"], start["state"]["key"])
+    _run_shares(draw, [(a - head, out[a:b]) for a, b in itertools.pairwise(cuts) if a < b])
+    bitgen.advance(blocks)
+    tail = cuts[-1]
+    _sample_indexed(cum, 0, gen.random(n - tail), dtype, out=out[tail:])
+    # advancing drops the half-used 32-bit word a sequential draw keeps
+    end = bitgen.state
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    bitgen.state = end
+    return out
+
+
+def _draw_share(cum: np.ndarray, counter, key, offset: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the symbols of the stream's words from ``offset``
+    (a multiple of 4) on, counted from the block after ``counter``; one
+    slice of uniforms at a time."""
+    gen = np.random.Generator(np.random.Philox(counter=counter, key=key).advance(offset // 4))
+    u = np.empty(min(SAMPLE_SLICE, len(out)))
+    for a in range(0, len(out), SAMPLE_SLICE):
+        part = out[a : a + SAMPLE_SLICE]
+        gen.random(out=u[: len(part)])
+        _sample_indexed(cum, 0, u[: len(part)], out.dtype, out=part)
 
 
 def _row_cumsum(mat: np.ndarray) -> np.ndarray:
@@ -183,10 +283,11 @@ def _row_cumsum(mat: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _sample_indexed(cum: np.ndarray, idx, u: np.ndarray, dtype) -> np.ndarray:
+def _sample_indexed(cum: np.ndarray, idx, u: np.ndarray, dtype, out=None) -> np.ndarray:
     """One symbol per uniform in ``u``, drawn from row ``idx`` of the
     cumulative table ``cum`` (rows, K): the number of columns k < K-1 with
-    ``u >= cum[idx, k]``, read by one ``take`` per column.
+    ``u >= cum[idx, k]``, read by one ``take`` per column. The symbols go
+    to ``out`` (of ``dtype`` and the shape of ``u``) when it is given.
 
     ``idx`` has the shape of ``u``. Draw for draw this equals gathering the
     rows and counting ``rows <= u``, since ``_row_cumsum`` pins the last
@@ -194,9 +295,15 @@ def _sample_indexed(cum: np.ndarray, idx, u: np.ndarray, dtype) -> np.ndarray:
     """
     size = cum.shape[-1]
     if size == 1:
-        return np.zeros(u.shape, dtype=dtype)
-    # a bool array is 0/1 bytes, so the first column's hits are its counts
-    out = (u >= cum[:, 0].take(idx)).view(np.int8).astype(dtype, copy=False)
+        if out is None:
+            return np.zeros(u.shape, dtype=dtype)
+        out.fill(0)
+        return out
+    if out is None:
+        # a bool array is 0/1 bytes, so the first column's hits are its counts
+        out = (u >= cum[:, 0].take(idx)).view(np.int8).astype(dtype, copy=False)
+    else:
+        np.greater_equal(u, cum[:, 0].take(idx), out=out)
     for k in range(1, size - 1):
         out += u >= cum[:, k].take(idx)
     return out

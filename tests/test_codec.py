@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom, chisquare
+from scipy.stats import chisquare
 
 from sepnet.codec import (
     AMBIGUOUS,
@@ -20,7 +20,7 @@ from sepnet.codec import (
     zipf_message_pmf,
 )
 from sepnet.probcore import Pmf
-from sepnet.ratedist import DistortionMetric, blahut_arimoto, hamming_metric
+from sepnet.ratedist import blahut_arimoto, hamming_metric
 
 R_125 = 0.4564355568004036   # R(0.125), binary uniform + Hamming
 R_200 = 0.2780719051126377   # R(0.2)

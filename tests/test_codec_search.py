@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepnet import codec
+from sepnet import codec, probcore
 from sepnet.codec import (
     AMBIGUOUS,
     INDEX_MIN_ROWS,
@@ -20,7 +20,7 @@ from sepnet.codec import (
     batch_min_distortion_rows,
     batch_unique_within_decode,
 )
-from sepnet.probcore import Pmf, RandomnessHandle, sample_iid_array
+from sepnet.probcore import Pmf, RandomnessHandle, _row_cumsum, _sample_indexed
 from sepnet.ratedist import hamming_metric
 
 METRIC = hamming_metric(2)
@@ -64,7 +64,7 @@ def search_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=search_cases(), budget=st.sampled_from([0, 6, 10**9]),
-       queries=st.sampled_from([2, codec._INDEX_QUERIES]))
+       queries=st.sampled_from([2, codec._QUERY_GROUP]))
 def test_index_matches_bruteforce(case, budget, queries):
     # budget 0 scans every lane, 10**9 never does, 6 mixes the two; two
     # words per pass through the index splits most batches
@@ -74,7 +74,7 @@ def test_index_matches_bruteforce(case, budget, queries):
     index = codec._HammingIndex(codec._pack_bits(entries), entries.shape[1])
     index.budget = budget
     words = codec._pack_bits(blocks)
-    with mock.patch.object(codec, "_INDEX_QUERIES", queries):
+    with mock.patch.object(codec, "_QUERY_GROUP", queries):
         rows, dist = index.nearest(words)
         within = index.within(words, thresh)
     assert np.array_equal(rows, d.argmin(axis=1))
@@ -157,27 +157,37 @@ def test_both_sides_of_the_index_threshold(m):
     assert codes[0] == AMBIGUOUS and NONE_WITHIN in codes and (codes >= 0).any()
 
 
+def sequential_draw(pmf, n, gen):
+    """The sampler's definition: n uniforms in one call, mapped to symbols."""
+    return _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, gen.random(n), pmf.alphabet.dtype)
+
+
 @pytest.mark.parametrize(
-    "probs, n, m, chunk",
+    "probs, n, m, slice_",
     [([0.3, 0.7], 7, 61, 100), ([1 / 3] * 3, 12, 40, 100), ([0.5, 0.5], 200, 3, 100),
      ([0.5, 0.5], 64, 70_000, None)],
 )
-def test_chunked_generation_equals_one_shot(monkeypatch, root, probs, n, m, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(codec, "GEN_CHUNK_SYMBOLS", chunk)
+def test_chunked_generation_equals_one_shot(monkeypatch, root, probs, n, m, slice_):
+    # with 100-symbol slices every table here is drawn in shares
+    if slice_ is not None:
+        monkeypatch.setattr(probcore, "SAMPLE_SLICE", slice_)
     pmf = Pmf.from_probs(probs)
     handle = root.derive("chunked", n, m)
     cb = Codebook.generate("source-compression", pmf, n, m, handle)
-    one_shot = sample_iid_array(pmf, n * m, handle.generator()).reshape(m, n)
+    one_shot = sequential_draw(pmf, n * m, handle.generator()).reshape(m, n)
     assert np.array_equal(cb.entries, one_shot)
     assert not cb.entries.flags.writeable
 
 
 @pytest.mark.parametrize("probs", [[0.3, 0.7], [0.2, 0.3, 0.5]])
 def test_prefix_regenerates_from_its_spec(monkeypatch, root, probs):
-    # 14 rows per 100-symbol chunk: the 30-row prefix ends inside the third
-    monkeypatch.setattr(codec, "GEN_CHUNK_SYMBOLS", 100)
-    cb = Codebook.generate("channel-embedding", Pmf.from_probs(probs), 7, 61, root.derive("pre"))
+    # 100-symbol slices: the 61-row table is drawn in shares, the 30-row
+    # prefix (210 symbols) ends inside its third slice
+    monkeypatch.setattr(probcore, "SAMPLE_SLICE", 100)
+    pmf = Pmf.from_probs(probs)
+    handle = root.derive("pre")
+    cb = Codebook.generate("channel-embedding", pmf, 7, 61, handle)
+    assert np.array_equal(cb.entries, sequential_draw(pmf, 7 * 61, handle.generator()).reshape(61, 7))
     prefix = cb.prefix(30)
     assert prefix.cardinality == len(prefix.entries) == 30
     assert np.shares_memory(prefix.entries, cb.entries)
@@ -192,3 +202,26 @@ def test_cap_applies_to_regeneration(monkeypatch, root):
     monkeypatch.setattr(codec, "CARDINALITY_CAP", 299)
     with pytest.raises(CodebookCapError):
         Codebook.from_spec(cb.spec())
+
+
+@pytest.mark.parametrize("m", [INDEX_MIN_ROWS - 1, INDEX_MIN_ROWS + 5])
+def test_pooled_search_equals_one_worker(m):
+    # 600 words over at least 2^16 rows: over _POOL_COMPARISONS, so their
+    # shares go to the pool; the random words go over the index's budget
+    # and fall back to the scan from a worker thread
+    assert 600 * m >= codec._POOL_COMPARISONS
+    g = np.random.default_rng(m)
+    entries = g.integers(0, 2, (m, 64), dtype=np.int8)
+    cb = hand_codebook(entries)
+    noise = (g.random((300, 64)) < 0.08).astype(np.int8)
+    blocks = np.concatenate([entries[g.integers(0, m, 300)] ^ noise,
+                             g.integers(0, 2, (300, 64), dtype=np.int8)])
+    found = {}
+    for workers in (1, max(2, probcore._worker_count())):
+        with mock.patch.object(probcore, "_worker_count", lambda: workers):
+            rows, avg = batch_min_distortion_rows(cb, blocks, METRIC)
+            codes = batch_unique_within_decode(cb, blocks, METRIC, 0.125)
+        found[workers] = rows, avg, codes
+    (rows, avg, codes), pooled = found.values()
+    assert all(np.array_equal(a, b) for a, b in zip((rows, avg, codes), pooled))
+    assert (codes >= 0).any() and (codes == NONE_WITHIN).any()

@@ -1,14 +1,16 @@
-"""Every name a sepnet module imports is used there (or re-exported in
-``__all__``), and scipy is imported in one place only. Checked with the
-standard library's ``ast``. The package's ``__init__`` is left out of the
-unused-import check: its imports are the package's public names."""
+"""Every name a sepnet module or a test file imports is used there (or
+re-exported in ``__all__``), and scipy is imported in one place only.
+Checked with the standard library's ``ast``. The package's ``__init__`` is
+left out of the unused-import check: its imports are the package's public
+names."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sepnet"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sepnet"
 
 
 def _annotation_strings(tree):
@@ -53,13 +55,15 @@ def unused_imports(source: str) -> list[str]:
 
 
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"codec.py", "harness.py", "separation.py"}
+    assert {p.name for p in TEST_FILES} >= {"conftest.py", "test_codec.py", "test_imports.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -20,7 +20,7 @@ from sepnet.netmodel import (
     rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
-from sepnet.ratedist import DistortionBudget, hamming_metric
+from sepnet.ratedist import DistortionBudget
 from sepnet.separation import _block_distortions, is_separated, measure_end_to_end
 
 

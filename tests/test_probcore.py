@@ -1,10 +1,15 @@
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, chisquare
 
+from sepnet import probcore
 from sepnet.probcore import (
+    SAMPLE_SLICE,
     Alphabet,
     AlphabetMismatchError,
     Pmf,
@@ -15,6 +20,7 @@ from sepnet.probcore import (
     sample_iid_array,
     _goodness_of_fit_p,
     _row_cumsum,
+    _run_shares,
     _sample_indexed,
     two_sample_test,
     wilson_half_width,
@@ -133,6 +139,71 @@ def test_iid_sampler_equals_threshold_search(probs, root):
     out = sample_iid_array(pmf, len(u), _FixedUniforms(u))
     assert out.dtype == pmf.alphabet.dtype
     assert np.array_equal(out, reference)
+
+
+def _two_slices_and_about():
+    two = 2 * SAMPLE_SLICE
+    return st.integers(two - 5, two + 5) | st.integers(two, 5 * SAMPLE_SLICE + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from([1, 2, 3, 200]), n=_two_slices_and_about(),
+       pending=st.booleans(), used=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
+       one_worker=st.booleans())
+def test_shared_draw_equals_sequential_draw(size, n, pending, used, seed, one_worker):
+    # buffered words 0-3 (``used`` doubles drawn before), a half-used 32-bit
+    # word or none, and n below, at and above two slices, not only
+    # multiples of 4; with the pool's workers and with one
+    pmf = Pmf.from_probs(np.random.default_rng(seed).dirichlet(np.ones(size)))
+    gens = [RandomnessHandle(seed).generator() for _ in range(2)]
+    for gen in gens:
+        if pending:
+            gen.integers(0, 2**32, dtype=np.uint32)
+        gen.random(used)
+    shared, sequential = gens
+    workers = 1 if one_worker else max(2, probcore._worker_count())
+    with mock.patch.object(probcore, "_worker_count", lambda: workers):
+        out = sample_iid_array(pmf, n, shared)
+    reference = _sample_indexed(
+        _row_cumsum(pmf.probs)[None, :], 0, sequential.random(n), pmf.alphabet.dtype
+    )
+    assert out.dtype == reference.dtype == pmf.alphabet.dtype
+    assert np.array_equal(out, reference)
+    # the generator is left where the sequential draw leaves it
+    assert _live_state(shared) == _live_state(sequential)
+    for _ in range(2):
+        assert np.array_equal(shared.integers(0, 2**32, 3, dtype=np.uint32),
+                              sequential.integers(0, 2**32, 3, dtype=np.uint32))
+        assert np.array_equal(shared.random(9), sequential.random(9))
+
+
+def _live_state(gen):
+    """A Philox generator's state without the words it has already used."""
+    state = gen.bit_generator.state
+    pos = state["buffer_pos"]
+    return (state["state"]["counter"].tolist(), pos, state["buffer"][pos:].tolist(),
+            state["has_uint32"], state["uinteger"])
+
+
+def test_a_worker_runs_its_own_shares_inline():
+    # every worker busy with an outer share that shares out again: waiting
+    # on the pool from a worker would never return
+    def outer(k):
+        return sum(_run_shares(lambda j: (k, j, threading.current_thread().name), [(0,), (1,)]),
+                   ())
+
+    result = []
+    with mock.patch.object(probcore, "_worker_count", lambda: 2):
+        caller = threading.Thread(
+            target=lambda: result.append(_run_shares(outer, [(k,) for k in range(4)])),
+            daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+    assert not caller.is_alive()
+    (shares,) = result
+    assert [s[:2] + s[3:5] for s in shares] == [(k, 0, k, 1) for k in range(4)]
+    # each outer share and its inner ones ran on the same worker thread
+    assert all(s[2] == s[5] and s[2].startswith("sepnet") for s in shares)
 
 
 class TestTwoSampleTest:

@@ -16,9 +16,9 @@ from sepnet.netmodel import (
     rollout,
 )
 from sepnet.harness import _PoisonMedium
-from sepnet.probcore import Pmf, RandomnessHandle
+from sepnet.probcore import Pmf
 from sepnet import separation
-from sepnet.ratedist import DistortionBudget, hamming_metric
+from sepnet.ratedist import DistortionBudget
 from sepnet.separation import (
     GuaranteeReport,
     PairTarget,

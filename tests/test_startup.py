@@ -1,5 +1,6 @@
 """Start-up contract: scipy is loaded only when a chi-square p-value is
-computed. Checked in a fresh interpreter, since this test process has
+computed, and the worker pool's ``concurrent.futures`` only when work is
+shared out. Checked in a fresh interpreter, since this test process has
 already imported ``scipy.stats`` through other test modules."""
 
 import json
@@ -23,6 +24,7 @@ def scipy_modules():
 stages = {}
 import sepnet.cli
 stages["import sepnet.cli"] = scipy_modules()
+stages["pool at import"] = "concurrent.futures" in sys.modules
 
 from sepnet.harness import ExperimentConfig, cmd_baseline, cmd_rd, cmd_separate
 with open(sys.argv[1]) as f:
@@ -63,3 +65,7 @@ def test_a_p_value_loads_scipy_special_and_not_scipy_stats(fresh_run):
     loaded = fresh_run["chi_square_homogeneity"]
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_import_loads_no_worker_pool(fresh_run):
+    assert fresh_run["pool at import"] is False
