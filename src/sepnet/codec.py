@@ -11,24 +11,30 @@ Two constructions share the Codebook type:
 
 Codebooks are never serialized. Encoder and decoder share the common
 randomness (pmf, n, cardinality, seed) of a codebook, and ``from_spec``
-draws the identical entries anew from it. Within one process the encoder
-and decoder of a pair simply hold the same entries. A table is one
+draws the identical rows anew from it. Within one process the encoder
+and decoder of a pair simply hold the same codebook. A codebook is one
 ``sample_iid_array`` draw of cardinality * n symbols, row by row, which
-``probcore`` shares out over its worker pool. Generation is prefix-stable:
-the first m rows of a draw are the draw of m rows, so ``prefix(m)`` is a
-codebook of its own that shares the table.
+``probcore`` shares out over its worker pool. A binary codebook with
+n <= 64 is drawn straight into packed words, one uint64 per row, and is
+stored as nothing else: ``rows`` unpacks only the codewords a caller
+gathers. Other codebooks store their symbol table. Generation is
+prefix-stable: the first m rows of a draw are the draw of m rows, so
+``prefix(m)`` is a codebook of its own that shares the storage, and a
+channel codebook draws only the rows that carry messages.
 
 Codeword search (nearest row, unique row within D) runs over every row
 of a codebook, batched over blocks; it is exact, and ties go to the
-lowest row index. Binary Hamming searches compare bit-packed rows: a
-codebook of at least INDEX_MIN_ROWS = 2^16 rows gets a multi-index hash,
-built once and cached; smaller ones are scanned. The hash cuts a word into
-s substrings and probes them one at a time, radius r by radius; after
-substring k is probed at radius r, every row within distance s*r + k has
-been found, so a search stops at the first probe whose bound covers its
-answer. A search cuts its words into shares of _QUERY_GROUP; a large one
-runs them on ``probcore``'s worker pool. Each word's answer depends on
-that word alone, so the rows found do not depend on the worker count.
+lowest row index. Binary Hamming searches compare the packed words with
+the query blocks, packed per search: a codebook of at least
+INDEX_MIN_ROWS = 2^16 rows gets a multi-index hash, built once (its
+substrings' tables on the worker pool) and cached; smaller ones are
+scanned. The hash cuts a word into s substrings and probes them one at a
+time, radius r by radius; after substring k is probed at radius r, every
+row within distance s*r + k has been found, so a search stops at the
+first probe whose bound covers its answer. A search cuts its words into
+shares of _QUERY_GROUP; a large one runs them on ``probcore``'s worker
+pool. Each word's answer depends on that word alone, so the rows found
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -41,7 +47,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probcore import Pmf, RandomnessHandle, _run_shares, sample_iid_array
+from .probcore import (
+    Pmf,
+    RandomnessHandle,
+    _pack_bits,
+    _run_shares,
+    _unpack_bits,
+    sample_iid_array,
+)
 from .ratedist import DistortionMetric, RdPoint
 
 __all__ = [
@@ -56,7 +69,7 @@ __all__ = [
     "zipf_message_pmf",
 ]
 
-# Desk-scale ceiling on the rows of any codebook.
+# Desk-scale ceiling on the rows drawn for any codebook.
 CARDINALITY_CAP = 1 << 20
 # Binary Hamming searches over at least this many rows use the multi-index
 # hash; smaller ones scan every row.
@@ -185,10 +198,14 @@ class RatePlan:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """cardinality x n symbol table regenerable from its generation spec.
+    """cardinality codewords of n symbols, regenerable from their
+    generation spec.
 
-    The bit-packed rows and the search index are built on first use and
-    kept with the table.
+    ``table`` is what the codebook stores. A binary codebook with n <= 64
+    stores one uint64 word per row, its first symbol in the top bit (a
+    symbol table given to the constructor is packed); any other stores its
+    (cardinality, n) symbol table. ``rows`` gathers codewords as symbols.
+    The search index is built on first use and kept with the table.
     """
 
     kind: str
@@ -196,7 +213,13 @@ class Codebook:
     cardinality: int
     gen_pmf: Pmf
     common_seed: RandomnessHandle
-    entries: np.ndarray = field(repr=False)
+    table: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.table.ndim == 2 and _packs(self.gen_pmf, self.n):
+            words = _pack_bits(self.table)
+            words.flags.writeable = False
+            object.__setattr__(self, "table", words)
 
     @classmethod
     def generate(
@@ -214,13 +237,16 @@ class Codebook:
                 f"cardinality {cardinality} exceeds cap {CARDINALITY_CAP}; "
                 f"use a smaller n * rate product"
             )
-        entries = sample_iid_array(gen_pmf, cardinality * n, common_seed.generator())
-        entries = entries.reshape(cardinality, n)
-        entries.flags.writeable = False
-        return cls(kind, n, cardinality, gen_pmf, common_seed, entries)
+        gen = common_seed.generator()
+        if _packs(gen_pmf, n):
+            table = sample_iid_array(gen_pmf, cardinality * n, gen, packed_row=n)
+        else:
+            table = sample_iid_array(gen_pmf, cardinality * n, gen).reshape(cardinality, n)
+        table.flags.writeable = False
+        return cls(kind, n, cardinality, gen_pmf, common_seed, table)
 
     def spec(self) -> dict:
-        """Everything needed to regenerate the entries bit-exactly."""
+        """Everything needed to regenerate the rows bit-exactly."""
         return {
             "kind": self.kind,
             "n": self.n,
@@ -232,7 +258,7 @@ class Codebook:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "Codebook":
-        """Draw the codebook of a spec anew; its entries equal the original's."""
+        """Draw the codebook of a spec anew; its rows equal the original's."""
         return cls.generate(
             spec["kind"],
             Pmf.from_probs(spec["gen_probs"]),
@@ -242,20 +268,28 @@ class Codebook:
         )
 
     def prefix(self, m: int) -> "Codebook":
-        """The first m rows as a codebook sharing this one's entries; its
+        """The first m rows as a codebook sharing this one's table; its
         spec regenerates exactly those rows."""
         if not 1 <= m <= self.cardinality:
             raise ValueError(f"prefix of {m} rows out of range [1, {self.cardinality}]")
-        return dataclasses.replace(self, cardinality=m, entries=self.entries[:m])
+        return dataclasses.replace(self, cardinality=m, table=self.table[:m])
+
+    def rows(self, idx) -> np.ndarray:
+        """The codewords at ``idx`` (anything that indexes an array) as
+        symbols, shape ``idx``'s shape + (n,)."""
+        if self.table.ndim == 2:
+            return self.table[idx]
+        return _unpack_bits(self.table[idx], self.n)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The whole (cardinality, n) symbol table, unpacked anew for a
+        binary codebook. For inspection; the codec gathers with ``rows``."""
+        return self.rows(slice(None))
 
     def packed(self) -> np.ndarray | None:
-        """Bit-packed rows for the binary fast path (None if not binary)."""
-        cached = getattr(self, "_packed_cache", None)
-        if cached is not None:
-            return cached
-        packed = _pack_bits(self.entries) if _packable(self.entries, self.n) else None
-        object.__setattr__(self, "_packed_cache", packed)
-        return packed
+        """The rows' packed words (None unless the codebook is binary)."""
+        return self.table if self.table.ndim == 1 else None
 
     def _hamming_index(self) -> "_HammingIndex":
         """Multi-index hash over the packed rows, built once."""
@@ -266,18 +300,9 @@ class Codebook:
         return index
 
 
-def _packable(arr: np.ndarray, n: int) -> bool:
-    return n <= 64 and arr.size > 0 and arr.max(initial=0) <= 1
-
-
-def _pack_bits(arr: np.ndarray) -> np.ndarray:
-    """Pack (rows, n<=64) binary symbols into one uint64 word per row."""
-    rows, n = arr.shape
-    padded = np.zeros((rows, 64), dtype=np.uint8)
-    padded[:, :n] = arr
-    return np.ascontiguousarray(
-        np.packbits(padded, axis=1).view(">u8").reshape(rows).astype(np.uint64)
-    )
+def _packs(pmf: Pmf, n: int) -> bool:
+    """Whether a codebook of this law and block length stores packed words."""
+    return len(pmf) <= 2 and n <= 64
 
 
 def _hamming_scale(metric: DistortionMetric) -> float | None:
@@ -348,6 +373,17 @@ def _weight_masks(width: int, r: int) -> np.ndarray:
     return masks
 
 
+def _index_part(packed: np.ndarray, values: np.ndarray, shift: int, width: int):
+    """One substring's part of the index: the rows' keys are ``values``'
+    bits [shift, shift + width); returns (shift, width, bucket offsets,
+    the rows sorted by key, their words in that order)."""
+    keys = ((values >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
+    offsets = np.zeros((1 << width) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=1 << width), out=offsets[1:])
+    return shift, width, offsets, order.astype(np.int32), packed[order]
+
+
 class _HammingIndex:
     """Exact multi-index hash over packed n-bit codewords (Norouzi, Punjani
     & Fleet, CVPR 2012).
@@ -358,7 +394,8 @@ class _HammingIndex:
     exactly r bits from the query's key there. The (r, k) pairs are probed
     in order, one substring at a time, so once substring k is probed at
     radius r, the substrings before it are probed up to r and those after
-    it up to r - 1. A row still unfound differs from the query in at least
+    it up to r - 1. The substrings' tables are built on the worker pool,
+    each on its own. A row still unfound differs from the query in at least
     r + 1 bits on each of substrings 0..k and r on the rest: by pigeonhole,
     every row within distance s*r + k has been found. ``nearest`` stops a
     lane as soon as its best distance is within that bound, ``within``
@@ -373,19 +410,13 @@ class _HammingIndex:
         self.budget = self.m // _PROBE_COST  # lookups + candidates per lane
         self.s = -(-n // _SUBSTRING_BITS)
         base, extra = divmod(n, self.s)
-        values = packed >> np.uint64(64 - n)
-        self.parts = []
-        shift = n
+        cuts, shift = [], n
         for k in range(self.s):
             width = base + (k < extra)
             shift -= width
-            keys = ((values >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(
-                np.uint16
-            )
-            order = np.argsort(keys, kind="stable")
-            offsets = np.zeros((1 << width) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(keys, minlength=1 << width), out=offsets[1:])
-            self.parts.append((shift, width, offsets, order.astype(np.int32), packed[order]))
+            cuts.append((shift, width))
+        build = functools.partial(_index_part, packed, packed >> np.uint64(64 - n))
+        self.parts = _run_shares(build, cuts)
 
     def _schedule(self, words: np.ndarray):
         """Yield (bound, radius, substring, the words' keys on it) in probe
@@ -508,7 +539,7 @@ def _gathered_distortions(
 ):
     """Yield each block's average distortion to every row, by table
     lookup: the search path for metrics the packed rows do not serve."""
-    entries64 = codebook.entries.astype(np.int64)
+    entries64 = codebook.rows(slice(None)).astype(np.int64)
     for block in blocks:
         yield metric.table[entries64, block.astype(np.int64)[None, :]].mean(axis=1)
 
@@ -598,8 +629,14 @@ def build_channel_codebook(
     p_x: Pmf,
     c_seed: RandomnessHandle,
 ) -> Codebook:
-    """Embedding codebook: codewords i.i.d. from the source law itself."""
-    return Codebook.generate(CHANNEL_EMBEDDING, p_x, plan.n, plan.channel_cardinality, c_seed)
+    """Embedding codebook: codewords i.i.d. from the source law itself.
+
+    Only the source coder's messages are ever sent, so only the first
+    min(|Cc|, |Cs|) of the rate plan's |Cc| rows are drawn. Generation is
+    prefix-stable: these are the first rows of the whole |Cc|-row
+    codebook."""
+    rows = min(plan.channel_cardinality, plan.source_cardinality)
+    return Codebook.generate(CHANNEL_EMBEDDING, p_x, plan.n, rows, c_seed)
 
 
 def build_source_codebook(

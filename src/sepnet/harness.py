@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .codec import Codebook, build_channel_codebook, RatePlan, zipf_message_pmf
+from .codec import CHANNEL_EMBEDDING, Codebook, RatePlan, zipf_message_pmf
 from .netmodel import (
     ForwardRelayModem,
     CoupledDmcMedium,
@@ -718,18 +718,20 @@ def _suite_codec(root: RandomnessHandle) -> dict:
     plan = RatePlan.make(n=64, level=0.125, level_prime=0.2,
                          rate_at_level=0.4564355568, rate_at_level_prime=0.2780719051,
                          n_prime=48, psi=0.25, alpha=0.15)
-    cb = build_channel_codebook(plan, pmf, root.derive("cb"))
+    # the whole |Cc|-row codebook, not only the rows a separated pair draws
+    cb = Codebook.generate(CHANNEL_EMBEDDING, pmf, plan.n, plan.channel_cardinality,
+                           root.derive("cb"))
     gen = root.derive("msgs").generator()
     oks = []
     for name, probs in (("uniform", None), ("zipf", zipf_message_pmf(cb.cardinality, 0.5).probs)):
         msgs = gen.choice(cb.cardinality, size=2000, p=probs)
-        pooled = cb.entries[msgs].reshape(-1)
+        pooled = cb.rows(msgs).reshape(-1)
         counts = np.bincount(pooled, minlength=2)
         oks.append(_goodness_of_fit_p(counts, pmf.probs) > 0.01)
     # the regeneration is compared by digest, so one table is held at a time
-    spec, digest = cb.spec(), hashlib.sha256(cb.entries).digest()
+    spec, digest = cb.spec(), hashlib.sha256(cb.packed()).digest()
     del cb
-    regen_ok = hashlib.sha256(Codebook.from_spec(spec).entries).digest() == digest
+    regen_ok = hashlib.sha256(Codebook.from_spec(spec).packed()).digest() == digest
     ok = regen_ok and all(oks)
     return {"ok": ok, "detail": f"regen={regen_ok}, gof pass={oks}"}
 

@@ -19,11 +19,14 @@ own. ``sample_iid_array`` cuts a Philox draw of at least two
 ``SAMPLE_SLICE``-symbol slices into one contiguous share per worker; each
 share draws from its own copy and maps uniforms to symbols one slice at a
 time, and the caller's generator ends where a sequential draw would leave
-it. Codeword search (``codec``) shares its queries out on the same pool.
-The pool is module-private, started on first use, one thread per CPU in
-the process's affinity mask (at most ``_MAX_WORKERS``); work already on a
-worker thread runs inline rather than waiting on the pool. Every result is
-the same, draw for draw and row for row, whatever the worker count.
+it. A binary draw can come back as rows packed into 64-bit words
+(``packed_row``): each slice is packed as it is drawn, and the shares cut
+at row boundaries, so no table of symbols is made. Codeword search
+(``codec``) shares its queries out on the same pool. The pool is
+module-private, started on first use, one thread per CPU in the process's
+affinity mask (at most ``_MAX_WORKERS``); work already on a worker thread
+runs inline rather than waiting on the pool. Every result is the same,
+draw for draw and row for row, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -231,33 +235,55 @@ def sample_iid(pmf: Pmf, n: int, rng: RandomnessHandle) -> Sequence:
     return Sequence(pmf.alphabet, values)
 
 
-def sample_iid_array(pmf: Pmf, n: int, gen: np.random.Generator) -> np.ndarray:
+def sample_iid_array(
+    pmf: Pmf, n: int, gen: np.random.Generator, packed_row: int = 0
+) -> np.ndarray:
     """Array-returning i.i.d. sampler advancing an existing generator.
 
     Draw for draw the result is ``_sample_indexed(cum, 0, gen.random(n))``
-    and ``gen`` ends in the state that draw leaves. A Philox draw of at
-    least two slices is shared out over the worker pool: the words still
-    buffered in ``gen`` come first, then each share draws its run of
-    four-word blocks from a copy of ``gen`` advanced to it, and ``gen``
-    itself skips those blocks and draws the tail of fewer than four words.
+    and ``gen`` ends in the state that draw leaves. With ``packed_row`` =
+    w > 0 (a law on at most two symbols, w <= 64, n a multiple of w) the
+    draw is n / w rows of w symbols and comes back as ``_pack_bits`` of
+    those rows, one uint64 word per row, packed slice by slice: no table
+    of symbols is made.
+
+    A Philox draw of at least two slices is shared out over the worker
+    pool. ``gen`` first draws the rows up to the first row boundary at a
+    four-word block boundary (its buffered words first); each share then
+    draws a run of whole rows and whole blocks from a copy of ``gen``
+    advanced to it, and ``gen`` itself skips those blocks and draws the
+    rows left over.
     """
+    if packed_row and (len(pmf) > 2 or not 1 <= packed_row <= 64 or n % packed_row):
+        raise ValueError(f"cannot pack {n} symbols of a {len(pmf)}-letter law "
+                         f"into rows of {packed_row}")
     cum = _row_cumsum(pmf.probs)[None, :]
-    dtype = pmf.alphabet.dtype
     bitgen = getattr(gen, "bit_generator", None)
-    if n < 2 * SAMPLE_SLICE or not isinstance(bitgen, np.random.Philox):
-        return _sample_indexed(cum, 0, gen.random(n), dtype)
-    out = np.empty(n, dtype=dtype)
+    shared = n >= 2 * SAMPLE_SLICE and isinstance(bitgen, np.random.Philox)
+    if not shared and not packed_row:
+        return _sample_indexed(cum, 0, gen.random(n), pmf.alphabet.dtype)
+    width = max(packed_row, 1)
+    out = np.empty(n // width, dtype=np.uint64 if packed_row else pmf.alphabet.dtype)
+    fill = functools.partial(_fill, cum, packed_row)
+    if not shared:
+        return fill(gen, out)
     start = bitgen.state
-    head = 4 - start["buffer_pos"]
-    _sample_indexed(cum, 0, gen.random(head), dtype, out=out[:head])
-    blocks = (n - head) // 4
+    buffered = 4 - start["buffer_pos"]
+    # rows drawn here so that the shares start on a block boundary
+    head = next((r for r in range(4) if (r * width - buffered) % 4 == 0), None)
+    if head is None:  # no row ends on a block boundary: draw them here in order
+        return fill(gen, out)
+    fill(gen, out[:head])
+    state = bitgen.state["state"]
+    step = 4 // math.gcd(width, 4)  # rows per whole number of blocks
+    groups = (len(out) - head) // step
     workers = _worker_count()
-    cuts = [head + 4 * (blocks * k // workers) for k in range(workers + 1)]
-    draw = functools.partial(_draw_share, cum, start["state"]["counter"], start["state"]["key"])
-    _run_shares(draw, [(a - head, out[a:b]) for a, b in itertools.pairwise(cuts) if a < b])
-    bitgen.advance(blocks)
-    tail = cuts[-1]
-    _sample_indexed(cum, 0, gen.random(n - tail), dtype, out=out[tail:])
+    cuts = [head + step * (groups * k // workers) for k in range(workers + 1)]
+    draw = functools.partial(_draw_share, fill, state["counter"], state["key"])
+    _run_shares(draw, [((a - head) * width // 4, out[a:b])
+                       for a, b in itertools.pairwise(cuts) if a < b])
+    bitgen.advance(groups * step * width // 4)
+    fill(gen, out[cuts[-1]:])
     # advancing drops the half-used 32-bit word a sequential draw keeps
     end = bitgen.state
     end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
@@ -265,16 +291,54 @@ def sample_iid_array(pmf: Pmf, n: int, gen: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _draw_share(cum: np.ndarray, counter, key, offset: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the symbols of the stream's words from ``offset``
-    (a multiple of 4) on, counted from the block after ``counter``; one
-    slice of uniforms at a time."""
-    gen = np.random.Generator(np.random.Philox(counter=counter, key=key).advance(offset // 4))
-    u = np.empty(min(SAMPLE_SLICE, len(out)))
-    for a in range(0, len(out), SAMPLE_SLICE):
-        part = out[a : a + SAMPLE_SLICE]
-        gen.random(out=u[: len(part)])
-        _sample_indexed(cum, 0, u[: len(part)], out.dtype, out=part)
+def _draw_share(fill, counter, key, blocks: int, out: np.ndarray) -> None:
+    """``fill`` ``out`` from the stream's blocks after ``counter`` +
+    ``blocks``."""
+    fill(np.random.Generator(np.random.Philox(counter=counter, key=key).advance(blocks)), out)
+
+
+def _fill(cum: np.ndarray, packed_row: int, gen, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with symbols drawn from ``gen``, or with rows of
+    ``packed_row`` symbols packed into words, one slice of uniforms at a
+    time; returns ``out``."""
+    width = max(packed_row, 1)
+    per = max(1, SAMPLE_SLICE // width)  # rows per slice
+    u = np.empty(min(per, len(out)) * width)
+    syms = np.empty(len(u), dtype=np.uint8) if packed_row else None
+    for a in range(0, len(out), per):
+        part = out[a : a + per]
+        m = len(part) * width
+        gen.random(out=u[:m])
+        if not packed_row:
+            _sample_indexed(cum, 0, u[:m], out.dtype, out=part)
+            continue
+        _sample_indexed(cum, 0, u[:m], np.uint8, out=syms[:m])
+        _pack_bits(syms[:m].reshape(-1, packed_row), out=part)
+    return out
+
+
+def _pack_bits(symbols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pack (rows, n <= 64) binary symbols into one uint64 word per row,
+    the first symbol in the top bit; into ``out`` when it is given."""
+    rows, n = symbols.shape
+    # rows of whole bytes pack fastest as one run
+    width = -(-n // 8)
+    octets = np.packbits(symbols.reshape(-1) if n % 8 == 0 else symbols, axis=-1)
+    padded = np.zeros((rows, 8), dtype=np.uint8)
+    padded[:, :width] = octets.reshape(rows, width)
+    words = padded.view(">u8").reshape(rows)
+    if out is None:
+        return words.astype(np.uint64)
+    out[...] = words
+    return out
+
+
+def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The int8 symbols of packed n-bit words, shape ``words.shape + (n,)``:
+    the inverse of ``_pack_bits``."""
+    words = np.asarray(words)
+    octets = words.reshape(-1).astype(">u8").view(np.uint8).reshape(*words.shape, 8)
+    return np.unpackbits(octets, axis=-1, count=n).view(np.int8)
 
 
 def _row_cumsum(mat: np.ndarray) -> np.ndarray:

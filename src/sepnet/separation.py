@@ -113,8 +113,8 @@ class SeparationPlan:
     """The codec of one separated pair, shared by both of its wrapped
     modems: the rate plan, both codebooks (the common randomness), the
     metric and decode rule, and the latency of the inner modems it wraps.
-    ``channel_cb`` is the sender's whole table; the receiver holds only its
-    message-carrying rows."""
+    ``channel_cb`` holds only the message-carrying rows, the first |Cs| of
+    the rate plan's |Cc|."""
 
     pair: tuple
     rate_plan: RatePlan
@@ -148,7 +148,11 @@ class SeparationPlan:
             **dataclasses.asdict(self.rate_plan),
             "decode_rule": self.decode_rule,
             "source_codebook": self.source_cb.spec(),
-            "channel_codebook": self.channel_cb.spec(),
+            # the rate plan's |Cc|: a spec whose first rows are the drawn ones
+            "channel_codebook": {
+                **self.channel_cb.spec(),
+                "cardinality": self.rate_plan.channel_cardinality,
+            },
             "baseline_epsilon": self.guarantee.epsilon_hat,
         }
 
@@ -213,7 +217,7 @@ class SeparationSendModem(Modem):
             roundtrip = roundtrip.reshape(len(emit), -1)
             for k, tau in enumerate(emit.tolist()):
                 end = min(tau + n, view.horizon)
-                state["virt"][tau:end] = plan.channel_cb.entries[messages[k]].T[: end - tau]
+                state["virt"][tau:end] = plan.channel_cb.rows(messages[k]).T[: end - tau]
                 state["windows"].append(
                     {
                         "window": (tau - npr) // n,
@@ -246,19 +250,16 @@ class SeparationRecvModem(Modem):
     channel block, and emit the source-decoded block as the reproduction.
 
     The decoder shares the encoder's plan, so its codebooks are the common
-    randomness of the pair. Only the first source-cardinality rows of the
-    channel codebook carry messages, so ``channel_cb`` is that prefix of
-    the plan's channel codebook, a view of the same entries, and decoding
-    searches all of its rows. Block w is decoded at step ``plan.latency`` +
-    w*n. All channel blocks whose decode step falls within one rollout
-    window are decoded in one search.
+    randomness of the pair. The plan's channel codebook holds only the
+    rows that carry messages, and decoding searches all of them. Block w
+    is decoded at step ``plan.latency`` + w*n. All channel blocks whose
+    decode step falls within one rollout window are decoded in one search.
     """
 
     def __init__(self, inner: Modem, plan: SeparationPlan):
         self.user = inner.user
         self.inner = inner
         self.plan = plan
-        self.channel_cb = plan.channel_cb.prefix(plan.source_cb.cardinality)
 
     def check_wiring(self, system):
         self.inner.check_wiring(system)
@@ -267,7 +268,7 @@ class SeparationRecvModem(Modem):
         T, B = view.horizon, view.lanes
         view.telemetry["sep_recv"] = {"windows": []}
         return {
-            "ys": np.zeros((T, B), dtype=self.channel_cb.gen_pmf.alphabet.dtype),
+            "ys": np.zeros((T, B), dtype=self.plan.channel_cb.gen_pmf.alphabet.dtype),
             "emit": np.zeros((T, B), dtype=self.plan.source_cb.gen_pmf.alphabet.dtype),
             "inner_state": self.inner.start(view),
             "windows": view.telemetry["sep_recv"]["windows"],
@@ -284,7 +285,7 @@ class SeparationRecvModem(Modem):
         if len(decode):
             # block w was received over [n' + w*n + lat, n' + (w+1)*n + lat)
             codes = _decode_blocks(
-                self.channel_cb,
+                plan.channel_cb,
                 _blocks(state["ys"], decode - n, n),
                 plan.metric,
                 plan.rate_plan.level,
@@ -293,7 +294,7 @@ class SeparationRecvModem(Modem):
             safe = np.clip(codes, 0, plan.source_cb.cardinality - 1)
             for k, tau in enumerate(decode.tolist()):
                 end = min(tau + npr, view.horizon)
-                state["emit"][tau:end] = plan.source_cb.entries[safe[k]].T[: end - tau]
+                state["emit"][tau:end] = plan.source_cb.rows(safe[k]).T[: end - tau]
                 state["windows"].append(
                     {"window": (tau - plan.latency) // n, "decode_tau": tau, "codes": codes[k]}
                 )

@@ -1,0 +1,139 @@
+"""Binary codebooks are drawn straight into packed words: one uint64 per
+row, equal word for word to packing the sequential draw, whatever the
+worker count, and without a table of symbols."""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from sepnet import probcore
+from sepnet.codec import Codebook
+from sepnet.probcore import (
+    Pmf,
+    RandomnessHandle,
+    _pack_bits,
+    _row_cumsum,
+    _sample_indexed,
+    _unpack_bits,
+    sample_iid_array,
+)
+
+LAWS = [(0.5, 0.5), (0.11, 0.89)]
+WIDTHS = [1, 7, 24, 48, 63, 64]
+SLICE = 100  # symbols per slice here: every table of 200 symbols or more is shared
+
+
+def sequential_words(pmf, rows, n, gen):
+    """The definition: rows * n uniforms in one call, mapped to symbols,
+    then packed row by row."""
+    symbols = _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, gen.random(rows * n), np.int8)
+    return _pack_bits(symbols.reshape(rows, n))
+
+
+def row_counts(n):
+    """Row counts just below, at and above two slices, and some that split
+    into shares of unequal length."""
+    two = -(-2 * SLICE // n)
+    return sorted({1, two - 1, two, two + 1, 61, 403})
+
+
+@pytest.fixture(params=[1, 2], ids=["one-worker", "two-workers"])
+def workers(request):
+    with mock.patch.object(probcore, "_worker_count", lambda: request.param):
+        yield request.param
+
+
+def test_pack_bits_puts_the_first_symbol_in_the_top_bit():
+    symbols = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int8)
+    assert _pack_bits(symbols).tolist() == [(1 << 63) | (1 << 61), 1 << 61]
+    assert np.array_equal(_unpack_bits(_pack_bits(symbols), 3), symbols)
+    assert _unpack_bits(np.uint64(1 << 63), 2).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("probs", LAWS)
+@pytest.mark.parametrize("n", WIDTHS)
+def test_generated_words_equal_the_packed_sequential_draw(monkeypatch, root, workers, probs, n):
+    monkeypatch.setattr(probcore, "SAMPLE_SLICE", SLICE)
+    pmf = Pmf.from_probs(probs)
+    for rows in row_counts(n):
+        handle = root.derive("packed", n, rows)
+        cb = Codebook.generate("channel-embedding", pmf, n, rows, handle)
+        words = cb.packed()
+        assert words.dtype == np.uint64 and words.shape == (rows,)
+        assert not words.flags.writeable
+        assert np.array_equal(words, sequential_words(pmf, rows, n, handle.generator()))
+
+
+@pytest.mark.parametrize("n, rows", [(64, 2047), (64, 2048), (64, 2049), (63, 5003), (48, 7001)])
+def test_full_slices_equal_the_packed_sequential_draw(root, workers, n, rows):
+    pmf = Pmf.from_probs(LAWS[1])
+    handle = root.derive("full-slices", n, rows)
+    cb = Codebook.generate("source-compression", pmf, n, rows, handle)
+    assert np.array_equal(cb.packed(), sequential_words(pmf, rows, n, handle.generator()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 64])
+@pytest.mark.parametrize("used", range(8))
+@pytest.mark.parametrize("pending", [False, True])
+def test_packed_draw_after_buffered_words(monkeypatch, workers, n, used, pending):
+    # buffered words 0-3 and a half-used 32-bit word or none: where no row
+    # ends on a block boundary the rows are drawn in order on the caller
+    monkeypatch.setattr(probcore, "SAMPLE_SLICE", SLICE)
+    pmf = Pmf.from_probs(LAWS[1])
+    rows = -(-3 * SLICE // n) + 1
+    gens = [RandomnessHandle(used).generator() for _ in range(2)]
+    for gen in gens:
+        if pending:
+            gen.integers(0, 2**32, dtype=np.uint32)
+        gen.random(used)
+    shared, sequential = gens
+    words = sample_iid_array(pmf, rows * n, shared, packed_row=n)
+    assert np.array_equal(words, sequential_words(pmf, rows, n, sequential))
+    # the generator is left where the sequential draw leaves it
+    assert np.array_equal(shared.integers(0, 2**32, 5, dtype=np.uint32),
+                          sequential.integers(0, 2**32, 5, dtype=np.uint32))
+    assert np.array_equal(shared.random(9), sequential.random(9))
+
+
+@pytest.mark.parametrize("probs", LAWS)
+def test_spec_prefix_and_rows_agree_on_the_words(monkeypatch, root, workers, probs):
+    monkeypatch.setattr(probcore, "SAMPLE_SLICE", SLICE)
+    pmf = Pmf.from_probs(probs)
+    cb = Codebook.generate("channel-embedding", pmf, 24, 403, root.derive("agree"))
+    table = _unpack_bits(cb.packed(), 24)
+    assert np.array_equal(Codebook.from_spec(cb.spec()).packed(), cb.packed())
+    for m in (1, 8, 9, 402):
+        prefix = cb.prefix(m)
+        assert np.array_equal(Codebook.from_spec(prefix.spec()).packed(), prefix.packed())
+        assert np.array_equal(prefix.packed(), cb.packed()[:m])
+    idx = np.array([[402, 0], [17, 17]])
+    assert np.array_equal(cb.rows(idx), table[idx])
+    assert cb.rows(5).shape == (24,) and np.array_equal(cb.rows(5), table[5])
+    assert np.array_equal(cb.entries, table)
+    # a symbol table handed to the constructor is stored packed
+    again = Codebook(cb.kind, cb.n, cb.cardinality, cb.gen_pmf, cb.common_seed, table)
+    assert np.array_equal(again.packed(), cb.packed())
+
+
+def test_wider_or_larger_alphabets_keep_their_symbol_table(root):
+    for probs, n in (((0.5, 0.5), 65), ((0.2, 0.3, 0.5), 8)):
+        cb = Codebook.generate("channel-embedding", Pmf.from_probs(probs), n, 10, root)
+        assert cb.packed() is None and cb.table.shape == (10, n)
+        assert np.array_equal(cb.rows([3, 1]), cb.table[[3, 1]])
+
+
+def test_generation_holds_no_symbol_table(root, workers):
+    # 200,000 x 64 symbols would take 12.8 MB as int8; the words take 1.6 MB
+    pmf = Pmf.from_probs(LAWS[0])
+    rows, n = 200_000, 64
+    Codebook.generate("channel-embedding", pmf, n, 1000, root)  # pool and caches warm
+    tracemalloc.start()
+    try:
+        cb = Codebook.generate("channel-embedding", pmf, n, rows, root.derive("rss"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cb.packed().nbytes == rows * 8
+    assert peak < rows * n / 4

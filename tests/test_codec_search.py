@@ -176,7 +176,7 @@ def test_chunked_generation_equals_one_shot(monkeypatch, root, probs, n, m, slic
     cb = Codebook.generate("source-compression", pmf, n, m, handle)
     one_shot = sequential_draw(pmf, n * m, handle.generator()).reshape(m, n)
     assert np.array_equal(cb.entries, one_shot)
-    assert not cb.entries.flags.writeable
+    assert not cb.table.flags.writeable
 
 
 @pytest.mark.parametrize("probs", [[0.3, 0.7], [0.2, 0.3, 0.5]])
@@ -190,7 +190,7 @@ def test_prefix_regenerates_from_its_spec(monkeypatch, root, probs):
     assert np.array_equal(cb.entries, sequential_draw(pmf, 7 * 61, handle.generator()).reshape(61, 7))
     prefix = cb.prefix(30)
     assert prefix.cardinality == len(prefix.entries) == 30
-    assert np.shares_memory(prefix.entries, cb.entries)
+    assert np.shares_memory(prefix.table, cb.table)
     assert np.array_equal(Codebook.from_spec(prefix.spec()).entries, cb.entries[:30])
     for m in (0, 62):
         with pytest.raises(ValueError):
@@ -225,3 +225,17 @@ def test_pooled_search_equals_one_worker(m):
     (rows, avg, codes), pooled = found.values()
     assert all(np.array_equal(a, b) for a, b in zip((rows, avg, codes), pooled))
     assert (codes >= 0).any() and (codes == NONE_WITHIN).any()
+
+
+def test_index_built_on_the_pool_equals_one_worker():
+    # each substring's table is built on its own, so the split changes nothing
+    g = np.random.default_rng(3)
+    words = codec._pack_bits(g.integers(0, 2, (INDEX_MIN_ROWS + 5, 64), dtype=np.int8))
+    built = []
+    for workers in (1, 2):
+        with mock.patch.object(probcore, "_worker_count", lambda: workers):
+            built.append(codec._HammingIndex(words, 64).parts)
+    one, pooled = built
+    assert len(one) == len(pooled) == 4
+    for a, b in zip(one, pooled):
+        assert a[:2] == b[:2] and all(np.array_equal(x, y) for x, y in zip(a[2:], b[2:]))

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.stats import chisquare
 
 from conftest import bsc, single_link_system
 
-from sepnet.codec import Codebook, RatePlan
+from sepnet.codec import CARDINALITY_CAP, Codebook, RatePlan
 from sepnet.netmodel import (
     DmcMedium,
     CoupledDmcMedium,
@@ -15,7 +16,7 @@ from sepnet.netmodel import (
     PassthroughModem,
     rollout,
 )
-from sepnet.harness import _PoisonMedium
+from sepnet.harness import ExperimentConfig, _PoisonMedium, _resize_target
 from sepnet.probcore import Pmf
 from sepnet import separation
 from sepnet.ratedist import DistortionBudget
@@ -34,6 +35,7 @@ from sepnet.separation import (
     verify_noninterference,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 R_125 = 0.4564355568004036
 R_200 = 0.2780719051126377
 
@@ -81,17 +83,30 @@ class TestPlanSeparation:
         assert rp.alpha == pytest.approx(R_125 / (R_125 + rp.psi) * rp.psi / 2)
 
     def test_receiver_holds_the_message_rows(self, root, hamming2):
-        # only source-coder messages are sent, so the decoder holds that
-        # prefix of the sender's channel table: the same memory, nothing drawn
+        # only source-coder messages are sent, so only those rows of the
+        # channel codebook are drawn, one packed word each, and the decoder
+        # searches the sender's words; the summary keeps the rate plan's |Cc|
         system = single_link_system(0.11, block_length=32)
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
-        sent, held = plan.channel_cb, SeparationRecvModem(system.modems[1], plan).channel_cb
+        cb, rp = plan.channel_cb, plan.rate_plan
+        assert cb.cardinality == len(cb.packed()) == rp.source_cardinality
+        assert rp.channel_cardinality > rp.source_cardinality
+        spec = plan.summary()["channel_codebook"]
+        assert spec == {**cb.spec(), "cardinality": rp.channel_cardinality}
+        # the reported spec regenerates the drawn rows as its prefix
+        assert np.array_equal(Codebook.from_spec(spec).packed()[: cb.cardinality], cb.packed())
+
+    def test_relay_chain_plans_at_n64(self, root):
+        # |Cc| is past the 2^20-row cap; only the |Cs| message rows are drawn
+        config = ExperimentConfig.load(CONFIG_DIR / "relay_chain.yaml")
+        target = _resize_target(config.targets[0], 64)
+        guarantee = stock_guarantee(pair=target.pair, n=64)
+        plan = plan_separation(config.system, guarantee, target, root.derive("relay"))
         rp = plan.rate_plan
-        assert held.cardinality == len(held.entries) == rp.source_cardinality
-        assert sent.cardinality == rp.channel_cardinality > rp.source_cardinality
-        assert np.shares_memory(held.entries, sent.entries)
-        assert plan.summary()["channel_codebook"] == sent.spec()
+        assert (rp.n, rp.n_prime) == (64, 48)
+        assert rp.channel_cardinality == 5_555_090 > CARDINALITY_CAP
+        assert plan.channel_cb.cardinality == rp.source_cardinality <= CARDINALITY_CAP
 
     def test_strictness_rejected(self, root, hamming2):
         system = single_link_system(0.11, block_length=32)
