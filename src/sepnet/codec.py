@@ -11,35 +11,32 @@ Two constructions share the Codebook type:
 
 Codebooks are never serialized. Encoder and decoder share the common
 randomness (pmf, n, cardinality, seed) of a codebook, and ``from_spec``
-draws the identical rows anew from it. Within one process the encoder
-and decoder of a pair simply hold the same codebook. A codebook is one
-``sample_iid_array`` draw of cardinality * n symbols, row by row, which
-``probcore`` shares out over its worker pool. A binary codebook with
-n <= 64 is drawn straight into packed words, one uint64 per row, and is
-stored as nothing else: ``rows`` unpacks only the codewords a caller
-gathers. Other codebooks store their symbol table. Generation is
-prefix-stable: the first m rows of a draw are the draw of m rows, so
-``prefix(m)`` is a codebook of its own that shares the storage, and a
-channel codebook draws only the rows that carry messages.
+draws the identical rows anew from it. A codebook is one
+``sample_iid_array`` draw of cardinality * n symbols, row by row, drawn
+straight into bit planes and stored as nothing else: a row over K letters
+is K - 1 one-hot planes of ceil(n / 64) uint64 words, plane a marking
+where letter a + 1 stands, so a binary row with n <= 64 is one word.
+Generation is prefix-stable: the first m rows of a draw are the draw of
+m rows, so a channel codebook draws only the rows that carry messages.
 
-Codeword search (nearest row, unique row within D) runs over every row
-of a codebook, batched over blocks; it is exact, and ties go to the
-lowest row index. Binary Hamming searches compare the packed words with
-the query blocks, packed per search: a codebook of at least
-INDEX_MIN_ROWS = 2^16 rows gets a multi-index hash, built once (its
-substrings' tables on the worker pool) and cached; smaller ones are
-scanned. The hash cuts a word into s substrings and probes them one at a
-time, radius r by radius; after substring k is probed at radius r, every
-row within distance s*r + k has been found, so a search stops at the
-first probe whose bound covers its answer. A search cuts its words into
-shares of _QUERY_GROUP; a large one runs them on ``probcore``'s worker
-pool. Each word's answer depends on that word alone, so the rows found
-do not depend on the worker count.
+Codeword search (nearest row, unique row within D) is exact over every
+row, batched over blocks, with ties to the lowest row. One scan compares
+the blocks' planes with the rows'. Under c * Hamming the distance is the
+popcount of the OR over planes of block XOR row, times c / n. Under any
+other table d it is the count-weighted sum of d(a, b) * N_ab / n over
+letter pairs, N_ab = popcount(X_a & C_b) counting where block X holds a
+and row C holds b, letter 0's plane the complement of the others. d is
+read as d(block, row) for a source codebook, whose rows are
+reproductions, and as d(row, block) for a channel codebook, whose rows
+are sources. A binary Hamming search over at least INDEX_MIN_ROWS
+one-word rows goes through ``_HammingIndex`` instead. A search cuts its
+blocks into shares of _QUERY_GROUP, on ``probcore``'s worker pool when
+large; each block's answer depends on that block alone, so no result
+depends on the worker count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -50,9 +47,9 @@ import numpy as np
 from .probcore import (
     Pmf,
     RandomnessHandle,
-    _pack_bits,
+    _pack_planes,
     _run_shares,
-    _unpack_bits,
+    _unpack_planes,
     sample_iid_array,
 )
 from .ratedist import DistortionMetric, RdPoint
@@ -201,11 +198,10 @@ class Codebook:
     """cardinality codewords of n symbols, regenerable from their
     generation spec.
 
-    ``table`` is what the codebook stores. A binary codebook with n <= 64
-    stores one uint64 word per row, its first symbol in the top bit (a
-    symbol table given to the constructor is packed); any other stores its
-    (cardinality, n) symbol table. ``rows`` gathers codewords as symbols.
-    The search index is built on first use and kept with the table.
+    ``table`` is what the codebook stores, read-only: the rows' planes,
+    flat, so one word per row for a binary n <= 64 (a symbol table given
+    to the constructor is packed). ``rows`` gathers codewords as symbols.
+    The search index is built on first use.
     """
 
     kind: str
@@ -216,10 +212,9 @@ class Codebook:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.table.ndim == 2 and _packs(self.gen_pmf, self.n):
-            words = _pack_bits(self.table)
-            words.flags.writeable = False
-            object.__setattr__(self, "table", words)
+        if self.table.ndim == 2:
+            object.__setattr__(self, "table", _pack_planes(self.table, len(self.gen_pmf)).ravel())
+        self.table.flags.writeable = False
 
     @classmethod
     def generate(
@@ -238,11 +233,7 @@ class Codebook:
                 f"use a smaller n * rate product"
             )
         gen = common_seed.generator()
-        if _packs(gen_pmf, n):
-            table = sample_iid_array(gen_pmf, cardinality * n, gen, packed_row=n)
-        else:
-            table = sample_iid_array(gen_pmf, cardinality * n, gen).reshape(cardinality, n)
-        table.flags.writeable = False
+        table = sample_iid_array(gen_pmf, cardinality * n, gen, packed_row=n)
         return cls(kind, n, cardinality, gen_pmf, common_seed, table)
 
     def spec(self) -> dict:
@@ -267,60 +258,94 @@ class Codebook:
             RandomnessHandle(spec["seed"], spec["stream_id"]),
         )
 
-    def prefix(self, m: int) -> "Codebook":
-        """The first m rows as a codebook sharing this one's table; its
-        spec regenerates exactly those rows."""
-        if not 1 <= m <= self.cardinality:
-            raise ValueError(f"prefix of {m} rows out of range [1, {self.cardinality}]")
-        return dataclasses.replace(self, cardinality=m, table=self.table[:m])
+    def _planes(self) -> np.ndarray:
+        """The rows' planes, (cardinality, planes, words)."""
+        return self.table.reshape(self.cardinality, -1, -(-self.n // 64))
 
     def rows(self, idx) -> np.ndarray:
         """The codewords at ``idx`` (anything that indexes an array) as
         symbols, shape ``idx``'s shape + (n,)."""
-        if self.table.ndim == 2:
-            return self.table[idx]
-        return _unpack_bits(self.table[idx], self.n)
+        return _unpack_planes(self._planes()[idx], self.n)
 
     @property
     def entries(self) -> np.ndarray:
-        """The whole (cardinality, n) symbol table, unpacked anew for a
-        binary codebook. For inspection; the codec gathers with ``rows``."""
+        """The whole (cardinality, n) symbol table, unpacked anew. For
+        inspection; the codec gathers with ``rows``."""
         return self.rows(slice(None))
 
-    def packed(self) -> np.ndarray | None:
-        """The rows' packed words (None unless the codebook is binary)."""
-        return self.table if self.table.ndim == 1 else None
-
     def _hamming_index(self) -> "_HammingIndex":
-        """Multi-index hash over the packed rows, built once."""
+        """Multi-index hash over the one-word rows, built once."""
         index = getattr(self, "_index_cache", None)
         if index is None:
-            index = _HammingIndex(self.packed(), self.n)
+            index = _HammingIndex(self.table, self.n)
             object.__setattr__(self, "_index_cache", index)
         return index
 
 
-def _packs(pmf: Pmf, n: int) -> bool:
-    """Whether a codebook of this law and block length stores packed words."""
-    return len(pmf) <= 2 and n <= 64
-
-
-def _hamming_scale(metric: DistortionMetric) -> float | None:
-    """If the metric is c * Hamming on matched binary alphabets, return c."""
-    t = metric.table
-    if t.shape != (2, 2):
-        return None
-    c = t[0, 1]
-    if c > 0 and abs(t[1, 0] - c) < 1e-15 and t[0, 0] == 0 and t[1, 1] == 0:
-        return float(c)
+def _hamming_scale(metric: DistortionMetric, letters: int) -> float | None:
+    """c if the metric is c * Hamming on two alphabets of ``letters`` letters."""
+    t, off = metric.table, ~np.eye(letters, dtype=bool)
+    if t.shape == off.shape and letters > 1 and t[0, 1] > 0 and not t[~off].any():
+        if np.all(np.abs(t[off] - t[0, 1]) < 1e-15):
+            return float(t[0, 1])
     return None
 
 
-def _scan_distances(packed: np.ndarray, words: np.ndarray):
-    """Yield (first lane, (lanes, rows) Hamming distances) block by block."""
-    step = max(1, _SCAN_BLOCK // max(len(packed), 1))
+def _scan_distances(kernel, rows: np.ndarray, words: np.ndarray):
+    """Yield ``kernel``'s (lanes, rows) distances, a block of lanes at a time."""
+    step = max(1, _SCAN_BLOCK // max(len(rows), 1))
     for a in range(0, len(words), step):
-        yield a, np.bitwise_count(words[a : a + step, None] ^ packed[None, :])
+        yield kernel(rows, words[a : a + step])
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits of (lanes, rows, words) words, summed over the last axis."""
+    counts = np.bitwise_count(words)
+    return counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1, dtype=np.int32)
+
+
+def _mismatches(rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(lanes, rows) counts of the positions where a word and a row hold
+    different letters: where any of their planes differ."""
+    diff = words[:, None, 0] ^ rows[None, :, 0]
+    for a in range(1, rows.shape[1]):
+        diff |= words[:, None, a] ^ rows[None, :, a]
+    return _popcounts(diff)
+
+
+def _weighted(table: np.ndarray, n: int, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(lanes, rows) average distortions, sum_ab table[a, b] * N_ab / n over
+    the letter planes: N_ab counts where a word holds a and a row b."""
+    total = np.zeros((len(words), len(rows)))
+    for a, b in zip(*np.nonzero(table)):
+        total += table[a, b] * _popcounts(words[:, None, a] & rows[None, :, b])
+    return total / n
+
+
+def _letter_planes(planes: np.ndarray, letters: int, n: int) -> np.ndarray:
+    """Letter 0's plane (no plane set, within n) before those of 1 .. letters - 1."""
+    zero = _pack_planes(np.ones((1, n), dtype=np.uint8), 2)[0] & ~np.bitwise_or.reduce(planes, 1)
+    return np.concatenate([zero[:, None], planes[:, : letters - 1]], axis=1)
+
+
+def _search(codebook: Codebook, blocks: np.ndarray, metric: DistortionMetric):
+    """The search of ``blocks``: (rows' planes, blocks' planes, kernel, c,
+    index). Under c * Hamming the kernel counts differing positions, and
+    one-word rows from INDEX_MIN_ROWS up have the multi-index hash; under
+    any other table (oriented by kind) c is None and the kernel gives
+    distortions."""
+    rows = codebook._planes()
+    c = _hamming_scale(metric, rows.shape[1] + 1)
+    if c is not None:
+        one_word = len(codebook.table) == codebook.cardinality
+        index = codebook._hamming_index() if one_word and len(rows) >= INDEX_MIN_ROWS else None
+        return rows, _pack_planes(blocks, rows.shape[1] + 1), _mismatches, c, index
+    table = metric.table if codebook.kind == SOURCE_COMPRESSION else metric.table.T
+    (ka, kb), n = table.shape, codebook.n
+    if len(codebook.gen_pmf) > kb:
+        raise ValueError(f"{len(codebook.gen_pmf)}-letter codebook, {kb}-letter metric")
+    words = _letter_planes(_pack_planes(blocks, ka), ka, n)
+    return _letter_planes(rows, kb, n), words, functools.partial(_weighted, table, n), None, None
 
 
 def _by_shares(search, words: np.ndarray, rows: int):
@@ -339,27 +364,24 @@ def _by_shares(search, words: np.ndarray, rows: int):
     return np.concatenate(found)
 
 
-def _scan_nearest(packed: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scan_nearest(kernel, rows: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest row and its distance per word by exhaustive scan."""
-    rows = np.empty(len(words), dtype=np.int64)
-    dist = np.empty(len(words), dtype=np.int64)
-    for a, d in _scan_distances(packed, words):
+    found = [(np.empty(0, dtype=np.int64),) * 2]  # typed for no words
+    for d in _scan_distances(kernel, rows, words):
         j = d.argmin(axis=1)
-        rows[a : a + len(j)] = j
-        dist[a : a + len(j)] = d[np.arange(len(j)), j]
-    return rows, dist
+        found.append((j, d[np.arange(len(j)), j]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _scan_within(packed: np.ndarray, words: np.ndarray, thresh: int) -> np.ndarray:
+def _scan_within(kernel, rows: np.ndarray, words: np.ndarray, thresh) -> np.ndarray:
     """Unique row within distance ``thresh`` per word by exhaustive scan."""
-    out = np.empty(len(words), dtype=np.int64)
-    for a, d in _scan_distances(packed, words):
+    out = [np.empty(0, dtype=np.int64)]
+    for d in _scan_distances(kernel, rows, words):
         within = d <= thresh
         count = within.sum(axis=1)
-        out[a : a + len(count)] = np.where(
-            count == 1, within.argmax(axis=1), np.where(count == 0, NONE_WITHIN, AMBIGUOUS)
-        )
-    return out
+        out.append(np.where(count == 1, within.argmax(axis=1),
+                            np.where(count == 0, NONE_WITHIN, AMBIGUOUS)))
+    return np.concatenate(out)
 
 
 @functools.cache
@@ -406,7 +428,7 @@ class _HammingIndex:
     def __init__(self, packed: np.ndarray, n: int):
         self.m = len(packed)
         self.n = n
-        self.packed = packed
+        self.rows = packed[:, None, None]  # as the scan reads them
         self.budget = self.m // _PROBE_COST  # lookups + candidates per lane
         self.s = -(-n // _SUBSTRING_BITS)
         base, extra = divmod(n, self.s)
@@ -503,7 +525,7 @@ class _HammingIndex:
         rows, dist = best & 0xFFFFFFFF, best >> 32
         scan = np.concatenate(scan)
         if len(scan):
-            rows[scan], dist[scan] = _scan_nearest(self.packed, words[scan])
+            rows[scan], dist[scan] = _scan_nearest(_mismatches, self.rows, words[scan, None, None])
         return rows, dist
 
     def within(self, words: np.ndarray, thresh: int) -> np.ndarray:
@@ -530,18 +552,8 @@ class _HammingIndex:
         out = np.where(high < 0, NONE_WITHIN, np.where(low == high, low, AMBIGUOUS))
         scan = np.concatenate(scan)
         if len(scan):
-            out[scan] = _scan_within(self.packed, words[scan], thresh)
+            out[scan] = _scan_within(_mismatches, self.rows, words[scan, None, None], thresh)
         return out
-
-
-def _gathered_distortions(
-    codebook: Codebook, blocks: np.ndarray, metric: DistortionMetric
-):
-    """Yield each block's average distortion to every row, by table
-    lookup: the search path for metrics the packed rows do not serve."""
-    entries64 = codebook.rows(slice(None)).astype(np.int64)
-    for block in blocks:
-        yield metric.table[entries64, block.astype(np.int64)[None, :]].mean(axis=1)
 
 
 def batch_min_distortion_rows(
@@ -552,26 +564,17 @@ def batch_min_distortion_rows(
     """Row index and average distortion of the closest codeword per block.
 
     ``blocks`` is (batch, n). Exact, with ties to the lowest row index.
-    Binary Hamming searches go through the packed rows (multi-index hashed
-    from INDEX_MIN_ROWS rows up, scanned below); other metrics gather per
-    block.
+    The blocks' planes are scanned against the rows' (see the module
+    docstring); a binary Hamming search from INDEX_MIN_ROWS one-word rows
+    up goes through the multi-index hash.
     """
-    scale = _hamming_scale(metric)
-    packed = codebook.packed()
-    if packed is not None and scale is not None:
-        words = _pack_bits(blocks)
-        if codebook.cardinality >= INDEX_MIN_ROWS:
-            rows, dist = codebook._hamming_index().nearest(words)
-        else:
-            scan = functools.partial(_scan_nearest, packed)
-            rows, dist = _by_shares(scan, words, len(packed))
-        return rows, dist * (scale / codebook.n)
-    best_idx = np.empty(len(blocks), dtype=np.int64)
-    best_avg = np.empty(len(blocks), dtype=np.float64)
-    for i, avg in enumerate(_gathered_distortions(codebook, blocks, metric)):
-        best_idx[i] = avg.argmin()
-        best_avg[i] = avg[best_idx[i]]
-    return best_idx, best_avg
+    rows, words, kernel, c, index = _search(codebook, blocks, metric)
+    if index is not None:
+        found, dist = index.nearest(words.reshape(-1))
+    else:
+        scan = functools.partial(_scan_nearest, kernel, rows)
+        found, dist = _by_shares(scan, words, len(rows))
+    return found, dist if c is None else dist * (c / codebook.n)
 
 
 NONE_WITHIN = -1
@@ -587,24 +590,14 @@ def batch_unique_within_decode(
 ) -> np.ndarray:
     """Unique-within-D decode per block: the message index, or NONE_WITHIN /
     AMBIGUOUS codes. Exact: rows count once however they are found, so two
-    identical rows within D are AMBIGUOUS."""
-    scale = _hamming_scale(metric)
-    packed = codebook.packed()
-    if packed is not None and scale is not None:
-        words = _pack_bits(blocks)
-        thresh = math.floor(level * codebook.n / scale + 1e-12)
-        if codebook.cardinality >= INDEX_MIN_ROWS:
-            return codebook._hamming_index().within(words, thresh)
-        scan = functools.partial(_scan_within, packed, thresh=thresh)
-        return _by_shares(scan, words, len(packed))
-    out = np.empty(len(blocks), dtype=np.int64)
-    for i, avg in enumerate(_gathered_distortions(codebook, blocks, metric)):
-        hits = np.flatnonzero(avg <= level + 0.0)
-        if len(hits) == 1:
-            out[i] = hits[0]
-        else:
-            out[i] = NONE_WITHIN if len(hits) == 0 else AMBIGUOUS
-    return out
+    identical rows within D are AMBIGUOUS. Searched as
+    ``batch_min_distortion_rows`` searches."""
+    rows, words, kernel, c, index = _search(codebook, blocks, metric)
+    thresh = level if c is None else math.floor(level * codebook.n / c + 1e-12)
+    if index is not None:
+        return index.within(words.reshape(-1), thresh)
+    scan = functools.partial(_scan_within, kernel, rows, thresh=thresh)
+    return _by_shares(scan, words, len(rows))
 
 
 def _decode_blocks(

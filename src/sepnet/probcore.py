@@ -19,10 +19,10 @@ own. ``sample_iid_array`` cuts a Philox draw of at least two
 ``SAMPLE_SLICE``-symbol slices into one contiguous share per worker; each
 share draws from its own copy and maps uniforms to symbols one slice at a
 time, and the caller's generator ends where a sequential draw would leave
-it. A binary draw can come back as rows packed into 64-bit words
-(``packed_row``): each slice is packed as it is drawn, and the shares cut
-at row boundaries, so no table of symbols is made. Codeword search
-(``codec``) shares its queries out on the same pool. The pool is
+it. A draw can come back as rows packed into one-hot bit planes of
+64-bit words (``packed_row``): each slice is packed as it is drawn, and the
+shares cut at row boundaries, so no table of symbols is made. Codeword
+search (``codec``) shares its queries out on the same pool. The pool is
 module-private, started on first use, one thread per CPU in the process's
 affinity mask (at most ``_MAX_WORKERS``); work already on a worker thread
 runs inline rather than waiting on the pool. Every result is the same,
@@ -242,10 +242,9 @@ def sample_iid_array(
 
     Draw for draw the result is ``_sample_indexed(cum, 0, gen.random(n))``
     and ``gen`` ends in the state that draw leaves. With ``packed_row`` =
-    w > 0 (a law on at most two symbols, w <= 64, n a multiple of w) the
-    draw is n / w rows of w symbols and comes back as ``_pack_bits`` of
-    those rows, one uint64 word per row, packed slice by slice: no table
-    of symbols is made.
+    w > 0 (n a multiple of w) the draw is n / w rows of w symbols and comes
+    back as ``_pack_planes`` of those rows, flat, packed slice by slice: no
+    table of symbols is made. A binary row with w <= 64 is one word.
 
     A Philox draw of at least two slices is shared out over the worker
     pool. ``gen`` first draws the rows up to the first row boundary at a
@@ -254,25 +253,26 @@ def sample_iid_array(
     advanced to it, and ``gen`` itself skips those blocks and draws the
     rows left over.
     """
-    if packed_row and (len(pmf) > 2 or not 1 <= packed_row <= 64 or n % packed_row):
-        raise ValueError(f"cannot pack {n} symbols of a {len(pmf)}-letter law "
-                         f"into rows of {packed_row}")
+    if packed_row and (packed_row < 1 or n % packed_row):
+        raise ValueError(f"cannot pack {n} symbols into rows of {packed_row}")
     cum = _row_cumsum(pmf.probs)[None, :]
     bitgen = getattr(gen, "bit_generator", None)
     shared = n >= 2 * SAMPLE_SLICE and isinstance(bitgen, np.random.Philox)
     if not shared and not packed_row:
         return _sample_indexed(cum, 0, gen.random(n), pmf.alphabet.dtype)
     width = max(packed_row, 1)
-    out = np.empty(n // width, dtype=np.uint64 if packed_row else pmf.alphabet.dtype)
+    shape = (n // width, max(len(pmf) - 1, 1), -(-width // 64)) if packed_row else n
+    out = np.empty(shape, dtype=np.uint64 if packed_row else pmf.alphabet.dtype)
     fill = functools.partial(_fill, cum, packed_row)
-    if not shared:
-        return fill(gen, out)
-    start = bitgen.state
-    buffered = 4 - start["buffer_pos"]
-    # rows drawn here so that the shares start on a block boundary
-    head = next((r for r in range(4) if (r * width - buffered) % 4 == 0), None)
-    if head is None:  # no row ends on a block boundary: draw them here in order
-        return fill(gen, out)
+    head = None
+    if shared:
+        start = bitgen.state
+        buffered = 4 - start["buffer_pos"]
+        # rows drawn here so that the shares start on a block boundary
+        head = next((r for r in range(4) if (r * width - buffered) % 4 == 0), None)
+    if head is None:  # not shared, or no row ends on a block boundary: in order
+        fill(gen, out)
+        return out.reshape(-1)
     fill(gen, out[:head])
     state = bitgen.state["state"]
     step = 4 // math.gcd(width, 4)  # rows per whole number of blocks
@@ -288,7 +288,7 @@ def sample_iid_array(
     end = bitgen.state
     end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
     bitgen.state = end
-    return out
+    return out.reshape(-1)
 
 
 def _draw_share(fill, counter, key, blocks: int, out: np.ndarray) -> None:
@@ -297,10 +297,10 @@ def _draw_share(fill, counter, key, blocks: int, out: np.ndarray) -> None:
     fill(np.random.Generator(np.random.Philox(counter=counter, key=key).advance(blocks)), out)
 
 
-def _fill(cum: np.ndarray, packed_row: int, gen, out: np.ndarray) -> np.ndarray:
+def _fill(cum: np.ndarray, packed_row: int, gen, out: np.ndarray) -> None:
     """Fill ``out`` with symbols drawn from ``gen``, or with rows of
-    ``packed_row`` symbols packed into words, one slice of uniforms at a
-    time; returns ``out``."""
+    ``packed_row`` symbols packed into planes, one slice of uniforms at a
+    time."""
     width = max(packed_row, 1)
     per = max(1, SAMPLE_SLICE // width)  # rows per slice
     u = np.empty(min(per, len(out)) * width)
@@ -313,32 +313,39 @@ def _fill(cum: np.ndarray, packed_row: int, gen, out: np.ndarray) -> np.ndarray:
             _sample_indexed(cum, 0, u[:m], out.dtype, out=part)
             continue
         _sample_indexed(cum, 0, u[:m], np.uint8, out=syms[:m])
-        _pack_bits(syms[:m].reshape(-1, packed_row), out=part)
-    return out
+        _pack_planes(syms[:m].reshape(-1, packed_row), cum.shape[-1], out=part)
 
 
-def _pack_bits(symbols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pack (rows, n <= 64) binary symbols into one uint64 word per row,
-    the first symbol in the top bit; into ``out`` when it is given."""
+def _pack_planes(symbols: np.ndarray, letters: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Pack (rows, n) symbols over ``letters`` letters into one-hot bit
+    planes, (rows, planes, ceil(n / 64)) uint64 words, one plane per letter
+    past 0 and at least one: plane a marks where letter a + 1 stands, its
+    word w holds positions [64w, 64w + 64), the first in the top bit. Into
+    ``out`` when it is given."""
     rows, n = symbols.shape
-    # rows of whole bytes pack fastest as one run
-    width = -(-n // 8)
-    octets = np.packbits(symbols.reshape(-1) if n % 8 == 0 else symbols, axis=-1)
-    padded = np.zeros((rows, 8), dtype=np.uint8)
-    padded[:, :width] = octets.reshape(rows, width)
-    words = padded.view(">u8").reshape(rows)
+    planes = max(letters - 1, 1)
     if out is None:
-        return words.astype(np.uint64)
-    out[...] = words
+        out = np.empty((rows, planes, -(-n // 64)), dtype=np.uint64)
+    width = -(-n // 8)
+    padded = np.zeros((rows, out.shape[2] * 8), dtype=np.uint8)
+    for a in range(planes):
+        bits = symbols if planes == 1 else symbols == a + 1  # binary rows are their plane
+        # rows of whole bytes pack fastest as one run
+        octets = np.packbits(bits.reshape(-1) if n % 8 == 0 else bits, axis=-1)
+        padded[:, :width] = octets.reshape(rows, width)
+        out[:, a] = padded.view(">u8")
     return out
 
 
-def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """The int8 symbols of packed n-bit words, shape ``words.shape + (n,)``:
-    the inverse of ``_pack_bits``."""
-    words = np.asarray(words)
-    octets = words.reshape(-1).astype(">u8").view(np.uint8).reshape(*words.shape, 8)
-    return np.unpackbits(octets, axis=-1, count=n).view(np.int8)
+def _unpack_planes(words: np.ndarray, n: int) -> np.ndarray:
+    """The int8 symbols of rows' planes (..., planes, words), shape
+    ``words.shape[:-2] + (n,)``: the inverse of ``_pack_planes``."""
+    octets = np.asarray(words).astype(">u8").view(np.uint8)
+    bits = np.unpackbits(octets, axis=-1, count=n).view(np.int8)
+    syms = bits[..., 0, :]
+    for a in range(1, bits.shape[-2]):
+        syms = syms + (a + 1) * bits[..., a, :]
+    return syms
 
 
 def _row_cumsum(mat: np.ndarray) -> np.ndarray:

@@ -81,8 +81,6 @@ class TestChannelCodebook:
         blocks = root.derive("y").generator().integers(0, 2, (5, 8)).astype(np.int8)
         assert np.array_equal(batch_min_distortion_rows(cb, blocks, hamming_metric(2))[0],
                               np.zeros(5))
-        with pytest.raises(ValueError):
-            cb.prefix(2)
 
     def test_same_seed_identical(self, fair_coin, root):
         plan = small_plan()
@@ -159,14 +157,14 @@ class TestChannelDecode:
 
     def test_shared_seed_roundtrip_noiseless(self, root):
         cb = build_channel_codebook(small_plan(), self.pmf, root.derive("rt"))
-        assert len(np.unique(cb.packed())) == cb.cardinality  # distinct rows
+        assert len(np.unique(cb.table)) == cb.cardinality  # distinct rows
         decoder_cb = Codebook.from_spec(cb.spec())
         messages = np.arange(0, cb.cardinality, 97)
         decoded = batch_unique_within_decode(decoder_cb, cb.entries[messages], self.metric, 0.0)
         assert np.array_equal(decoded, messages)
 
     def test_matches_bruteforce_on_nonbinary(self, root):
-        # gather path vs an explicit double loop
+        # the plane scan vs an explicit double loop
         pmf = Pmf.uniform(3)
         metric = hamming_metric(3)
         cb = Codebook.generate("channel-embedding", pmf, 12, 40, root.derive("t3"))
@@ -228,7 +226,7 @@ class TestSourceCodec:
 
     def test_encode_decode_identity_on_distinct_rows(self, root):
         cb = build_source_codebook(small_plan(), self.q_point(0.2), root.derive("id"))
-        if len(np.unique(cb.packed())) == cb.cardinality:
+        if len(np.unique(cb.table)) == cb.cardinality:
             messages = np.arange(0, cb.cardinality, 199)
             assert np.array_equal(self.encode(cb, cb.entries[messages]), messages)
 

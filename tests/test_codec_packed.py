@@ -13,10 +13,10 @@ from sepnet.codec import Codebook
 from sepnet.probcore import (
     Pmf,
     RandomnessHandle,
-    _pack_bits,
+    _pack_planes,
     _row_cumsum,
     _sample_indexed,
-    _unpack_bits,
+    _unpack_planes,
     sample_iid_array,
 )
 
@@ -29,7 +29,7 @@ def sequential_words(pmf, rows, n, gen):
     """The definition: rows * n uniforms in one call, mapped to symbols,
     then packed row by row."""
     symbols = _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, gen.random(rows * n), np.int8)
-    return _pack_bits(symbols.reshape(rows, n))
+    return _pack_planes(symbols.reshape(rows, n), 2).reshape(rows)
 
 
 def row_counts(n):
@@ -47,9 +47,15 @@ def workers(request):
 
 def test_pack_bits_puts_the_first_symbol_in_the_top_bit():
     symbols = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int8)
-    assert _pack_bits(symbols).tolist() == [(1 << 63) | (1 << 61), 1 << 61]
-    assert np.array_equal(_unpack_bits(_pack_bits(symbols), 3), symbols)
-    assert _unpack_bits(np.uint64(1 << 63), 2).tolist() == [1, 0]
+    words = _pack_planes(symbols, 2)
+    assert words.reshape(-1).tolist() == [(1 << 63) | (1 << 61), 1 << 61]
+    assert np.array_equal(_unpack_planes(words, 3), symbols)
+    assert _unpack_planes(np.full((1, 1), 1 << 63, dtype=np.uint64), 2).tolist() == [1, 0]
+    # plane a marks letter a + 1, and word w holds positions from 64w on
+    wide = np.zeros((1, 70), dtype=np.int8)
+    wide[0, [0, 65]], wide[0, 1] = 2, 1
+    assert _pack_planes(wide, 3).tolist() == [[[1 << 62, 0], [1 << 63, 1 << 62]]]
+    assert np.array_equal(_unpack_planes(_pack_planes(wide, 3), 70), wide)
 
 
 @pytest.mark.parametrize("probs", LAWS)
@@ -60,7 +66,7 @@ def test_generated_words_equal_the_packed_sequential_draw(monkeypatch, root, wor
     for rows in row_counts(n):
         handle = root.derive("packed", n, rows)
         cb = Codebook.generate("channel-embedding", pmf, n, rows, handle)
-        words = cb.packed()
+        words = cb.table
         assert words.dtype == np.uint64 and words.shape == (rows,)
         assert not words.flags.writeable
         assert np.array_equal(words, sequential_words(pmf, rows, n, handle.generator()))
@@ -71,7 +77,7 @@ def test_full_slices_equal_the_packed_sequential_draw(root, workers, n, rows):
     pmf = Pmf.from_probs(LAWS[1])
     handle = root.derive("full-slices", n, rows)
     cb = Codebook.generate("source-compression", pmf, n, rows, handle)
-    assert np.array_equal(cb.packed(), sequential_words(pmf, rows, n, handle.generator()))
+    assert np.array_equal(cb.table, sequential_words(pmf, rows, n, handle.generator()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 64])
@@ -102,26 +108,31 @@ def test_spec_prefix_and_rows_agree_on_the_words(monkeypatch, root, workers, pro
     monkeypatch.setattr(probcore, "SAMPLE_SLICE", SLICE)
     pmf = Pmf.from_probs(probs)
     cb = Codebook.generate("channel-embedding", pmf, 24, 403, root.derive("agree"))
-    table = _unpack_bits(cb.packed(), 24)
-    assert np.array_equal(Codebook.from_spec(cb.spec()).packed(), cb.packed())
+    table = _unpack_planes(cb.table[:, None, None], 24)
+    assert np.array_equal(Codebook.from_spec(cb.spec()).table, cb.table)
     for m in (1, 8, 9, 402):
-        prefix = cb.prefix(m)
-        assert np.array_equal(Codebook.from_spec(prefix.spec()).packed(), prefix.packed())
-        assert np.array_equal(prefix.packed(), cb.packed()[:m])
+        # an m-row draw from the same seed is the first m rows
+        prefix = Codebook.generate("channel-embedding", pmf, 24, m, root.derive("agree"))
+        assert np.array_equal(prefix.table, cb.table[:m])
     idx = np.array([[402, 0], [17, 17]])
     assert np.array_equal(cb.rows(idx), table[idx])
     assert cb.rows(5).shape == (24,) and np.array_equal(cb.rows(5), table[5])
     assert np.array_equal(cb.entries, table)
     # a symbol table handed to the constructor is stored packed
     again = Codebook(cb.kind, cb.n, cb.cardinality, cb.gen_pmf, cb.common_seed, table)
-    assert np.array_equal(again.packed(), cb.packed())
+    assert np.array_equal(again.table, cb.table)
 
 
-def test_wider_or_larger_alphabets_keep_their_symbol_table(root):
-    for probs, n in (((0.5, 0.5), 65), ((0.2, 0.3, 0.5), 8)):
+def test_wider_or_larger_alphabets_round_trip_their_symbols(root):
+    # a ternary row is two planes of one word, a 65-bit binary row one plane of two
+    for probs, n, words in (((0.5, 0.5), 65, 2), ((0.2, 0.3, 0.5), 8, 2)):
         cb = Codebook.generate("channel-embedding", Pmf.from_probs(probs), n, 10, root)
-        assert cb.packed() is None and cb.table.shape == (10, n)
-        assert np.array_equal(cb.rows([3, 1]), cb.table[[3, 1]])
+        assert cb.table.shape == (10 * words,) and cb.table.dtype == np.uint64
+        table = cb.entries
+        assert table.shape == (10, n) and set(np.unique(table)) <= set(range(len(probs)))
+        assert np.array_equal(cb.rows([3, 1]), table[[3, 1]])
+        again = Codebook(cb.kind, n, 10, cb.gen_pmf, cb.common_seed, table)
+        assert np.array_equal(again.table, cb.table)
 
 
 def test_generation_holds_no_symbol_table(root, workers):
@@ -135,5 +146,5 @@ def test_generation_holds_no_symbol_table(root, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cb.packed().nbytes == rows * 8
+    assert cb.table.nbytes == rows * 8
     assert peak < rows * n / 4

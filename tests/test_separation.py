@@ -90,12 +90,12 @@ class TestPlanSeparation:
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
         cb, rp = plan.channel_cb, plan.rate_plan
-        assert cb.cardinality == len(cb.packed()) == rp.source_cardinality
+        assert cb.cardinality == len(cb.table) == rp.source_cardinality
         assert rp.channel_cardinality > rp.source_cardinality
         spec = plan.summary()["channel_codebook"]
         assert spec == {**cb.spec(), "cardinality": rp.channel_cardinality}
         # the reported spec regenerates the drawn rows as its prefix
-        assert np.array_equal(Codebook.from_spec(spec).packed()[: cb.cardinality], cb.packed())
+        assert np.array_equal(Codebook.from_spec(spec).table[: cb.cardinality], cb.table)
 
     def test_relay_chain_plans_at_n64(self, root):
         # |Cc| is past the 2^20-row cap; only the |Cs| message rows are drawn
