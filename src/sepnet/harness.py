@@ -784,6 +784,8 @@ def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) ->
     system = config.system
     if not config.targets:
         return {"ok": True, "detail": "skipped: no targets in config", "expected_fail": False}
+    if not config.untouched:
+        return {"ok": True, "detail": "skipped: no untouched pairs", "expected_fail": False}
     small = _resize_target(config.targets[0], 32)
     budget = DistortionBudget(small.level, small.metric)
     guar = measure_end_to_end(
@@ -795,8 +797,6 @@ def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) ->
     cb = plan.channel_cb
     bad_cb = Codebook.generate(cb.kind, wrong_pmf, cb.n, cb.cardinality, cb.common_seed)
     after = apply_separation(system, dataclasses.replace(plan, channel_cb=bad_cb))
-    if not config.untouched:
-        return {"ok": True, "detail": "skipped: no untouched pairs", "expected_fail": False}
     results = verify_noninterference(
         system, after, config.untouched, 3000, root.derive("nc_ni"), repetitions=1
     )

@@ -67,6 +67,9 @@ MIN_TRIALS = 1000
 RECHECK_SLACK = 0.02
 # Per-letter distortions are looked up this many cells at a time.
 _DISTORTION_CELLS = 1 << 20
+# Most lanes one block start of a measurement runs, plain and separated.
+_PLAIN_LANES = 4096
+_SEPARATED_LANES = 2048
 
 
 class PlanInfeasible(ValueError):
@@ -164,10 +167,13 @@ class SeparationSendModem(Modem):
     Window w of the channel block clock covers steps [n' + w*n, n' + w*n +
     n). At each window start the newest complete source block is encoded;
     earlier unsent blocks are dropped when n' < n (the stream outpaces the
-    codec, which only matters for continuous runs). Until the first window
-    the simulated stream is fresh i.i.d. symbols from the source law, so
-    the inner modem's input law is exact from step 0. All channel windows
-    that start within one rollout window are encoded in one search.
+    codec, which only matters for continuous runs). Only the windows whose
+    decode step ``plan.latency`` + w*n lies inside the horizon are
+    encoded. Before the first window and after the last encoded one the
+    simulated stream is fresh i.i.d. symbols from the source law, drawn in
+    one draw at the start, so the inner modem's input law is exact at
+    every step. All channel windows that start within one rollout window
+    are encoded in one search.
     """
 
     def __init__(self, inner: Modem, plan: SeparationPlan):
@@ -182,9 +188,13 @@ class SeparationSendModem(Modem):
         T, B = view.horizon, view.lanes
         pair = self.plan.pair
         pmf = view.source_pmfs[pair]
+        n, npr = self.plan.rate_plan.n, self.plan.rate_plan.n_prime
         virt = np.zeros((T, B), dtype=pmf.alphabet.dtype)
-        head = min(self.plan.rate_plan.n_prime, T)
-        virt[:head] = sample_iid_array(pmf, head * B, view.private_gen).reshape(head, B)
+        head = min(npr, T)
+        # the emit step after the last window decoded within the horizon
+        emit_end = min(npr + n * max(0, -(-(T - self.plan.latency) // n)), T)
+        filler = sample_iid_array(pmf, (head + T - emit_end) * B, view.private_gen)
+        virt[:head], virt[emit_end:] = np.split(filler.reshape(-1, B), [head])
         inner_sources = dict(view.sources)
         inner_sources[pair] = virt
         inner_view = ModemView(
@@ -203,12 +213,13 @@ class SeparationSendModem(Modem):
             "inner_state": self.inner.start(inner_view),
             "true_sources": view.sources[pair],
             "windows": view.telemetry["sep_send"]["windows"],
+            "emit_end": emit_end,
         }
 
     def window(self, t0, t1, state, view):
         plan = self.plan
         n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
-        emit = _clock_ticks(npr, n, t0, t1)
+        emit = _clock_ticks(npr, n, t0, min(t1, state["emit_end"]))
         if len(emit):
             src = plan.source_start((emit - npr) // n)
             x = _blocks(state["true_sources"], src, npr)
@@ -474,30 +485,32 @@ def measure_end_to_end(
     The scored blocks are fixed before the rollout: the k-th block start of
     each lane compares the source from x_k with the reproduction from y_k.
     A plain pair has blocks of ``block_length`` (default: the system's)
-    from the warm-up on, at its declared latency, in up to 4096 lanes. A
-    separated pair has one block of n' per channel window w, from
-    ``plan.source_start(w)`` against its decode step ``plan.latency`` +
-    w*n, in up to 2048 lanes; it ignores ``block_length`` and also reports
-    the channel/source error split over the same blocks. Trials fill the
-    lanes of one block start before the next. The rollout stops where the
-    last scored block ends; every draw is a prefix of the same stream, so
-    a longer rollout would score the same blocks bit for bit.
+    from the warm-up on, at its declared latency. A separated pair has one
+    block of n' per channel window w, from ``plan.source_start(w)``
+    against its decode step ``plan.latency`` + w*n; it ignores
+    ``block_length`` and also reports the channel/source error split over
+    the same blocks. With a cap of _PLAIN_LANES lanes for a plain pair and
+    _SEPARATED_LANES for a separated one, the rollout runs ceil(trials /
+    cap) block starts of ceil(trials / starts) lanes, so fewer than one
+    block per start goes unscored. Trials fill the lanes of one block
+    start before the next. The rollout stops where the last scored block
+    ends; every draw is a prefix of the same stream, so a longer rollout
+    would score the same blocks bit for bit.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} trials")
     pair = tuple(pair)
     plan = system.modem_for(pair[0]).plan if is_separated(system, pair) else None
+    starts = np.arange(-(-trials // (_PLAIN_LANES if plan is None else _SEPARATED_LANES)))
+    lanes = -(-trials // len(starts))
     if plan is None:
         n = int(block_length if block_length is not None else system.block_length)
-        lanes = min(trials, 4096)
-        x_starts = system.warmup + n * np.arange(-(-trials // lanes))
+        x_starts = system.warmup + n * starts
         y_starts = x_starts + system.latency_map[pair]
     else:
         n = plan.rate_plan.n_prime
-        lanes = min(trials, 2048)
-        windows = np.arange(-(-trials // lanes))
-        x_starts = plan.source_start(windows)
-        y_starts = plan.latency + windows * plan.rate_plan.n
+        x_starts = plan.source_start(starts)
+        y_starts = plan.latency + starts * plan.rate_plan.n
     traj = rollout(system, seeds, lanes=lanes, horizon=int(y_starts[-1]) + n)
     avgs = _block_distortions(
         budget.metric, traj.sources[pair], traj.repro[pair], x_starts, y_starts, n
@@ -516,8 +529,8 @@ def measure_end_to_end(
         return GuaranteeReport(**report)
 
     # both wrappers log windows 0, 1, ... in order; the first ones are scored
-    send = traj.telemetry[pair[0]]["sep_send"]["windows"][: len(windows)]
-    recv = traj.telemetry[pair[1]]["sep_recv"]["windows"][: len(windows)]
+    send = traj.telemetry[pair[0]]["sep_send"]["windows"][: len(starts)]
+    recv = traj.telemetry[pair[1]]["sep_recv"]["windows"][: len(starts)]
     codes = np.concatenate([w["codes"] for w in recv])[:trials]
     xi = codes != np.concatenate([w["messages"] for w in send])[:trials]
     eta = np.concatenate([w["roundtrip_avg"] for w in send])[:trials] > budget.level

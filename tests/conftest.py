@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepnet.netmodel import DmcMedium, NetworkSystem, PassthroughModem
-from sepnet.probcore import Pmf, RandomnessHandle
+from sepnet.probcore import Pmf, RandomnessHandle, _row_cumsum, _sample_indexed
 from sepnet.ratedist import hamming_metric
 
 ROOT_SEED = 20240801
@@ -47,3 +47,25 @@ def single_link_system(flip: float, source_probs=(0.5, 0.5), block_length=1000,
 @pytest.fixture
 def bsc_system() -> NetworkSystem:
     return single_link_system(0.11)
+
+
+
+def sequential_draw(pmf: Pmf, size: int, gen: np.random.Generator) -> np.ndarray:
+    """The sampler's definition: ``size`` uniforms in one call, mapped to symbols."""
+    return _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, gen.random(size), pmf.alphabet.dtype)
+
+
+def codebook_symbols(pmf: Pmf, rows: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """A codebook's rows by definition, as (rows, n) symbols drawn with
+    ``gen``. Under the fair coin, exactly (0.5, 0.5), row i is the raw
+    64-bit words [i*w, (i+1)*w) of ``gen``'s bit generator, w = ceil(n / 64),
+    read from the top bit down, and of the last word only its low
+    n - 64(w - 1) bits are symbols. Under any other law they are the
+    sequential draw of rows * n symbols."""
+    if tuple(pmf.probs) != (0.5, 0.5):
+        return sequential_draw(pmf, rows * n, gen).reshape(rows, n)
+    w = -(-n // 64)
+    raw = gen.bit_generator.random_raw(rows * w).reshape(rows, w)
+    bits = np.unpackbits(raw.astype(">u8").view(np.uint8), axis=1).reshape(rows, w, 64)
+    low = bits[:, -1, 64 * w - n :]
+    return np.concatenate([bits[:, :-1].reshape(rows, -1), low], axis=1).astype(np.int8)

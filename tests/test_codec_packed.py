@@ -1,6 +1,7 @@
-"""Binary codebooks are drawn straight into packed words: one uint64 per
-row, equal word for word to packing the sequential draw, whatever the
-worker count, and without a table of symbols."""
+"""Binary codebooks are drawn straight into packed words, one uint64 per
+row for n <= 64, and without a table of symbols. A fair coin's rows are
+raw Philox words (``conftest.codebook_symbols``); every other law's words
+equal packing the sequential draw, whatever the worker count."""
 
 import tracemalloc
 from unittest import mock
@@ -8,28 +9,31 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import codebook_symbols, sequential_draw
+
 from sepnet import probcore
 from sepnet.codec import Codebook
 from sepnet.probcore import (
     Pmf,
     RandomnessHandle,
     _pack_planes,
-    _row_cumsum,
-    _sample_indexed,
     _unpack_planes,
     sample_iid_array,
 )
 
 LAWS = [(0.5, 0.5), (0.11, 0.89)]
-WIDTHS = [1, 7, 24, 48, 63, 64]
+WIDTHS = [1, 7, 24, 48, 63, 64, 65, 128]
 SLICE = 100  # symbols per slice here: every table of 200 symbols or more is shared
 
 
 def sequential_words(pmf, rows, n, gen):
-    """The definition: rows * n uniforms in one call, mapped to symbols,
-    then packed row by row."""
-    symbols = _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, gen.random(rows * n), np.int8)
-    return _pack_planes(symbols.reshape(rows, n), 2).reshape(rows)
+    """rows * n uniforms in one call, mapped to symbols, then packed row by row."""
+    return _pack_planes(sequential_draw(pmf, rows * n, gen).reshape(rows, n), 2).reshape(-1)
+
+
+def law_words(pmf, rows, n, gen):
+    """The definition of a binary codebook's words under ``pmf``."""
+    return _pack_planes(codebook_symbols(pmf, rows, n, gen), 2).reshape(-1)
 
 
 def row_counts(n):
@@ -62,14 +66,19 @@ def test_pack_bits_puts_the_first_symbol_in_the_top_bit():
 @pytest.mark.parametrize("n", WIDTHS)
 def test_generated_words_equal_the_packed_sequential_draw(monkeypatch, root, workers, probs, n):
     monkeypatch.setattr(probcore, "SAMPLE_SLICE", SLICE)
+    # the fair coin (probs0) takes raw words, the other law the sequential draw
     pmf = Pmf.from_probs(probs)
     for rows in row_counts(n):
         handle = root.derive("packed", n, rows)
         cb = Codebook.generate("channel-embedding", pmf, n, rows, handle)
         words = cb.table
-        assert words.dtype == np.uint64 and words.shape == (rows,)
+        assert words.dtype == np.uint64 and words.shape == (rows * -(-n // 64),)
         assert not words.flags.writeable
-        assert np.array_equal(words, sequential_words(pmf, rows, n, handle.generator()))
+        assert np.array_equal(words, law_words(pmf, rows, n, handle.generator()))
+        # prefix-stable and regenerable from the spec
+        prefix = Codebook.generate("channel-embedding", pmf, n, -(-rows // 2), handle)
+        assert np.array_equal(prefix.table, words[: len(prefix.table)])
+        assert np.array_equal(Codebook.from_spec(cb.spec()).table, words)
 
 
 @pytest.mark.parametrize("n, rows", [(64, 2047), (64, 2048), (64, 2049), (63, 5003), (48, 7001)])
@@ -137,14 +146,15 @@ def test_wider_or_larger_alphabets_round_trip_their_symbols(root):
 
 def test_generation_holds_no_symbol_table(root, workers):
     # 200,000 x 64 symbols would take 12.8 MB as int8; the words take 1.6 MB
-    pmf = Pmf.from_probs(LAWS[0])
     rows, n = 200_000, 64
-    Codebook.generate("channel-embedding", pmf, n, 1000, root)  # pool and caches warm
-    tracemalloc.start()
-    try:
-        cb = Codebook.generate("channel-embedding", pmf, n, rows, root.derive("rss"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert cb.table.nbytes == rows * 8
-    assert peak < rows * n / 4
+    for probs in LAWS:
+        pmf = Pmf.from_probs(probs)
+        Codebook.generate("channel-embedding", pmf, n, 1000, root)  # pool and caches warm
+        tracemalloc.start()
+        try:
+            cb = Codebook.generate("channel-embedding", pmf, n, rows, root.derive("rss"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cb.table.nbytes == rows * 8
+        assert peak < rows * n / 4

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import codebook_symbols, sequential_draw
+
 from sepnet import codec, probcore
 from sepnet.codec import (
     AMBIGUOUS,
@@ -29,8 +31,6 @@ from sepnet.probcore import (
     Pmf,
     RandomnessHandle,
     _pack_planes,
-    _row_cumsum,
-    _sample_indexed,
 )
 from sepnet.ratedist import DistortionMetric, hamming_metric
 
@@ -213,6 +213,22 @@ def test_codebook_letters_outside_the_metric_are_rejected():
         batch_min_distortion_rows(cb, np.array([[1, 1, 0, 0]], dtype=np.int8), metric)
 
 
+@pytest.mark.parametrize("kind", [SOURCE_COMPRESSION, CHANNEL_EMBEDDING])
+def test_block_letters_outside_the_metric_are_rejected(kind):
+    # one plane would pack the letter 2 of block 2200 as a 1, so that row
+    # 1111 came back at 0.5 instead of an error
+    binary = Alphabet(2)
+    metric = DistortionMetric(binary, binary, np.array([[0.0, 1.0], [3.0, 0.0]]))
+    cb = hand_codebook(np.array([[0] * 4, [1] * 4], dtype=np.int8), kind)
+    block = np.array([[2, 2, 0, 0]], dtype=np.int8)
+    for search in (batch_min_distortion_rows, batch_unique_within_decode):
+        args = (0.5,) if search is batch_unique_within_decode else ()
+        with pytest.raises(ValueError, match="block letter 2 .* 2-letter block alphabet"):
+            search(cb, block, metric, *args)
+        with pytest.raises(ValueError, match="2-letter block alphabet"):
+            search(cb, block, METRIC, *args)
+
+
 @pytest.mark.parametrize("m", [INDEX_MIN_ROWS - 1, INDEX_MIN_ROWS, INDEX_MIN_ROWS + 1])
 def test_both_sides_of_the_index_threshold(m):
     g = np.random.default_rng(m)
@@ -242,11 +258,6 @@ def test_both_sides_of_the_index_threshold(m):
     assert codes[0] == AMBIGUOUS and NONE_WITHIN in codes and (codes >= 0).any()
 
 
-def sequential_draw(pmf, n, gen):
-    """The sampler's definition: n uniforms in one call, mapped to symbols."""
-    return _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, gen.random(n), pmf.alphabet.dtype)
-
-
 @pytest.mark.parametrize(
     "probs, n, m, slice_",
     [([0.3, 0.7], 7, 61, 100), ([1 / 3] * 3, 12, 40, 100), ([0.5, 0.5], 200, 3, 100),
@@ -259,7 +270,7 @@ def test_chunked_generation_equals_one_shot(monkeypatch, root, probs, n, m, slic
     pmf = Pmf.from_probs(probs)
     handle = root.derive("chunked", n, m)
     cb = Codebook.generate("source-compression", pmf, n, m, handle)
-    one_shot = sequential_draw(pmf, n * m, handle.generator()).reshape(m, n)
+    one_shot = codebook_symbols(pmf, m, n, handle.generator())
     assert np.array_equal(cb.entries, one_shot)
     assert not cb.table.flags.writeable
 

@@ -158,33 +158,33 @@ GOLDEN = {
         "sources[0, 2]": "860cda8e16713416",
     },
     "separated_argmin": {
-        "link_outputs[0, 1]": "88bff6c3951d145a",
-        "medium_inputs": "33eee18f606044bd",
-        "recv1.codes": "8bd4059496a05ac5",
+        "link_outputs[0, 1]": "045420b0357c3ef4",
+        "medium_inputs": "34b4c23c82d9fad9",
+        "recv1.codes": "00052749cf3abb3a",
         "recv1.decode_tau": "d168091e4dbc5fbd",
         "recv1.window": "84ca4f50986f8594",
-        "repro[0, 1]": "e8b9547107631a53",
-        "send0.emit_start": "da0c2d3375e3e24a",
-        "send0.messages": "e1d5fb731536f62e",
-        "send0.roundtrip_avg": "2d7da5d8fa751864",
-        "send0.sim_stream": "65f1bffff37f873e",
-        "send0.src_start": "f875dc7cc6ed4ea0",
-        "send0.window": "88a3d6c2891cea35",
+        "repro[0, 1]": "ed9c33266c38af7f",
+        "send0.emit_start": "818bda681420677c",
+        "send0.messages": "bcefe6f5eacfb800",
+        "send0.roundtrip_avg": "53e505316e394f5c",
+        "send0.sim_stream": "94e9e6a2e08deeee",
+        "send0.src_start": "ea7d438b9a520612",
+        "send0.window": "84ca4f50986f8594",
         "sources[0, 1]": "bd8d2451dbb4c0d3",
     },
     "separated_within_d": {
-        "link_outputs[0, 1]": "e4f217b3c4538d6c",
-        "medium_inputs": "ba22d2ab77087740",
-        "recv1.codes": "e09b6425c0e86e24",
+        "link_outputs[0, 1]": "eacaba0adc15f764",
+        "medium_inputs": "728f52ae1afbe873",
+        "recv1.codes": "4a93fa603b3aad82",
         "recv1.decode_tau": "d168091e4dbc5fbd",
         "recv1.window": "84ca4f50986f8594",
-        "repro[0, 1]": "2cdc916771b75145",
-        "send0.emit_start": "da0c2d3375e3e24a",
-        "send0.messages": "cad3a5aaf019b054",
-        "send0.roundtrip_avg": "f19f0853a2136993",
-        "send0.sim_stream": "233d5b7302b2e950",
-        "send0.src_start": "f875dc7cc6ed4ea0",
-        "send0.window": "88a3d6c2891cea35",
+        "repro[0, 1]": "55b200485927a289",
+        "send0.emit_start": "818bda681420677c",
+        "send0.messages": "eb9ccde2cc62eb63",
+        "send0.roundtrip_avg": "c921342f370bc963",
+        "send0.sim_stream": "3c89fdd809d2d037",
+        "send0.src_start": "ea7d438b9a520612",
+        "send0.window": "84ca4f50986f8594",
         "sources[0, 1]": "ab957e39a5767918",
     },
     "single_bsc": {

@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy.stats import chisquare
 
 from conftest import bsc, single_link_system
@@ -16,7 +18,7 @@ from sepnet.netmodel import (
     PassthroughModem,
     rollout,
 )
-from sepnet.harness import ExperimentConfig, _PoisonMedium, _resize_target
+from sepnet.harness import ExperimentConfig, _PoisonMedium, _resize_target, cmd_separate
 from sepnet.probcore import Pmf
 from sepnet import separation
 from sepnet.ratedist import DistortionBudget
@@ -316,7 +318,7 @@ class TestMeasureEndToEnd:
         assert all(w["decode_tau"] + 24 <= horizon for w in recv)
         assert rep.trials == 3000
 
-        # a plain pair: 10,000 trials are 3 blocks of 4096 lanes, and the
+        # a plain pair: 10,000 trials are 3 blocks of 3,334 lanes, and the
         # last one ends at the reproduction of x[warmup + 3n - 1]
         plain = single_link_system(0.11, block_length=32, warmup=5)
         rep = measure_end_to_end(
@@ -324,7 +326,45 @@ class TestMeasureEndToEnd:
         )
         horizon, traj = runs[-1]
         assert horizon == 5 + 3 * 32 + 3
-        assert traj.lanes == 4096 and rep.trials == 10_000
+        assert traj.lanes == 3334 and rep.trials == 10_000
+
+    def test_sender_encodes_only_the_decoded_windows(self, root, hamming2, monkeypatch):
+        plan, after = self.separated_within_d(root, hamming2)
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(rollout(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(separation, "rollout", recorded)
+        measure_end_to_end(after, (0, 1), DistortionBudget(0.2, hamming2), 3000, root.derive("m"))
+        [traj] = runs
+        send = traj.telemetry[0]["sep_send"]
+        recv = traj.telemetry[1]["sep_recv"]["windows"]
+        # 3,000 trials are 2 windows of 1,500 lanes, every one of them scored
+        assert traj.lanes == 1500
+        assert [w["window"] for w in send["windows"]] == [w["window"] for w in recv] == [0, 1]
+        # past the last encoded window the simulated stream is fresh filler
+        tail = send["sim_stream"][24 + 2 * 32 :]
+        assert len(tail) == traj.horizon - 24 - 2 * 32 > 0 and 0 < tail.mean() < 1
+        # at any horizon, on either side of a decode step
+        for horizon in range(plan.latency + 3 * 32 - 1, plan.latency + 3 * 32 + 2):
+            traj = rollout(after, root.derive("h", horizon), lanes=2, horizon=horizon)
+            sent = traj.telemetry[0]["sep_send"]["windows"]
+            assert len(sent) == len(traj.telemetry[1]["sep_recv"]["windows"])
+
+    @pytest.mark.parametrize("trials", [1000, 2047, 2049, 3000, 4097, 10_000, 12_288])
+    def test_lanes_leave_fewer_than_one_block_per_start_unscored(
+        self, root, hamming2, monkeypatch, trials
+    ):
+        lanes_run = []
+        monkeypatch.setattr(separation, "rollout",
+                            lambda *a, **kw: lanes_run.append(kw["lanes"]) or rollout(*a, **kw))
+        plain = single_link_system(0.11, block_length=8)
+        measure_end_to_end(plain, (0, 1), DistortionBudget(0.2, hamming2), trials, root)
+        starts = -(-trials // 4096)
+        assert lanes_run == [-(-trials // starts)]
+        assert 0 <= lanes_run[0] * starts - trials < starts
 
     def test_decode_failure_split_counts_the_scored_trials(self, root, hamming2):
         _, after = self.separated_within_d(root, hamming2)
@@ -336,21 +376,47 @@ class TestMeasureEndToEnd:
         assert rep.none_within_count + rep.ambiguous_count <= round(rep.xi_hat * rep.trials)
 
     def test_plain_pair_is_pinned(self, root, hamming2):
-        # 3 blocks of 4096 lanes; block k of a lane starts at warmup + k*n
+        # 3 blocks of 3,334 lanes; block k of a lane starts at warmup + k*n
         system = single_link_system(0.11, block_length=32)
         rep = measure_end_to_end(
             system, (0, 1), DistortionBudget(0.125, hamming2), 10_000, root.derive("pin")
         )
-        assert (rep.trials, rep.block_length, rep.exceed_count) == (10_000, 32, 2761)
+        assert (rep.trials, rep.block_length, rep.exceed_count) == (10_000, 32, 2742)
 
     def test_separated_split_is_pinned(self, root, hamming2):
         _, after = self.separated_within_d(root, hamming2)
         rep = measure_end_to_end(
             after, (0, 1), DistortionBudget(0.2, hamming2), 3000, root.derive("m")
         )
-        assert (rep.trials, rep.block_length, rep.exceed_count) == (3000, 24, 1650)
+        assert (rep.trials, rep.block_length, rep.exceed_count) == (3000, 24, 1661)
         xi, eta = round(rep.xi_hat * rep.trials), round(rep.eta_hat * rep.trials)
-        assert (xi, eta, rep.none_within_count, rep.ambiguous_count) == (841, 1136, 809, 18)
+        assert (xi, eta, rep.none_within_count, rep.ambiguous_count) == (812, 1157, 781, 25)
+
+
+def hamming_ball(n: int, radius: int) -> int:
+    """Words within Hamming distance ``radius`` of a word of n bits."""
+    return sum(math.comb(n, k) for k in range(radius + 1))
+
+
+def test_overshoot_meets_the_exact_ensemble_value(tmp_path):
+    # Under the fair coin q* is uniform, so every block has the same chance
+    # V(n', floor(D'n')) / 2^n' that a row lies within D' of it, and the
+    # source coder overshoots with probability (1 - that)^|Cs| (Kostina &
+    # Verdu, IEEE-IT 2012): 0.532 at n = 32 and 0.026 at n = 48
+    data = yaml.safe_load((CONFIG_DIR / "single_bsc.yaml").read_text())
+    data["targets"][0]["block_lengths"] = [32, 48]
+    record = cmd_separate(ExperimentConfig.from_dict(data), tmp_path)
+    predicted = []
+    for run in record.payload["runs"]:
+        plan = run["steps"][0]["plan"]
+        npr, size = plan["n_prime"], plan["source_codebook"]["cardinality"]
+        near = hamming_ball(npr, math.floor(plan["level_prime"] * npr + 1e-12)) / 2**npr
+        eta = (1 - near) ** size
+        stats = run["pairs"]["[0, 1]"]
+        assert stats["trials"] == 3000
+        assert abs(stats["eta_hat"] - eta) <= stats["eta_half_width"]
+        predicted.append(round(eta, 3))
+    assert predicted == [0.532, 0.026]
 
 
 class TestNoninterference:
