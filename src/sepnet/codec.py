@@ -14,14 +14,13 @@ randomness (pmf, n, cardinality, seed) of a codebook, and ``from_spec``
 draws the identical rows anew from it. A codebook is stored as nothing
 but bit planes: a row over K letters is K - 1 one-hot planes of
 ceil(n / 64) uint64 words, plane a marking where letter a + 1 stands, so
-a binary row with n <= 64 is one word. Under the fair coin, exactly
-(0.5, 0.5), n fair bits are n bits of raw Philox output, so row i is the
-generator's raw words [i * w, (i + 1) * w), w = ceil(n / 64), kept as
-they come except that the last word's low n - 64(w - 1) bits move to its
-top. Every other law is one ``sample_iid_array`` draw of cardinality * n
-symbols, row by row, drawn straight into the planes. Either way
-generation is prefix-stable: the first m rows of a draw are the draw of m
-rows, so a channel codebook draws only the rows that carry messages.
+a binary row with n <= 64 is one word. The rows are one
+``sample_iid_array`` draw of cardinality * n symbols, row by row, drawn
+straight into the planes; under the fair coin, exactly (0.5, 0.5), row i
+is the generator's raw 64-bit words [i * w, (i + 1) * w), w =
+ceil(n / 64). Generation is prefix-stable: the first m rows of a draw are
+the draw of m rows, so a channel codebook draws only the rows that carry
+messages.
 
 Codeword search (nearest row, unique row within D) is exact over every
 row, batched over blocks, with ties to the lowest row. One scan compares
@@ -230,9 +229,8 @@ class Codebook:
         common_seed: RandomnessHandle,
     ) -> "Codebook":
         """Draw ``cardinality`` rows of n symbols i.i.d. from ``gen_pmf``
-        with ``common_seed``'s generator: raw words under the fair coin,
-        exactly (0.5, 0.5) (``_raw_word_rows``), ``sample_iid_array``
-        under any other law."""
+        with ``common_seed``'s generator, as one ``sample_iid_array`` draw
+        of packed rows."""
         if cardinality < 1:
             raise ValueError("cardinality must be >= 1")
         if cardinality > CARDINALITY_CAP:
@@ -240,11 +238,7 @@ class Codebook:
                 f"cardinality {cardinality} exceeds cap {CARDINALITY_CAP}; "
                 f"use a smaller n * rate product"
             )
-        gen = common_seed.generator()
-        if np.array_equal(gen_pmf.probs, (0.5, 0.5)):
-            table = _raw_word_rows(gen, cardinality, n)
-        else:
-            table = sample_iid_array(gen_pmf, cardinality * n, gen, packed_row=n)
+        table = sample_iid_array(gen_pmf, cardinality * n, common_seed.generator(), packed_row=n)
         return cls(kind, n, cardinality, gen_pmf, common_seed, table)
 
     def spec(self) -> dict:
@@ -291,17 +285,6 @@ class Codebook:
             index = _HammingIndex(self.table, self.n)
             object.__setattr__(self, "_index_cache", index)
         return index
-
-
-def _raw_word_rows(gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """``rows`` fair-coin rows of n symbols as flat planes: row i is the raw
-    64-bit words [i * w, (i + 1) * w) of ``gen``'s bit generator, w =
-    ceil(n / 64), the last word's low n - 64(w - 1) bits moved to its top
-    (where ``_pack_planes`` puts a word's first position)."""
-    words = -(-n // 64)
-    table = gen.bit_generator.random_raw(rows * words).reshape(rows, words)
-    table[:, -1] <<= np.uint64(64 * words - n)
-    return table.reshape(-1)
 
 
 def _hamming_scale(metric: DistortionMetric, letters: int) -> float | None:

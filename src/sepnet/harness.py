@@ -608,6 +608,8 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
     """Plan, apply, and verify the transformation for every target pair
     across the configured block lengths."""
     t0 = time.time()
+    if not config.targets:
+        raise ConfigError("targets: separate needs at least one target pair")
     system = config.system
     root = RandomnessHandle(_seed_root(config, seed))
     common = root.derive("common-randomness")

@@ -556,10 +556,11 @@ def rollout(
     if order is None:
         # with one step per window every input comes from an earlier window
         order, W = [*modems, *medium.links], 1
+    u_buf = np.empty((min(W, T), medium.draws_per_step, B))  # every window's uniforms
     for t0 in range(0, T, W):
         t1 = min(t0 + W, T)
         a = max(t0, 1)  # the medium is first consulted at step 1
-        u_block = med_gen.random((t1 - a, medium.draws_per_step, B))
+        u_block = med_gen.random(out=u_buf[: t1 - a])
         for node in order:
             if isinstance(node, tuple):
                 if t1 > a:

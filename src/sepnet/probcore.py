@@ -11,18 +11,19 @@ imports scipy, and it does so on first use: most commands never compute a
 p-value, and importing scipy at start-up would cost them most of their
 start-up time.
 
-Large draws use every CPU the process may run on. Philox is counter-based
-(Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2,
-3", SC 2011): four 64-bit words come from each counter value, so a copy of
-a generator moved ahead by counter draws any slice of its stream on its
-own. ``sample_iid_array`` cuts a Philox draw of at least two
-``SAMPLE_SLICE``-symbol slices into one contiguous share per worker; each
-share draws from its own copy and maps uniforms to symbols one slice at a
-time, and the caller's generator ends where a sequential draw would leave
-it. A draw can come back as rows packed into one-hot bit planes of
-64-bit words (``packed_row``): each slice is packed as it is drawn, and the
-shares cut at row boundaries, so no table of symbols is made. Codeword
-search (``codec``) shares its queries out on the same pool. The pool is
+Every stream is a PCG64DXSM generator (O'Neill, "PCG: A family of simple
+fast space-efficient statistically good algorithms for random number
+generation", 2014). A fair-coin draw, exactly (0.5, 0.5), takes 64
+symbols from each raw 64-bit word; a draw under any other law maps one
+uniform, one word, to each symbol. PCG64DXSM can ``advance`` by any number
+of words, so ``sample_iid_array`` cuts a draw of at least two
+``SAMPLE_SLICE``-symbol slices into one contiguous share per worker, each
+drawn slice by slice from its own advanced copy of the generator, and the
+caller's generator ends where a sequential draw would leave it. A draw can
+come back as rows packed into one-hot bit planes of 64-bit words
+(``packed_row``): each slice is packed as it is drawn and the shares cut
+at row boundaries, so no table of symbols is made. Codeword search
+(``codec``) shares its queries out on the same pool. The pool is
 module-private, started on first use, one thread per CPU in the process's
 affinity mask (at most ``_MAX_WORKERS``); work already on a worker thread
 runs inline rather than waiting on the pool. Every result is the same,
@@ -31,10 +32,10 @@ draw for draw and row for row, whatever the worker count.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import itertools
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -60,8 +61,8 @@ PMF_RENORM_TOL = 1e-9
 
 _MASK64 = (1 << 64) - 1
 
-# Symbols a share maps from uniforms at a time; a multiple of Philox's
-# four-word block, and small enough that its uniforms stay in cache.
+# Symbols a share draws at a time: small enough that a slice's words stay
+# in cache.
 SAMPLE_SLICE = 1 << 16
 # Ceiling on the worker pool's threads.
 _MAX_WORKERS = 4
@@ -212,8 +213,8 @@ class RandomnessHandle:
         )
 
     def generator(self) -> np.random.Generator:
-        """Fresh counter-based generator positioned at the stream start."""
-        return np.random.Generator(np.random.Philox(self._seed_sequence()))
+        """Fresh PCG64DXSM generator positioned at the stream start."""
+        return np.random.Generator(np.random.PCG64DXSM(self._seed_sequence()))
 
     def derive(self, *tags) -> "RandomnessHandle":
         """Build an independent child handle namespaced by the given tags."""
@@ -240,69 +241,73 @@ def sample_iid_array(
 ) -> np.ndarray:
     """Array-returning i.i.d. sampler advancing an existing generator.
 
-    Draw for draw the result is ``_sample_indexed(cum, 0, gen.random(n))``
-    and ``gen`` ends in the state that draw leaves. With ``packed_row`` =
-    w > 0 (n a multiple of w) the draw is n / w rows of w symbols and comes
-    back as ``_pack_planes`` of those rows, flat, packed slice by slice: no
-    table of symbols is made. A binary row with w <= 64 is one word.
+    Under the fair coin, exactly (0.5, 0.5), the symbols are bits of the
+    bit generator's raw words (``_fair_rows``): a row of w symbols is
+    ceil(w / 64) words, and an unpacked draw is one row of n. Under any
+    other law the draw is ``_sample_indexed(cum, 0, gen.random(n))``, one
+    word per symbol. ``gen`` ends in the state the draw leaves. With
+    ``packed_row`` = w > 0 (n a multiple of w) the draw is n / w rows of w
+    symbols and comes back as ``_pack_planes`` of those rows, flat, packed
+    slice by slice: no table of symbols is made. A binary row with w <= 64
+    is one word.
 
-    A Philox draw of at least two slices is shared out over the worker
-    pool. ``gen`` first draws the rows up to the first row boundary at a
-    four-word block boundary (its buffered words first); each share then
-    draws a run of whole rows and whole blocks from a copy of ``gen``
-    advanced to it, and ``gen`` itself skips those blocks and draws the
-    rows left over.
+    A draw of at least two slices is shared out over the worker pool in
+    runs of whole rows (of 64 symbols, one word, for an unpacked fair
+    draw): each share draws from a copy of ``gen`` advanced past the words
+    of the runs before it, and ``gen`` itself advances past them all.
     """
     if packed_row and (packed_row < 1 or n % packed_row):
         raise ValueError(f"cannot pack {n} symbols into rows of {packed_row}")
-    cum = _row_cumsum(pmf.probs)[None, :]
-    bitgen = getattr(gen, "bit_generator", None)
-    shared = n >= 2 * SAMPLE_SLICE and isinstance(bitgen, np.random.Philox)
-    if not shared and not packed_row:
-        return _sample_indexed(cum, 0, gen.random(n), pmf.alphabet.dtype)
-    width = max(packed_row, 1)
-    shape = (n // width, max(len(pmf) - 1, 1), -(-width // 64)) if packed_row else n
-    out = np.empty(shape, dtype=np.uint64 if packed_row else pmf.alphabet.dtype)
-    fill = functools.partial(_fill, cum, packed_row)
-    head = None
-    if shared:
-        start = bitgen.state
-        buffered = 4 - start["buffer_pos"]
-        # rows drawn here so that the shares start on a block boundary
-        head = next((r for r in range(4) if (r * width - buffered) % 4 == 0), None)
-    if head is None:  # not shared, or no row ends on a block boundary: in order
+    fair = np.array_equal(pmf.probs, (0.5, 0.5))
+    if packed_row:
+        out = np.empty((n // packed_row, max(len(pmf) - 1, 1), -(-packed_row // 64)),
+                       dtype=np.uint64)
+        unit, words = 1, (out.shape[2] if fair else packed_row)  # out rows, words per run
+    else:
+        out = np.empty(n, dtype=pmf.alphabet.dtype)
+        unit, words = (64, 1) if fair else (1, 1)
+    fill = functools.partial(_fill, _row_cumsum(pmf.probs)[None, :], packed_row, fair)
+    if n < 2 * SAMPLE_SLICE:
         fill(gen, out)
         return out.reshape(-1)
-    fill(gen, out[:head])
-    state = bitgen.state["state"]
-    step = 4 // math.gcd(width, 4)  # rows per whole number of blocks
-    groups = (len(out) - head) // step
+    runs = -(-len(out) // unit)
     workers = _worker_count()
-    cuts = [head + step * (groups * k // workers) for k in range(workers + 1)]
-    draw = functools.partial(_draw_share, fill, state["counter"], state["key"])
-    _run_shares(draw, [((a - head) * width // 4, out[a:b])
-                       for a, b in itertools.pairwise(cuts) if a < b])
-    bitgen.advance(groups * step * width // 4)
-    fill(gen, out[cuts[-1]:])
+    cuts = [runs * k // workers for k in range(workers + 1)]
+    bitgen = gen.bit_generator
+    _run_shares(fill, [(np.random.Generator(copy.deepcopy(bitgen).advance(a * words)),
+                        out[a * unit : b * unit]) for a, b in itertools.pairwise(cuts) if a < b])
     # advancing drops the half-used 32-bit word a sequential draw keeps
-    end = bitgen.state
-    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
-    bitgen.state = end
+    pending = {key: bitgen.state[key] for key in ("has_uint32", "uinteger")}
+    bitgen.state = {**bitgen.advance(runs * words).state, **pending}
     return out.reshape(-1)
 
 
-def _draw_share(fill, counter, key, blocks: int, out: np.ndarray) -> None:
-    """``fill`` ``out`` from the stream's blocks after ``counter`` +
-    ``blocks``."""
-    fill(np.random.Generator(np.random.Philox(counter=counter, key=key).advance(blocks)), out)
+def _fair_rows(bitgen, rows: int, n: int) -> np.ndarray:
+    """``rows`` fair-coin rows of n symbols as planes (rows, 1, w), w =
+    ceil(n / 64): row i is the raw words [i * w, (i + 1) * w) of
+    ``bitgen``, read from the top bit down, the last word's low
+    n - 64(w - 1) bits moved to its top (where ``_pack_planes`` puts a
+    word's first position)."""
+    w = -(-n // 64)
+    table = bitgen.random_raw(rows * w).reshape(rows, 1, w)
+    table[..., -1] <<= np.uint64(64 * w - n)
+    return table
 
 
-def _fill(cum: np.ndarray, packed_row: int, gen, out: np.ndarray) -> None:
+def _fill(cum: np.ndarray, packed_row: int, fair: bool, gen, out: np.ndarray) -> None:
     """Fill ``out`` with symbols drawn from ``gen``, or with rows of
-    ``packed_row`` symbols packed into planes, one slice of uniforms at a
-    time."""
+    ``packed_row`` symbols packed into planes, one slice at a time."""
     width = max(packed_row, 1)
     per = max(1, SAMPLE_SLICE // width)  # rows per slice
+    if fair:
+        per = per if packed_row else -(-per // 64) * 64  # whole words
+        for a in range(0, len(out), per):
+            part = out[a : a + per]
+            if packed_row:
+                part[...] = _fair_rows(gen.bit_generator, len(part), packed_row)
+            else:
+                part[...] = _unpack_planes(_fair_rows(gen.bit_generator, 1, len(part)), len(part))[0]
+        return
     u = np.empty(min(per, len(out)) * width)
     syms = np.empty(len(u), dtype=np.uint8) if packed_row else None
     for a in range(0, len(out), per):

@@ -453,7 +453,9 @@ def _block_distortions(
     """Average distortion of each block x[a : a+n] against y[b : b+n],
     per lane: (blocks, lanes) for the starts a, b.
 
-    The per-letter table is read at x*K + y, a few blocks at a time, so the
+    The codec's count-weighted rule: sum_ab d(a, b) * N_ab / n over the
+    table's nonzero entries, N_ab counting the block's cells x*K + y that
+    equal a*K + b. The cells are formed a few blocks at a time, so the
     temporaries stay near ``_DISTORTION_CELLS`` cells.
     """
     table = metric.table.reshape(-1)
@@ -462,13 +464,14 @@ def _block_distortions(
     lanes = x.shape[1]
     step = max(1, _DISTORTION_CELLS // (n * lanes))
     offsets = np.arange(n)
-    out = np.empty((len(x_starts), lanes))
+    total = np.zeros((len(x_starts), lanes))
     for c in range(0, len(x_starts), step):
         cells = x[x_starts[c : c + step, None] + offsets].astype(cell_dtype, copy=False)
         cells *= size
         cells += y[y_starts[c : c + step, None] + offsets]
-        out[c : c + step] = table.take(cells).mean(axis=1)
-    return out
+        for e in np.flatnonzero(table):
+            total[c : c + step] += table[e] * (cells == e).sum(axis=1, dtype=np.int32)
+    return total / n
 
 
 def measure_end_to_end(

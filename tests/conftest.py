@@ -51,7 +51,12 @@ def bsc_system() -> NetworkSystem:
 
 
 def sequential_draw(pmf: Pmf, size: int, gen: np.random.Generator) -> np.ndarray:
-    """The sampler's definition: ``size`` uniforms in one call, mapped to symbols."""
+    """The sampler's definition, ``size`` symbols drawn with ``gen``: under
+    the fair coin, exactly (0.5, 0.5), one row of ``size`` raw bits
+    (``codebook_symbols``); under any other law ``size`` uniforms in one
+    call, mapped to symbols."""
+    if tuple(pmf.probs) == (0.5, 0.5):
+        return codebook_symbols(pmf, 1, size, gen)[0]
     return _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, gen.random(size), pmf.alphabet.dtype)
 
 

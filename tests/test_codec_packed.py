@@ -1,7 +1,7 @@
 """Binary codebooks are drawn straight into packed words, one uint64 per
 row for n <= 64, and without a table of symbols. A fair coin's rows are
-raw Philox words (``conftest.codebook_symbols``); every other law's words
-equal packing the sequential draw, whatever the worker count."""
+the generator's raw words (``conftest.codebook_symbols``); every other
+law's words equal packing the sequential draw, whatever the worker count."""
 
 import tracemalloc
 from unittest import mock
@@ -93,8 +93,8 @@ def test_full_slices_equal_the_packed_sequential_draw(root, workers, n, rows):
 @pytest.mark.parametrize("used", range(8))
 @pytest.mark.parametrize("pending", [False, True])
 def test_packed_draw_after_buffered_words(monkeypatch, workers, n, used, pending):
-    # buffered words 0-3 and a half-used 32-bit word or none: where no row
-    # ends on a block boundary the rows are drawn in order on the caller
+    # a generator that has drawn 0-7 doubles and holds a half-used 32-bit
+    # word or none: the shares start at the caller's state, whatever it is
     monkeypatch.setattr(probcore, "SAMPLE_SLICE", SLICE)
     pmf = Pmf.from_probs(LAWS[1])
     rows = -(-3 * SLICE // n) + 1

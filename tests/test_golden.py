@@ -137,82 +137,82 @@ def golden_system(name):
 
 GOLDEN = {
     "coupled_relay": {
-        "link_outputs[0, 1]": "d7970d1a4c440b12",
-        "link_outputs[0, 2]": "59aa5382c38bbf7f",
-        "link_outputs[1, 2]": "cbfddfd5ad7ae2a5",
-        "medium_inputs": "6744d139b961dac2",
-        "repro[0, 2]": "56b0e00ead5f2048",
-        "sources[0, 2]": "4268f0af188d3bf9",
+        "link_outputs[0, 1]": "a9019a6f0b02a7e8",
+        "link_outputs[0, 2]": "4d5bb306cbe4664c",
+        "link_outputs[1, 2]": "0274a8294ca43470",
+        "medium_inputs": "95abc0d1b1dc3be4",
+        "repro[0, 2]": "263f4d5673229397",
+        "sources[0, 2]": "4017906f5b55a399",
     },
     "gilbert_elliott": {
-        "link_outputs[0, 1]": "cc464022c1fc2278",
-        "medium_inputs": "8372a497721834d2",
-        "repro[0, 1]": "c23b4fcba41fe5c9",
-        "sources[0, 1]": "5c337e93a724084d",
+        "link_outputs[0, 1]": "22257fc2e2780482",
+        "medium_inputs": "eaa85c8b33590e18",
+        "repro[0, 1]": "836ddb3b8a1d1ea5",
+        "sources[0, 1]": "39b92a01a86be51e",
     },
     "relay_chain": {
-        "link_outputs[0, 1]": "fcee808d558d27fd",
-        "link_outputs[1, 2]": "711b8508b83d3c3d",
-        "medium_inputs": "7e04e88788871f8f",
-        "repro[0, 2]": "f1d7d101e8afc64a",
-        "sources[0, 2]": "860cda8e16713416",
+        "link_outputs[0, 1]": "d79585e272e670b6",
+        "link_outputs[1, 2]": "b87a1baed4179511",
+        "medium_inputs": "074486f453792664",
+        "repro[0, 2]": "caa0608e9a62e80a",
+        "sources[0, 2]": "141740570f4a1443",
     },
     "separated_argmin": {
-        "link_outputs[0, 1]": "045420b0357c3ef4",
-        "medium_inputs": "34b4c23c82d9fad9",
-        "recv1.codes": "00052749cf3abb3a",
+        "link_outputs[0, 1]": "1cceccd61cbfcd5f",
+        "medium_inputs": "c230e713a10bca21",
+        "recv1.codes": "2aa266993520f670",
         "recv1.decode_tau": "d168091e4dbc5fbd",
         "recv1.window": "84ca4f50986f8594",
-        "repro[0, 1]": "ed9c33266c38af7f",
+        "repro[0, 1]": "0348798ccc1d7701",
         "send0.emit_start": "818bda681420677c",
-        "send0.messages": "bcefe6f5eacfb800",
-        "send0.roundtrip_avg": "53e505316e394f5c",
-        "send0.sim_stream": "94e9e6a2e08deeee",
+        "send0.messages": "d73bfbb8a3480961",
+        "send0.roundtrip_avg": "3b1fe08b648b3447",
+        "send0.sim_stream": "2fc00cde3555e272",
         "send0.src_start": "ea7d438b9a520612",
         "send0.window": "84ca4f50986f8594",
-        "sources[0, 1]": "bd8d2451dbb4c0d3",
+        "sources[0, 1]": "dcefa88d260ea237",
     },
     "separated_within_d": {
-        "link_outputs[0, 1]": "eacaba0adc15f764",
-        "medium_inputs": "728f52ae1afbe873",
-        "recv1.codes": "4a93fa603b3aad82",
+        "link_outputs[0, 1]": "e6b672f613544210",
+        "medium_inputs": "d264601ab0ebc147",
+        "recv1.codes": "9d40cd9fe662263f",
         "recv1.decode_tau": "d168091e4dbc5fbd",
         "recv1.window": "84ca4f50986f8594",
-        "repro[0, 1]": "55b200485927a289",
+        "repro[0, 1]": "089e9de65d12f296",
         "send0.emit_start": "818bda681420677c",
-        "send0.messages": "eb9ccde2cc62eb63",
-        "send0.roundtrip_avg": "c921342f370bc963",
-        "send0.sim_stream": "3c89fdd809d2d037",
+        "send0.messages": "7e7c778c7598b3c9",
+        "send0.roundtrip_avg": "478ff64d900b7026",
+        "send0.sim_stream": "4c979fcfbf086e5f",
         "send0.src_start": "ea7d438b9a520612",
         "send0.window": "84ca4f50986f8594",
-        "sources[0, 1]": "ab957e39a5767918",
+        "sources[0, 1]": "1c89df5a4ba77b3b",
     },
     "single_bsc": {
-        "link_outputs[0, 1]": "01cfb5bf8d2c413c",
-        "medium_inputs": "f9ed626e62fb2d94",
-        "repro[0, 1]": "9af263ad5869128f",
-        "sources[0, 1]": "99e19aa5d01a1782",
+        "link_outputs[0, 1]": "c01d17faf4ef3f96",
+        "medium_inputs": "691445277e1cd4fb",
+        "repro[0, 1]": "26ed16aab1844a10",
+        "sources[0, 1]": "0bd59f09a0211b08",
     },
     "ternary_dmc": {
-        "link_outputs[0, 1]": "e05451b6c245742d",
-        "medium_inputs": "ffc91075415ae170",
-        "repro[0, 1]": "a98b280c28af8faa",
-        "sources[0, 1]": "290a84a3795adb0e",
+        "link_outputs[0, 1]": "548f157278fa10fd",
+        "medium_inputs": "3baf9614418e7b84",
+        "repro[0, 1]": "677a7ec999d35665",
+        "sources[0, 1]": "4a74a8b0a5886a9f",
     },
     "ternary_markov": {
-        "link_outputs[0, 1]": "a00526a752888805",
-        "medium_inputs": "4b75fe3f73ae51ed",
-        "repro[0, 1]": "1d819f412ed1593a",
-        "sources[0, 1]": "2c99c341391455f2",
+        "link_outputs[0, 1]": "a3f497f27c6bb4b8",
+        "medium_inputs": "92aaf4f20268243e",
+        "repro[0, 1]": "a83a8ebe98bcc3c2",
+        "sources[0, 1]": "1e703fbbd60534b6",
     },
     "two_pair_interference": {
-        "link_outputs[0, 1]": "9dc5eddb0962a8b3",
-        "link_outputs[2, 3]": "534adc38d653a869",
-        "medium_inputs": "1f399e08cecf82a7",
-        "repro[0, 1]": "0a68dcce4c74c68a",
-        "repro[2, 3]": "78f4dcf666ea66eb",
-        "sources[0, 1]": "99f0fc99466afa5e",
-        "sources[2, 3]": "0698730d05e2bc18",
+        "link_outputs[0, 1]": "15d1a3c115c8762e",
+        "link_outputs[2, 3]": "d3fd9c53e718601f",
+        "medium_inputs": "dbd682b14f7c6556",
+        "repro[0, 1]": "1f9f26acc9c82869",
+        "repro[2, 3]": "0ef1c5dfcbebf2b6",
+        "sources[0, 1]": "853d2cc69bdf7fac",
+        "sources[2, 3]": "c03ff7a0b090a2ac",
     },
 }
 

@@ -24,7 +24,7 @@ CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 SINGLE_BSC = CONFIG_DIR / "single_bsc.yaml"
 TWO_PAIR = CONFIG_DIR / "two_pair_interference.yaml"
 # sha256 prefix of the separate payload on single_bsc at n = 32, 1000 trials
-SEPARATE_SINGLE_BSC_N32 = "bd5ae04102569119"
+SEPARATE_SINGLE_BSC_N32 = "ebba0a3469d54c3b"
 
 
 def payload_json(record) -> str:
@@ -273,6 +273,7 @@ def test_separate_payload_repeats(tmp_path):
     config = ExperimentConfig.from_dict(data)
     runs = [cmd_separate(config, tmp_path / side, trials=1000) for side in "ab"]
     assert runs[0].payload["runs"][0]["pairs"], "the target was not separated"
+    assert all(run.wall_clock_s > 0 for run in runs)
     assert payload_json(runs[0]) == payload_json(runs[1])
     blob = payload_json(runs[0]).encode()
     assert hashlib.sha256(blob).hexdigest()[:16] == SEPARATE_SINGLE_BSC_N32
@@ -304,15 +305,26 @@ def test_negative_control_is_pinned():
     result = harness._suite_negative_control(
         config, RandomnessHandle(config.seed).derive("s5"))
     assert result["ok"] and result["expected_fail"]
-    assert result["detail"] == "wrong-pmf control min joint p = 8.49e-41 (want < 1e-4)"
+    assert result["detail"] == "wrong-pmf control min joint p = 1.97e-43 (want < 1e-4)"
 
 
-def test_separate_without_targets_is_timed(tmp_path):
+def test_separate_without_targets_fails_naming_the_key(tmp_path, capsys):
+    # with nothing to separate, separate fails validation (exit 1) and
+    # writes no record, where it used to write an empty run list
     data = single_bsc_data()
     del data["targets"]
-    record = cmd_separate(ExperimentConfig.from_dict(data), tmp_path)
-    assert record.payload == {"runs": [], "trend_rows": []}
-    assert record.wall_clock_s > 0
+    config = ExperimentConfig.from_dict(data)
+    with pytest.raises(ConfigError, match="targets"):
+        cmd_separate(config, tmp_path / "direct")
+    path = tmp_path / "no-targets.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code = run_cli("separate", "--config", path, "--out", tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION
+    assert "targets" in capsys.readouterr().err
+    assert not (tmp_path / "direct").exists() and not (tmp_path / "out").exists()
+    # the other commands still run without targets
+    assert run_cli("baseline", "--config", path, "--out", tmp_path / "out",
+                   "--trials", 1000) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("key", BAD_CONFIGS)

@@ -3,9 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, chisquare
+
+from conftest import codebook_symbols, sequential_draw
 
 from sepnet import probcore
 from sepnet.probcore import (
@@ -19,6 +21,7 @@ from sepnet.probcore import (
     sample_iid,
     sample_iid_array,
     _goodness_of_fit_p,
+    _pack_planes,
     _row_cumsum,
     _run_shares,
     _sample_indexed,
@@ -112,14 +115,22 @@ def test_indexed_sampler_equals_row_gather(rows, size, seed):
 
 
 class _FixedUniforms:
-    """Generator stand-in that hands out the given uniforms."""
+    """Generator stand-in that hands out the given uniforms, or the given
+    raw words."""
 
-    def __init__(self, u):
+    def __init__(self, u, words=()):
         self.u = u
+        self.words = np.array(words, dtype=np.uint64)
+        self.bit_generator = self
 
-    def random(self, n):
-        assert n == len(self.u)
-        return self.u
+    def random(self, out):
+        assert len(out) == len(self.u)
+        out[:] = self.u
+        return out
+
+    def random_raw(self, size):
+        assert size == len(self.words)
+        return self.words.copy()
 
 
 @pytest.mark.parametrize(
@@ -127,7 +138,9 @@ class _FixedUniforms:
 )
 def test_iid_sampler_equals_threshold_search(probs, root):
     # the binary threshold and the sorted search it replaced, draw for draw,
-    # on uniforms that include the pmf's own thresholds
+    # on uniforms that include the pmf's own thresholds; the sampler maps
+    # uniforms this way under every law but the fair coin, which reads raw
+    # words
     pmf = Pmf.from_probs(list(probs))
     cum = _row_cumsum(pmf.probs)
     u = np.concatenate(
@@ -136,6 +149,14 @@ def test_iid_sampler_equals_threshold_search(probs, root):
     reference = np.searchsorted(cum, u, side="right")
     if len(probs) == 2:
         assert np.array_equal(reference, u >= pmf.probs[0])
+    assert np.array_equal(_sample_indexed(cum[None, :], 0, u, pmf.alphabet.dtype), reference)
+    if probs == (0.5, 0.5):
+        # 67 symbols are two words read from the top bit down, of the
+        # second only its low 3 bits
+        out = sample_iid_array(pmf, 67, _FixedUniforms(u, [(1 << 63) | 1, 0b1101]))
+        assert out.dtype == pmf.alphabet.dtype
+        assert out.tolist() == [1] + [0] * 62 + [1] + [1, 0, 1]
+        return
     out = sample_iid_array(pmf, len(u), _FixedUniforms(u))
     assert out.dtype == pmf.alphabet.dtype
     assert np.array_equal(out, reference)
@@ -146,43 +167,60 @@ def _two_slices_and_about():
     return st.integers(two - 5, two + 5) | st.integers(two, 5 * SAMPLE_SLICE + 3)
 
 
-@settings(max_examples=40, deadline=None)
-@given(size=st.sampled_from([1, 2, 3, 200]), n=_two_slices_and_about(),
-       pending=st.booleans(), used=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
-       one_worker=st.booleans())
-def test_shared_draw_equals_sequential_draw(size, n, pending, used, seed, one_worker):
-    # buffered words 0-3 (``used`` doubles drawn before), a half-used 32-bit
-    # word or none, and n below, at and above two slices, not only
-    # multiples of 4; with the pool's workers and with one
-    pmf = Pmf.from_probs(np.random.default_rng(seed).dirichlet(np.ones(size)))
+@settings(max_examples=60, deadline=None)
+@example(law="fair", width=0, n=2 * SAMPLE_SLICE + 3, pending=True, used=3, seed=1, one_worker=False)
+@example(law="fair", width=65, n=2 * SAMPLE_SLICE, pending=True, used=1, seed=2, one_worker=False)
+@example(law=2, width=63, n=2 * SAMPLE_SLICE + 1, pending=True, used=5, seed=3, one_worker=False)
+@example(law=3, width=0, n=2 * SAMPLE_SLICE + 5, pending=False, used=7, seed=4, one_worker=True)
+@given(law=st.sampled_from(["fair", 1, 2, 3, 200]), width=st.sampled_from([0, 1, 7, 63, 64, 65, 130]),
+       n=_two_slices_and_about(), pending=st.booleans(), used=st.integers(0, 7),
+       seed=st.integers(0, 2**32 - 1), one_worker=st.booleans())
+def test_shared_draw_equals_sequential_draw(law, width, n, pending, used, seed, one_worker):
+    # the fair coin's raw words and another law's uniforms, unpacked (width
+    # 0) and in packed rows of odd and even widths, from a generator that
+    # has drawn 0-7 doubles and holds a half-used 32-bit word or none, n
+    # below, at and above two slices; with the pool's workers and with one
+    probs = (0.5, 0.5) if law == "fair" else np.random.default_rng(seed).dirichlet(np.ones(law))
+    pmf = Pmf.from_probs(probs)
+    if width:
+        n = -(-n // width) * width
     gens = [RandomnessHandle(seed).generator() for _ in range(2)]
     for gen in gens:
+        assert isinstance(gen.bit_generator, np.random.PCG64DXSM)
         if pending:
             gen.integers(0, 2**32, dtype=np.uint32)
         gen.random(used)
     shared, sequential = gens
     workers = 1 if one_worker else max(2, probcore._worker_count())
     with mock.patch.object(probcore, "_worker_count", lambda: workers):
-        out = sample_iid_array(pmf, n, shared)
-    reference = _sample_indexed(
-        _row_cumsum(pmf.probs)[None, :], 0, sequential.random(n), pmf.alphabet.dtype
-    )
-    assert out.dtype == reference.dtype == pmf.alphabet.dtype
-    assert np.array_equal(out, reference)
+        out = sample_iid_array(pmf, n, shared, packed_row=width)
+    if width:
+        reference = _pack_planes(codebook_symbols(pmf, n // width, width, sequential), len(pmf))
+        assert out.dtype == np.uint64
+        assert np.array_equal(out, reference.reshape(-1))
+    else:
+        reference = sequential_draw(pmf, n, sequential)
+        assert out.dtype == reference.dtype == pmf.alphabet.dtype
+        assert np.array_equal(out, reference)
     # the generator is left where the sequential draw leaves it
-    assert _live_state(shared) == _live_state(sequential)
+    assert shared.bit_generator.state == sequential.bit_generator.state
     for _ in range(2):
         assert np.array_equal(shared.integers(0, 2**32, 3, dtype=np.uint32),
                               sequential.integers(0, 2**32, 3, dtype=np.uint32))
         assert np.array_equal(shared.random(9), sequential.random(9))
 
 
-def _live_state(gen):
-    """A Philox generator's state without the words it has already used."""
-    state = gen.bit_generator.state
-    pos = state["buffer_pos"]
-    return (state["state"]["counter"].tolist(), pos, state["buffer"][pos:].tolist(),
-            state["has_uint32"], state["uinteger"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [199, 200, 201, 1000, 1003])
+def test_fair_draw_in_slices_off_the_word(root, workers, n):
+    # 100-symbol slices: an unpacked fair draw still takes whole words a
+    # slice, so the bits are those of one sequential row of n
+    gens = [root.derive("slices", n).generator() for _ in range(2)]
+    with mock.patch.object(probcore, "SAMPLE_SLICE", 100), \
+            mock.patch.object(probcore, "_worker_count", lambda: workers):
+        out = sample_iid_array(Pmf.from_probs([0.5, 0.5]), n, gens[0])
+    assert np.array_equal(out, sequential_draw(Pmf.from_probs([0.5, 0.5]), n, gens[1]))
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
 
 
 def test_a_worker_runs_its_own_shares_inline():

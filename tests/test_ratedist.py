@@ -70,6 +70,23 @@ class TestBlockDistortion:
                  for lane in range(4)] for a, b in zip(xs, ys)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("letters", [2, 3, 5])
+    def test_integer_tables_equal_the_gather_exactly(self, monkeypatch, letters):
+        # counts weighted by integer entries are the gathered mean bit for
+        # bit: Hamming and tables with zeros off the diagonal, blocks split
+        # across chunks of the cell count
+        rng = np.random.default_rng(letters)
+        tables = [hamming_metric(letters).table, rng.integers(0, 4, (letters, letters))]
+        x = rng.integers(0, letters, (1400, 7), dtype=np.int8)
+        y = rng.integers(0, letters, (1400, 7), dtype=np.int8)
+        xs, ys, n = np.array([0, 31, 64, 380, 700]), np.array([5, 31, 70, 400, 701]), 600
+        monkeypatch.setattr(separation, "_DISTORTION_CELLS", 2 * n * 7)
+        for table in tables:
+            metric = DistortionMetric(Alphabet(letters), Alphabet(letters), table.astype(float))
+            cells = x[xs[:, None] + np.arange(n)] * letters + y[ys[:, None] + np.arange(n)]
+            gathered = metric.table.reshape(-1).take(cells).mean(axis=1)
+            assert np.array_equal(_block_distortions(metric, x, y, xs, ys, n), gathered)
+
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             DistortionMetric(Alphabet(2), Alphabet(2), np.array([[0, -1], [1, 0]]))
