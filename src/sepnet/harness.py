@@ -745,7 +745,7 @@ class _PoisonMedium(DmcMedium):
     def __init__(self):
         super().__init__(2, {(0, 1): np.eye(2)})
 
-    def start(self, lanes):
+    def start(self, lanes, seeds):
         raise AssertionError("separation transformer touched the medium")
 
     def window(self, *args, **kwargs):

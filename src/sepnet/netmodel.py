@@ -13,10 +13,23 @@ Windows hold at most ``WINDOW_LANE_STEPS`` lane-steps, which bounds the
 engine's temporaries whatever the horizon.
 
 Randomness is namespaced off a single root handle: one stream per source
-pair, one for the medium and one private stream per modem. The medium
-draws a fixed block of uniforms per step, laid out the same whatever the
-window, so a rollout is bit-reproducible from (system, seeds, lanes,
-horizon) and does not depend on how the horizon is cut into windows.
+pair, one private stream per modem, and the medium's streams, derived per
+link from ``derive("medium").derive(i, j)`` for link (i, j). A link's cell
+at step tau and lane l is decided by a 53-bit uniform k, compared with
+integer thresholds (``probcore._sample_planes``):
+
+- stream ``derive("plane", p)``, p = 0..15, gives bit 52 - p of every
+  cell's k: for each step from tau = 1 on, ceil(lanes / 64) raw words,
+  lane 64w + b in bit b of word w;
+- stream ``derive("tail")`` gives the low 37 bits of k, one raw word (its
+  top 37 bits) per cell whose top 16 bits tie a threshold, in (step, lane)
+  order;
+- a Markov link's stream ``derive("transition")`` gives one uniform double
+  per cell for its state's transition, in (step, lane) order.
+
+Each stream is read in step order, the same whatever the window, so a
+rollout is bit-reproducible from (system, seeds, lanes, horizon) and does
+not depend on how the horizon is cut into windows.
 """
 
 from __future__ import annotations
@@ -28,10 +41,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .probcore import (
+    PLANES,
     Alphabet,
     RandomnessHandle,
+    _cell_masks,
+    _plane_thresholds,
     _row_cumsum,
     _sample_indexed,
+    _sample_planes,
     sample_iid_array,
 )
 
@@ -73,14 +90,12 @@ class MediumKernel(ABC):
 
     Outputs at step tau may depend only on inputs up to tau-1 and the
     medium's own (opaque) state. Link outputs at tau=0 are the zero symbol;
-    the kernel is first consulted at tau=1. For every step from tau=1 on,
-    the engine draws ``draws_per_step`` rows of ``lanes`` uniforms from the
-    medium's stream, and each link reads its own rows of that block.
+    the kernel is first consulted at tau=1. Each link draws from its own
+    streams (see the module docstring), held in the state ``start`` makes.
     """
 
     num_users: int
     links: tuple
-    draws_per_step: int
 
     @abstractmethod
     def user_input_alphabet(self, user: int) -> Alphabet: ...
@@ -93,24 +108,61 @@ class MediumKernel(ABC):
         return (link[0],)
 
     @abstractmethod
-    def start(self, lanes: int):
-        """Allocate per-rollout state for ``lanes`` replicas."""
+    def start(self, lanes: int, seeds: RandomnessHandle):
+        """Allocate per-rollout state for ``lanes`` replicas, with every
+        link's streams derived from ``seeds``."""
 
     @abstractmethod
-    def window(self, link, state, iota_prev: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Outputs (steps, lanes) of ``link`` over a window of steps.
+    def window(self, link, state, iota_prev: np.ndarray, out: np.ndarray) -> None:
+        """Write the outputs of ``link`` over a window of steps into ``out``
+        (steps, lanes).
 
         ``iota_prev`` (users, steps, lanes) holds the medium inputs one step
-        before each step of the window and ``u`` (steps, draws_per_step,
-        lanes) the window's uniforms.
+        before each step of the window.
         """
+
+
+class _PlaneStreams:
+    """A link's plane and tail streams, read by ``_sample_planes``. Each
+    plane is a stream of bits, one per cell in (step, lane) order, so a
+    window's cells go on where the window before stopped, mid-word if
+    need be."""
+
+    def __init__(self, seeds: RandomnessHandle):
+        self.planes = [seeds.derive("plane", p).generator().bit_generator
+                       for p in range(PLANES)]
+        self.tail = seeds.derive("tail").generator().bit_generator
+        self._words = np.empty((PLANES, 0), dtype=np.uint64)  # reused by every window
+        self._used = 0  # bits of each plane's last word that earlier cells read
+        self._last = np.empty(PLANES, dtype=np.uint64)
+
+    def sample(self, thresholds, digits, out) -> None:
+        """Fill ``out`` (steps, lanes) from a table's thresholds, where each
+        cell reads the row whose mixed-radix digits are its values in
+        ``digits``, a list of ((steps, lanes) values, letters) pairs."""
+        offset = self._used
+        count = -(-(offset + out.size) // 64)
+        if self._words.shape[1] < count:
+            self._words = np.empty((PLANES, count), dtype=np.uint64)
+        planes = self._words[:, :count]
+        fresh = 1 if offset else 0  # the first word is the last one's rest
+        planes[:, 0] = self._last
+        for plane, gen in zip(planes, self.planes):
+            plane[fresh:] = gen.random_raw(count - fresh)
+        self._used = (offset + out.size) % 64
+        self._last = planes[:, -1].copy()
+        masks = None
+        for values, letters in digits:
+            column = _cell_masks(values, letters, offset)
+            masks = column if masks is None else [m & d for m in masks for d in column]
+        _sample_planes(thresholds, masks, planes, self.tail, out, offset)
 
 
 class DmcMedium(MediumKernel):
     """Memoryless medium: each link applies its own stochastic matrix.
 
-    Per step, each link reads one row of uniforms, in the order the link
-    matrices were given.
+    A cell of link (i, j) reads row x of the matrix, x user i's input one
+    step before, from the link's plane and tail streams.
     """
 
     def __init__(self, num_users: int, link_matrices: dict):
@@ -122,9 +174,7 @@ class DmcMedium(MediumKernel):
             mats[(i, j)] = _check_stochastic(mat, f"link ({i},{j}) matrix")
         self.links = tuple(sorted(mats))
         self._mats = mats
-        self._cums = {lk: _row_cumsum(m) for lk, m in mats.items()}
-        self._slot = {lk: k for k, lk in enumerate(mats)}
-        self.draws_per_step = len(mats)
+        self._thresholds = {lk: _plane_thresholds(_row_cumsum(m)) for lk, m in mats.items()}
 
     def user_input_alphabet(self, user: int) -> Alphabet:
         for (i, _), mat in self._mats.items():
@@ -135,18 +185,15 @@ class DmcMedium(MediumKernel):
     def link_output_alphabet(self, link) -> Alphabet:
         return Alphabet(self._mats[link].shape[1])
 
-    def start(self, lanes: int):
-        return None
+    def start(self, lanes: int, seeds: RandomnessHandle):
+        return {lk: _PlaneStreams(seeds.derive(*lk)) for lk in self.links}
 
-    def window(self, link, state, iota_prev, u):
-        cum, rows = self._table(link, iota_prev)
-        return _sample_indexed(
-            cum, rows, u[:, self._slot[link]], self.link_output_alphabet(link).dtype
-        )
+    def window(self, link, state, iota_prev, out):
+        state[link].sample(*self._rows(link, iota_prev), out)
 
-    def _table(self, link, iota_prev):
-        """Cumulative output table of ``link`` and the row each cell reads."""
-        return self._cums[link], iota_prev[link[0]]
+    def _rows(self, link, iota_prev):
+        """Thresholds of ``link``'s table and the digits of each cell's row."""
+        return self._thresholds[link], [(iota_prev[link[0]], self._mats[link].shape[0])]
 
 
 class CoupledDmcMedium(DmcMedium):
@@ -155,7 +202,9 @@ class CoupledDmcMedium(DmcMedium):
     A coupled link's matrix is selected per step by another user's last
     medium input, so its statistics depend on that user's input law. This
     exercises the requirement that an architecture change at one pair must
-    not disturb the law seen by others.
+    not disturb the law seen by others. A coupled cell reads row w * |link
+    input alphabet| + x of the stacked matrices, w the watched user's input
+    and x the link's own one step before.
     """
 
     def __init__(self, num_users: int, link_matrices: dict, coupling: dict):
@@ -174,19 +223,20 @@ class CoupledDmcMedium(DmcMedium):
             for s in range(stack.shape[0]):
                 _check_stochastic(stack[s], f"coupled matrix {link}[{s}]")
             # row (watched input) * |link input alphabet| + link input
-            self._coupling[link] = (watch, _row_cumsum(stack).reshape(-1, want[2]))
+            cum = _row_cumsum(stack).reshape(-1, want[2])
+            self._coupling[link] = (watch, _plane_thresholds(cum))
 
     def reads(self, link):
         if link not in self._coupling:
             return super().reads(link)
         return (link[0], self._coupling[link][0])
 
-    def _table(self, link, iota_prev):
+    def _rows(self, link, iota_prev):
         if link not in self._coupling:
-            return super()._table(link, iota_prev)
-        watch, cum = self._coupling[link]
-        size = self._mats[link].shape[0]
-        return cum, iota_prev[watch].astype(np.intp) * size + iota_prev[link[0]]
+            return super()._rows(link, iota_prev)
+        watch, thresholds = self._coupling[link]
+        _, own = super()._rows(link, iota_prev)
+        return thresholds, [(iota_prev[watch], self.user_input_alphabet(watch).size), *own]
 
 
 @dataclass(frozen=True)
@@ -215,8 +265,10 @@ class MarkovMedium(MediumKernel):
     """Medium with memory: each link carries an independent state chain.
 
     At each step the link emits through its current state's matrix, then
-    the state advances. Per step, each link in sorted order reads one row
-    of uniforms for its emission and then one for its transition.
+    the state advances. An emission cell reads row s * |link input
+    alphabet| + x of the stacked emission matrices, s the state and x the
+    input one step before, from the link's plane and tail streams; the
+    transitions read the link's transition stream.
     """
 
     def __init__(self, num_users: int, link_rules: dict):
@@ -227,16 +279,14 @@ class MarkovMedium(MediumKernel):
                 raise WiringError(f"link ({i},{j}) references unknown users")
         self._rules = dict(link_rules)
         # row (state) * |link input alphabet| + link input
-        self._emit_cums = {
-            lk: _row_cumsum(r.emission).reshape(-1, r.emission.shape[2])
+        self._emit_thresholds = {
+            lk: _plane_thresholds(_row_cumsum(r.emission).reshape(-1, r.emission.shape[2]))
             for lk, r in self._rules.items()
         }
         self._trans_cums = {lk: _row_cumsum(r.transition) for lk, r in self._rules.items()}
         self._state_dtypes = {
             lk: Alphabet(r.transition.shape[0]).dtype for lk, r in self._rules.items()
         }
-        self._slot = {lk: 2 * k for k, lk in enumerate(self.links)}
-        self.draws_per_step = 2 * len(self.links)
 
     def user_input_alphabet(self, user: int) -> Alphabet:
         for (i, _), rule in self._rules.items():
@@ -247,31 +297,36 @@ class MarkovMedium(MediumKernel):
     def link_output_alphabet(self, link) -> Alphabet:
         return Alphabet(self._rules[link].emission.shape[2])
 
-    def start(self, lanes: int):
-        return {
-            lk: np.full(lanes, rule.initial_state, dtype=self._state_dtypes[lk])
-            for lk, rule in self._rules.items()
-        }
+    def start(self, lanes: int, seeds: RandomnessHandle):
+        state = {}
+        for lk, rule in self._rules.items():
+            link_seeds = seeds.derive(*lk)
+            state[lk] = {
+                "emission": _PlaneStreams(link_seeds),
+                "transition": link_seeds.derive("transition").generator(),
+                "u": np.empty(lanes),
+                "current": np.full(lanes, rule.initial_state, dtype=self._state_dtypes[lk]),
+            }
+        return state
 
-    def window(self, link, state, iota_prev, u):
-        slot = self._slot[link]
-        path = self._state_path(link, state, u[:, slot + 1])
-        size = self._rules[link].emission.shape[1]
-        rows = path.astype(np.intp) * size + iota_prev[link[0]]
-        return _sample_indexed(
-            self._emit_cums[link], rows, u[:, slot], self.link_output_alphabet(link).dtype
-        )
+    def window(self, link, state, iota_prev, out):
+        link_state = state[link]
+        path = self._state_path(link, link_state, out.shape[0])
+        rule = self._rules[link]
+        digits = [(path, rule.transition.shape[0]), (iota_prev[link[0]], rule.emission.shape[1])]
+        link_state["emission"].sample(self._emit_thresholds[link], digits, out)
 
-    def _state_path(self, link, state, u):
-        """The state in force at each step of the window, from the
-        transition uniforms ``u`` (steps, lanes); advances ``state``."""
+    def _state_path(self, link, link_state, steps: int) -> np.ndarray:
+        """The state in force at each of ``steps`` steps, from one uniform
+        per lane and step of the link's transition stream; advances
+        ``link_state``."""
         cum, dtype = self._trans_cums[link], self._state_dtypes[link]
-        path = np.empty(u.shape, dtype=dtype)
-        current = state[link]
-        for t in range(u.shape[0]):
+        gen, u, current = link_state["transition"], link_state["u"], link_state["current"]
+        path = np.empty((steps, len(u)), dtype=dtype)
+        for t in range(steps):
             path[t] = current
-            current = _sample_indexed(cum, current, u[t], dtype)
-        state[link] = current
+            current = _sample_indexed(cum, current, gen.random(out=u), dtype)
+        link_state["current"] = current
         return path
 
 
@@ -548,25 +603,21 @@ def rollout(
             private_gen=seeds.derive("modem", u).generator(),
         )
         modems[u] = (modem, modem.start(view), view)
-    med_state = medium.start(B)
-    med_gen = seeds.derive("medium").generator()
+    med_state = medium.start(B, seeds.derive("medium"))
 
     order = _schedule(system)
     W = max(1, WINDOW_LANE_STEPS // B)
     if order is None:
         # with one step per window every input comes from an earlier window
         order, W = [*modems, *medium.links], 1
-    u_buf = np.empty((min(W, T), medium.draws_per_step, B))  # every window's uniforms
     for t0 in range(0, T, W):
         t1 = min(t0 + W, T)
         a = max(t0, 1)  # the medium is first consulted at step 1
-        u_block = med_gen.random(out=u_buf[: t1 - a])
         for node in order:
             if isinstance(node, tuple):
                 if t1 > a:
-                    link_out[node][a:t1] = medium.window(
-                        node, med_state, iota[:, a - 1 : t1 - 1], u_block
-                    )
+                    medium.window(node, med_state, iota[:, a - 1 : t1 - 1],
+                                  out=link_out[node][a:t1])
                 continue
             modem, state, view = modems[node]
             iota_w, repro_w = modem.window(t0, t1, state, view)

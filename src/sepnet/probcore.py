@@ -28,6 +28,16 @@ module-private, started on first use, one thread per CPU in the process's
 affinity mask (at most ``_MAX_WORKERS``); work already on a worker thread
 runs inline rather than waiting on the pool. Every result is the same,
 draw for draw and row for row, whatever the worker count.
+
+The medium's cells, one per step and lane, are sampled 64 to a word
+(``_sample_planes``). A cell's symbol is the number of thresholds its
+53-bit uniform k reaches, and a threshold decision needs k's bits only up
+to their first difference from the threshold (Knuth & Yao, "The
+complexity of nonuniform random number generation", 1976). So the top
+``PLANES`` bits of every k are drawn as bit planes of raw words and
+compared bit-serially, with no float and no gather per cell, and the low
+``TAIL_BITS`` are drawn only for the few cells whose top bits tie a
+threshold. The law is exactly that of comparing the uniform k * 2**-53.
 """
 
 from __future__ import annotations
@@ -383,6 +393,145 @@ def _sample_indexed(cum: np.ndarray, idx, u: np.ndarray, dtype, out=None) -> np.
     for k in range(1, size - 1):
         out += u >= cum[:, k].take(idx)
     return out
+
+
+# A medium cell's symbol is decided by a 53-bit uniform k, the k that
+# ``Generator.random`` scales by 2**-53. Its top PLANES bits come from bit
+# planes, 64 lanes to a word; the other TAIL_BITS are drawn only for a cell
+# whose top bits tie one of its thresholds, about one cell in 2**PLANES per
+# threshold.
+PLANES = 16
+TAIL_BITS = 53 - PLANES
+_NEVER = 1 << 53  # a threshold that no 53-bit k reaches
+_CELL_WORD = np.dtype("<u8")  # bit i of a row of cells is bit i % 64 of word i // 64
+_ALL_CELLS = (1 << 64) - 1
+
+
+def _plane_thresholds(cum: np.ndarray) -> np.ndarray:
+    """The thresholds T = ceil(cum * 2**53) of the columns k < K - 1 of a
+    cumulative table (rows, K), int64 and at most 2**53: since cum * 2**53
+    is exact, k * 2**-53 >= cum exactly when k >= T."""
+    return np.minimum(np.ceil(cum[:, :-1] * float(_NEVER)), float(_NEVER)).astype(np.int64)
+
+
+def _cell_masks(values: np.ndarray, letters: int, offset: int = 0) -> list:
+    """Per letter a < ``letters``, the cells of ``values`` that hold a, as
+    a row of ``_CELL_WORD`` words: cell i of ``values`` in C order is bit
+    ``offset`` + i (``offset`` < 64), and every other bit is 0."""
+    flat = values.reshape(-1)
+    n = flat.size
+    count = -(-(offset + n) // 64)
+
+    def pack(bits):
+        octets = np.zeros(-(-n // 64) * 8, dtype=np.uint8)
+        octets[: -(-n // 8)] = np.packbits(bits, bitorder="little")
+        words = octets.view(_CELL_WORD)
+        if not offset:
+            return words
+        moved = np.zeros(count, dtype=_CELL_WORD)
+        moved[: len(words)] = words << np.uint64(offset)
+        moved[1:] |= words[: count - 1] >> np.uint64(64 - offset)
+        return moved
+
+    if letters == 2:  # one pack: the symbols are their own bits
+        ones = pack(flat)
+        cells = np.full(count, _ALL_CELLS, dtype=_CELL_WORD)
+        cells[0] &= np.uint64(_ALL_CELLS << offset & _ALL_CELLS)
+        if (offset + n) % 64:
+            cells[-1] &= np.uint64((1 << (offset + n) % 64) - 1)
+        return [ones ^ cells, ones]
+    return [pack(flat == a) for a in range(letters)]
+
+
+def _at_least(planes, top: int, strict: bool, out: np.ndarray) -> np.ndarray:
+    """Into ``out``, the lanes whose top bits h (``planes[0]`` the highest)
+    have h > ``top`` when ``strict``, h >= ``top`` otherwise.
+
+    This is the comparison's carry chain from the lowest bit up: prev
+    starts as no lane for > and every lane for >=, and bit j of ``top``
+    turns it into p_j & prev where it is 1 and p_j | prev where it is 0.
+    The low bits that leave the start unchanged (1s for >, 0s for >=) are
+    skipped; the first other bit makes prev p_j itself."""
+    started = False
+    for j in range(PLANES):
+        plane, bit = planes[PLANES - 1 - j], top >> j & 1
+        if started:
+            (np.bitwise_and if bit else np.bitwise_or)(out, plane, out=out)
+        elif bit != strict:
+            np.copyto(out, plane)
+            started = True
+    if not started:
+        out.fill(0 if strict else _ALL_CELLS)
+    return out
+
+
+def _sample_planes(thresholds: np.ndarray, masks, planes, tail, out: np.ndarray,
+                   offset: int = 0) -> None:
+    """Fill ``out`` with one symbol per cell: the number of columns c with
+    k >= ``thresholds[r, c]`` (``_plane_thresholds``), where r is the row
+    whose mask ``masks[r]`` holds the cell. Cell i of ``out`` in C order
+    is bit ``offset`` + i of every mask and plane, rows of ``_CELL_WORD``
+    words (``_cell_masks``); the masks are disjoint and 0 at other bits.
+
+    The cell's k is h * 2**TAIL_BITS + l. Its top bits h are read from the
+    PLANES rows of ``planes``, ``planes[0]`` the highest bit: each
+    (row, column) threshold is compared bit-serially with 64 cells a word
+    (``_at_least``) and selected by the row's mask, and each column's bits
+    are unpacked once into the count. Only a cell whose h equals the top
+    bits of one of its thresholds whose low TAIL_BITS are not 0 needs l:
+    those cells, in C order, take one raw word each from ``tail``
+    (anything with ``random_raw``), whose top TAIL_BITS are l, and are
+    counted again from their whole k. So the law is exactly
+    ``_sample_indexed``'s on uniforms k * 2**-53, and no bit outside the
+    cells draws.
+    """
+    cols = thresholds.shape[1]
+    if cols == 0:
+        out.fill(0)
+        return
+    cells = out.size
+    shape = planes[0].shape
+    hits = np.zeros((cols, *shape), dtype=_CELL_WORD)
+    tie = np.zeros(shape, dtype=_CELL_WORD)
+    above, equal = np.empty(shape, dtype=_CELL_WORD), np.empty(shape, dtype=_CELL_WORD)
+    low_bits = (1 << TAIL_BITS) - 1
+    for mask, row in zip(masks, thresholds.tolist()):
+        for c, t in enumerate(row):
+            if t >= _NEVER:
+                continue
+            top, needs_tail = t >> TAIL_BITS, bool(t & low_bits)
+            # with the low bits of t all 0, k >= t exactly when h >= top
+            _at_least(planes, top, needs_tail, above)
+            if needs_tail:
+                np.bitwise_xor(_at_least(planes, top, False, equal), above, out=equal)
+                np.bitwise_and(equal, mask, out=equal)
+                np.bitwise_or(tie, equal, out=tie)
+            np.bitwise_and(above, mask, out=above)
+            np.bitwise_or(hits[c], above, out=hits[c])
+    def unpacked(c):
+        bits = np.unpackbits(hits[c].view(np.uint8), count=offset + cells, bitorder="little")
+        return bits[offset:].view(np.int8).reshape(out.shape)
+
+    out[...] = unpacked(0)
+    for c in range(1, cols):
+        out += unpacked(c)
+
+    words = np.flatnonzero(tie)
+    if not len(words):
+        return
+    bits = np.unpackbits(tie[words].view(np.uint8), bitorder="little")
+    which, bit = np.divmod(np.flatnonzero(bits), 64)  # in cell order
+    word, shift = words[which], bit.astype(np.uint64)
+
+    def cell_bits(rows_of_words):
+        return (np.asarray(rows_of_words)[:, word] >> shift & 1).astype(np.int64)
+
+    h = (1 << np.arange(PLANES - 1, -1, -1, dtype=np.int64)) @ cell_bits(planes)
+    low = (tail.random_raw(len(word)) >> np.uint64(64 - TAIL_BITS)).astype(np.int64)
+    rows = np.argmax(cell_bits(masks), axis=0)
+    k = h << TAIL_BITS | low
+    step, lane = np.divmod(word * 64 + bit - offset, out.shape[1])
+    out[step, lane] = (k[:, None] >= thresholds[rows]).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -137,33 +137,33 @@ def golden_system(name):
 
 GOLDEN = {
     "coupled_relay": {
-        "link_outputs[0, 1]": "a9019a6f0b02a7e8",
-        "link_outputs[0, 2]": "4d5bb306cbe4664c",
-        "link_outputs[1, 2]": "0274a8294ca43470",
-        "medium_inputs": "95abc0d1b1dc3be4",
-        "repro[0, 2]": "263f4d5673229397",
+        "link_outputs[0, 1]": "d4f014490ebda142",
+        "link_outputs[0, 2]": "243b0003b57a68fa",
+        "link_outputs[1, 2]": "c553f286af9db9a4",
+        "medium_inputs": "d3513cbacec054d3",
+        "repro[0, 2]": "49f658f290280100",
         "sources[0, 2]": "4017906f5b55a399",
     },
     "gilbert_elliott": {
-        "link_outputs[0, 1]": "22257fc2e2780482",
+        "link_outputs[0, 1]": "035beca1d3df95cb",
         "medium_inputs": "eaa85c8b33590e18",
-        "repro[0, 1]": "836ddb3b8a1d1ea5",
+        "repro[0, 1]": "b7278f46881adf62",
         "sources[0, 1]": "39b92a01a86be51e",
     },
     "relay_chain": {
-        "link_outputs[0, 1]": "d79585e272e670b6",
-        "link_outputs[1, 2]": "b87a1baed4179511",
-        "medium_inputs": "074486f453792664",
-        "repro[0, 2]": "caa0608e9a62e80a",
+        "link_outputs[0, 1]": "461bf7e124441fa0",
+        "link_outputs[1, 2]": "3b57ad557b3acadf",
+        "medium_inputs": "beb4dae350fd050f",
+        "repro[0, 2]": "b8c9f0c2358da395",
         "sources[0, 2]": "141740570f4a1443",
     },
     "separated_argmin": {
-        "link_outputs[0, 1]": "1cceccd61cbfcd5f",
+        "link_outputs[0, 1]": "a83e239735a802fb",
         "medium_inputs": "c230e713a10bca21",
-        "recv1.codes": "2aa266993520f670",
+        "recv1.codes": "d73bfbb8a3480961",
         "recv1.decode_tau": "d168091e4dbc5fbd",
         "recv1.window": "84ca4f50986f8594",
-        "repro[0, 1]": "0348798ccc1d7701",
+        "repro[0, 1]": "0c4145b5132e220e",
         "send0.emit_start": "818bda681420677c",
         "send0.messages": "d73bfbb8a3480961",
         "send0.roundtrip_avg": "3b1fe08b648b3447",
@@ -173,12 +173,12 @@ GOLDEN = {
         "sources[0, 1]": "dcefa88d260ea237",
     },
     "separated_within_d": {
-        "link_outputs[0, 1]": "e6b672f613544210",
+        "link_outputs[0, 1]": "6d1ee60969caf5f5",
         "medium_inputs": "d264601ab0ebc147",
-        "recv1.codes": "9d40cd9fe662263f",
+        "recv1.codes": "2e8ff57788e91665",
         "recv1.decode_tau": "d168091e4dbc5fbd",
         "recv1.window": "84ca4f50986f8594",
-        "repro[0, 1]": "089e9de65d12f296",
+        "repro[0, 1]": "c9f4443689446588",
         "send0.emit_start": "818bda681420677c",
         "send0.messages": "7e7c778c7598b3c9",
         "send0.roundtrip_avg": "478ff64d900b7026",
@@ -188,29 +188,29 @@ GOLDEN = {
         "sources[0, 1]": "1c89df5a4ba77b3b",
     },
     "single_bsc": {
-        "link_outputs[0, 1]": "c01d17faf4ef3f96",
+        "link_outputs[0, 1]": "afc0913ca505733e",
         "medium_inputs": "691445277e1cd4fb",
-        "repro[0, 1]": "26ed16aab1844a10",
+        "repro[0, 1]": "737e9cc0a47248ce",
         "sources[0, 1]": "0bd59f09a0211b08",
     },
     "ternary_dmc": {
-        "link_outputs[0, 1]": "548f157278fa10fd",
+        "link_outputs[0, 1]": "28e83a4188b6aa75",
         "medium_inputs": "3baf9614418e7b84",
-        "repro[0, 1]": "677a7ec999d35665",
+        "repro[0, 1]": "03cd7ecf25d8fb94",
         "sources[0, 1]": "4a74a8b0a5886a9f",
     },
     "ternary_markov": {
-        "link_outputs[0, 1]": "a3f497f27c6bb4b8",
+        "link_outputs[0, 1]": "f6341ef18c3ebc77",
         "medium_inputs": "92aaf4f20268243e",
-        "repro[0, 1]": "a83a8ebe98bcc3c2",
+        "repro[0, 1]": "3289c08fae319cb4",
         "sources[0, 1]": "1e703fbbd60534b6",
     },
     "two_pair_interference": {
-        "link_outputs[0, 1]": "15d1a3c115c8762e",
-        "link_outputs[2, 3]": "d3fd9c53e718601f",
+        "link_outputs[0, 1]": "ebd6e242575453b1",
+        "link_outputs[2, 3]": "1e19549ad293c59a",
         "medium_inputs": "dbd682b14f7c6556",
-        "repro[0, 1]": "1f9f26acc9c82869",
-        "repro[2, 3]": "0ef1c5dfcbebf2b6",
+        "repro[0, 1]": "9509b645e9a48bc8",
+        "repro[2, 3]": "d108665f9036580c",
         "sources[0, 1]": "853d2cc69bdf7fac",
         "sources[2, 3]": "c03ff7a0b090a2ac",
     },

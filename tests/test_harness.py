@@ -24,7 +24,7 @@ CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 SINGLE_BSC = CONFIG_DIR / "single_bsc.yaml"
 TWO_PAIR = CONFIG_DIR / "two_pair_interference.yaml"
 # sha256 prefix of the separate payload on single_bsc at n = 32, 1000 trials
-SEPARATE_SINGLE_BSC_N32 = "ebba0a3469d54c3b"
+SEPARATE_SINGLE_BSC_N32 = "dded55dcb3055d58"
 
 
 def payload_json(record) -> str:
@@ -305,7 +305,7 @@ def test_negative_control_is_pinned():
     result = harness._suite_negative_control(
         config, RandomnessHandle(config.seed).derive("s5"))
     assert result["ok"] and result["expected_fail"]
-    assert result["detail"] == "wrong-pmf control min joint p = 1.97e-43 (want < 1e-4)"
+    assert result["detail"] == "wrong-pmf control min joint p = 2.86e-47 (want < 1e-4)"
 
 
 def test_separate_without_targets_fails_naming_the_key(tmp_path, capsys):

@@ -381,16 +381,16 @@ class TestMeasureEndToEnd:
         rep = measure_end_to_end(
             system, (0, 1), DistortionBudget(0.125, hamming2), 10_000, root.derive("pin")
         )
-        assert (rep.trials, rep.block_length, rep.exceed_count) == (10_000, 32, 2673)
+        assert (rep.trials, rep.block_length, rep.exceed_count) == (10_000, 32, 2667)
 
     def test_separated_split_is_pinned(self, root, hamming2):
         _, after = self.separated_within_d(root, hamming2)
         rep = measure_end_to_end(
             after, (0, 1), DistortionBudget(0.2, hamming2), 3000, root.derive("m")
         )
-        assert (rep.trials, rep.block_length, rep.exceed_count) == (3000, 24, 1661)
+        assert (rep.trials, rep.block_length, rep.exceed_count) == (3000, 24, 1658)
         xi, eta = round(rep.xi_hat * rep.trials), round(rep.eta_hat * rep.trials)
-        assert (xi, eta, rep.none_within_count, rep.ambiguous_count) == (847, 1145, 814, 23)
+        assert (xi, eta, rep.none_within_count, rep.ambiguous_count) == (856, 1145, 817, 27)
 
 
 def hamming_ball(n: int, radius: int) -> int:
