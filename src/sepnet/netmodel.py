@@ -14,20 +14,22 @@ engine's temporaries whatever the horizon.
 
 Randomness is namespaced off a single root handle: one stream per source
 pair, one private stream per modem, and the medium's streams, derived per
-link from ``derive("medium").derive(i, j)`` for link (i, j). A link's cell
-at step tau and lane l is decided by a 53-bit uniform k, compared with
-integer thresholds (``probcore._sample_planes``):
+link from ``derive("medium").derive(i, j)`` for link (i, j). The link's
+cells are its outputs at steps tau >= 1, in (step, lane) order; cell c is
+step 1 + c // lanes, lane c % lanes. Each cell's symbol is decided by a
+53-bit uniform k compared with integer thresholds
+(``probcore._sample_planes``):
 
 - stream ``derive("plane", p)``, p = 0..15, gives bit 52 - p of every
-  cell's k: for each step from tau = 1 on, ceil(lanes / 64) raw words,
-  lane 64w + b in bit b of word w;
-- stream ``derive("tail")`` gives the low 37 bits of k, one raw word (its
-  top 37 bits) per cell whose top 16 bits tie a threshold, in (step, lane)
-  order;
+  cell's k, cell c from bit c % 64 of raw word c // 64, so with a multiple
+  of 64 lanes, lane 64w + b of a step is bit b of that step's word w;
+- stream ``derive("tail")`` gives the low 37 bits of k, the top 37 bits of
+  one raw word per cell whose top 16 bits tie one of its thresholds, in
+  cell order;
 - a Markov link's stream ``derive("transition")`` gives one uniform double
-  per cell for its state's transition, in (step, lane) order.
+  per cell, in cell order, for its state's transition.
 
-Each stream is read in step order, the same whatever the window, so a
+Every stream is read in cell order, the same whatever the window, so a
 rollout is bit-reproducible from (system, seeds, lanes, horizon) and does
 not depend on how the horizon is cut into windows.
 """
