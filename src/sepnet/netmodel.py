@@ -43,14 +43,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .probcore import (
-    PLANES,
     Alphabet,
     RandomnessHandle,
-    _cell_masks,
+    _PlaneSampler,
     _plane_thresholds,
     _row_cumsum,
     _sample_indexed,
-    _sample_planes,
     sample_iid_array,
 )
 
@@ -124,42 +122,6 @@ class MediumKernel(ABC):
         """
 
 
-class _PlaneStreams:
-    """A link's plane and tail streams, read by ``_sample_planes``. Each
-    plane is a stream of bits, one per cell in (step, lane) order, so a
-    window's cells go on where the window before stopped, mid-word if
-    need be."""
-
-    def __init__(self, seeds: RandomnessHandle):
-        self.planes = [seeds.derive("plane", p).generator().bit_generator
-                       for p in range(PLANES)]
-        self.tail = seeds.derive("tail").generator().bit_generator
-        self._words = np.empty((PLANES, 0), dtype=np.uint64)  # reused by every window
-        self._used = 0  # bits of each plane's last word that earlier cells read
-        self._last = np.empty(PLANES, dtype=np.uint64)
-
-    def sample(self, thresholds, digits, out) -> None:
-        """Fill ``out`` (steps, lanes) from a table's thresholds, where each
-        cell reads the row whose mixed-radix digits are its values in
-        ``digits``, a list of ((steps, lanes) values, letters) pairs."""
-        offset = self._used
-        count = -(-(offset + out.size) // 64)
-        if self._words.shape[1] < count:
-            self._words = np.empty((PLANES, count), dtype=np.uint64)
-        planes = self._words[:, :count]
-        fresh = 1 if offset else 0  # the first word is the last one's rest
-        planes[:, 0] = self._last
-        for plane, gen in zip(planes, self.planes):
-            plane[fresh:] = gen.random_raw(count - fresh)
-        self._used = (offset + out.size) % 64
-        self._last = planes[:, -1].copy()
-        masks = None
-        for values, letters in digits:
-            column = _cell_masks(values, letters, offset)
-            masks = column if masks is None else [m & d for m in masks for d in column]
-        _sample_planes(thresholds, masks, planes, self.tail, out, offset)
-
-
 class DmcMedium(MediumKernel):
     """Memoryless medium: each link applies its own stochastic matrix.
 
@@ -188,7 +150,7 @@ class DmcMedium(MediumKernel):
         return Alphabet(self._mats[link].shape[1])
 
     def start(self, lanes: int, seeds: RandomnessHandle):
-        return {lk: _PlaneStreams(seeds.derive(*lk)) for lk in self.links}
+        return {lk: _PlaneSampler(seeds.derive(*lk)) for lk in self.links}
 
     def window(self, link, state, iota_prev, out):
         state[link].sample(*self._rows(link, iota_prev), out)
@@ -304,7 +266,7 @@ class MarkovMedium(MediumKernel):
         for lk, rule in self._rules.items():
             link_seeds = seeds.derive(*lk)
             state[lk] = {
-                "emission": _PlaneStreams(link_seeds),
+                "emission": _PlaneSampler(link_seeds),
                 "transition": link_seeds.derive("transition").generator(),
                 "u": np.empty(lanes),
                 "current": np.full(lanes, rule.initial_state, dtype=self._state_dtypes[lk]),

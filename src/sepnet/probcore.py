@@ -395,16 +395,14 @@ def _sample_indexed(cum: np.ndarray, idx, u: np.ndarray, dtype, out=None) -> np.
     return out
 
 
-# A medium cell's symbol is decided by a 53-bit uniform k, the k that
-# ``Generator.random`` scales by 2**-53. Its top PLANES bits come from bit
-# planes, 64 lanes to a word; the other TAIL_BITS are drawn only for a cell
-# whose top bits tie one of its thresholds, about one cell in 2**PLANES per
-# threshold.
+# The bits of a medium cell's 53-bit uniform k (the k that
+# ``Generator.random`` scales by 2**-53) drawn as planes for every cell, and
+# the rest, drawn only for a cell whose planes tie one of its thresholds:
+# about one cell in 2**PLANES per threshold.
 PLANES = 16
 TAIL_BITS = 53 - PLANES
 _NEVER = 1 << 53  # a threshold that no 53-bit k reaches
 _CELL_WORD = np.dtype("<u8")  # bit i of a row of cells is bit i % 64 of word i // 64
-_ALL_CELLS = (1 << 64) - 1
 
 
 def _plane_thresholds(cum: np.ndarray) -> np.ndarray:
@@ -435,20 +433,20 @@ def _cell_masks(values: np.ndarray, letters: int, offset: int = 0) -> list:
 
     if letters == 2:  # one pack: the symbols are their own bits
         ones = pack(flat)
-        cells = np.full(count, _ALL_CELLS, dtype=_CELL_WORD)
-        cells[0] &= np.uint64(_ALL_CELLS << offset & _ALL_CELLS)
+        cells = np.full(count, _MASK64, dtype=_CELL_WORD)
+        cells[0] &= np.uint64(_MASK64 << offset & _MASK64)
         if (offset + n) % 64:
             cells[-1] &= np.uint64((1 << (offset + n) % 64) - 1)
         return [ones ^ cells, ones]
     return [pack(flat == a) for a in range(letters)]
 
 
-def _at_least(planes, top: int, strict: bool, out: np.ndarray) -> np.ndarray:
-    """Into ``out``, the lanes whose top bits h (``planes[0]`` the highest)
+def _compare_planes(planes, top: int, strict: bool, out: np.ndarray) -> np.ndarray:
+    """Into ``out``, the cells whose top bits h (``planes[0]`` the highest)
     have h > ``top`` when ``strict``, h >= ``top`` otherwise.
 
     This is the comparison's carry chain from the lowest bit up: prev
-    starts as no lane for > and every lane for >=, and bit j of ``top``
+    starts as no cell for > and every cell for >=, and bit j of ``top``
     turns it into p_j & prev where it is 1 and p_j | prev where it is 0.
     The low bits that leave the start unchanged (1s for >, 0s for >=) are
     skipped; the first other bit makes prev p_j itself."""
@@ -461,7 +459,7 @@ def _at_least(planes, top: int, strict: bool, out: np.ndarray) -> np.ndarray:
             np.copyto(out, plane)
             started = True
     if not started:
-        out.fill(0 if strict else _ALL_CELLS)
+        out.fill(0 if strict else _MASK64)
     return out
 
 
@@ -476,8 +474,8 @@ def _sample_planes(thresholds: np.ndarray, masks, planes, tail, out: np.ndarray,
     The cell's k is h * 2**TAIL_BITS + l. Its top bits h are read from the
     PLANES rows of ``planes``, ``planes[0]`` the highest bit: each
     (row, column) threshold is compared bit-serially with 64 cells a word
-    (``_at_least``) and selected by the row's mask, and each column's bits
-    are unpacked once into the count. Only a cell whose h equals the top
+    (``_compare_planes``) and selected by the row's mask, and each
+    column's bits are unpacked once into the count. Only a cell whose h equals the top
     bits of one of its thresholds whose low TAIL_BITS are not 0 needs l:
     those cells, in C order, take one raw word each from ``tail``
     (anything with ``random_raw``), whose top TAIL_BITS are l, and are
@@ -501,13 +499,14 @@ def _sample_planes(thresholds: np.ndarray, masks, planes, tail, out: np.ndarray,
                 continue
             top, needs_tail = t >> TAIL_BITS, bool(t & low_bits)
             # with the low bits of t all 0, k >= t exactly when h >= top
-            _at_least(planes, top, needs_tail, above)
+            _compare_planes(planes, top, needs_tail, above)
             if needs_tail:
-                np.bitwise_xor(_at_least(planes, top, False, equal), above, out=equal)
+                np.bitwise_xor(_compare_planes(planes, top, False, equal), above, out=equal)
                 np.bitwise_and(equal, mask, out=equal)
                 np.bitwise_or(tie, equal, out=tie)
             np.bitwise_and(above, mask, out=above)
             np.bitwise_or(hits[c], above, out=hits[c])
+
     def unpacked(c):
         bits = np.unpackbits(hits[c].view(np.uint8), count=offset + cells, bitorder="little")
         return bits[offset:].view(np.int8).reshape(out.shape)
@@ -532,6 +531,42 @@ def _sample_planes(thresholds: np.ndarray, masks, planes, tail, out: np.ndarray,
     k = h << TAIL_BITS | low
     step, lane = np.divmod(word * 64 + bit - offset, out.shape[1])
     out[step, lane] = (k[:, None] >= thresholds[rows]).sum(axis=1)
+
+
+class _PlaneSampler:
+    """``_sample_planes`` over the windows of one medium link: its PLANES
+    plane streams and its tail stream, derived from ``seeds``. Each plane
+    is a stream of bits, one per cell in (step, lane) order, so a window's
+    cells go on where the window before stopped, mid-word if need be."""
+
+    def __init__(self, seeds: RandomnessHandle):
+        self.planes = [seeds.derive("plane", p).generator().bit_generator
+                       for p in range(PLANES)]
+        self.tail = seeds.derive("tail").generator().bit_generator
+        self._words = np.empty((PLANES, 0), dtype=np.uint64)  # reused by every window
+        self._used = 0  # bits of each plane's last word that earlier cells read
+        self._last = np.empty(PLANES, dtype=np.uint64)
+
+    def sample(self, thresholds, digits, out) -> None:
+        """Fill ``out`` (steps, lanes) from a table's thresholds, where each
+        cell reads the row whose mixed-radix digits are its values in
+        ``digits``, a list of ((steps, lanes) values, letters) pairs."""
+        offset = self._used
+        count = -(-(offset + out.size) // 64)
+        if self._words.shape[1] < count:
+            self._words = np.empty((PLANES, count), dtype=np.uint64)
+        planes = self._words[:, :count]
+        fresh = 1 if offset else 0  # the first word is the last one's rest
+        planes[:, 0] = self._last
+        for plane, gen in zip(planes, self.planes):
+            plane[fresh:] = gen.random_raw(count - fresh)
+        self._used = (offset + out.size) % 64
+        self._last = planes[:, -1].copy()
+        masks = None
+        for values, letters in digits:
+            column = _cell_masks(values, letters, offset)
+            masks = column if masks is None else [m & d for m in masks for d in column]
+        _sample_planes(thresholds, masks, planes, self.tail, out, offset)
 
 
 @dataclass(frozen=True)
