@@ -76,6 +76,21 @@ class WiringError(ValueError):
     """Alphabet or topology mismatch detected before simulation starts."""
 
 
+def _input_alphabets(rows_of: dict) -> dict:
+    """Each sending user's input alphabet size, from ``rows_of``, the
+    number of input rows of each link's table; every out-link of a user
+    must read the same alphabet, since a row a table lacks would be
+    sampled as no row."""
+    sizes = {}
+    for (i, j), rows in sorted(rows_of.items()):
+        if sizes.setdefault(i, rows) != rows:
+            raise WiringError(
+                f"link ({i},{j}) reads {rows} input letters, another out-link "
+                f"of user {i} reads {sizes[i]}"
+            )
+    return sizes
+
+
 def _check_stochastic(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
@@ -138,13 +153,11 @@ class DmcMedium(MediumKernel):
             mats[(i, j)] = _check_stochastic(mat, f"link ({i},{j}) matrix")
         self.links = tuple(sorted(mats))
         self._mats = mats
+        self._inputs = _input_alphabets({lk: m.shape[0] for lk, m in mats.items()})
         self._thresholds = {lk: _plane_thresholds(_row_cumsum(m)) for lk, m in mats.items()}
 
     def user_input_alphabet(self, user: int) -> Alphabet:
-        for (i, _), mat in self._mats.items():
-            if i == user:
-                return Alphabet(mat.shape[0])
-        return Alphabet(2)
+        return Alphabet(self._inputs.get(user, 2))
 
     def link_output_alphabet(self, link) -> Alphabet:
         return Alphabet(self._mats[link].shape[1])
@@ -242,6 +255,8 @@ class MarkovMedium(MediumKernel):
             if not (0 <= i < num_users and 0 <= j < num_users and i != j):
                 raise WiringError(f"link ({i},{j}) references unknown users")
         self._rules = dict(link_rules)
+        self._inputs = _input_alphabets(
+            {lk: r.emission.shape[1] for lk, r in self._rules.items()})
         # row (state) * |link input alphabet| + link input
         self._emit_thresholds = {
             lk: _plane_thresholds(_row_cumsum(r.emission).reshape(-1, r.emission.shape[2]))
@@ -253,10 +268,7 @@ class MarkovMedium(MediumKernel):
         }
 
     def user_input_alphabet(self, user: int) -> Alphabet:
-        for (i, _), rule in self._rules.items():
-            if i == user:
-                return Alphabet(rule.emission.shape[1])
-        return Alphabet(2)
+        return Alphabet(self._inputs.get(user, 2))
 
     def link_output_alphabet(self, link) -> Alphabet:
         return Alphabet(self._rules[link].emission.shape[2])
@@ -441,6 +453,13 @@ class ForwardRelayModem(Modem):
             raise WiringError(f"relay {self.user}: unknown link {self.in_link}")
         if self.in_link[1] != self.user:
             raise WiringError(f"relay {self.user} cannot hear link {self.in_link}")
+        heard = system.medium.link_output_alphabet(self.in_link).size
+        sent = system.medium.user_input_alphabet(self.user).size
+        if heard > sent:
+            raise WiringError(
+                f"relay {self.user}: link {self.in_link} outputs {heard} letters, "
+                f"its medium input takes {sent}"
+            )
 
     def window(self, t0, t1, state, view):
         return _delayed(view.link_in[self.in_link], t0, t1), {}

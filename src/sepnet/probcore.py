@@ -431,13 +431,6 @@ def _cell_masks(values: np.ndarray, letters: int, offset: int = 0) -> list:
         moved[1:] |= words[: count - 1] >> np.uint64(64 - offset)
         return moved
 
-    if letters == 2:  # one pack: the symbols are their own bits
-        ones = pack(flat)
-        cells = np.full(count, _MASK64, dtype=_CELL_WORD)
-        cells[0] &= np.uint64(_MASK64 << offset & _MASK64)
-        if (offset + n) % 64:
-            cells[-1] &= np.uint64((1 << (offset + n) % 64) - 1)
-        return [ones ^ cells, ones]
     return [pack(flat == a) for a in range(letters)]
 
 

@@ -23,6 +23,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 SINGLE_BSC = CONFIG_DIR / "single_bsc.yaml"
 TWO_PAIR = CONFIG_DIR / "two_pair_interference.yaml"
+RELAY_CHAIN = CONFIG_DIR / "relay_chain.yaml"
 # sha256 prefix of the separate payload on single_bsc at n = 32, 1000 trials
 SEPARATE_SINGLE_BSC_N32 = "dded55dcb3055d58"
 
@@ -338,6 +339,15 @@ def test_untouched_pairs_must_not_be_targets():
     data = yaml.safe_load(TWO_PAIR.read_text())
     data["noninterference"]["untouched"] = [[2, 3], [0, 1]]
     with pytest.raises(ConfigError, match="noninterference.untouched"):
+        ExperimentConfig.from_dict(data)
+
+
+def test_relay_must_take_what_it_hears():
+    # a ternary first hop into a relay whose own link is binary
+    data = yaml.safe_load(RELAY_CHAIN.read_text())
+    data["medium"]["links"][0] = {"src": 0, "dst": 1,
+                                  "matrix": [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]}
+    with pytest.raises(ConfigError, match="relay 1"):
         ExperimentConfig.from_dict(data)
 
 

@@ -6,8 +6,7 @@ read from 16 planes, 64 cells to a word, and whose low 37 bits come from a
 tail stream, drawn only for the cells whose top bits tie a threshold. The
 contract test rebuilds every cell's k from the planes and the tail words
 it handed out and counts the columns from the floats; the law tests check
-each row of each medium kind's table by chi-square; the window test
-repeats ``test_windows``'s check at lane counts that leave a partial word.
+each row of each medium kind's table by chi-square.
 """
 
 import math
@@ -19,11 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bsc
-from test_golden import golden_system, trajectory_digests
-from test_windows import SYSTEMS
 
-from sepnet import netmodel
-from sepnet.netmodel import CoupledDmcMedium, DmcMedium, MarkovLinkRule, MarkovMedium, rollout
+from sepnet.netmodel import CoupledDmcMedium, DmcMedium, MarkovLinkRule, MarkovMedium
 from sepnet.probcore import (
     PLANES,
     TAIL_BITS,
@@ -204,22 +200,3 @@ def test_markov_emission_rows_follow_their_law():
     out = window(MarkovMedium(2, {(0, 1): rule}), (0, 1), iota_prev, 6)
     state = ((1 + np.arange(3 * STEPS)) % 3)[:, None]
     assert_rows_follow(out, state * 2 + iota_prev[0], emission.reshape(-1, 2))
-
-
-@pytest.mark.parametrize("lanes", [65, 130])
-@pytest.mark.parametrize("name", SYSTEMS)
-def test_window_does_not_change_a_partial_word_rollout(name, lanes, monkeypatch):
-    # test_windows.py's check, at lane counts whose last plane word is partial
-    system = golden_system(name)
-    default = netmodel.WINDOW_LANE_STEPS
-
-    def digests(window_steps=None):
-        budget = default if window_steps is None else window_steps * lanes
-        monkeypatch.setattr(netmodel, "WINDOW_LANE_STEPS", budget)
-        seeds = RandomnessHandle(11).derive("windows")
-        return trajectory_digests(rollout(system, seeds, lanes, horizon=300))
-
-    one = digests(window_steps=1)
-    assert digests(window_steps=7) == one
-    assert digests(window_steps=300) == one
-    assert digests() == one

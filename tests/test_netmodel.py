@@ -79,6 +79,15 @@ class TestMediumConstruction:
             with pytest.raises(WiringError):
                 CoupledDmcMedium(4, links, {(2, 3): (0, stack)})
 
+    def test_out_links_must_read_one_input_alphabet(self):
+        # a row the first link's table lacks would be sampled as no row
+        with pytest.raises(WiringError, match="input letters"):
+            DmcMedium(3, {(0, 1): bsc(0.1), (0, 2): np.full((3, 2), 0.5)})
+        rules = {(0, 1): gilbert_elliott_rule(0.01, 0.3, 0.05, 0.2),
+                 (0, 2): MarkovLinkRule(np.eye(1), np.eye(3)[None])}
+        with pytest.raises(WiringError, match="input letters"):
+            MarkovMedium(3, rules)
+
     def test_markov_rule_validation(self):
         with pytest.raises(WiringError):
             MarkovLinkRule(np.array([[0.5, 0.5]]), np.stack([np.eye(2), np.eye(2)]))
@@ -227,8 +236,9 @@ class TestRollout:
 
 
 class TestRelayChain:
-    def build(self, flip):
-        medium = DmcMedium(3, {(0, 1): bsc(flip), (1, 2): bsc(flip)})
+    def build(self, flip, first_hop=None):
+        first_hop = bsc(flip) if first_hop is None else first_hop
+        medium = DmcMedium(3, {(0, 1): first_hop, (1, 2): bsc(flip)})
         return NetworkSystem(
             medium=medium,
             modems=(
@@ -246,6 +256,12 @@ class TestRelayChain:
         system = self.build(0.0)
         traj = rollout(system, root, lanes=2, horizon=100)
         assert np.array_equal(traj.sources[(0, 2)][:90], traj.repro[(0, 2)][5:95])
+
+    def test_relay_cannot_forward_a_wider_alphabet(self, root):
+        # a ternary symbol heard on (0, 1) has no row in the binary (1, 2)
+        system = self.build(0.05, first_hop=np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]))
+        with pytest.raises(WiringError, match="relay 1"):
+            rollout(system, root, lanes=2, horizon=10)
 
     def test_cascade_flip_probability(self, root):
         # two independent BSC(0.05) hops: end-to-end flip 2*0.05*0.95 = 0.095
