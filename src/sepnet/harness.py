@@ -516,15 +516,16 @@ def _seed_root(config: ExperimentConfig, seed: int | None) -> int:
 
 def _save_record(config: ExperimentConfig, out_dir, command: str, seed: int | None,
                  overwrite: bool, t0: float, payload: dict) -> tuple[ResultRecord, Path]:
-    """Build the command's record, timed from ``t0``, and save it; returns
-    the record and its directory."""
+    """Build the command's record, timed from ``t0`` (a
+    ``time.perf_counter`` reading, which a step of the system clock does
+    not move), and save it; returns the record and its directory."""
     record = ResultRecord(
         experiment_id=_allocate_experiment_id(out_dir, command, config.digest, overwrite),
         command=command,
         config_digest=config.digest,
         seed_root=_seed_root(config, seed),
         payload=payload,
-        wall_clock_s=time.time() - t0,
+        wall_clock_s=time.perf_counter() - t0,
     )
     return record, record.save(out_dir).parent
 
@@ -537,7 +538,7 @@ def cmd_rd(config: ExperimentConfig, out_dir, seed: int | None = None,
            overwrite: bool = False) -> ResultRecord:
     """Rate-distortion sweep; writes (D, R_bits, slope, iterations,
     converged) CSV rows, reporting infeasible grid values without dying."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rd = config.rd
     if rd is None:
         raise ConfigError("missing 'rd' section (source, metric, grid)")
@@ -564,7 +565,7 @@ def cmd_rd(config: ExperimentConfig, out_dir, seed: int | None = None,
 def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
                  overwrite: bool = False, trials: int | None = None) -> ResultRecord:
     """Measure the untransformed system's excess-distortion guarantees."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     system = config.system
     root = RandomnessHandle(_seed_root(config, seed))
     trials = int(trials if trials is not None else config.trials)
@@ -607,7 +608,7 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
                  overwrite: bool = False, trials: int | None = None) -> ResultRecord:
     """Plan, apply, and verify the transformation for every target pair
     across the configured block lengths."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if not config.targets:
         raise ConfigError("targets: separate needs at least one target pair")
     system = config.system
@@ -814,7 +815,7 @@ def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) ->
 def cmd_verify(config: ExperimentConfig, out_dir, seed: int | None = None,
                overwrite: bool = False) -> tuple[ResultRecord, bool]:
     """Run the invariant suites; returns (record, all_ok)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     root = RandomnessHandle(_seed_root(config, seed))
     suites = {
         "probcore_calibration": lambda: _suite_probcore(root.derive("s1")),

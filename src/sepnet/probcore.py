@@ -15,19 +15,19 @@ Every stream is a PCG64DXSM generator (O'Neill, "PCG: A family of simple
 fast space-efficient statistically good algorithms for random number
 generation", 2014). A fair-coin draw, exactly (0.5, 0.5), takes 64
 symbols from each raw 64-bit word; a draw under any other law maps one
-uniform, one word, to each symbol. PCG64DXSM can ``advance`` by any number
-of words, so ``sample_iid_array`` cuts a draw of at least two
-``SAMPLE_SLICE``-symbol slices into one contiguous share per worker, each
-drawn slice by slice from its own advanced copy of the generator, and the
-caller's generator ends where a sequential draw would leave it. A draw can
-come back as rows packed into one-hot bit planes of 64-bit words
-(``packed_row``): each slice is packed as it is drawn and the shares cut
-at row boundaries, so no table of symbols is made. Codeword search
-(``codec``) shares its queries out on the same pool. The pool is
-module-private, started on first use, one thread per CPU in the process's
-affinity mask (at most ``_MAX_WORKERS``); work already on a worker thread
-runs inline rather than waiting on the pool. Every result is the same,
-draw for draw and row for row, whatever the worker count.
+uniform, one word, to each symbol, ``SAMPLE_SLICE`` symbols at a time. A
+draw can come back as rows packed into one-hot bit planes of 64-bit words
+(``packed_row``): a fair row is its raw words as they are, and any other
+law's slice is packed as it is drawn, so no table of symbols is made.
+Every draw runs on the calling thread: a raw-word draw is bound by memory
+speed, not by one core.
+
+The worker pool serves codeword search (``codec``) only: its queries and
+the build of its index are shared out there. The pool is module-private,
+started on first use, one thread per CPU in the process's affinity mask
+(at most ``_MAX_WORKERS``); work already on a worker thread runs inline
+rather than waiting on the pool. Every result is the same, row for row,
+whatever the worker count.
 
 The medium's cells, one per step and lane, are sampled 64 to a word
 (``_sample_planes``). A cell's symbol is the number of thresholds its
@@ -42,10 +42,8 @@ threshold. The law is exactly that of comparing the uniform k * 2**-53.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
-import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -71,7 +69,7 @@ PMF_RENORM_TOL = 1e-9
 
 _MASK64 = (1 << 64) - 1
 
-# Symbols a share draws at a time: small enough that a slice's words stay
+# Symbols a draw makes at a time: small enough that a slice's words stay
 # in cache.
 SAMPLE_SLICE = 1 << 16
 # Ceiling on the worker pool's threads.
@@ -97,7 +95,11 @@ def _mark_worker() -> None:
 def _run_shares(fn, shares) -> list:
     """``[fn(*share) for share in shares]``, the calls spread over the worker
     pool. With one worker, one share, or when called from a worker thread
-    (which must not wait on its own pool), the calls run here in order."""
+    (which must not wait on its own pool), the calls run here in order.
+
+    Only codeword search and the build of its index share work out;
+    ``sample_iid_array`` draws on the calling thread, since its raw-word
+    draws are bound by memory speed."""
     shares = list(shares)
     if len(shares) < 2 or _worker_count() < 2 or getattr(_on_worker, "active", False):
         return [fn(*share) for share in shares]
@@ -249,46 +251,50 @@ def sample_iid(pmf: Pmf, n: int, rng: RandomnessHandle) -> Sequence:
 def sample_iid_array(
     pmf: Pmf, n: int, gen: np.random.Generator, packed_row: int = 0
 ) -> np.ndarray:
-    """Array-returning i.i.d. sampler advancing an existing generator.
+    """Array-returning i.i.d. sampler advancing an existing generator, on
+    the calling thread.
 
     Under the fair coin, exactly (0.5, 0.5), the symbols are bits of the
     bit generator's raw words (``_fair_rows``): a row of w symbols is
-    ceil(w / 64) words, and an unpacked draw is one row of n. Under any
-    other law the draw is ``_sample_indexed(cum, 0, gen.random(n))``, one
-    word per symbol. ``gen`` ends in the state the draw leaves. With
-    ``packed_row`` = w > 0 (n a multiple of w) the draw is n / w rows of w
-    symbols and comes back as ``_pack_planes`` of those rows, flat, packed
-    slice by slice: no table of symbols is made. A binary row with w <= 64
-    is one word.
-
-    A draw of at least two slices is shared out over the worker pool in
-    runs of whole rows (of 64 symbols, one word, for an unpacked fair
-    draw): each share draws from a copy of ``gen`` advanced past the words
-    of the runs before it, and ``gen`` itself advances past them all.
+    ceil(w / 64) words, and an unpacked draw is one row of n, unpacked
+    ``SAMPLE_SLICE`` symbols (whole words) at a time. Under any other law
+    the draw is ``_sample_indexed(cum, 0, gen.random(n))``, one word per
+    symbol, mapped ``SAMPLE_SLICE`` symbols at a time. ``gen`` ends in the
+    state the draw leaves. With ``packed_row`` = w > 0 (n a multiple of w)
+    the draw is n / w rows of w symbols and comes back as ``_pack_planes``
+    of those rows, flat: no table of symbols is made. A binary row with
+    w <= 64 is one word.
     """
     if packed_row and (packed_row < 1 or n % packed_row):
         raise ValueError(f"cannot pack {n} symbols into rows of {packed_row}")
-    fair = np.array_equal(pmf.probs, (0.5, 0.5))
+    if np.array_equal(pmf.probs, (0.5, 0.5)):
+        if packed_row:
+            return _fair_rows(gen.bit_generator, n // packed_row, packed_row).reshape(-1)
+        out = np.empty(n, dtype=pmf.alphabet.dtype)
+        step = -(-SAMPLE_SLICE // 64) * 64  # whole words a slice: the bits of one row of n
+        for a in range(0, n, step):
+            part = out[a : a + step]
+            part[...] = _unpack_planes(_fair_rows(gen.bit_generator, 1, len(part)), len(part))[0]
+        return out
+    cum = _row_cumsum(pmf.probs)[None, :]
+    width = max(packed_row, 1)
     if packed_row:
         out = np.empty((n // packed_row, max(len(pmf) - 1, 1), -(-packed_row // 64)),
                        dtype=np.uint64)
-        unit, words = 1, (out.shape[2] if fair else packed_row)  # out rows, words per run
     else:
         out = np.empty(n, dtype=pmf.alphabet.dtype)
-        unit, words = (64, 1) if fair else (1, 1)
-    fill = functools.partial(_fill, _row_cumsum(pmf.probs)[None, :], packed_row, fair)
-    if n < 2 * SAMPLE_SLICE:
-        fill(gen, out)
-        return out.reshape(-1)
-    runs = -(-len(out) // unit)
-    workers = _worker_count()
-    cuts = [runs * k // workers for k in range(workers + 1)]
-    bitgen = gen.bit_generator
-    _run_shares(fill, [(np.random.Generator(copy.deepcopy(bitgen).advance(a * words)),
-                        out[a * unit : b * unit]) for a, b in itertools.pairwise(cuts) if a < b])
-    # advancing drops the half-used 32-bit word a sequential draw keeps
-    pending = {key: bitgen.state[key] for key in ("has_uint32", "uinteger")}
-    bitgen.state = {**bitgen.advance(runs * words).state, **pending}
+    per = max(1, SAMPLE_SLICE // width)  # rows per slice
+    u = np.empty(min(per, len(out)) * width)
+    syms = np.empty(len(u), dtype=np.uint8) if packed_row else None
+    for a in range(0, len(out), per):
+        part = out[a : a + per]
+        m = len(part) * width
+        gen.random(out=u[:m])
+        if not packed_row:
+            _sample_indexed(cum, 0, u[:m], out.dtype, out=part)
+            continue
+        _sample_indexed(cum, 0, u[:m], np.uint8, out=syms[:m])
+        _pack_planes(syms[:m].reshape(-1, packed_row), len(pmf), out=part)
     return out.reshape(-1)
 
 
@@ -302,33 +308,6 @@ def _fair_rows(bitgen, rows: int, n: int) -> np.ndarray:
     table = bitgen.random_raw(rows * w).reshape(rows, 1, w)
     table[..., -1] <<= np.uint64(64 * w - n)
     return table
-
-
-def _fill(cum: np.ndarray, packed_row: int, fair: bool, gen, out: np.ndarray) -> None:
-    """Fill ``out`` with symbols drawn from ``gen``, or with rows of
-    ``packed_row`` symbols packed into planes, one slice at a time."""
-    width = max(packed_row, 1)
-    per = max(1, SAMPLE_SLICE // width)  # rows per slice
-    if fair:
-        per = per if packed_row else -(-per // 64) * 64  # whole words
-        for a in range(0, len(out), per):
-            part = out[a : a + per]
-            if packed_row:
-                part[...] = _fair_rows(gen.bit_generator, len(part), packed_row)
-            else:
-                part[...] = _unpack_planes(_fair_rows(gen.bit_generator, 1, len(part)), len(part))[0]
-        return
-    u = np.empty(min(per, len(out)) * width)
-    syms = np.empty(len(u), dtype=np.uint8) if packed_row else None
-    for a in range(0, len(out), per):
-        part = out[a : a + per]
-        m = len(part) * width
-        gen.random(out=u[:m])
-        if not packed_row:
-            _sample_indexed(cum, 0, u[:m], out.dtype, out=part)
-            continue
-        _sample_indexed(cum, 0, u[:m], np.uint8, out=syms[:m])
-        _pack_planes(syms[:m].reshape(-1, packed_row), cum.shape[-1], out=part)
 
 
 def _pack_planes(symbols: np.ndarray, letters: int, out: np.ndarray | None = None) -> np.ndarray:

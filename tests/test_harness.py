@@ -280,6 +280,15 @@ def test_separate_payload_repeats(tmp_path):
     assert hashlib.sha256(blob).hexdigest()[:16] == SEPARATE_SINGLE_BSC_N32
 
 
+def test_wall_clock_survives_the_system_clock_stepping_back(tmp_path, monkeypatch):
+    # every reading of the system clock an hour before the last one
+    readings = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(harness.time, "time", lambda: float(next(readings)))
+    config = ExperimentConfig.load(SINGLE_BSC)
+    records = [cmd_rd(config, tmp_path), cmd_baseline(config, tmp_path, trials=1000)]
+    assert all(record.wall_clock_s >= 0 for record in records)
+
+
 def test_commands_read_only_the_parsed_config(tmp_path):
     data = single_bsc_data()
     data["targets"][0]["block_lengths"] = [32]

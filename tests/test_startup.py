@@ -1,6 +1,6 @@
 """Start-up contract: scipy is loaded only when a chi-square p-value is
-computed, and the worker pool's ``concurrent.futures`` only when work is
-shared out. Checked in a fresh interpreter, since this test process has
+computed, and the worker pool's ``concurrent.futures`` only when codeword
+search shares work out. Checked in a fresh interpreter, since this test process has
 already imported ``scipy.stats`` through other test modules."""
 
 import json
@@ -34,8 +34,10 @@ config = ExperimentConfig.from_dict(data)
 with tempfile.TemporaryDirectory() as out:
     cmd_rd(config, out)
     stages["rd"] = scipy_modules()
+    stages["pool after rd"] = "concurrent.futures" in sys.modules
     cmd_baseline(config, out, trials=1000)
     stages["baseline"] = scipy_modules()
+    stages["pool after baseline"] = "concurrent.futures" in sys.modules
     record = cmd_separate(config, out, trials=1000)
     assert record.payload["runs"][0]["pairs"], "the target was not separated"
     stages["separate"] = scipy_modules()
@@ -69,3 +71,10 @@ def test_a_p_value_loads_scipy_special_and_not_scipy_stats(fresh_run):
 
 def test_import_loads_no_worker_pool(fresh_run):
     assert fresh_run["pool at import"] is False
+
+
+def test_rd_and_baseline_start_no_worker_pool(fresh_run):
+    # baseline draws about a million source symbols here: every draw stays
+    # on the calling thread
+    assert fresh_run["pool after rd"] is False
+    assert fresh_run["pool after baseline"] is False
