@@ -84,8 +84,8 @@ class ConfigError(ValueError):
 # kinds); any other key is a ConfigError.
 _KEYS = {
     "config": ("name", "users", "seed", "medium", "modems", "sources", "latency",
-               "pair_of_interest", "block_length", "warmup", "trials",
-               "separate_trials", "recheck_trials", "targets", "rd", "noninterference"),
+               "block_length", "warmup", "trials", "separate_trials", "recheck_trials",
+               "targets", "rd", "noninterference"),
     "medium": {"dmc": ("kind", "links"), "coupled_dmc": ("kind", "links", "coupling"),
                "markov": ("kind", "rules")},
     "medium.links": ("src", "dst", "flip", "matrix"),
@@ -104,9 +104,6 @@ _KEYS = {
     "noninterference": ("untouched", "trials_blocks", "repetitions"),
 }
 _REQUIRED = object()
-# Hamming level that baseline measures the pair of interest at when the
-# config names no target.
-DEFAULT_LEVEL = 0.125
 
 
 def _bsc(q: float) -> np.ndarray:
@@ -167,12 +164,22 @@ def _keyed(where: str, entries, key, value) -> dict:
     return out
 
 
+def _int(value) -> int:
+    """``value`` as an int: an integral number, and not a bool, which
+    YAML reads from ``true`` and ``false``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def _src_dst(entry: dict) -> tuple:
-    return int(entry["src"]), int(entry["dst"])
+    return _int(entry["src"]), _int(entry["dst"])
 
 
 def _ints(value) -> tuple:
-    return tuple(int(v) for v in value)
+    return tuple(_int(v) for v in value)
 
 
 def _get(entry: dict, name: str, parse, default=_REQUIRED):
@@ -187,7 +194,7 @@ def _get(entry: dict, name: str, parse, default=_REQUIRED):
     return _checked(name, lambda: parse(entry[key]))
 
 
-def _at_least(floor, parse=int):
+def _at_least(floor, parse=_int):
     """Parser of a value, read by ``parse``, that must be >= ``floor``."""
     def parse_floored(value):
         if not parse(value) >= floor:
@@ -243,8 +250,8 @@ def _kind(where: str, entry, default: str) -> str:
 
 def _coupling(e: dict) -> tuple:
     if _uses("medium.coupling", e, "flips", ("matrices",)):
-        return int(e["watch"]), np.stack([_bsc(float(q)) for q in e["flips"]])
-    return int(e["watch"]), np.asarray(e["matrices"], dtype=np.float64)
+        return _int(e["watch"]), np.stack([_bsc(float(q)) for q in e["flips"]])
+    return _int(e["watch"]), np.asarray(e["matrices"], dtype=np.float64)
 
 
 def _markov_rule(e: dict) -> MarkovLinkRule:
@@ -256,12 +263,12 @@ def _markov_rule(e: dict) -> MarkovLinkRule:
             float(ge["flip_bad"]),
             float(ge["p_good_to_bad"]),
             float(ge["p_bad_to_good"]),
-            int(ge.get("initial", 0)),
+            _int(ge.get("initial", 0)),
         )
     return MarkovLinkRule(
         np.asarray(e["transition"], dtype=np.float64),
         np.asarray(e["emission"], dtype=np.float64),
-        int(e.get("initial", 0)),
+        _int(e.get("initial", 0)),
     )
 
 
@@ -280,7 +287,7 @@ def _medium(med: dict, users: int):
 def _modems(entries) -> tuple:
     modems = []
     for e in entries:
-        user = int(e["user"])
+        user = _int(e["user"])
         if _kind("modems", e, "passthrough") == "relay":
             modems.append(ForwardRelayModem(user, _ints(e["in_link"])))
             continue
@@ -394,7 +401,7 @@ class ExperimentConfig:
         """Parse ``data``; a bad, missing or unknown key is a ConfigError
         naming it."""
         d = _section("", data, _KEYS["config"])
-        users = _get(d, "users", int)
+        users = _get(d, "users", _int)
         block_length = _get(d, "block_length", _at_least(1))
         sources = _get(d, "sources", lambda v: _sources(v, users))
         latency = _get(d, "latency", lambda v: _keyed(
@@ -405,10 +412,9 @@ class ExperimentConfig:
             latency.setdefault(pair, 3)
         medium = _get(d, "medium", lambda v: _medium(v, users))
         modems = _get(d, "modems", _modems)
-        poi = _get(d, "pair_of_interest", lambda v: _known_pair(v, sources), min(sources))
         warmup = _get(d, "warmup", _at_least(0), 8)
         system = _checked("modems", lambda: NetworkSystem(
-            medium, modems, sources, poi, block_length, latency, warmup))
+            medium, modems, sources, block_length, latency, warmup))
         for modem in system.modems:
             _checked("modems", lambda: modem.check_wiring(system))
         parsed = [_target(t, sources, block_length) for t in _get(d, "targets", list, [])]
@@ -433,7 +439,7 @@ class ExperimentConfig:
             data=data,
             digest=_canonical_digest(data),
             name=_get(d, "name", str, None),
-            seed=_get(d, "seed", int, 0),
+            seed=_get(d, "seed", _int, 0),
             system=system,
             targets=targets,
             block_lengths=tuple(lengths[0]) if lengths else (),
@@ -564,13 +570,16 @@ def cmd_rd(config: ExperimentConfig, out_dir, seed: int | None = None,
 
 def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
                  overwrite: bool = False, trials: int | None = None) -> ResultRecord:
-    """Measure the untransformed system's excess-distortion guarantees."""
+    """Measure the untransformed system's excess-distortion guarantee for
+    each target pair at its level D."""
     t0 = time.perf_counter()
+    if not config.targets:
+        raise ConfigError("targets: baseline needs at least one target pair")
     system = config.system
     root = RandomnessHandle(_seed_root(config, seed))
     trials = int(trials if trials is not None else config.trials)
     payload = {"pairs": {}}
-    for target in config.targets or _default_targets(system):
+    for target in config.targets:
         budget = DistortionBudget(target.level, target.metric)
         report = measure_end_to_end(
             system,
@@ -591,17 +600,6 @@ def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
         ],
     )
     return record
-
-
-def _default_targets(system: NetworkSystem) -> list[PairTarget]:
-    # Without explicit targets, measure the pair of interest under Hamming
-    # at DEFAULT_LEVEL.
-    pair = system.pair_of_interest
-    size = system.sources[pair].alphabet.size
-    return [
-        PairTarget(pair=pair, metric=hamming_metric(size), level=DEFAULT_LEVEL,
-                   level_prime=min(2 * DEFAULT_LEVEL, 0.49), n=system.block_length)
-    ]
 
 
 def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
@@ -761,7 +759,6 @@ def _suite_separation(root: RandomnessHandle) -> dict:
         modems=(PassthroughModem(0, send_pair=(0, 1)),
                 PassthroughModem(1, recv_pairs=[(0, 1)])),
         sources={(0, 1): pmf},
-        pair_of_interest=(0, 1),
         block_length=32,
         latency_map={(0, 1): 3},
     )

@@ -12,6 +12,12 @@ cycle falls back to windows of one step, where any order is causal.
 Windows hold at most ``WINDOW_LANE_STEPS`` lane-steps, which bounds the
 engine's temporaries whatever the horizon.
 
+The medium has one model of a link, ``MediumKernel``: a stack of
+stochastic rows, where a cell's row has the mixed-radix digits the link's
+hidden state, then the inputs of the users it watches, then its sender's
+input. ``DmcMedium``, ``CoupledDmcMedium`` and ``MarkovMedium`` only
+build these stacks from their own arguments.
+
 Randomness is namespaced off a single root handle: one stream per source
 pair, one private stream per modem, and the medium's streams, derived per
 link from ``derive("medium").derive(i, j)`` for link (i, j). The link's
@@ -39,6 +45,7 @@ from __future__ import annotations
 import graphlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +85,7 @@ class WiringError(ValueError):
 
 def _input_alphabets(rows_of: dict) -> dict:
     """Each sending user's input alphabet size, from ``rows_of``, the
-    number of input rows of each link's table; every out-link of a user
+    number of input letters of each link's table; every out-link of a user
     must read the same alphabet, since a row a table lacks would be
     sampled as no row."""
     sizes = {}
@@ -100,129 +107,14 @@ def _check_stochastic(mat: np.ndarray, what: str) -> np.ndarray:
     return mat
 
 
-class MediumKernel(ABC):
-    """Stochastic law producing per-link outputs from all users' past inputs.
-
-    Outputs at step tau may depend only on inputs up to tau-1 and the
-    medium's own (opaque) state. Link outputs at tau=0 are the zero symbol;
-    the kernel is first consulted at tau=1. Each link draws from its own
-    streams (see the module docstring), held in the state ``start`` makes.
-    """
-
-    num_users: int
-    links: tuple
-
-    @abstractmethod
-    def user_input_alphabet(self, user: int) -> Alphabet: ...
-
-    @abstractmethod
-    def link_output_alphabet(self, link) -> Alphabet: ...
-
-    def reads(self, link) -> tuple:
-        """Users whose past medium inputs ``link`` reads."""
-        return (link[0],)
-
-    @abstractmethod
-    def start(self, lanes: int, seeds: RandomnessHandle):
-        """Allocate per-rollout state for ``lanes`` replicas, with every
-        link's streams derived from ``seeds``."""
-
-    @abstractmethod
-    def window(self, link, state, iota_prev: np.ndarray, out: np.ndarray) -> None:
-        """Write the outputs of ``link`` over a window of steps into ``out``
-        (steps, lanes).
-
-        ``iota_prev`` (users, steps, lanes) holds the medium inputs one step
-        before each step of the window.
-        """
-
-
-class DmcMedium(MediumKernel):
-    """Memoryless medium: each link applies its own stochastic matrix.
-
-    A cell of link (i, j) reads row x of the matrix, x user i's input one
-    step before, from the link's plane and tail streams.
-    """
-
-    def __init__(self, num_users: int, link_matrices: dict):
-        self.num_users = int(num_users)
-        mats = {}
-        for (i, j), mat in link_matrices.items():
-            if not (0 <= i < num_users and 0 <= j < num_users and i != j):
-                raise WiringError(f"link ({i},{j}) references unknown users")
-            mats[(i, j)] = _check_stochastic(mat, f"link ({i},{j}) matrix")
-        self.links = tuple(sorted(mats))
-        self._mats = mats
-        self._inputs = _input_alphabets({lk: m.shape[0] for lk, m in mats.items()})
-        self._thresholds = {lk: _plane_thresholds(_row_cumsum(m)) for lk, m in mats.items()}
-
-    def user_input_alphabet(self, user: int) -> Alphabet:
-        return Alphabet(self._inputs.get(user, 2))
-
-    def link_output_alphabet(self, link) -> Alphabet:
-        return Alphabet(self._mats[link].shape[1])
-
-    def start(self, lanes: int, seeds: RandomnessHandle):
-        return {lk: _PlaneSampler(seeds.derive(*lk)) for lk in self.links}
-
-    def window(self, link, state, iota_prev, out):
-        state[link].sample(*self._rows(link, iota_prev), out)
-
-    def _rows(self, link, iota_prev):
-        """Thresholds of ``link``'s table and the digits of each cell's row."""
-        return self._thresholds[link], [(iota_prev[link[0]], self._mats[link].shape[0])]
-
-
-class CoupledDmcMedium(DmcMedium):
-    """Memoryless medium with cross-user interference.
-
-    A coupled link's matrix is selected per step by another user's last
-    medium input, so its statistics depend on that user's input law. This
-    exercises the requirement that an architecture change at one pair must
-    not disturb the law seen by others. A coupled cell reads row w * |link
-    input alphabet| + x of the stacked matrices, w the watched user's input
-    and x the link's own one step before.
-    """
-
-    def __init__(self, num_users: int, link_matrices: dict, coupling: dict):
-        super().__init__(num_users, link_matrices)
-        self._coupling = {}
-        for link, (watch, stack) in coupling.items():
-            if link not in self._mats:
-                raise WiringError(f"coupling references unknown link {link}")
-            watch = int(watch)
-            if not 0 <= watch < self.num_users:
-                raise WiringError(f"coupling of link {link} watches unknown user {watch}")
-            stack = np.asarray(stack, dtype=np.float64)
-            want = (self.user_input_alphabet(watch).size, *self._mats[link].shape)
-            if stack.shape != want:
-                raise WiringError(f"coupling of link {link} needs shape {want}, got {stack.shape}")
-            for s in range(stack.shape[0]):
-                _check_stochastic(stack[s], f"coupled matrix {link}[{s}]")
-            # row (watched input) * |link input alphabet| + link input
-            cum = _row_cumsum(stack).reshape(-1, want[2])
-            self._coupling[link] = (watch, _plane_thresholds(cum))
-
-    def reads(self, link):
-        if link not in self._coupling:
-            return super().reads(link)
-        return (link[0], self._coupling[link][0])
-
-    def _rows(self, link, iota_prev):
-        if link not in self._coupling:
-            return super()._rows(link, iota_prev)
-        watch, thresholds = self._coupling[link]
-        _, own = super()._rows(link, iota_prev)
-        return thresholds, [(iota_prev[watch], self.user_input_alphabet(watch).size), *own]
-
-
 @dataclass(frozen=True)
 class MarkovLinkRule:
-    """Per-link hidden state chain: emission matrices per state plus the
-    state transition matrix."""
+    """Per-link hidden state chain: the state transition matrix (S, S) and
+    the emission table (S, K_in, K_out), a stochastic matrix from the
+    link's K_in input letters to its K_out output letters per state."""
 
     transition: np.ndarray  # (S, S)
-    emission: np.ndarray    # (S, K, K) stochastic matrix per state
+    emission: np.ndarray    # (S, K_in, K_out)
     initial_state: int = 0
 
     def __post_init__(self):
@@ -238,72 +130,158 @@ class MarkovLinkRule:
         object.__setattr__(self, "emission", emission)
 
 
-class MarkovMedium(MediumKernel):
-    """Medium with memory: each link carries an independent state chain.
+class _Link(NamedTuple):
+    """One link's stacked table, as ``MediumKernel`` samples it."""
 
-    At each step the link emits through its current state's matrix, then
-    the state advances. An emission cell reads row s * |link input
-    alphabet| + x of the stacked emission matrices, s the state and x the
-    input one step before, from the link's plane and tail streams; the
-    transitions read the link's transition stream.
+    thresholds: np.ndarray  # (rows, K_out - 1), see probcore._plane_thresholds
+    shape: tuple            # the table's: (*digit letters, K_out)
+    watched: tuple          # users whose inputs pick the row, before the sender's
+    rule: MarkovLinkRule | None
+
+
+class MediumKernel:
+    """The medium: per link, a stack of stochastic rows over the link's
+    output letters.
+
+    Outputs at step tau may depend only on inputs up to tau-1 and the
+    medium's own state. Link outputs at tau=0 are the zero symbol; the
+    kernel is first consulted at tau=1. A cell of link (i, j) at step tau
+    reads the row whose mixed-radix digits, most significant first, are
+    the link's hidden state at tau (for a link with a ``MarkovLinkRule``),
+    the input at tau-1 of each user the link watches, in order, and the
+    input at tau-1 of its sender i. Each link draws from its own streams
+    (see the module docstring), held in the state ``start`` makes.
+
+    ``links`` maps (i, j) to ``(table, watched, rule)``: ``table`` has one
+    axis per digit and a last one over the output letters, ``watched`` is
+    a tuple of users and ``rule`` a ``MarkovLinkRule`` or None. The
+    constructors below build it from a matrix per link.
     """
 
-    def __init__(self, num_users: int, link_rules: dict):
+    def __init__(self, num_users: int, links: dict):
         self.num_users = int(num_users)
-        self.links = tuple(sorted(link_rules))
-        for (i, j) in self.links:
-            if not (0 <= i < num_users and 0 <= j < num_users and i != j):
+        self.links = tuple(sorted(links))
+        self._links = {}
+        for (i, j), (table, watched, rule) in sorted(links.items()):
+            if i == j or not all(0 <= u < self.num_users for u in (i, j, *watched)):
                 raise WiringError(f"link ({i},{j}) references unknown users")
-        self._rules = dict(link_rules)
-        self._inputs = _input_alphabets(
-            {lk: r.emission.shape[1] for lk, r in self._rules.items()})
-        # row (state) * |link input alphabet| + link input
-        self._emit_thresholds = {
-            lk: _plane_thresholds(_row_cumsum(r.emission).reshape(-1, r.emission.shape[2]))
-            for lk, r in self._rules.items()
-        }
-        self._trans_cums = {lk: _row_cumsum(r.transition) for lk, r in self._rules.items()}
-        self._state_dtypes = {
-            lk: Alphabet(r.transition.shape[0]).dtype for lk, r in self._rules.items()
-        }
+            cum = _row_cumsum(np.asarray(table, dtype=np.float64))
+            if cum.ndim != len(watched) + (rule is not None) + 2:
+                raise WiringError(f"link ({i},{j}) table has {cum.ndim} axes, not one per "
+                                  f"digit and one over the output letters")
+            self._links[(i, j)] = _Link(_plane_thresholds(cum.reshape(-1, cum.shape[-1])),
+                                        cum.shape, tuple(watched), rule)
+        self._inputs = _input_alphabets({lk: link.shape[-2] for lk, link in self._links.items()})
+        for (i, j), link in self._links.items():
+            for u, letters in zip(link.watched, link.shape[-2 - len(link.watched) : -2]):
+                if letters != self.user_input_alphabet(u).size:
+                    raise WiringError(f"link ({i},{j}) reads {letters} letters of user "
+                                      f"{u}, who sends {self.user_input_alphabet(u).size}")
 
     def user_input_alphabet(self, user: int) -> Alphabet:
         return Alphabet(self._inputs.get(user, 2))
 
     def link_output_alphabet(self, link) -> Alphabet:
-        return Alphabet(self._rules[link].emission.shape[2])
+        return Alphabet(self._links[link].shape[-1])
+
+    def reads(self, link) -> tuple:
+        """Users whose past medium inputs ``link`` reads."""
+        return (link[0], *self._links[link].watched)
 
     def start(self, lanes: int, seeds: RandomnessHandle):
+        """Allocate per-rollout state for ``lanes`` replicas, with every
+        link's streams derived from ``seeds``."""
         state = {}
-        for lk, rule in self._rules.items():
-            link_seeds = seeds.derive(*lk)
-            state[lk] = {
-                "emission": _PlaneSampler(link_seeds),
-                "transition": link_seeds.derive("transition").generator(),
-                "u": np.empty(lanes),
-                "current": np.full(lanes, rule.initial_state, dtype=self._state_dtypes[lk]),
-            }
+        for lk, link in self._links.items():
+            link_seeds, chain = seeds.derive(*lk), None
+            if link.rule is not None:
+                chain = {
+                    "transition": link_seeds.derive("transition").generator(),
+                    "cum": _row_cumsum(link.rule.transition),
+                    "u": np.empty(lanes),
+                    "current": np.full(lanes, link.rule.initial_state,
+                                       dtype=Alphabet(link.shape[0]).dtype),
+                }
+            state[lk] = (_PlaneSampler(link_seeds), chain)
         return state
 
-    def window(self, link, state, iota_prev, out):
-        link_state = state[link]
-        path = self._state_path(link, link_state, out.shape[0])
-        rule = self._rules[link]
-        digits = [(path, rule.transition.shape[0]), (iota_prev[link[0]], rule.emission.shape[1])]
-        link_state["emission"].sample(self._emit_thresholds[link], digits, out)
+    def window(self, link, state, iota_prev: np.ndarray, out: np.ndarray) -> None:
+        """Write the outputs of ``link`` over a window of steps into ``out``
+        (steps, lanes).
 
-    def _state_path(self, link, link_state, steps: int) -> np.ndarray:
+        ``iota_prev`` (users, steps, lanes) holds the medium inputs one step
+        before each step of the window.
+        """
+        sampler, chain = state[link]
+        table = self._links[link]
+        values = [iota_prev[u] for u in (*table.watched, link[0])]
+        if chain is not None:
+            values.insert(0, self._state_path(chain, out.shape[0]))
+        sampler.sample(table.thresholds, list(zip(values, table.shape[:-1])), out)
+
+    @staticmethod
+    def _state_path(chain: dict, steps: int) -> np.ndarray:
         """The state in force at each of ``steps`` steps, from one uniform
         per lane and step of the link's transition stream; advances
-        ``link_state``."""
-        cum, dtype = self._trans_cums[link], self._state_dtypes[link]
-        gen, u, current = link_state["transition"], link_state["u"], link_state["current"]
-        path = np.empty((steps, len(u)), dtype=dtype)
+        ``chain``."""
+        gen, cum, u, current = chain["transition"], chain["cum"], chain["u"], chain["current"]
+        path = np.empty((steps, len(u)), dtype=current.dtype)
         for t in range(steps):
             path[t] = current
-            current = _sample_indexed(cum, current, gen.random(out=u), dtype)
-        link_state["current"] = current
+            current = _sample_indexed(cum, current, gen.random(out=u), current.dtype)
+        chain["current"] = current
         return path
+
+
+class DmcMedium(MediumKernel):
+    """Memoryless medium: each link applies its own stochastic matrix, so a
+    cell of link (i, j) reads row x, x user i's input one step before."""
+
+    def __init__(self, num_users: int, link_matrices: dict):
+        super().__init__(num_users, _matrix_links(link_matrices))
+
+
+def _matrix_links(link_matrices: dict) -> dict:
+    """``MediumKernel`` links of one stochastic matrix each."""
+    return {(i, j): (_check_stochastic(mat, f"link ({i},{j}) matrix"), (), None)
+            for (i, j), mat in link_matrices.items()}
+
+
+class CoupledDmcMedium(MediumKernel):
+    """Memoryless medium with cross-user interference.
+
+    A coupled link's matrix is selected per step by another user's last
+    medium input, so its statistics depend on that user's input law. This
+    exercises the requirement that an architecture change at one pair must
+    not disturb the law seen by others. ``coupling`` maps a link to (w,
+    stack): its cell reads matrix ``stack[a]``, a user w's input one step
+    before; the other links are as in ``DmcMedium``.
+    """
+
+    def __init__(self, num_users: int, link_matrices: dict, coupling: dict):
+        links = _matrix_links(link_matrices)
+        for link, (watch, stack) in coupling.items():
+            if link not in links:
+                raise WiringError(f"coupling references unknown link {link}")
+            stack, mat = np.asarray(stack, dtype=np.float64), links[link][0]
+            if stack.shape[1:] != mat.shape:
+                raise WiringError(f"coupling of link {link} needs matrices of shape "
+                                  f"{mat.shape}, got {stack.shape}")
+            for s in range(stack.shape[0]):
+                _check_stochastic(stack[s], f"coupled matrix {link}[{s}]")
+            links[link] = (stack, (int(watch),), None)
+        super().__init__(num_users, links)
+
+
+class MarkovMedium(MediumKernel):
+    """Medium with memory: each link carries an independent state chain.
+
+    At each step the link emits through its current state's matrix, then
+    the state advances, from the link's transition stream.
+    """
+
+    def __init__(self, num_users: int, link_rules: dict):
+        super().__init__(num_users, {lk: (r.emission, (), r) for lk, r in link_rules.items()})
 
 
 def gilbert_elliott_rule(
@@ -479,7 +457,6 @@ class NetworkSystem:
     medium: MediumKernel
     modems: tuple
     sources: dict
-    pair_of_interest: tuple
     block_length: int
     latency_map: dict
     warmup: int = 8

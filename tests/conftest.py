@@ -37,7 +37,6 @@ def single_link_system(flip: float, source_probs=(0.5, 0.5), block_length=1000,
             PassthroughModem(1, recv_pairs=[(0, 1)]),
         ),
         sources={(0, 1): Pmf.from_probs(list(source_probs))},
-        pair_of_interest=(0, 1),
         block_length=block_length,
         latency_map={(0, 1): 3},
         warmup=warmup,

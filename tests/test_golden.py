@@ -86,7 +86,6 @@ def ternary_systems() -> dict:
             modems=(PassthroughModem(0, send_pair=(0, 1)),
                     PassthroughModem(1, recv_pairs=[(0, 1)])),
             sources={(0, 1): Pmf.from_probs([0.5, 0.3, 0.2])},
-            pair_of_interest=(0, 1),
             block_length=10,
             latency_map={(0, 1): 3},
         )
@@ -109,7 +108,6 @@ def coupled_relay_system():
                 ForwardRelayModem(1, in_link=(0, 1)),
                 PassthroughModem(2, recv_pairs=[(0, 2)])),
         sources={(0, 2): Pmf.from_probs([0.6, 0.4])},
-        pair_of_interest=(0, 2),
         block_length=10,
         latency_map={(0, 2): 3},
     )

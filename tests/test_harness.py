@@ -240,6 +240,18 @@ BAD_CONFIGS = {
     "rd.tol": with_value("rd.tol", -1),
     "medium.states": then(with_a_markov_medium, with_a_key_in("medium", "states", 2)),
     "noninterference.untouched (a target)": with_value("noninterference.untouched", [[0, 1]]),
+    # integer keys take integral numbers only: int() would truncate these
+    "block_length (fractional)": with_value("block_length", 1000.5),
+    "users (fractional)": with_value("users", 2.7),
+    "seed (a bool)": with_value("seed", True),
+    "targets.block_lengths (fractional)": with_a_key_in("targets.0", "block_lengths", [32.9]),
+    "sources (fractional src)": with_a_key_in("sources.0", "src", 0.6),
+    "latency.steps (fractional)": with_a_key_in("latency.0", "steps", 3.5),
+    "modems (fractional user)": with_a_key_in("modems.1", "user", 1.5),
+    "medium (fractional watch)": then(with_a_coupled_medium,
+                                      with_a_key_in("medium.coupling.0", "watch", 1.5)),
+    "medium (a bool initial state)": then(
+        with_a_markov_medium, with_a_key_in("medium.rules.0.gilbert_elliott", "initial", True)),
 }
 
 
@@ -332,9 +344,23 @@ def test_separate_without_targets_fails_naming_the_key(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     assert "targets" in capsys.readouterr().err
     assert not (tmp_path / "direct").exists() and not (tmp_path / "out").exists()
-    # the other commands still run without targets
-    assert run_cli("baseline", "--config", path, "--out", tmp_path / "out",
-                   "--trials", 1000) == cli.EXIT_OK
+    # rd reads no target, so it still runs
+    assert run_cli("rd", "--config", path, "--out", tmp_path / "out") == cli.EXIT_OK
+
+
+def test_baseline_without_targets_fails_naming_the_key(tmp_path, capsys):
+    # baseline measures the targets' pairs and no other: with none it fails
+    # validation (exit 1) and writes no record
+    data = single_bsc_data()
+    del data["targets"]
+    with pytest.raises(ConfigError, match="targets"):
+        cmd_baseline(ExperimentConfig.from_dict(data), tmp_path / "direct", trials=1000)
+    path = tmp_path / "no-targets.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code = run_cli("baseline", "--config", path, "--out", tmp_path / "out", "--trials", 1000)
+    assert code == cli.EXIT_VALIDATION
+    assert "targets" in capsys.readouterr().err
+    assert not (tmp_path / "direct").exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", BAD_CONFIGS)

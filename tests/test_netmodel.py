@@ -11,6 +11,7 @@ from sepnet.netmodel import (
     ForwardRelayModem,
     MarkovLinkRule,
     MarkovMedium,
+    MediumKernel,
     Modem,
     ModemView,
     NetworkSystem,
@@ -88,6 +89,13 @@ class TestMediumConstruction:
         with pytest.raises(WiringError, match="input letters"):
             MarkovMedium(3, rules)
 
+    def test_kernel_table_needs_an_axis_per_digit(self):
+        # a watched user's input with no axis of its own would pick no row
+        with pytest.raises(WiringError, match="axes"):
+            MediumKernel(3, {(0, 1): (bsc(0.1), (2,), None)})
+        with pytest.raises(WiringError, match="letters of user 2"):
+            MediumKernel(3, {(0, 1): (np.stack([bsc(0.1)] * 3), (2,), None)})
+
     def test_markov_rule_validation(self):
         with pytest.raises(WiringError):
             MarkovLinkRule(np.array([[0.5, 0.5]]), np.stack([np.eye(2), np.eye(2)]))
@@ -147,7 +155,6 @@ class TestRollout:
                 PassthroughModem(1),  # deaf receiver
             ),
             sources=sys_a.sources,
-            pair_of_interest=(0, 1),
             block_length=sys_a.block_length,
             latency_map=sys_a.latency_map,
         )
@@ -159,7 +166,7 @@ class TestRollout:
     def test_causality_source_perturbation(self, name):
         # flipping x at step t_hit must not change anything at steps <= t_hit
         system = golden_system(name)
-        pair = system.pair_of_interest
+        pair = min(system.sources)
         sender = system.modem_for(pair[0])
         flipped = system.with_modems(
             [FlippedSource(m, pair, T_HIT) if m is sender else m for m in system.modems]
@@ -194,7 +201,6 @@ class TestRollout:
             ),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5]),
                      (2, 3): Pmf.from_probs([0.5, 0.5])},
-            pair_of_interest=(0, 1),
             block_length=100,
             latency_map={(0, 1): 3, (2, 3): 3},
         )
@@ -212,7 +218,6 @@ class TestRollout:
                 PassthroughModem(1, recv_pairs=[(1, 0)]),  # wrong direction
             ),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
-            pair_of_interest=(0, 1),
             block_length=5,
             latency_map={(0, 1): 3},
         )
@@ -227,7 +232,6 @@ class TestRollout:
                 PassthroughModem(1, recv_pairs=[(0, 1)]),
             ),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},  # binary source
-            pair_of_interest=(0, 1),
             block_length=5,
             latency_map={(0, 1): 3},
         )
@@ -247,7 +251,6 @@ class TestRelayChain:
                 PassthroughModem(2, recv_pairs=[(0, 2)], recv_links={(0, 2): (1, 2)}),
             ),
             sources={(0, 2): Pmf.from_probs([0.5, 0.5])},
-            pair_of_interest=(0, 2),
             block_length=1000,
             latency_map={(0, 2): 5},
         )
@@ -282,7 +285,6 @@ class TestMarkovMedium:
                 PassthroughModem(1, recv_pairs=[(0, 1)]),
             ),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
-            pair_of_interest=(0, 1),
             block_length=1000,
             latency_map={(0, 1): 3},
             warmup=64,
@@ -347,7 +349,6 @@ class TestWideAlphabets:
                 PassthroughModem(1, recv_pairs=[(0, 1)]),
             ),
             sources={(0, 1): Pmf.uniform(size)},
-            pair_of_interest=(0, 1),
             block_length=100,
             latency_map={(0, 1): 3},
         )

@@ -168,18 +168,18 @@ def _two_slices_and_about():
 
 
 @settings(max_examples=60, deadline=None)
-@example(law="fair", width=0, n=2 * SAMPLE_SLICE + 3, pending=True, used=3, seed=1, one_worker=False)
-@example(law="fair", width=65, n=2 * SAMPLE_SLICE, pending=True, used=1, seed=2, one_worker=False)
-@example(law=2, width=63, n=2 * SAMPLE_SLICE + 1, pending=True, used=5, seed=3, one_worker=False)
-@example(law=3, width=0, n=2 * SAMPLE_SLICE + 5, pending=False, used=7, seed=4, one_worker=True)
+@example(law="fair", width=0, n=2 * SAMPLE_SLICE + 3, pending=True, used=3, seed=1)
+@example(law="fair", width=65, n=2 * SAMPLE_SLICE, pending=True, used=1, seed=2)
+@example(law=2, width=63, n=2 * SAMPLE_SLICE + 1, pending=True, used=5, seed=3)
+@example(law=3, width=0, n=2 * SAMPLE_SLICE + 5, pending=False, used=7, seed=4)
 @given(law=st.sampled_from(["fair", 1, 2, 3, 200]), width=st.sampled_from([0, 1, 7, 63, 64, 65, 130]),
        n=_two_slices_and_about(), pending=st.booleans(), used=st.integers(0, 7),
-       seed=st.integers(0, 2**32 - 1), one_worker=st.booleans())
-def test_shared_draw_equals_sequential_draw(law, width, n, pending, used, seed, one_worker):
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_draw_equals_sequential_draw(law, width, n, pending, used, seed):
     # the fair coin's raw words and another law's uniforms, unpacked (width
     # 0) and in packed rows of odd and even widths, from a generator that
     # has drawn 0-7 doubles and holds a half-used 32-bit word or none, n
-    # below, at and above two slices; with the pool's workers and with one
+    # below, at and above two slices
     probs = (0.5, 0.5) if law == "fair" else np.random.default_rng(seed).dirichlet(np.ones(law))
     pmf = Pmf.from_probs(probs)
     if width:
@@ -191,9 +191,7 @@ def test_shared_draw_equals_sequential_draw(law, width, n, pending, used, seed, 
             gen.integers(0, 2**32, dtype=np.uint32)
         gen.random(used)
     shared, sequential = gens
-    workers = 1 if one_worker else max(2, probcore._worker_count())
-    with mock.patch.object(probcore, "_worker_count", lambda: workers):
-        out = sample_iid_array(pmf, n, shared, packed_row=width)
+    out = sample_iid_array(pmf, n, shared, packed_row=width)
     if width:
         reference = _pack_planes(codebook_symbols(pmf, n // width, width, sequential), len(pmf))
         assert out.dtype == np.uint64

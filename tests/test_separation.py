@@ -64,7 +64,6 @@ def two_pair_system(coupled=False):
         ),
         sources={(0, 1): Pmf.from_probs([0.5, 0.5]),
                  (2, 3): Pmf.from_probs([0.7, 0.3])},
-        pair_of_interest=(0, 1),
         block_length=32,
         latency_map={(0, 1): 3, (2, 3): 3},
     )
@@ -158,7 +157,6 @@ class TestPlanSeparation:
             modems=(PassthroughModem(0, send_pair=(0, 1)),
                     PassthroughModem(1, recv_pairs=[(0, 1)])),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
-            pair_of_interest=(0, 1),
             block_length=32,
             latency_map={(0, 1): 3},
         )

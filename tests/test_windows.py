@@ -79,7 +79,6 @@ def echo_system(flip):
         modems=(PassthroughModem(0, send_pair=(0, 1), recv_pairs=[(1, 0)]),
                 ForwardRelayModem(1, in_link=(0, 1))),
         sources={(0, 1): Pmf.from_probs([0.5, 0.5]), (1, 0): Pmf.from_probs([0.5, 0.5])},
-        pair_of_interest=(0, 1),
         block_length=10,
         latency_map={(0, 1): 3, (1, 0): 5},
     )
