@@ -123,7 +123,7 @@ def _uses(where: str, entry: dict, key: str, others: tuple) -> bool:
 
 def _link_matrix(entry: dict) -> np.ndarray:
     if _uses("medium.links", entry, "flip", ("matrix",)):
-        return _bsc(float(entry["flip"]))
+        return _bsc(_float(entry["flip"]))
     if "matrix" in entry:
         return np.asarray(entry["matrix"], dtype=np.float64)
     raise ConfigError(f"medium.links: {entry} needs 'flip' or 'matrix'")
@@ -174,6 +174,14 @@ def _int(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _float(value) -> float:
+    """``value`` as a float, and not a bool, which YAML reads from
+    ``true`` and ``false``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _src_dst(entry: dict) -> tuple:
     return _int(entry["src"]), _int(entry["dst"])
 
@@ -205,9 +213,9 @@ def _at_least(floor, parse=_int):
 
 
 def _positive(value) -> float:
-    if not float(value) > 0:
+    if not _float(value) > 0:
         raise ValueError(f"{value} is not positive")
-    return float(value)
+    return _float(value)
 
 
 def _known_pair(value, sources: dict) -> tuple:
@@ -250,7 +258,7 @@ def _kind(where: str, entry, default: str) -> str:
 
 def _coupling(e: dict) -> tuple:
     if _uses("medium.coupling", e, "flips", ("matrices",)):
-        return _int(e["watch"]), np.stack([_bsc(float(q)) for q in e["flips"]])
+        return _int(e["watch"]), np.stack([_bsc(_float(q)) for q in e["flips"]])
     return _int(e["watch"]), np.asarray(e["matrices"], dtype=np.float64)
 
 
@@ -259,10 +267,10 @@ def _markov_rule(e: dict) -> MarkovLinkRule:
         ge = _section("medium.rules.gilbert_elliott", e["gilbert_elliott"],
                       _KEYS["medium.rules.gilbert_elliott"])
         return gilbert_elliott_rule(
-            float(ge["flip_good"]),
-            float(ge["flip_bad"]),
-            float(ge["p_good_to_bad"]),
-            float(ge["p_bad_to_good"]),
+            _float(ge["flip_good"]),
+            _float(ge["flip_bad"]),
+            _float(ge["p_good_to_bad"]),
+            _float(ge["p_bad_to_good"]),
             _int(ge.get("initial", 0)),
         )
     return MarkovLinkRule(
@@ -320,12 +328,12 @@ def _target(entry, sources: dict, block_length: int) -> tuple:
         raise ConfigError("targets.n_prime_ratio: excludes 'n_prime'")
     n_prime = _get(t, "targets.n_prime", _at_least(1), None)
     n_prime = _get(t, "targets.n_prime_ratio",
-                   lambda v: _at_least(1)(round(float(v) * n)), n_prime)
+                   lambda v: _at_least(1)(round(_float(v) * n)), n_prime)
     lengths = _get(t, "targets.block_lengths", _block_lengths,
                    [n if n is not None else block_length])
     metric = _get(t, "targets.metric", lambda v: _metric(v, size), hamming_metric(size))
     # R(D) of the pair's source is defined only from its d_min on
-    floor = _at_least(metric.d_min(sources[pair]), float)
+    floor = _at_least(metric.d_min(sources[pair]), _float)
     level, level_prime = _get(t, "targets.D", floor), _get(t, "targets.D_prime", floor)
     psi, alpha = _get(t, "targets.psi", _positive, None), _get(t, "targets.alpha", _positive, None)
     rule = _get(t, "targets.decode_rule", str, "within_d")
@@ -353,7 +361,7 @@ def _rd(entry) -> RdSweep:
     return RdSweep(
         source=source,
         metric=_get(r, "rd.metric", lambda v: _metric(v, size), hamming_metric(size)),
-        grid=_get(r, "rd.grid", lambda v: tuple(float(level) for level in v)),
+        grid=_get(r, "rd.grid", lambda v: tuple(_float(level) for level in v)),
         tol=_get(r, "rd.tol", _positive, 1e-6),
     )
 

@@ -65,7 +65,7 @@ MIN_TRIALS = 1000
 # Slack, on top of the summed confidence half-widths, that a remaining
 # pair's excess probability may rise by across a separation step.
 RECHECK_SLACK = 0.02
-# Per-letter distortions are looked up this many cells at a time.
+# Block scoring counts at most this many cells of a block at a time.
 _DISTORTION_CELLS = 1 << 20
 # Most lanes one block start of a measurement runs, plain and separated.
 _PLAIN_LANES = 4096
@@ -454,23 +454,43 @@ def _block_distortions(
     per lane: (blocks, lanes) for the starts a, b.
 
     The codec's count-weighted rule: sum_ab d(a, b) * N_ab / n over the
-    table's nonzero entries, N_ab counting the block's cells x*K + y that
-    equal a*K + b. The cells are formed a few blocks at a time, so the
-    temporaries stay near ``_DISTORTION_CELLS`` cells.
+    table's nonzero entries in order, N_ab counting the block's cells
+    x*K + y that equal a*K + b. Under the 0/1 Hamming table that sum is
+    the block's one count of x != y, bit for bit, so that is all it counts.
+    Each block is read in place, as slices of at most 255 rows and
+    ``_DISTORTION_CELLS`` cells, and counted into reused buffers; a block
+    that does not lie inside the streams raises ValueError.
     """
-    table = metric.table.reshape(-1)
-    size = metric.table.shape[1]
-    cell_dtype = Alphabet(table.size).dtype
+    table = metric.table
+    size = table.shape[1]
     lanes = x.shape[1]
-    step = max(1, _DISTORTION_CELLS // (n * lanes))
-    offsets = np.arange(n)
+    for starts, stream in ((x_starts, x), (y_starts, y)):
+        if np.any((starts < 0) | (starts > len(stream) - n)):
+            raise ValueError(f"a block of {n} runs outside the streams")
+    hamming = np.array_equal(table, 1 - np.eye(size))
+    entries = None if hamming else np.flatnonzero(table)
+    weights = [1.0] if hamming else table.reshape(-1)[entries]
+    # a uint8 count of at most 255 rows cannot overflow
+    rows = max(1, min(n, 255, _DISTORTION_CELLS // lanes))
+    hits = np.empty((rows, lanes), dtype=bool)
+    cells = None if hamming else np.empty((rows, lanes), Alphabet(table.size).dtype)
     total = np.zeros((len(x_starts), lanes))
-    for c in range(0, len(x_starts), step):
-        cells = x[x_starts[c : c + step, None] + offsets].astype(cell_dtype, copy=False)
-        cells *= size
-        cells += y[y_starts[c : c + step, None] + offsets]
-        for e in np.flatnonzero(table):
-            total[c : c + step] += table[e] * (cells == e).sum(axis=1, dtype=np.int32)
+    for k, (a, b) in enumerate(zip(x_starts, y_starts)):
+        counts = np.zeros((len(weights), lanes), dtype=np.int32)
+        for r in range(0, n, rows):
+            m = min(rows, n - r)
+            xs, ys, hit = x[a + r : a + r + m], y[b + r : b + r + m], hits[:m]
+            if hamming:
+                np.not_equal(xs, ys, out=hit)
+                counts[0] += hit.view(np.uint8).sum(axis=0, dtype=np.uint8)
+                continue
+            cell = np.multiply(xs, size, out=cells[:m], dtype=cells.dtype)
+            cell += ys
+            for i, e in enumerate(entries):
+                np.equal(cell, e, out=hit)
+                counts[i] += hit.view(np.uint8).sum(axis=0, dtype=np.uint8)
+        for weight, count in zip(weights, counts):
+            total[k] += weight * count
     return total / n
 
 
@@ -498,7 +518,10 @@ def measure_end_to_end(
     block per start goes unscored. Trials fill the lanes of one block
     start before the next. The rollout stops where the last scored block
     ends; every draw is a prefix of the same stream, so a longer rollout
-    would score the same blocks bit for bit.
+    would score the same blocks bit for bit. Each block is scored where it
+    lies in the rollout's source and reproduction streams, with no copy,
+    and under the 0/1 Hamming table by one mismatch count
+    (``_block_distortions``).
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} trials")

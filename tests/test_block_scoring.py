@@ -1,0 +1,118 @@
+"""Block scoring reads each block where it lies in the trajectory and
+equals the count-weighted rule on a gathered copy of the block bit for bit,
+under any table, any block starts and any chunking of the rows."""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sepnet import separation
+from sepnet.probcore import Alphabet
+from sepnet.ratedist import DistortionMetric, hamming_metric
+from sepnet.separation import _block_distortions
+
+TABLES = {
+    "hamming": hamming_metric(2).table,
+    "hamming3": hamming_metric(3).table,
+    # a multiple of Hamming that is no power of two: its sums round
+    "0.3-hamming": 0.3 * hamming_metric(2).table,
+    "asymmetric": np.array([[0.1, 0.7], [2.3, 0.0]]),
+    "ternary": np.array([[0.0, 0.5, 1.75], [0.2, 0.0, 0.0], [3.1, 1.0, 0.4]]),
+}
+
+
+def gathered_reference(table, x, y, x_starts, y_starts, n):
+    """The count-weighted rule written out: each block gathered, its cells
+    x*K + y counted against every nonzero entry in order, the counts
+    weighted by their entries and summed from zero, over n."""
+    flat, size = table.reshape(-1), table.shape[1]
+    out = np.zeros((len(x_starts), x.shape[1]))
+    for k, (a, b) in enumerate(zip(x_starts, y_starts)):
+        cells = x[a + np.arange(n)].astype(np.int64) * size + y[b + np.arange(n)]
+        for e in np.flatnonzero(flat):
+            out[k] += flat[e] * np.count_nonzero(cells == e, axis=0)
+    return out / n
+
+
+def metric_of(name):
+    table = TABLES[name]
+    return DistortionMetric(Alphabet(table.shape[0]), Alphabet(table.shape[1]), table)
+
+
+@st.composite
+def starts(draw, n, blocks):
+    """Block starts of three kinds: evenly spaced, uneven as a separated
+    pair's source blocks are (w*m // n * n for a window length m), and
+    overlapping (closer than n)."""
+    first = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["even", "uneven", "overlapping"]))
+    w = np.arange(blocks)
+    if kind == "even":
+        return first + n * w
+    if kind == "uneven":
+        m = draw(st.integers(n + 1, 2 * n + 3))
+        return first + w * m // n * n
+    return first + w * draw(st.integers(0, max(0, n - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(TABLES)), n=st.integers(1, 600),
+       blocks=st.integers(1, 4), lanes=st.integers(1, 9),
+       cells=st.sampled_from([None, 1, 7, 64]), seed=st.integers(0, 2**32 - 1))
+def test_in_place_scoring_equals_the_gathered_rule(data, name, n, blocks, lanes, cells, seed):
+    # cells: a cell budget that cuts each block into slices of one row or
+    # a few rows, or the default, where the 255-row cap cuts long blocks
+    metric = metric_of(name)
+    x_starts, y_starts = data.draw(starts(n, blocks)), data.draw(starts(n, blocks))
+    rng = np.random.default_rng(seed)
+    horizon = int(max(x_starts.max(), y_starts.max())) + n + data.draw(st.integers(0, 3))
+    x = rng.integers(0, metric.table.shape[0], (horizon, lanes), dtype=np.int8)
+    y = rng.integers(0, metric.table.shape[1], (horizon, lanes), dtype=np.int8)
+    budget = separation._DISTORTION_CELLS if cells is None else cells
+    with mock.patch.object(separation, "_DISTORTION_CELLS", budget):
+        got = _block_distortions(metric, x, y, x_starts, y_starts, n)
+    want = gathered_reference(metric.table, x, y, x_starts, y_starts, n)
+    assert got.shape == (blocks, lanes)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["hamming", "asymmetric"])
+@pytest.mark.parametrize("n", [255, 256, 600])
+def test_counts_run_past_a_byte(name, n):
+    # every cell of the block is the entry (0, 1): a slice's count of 255
+    # must carry into the block's count without wrapping
+    x, y = np.zeros((n, 3), dtype=np.int8), np.ones((n, 3), dtype=np.int8)
+    metric = metric_of(name)
+    got = _block_distortions(metric, x, y, np.array([0]), np.array([0]), n)
+    assert np.array_equal(got, np.full((1, 3), metric.table[0, 1] * n / n))
+
+
+@pytest.mark.parametrize("x_start, y_start", [(-1, 0), (0, -1), (1, 0), (0, 1)])
+def test_a_block_outside_the_streams_raises(x_start, y_start):
+    x = np.zeros((10, 3), dtype=np.int8)
+    with pytest.raises(ValueError, match="outside"):
+        _block_distortions(hamming_metric(2), x, x, np.array([x_start]), np.array([y_start]), 10)
+
+
+@pytest.mark.parametrize("name, buffers", [("hamming", 1), ("asymmetric", 2)])
+def test_scoring_copies_no_block(name, buffers):
+    # a block of 1000 x 4096 int8 cells is 4.1 MB and a slice of 255 rows
+    # a quarter of that: scoring holds its reused slice buffers (the hit
+    # marks, and the cells of a non-Hamming table) and a few rows of
+    # counts, and no copy of a block or a slice
+    n, lanes = 1000, 4096
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, 2, (n + 5, lanes), dtype=np.int8)
+    y = rng.integers(0, 2, (n + 5, lanes), dtype=np.int8)
+    starts = np.array([0, 5])
+    tracemalloc.start()
+    try:
+        _block_distortions(metric_of(name), x, y, starts, starts[::-1], n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (buffers + 0.5) * 255 * lanes

@@ -252,6 +252,20 @@ BAD_CONFIGS = {
                                       with_a_key_in("medium.coupling.0", "watch", 1.5)),
     "medium (a bool initial state)": then(
         with_a_markov_medium, with_a_key_in("medium.rules.0.gilbert_elliott", "initial", True)),
+    # float keys take numbers only: float() reads true as 1.0 and false as 0.0
+    "targets.D (a bool)": with_a_key_in("targets.0", "D", True),
+    "targets.D_prime (a bool)": with_a_key_in("targets.0", "D_prime", True),
+    "targets.psi (a bool)": with_a_key_in("targets.0", "psi", True),
+    "targets.alpha (a bool)": with_a_key_in("targets.0", "alpha", True),
+    "targets.n_prime_ratio (a bool)": with_a_key_in("targets.0", "n_prime_ratio", True),
+    "rd.grid (a bool level)": with_value("rd.grid", [0.1, True]),
+    "rd.tol (a bool)": with_value("rd.tol", True),
+    "medium (a bool flip)": with_a_key_in("medium.links.0", "flip", False),
+    "medium (a bool coupling flip)": then(
+        with_a_coupled_medium, with_a_key_in("medium.coupling.0", "flips", [0.08, False])),
+    **{f"medium (a bool {key})": then(
+        with_a_markov_medium, with_a_key_in("medium.rules.0.gilbert_elliott", key, False))
+       for key in GILBERT_ELLIOTT},
 }
 
 
