@@ -24,8 +24,10 @@ messages.
 
 Codeword search (nearest row, unique row within D) is exact over every
 row, batched over blocks, with ties to the lowest row. One scan compares
-the blocks' planes with the rows'. Under c * Hamming the distance is the
-popcount of the OR over planes of block XOR row, times c / n. Under any
+the blocks' planes with the rows'. Under c * Hamming the distance is
+c * N / n, N the popcount of the OR over planes of block XOR row: under
+the 0/1 Hamming table, block scoring's N / n bit for bit, so eta and
+epsilon share it (``separation.SeparatedGuaranteeReport``). Under any
 other table d it is the count-weighted sum of d(a, b) * N_ab / n over
 letter pairs, N_ab = popcount(X_a & C_b) counting where block X holds a
 and row C holds b, letter 0's plane the complement of the others. d is
@@ -585,7 +587,7 @@ def batch_min_distortion_rows(
     else:
         scan = functools.partial(_scan_nearest, kernel, rows)
         found, dist = _by_shares(scan, words, len(rows))
-    return found, dist if c is None else dist * (c / codebook.n)
+    return found, dist if c is None else dist * c / codebook.n
 
 
 NONE_WITHIN = -1

@@ -125,7 +125,7 @@ def _link_matrix(entry: dict) -> np.ndarray:
     if _uses("medium.links", entry, "flip", ("matrix",)):
         return _bsc(_float(entry["flip"]))
     if "matrix" in entry:
-        return np.asarray(entry["matrix"], dtype=np.float64)
+        return _floats(entry["matrix"])
     raise ConfigError(f"medium.links: {entry} needs 'flip' or 'matrix'")
 
 
@@ -182,6 +182,16 @@ def _float(value) -> float:
     return float(value)
 
 
+def _floats(value) -> np.ndarray:
+    """``value``, a number or nested lists of numbers, as a float array;
+    a bool anywhere in it is rejected as ``_float`` rejects one, where
+    ``np.asarray`` would read it as 1.0 or 0.0."""
+    def walk(v):
+        return [walk(e) for e in v] if isinstance(v, (list, tuple)) else _float(v)
+
+    return np.asarray(walk(value), dtype=np.float64)
+
+
 def _src_dst(entry: dict) -> tuple:
     return _int(entry["src"]), _int(entry["dst"])
 
@@ -227,7 +237,7 @@ def _known_pair(value, sources: dict) -> tuple:
 
 
 def _sources(entries, users: int) -> dict:
-    out = _keyed("sources", entries, _src_dst, lambda s: Pmf.from_probs(s["probs"]))
+    out = _keyed("sources", entries, _src_dst, lambda s: Pmf.from_probs(_floats(s["probs"])))
     for i, j in out:
         if not (0 <= i < users and 0 <= j < users) or i == j:
             raise ValueError(f"pair ({i},{j}) is invalid for {users} users")
@@ -242,7 +252,7 @@ def _metric(spec, size: int) -> DistortionMetric:
     return DistortionMetric(
         hamming_metric(size).source_alphabet,
         hamming_metric(size).repro_alphabet,
-        np.asarray(spec, dtype=np.float64),
+        _floats(spec),
     )
 
 
@@ -259,7 +269,7 @@ def _kind(where: str, entry, default: str) -> str:
 def _coupling(e: dict) -> tuple:
     if _uses("medium.coupling", e, "flips", ("matrices",)):
         return _int(e["watch"]), np.stack([_bsc(_float(q)) for q in e["flips"]])
-    return _int(e["watch"]), np.asarray(e["matrices"], dtype=np.float64)
+    return _int(e["watch"]), _floats(e["matrices"])
 
 
 def _markov_rule(e: dict) -> MarkovLinkRule:
@@ -274,8 +284,8 @@ def _markov_rule(e: dict) -> MarkovLinkRule:
             _int(ge.get("initial", 0)),
         )
     return MarkovLinkRule(
-        np.asarray(e["transition"], dtype=np.float64),
-        np.asarray(e["emission"], dtype=np.float64),
+        _floats(e["transition"]),
+        _floats(e["emission"]),
         _int(e.get("initial", 0)),
     )
 
@@ -356,7 +366,7 @@ class RdSweep:
 
 def _rd(entry) -> RdSweep:
     r = _section("rd", entry, _KEYS["rd"])
-    source = _get(r, "rd.source", Pmf.from_probs)
+    source = _get(r, "rd.source", lambda v: Pmf.from_probs(_floats(v)))
     size = source.alphabet.size
     return RdSweep(
         source=source,
@@ -484,9 +494,7 @@ class ResultRecord:
     schema: int = 1
 
     def to_json(self) -> str:
-        return json.dumps(
-            dataclasses.asdict(self), sort_keys=True, indent=2, default=_json_default
-        )
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
 
     def save(self, out_dir) -> Path:
         out = Path(out_dir) / self.experiment_id
@@ -494,16 +502,6 @@ class ResultRecord:
         path = out / "record.json"
         path.write_text(self.to_json())
         return path
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _allocate_experiment_id(out_dir, command: str, digest: str, overwrite: bool) -> str:

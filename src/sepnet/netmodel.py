@@ -22,9 +22,10 @@ Randomness is namespaced off a single root handle: one stream per source
 pair, one private stream per modem, and the medium's streams, derived per
 link from ``derive("medium").derive(i, j)`` for link (i, j). The link's
 cells are its outputs at steps tau >= 1, in (step, lane) order; cell c is
-step 1 + c // lanes, lane c % lanes. Each cell's symbol is decided by a
-53-bit uniform k compared with integer thresholds
-(``probcore._sample_planes``):
+step 1 + c // lanes, lane c % lanes. Every letter the medium draws
+follows ``probcore``'s one sampler rule: it is the number of its row's
+integer thresholds that a 53-bit draw k reaches. A cell's k is laid out
+in bit planes (``probcore._sample_planes``), a transition's is one word:
 
 - stream ``derive("plane", p)``, p = 0..15, gives bit 52 - p of every
   cell's k, cell c from bit c % 64 of raw word c // 64, so with a multiple
@@ -32,8 +33,9 @@ step 1 + c // lanes, lane c % lanes. Each cell's symbol is decided by a
 - stream ``derive("tail")`` gives the low 37 bits of k, the top 37 bits of
   one raw word per cell whose top 16 bits tie one of its thresholds, in
   cell order;
-- a Markov link's stream ``derive("transition")`` gives one uniform double
-  per cell, in cell order, for its state's transition.
+- a Markov link's stream ``derive("transition")`` gives one raw word per
+  cell, in cell order, k its top 53 bits, which picks its state's
+  transition by ``probcore._reached``.
 
 Every stream is read in cell order, the same whatever the window, so a
 rollout is bit-reproducible from (system, seeds, lanes, horizon) and does
@@ -53,9 +55,8 @@ from .probcore import (
     Alphabet,
     RandomnessHandle,
     _PlaneSampler,
-    _plane_thresholds,
-    _row_cumsum,
-    _sample_indexed,
+    _reached,
+    _thresholds,
     sample_iid_array,
 )
 
@@ -133,7 +134,7 @@ class MarkovLinkRule:
 class _Link(NamedTuple):
     """One link's stacked table, as ``MediumKernel`` samples it."""
 
-    thresholds: np.ndarray  # (rows, K_out - 1), see probcore._plane_thresholds
+    thresholds: np.ndarray  # (rows, K_out - 1), see probcore._thresholds
     shape: tuple            # the table's: (*digit letters, K_out)
     watched: tuple          # users whose inputs pick the row, before the sender's
     rule: MarkovLinkRule | None
@@ -165,12 +166,12 @@ class MediumKernel:
         for (i, j), (table, watched, rule) in sorted(links.items()):
             if i == j or not all(0 <= u < self.num_users for u in (i, j, *watched)):
                 raise WiringError(f"link ({i},{j}) references unknown users")
-            cum = _row_cumsum(np.asarray(table, dtype=np.float64))
-            if cum.ndim != len(watched) + (rule is not None) + 2:
-                raise WiringError(f"link ({i},{j}) table has {cum.ndim} axes, not one per "
+            table = np.asarray(table, dtype=np.float64)
+            if table.ndim != len(watched) + (rule is not None) + 2:
+                raise WiringError(f"link ({i},{j}) table has {table.ndim} axes, not one per "
                                   f"digit and one over the output letters")
-            self._links[(i, j)] = _Link(_plane_thresholds(cum.reshape(-1, cum.shape[-1])),
-                                        cum.shape, tuple(watched), rule)
+            self._links[(i, j)] = _Link(_thresholds(table.reshape(-1, table.shape[-1])),
+                                        table.shape, tuple(watched), rule)
         self._inputs = _input_alphabets({lk: link.shape[-2] for lk, link in self._links.items()})
         for (i, j), link in self._links.items():
             for u, letters in zip(link.watched, link.shape[-2 - len(link.watched) : -2]):
@@ -196,9 +197,8 @@ class MediumKernel:
             link_seeds, chain = seeds.derive(*lk), None
             if link.rule is not None:
                 chain = {
-                    "transition": link_seeds.derive("transition").generator(),
-                    "cum": _row_cumsum(link.rule.transition),
-                    "u": np.empty(lanes),
+                    "transition": link_seeds.derive("transition").generator().bit_generator,
+                    "thresholds": _thresholds(link.rule.transition),
                     "current": np.full(lanes, link.rule.initial_state,
                                        dtype=Alphabet(link.shape[0]).dtype),
                 }
@@ -221,16 +221,17 @@ class MediumKernel:
 
     @staticmethod
     def _state_path(chain: dict, steps: int) -> np.ndarray:
-        """The state in force at each of ``steps`` steps, from one uniform
-        per lane and step of the link's transition stream; advances
-        ``chain``."""
-        gen, cum, u, current = chain["transition"], chain["cum"], chain["u"], chain["current"]
-        path = np.empty((steps, len(u)), dtype=current.dtype)
-        for t in range(steps):
-            path[t] = current
-            current = _sample_indexed(cum, current, gen.random(out=u), current.dtype)
-        chain["current"] = current
-        return path
+        """The state in force at each of ``steps`` steps, each next state
+        ``_reached`` from one raw word of the link's transition stream per
+        lane and step, in cell order; advances ``chain``."""
+        thresholds, current = chain["thresholds"], chain["current"]
+        path = np.empty((steps + 1, len(current)), dtype=current.dtype)
+        path[0] = current
+        k = (chain["transition"].random_raw(path[1:].size) >> np.uint64(11)).view(np.int64)
+        for t, draws in enumerate(k.reshape(steps, -1)):
+            _reached(thresholds, path[t], draws, path[t + 1])
+        chain["current"] = path[-1].copy()
+        return path[:-1]
 
 
 class DmcMedium(MediumKernel):

@@ -13,10 +13,16 @@ start-up time.
 
 Every stream is a PCG64DXSM generator (O'Neill, "PCG: A family of simple
 fast space-efficient statistically good algorithms for random number
-generation", 2014). A fair-coin draw, exactly (0.5, 0.5), takes 64
-symbols from each raw 64-bit word; a draw under any other law maps one
-uniform, one word, to each symbol, ``SAMPLE_SLICE`` symbols at a time. A
-draw can come back as rows packed into one-hot bit planes of 64-bit words
+generation", 2014). One rule picks every letter drawn from a law: the
+number of the law's integer thresholds (``_thresholds``) that a 53-bit
+draw k, the top bits of one raw word, reaches (``_reached``), so k * 2**-53
+is the uniform ``Generator.random`` makes from that word. It has three
+layouts: one word per draw (non-fair i.i.d. draws, ``SAMPLE_SLICE`` at a
+time, a Markov link's transitions and the medium's tied cells); the fair
+coin, exactly (0.5, 0.5), whose one threshold 2**52 needs only k's top
+bit, so each raw word gives 64 symbols (``_fair_rows``); and the medium's
+bit planes (``_sample_planes``), below.
+A draw can come back as rows packed into one-hot bit planes of 64-bit words
 (``packed_row``): a fair row is its raw words as they are, and any other
 law's slice is packed as it is drawn, so no table of symbols is made.
 Every draw runs on the calling thread: a raw-word draw is bound by memory
@@ -30,14 +36,12 @@ rather than waiting on the pool. Every result is the same, row for row,
 whatever the worker count.
 
 The medium's cells, one per step and lane, are sampled 64 to a word
-(``_sample_planes``). A cell's symbol is the number of thresholds its
-53-bit uniform k reaches, and a threshold decision needs k's bits only up
-to their first difference from the threshold (Knuth & Yao, "The
-complexity of nonuniform random number generation", 1976). So the top
-``PLANES`` bits of every k are drawn as bit planes of raw words and
-compared bit-serially, with no float and no gather per cell, and the low
-``TAIL_BITS`` are drawn only for the few cells whose top bits tie a
-threshold. The law is exactly that of comparing the uniform k * 2**-53.
+(``_sample_planes``). A threshold decision needs k's bits only up to their
+first difference from the threshold (Knuth & Yao, "The complexity of
+nonuniform random number generation", 1976). So the top ``PLANES`` bits
+of every k are drawn as bit planes of raw words and compared bit-serially,
+with no gather per cell, and the low ``TAIL_BITS`` are drawn only for the
+few cells whose top bits tie a threshold, which ``_reached`` then counts.
 """
 
 from __future__ import annotations
@@ -254,16 +258,17 @@ def sample_iid_array(
     """Array-returning i.i.d. sampler advancing an existing generator, on
     the calling thread.
 
-    Under the fair coin, exactly (0.5, 0.5), the symbols are bits of the
-    bit generator's raw words (``_fair_rows``): a row of w symbols is
-    ceil(w / 64) words, and an unpacked draw is one row of n, unpacked
-    ``SAMPLE_SLICE`` symbols (whole words) at a time. Under any other law
-    the draw is ``_sample_indexed(cum, 0, gen.random(n))``, one word per
-    symbol, mapped ``SAMPLE_SLICE`` symbols at a time. ``gen`` ends in the
-    state the draw leaves. With ``packed_row`` = w > 0 (n a multiple of w)
-    the draw is n / w rows of w symbols and comes back as ``_pack_planes``
-    of those rows, flat: no table of symbols is made. A binary row with
-    w <= 64 is one word.
+    Each symbol is the letter ``_reached`` picks with a 53-bit draw k, in
+    one of two layouts (see the module docstring). Under the fair coin,
+    exactly (0.5, 0.5), a symbol is one bit of the bit generator's raw
+    words (``_fair_rows``): a row of w symbols is ceil(w / 64) words, and
+    an unpacked draw is one row of n, unpacked ``SAMPLE_SLICE`` symbols
+    (whole words) at a time. Under any other law each symbol takes one raw
+    word, k its top 53 bits, ``SAMPLE_SLICE`` symbols at a time. ``gen``
+    ends in the state the draw leaves. With ``packed_row`` = w > 0 (n a
+    multiple of w) the draw is n / w rows of w symbols and comes back as
+    ``_pack_planes`` of those rows, flat: no table of symbols is made. A
+    binary row with w <= 64 is one word.
     """
     if packed_row and (packed_row < 1 or n % packed_row):
         raise ValueError(f"cannot pack {n} symbols into rows of {packed_row}")
@@ -276,7 +281,7 @@ def sample_iid_array(
             part = out[a : a + step]
             part[...] = _unpack_planes(_fair_rows(gen.bit_generator, 1, len(part)), len(part))[0]
         return out
-    cum = _row_cumsum(pmf.probs)[None, :]
+    thresholds = _thresholds(pmf.probs[None, :])
     width = max(packed_row, 1)
     if packed_row:
         out = np.empty((n // packed_row, max(len(pmf) - 1, 1), -(-packed_row // 64)),
@@ -284,16 +289,15 @@ def sample_iid_array(
     else:
         out = np.empty(n, dtype=pmf.alphabet.dtype)
     per = max(1, SAMPLE_SLICE // width)  # rows per slice
-    u = np.empty(min(per, len(out)) * width)
-    syms = np.empty(len(u), dtype=np.uint8) if packed_row else None
+    syms = np.empty(min(per, len(out)) * width, dtype=np.uint8) if packed_row else None
     for a in range(0, len(out), per):
         part = out[a : a + per]
         m = len(part) * width
-        gen.random(out=u[:m])
+        k = (gen.bit_generator.random_raw(m) >> np.uint64(11)).view(np.int64)
         if not packed_row:
-            _sample_indexed(cum, 0, u[:m], out.dtype, out=part)
+            _reached(thresholds, 0, k, part)
             continue
-        _sample_indexed(cum, 0, u[:m], np.uint8, out=syms[:m])
+        _reached(thresholds, 0, k, syms[:m])
         _pack_planes(syms[:m].reshape(-1, packed_row), len(pmf), out=part)
     return out.reshape(-1)
 
@@ -342,53 +346,37 @@ def _unpack_planes(words: np.ndarray, n: int) -> np.ndarray:
     return syms
 
 
-def _row_cumsum(mat: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(mat, axis=-1)
-    cum[..., -1] = 1.0
-    return cum
+_NEVER = 1 << 53  # a threshold that no 53-bit draw reaches
 
 
-def _sample_indexed(cum: np.ndarray, idx, u: np.ndarray, dtype, out=None) -> np.ndarray:
-    """One symbol per uniform in ``u``, drawn from row ``idx`` of the
-    cumulative table ``cum`` (rows, K): the number of columns k < K-1 with
-    ``u >= cum[idx, k]``, read by one ``take`` per column. The symbols go
-    to ``out`` (of ``dtype`` and the shape of ``u``) when it is given.
+def _thresholds(table: np.ndarray) -> np.ndarray:
+    """The thresholds T = ceil(cumsum * 2**53) of the stochastic rows
+    (..., K) of ``table``, over every column but the last: int64 (..., K - 1),
+    at most 2**53. Since cumsum * 2**53 is exact, a 53-bit k reaches T,
+    k >= T, exactly when k * 2**-53 >= cumsum."""
+    cum = np.cumsum(table, axis=-1)[..., :-1]
+    return np.minimum(np.ceil(cum * float(_NEVER)), float(_NEVER)).astype(np.int64)
 
-    ``idx`` has the shape of ``u``. Draw for draw this equals gathering the
-    rows and counting ``rows <= u``, since ``_row_cumsum`` pins the last
-    column to 1 and ``u < 1``.
-    """
-    size = cum.shape[-1]
-    if size == 1:
-        if out is None:
-            return np.zeros(u.shape, dtype=dtype)
-        out.fill(0)
-        return out
-    if out is None:
-        # a bool array is 0/1 bytes, so the first column's hits are its counts
-        out = (u >= cum[:, 0].take(idx)).view(np.int8).astype(dtype, copy=False)
-    else:
-        np.greater_equal(u, cum[:, 0].take(idx), out=out)
-    for k in range(1, size - 1):
-        out += u >= cum[:, k].take(idx)
+
+def _reached(thresholds: np.ndarray, row, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Into ``out`` (of k's shape), the number of thresholds of row ``row``
+    of ``thresholds`` (rows, K - 1) that the int64 53-bit draw k reaches:
+    the letter k picks from that row. ``row`` is an int or an index array
+    of k's shape; each column costs one ``take`` and one compare."""
+    # a row without thresholds is one letter; bools fill a 1-byte count as they are
+    np.greater_equal(k, thresholds[:, 0].take(row) if thresholds.shape[1] else _NEVER,
+                     out=out.view(np.bool_) if out.itemsize == 1 else out)
+    for c in range(1, thresholds.shape[1]):
+        out += k >= thresholds[:, c].take(row)
     return out
 
 
-# The bits of a medium cell's 53-bit uniform k (the k that
-# ``Generator.random`` scales by 2**-53) drawn as planes for every cell, and
-# the rest, drawn only for a cell whose planes tie one of its thresholds:
-# about one cell in 2**PLANES per threshold.
+# The bits of a medium cell's 53-bit draw k drawn as planes for every cell,
+# and the rest, drawn only for a cell whose planes tie one of its
+# thresholds: about one cell in 2**PLANES per threshold.
 PLANES = 16
 TAIL_BITS = 53 - PLANES
-_NEVER = 1 << 53  # a threshold that no 53-bit k reaches
 _CELL_WORD = np.dtype("<u8")  # bit i of a row of cells is bit i % 64 of word i // 64
-
-
-def _plane_thresholds(cum: np.ndarray) -> np.ndarray:
-    """The thresholds T = ceil(cum * 2**53) of the columns k < K - 1 of a
-    cumulative table (rows, K), int64 and at most 2**53: since cum * 2**53
-    is exact, k * 2**-53 >= cum exactly when k >= T."""
-    return np.minimum(np.ceil(cum[:, :-1] * float(_NEVER)), float(_NEVER)).astype(np.int64)
 
 
 def _cell_masks(values: np.ndarray, letters: int, offset: int = 0) -> list:
@@ -437,22 +425,23 @@ def _compare_planes(planes, top: int, strict: bool, out: np.ndarray) -> np.ndarr
 
 def _sample_planes(thresholds: np.ndarray, masks, planes, tail, out: np.ndarray,
                    offset: int = 0) -> None:
-    """Fill ``out`` with one symbol per cell: the number of columns c with
-    k >= ``thresholds[r, c]`` (``_plane_thresholds``), where r is the row
-    whose mask ``masks[r]`` holds the cell. Cell i of ``out`` in C order
-    is bit ``offset`` + i of every mask and plane, rows of ``_CELL_WORD``
-    words (``_cell_masks``); the masks are disjoint and 0 at other bits.
+    """Fill ``out`` with one symbol per cell, the medium's layout of the
+    one rule: the number of columns c with k >= ``thresholds[r, c]``
+    (``_thresholds``), where r is the row whose mask ``masks[r]`` holds
+    the cell. Cell i of ``out`` in C order is bit ``offset`` + i of every
+    mask and plane, rows of ``_CELL_WORD`` words (``_cell_masks``); the
+    masks are disjoint and 0 at other bits.
 
     The cell's k is h * 2**TAIL_BITS + l. Its top bits h are read from the
     PLANES rows of ``planes``, ``planes[0]`` the highest bit: each
     (row, column) threshold is compared bit-serially with 64 cells a word
     (``_compare_planes``) and selected by the row's mask, and each
-    column's bits are unpacked once into the count. Only a cell whose h equals the top
-    bits of one of its thresholds whose low TAIL_BITS are not 0 needs l:
-    those cells, in C order, take one raw word each from ``tail``
-    (anything with ``random_raw``), whose top TAIL_BITS are l, and are
-    counted again from their whole k. So the law is exactly
-    ``_sample_indexed``'s on uniforms k * 2**-53, and no bit outside the
+    column's bits are unpacked once into the count. Only a cell whose h
+    equals the top bits of one of its thresholds whose low TAIL_BITS are
+    not 0 needs l: those cells, in C order, take one raw word each from
+    ``tail`` (anything with ``random_raw``), whose top TAIL_BITS are l,
+    and are counted again by ``_reached`` from their whole k. So every
+    cell's symbol is ``_reached``'s for its k, and no bit outside the
     cells draws.
     """
     cols = thresholds.shape[1]
@@ -502,7 +491,7 @@ def _sample_planes(thresholds: np.ndarray, masks, planes, tail, out: np.ndarray,
     rows = np.argmax(cell_bits(masks), axis=0)
     k = h << TAIL_BITS | low
     step, lane = np.divmod(word * 64 + bit - offset, out.shape[1])
-    out[step, lane] = (k[:, None] >= thresholds[rows]).sum(axis=1)
+    out[step, lane] = _reached(thresholds, rows, k, np.empty(len(k), dtype=out.dtype))
 
 
 class _PlaneSampler:

@@ -431,7 +431,9 @@ class SeparatedGuaranteeReport(GuaranteeReport):
 
     xi is the embedded-message error rate, eta the source-coder overshoot
     rate; every end-to-end failure implies one of the two, so the
-    estimates satisfy the union bound on the same sample.
+    estimates satisfy the union bound on the same sample. eta and epsilon
+    share c * N / n: under the 0/1 Hamming table the source coder's
+    distance to its row and the block's score are both N / n bit for bit.
     """
 
     xi_hat: float = 0.0
@@ -457,9 +459,11 @@ def _block_distortions(
     table's nonzero entries in order, N_ab counting the block's cells
     x*K + y that equal a*K + b. Under the 0/1 Hamming table that sum is
     the block's one count of x != y, bit for bit, so that is all it counts.
-    Each block is read in place, as slices of at most 255 rows and
-    ``_DISTORTION_CELLS`` cells, and counted into reused buffers; a block
-    that does not lie inside the streams raises ValueError.
+    Under any other table a letter outside the table's alphabets, which
+    no cell x*K + y can name, raises ValueError. Each block is read in
+    place, as slices of at most 255 rows and ``_DISTORTION_CELLS`` cells,
+    and counted into reused buffers; a block that does not lie inside the
+    streams raises ValueError.
     """
     table = metric.table
     size = table.shape[1]
@@ -484,6 +488,9 @@ def _block_distortions(
                 np.not_equal(xs, ys, out=hit)
                 counts[0] += hit.view(np.uint8).sum(axis=0, dtype=np.uint8)
                 continue
+            if xs.max() >= table.shape[0] or ys.max() >= size:
+                raise ValueError(f"a letter is outside the metric's {table.shape[0]}-letter "
+                                 f"source or {size}-letter reproduction alphabet")
             cell = np.multiply(xs, size, out=cells[:m], dtype=cells.dtype)
             cell += ys
             for i, e in enumerate(entries):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepnet.netmodel import DmcMedium, NetworkSystem, PassthroughModem
-from sepnet.probcore import Pmf, RandomnessHandle, _row_cumsum, _sample_indexed
+from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet.ratedist import hamming_metric
 
 ROOT_SEED = 20240801
@@ -52,11 +52,13 @@ def bsc_system() -> NetworkSystem:
 def sequential_draw(pmf: Pmf, size: int, gen: np.random.Generator) -> np.ndarray:
     """The sampler's definition, ``size`` symbols drawn with ``gen``: under
     the fair coin, exactly (0.5, 0.5), one row of ``size`` raw bits
-    (``codebook_symbols``); under any other law ``size`` uniforms in one
-    call, mapped to symbols."""
+    (``codebook_symbols``); under any other law ``size`` float uniforms in
+    one call, each the number of cumulative sums below the last that it
+    reaches."""
     if tuple(pmf.probs) == (0.5, 0.5):
         return codebook_symbols(pmf, 1, size, gen)[0]
-    return _sample_indexed(_row_cumsum(pmf.probs)[None, :], 0, gen.random(size), pmf.alphabet.dtype)
+    symbols = np.searchsorted(np.cumsum(pmf.probs)[:-1], gen.random(size), side="right")
+    return symbols.astype(pmf.alphabet.dtype)
 
 
 def codebook_symbols(pmf: Pmf, rows: int, n: int, gen: np.random.Generator) -> np.ndarray:

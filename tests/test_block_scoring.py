@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepnet import separation
-from sepnet.probcore import Alphabet
+from sepnet.codec import SOURCE_COMPRESSION, Codebook, batch_min_distortion_rows
+from sepnet.probcore import Alphabet, Pmf, RandomnessHandle
 from sepnet.ratedist import DistortionMetric, hamming_metric
 from sepnet.separation import _block_distortions
 
@@ -116,3 +117,38 @@ def test_scoring_copies_no_block(name, buffers):
     finally:
         tracemalloc.stop()
     assert peak < (buffers + 0.5) * 255 * lanes
+
+
+@pytest.mark.parametrize("letters", [2, 3])
+@pytest.mark.parametrize("n", [24, 40, 64])
+def test_search_distance_is_the_block_score(n, letters):
+    # eta reads the source coder's distance to its row, epsilon the block's
+    # score against it: both are N / n bit for bit, so a block at exactly
+    # D' is judged alike (at n = 40 a row 12 letters off is 0.3 both ways,
+    # not 12 * (1 / 40) = 0.30000000000000004)
+    metric = hamming_metric(letters)
+    codebook = Codebook.generate(SOURCE_COMPRESSION, Pmf.uniform(letters), n, 1,
+                                 RandomnessHandle(n * letters))
+    row = codebook.rows(0)
+    # block d differs from the one row at its first d letters
+    blocks = np.tile(row, (n + 1, 1))
+    for d in range(n + 1):
+        blocks[d, :d] = (blocks[d, :d] + 1) % letters
+    found, dist = batch_min_distortion_rows(codebook, blocks, metric)
+    assert not found.any()
+    score = _block_distortions(metric, blocks.T, np.tile(row, (n + 1, 1)).T, np.array([0]),
+                               np.array([0]), n)[0]
+    assert np.array_equal(score, np.arange(n + 1) / n)
+    assert np.array_equal(dist, score)
+
+
+@pytest.mark.parametrize("x, y", [(0, 2), (2, 0), (1, 3)])
+def test_a_letter_the_table_cannot_score_raises(x, y):
+    # cells x*K + y would read a 2x2 table's (0, 2) as its (1, 0) entry
+    metric = DistortionMetric(Alphabet(2), Alphabet(2), np.array([[0.0, 1.0], [5.0, 0.0]]))
+    xs, ys = np.full((4, 3), x, dtype=np.int8), np.full((4, 3), y, dtype=np.int8)
+    with pytest.raises(ValueError, match="alphabet"):
+        _block_distortions(metric, xs, ys, np.array([0]), np.array([0]), 4)
+    # the 0/1 Hamming count is untouched: any two letters that differ count one
+    assert np.array_equal(
+        _block_distortions(hamming_metric(2), xs, ys, np.array([0]), np.array([0]), 4), [[1.0] * 3])

@@ -179,8 +179,8 @@ def test_public_search_matches_bruteforce(case):
     c = codec._hamming_scale(metric, letters)
     if c is None:  # the count-weighted sum over n
         assert np.array_equal(avg, sums.min(axis=1) / n)
-    else:  # differing positions times c / n
-        assert np.array_equal(avg, sums.min(axis=1) / c * (c / n))
+    else:  # differing positions times c, over n
+        assert np.array_equal(avg, sums.min(axis=1) / c * c / n)
     # a level of total / n takes the rows whose summed distortion is at most total
     level = total / n
     codes = batch_unique_within_decode(cb, blocks, metric, level)

@@ -164,7 +164,7 @@ GOLDEN = {
         "repro[0, 1]": "0c4145b5132e220e",
         "send0.emit_start": "818bda681420677c",
         "send0.messages": "d73bfbb8a3480961",
-        "send0.roundtrip_avg": "3b1fe08b648b3447",
+        "send0.roundtrip_avg": "c07c18aefeaacfbd",
         "send0.sim_stream": "2fc00cde3555e272",
         "send0.src_start": "ea7d438b9a520612",
         "send0.window": "84ca4f50986f8594",
@@ -179,7 +179,7 @@ GOLDEN = {
         "repro[0, 1]": "c9f4443689446588",
         "send0.emit_start": "818bda681420677c",
         "send0.messages": "7e7c778c7598b3c9",
-        "send0.roundtrip_avg": "478ff64d900b7026",
+        "send0.roundtrip_avg": "b2e10198716b5a3c",
         "send0.sim_stream": "4c979fcfbf086e5f",
         "send0.src_start": "ea7d438b9a520612",
         "send0.window": "84ca4f50986f8594",

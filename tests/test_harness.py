@@ -126,6 +126,26 @@ def with_recv_links(d):
     d["modems"][1]["recv_links"] = [{"pair": [0, 1], "link": [0, 1]}]
 
 
+IDENTITY_OF_BOOLS = [[True, False], [False, True]]
+
+
+def with_a_bool_matrix(d):
+    d["medium"]["links"][0] = {"src": 0, "dst": 1, "matrix": [[True, 0.0], [0.0, True]]}
+
+
+def with_bool_coupling_matrices(d):
+    d["medium"].update(kind="coupled_dmc", coupling=[
+        {"src": 0, "dst": 1, "watch": 1, "matrices": [IDENTITY_OF_BOOLS] * 2}])
+
+
+def with_a_markov_rule(transition, emission):
+    def edit(d):
+        d["medium"] = {"kind": "markov", "rules": [
+            {"src": 0, "dst": 1, "transition": transition, "emission": emission}]}
+
+    return edit
+
+
 def section_at(d, path: str):
     """The entry at a dotted path whose numeric parts index lists."""
     for name in path.split("."):
@@ -266,6 +286,16 @@ BAD_CONFIGS = {
     **{f"medium (a bool {key})": then(
         with_a_markov_medium, with_a_key_in("medium.rules.0.gilbert_elliott", key, False))
        for key in GILBERT_ELLIOTT},
+    # array keys take numbers only: np.asarray reads true as 1.0, even among floats
+    "medium (a bool matrix)": with_a_bool_matrix,
+    "medium (bool coupling matrices)": with_bool_coupling_matrices,
+    "medium (a bool transition)": with_a_markov_rule(IDENTITY_OF_BOOLS,
+                                                     [[[0.9, 0.1], [0.1, 0.9]]] * 2),
+    "medium (a bool emission)": with_a_markov_rule([[0.9, 0.1], [0.1, 0.9]],
+                                                   [IDENTITY_OF_BOOLS] * 2),
+    "sources (bool probs)": with_a_key_in("sources.0", "probs", [True, False]),
+    "rd.source (a bool)": with_value("rd.source", [True, False]),
+    "targets.metric (a bool)": with_a_key_in("targets.0", "metric", [[False, True], [True, False]]),
 }
 
 

@@ -26,9 +26,8 @@ from sepnet.probcore import (
     RandomnessHandle,
     _goodness_of_fit_p,
     _cell_masks,
-    _plane_thresholds,
-    _row_cumsum,
     _sample_planes,
+    _thresholds,
 )
 
 LANE_COUNTS = [1, 63, 64, 65, 130]
@@ -125,7 +124,7 @@ def test_cells_count_the_thresholds_their_uniform_reaches(case):
                      | rng.integers(0, 2**(64 - TAIL_BITS), tied.sum()).astype(np.uint64))
 
     out = np.full((steps, lanes), -1, dtype=np.int8)
-    _sample_planes(_plane_thresholds(cum), masks, planes, tail, out, offset)
+    _sample_planes(exact, masks, planes, tail, out, offset)
 
     k = real_h.astype(np.int64) << TAIL_BITS | low
     want = (k[..., None] * 2.0**-53 >= cum[real_row, :-1]).sum(-1)
@@ -146,11 +145,14 @@ def test_cell_masks_pack_each_letter(letters, lanes, offset):
 
 
 def test_thresholds_are_the_least_reaching_uniform():
-    cum = _row_cumsum(np.array([[0.11, 0.89], [0.0, 1.0], [1.0, 0.0], [0.3, 0.7]]))
-    cum[3, 0] = np.nextafter(0.3, 1.0)
-    want = [[exact_threshold(c)] for c in cum[:, 0]]
-    assert _plane_thresholds(cum).tolist() == want
+    table = np.array([[0.11, 0.89], [0.0, 1.0], [1.0, 0.0], [np.nextafter(0.3, 1.0), 0.7]])
+    want = [[exact_threshold(c)] for c in table[:, 0]]
+    assert _thresholds(table).tolist() == want
     assert want[1] == [0] and want[2] == [2**53]
+    # every column but the last, and a cumulative sum past 1 reached by no draw
+    over = np.array([[0.6, 0.4 + 2**-52, 0.0]])
+    assert np.cumsum(over)[1] > 1.0
+    assert _thresholds(over).tolist() == [[exact_threshold(0.6), 2**53]]
 
 
 # chi-square per table row, at a fixed seed

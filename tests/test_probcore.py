@@ -22,9 +22,9 @@ from sepnet.probcore import (
     sample_iid_array,
     _goodness_of_fit_p,
     _pack_planes,
-    _row_cumsum,
+    _reached,
     _run_shares,
-    _sample_indexed,
+    _thresholds,
     two_sample_test,
     wilson_half_width,
 )
@@ -99,34 +99,33 @@ class TestSampling:
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 6), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_indexed_sampler_equals_row_gather(rows, size, seed):
-    # the gathered-rows count it replaced, on uniforms that include the
-    # table's own thresholds, where >= and > part ways
+    # the gathered-rows count of thresholds and of the float cumulative
+    # sums, on draws that include the table's own thresholds and the draws
+    # just below them, where >= and > part ways, and 0 and 2**53 - 1
     rng = np.random.default_rng(seed)
-    cum = _row_cumsum(rng.dirichlet(np.ones(size), size=rows))
+    table = rng.dirichlet(np.ones(size), size=rows)
+    thresholds = _thresholds(table)
+    assert thresholds.shape == (rows, size - 1) and thresholds.dtype == np.int64
     idx = rng.integers(0, rows, (5, 40))
-    u = rng.random((5, 40))
-    u[0] = cum[idx[0], rng.integers(0, size, 40)]
-    u[1, :3] = 0.0
-    u = np.minimum(u, np.nextafter(1.0, 0.0))
-    gathered = np.minimum((cum[idx] <= u[..., None]).sum(axis=-1), size - 1)
-    out = _sample_indexed(cum, idx, u, Alphabet(size).dtype)
+    k = rng.integers(0, 2**53, (5, 40))
+    if size > 1:
+        k[0] = thresholds[idx[0], rng.integers(0, size - 1, 40)]
+        k[2] = thresholds[idx[2], rng.integers(0, size - 1, 40)] - 1
+    k = np.clip(k, 0, 2**53 - 1)
+    k[1, :3], k[1, 3:6] = 0, 2**53 - 1
+    out = _reached(thresholds, idx, k, np.empty(k.shape, Alphabet(size).dtype))
     assert out.dtype == Alphabet(size).dtype
-    assert np.array_equal(out, gathered)
+    assert np.array_equal(out, (thresholds[idx] <= k[..., None]).sum(axis=-1))
+    cum = np.cumsum(table, axis=-1)[:, :-1]
+    assert np.array_equal(out, (cum[idx] <= k[..., None] * 2.0**-53).sum(axis=-1))
 
 
-class _FixedUniforms:
-    """Generator stand-in that hands out the given uniforms, or the given
-    raw words."""
+class _FixedWords:
+    """Generator stand-in whose bit generator hands out the given raw words."""
 
-    def __init__(self, u, words=()):
-        self.u = u
+    def __init__(self, words):
         self.words = np.array(words, dtype=np.uint64)
         self.bit_generator = self
-
-    def random(self, out):
-        assert len(out) == len(self.u)
-        out[:] = self.u
-        return out
 
     def random_raw(self, size):
         assert size == len(self.words)
@@ -137,27 +136,30 @@ class _FixedUniforms:
     "probs", [(0.5, 0.5), (0.3, 0.7), (0.15, 0.35, 0.5), (0.2, 0, 0.3, 0.5), (1.0,)]
 )
 def test_iid_sampler_equals_threshold_search(probs, root):
-    # the binary threshold and the sorted search it replaced, draw for draw,
-    # on uniforms that include the pmf's own thresholds; the sampler maps
-    # uniforms this way under every law but the fair coin, which reads raw
-    # words
+    # the sorted search of the float cumulative sums, draw for draw, on
+    # draws that include the pmf's own thresholds, the draws just below
+    # them, 0 and 2**53 - 1; the sampler takes a word's top 53 bits as its
+    # draw under every law but the fair coin, whose raw words are its bits
     pmf = Pmf.from_probs(list(probs))
-    cum = _row_cumsum(pmf.probs)
-    u = np.concatenate(
-        [root.derive("u").generator().random(4000), cum[:-1], [0.0, np.nextafter(1.0, 0.0)]]
-    )
-    reference = np.searchsorted(cum, u, side="right")
+    thresholds = _thresholds(pmf.probs[None, :])[0]
+    k = np.concatenate([root.derive("k").generator().integers(0, 2**53, 4000),
+                        thresholds, thresholds - 1, [0, 2**53 - 1]])
+    k = np.clip(k, 0, 2**53 - 1)
+    reference = np.searchsorted(np.cumsum(pmf.probs)[:-1], k * 2.0**-53, side="right")
     if len(probs) == 2:
-        assert np.array_equal(reference, u >= pmf.probs[0])
-    assert np.array_equal(_sample_indexed(cum[None, :], 0, u, pmf.alphabet.dtype), reference)
+        assert np.array_equal(reference, k * 2.0**-53 >= pmf.probs[0])
+    drawn = _reached(thresholds[None, :], 0, k, np.empty(len(k), pmf.alphabet.dtype))
+    assert np.array_equal(drawn, reference)
     if probs == (0.5, 0.5):
         # 67 symbols are two words read from the top bit down, of the
         # second only its low 3 bits
-        out = sample_iid_array(pmf, 67, _FixedUniforms(u, [(1 << 63) | 1, 0b1101]))
+        out = sample_iid_array(pmf, 67, _FixedWords([(1 << 63) | 1, 0b1101]))
         assert out.dtype == pmf.alphabet.dtype
         assert out.tolist() == [1] + [0] * 62 + [1] + [1, 0, 1]
         return
-    out = sample_iid_array(pmf, len(u), _FixedUniforms(u))
+    # a word's low 11 bits do not count
+    words = k.astype(np.uint64) << np.uint64(11) | (np.arange(len(k)) % 2048).astype(np.uint64)
+    out = sample_iid_array(pmf, len(k), _FixedWords(words))
     assert out.dtype == pmf.alphabet.dtype
     assert np.array_equal(out, reference)
 
