@@ -34,10 +34,15 @@ and row C holds b, letter 0's plane the complement of the others. d is
 read as d(block, row) for a source codebook, whose rows are
 reproductions, and as d(row, block) for a channel codebook, whose rows
 are sources. A binary Hamming search over at least INDEX_MIN_ROWS
-one-word rows goes through ``_HammingIndex`` instead. A search cuts its
-blocks into shares of _QUERY_GROUP, on ``probcore``'s worker pool when
-large; each block's answer depends on that block alone, so no result
-depends on the worker count.
+one-word rows goes through ``_HammingIndex`` instead: per substring key
+of at most 16 bits a part holds int32 bucket offsets, the rows in key
+order and their bits outside the key (a uint32 when the n - width of them
+fit, as for every n <= 48, else the row's n bits with the key cleared), so
+a candidate r bits off in the key is r + popcount(non-key XOR) away. A
+search cuts its blocks into shares of _QUERY_GROUP; one of at least
+_POOL_COMPARISONS (block, row) pairs goes to ``probcore``'s worker pool in
+equal shares, a multiple of the worker count of them. Each block's answer
+depends on that block alone, so no result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import probcore
 from .probcore import (
     Pmf,
     RandomnessHandle,
@@ -362,16 +368,22 @@ def _search(codebook: Codebook, blocks: np.ndarray, metric: DistortionMetric):
 
 
 def _by_shares(search, words: np.ndarray, rows: int):
-    """``search(words)`` over shares of _QUERY_GROUP words, joined. The
-    shares go to the worker pool when the words meet at least
-    _POOL_COMPARISONS (word, row) pairs over ``rows`` rows. Each word's
-    answer depends on that word alone, so the split changes no result."""
-    starts = range(0, max(len(words), 1), _QUERY_GROUP)  # one share for no words
-    shares = [(words[a : a + _QUERY_GROUP],) for a in starts]
-    if len(words) * rows >= _POOL_COMPARISONS:
-        found = _run_shares(search, shares)
+    """``search(words)`` over shares of the words, joined. A search of at
+    least _POOL_COMPARISONS (word, row) pairs over ``rows`` rows goes to
+    the worker pool in equal shares, w of them for each whole w *
+    _QUERY_GROUP words (at least w) on w workers, so every worker gets as
+    many words; a smaller one runs here in shares of _QUERY_GROUP. Each
+    word's answer depends on that word alone, so the split changes no
+    result."""
+    pooled = len(words) * rows >= _POOL_COMPARISONS
+    if pooled:
+        workers = probcore._worker_count()
+        count = workers * max(1, len(words) // (workers * _QUERY_GROUP))
+        cuts = [len(words) * i // count for i in range(count + 1)]
     else:
-        found = [search(*share) for share in shares]
+        cuts = [*range(0, max(len(words), 1), _QUERY_GROUP), len(words)]  # one share for no words
+    shares = [(words[a:b],) for a, b in itertools.pairwise(cuts)]
+    found = _run_shares(search, shares) if pooled else [search(*share) for share in shares]
     if isinstance(found[0], tuple):
         return tuple(np.concatenate(parts) for parts in zip(*found))
     return np.concatenate(found)
@@ -408,34 +420,60 @@ def _weight_masks(width: int, r: int) -> np.ndarray:
     return masks
 
 
-def _index_part(packed: np.ndarray, values: np.ndarray, shift: int, width: int):
+def _rest(values: np.ndarray, shift: int, width: int, n: int) -> np.ndarray:
+    """The bits of n-bit ``values`` outside the key bits [shift, shift +
+    width), worked out in place of ``values``: closed up into a uint32 when
+    the n - width of them fit, else left where they are with the key bits
+    cleared."""
+    if n - width > 32:
+        values &= ~np.uint64(((1 << width) - 1) << shift)
+        return values
+    low = values & np.uint64((1 << shift) - 1)
+    values >>= np.uint64(shift + width)
+    values <<= np.uint64(shift)
+    values |= low
+    return values.astype(np.uint32)
+
+
+def _index_part(values: np.ndarray, n: int, shift: int, width: int):
     """One substring's part of the index: the rows' keys are ``values``'
-    bits [shift, shift + width); returns (shift, width, bucket offsets,
-    the rows sorted by key, their words in that order)."""
+    bits [shift, shift + width); returns (shift, width, int32 bucket
+    offsets, the rows sorted by key, their non-key bits in that order).
+    Each temporary is dropped as soon as it is spent: the parts are built
+    side by side."""
     keys = ((values >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(np.uint16)
     order = np.argsort(keys, kind="stable")
-    offsets = np.zeros((1 << width) + 1, dtype=np.int64)
+    offsets = np.zeros((1 << width) + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys, minlength=1 << width), out=offsets[1:])
-    return shift, width, offsets, order.astype(np.int32), packed[order]
+    del keys
+    bits = values[order]
+    order = order.astype(np.int32)
+    return shift, width, offsets, order, _rest(bits, shift, width, n)
 
 
 class _HammingIndex:
     """Exact multi-index hash over packed n-bit codewords (Norouzi, Punjani
     & Fleet, CVPR 2012).
 
-    Each word is cut into s substrings of at most 16 bits. Per substring
-    the rows are kept sorted by substring value, with a dense table of
-    bucket offsets. Probing substring k at radius r looks up the buckets
-    exactly r bits from the query's key there. The (r, k) pairs are probed
-    in order, one substring at a time, so once substring k is probed at
-    radius r, the substrings before it are probed up to r and those after
-    it up to r - 1. The substrings' tables are built on the worker pool,
-    each on its own. A row still unfound differs from the query in at least
-    r + 1 bits on each of substrings 0..k and r on the rest: by pigeonhole,
-    every row within distance s*r + k has been found. ``nearest`` stops a
-    lane as soon as its best distance is within that bound, ``within``
-    after the probe whose bound reaches its threshold. A lane whose probes
-    would cost more than a scan of the whole table is scanned instead.
+    Each word is cut into s substrings of at most 16 bits. Per substring a
+    part keeps a dense table of int32 bucket offsets, the rows sorted by
+    their key (the substring's value), and in that order the rows' bits
+    outside the key: closed up into a uint32 when the n - width of them fit,
+    as they do for every n <= 48, else the row's n bits as a uint64 with the
+    key cleared. Probing substring k at radius r looks up the buckets exactly r
+    bits from the query's key there, so a candidate's distance is r plus the
+    popcount of its non-key bits XOR the query's, gathered with ``take``.
+    The (r, k) pairs are probed in order, one substring at a time, so once
+    substring k is probed at radius r, the substrings before it are probed
+    up to r and those after it up to r - 1. The parts are built on the
+    worker pool, each on its own. A row still unfound differs from the
+    query in at least r + 1 bits on each of substrings 0..k and r on the
+    rest: by pigeonhole, every row within distance s*r + k has been found.
+    ``nearest`` stops a lane as soon as its best distance is within that
+    bound, ``within`` after the probe whose bound reaches its threshold. A
+    lane whose probes would cost more than a scan of the whole table is
+    scanned instead. Both search in shares (``_by_shares``): on the worker
+    pool, equal shares, a multiple of the worker count of them.
     """
 
     def __init__(self, packed: np.ndarray, n: int):
@@ -450,23 +488,25 @@ class _HammingIndex:
             width = base + (k < extra)
             shift -= width
             cuts.append((shift, width))
-        build = functools.partial(_index_part, packed, packed >> np.uint64(64 - n))
+        values = packed >> np.uint64(64 - n) if n < 64 else packed  # no copy at n = 64
+        build = functools.partial(_index_part, values, n)
         self.parts = _run_shares(build, cuts)
 
     def _schedule(self, words: np.ndarray):
-        """Yield (bound, radius, substring, the words' keys on it) in probe
-        order; once that probe is done, every row within ``bound`` of a
-        word has been found."""
+        """Yield (bound, radius, substring, the words' keys and non-key bits
+        on it) in probe order; once that probe is done, every row within
+        ``bound`` of a word has been found."""
         values = words >> np.uint64(64 - self.n)
-        keys = [
-            ((values >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(np.int64)
+        queries = [
+            (((values >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(np.int64),
+             _rest(values.copy(), shift, width, self.n))
             for shift, width, *_ in self.parts
         ]
         for r in range(_SUBSTRING_BITS + 1):
             for k, part in enumerate(self.parts):
-                yield self.s * r + k, r, part, keys[k]
+                yield self.s * r + k, r, part, *queries[k]
 
-    def _probe(self, words, part, key, lanes, spent, r):
+    def _probe(self, part, key, rest, lanes, spent, r):
         """Candidates of ``lanes`` in one substring's buckets at radius
         exactly r, as runs from ``_runs``.
 
@@ -474,7 +514,7 @@ class _HammingIndex:
         unprobed: first by the mean bucket load, then by the actual one) and
         the runs; ``spent`` counts each lane's lookups and candidates so far.
         """
-        _, width, offsets, rows, packed = part
+        _, width, offsets, rows, bits = part
         masks = _weight_masks(width, r)
         likely = spent[lanes] + len(masks) + (len(masks) * self.m >> width) <= self.budget
         over = lanes[~likely]
@@ -488,12 +528,14 @@ class _HammingIndex:
             over = np.concatenate([over, lanes[~fits]])
             lanes, lo, cnt = lanes[fits], lo[fits], cnt[fits]
         spent[lanes] = need[fits]
-        return lanes, over, self._runs(words, rows, packed, lanes, lo, cnt)
+        return lanes, over, self._runs(rest, rows, bits, lanes, lo, cnt, r)
 
-    def _runs(self, words, rows, packed, lanes, lo, cnt):
+    def _runs(self, rest, rows, bits, lanes, lo, cnt, r):
         """Yield (lanes, candidates per lane, sorted rows, positions,
         distances) in chunks of about _PROBE_BLOCK candidates; each lane's
-        candidates are contiguous."""
+        candidates are contiguous, each r bits off in the key, so their
+        distance is r + popcount(their non-key ``bits`` ^ the lane's
+        ``rest``)."""
         per_lane = cnt.sum(axis=1)
         cuts = np.searchsorted(
             np.cumsum(per_lane), np.arange(_PROBE_BLOCK, per_lane.sum(), _PROBE_BLOCK)
@@ -504,8 +546,8 @@ class _HammingIndex:
             flat = cnt[a:b].ravel()
             pos = np.repeat(lo[a:b].ravel() - (np.cumsum(flat) - flat), flat)
             pos += np.arange(len(pos))
-            lane_words = np.repeat(words[lanes[a:b]], per_lane[a:b])
-            dist = np.bitwise_count(packed[pos] ^ lane_words)
+            dist = np.bitwise_count(bits.take(pos) ^ np.repeat(rest[lanes[a:b]], per_lane[a:b]))
+            dist += np.uint8(r)
             yield lanes[a:b], per_lane[a:b], rows, pos, dist
 
     def nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -517,8 +559,8 @@ class _HammingIndex:
         spent = np.zeros(len(words), dtype=np.int64)
         lanes = np.arange(len(words))
         scan = [np.empty(0, dtype=np.int64)]
-        for bound, r, part, key in self._schedule(words):
-            lanes, over, runs = self._probe(words, part, key, lanes, spent, r)
+        for bound, r, part, key, rest in self._schedule(words):
+            lanes, over, runs = self._probe(part, key, rest, lanes, spent, r)
             scan.append(over)
             for run_lanes, per_lane, rows, pos, dist in runs:
                 ends = np.cumsum(per_lane)
@@ -552,10 +594,10 @@ class _HammingIndex:
         spent = np.zeros(len(words), dtype=np.int64)
         lanes = np.arange(len(words))
         scan = [np.empty(0, dtype=np.int64)]
-        for bound, r, part, key in self._schedule(words):
+        for bound, r, part, key, rest in self._schedule(words):
             if bound > thresh:  # the previous probe found every row within thresh
                 break
-            lanes, over, runs = self._probe(words, part, key, lanes, spent, r)
+            lanes, over, runs = self._probe(part, key, rest, lanes, spent, r)
             scan.append(over)
             for run_lanes, per_lane, rows, pos, dist in runs:
                 hit = np.flatnonzero(dist <= thresh)

@@ -25,6 +25,7 @@ from .codec import (
     RatePlan,
     RatePlanError,
     _decode_blocks,
+    _hamming_scale,
     batch_min_distortion_rows,
     build_channel_codebook,
     build_source_codebook,
@@ -455,15 +456,16 @@ def _block_distortions(
     """Average distortion of each block x[a : a+n] against y[b : b+n],
     per lane: (blocks, lanes) for the starts a, b.
 
-    The codec's count-weighted rule: sum_ab d(a, b) * N_ab / n over the
-    table's nonzero entries in order, N_ab counting the block's cells
-    x*K + y that equal a*K + b. Under the 0/1 Hamming table that sum is
-    the block's one count of x != y, bit for bit, so that is all it counts.
-    Under any other table a letter outside the table's alphabets, which
-    no cell x*K + y can name, raises ValueError. Each block is read in
-    place, as slices of at most 255 rows and ``_DISTORTION_CELLS`` cells,
-    and counted into reused buffers; a block that does not lie inside the
-    streams raises ValueError.
+    The codec's rules. Under c * Hamming (as ``codec._hamming_scale``
+    detects it) the block's one count N of x != y gives N * c / n, the
+    codec's expression, so eta and epsilon round alike; under the 0/1 table
+    that is N / n. Under any other table it is the count-weighted sum_ab
+    d(a, b) * N_ab / n over the table's nonzero entries in order, N_ab
+    counting the block's cells x*K + y that equal a*K + b, and a letter
+    outside the table's alphabets, which no cell x*K + y can name, raises
+    ValueError. Each block is read in place, as slices of at most 255 rows
+    and ``_DISTORTION_CELLS`` cells, and counted into reused buffers; a
+    block that does not lie inside the streams raises ValueError.
     """
     table = metric.table
     size = table.shape[1]
@@ -471,9 +473,10 @@ def _block_distortions(
     for starts, stream in ((x_starts, x), (y_starts, y)):
         if np.any((starts < 0) | (starts > len(stream) - n)):
             raise ValueError(f"a block of {n} runs outside the streams")
-    hamming = np.array_equal(table, 1 - np.eye(size))
+    scale = _hamming_scale(metric, size)
+    hamming = scale is not None
     entries = None if hamming else np.flatnonzero(table)
-    weights = [1.0] if hamming else table.reshape(-1)[entries]
+    weights = [scale] if hamming else table.reshape(-1)[entries]
     # a uint8 count of at most 255 rows cannot overflow
     rows = max(1, min(n, 255, _DISTORTION_CELLS // lanes))
     hits = np.empty((rows, lanes), dtype=bool)
@@ -527,8 +530,7 @@ def measure_end_to_end(
     ends; every draw is a prefix of the same stream, so a longer rollout
     would score the same blocks bit for bit. Each block is scored where it
     lies in the rollout's source and reproduction streams, with no copy,
-    and under the 0/1 Hamming table by one mismatch count
-    (``_block_distortions``).
+    and under c * Hamming by one mismatch count (``_block_distortions``).
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} trials")

@@ -1,6 +1,7 @@
 """Block scoring reads each block where it lies in the trajectory and
-equals the count-weighted rule on a gathered copy of the block bit for bit,
-under any table, any block starts and any chunking of the rows."""
+equals its rule on a gathered copy of the block bit for bit (c * N / n
+under c * Hamming, as the codec's search reads it, else the count-weighted
+sum), under any table, any block starts and any chunking of the rows."""
 
 import tracemalloc
 from unittest import mock
@@ -27,12 +28,18 @@ TABLES = {
 
 
 def gathered_reference(table, x, y, x_starts, y_starts, n):
-    """The count-weighted rule written out: each block gathered, its cells
-    x*K + y counted against every nonzero entry in order, the counts
-    weighted by their entries and summed from zero, over n."""
+    """The scoring rules written out, each block gathered. Under a multiple
+    c of the 0/1 Hamming table: its count N of x != y, times c, over n, as
+    the codec reads it. Under any other table: its cells x*K + y counted
+    against every nonzero entry in order, the counts weighted by their
+    entries and summed from zero, over n."""
     flat, size = table.reshape(-1), table.shape[1]
+    scaled = size > 1 and np.array_equal(table, table[0, 1] * (1 - np.eye(size)))
     out = np.zeros((len(x_starts), x.shape[1]))
     for k, (a, b) in enumerate(zip(x_starts, y_starts)):
+        if scaled:
+            out[k] = np.count_nonzero(x[a : a + n] != y[b : b + n], axis=0) * table[0, 1]
+            continue
         cells = x[a + np.arange(n)].astype(np.int64) * size + y[b + np.arange(n)]
         for e in np.flatnonzero(flat):
             out[k] += flat[e] * np.count_nonzero(cells == e, axis=0)
@@ -152,3 +159,25 @@ def test_a_letter_the_table_cannot_score_raises(x, y):
     # the 0/1 Hamming count is untouched: any two letters that differ count one
     assert np.array_equal(
         _block_distortions(hamming_metric(2), xs, ys, np.array([0]), np.array([0]), 4), [[1.0] * 3])
+
+
+def test_scaled_hamming_scores_round_as_the_search_does():
+    # under 0.3 * Hamming at n = 40 a block N01 = 1, N10 = 6 letters off its
+    # row is 7 * 0.3 / 40 = 0.052500000000000005 to the codec; adding 0.3 * 1
+    # and 0.3 * 6 first gives 0.05249999999999999. Every split (N01, N10)
+    # of up to 20 each must score as the search measures it
+    n, c = 40, 0.3
+    metric = DistortionMetric(Alphabet(2), Alphabet(2), c * hamming_metric(2).table)
+    row = np.repeat(np.array([1, 0], dtype=np.int8), 20)
+    codebook = Codebook(SOURCE_COMPRESSION, n, 1, Pmf.uniform(2), RandomnessHandle(0), row[None])
+    splits = [(a, b) for a in range(21) for b in range(21)]
+    blocks = np.tile(row, (len(splits), 1))
+    for k, (n01, n10) in enumerate(splits):
+        blocks[k, :n01] = 0  # block 0 where the row holds 1
+        blocks[k, 20 : 20 + n10] = 1  # block 1 where the row holds 0
+    _, dist = batch_min_distortion_rows(codebook, blocks, metric)
+    score = _block_distortions(metric, blocks.T, np.tile(row, (len(splits), 1)).T,
+                               np.array([0]), np.array([0]), n)[0]
+    assert score[splits.index((1, 6))] == 7 * c / n == 0.052500000000000005
+    assert np.array_equal(score, np.array([a + b for a, b in splits]) * c / n)
+    assert np.array_equal(score, dist)

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import codebook_symbols, sequential_draw
 
-from sepnet import probcore
+from sepnet import codec, probcore
 from sepnet.codec import Codebook
 from sepnet.probcore import (
     Pmf,
@@ -144,7 +144,7 @@ def test_wider_or_larger_alphabets_round_trip_their_symbols(root):
         assert np.array_equal(again.table, cb.table)
 
 
-def test_generation_holds_no_symbol_table(root, workers):
+def test_generation_holds_no_symbol_table(root):
     # 200,000 x 64 symbols would take 12.8 MB as int8; the words take 1.6 MB
     rows, n = 200_000, 64
     for probs in LAWS:
@@ -158,3 +158,17 @@ def test_generation_holds_no_symbol_table(root, workers):
             tracemalloc.stop()
         assert cb.table.nbytes == rows * 8
         assert peak < rows * n / 4
+
+
+def test_generation_never_uses_the_pool(root):
+    # every draw runs on the calling thread, whatever the worker count: a
+    # table of many slices on two workers never reaches the pool
+    fail = mock.Mock(side_effect=AssertionError("generation reached the worker pool"))
+    with mock.patch.object(probcore, "_worker_count", lambda: 2), \
+            mock.patch.object(probcore, "_run_shares", fail), \
+            mock.patch.object(codec, "_run_shares", fail):
+        for probs in LAWS:
+            cb = Codebook.generate("channel-embedding", Pmf.from_probs(probs), 64, 200_000,
+                                   root.derive("off-the-pool"))
+            assert cb.table.shape == (200_000,)
+    fail.assert_not_called()

@@ -358,3 +358,55 @@ def test_index_built_on_the_pool_equals_one_worker():
     assert len(one) == len(pooled) == 4
     for a, b in zip(one, pooled):
         assert a[:2] == b[:2] and all(np.array_equal(x, y) for x, y in zip(a[2:], b[2:]))
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_index_parts_keep_only_their_non_key_bits(n):
+    # each part holds its rows in key order and, per row, the symbols outside
+    # its key read as one number: closed up into a uint32 for every n <= 48,
+    # where the n - width of them fit in 32 bits, and in the row's n-bit word
+    # with the key bits cleared from n = 49 up
+    g = np.random.default_rng(n)
+    entries = g.integers(0, 2, (50, n), dtype=np.int8)
+    index = codec._HammingIndex(words_of(entries), n)
+    weight = 1 << np.arange(n - 1, -1, -1, dtype=np.uint64)  # first symbol on top
+    for shift, width, offsets, rows, bits in index.parts:
+        key = slice(n - shift - width, n - shift)  # the key's symbols
+        assert offsets.dtype == np.int32 and rows.dtype == np.int32
+        keys = entries[rows, key] @ weight[-width:]
+        assert np.all(np.diff(keys.astype(np.int64)) >= 0)
+        assert np.array_equal(np.diff(offsets), np.bincount(keys.astype(np.int64),
+                                                             minlength=1 << width))
+        if n <= 48:
+            rest = np.delete(entries[rows], np.arange(n)[key], axis=1)
+            assert bits.dtype == np.uint32
+            assert np.array_equal(bits, rest.astype(np.uint64) @ weight[width:])
+        else:
+            cleared = entries[rows].copy()
+            cleared[:, key] = 0
+            assert bits.dtype == np.uint64
+            assert np.array_equal(bits, cleared.astype(np.uint64) @ weight)
+
+
+def test_pooled_search_splits_evenly_over_the_workers():
+    # 1,500 words on two workers: two shares of 750 words, one a worker,
+    # rather than shares of _QUERY_GROUP (512 + 512 + 476); the split
+    # changes no result
+    m = INDEX_MIN_ROWS
+    assert 1500 * m >= codec._POOL_COMPARISONS and 1500 < 4 * codec._QUERY_GROUP
+    g = np.random.default_rng(1500)
+    entries = g.integers(0, 2, (m, 64), dtype=np.int8)
+    cb = hand_codebook(entries)
+    cb._hamming_index()  # built before the shares are counted
+    blocks = entries[g.integers(0, m, 1500)] ^ (g.random((1500, 64)) < 0.05).astype(np.int8)
+    found, shares = {}, {}
+    for workers in (1, 2):
+        with mock.patch.object(probcore, "_worker_count", lambda: workers), \
+                mock.patch.object(codec, "_run_shares", wraps=codec._run_shares) as run:
+            found[workers] = (*batch_min_distortion_rows(cb, blocks, METRIC),
+                              batch_unique_within_decode(cb, blocks, METRIC, 0.1))
+        shares[workers] = [[len(words) for words, in call.args[1]] for call in run.call_args_list]
+    assert shares[2] == [[750, 750]] * 2
+    assert all(np.array_equal(a, b) for a, b in zip(found[1], found[2]))
+    d = brute_distances(entries, blocks[:50])
+    assert np.array_equal(found[2][0][:50], d.argmin(axis=1))

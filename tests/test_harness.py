@@ -531,3 +531,16 @@ def test_overwrite_reuses_the_first_id(tmp_path, capsys):
     assert record_id() == first.replace("-000", "-001")
     assert record_id("--overwrite") == first
     assert sorted(p.name for p in tmp_path.iterdir()) == [first, first.replace("-000", "-001")]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_configs_parse_alike_under_both_yaml_loaders(path, monkeypatch):
+    # configs load with libyaml's loader where pyyaml has it; the
+    # pure-Python loader must give the same dict and the same digest
+    assert harness._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loaded = {}
+    for loader in {yaml.SafeLoader, harness._YAML_LOADER}:
+        assert yaml.load(path.read_text(), Loader=loader) == yaml.safe_load(path.read_text())
+        monkeypatch.setattr(harness, "_YAML_LOADER", loader)
+        loaded[loader] = ExperimentConfig.load(path).digest
+    assert len(set(loaded.values())) == 1
