@@ -439,16 +439,21 @@ def _index_part(values: np.ndarray, n: int, shift: int, width: int):
     """One substring's part of the index: the rows' keys are ``values``'
     bits [shift, shift + width); returns (shift, width, int32 bucket
     offsets, the rows sorted by key, their non-key bits in that order).
-    Each temporary is dropped as soon as it is spent: the parts are built
-    side by side."""
+    The parts are built side by side, so each temporary is narrowed or
+    dropped as soon as it is spent: the order is int32 from the sort on,
+    and non-key bits that fit a uint32 are worked out in row order, in
+    blocks of ``_PROBE_BLOCK`` rows, and gathered as uint32."""
     keys = ((values >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(np.uint16)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys, kind="stable").astype(np.int32)
     offsets = np.zeros((1 << width) + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys, minlength=1 << width), out=offsets[1:])
     del keys
-    bits = values[order]
-    order = order.astype(np.int32)
-    return shift, width, offsets, order, _rest(bits, shift, width, n)
+    if n - width > 32:
+        return shift, width, offsets, order, _rest(values[order], shift, width, n)
+    rest = np.empty(len(values), dtype=np.uint32)
+    for a in range(0, len(values), _PROBE_BLOCK):
+        rest[a : a + _PROBE_BLOCK] = _rest(values[a : a + _PROBE_BLOCK].copy(), shift, width, n)
+    return shift, width, offsets, order, rest[order]
 
 
 class _HammingIndex:

@@ -12,6 +12,12 @@ cycle falls back to windows of one step, where any order is causal.
 Windows hold at most ``WINDOW_LANE_STEPS`` lane-steps, which bounds the
 engine's temporaries whatever the horizon.
 
+The engine keeps one window of the medium: every user's medium inputs and
+every link's outputs live in (window + 1)-step buffers, allocated once per
+rollout and reused, whose row 0 holds the step before the window. Nothing
+reads them more than one step after they are written, so a rollout keeps
+over the whole horizon only the pairs' sources and reproductions.
+
 The medium has one model of a link, ``MediumKernel``: a stack of
 stochastic rows, where a cell's row has the mixed-radix digits the link's
 hidden state, then the inputs of the users it watches, then its sender's
@@ -306,12 +312,17 @@ class ModemView:
     """What a modem sees of one rollout.
 
     Only the modem's own slices are present: its outgoing pairs' source
-    arrays and its incoming links' output arrays, all (horizon, lanes). The
-    medium state is never exposed. When a modem steps the window [t0, t1),
-    its incoming links may already be filled up to row t1-1, so causality
-    is the modem's duty: its value at step tau may read rows before tau
-    only. ``test_causality_source_perturbation`` in tests/test_netmodel.py
-    checks it for the senders of plain and separated pairs.
+    arrays, (horizon, lanes), and ``link_in``, its incoming links' outputs
+    one step late over the window it is stepping. During a call to
+    ``window(t0, t1, ...)``, ``link_in[link]`` is a read-only (t1 - t0,
+    lanes) array whose row k is the link's output at step t0 + k - 1, and
+    at step 0, which has none, is 0. The arrays are views of the engine's
+    window buffers and are valid only during the call: a modem that needs a
+    link's past beyond one step keeps its own copy. The medium state is
+    never exposed. A source is whole, so causality on it is the modem's
+    duty: its value at step tau may read source rows before tau only.
+    ``test_causality_source_perturbation`` in tests/test_netmodel.py checks
+    it for the senders of plain and separated pairs.
     """
 
     __slots__ = (
@@ -352,12 +363,16 @@ class Modem(ABC):
     @abstractmethod
     def window(self, t0: int, t1: int, state, view: ModemView):
         """Return (medium inputs or None, {pair: reproductions}) for the
-        steps [t0, t1), each array (t1 - t0, lanes)."""
+        steps [t0, t1), each array (t1 - t0, lanes). Row k of
+        ``view.link_in[link]`` is that link's output at step t0 + k - 1
+        (see ``ModemView``); the engine copies what it is returned before
+        the next call, so arrays of ``view.link_in`` may be returned as they
+        are."""
 
 
-def _delayed(stream: np.ndarray, t0: int, t1: int, first=0) -> np.ndarray:
-    """``stream`` one step late over the window [t0, t1): step tau reads
-    row tau-1, and step 0, which has no earlier row, is ``first``."""
+def _delayed(stream: np.ndarray, t0: int, t1: int, first) -> np.ndarray:
+    """A source ``stream`` one step late over the window [t0, t1): step tau
+    reads row tau-1, and step 0, which has no earlier row, is ``first``."""
     if t0 >= 1:
         return stream[t0 - 1 : t1 - 1]
     out = np.empty((t1, stream.shape[1]), dtype=stream.dtype)
@@ -413,10 +428,7 @@ class PassthroughModem(Modem):
                 pmf = view.source_pmfs[self.send_pair]
                 first = sample_iid_array(pmf, view.lanes, view.private_gen)
             iota = _delayed(view.sources[self.send_pair], t0, t1, first)
-        repro = {
-            pair: _delayed(view.link_in[self.recv_link[pair]], t0, t1)
-            for pair in self.recv_pairs
-        }
+        repro = {pair: view.link_in[self.recv_link[pair]] for pair in self.recv_pairs}
         return iota, repro
 
 
@@ -441,7 +453,7 @@ class ForwardRelayModem(Modem):
             )
 
     def window(self, t0, t1, state, view):
-        return _delayed(view.link_in[self.in_link], t0, t1), {}
+        return view.link_in[self.in_link], {}
 
 
 @dataclass(frozen=True)
@@ -484,15 +496,13 @@ class NetworkSystem:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """All realized streams of one (batched) rollout, immutable.
-
-    Arrays are (horizon, lanes) for per-pair streams and (users, horizon,
-    lanes) for medium inputs.
+    """What one (batched) rollout leaves to read, immutable: each pair's
+    source and reproduction, (horizon, lanes) arrays, and the modems'
+    telemetry. The medium inputs and link outputs live only in the engine's
+    window buffers (see ``rollout``) and are not kept.
     """
 
     sources: dict
-    medium_inputs: np.ndarray
-    link_outputs: dict
     repro: dict
     telemetry: dict
     latency_map: dict
@@ -523,8 +533,12 @@ def rollout(
     """Simulate the system for ``horizon`` steps across ``lanes`` replicas.
 
     The horizon is stepped in windows of ``WINDOW_LANE_STEPS // lanes``
-    steps (at least one), or of one step on a graph with a cycle. The
-    result is the same for every window length.
+    steps (at least one, at most the horizon), or of one step on a graph
+    with a cycle. The result is the same for every window length. The
+    medium inputs and link outputs are held for one window only: each in a
+    (window + 1, lanes) buffer whose row 0 is carried over from the last
+    row of the window before (0 before step 0). A link reads its inputs
+    from these buffers and a modem its incoming links (``ModemView``).
     """
     T = int(horizon)
     B = int(lanes)
@@ -540,10 +554,18 @@ def rollout(
         gen = seeds.derive("src", *pair).generator()
         sources[pair] = sample_iid_array(pmf, T * B, gen).reshape(T, B)
 
+    order = _schedule(system)
+    W = max(1, WINDOW_LANE_STEPS // B)
+    if order is None:
+        # with one step per window every input comes from an earlier window
+        order, W = [*(m.user for m in system.modems), *medium.links], 1
+    W = min(W, T)
+    # window buffers, reused: row 0 holds the step before the window [t0, t1),
+    # row k step t0 + k - 1
     iota_dtype = np.result_type(*(medium.user_input_alphabet(u).dtype for u in range(N)))
-    iota = np.zeros((N, T, B), dtype=iota_dtype)
+    iota = np.zeros((N, W + 1, B), dtype=iota_dtype)
     link_out = {
-        link: np.zeros((T, B), dtype=medium.link_output_alphabet(link).dtype)
+        link: np.zeros((W + 1, B), dtype=medium.link_output_alphabet(link).dtype)
         for link in medium.links
     }
     repro = {
@@ -560,37 +582,39 @@ def rollout(
             horizon=T,
             sources={p: a for p, a in sources.items() if p[0] == u},
             source_pmfs={p: f for p, f in system.sources.items() if p[0] == u},
-            link_in={lk: link_out[lk] for lk in medium.links if lk[1] == u},
+            link_in={lk: None for lk in medium.links if lk[1] == u},
             private_gen=seeds.derive("modem", u).generator(),
         )
         modems[u] = (modem, modem.start(view), view)
     med_state = medium.start(B, seeds.derive("medium"))
 
-    order = _schedule(system)
-    W = max(1, WINDOW_LANE_STEPS // B)
-    if order is None:
-        # with one step per window every input comes from an earlier window
-        order, W = [*modems, *medium.links], 1
     for t0 in range(0, T, W):
         t1 = min(t0 + W, T)
-        a = max(t0, 1)  # the medium is first consulted at step 1
+        steps = t1 - t0
+        if t0:
+            iota[:, 0] = iota[:, W]
+            for buf in link_out.values():
+                buf[0] = buf[W]
+        late = {lk: buf[:steps] for lk, buf in link_out.items()}
+        for arr in late.values():
+            arr.flags.writeable = False
+        lo = 1 if t0 == 0 else 0  # the medium is first consulted at step 1
         for node in order:
             if isinstance(node, tuple):
-                if t1 > a:
-                    medium.window(node, med_state, iota[:, a - 1 : t1 - 1],
-                                  out=link_out[node][a:t1])
+                if steps > lo:
+                    medium.window(node, med_state, iota[:, lo:steps],
+                                  out=link_out[node][lo + 1 : steps + 1])
                 continue
             modem, state, view = modems[node]
+            for lk in view.link_in:  # in place: a wrapper's inner view shares the dict
+                view.link_in[lk] = late[lk]
             iota_w, repro_w = modem.window(t0, t1, state, view)
             if iota_w is not None:
-                iota[node, t0:t1] = iota_w
+                iota[node, 1 : steps + 1] = iota_w
             for pair, arr in repro_w.items():
                 repro[pair][t0:t1] = arr
 
     for arr in sources.values():
-        arr.flags.writeable = False
-    iota.flags.writeable = False
-    for arr in link_out.values():
         arr.flags.writeable = False
     for arr in repro.values():
         arr.flags.writeable = False
@@ -598,8 +622,6 @@ def rollout(
     telemetry = {v.user: v.telemetry for _, _, v in modems.values() if v.telemetry}
     return Trajectory(
         sources=sources,
-        medium_inputs=iota,
-        link_outputs=link_out,
         repro=repro,
         telemetry=telemetry,
         latency_map=dict(system.latency_map),

@@ -700,8 +700,10 @@ def separate_network(
 ):
     """Apply the transformation to every target pair, one at a time.
 
-    After each step the remaining targets' guarantees are re-measured and
-    must be statistically unchanged; a degradation beyond combined
+    After each step every other target's guarantee is re-measured before and
+    after the step and must be statistically unchanged: a target still to
+    come at D over blocks of n, one already separated at its separated
+    guarantee, D' over blocks of n'. A degradation beyond combined
     confidence widths plus ``RECHECK_SLACK`` aborts loudly. Returns the
     final system and per-step reports; an empty target list returns the
     system unchanged.
@@ -725,8 +727,10 @@ def separate_network(
         plan = plan_separation(current, guar, target, common_seed)
         new_system = apply_separation(current, plan)
         rechecks = {}
-        for other in targets[k + 1 :]:
-            obudget = DistortionBudget(other.level, other.metric)
+        for other in targets[:k] + targets[k + 1 :]:
+            separated = is_separated(current, other.pair)
+            obudget = DistortionBudget(other.level_prime if separated else other.level,
+                                       other.metric)
             g_old = measure_end_to_end(
                 current,
                 other.pair,

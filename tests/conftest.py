@@ -1,7 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from sepnet.netmodel import DmcMedium, NetworkSystem, PassthroughModem
+from sepnet.netmodel import (
+    DmcMedium,
+    MediumKernel,
+    Modem,
+    NetworkSystem,
+    PassthroughModem,
+    rollout,
+)
 from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet.ratedist import hamming_metric
 
@@ -46,6 +55,59 @@ def single_link_system(flip: float, source_probs=(0.5, 0.5), block_length=1000,
 @pytest.fixture
 def bsc_system() -> NetworkSystem:
     return single_link_system(0.11)
+
+
+class _InputLog(Modem):
+    """Runs a modem unchanged and logs each window's medium input."""
+
+    def __init__(self, inner: Modem, log: list):
+        self.inner, self.user, self.log = inner, inner.user, log
+
+    def check_wiring(self, system):
+        self.inner.check_wiring(system)
+
+    def start(self, view):
+        return self.inner.start(view)
+
+    def window(self, t0, t1, state, view):
+        iota, repro = self.inner.window(t0, t1, state, view)
+        if iota is not None:
+            self.log.append((t0, t1, np.array(iota)))
+        return iota, repro
+
+
+def recorded_rollout(system: NetworkSystem, seeds, lanes: int = 1, *, horizon: int):
+    """``rollout`` of ``system``, plus what a trajectory does not keep: the
+    medium inputs, (users, horizon, lanes), and each link's outputs,
+    (horizon, lanes), copied window by window as the engine makes them.
+    Every modem runs behind ``_InputLog``, and ``MediumKernel.window``
+    logs each link's outputs; the rollout draws exactly as unrecorded."""
+    medium = system.medium
+    inputs = {m.user: [] for m in system.modems}
+    outputs = {link: [] for link in medium.links}
+    window = MediumKernel.window
+
+    def logged(self, link, state, iota_prev, out):
+        window(self, link, state, iota_prev, out)
+        if self is medium:
+            outputs[link].append(np.array(out))
+
+    logging = system.with_modems([_InputLog(m, inputs[m.user]) for m in system.modems])
+    with mock.patch.object(MediumKernel, "window", logged):
+        traj = rollout(logging, seeds, lanes, horizon=horizon)
+    dtype = np.result_type(*(medium.user_input_alphabet(u).dtype for u in inputs))
+    medium_inputs = np.zeros((medium.num_users, horizon, lanes), dtype=dtype)
+    for user, log in inputs.items():
+        for t0, t1, iota in log:
+            medium_inputs[user, t0:t1] = iota
+    link_outputs = {}
+    for link, log in outputs.items():
+        # the medium is consulted at steps 1, 2, ... in order; step 0 is 0
+        out = np.zeros((horizon, lanes), dtype=medium.link_output_alphabet(link).dtype)
+        if log:
+            out[1:] = np.concatenate(log)
+        link_outputs[link] = out
+    return traj, medium_inputs, link_outputs
 
 
 

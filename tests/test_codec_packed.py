@@ -113,7 +113,7 @@ def test_packed_draw_after_buffered_words(monkeypatch, workers, n, used, pending
 
 
 @pytest.mark.parametrize("probs", LAWS)
-def test_spec_prefix_and_rows_agree_on_the_words(monkeypatch, root, workers, probs):
+def test_spec_prefix_and_rows_agree_on_the_words(monkeypatch, root, probs):
     monkeypatch.setattr(probcore, "SAMPLE_SLICE", SLICE)
     pmf = Pmf.from_probs(probs)
     cb = Codebook.generate("channel-embedding", pmf, 24, 403, root.derive("agree"))

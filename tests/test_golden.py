@@ -3,8 +3,9 @@
 Each shipped config, two small non-binary systems, a relay chain with a
 coupled bypass link, and single_bsc with its pair separated at n = 32 (both
 decode rules) are rolled out at a few lanes and a short horizon; the
-sha256 of every array the trajectory holds must match the value recorded
-here. A change that consumes a random stream
+sha256 of every array the trajectory holds, and of the medium inputs and
+link outputs the rollout makes (read through ``conftest.recorded_rollout``),
+must match the value recorded here. A change that consumes a random stream
 differently fails this file and has to be declared as a golden break.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bsc
+from conftest import bsc, recorded_rollout
 
 from sepnet.harness import ExperimentConfig
 from sepnet.netmodel import (
@@ -26,7 +27,6 @@ from sepnet.netmodel import (
     MarkovMedium,
     NetworkSystem,
     PassthroughModem,
-    rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet.separation import GuaranteeReport, apply_separation, plan_separation
@@ -42,10 +42,12 @@ def digest(arr) -> str:
     return h.hexdigest()[:16]
 
 
-def trajectory_digests(traj) -> dict:
-    out = {"medium_inputs": digest(traj.medium_inputs)}
-    for name in ("sources", "link_outputs", "repro"):
-        for key, arr in sorted(getattr(traj, name).items()):
+def trajectory_digests(traj, medium_inputs, link_outputs) -> dict:
+    """Digests of a ``recorded_rollout``'s arrays."""
+    out = {"medium_inputs": digest(medium_inputs)}
+    streams = {"sources": traj.sources, "link_outputs": link_outputs, "repro": traj.repro}
+    for name, arrays in streams.items():
+        for key, arr in sorted(arrays.items()):
             out[f"{name}{list(key)}"] = digest(arr)
     for user, tel in sorted(traj.telemetry.items()):
         if "sep_send" in tel:
@@ -218,6 +220,6 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_rollout_arrays_match_golden_digests(name):
     system = golden_system(name)
-    traj = rollout(system, RandomnessHandle(20240801).derive("golden", name),
-                   lanes=LANES, horizon=HORIZON)
-    assert trajectory_digests(traj) == GOLDEN[name]
+    recorded = recorded_rollout(system, RandomnessHandle(20240801).derive("golden", name),
+                                lanes=LANES, horizon=HORIZON)
+    assert trajectory_digests(*recorded) == GOLDEN[name]

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from conftest import bsc, single_link_system
+from conftest import bsc, recorded_rollout, single_link_system
 from test_golden import golden_system
 
 from sepnet.netmodel import (
@@ -139,10 +141,10 @@ class TestRollout:
 
     def test_reproducibility_bit_exact(self, root):
         system = single_link_system(0.11)
-        t1 = rollout(system, root, lanes=5, horizon=300)
-        t2 = rollout(system, root, lanes=5, horizon=300)
+        t1, inputs1, _ = recorded_rollout(system, root, lanes=5, horizon=300)
+        t2, inputs2, _ = recorded_rollout(system, root, lanes=5, horizon=300)
         assert np.array_equal(t1.repro[(0, 1)], t2.repro[(0, 1)])
-        assert np.array_equal(t1.medium_inputs, t2.medium_inputs)
+        assert np.array_equal(inputs1, inputs2)
 
     def test_source_primitivity(self, root):
         # identical source seeds yield identical source streams no matter
@@ -172,11 +174,11 @@ class TestRollout:
             [FlippedSource(m, pair, T_HIT) if m is sender else m for m in system.modems]
         )
         seeds = RandomnessHandle(5).derive("causality", name)
-        ta = rollout(system, seeds, lanes=3, horizon=300)
-        tb = rollout(flipped, seeds, lanes=3, horizon=300)
-        first = {"medium_inputs": first_change(ta.medium_inputs, tb.medium_inputs, axis=(0, 2))}
-        for key in ta.link_outputs:
-            first[f"link {key}"] = first_change(ta.link_outputs[key], tb.link_outputs[key])
+        ta, inputs_a, links_a = recorded_rollout(system, seeds, lanes=3, horizon=300)
+        tb, inputs_b, links_b = recorded_rollout(flipped, seeds, lanes=3, horizon=300)
+        first = {"medium_inputs": first_change(inputs_a, inputs_b, axis=(0, 2))}
+        for key in links_a:
+            first[f"link {key}"] = first_change(links_a[key], links_b[key])
         for key in ta.repro:
             first[f"repro {key}"] = first_change(ta.repro[key], tb.repro[key])
         assert all(t > T_HIT for t in first.values()), first
@@ -265,6 +267,25 @@ class TestRelayChain:
         system = self.build(0.05, first_hop=np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]))
         with pytest.raises(WiringError, match="relay 1"):
             rollout(system, root, lanes=2, horizon=10)
+
+    def test_rollout_holds_one_window_of_the_medium(self, root):
+        # past the sources and reproductions it returns, a rollout's memory
+        # does not grow with the horizon: 3 users' inputs and 2 links'
+        # outputs kept whole would add 5 * 3T * 256 bytes, 3.8 MB, from T to 4T
+        system = self.build(0.05)
+
+        def excess(horizon):
+            tracemalloc.start()
+            try:
+                traj = rollout(system, root.derive("memory"), lanes=256, horizon=horizon)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(a.nbytes for a in (*traj.sources.values(), *traj.repro.values()))
+
+        excess(10)  # first-use caches
+        T = 1000
+        assert excess(4 * T) - excess(T) < 1 << 20
 
     def test_cascade_flip_probability(self, root):
         # two independent BSC(0.05) hops: end-to-end flip 2*0.05*0.95 = 0.095
@@ -368,7 +389,7 @@ class TestWideAlphabets:
         rule = MarkovLinkRule(transition, emission)
         system = self.two_user(MarkovMedium(2, {(0, 1): rule}), 2)
         T = 1001
-        traj = rollout(system, root, lanes=2, horizon=T)
-        sent = traj.medium_inputs[0, : T - 1]
+        _, inputs, links = recorded_rollout(system, root, lanes=2, horizon=T)
+        sent = inputs[0, : T - 1]
         flipped = (np.arange(T - 1) % states >= 128)[:, None]
-        assert np.array_equal(traj.link_outputs[(0, 1)][1:], sent ^ flipped)
+        assert np.array_equal(links[(0, 1)][1:], sent ^ flipped)

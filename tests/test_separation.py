@@ -8,7 +8,7 @@ import pytest
 import yaml
 from scipy.stats import chisquare
 
-from conftest import bsc, single_link_system
+from conftest import bsc, recorded_rollout, single_link_system
 
 from sepnet.codec import CARDINALITY_CAP, Codebook, RatePlan
 from sepnet.netmodel import (
@@ -27,6 +27,7 @@ from sepnet.separation import (
     PairTarget,
     PlanInfeasible,
     SeparationPlan,
+    SeparationInterferenceError,
     SeparationRecvModem,
     SeparationSendModem,
     apply_separation,
@@ -201,10 +202,10 @@ class TestApplySeparation:
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
         after = apply_separation(system, plan)
-        traj = rollout(after, root.derive("r"), lanes=2, horizon=300)
+        traj, inputs, _ = recorded_rollout(after, root.derive("r"), lanes=2, horizon=300)
         sim = traj.telemetry[0]["sep_send"]["sim_stream"]
         # the wrapped modem relays the simulated stream, one step delayed
-        assert np.array_equal(traj.medium_inputs[0, 1:], sim[:-1])
+        assert np.array_equal(inputs[0, 1:], sim[:-1])
 
     def test_simulated_stream_matches_source_law(self, root, hamming2):
         system = single_link_system(0.11, block_length=32)
@@ -488,6 +489,29 @@ class TestSeparateNetwork:
         with pytest.raises(ValueError):
             separate_network(system, [t, t], root, root.derive("c"))
 
+    def test_a_step_that_disturbs_a_separated_pair_aborts(self, root, hamming2, monkeypatch):
+        # the second step also makes link (0, 1) noisier, so pair (0, 1),
+        # separated by the first, is rechecked at D' over n' and degrades
+        system = two_pair_system(coupled=False)
+        targets = [
+            PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, decode_rule="argmin"),
+            PairTarget((2, 3), hamming2, 0.125, 0.2, n=32, n_prime=24, psi=0.3, alpha=0.03,
+                       decode_rule="argmin"),
+        ]
+        apply = separation.apply_separation
+
+        def disturbing(current, plan):
+            after = apply(current, plan)
+            if plan.pair != (2, 3):
+                return after
+            noisy = DmcMedium(4, {(0, 1): bsc(0.3), (2, 3): bsc(0.11)})
+            return dataclasses.replace(after, medium=noisy)
+
+        monkeypatch.setattr(separation, "apply_separation", disturbing)
+        with pytest.raises(SeparationInterferenceError, match=r"pair \(0, 1\) degraded"):
+            separate_network(system, targets, root.derive("net"), root.derive("c"),
+                             recheck_trials=1000)
+
     def test_two_disjoint_links_with_recheck(self, root, hamming2):
         system = two_pair_system(coupled=False)
         # the skewed pair needs a larger covering slack: block-type
@@ -504,7 +528,7 @@ class TestSeparateNetwork:
             recheck_trials=2000,
         )
         assert is_separated(final, (0, 1)) and is_separated(final, (2, 3))
-        assert steps[0].rechecks[(2, 3)]["ok"]
+        assert steps[0].rechecks[(2, 3)]["ok"] and steps[1].rechecks[(0, 1)]["ok"]
         for target in targets:
             rep = measure_end_to_end(
                 final, target.pair, DistortionBudget(0.2, hamming2), 2000,

@@ -7,7 +7,7 @@ steps, so the tests pick one by setting ``WINDOW_LANE_STEPS``."""
 import numpy as np
 import pytest
 
-from conftest import bsc
+from conftest import bsc, recorded_rollout
 from test_golden import golden_system, trajectory_digests
 
 from sepnet import netmodel
@@ -43,9 +43,9 @@ def run(monkeypatch):
     def run(system, lanes, horizon, window_steps=None):
         budget = default if window_steps is None else window_steps * lanes
         monkeypatch.setattr(netmodel, "WINDOW_LANE_STEPS", budget)
-        return trajectory_digests(
-            rollout(system, RandomnessHandle(11).derive("windows"), lanes, horizon=horizon)
-        )
+        return trajectory_digests(*recorded_rollout(
+            system, RandomnessHandle(11).derive("windows"), lanes, horizon=horizon
+        ))
 
     return run
 
