@@ -2,7 +2,8 @@
 architectures over unknown discrete-time networks.
 
 The library is organized around six pieces: finite-alphabet probability
-primitives (``probcore``), distortion metrics and rate-distortion
+primitives and the one two-sample test, ``two_sample_test``, that every
+same-law check runs (``probcore``), distortion metrics and rate-distortion
 computation (``ratedist``), the N-user medium/modem rollout engine
 (``netmodel``), random-codebook codecs with batched codeword search
 (``codec``), the pair-by-pair architecture transformer and the one
@@ -12,10 +13,8 @@ excess-distortion measurement of any pair, plain or separated
 
 from .probcore import (
     Alphabet,
-    AlphabetMismatchError,
     Pmf,
     RandomnessHandle,
-    Sequence,
     sample_iid,
     two_sample_test,
 )

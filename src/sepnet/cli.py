@@ -7,7 +7,7 @@ config digest plus the seed root (--seed overrides the config's seed).
 Exit codes: 0 success, 1 validation error (every config key is checked
 at load, and the message names the bad key), 2 runtime failure,
 3 acceptance failure (a verify suite did not pass, or ``separate`` found
-no feasible block length; its record is written either way).
+no pair feasible at any block length; its record is written either way).
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def main(argv=None) -> int:
     print(f"record: {record.experiment_id} (digest {record.config_digest[:8]}, "
           f"{record.wall_clock_s:.1f}s)")
     runs = record.payload["runs"] if args.command == "separate" else []
-    if runs and all(run["infeasible"] for run in runs):
-        print("error: no block length is feasible", file=sys.stderr)
+    if runs and not any(run["pairs"] for run in runs):
+        print("error: no pair is feasible at any block length", file=sys.stderr)
         return EXIT_ACCEPTANCE
     return EXIT_OK
 

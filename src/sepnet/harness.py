@@ -6,7 +6,9 @@ of pairs to transform. Every config key is checked at load: the parse in
 or unknown key in a ConfigError, and keeps the parsed values, which are all
 the commands read. Configs are hashed over their canonical JSON form,
 so the digest is stable under key reordering; every stochastic estimate in
-a result record is a pure function of (config digest, seed root).
+a result record is a pure function of (config digest, seed root) and the
+trial count, which ``--trials`` (``trials=``) changes without moving either,
+so each measured guarantee in a payload records its ``trials``.
 """
 
 from __future__ import annotations
@@ -485,7 +487,9 @@ class ResultRecord:
     """One experiment's outputs.
 
     ``payload`` is the reproducible part: identical (config digest, seed
-    root) must reproduce it bit-exactly. Wall-clock and ids are volatile.
+    root, trials) must reproduce it bit-exactly; ``--trials`` (``trials=``)
+    moves neither ``config_digest`` nor ``seed_root``, so each measured
+    guarantee in it records its ``trials``. Wall-clock and ids are volatile.
     """
 
     experiment_id: str
@@ -614,7 +618,9 @@ def cmd_baseline(config: ExperimentConfig, out_dir, seed: int | None = None,
 def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
                  overwrite: bool = False, trials: int | None = None) -> ResultRecord:
     """Plan, apply, and verify the transformation for every target pair
-    across the configured block lengths."""
+    across the configured block lengths. A pair with no feasible plan is
+    recorded under its own key in the run's ``infeasible`` and left plain;
+    the other pairs go on."""
     t0 = time.perf_counter()
     if not config.targets:
         raise ConfigError("targets: separate needs at least one target pair")
@@ -625,26 +631,24 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
     payload = {"runs": [], "trend_rows": []}
     for n in config.block_lengths:
         sized = [_resize_target(t, n) for t in config.targets]
+        current, steps = separate_network(
+            system,
+            sized,
+            root.derive("sep", n),
+            common,
+            recheck_trials=config.recheck_trials,
+        )
         run = {"n": n, "pairs": {}, "steps": [], "infeasible": {}}
-        current = system
-        try:
-            current, steps = separate_network(
-                current,
-                sized,
-                root.derive("sep", n),
-                common,
-                recheck_trials=config.recheck_trials,
-            )
-            run["steps"] = [
-                {"pair": list(s.pair), "plan": s.plan_summary, "rechecks":
-                 {str(list(k)): v for k, v in s.rechecks.items()}}
-                for s in steps
-            ]
-        except PlanInfeasible as exc:
-            run["infeasible"]["all"] = str(exc)
-            payload["runs"].append(run)
-            continue
-        for target in sized:
+        separated = []
+        for target, step in zip(sized, steps):
+            if step.infeasible:
+                run["infeasible"][str(list(step.pair))] = step.infeasible
+                continue
+            separated.append(target)
+            run["steps"].append(
+                {"pair": list(step.pair), "plan": step.plan_summary, "rechecks":
+                 {str(list(k)): v for k, v in step.rechecks.items()}})
+        for target in separated:
             budget = DistortionBudget(target.level_prime, target.metric)
             report = measure_end_to_end(
                 current, target.pair, budget, trials, root.derive("measure", n, *target.pair)
@@ -655,7 +659,7 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
                 [n, str(list(target.pair)), stats["epsilon_hat"], stats["half_width"],
                  stats.get("xi_hat", ""), stats.get("eta_hat", ""), stats["trials"]]
             )
-        if config.untouched:
+        if config.untouched and separated:
             results = verify_noninterference(
                 system,
                 current,
@@ -697,11 +701,11 @@ def _suite_probcore(root: RandomnessHandle) -> dict:
     for k in range(reps):
         a = sample_iid(pmf, 20_000, root.derive("cal_a", k))
         b = sample_iid(pmf, 20_000, root.derive("cal_b", k))
-        r1, r2 = two_sample_test(a, b, 1), two_sample_test(a, b, 2)
+        r1, r2 = two_sample_test(a, b, 2, 1), two_sample_test(a, b, 2, 2)
         passed += int(r1.p_value > 0.01 and r2.p_value > 0.01)
     ok = passed >= math.floor(0.9 * reps)
     s = sample_iid(pmf, 1000, root.derive("ident"))
-    ident = two_sample_test(s, s, 1)
+    ident = two_sample_test(s, s, 2)
     ok = ok and ident.statistic == 0.0 and ident.p_value == 1.0
     return {"ok": ok, "detail": f"calibration {passed}/{reps}, identical-seq p={ident.p_value}"}
 

@@ -419,6 +419,10 @@ class PassthroughModem(Modem):
                 raise WiringError(f"no medium link {link} for pair ({i},{j})")
             if link[1] != self.user:
                 raise WiringError(f"modem {self.user} cannot hear link {link}")
+            heard = medium.link_output_alphabet(link).size
+            if heard > system.sources[(i, j)].alphabet.size:
+                raise WiringError(f"modem {self.user}: link {link} outputs {heard} letters, "
+                                  f"more than pair ({i},{j}) has")
 
     def window(self, t0, t1, state, view):
         iota = None

@@ -1,8 +1,10 @@
 """Finite-alphabet probability primitives.
 
-Distributions, seeded sampling, empirical statistics, and the chi-square
-two-sample machinery used everywhere else to verify that two symbol streams
-have the same law.
+Distributions, seeded sampling, empirical statistics, and the one
+two-sample test, ``two_sample_test``: a chi-square homogeneity test of two
+symbol arrays' k-gram counts. Every check in the package that two streams
+have the same law runs it, ``verify``'s calibration suite and the
+noninterference tests of ``separation`` alike.
 
 Every chi-square p-value comes from ``_chi2_sf``, which evaluates
 ``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf`` itself calls,
@@ -56,10 +58,8 @@ import numpy as np
 
 __all__ = [
     "Alphabet",
-    "AlphabetMismatchError",
     "Pmf",
     "RandomnessHandle",
-    "Sequence",
     "TestReport",
     "sample_iid",
     "two_sample_test",
@@ -120,10 +120,6 @@ def _run_shares(fn, shares) -> list:
     return [f.result() for f in futures]
 
 
-class AlphabetMismatchError(ValueError):
-    """Raised when two objects on different alphabets are compared."""
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Finite symbol alphabet; symbols are the indices 0..size-1."""
@@ -142,12 +138,6 @@ class Alphabet:
         if self.size <= 32767:
             return np.int16
         return np.int32
-
-
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +164,8 @@ class Pmf:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         probs = probs / total
         assert abs(probs.sum() - 1.0) <= PMF_SUM_TOL
-        object.__setattr__(self, "probs", _as_readonly(probs))
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def from_probs(cls, probs) -> "Pmf":
@@ -187,27 +178,6 @@ class Pmf:
 
     def __len__(self) -> int:
         return self.alphabet.size
-
-
-@dataclass(frozen=True, eq=False)
-class Sequence:
-    """Ordered string of symbol indices over a finite alphabet."""
-
-    alphabet: Alphabet
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.ndim != 1 or len(values) < 1:
-            raise ValueError("a sequence is a non-empty 1-d array of symbols")
-        if values.min() < 0 or values.max() >= self.alphabet.size:
-            raise ValueError("symbol index out of alphabet range")
-        object.__setattr__(
-            self, "values", _as_readonly(values.astype(self.alphabet.dtype))
-        )
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -244,12 +214,11 @@ class RandomnessHandle:
         return RandomnessHandle(seed=int(state[0]), stream_id=int(state[1]))
 
 
-def sample_iid(pmf: Pmf, n: int, rng: RandomnessHandle) -> Sequence:
+def sample_iid(pmf: Pmf, n: int, rng: RandomnessHandle) -> np.ndarray:
     """Draw ``n`` i.i.d. symbols from ``pmf``; deterministic given ``rng``."""
     if n < 1:
         raise ValueError("need n >= 1")
-    values = sample_iid_array(pmf, n, rng.generator())
-    return Sequence(pmf.alphabet, values)
+    return sample_iid_array(pmf, n, rng.generator())
 
 
 def sample_iid_array(
@@ -586,20 +555,20 @@ def _goodness_of_fit_p(counts: np.ndarray, probs: np.ndarray):
     return _chi2_sf(((counts - expected) ** 2 / expected).sum(), counts.size - 1)
 
 
-def two_sample_test(a: Sequence, b: Sequence, order: int = 1) -> TestReport:
-    """Chi-square homogeneity test on k-gram counts of two sequences.
+def two_sample_test(a: np.ndarray, b: np.ndarray, letters: int, order: int = 1) -> TestReport:
+    """Chi-square homogeneity test on the k-gram counts of two arrays of
+    symbols in [0, ``letters``).
 
     ``order`` selects single-symbol (1) or disjoint adjacent-pair (2)
     frequencies. Identical inputs give statistic 0 and p-value 1.
     """
-    if a.alphabet.size != b.alphabet.size:
-        raise AlphabetMismatchError("sequences on different alphabets")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    size = a.alphabet.size
-    ca = _kgram_counts(a.values, size, order)
-    cb = _kgram_counts(b.values, size, order)
-    return chi_square_homogeneity(ca, cb, order)
+    for values in (a, b):
+        if values.min() < 0 or values.max() >= letters:
+            raise ValueError(f"symbol out of the alphabet [0, {letters})")
+    return chi_square_homogeneity(_kgram_counts(a, letters, order),
+                                  _kgram_counts(b, letters, order), order)
 
 
 def wilson_half_width(successes: int, trials: int, z: float = 1.959964) -> float:

@@ -34,9 +34,8 @@ from .netmodel import Modem, ModemView, NetworkSystem, rollout
 from .probcore import (
     Alphabet,
     RandomnessHandle,
-    _kgram_counts,
-    chi_square_homogeneity,
     sample_iid_array,
+    two_sample_test,
     wilson_half_width,
 )
 from .ratedist import DistortionBudget, DistortionMetric, blahut_arimoto
@@ -590,7 +589,6 @@ class NoninterferenceResult:
     p_joint: np.ndarray
     tv_repro: float
     tv_joint: float
-    samples_per_rep: int
 
     @property
     def stream_pass_fraction(self) -> float:
@@ -601,11 +599,6 @@ class NoninterferenceResult:
     @property
     def min_joint_p(self) -> float:
         return float(self.p_joint.min())
-
-
-def _joint_counts(x, y, size_x, size_y):
-    joint = x.astype(np.int64) * size_y + y.astype(np.int64)
-    return np.bincount(joint, minlength=size_x * size_y)
 
 
 def verify_noninterference(
@@ -619,76 +612,61 @@ def verify_noninterference(
     """Distributional comparison of untouched pairs across the swap.
 
     Runs both systems with fresh randomness (``repetitions`` independent
-    lanes each) and two-sample-tests, per repetition: the reproduction
+    lanes each) and, per repetition, ``two_sample_test``: the reproduction
     stream at order 1 and 2, and the aligned per-letter (source,
-    reproduction) joint law. ``trials`` counts blocks; the stream length
-    is trials * block_length.
+    reproduction) joint law as the letters x * K + y of a K-letter source.
+    The total variation distances pool all repetitions. ``trials`` counts
+    blocks; the stream length is trials * block_length.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} blocks")
     samples = trials * before.block_length
     max_lat = max(before.latency_map.values())
     T = before.warmup + samples + max_lat + 1
-    traj_b = rollout(before, seeds.derive("ni_before"), lanes=repetitions, horizon=T)
-    traj_a = rollout(after, seeds.derive("ni_after"), lanes=repetitions, horizon=T)
+    trajs = [rollout(before, seeds.derive("ni_before"), lanes=repetitions, horizon=T),
+             rollout(after, seeds.derive("ni_after"), lanes=repetitions, horizon=T)]
+
+    def tv(cb, ca):
+        """Total variation between the laws of the counts ``cb`` and ``ca``."""
+        return 0.5 * float(np.abs(cb / cb.sum() - ca / ca.sum()).sum())
 
     results = {}
+    t0 = before.warmup
     for pair in untouched_pairs:
         pair = tuple(pair)
         size = before.sources[pair].alphabet.size
-        lat_b = traj_b.latency_map[pair]
-        lat_a = traj_a.latency_map[pair]
-        t0 = before.warmup
-        p1 = np.empty(repetitions)
-        p2 = np.empty(repetitions)
-        pj = np.empty(repetitions)
-        pooled_b = np.zeros(size, dtype=np.int64)
-        pooled_a = np.zeros(size, dtype=np.int64)
-        pooled_jb = np.zeros(size * size, dtype=np.int64)
-        pooled_ja = np.zeros(size * size, dtype=np.int64)
-        for lane in range(repetitions):
-            yb = traj_b.repro[pair][t0 + lat_b : t0 + lat_b + samples, lane]
-            ya = traj_a.repro[pair][t0 + lat_a : t0 + lat_a + samples, lane]
-            xb = traj_b.sources[pair][t0 : t0 + samples, lane]
-            xa = traj_a.sources[pair][t0 : t0 + samples, lane]
-            cb1 = _kgram_counts(yb, size, 1)
-            ca1 = _kgram_counts(ya, size, 1)
-            p1[lane] = chi_square_homogeneity(cb1, ca1, 1).p_value
-            cb2 = _kgram_counts(yb, size, 2)
-            ca2 = _kgram_counts(ya, size, 2)
-            p2[lane] = chi_square_homogeneity(cb2, ca2, 2).p_value
-            jb = _joint_counts(xb, yb, size, size)
-            ja = _joint_counts(xa, ya, size, size)
-            pj[lane] = chi_square_homogeneity(jb, ja, 1).p_value
-            pooled_b += cb1
-            pooled_a += ca1
-            pooled_jb += jb
-            pooled_ja += ja
-        tv_repro = 0.5 * float(
-            np.abs(pooled_b / pooled_b.sum() - pooled_a / pooled_a.sum()).sum()
-        )
-        tv_joint = 0.5 * float(
-            np.abs(pooled_jb / pooled_jb.sum() - pooled_ja / pooled_ja.sum()).sum()
-        )
+        joint = Alphabet(size * size)
+        ys, joints = [], []
+        for traj in trajs:
+            lat = traj.latency_map[pair]
+            y = traj.repro[pair][t0 + lat : t0 + lat + samples]
+            x = traj.sources[pair][t0 : t0 + samples].astype(joint.dtype, copy=False)
+            # (lanes, samples), so that each repetition's stream is contiguous
+            ys.append(np.ascontiguousarray(y.T))
+            joints.append(np.ascontiguousarray((x * size + y).T))
+        p_order1, p_order2, p_joint = (
+            np.array([two_sample_test(b, a, letters, order).p_value for b, a in zip(*sides)])
+            for sides, letters, order in ((ys, size, 1), (ys, size, 2), (joints, joint.size, 1)))
+        # one bincount over all lanes a side; its margin counts the reproductions
+        cb, ca = (np.bincount(j.reshape(-1), minlength=joint.size).reshape(size, size)
+                  for j in joints)
         results[pair] = NoninterferenceResult(
-            pair=pair,
-            p_order1=p1,
-            p_order2=p2,
-            p_joint=pj,
-            tv_repro=tv_repro,
-            tv_joint=tv_joint,
-            samples_per_rep=samples,
+            pair, p_order1, p_order2, p_joint,
+            tv_repro=tv(cb.sum(axis=0), ca.sum(axis=0)),
+            tv_joint=tv(cb.reshape(-1), ca.reshape(-1)),
         )
     return results
 
 
 @dataclass(frozen=True)
 class SeparationStepReport:
-    """One step of the pair-by-pair procedure."""
+    """One step of the pair-by-pair procedure; a pair with no feasible
+    plan says why in ``infeasible``, and its step has no plan or rechecks."""
 
     pair: tuple
-    plan_summary: dict
+    plan_summary: dict | None
     rechecks: dict  # other pair -> {"before": eps, "after": eps, "ok": bool}
+    infeasible: str | None = None
 
 
 def separate_network(
@@ -704,7 +682,9 @@ def separate_network(
     after the step and must be statistically unchanged: a target still to
     come at D over blocks of n, one already separated at its separated
     guarantee, D' over blocks of n'. A degradation beyond combined
-    confidence widths plus ``RECHECK_SLACK`` aborts loudly. Returns the
+    confidence widths plus ``RECHECK_SLACK`` aborts loudly. A target with
+    no feasible plan (``PlanInfeasible``) stays plain, so every other step
+    rechecks it at D over n, and does not stop the others. Returns the
     final system and per-step reports; an empty target list returns the
     system unchanged.
     """
@@ -724,7 +704,11 @@ def separate_network(
             seeds.derive("plan_guess", *target.pair),
             block_length=target.n,
         )
-        plan = plan_separation(current, guar, target, common_seed)
+        try:
+            plan = plan_separation(current, guar, target, common_seed)
+        except PlanInfeasible as exc:
+            steps.append(SeparationStepReport(tuple(target.pair), None, {}, str(exc)))
+            continue
         new_system = apply_separation(current, plan)
         rechecks = {}
         for other in targets[:k] + targets[k + 1 :]:

@@ -133,6 +133,11 @@ def with_a_bool_matrix(d):
     d["medium"]["links"][0] = {"src": 0, "dst": 1, "matrix": [[True, 0.0], [0.0, True]]}
 
 
+def with_a_ternary_link(d):
+    # user 1 would hear three letters of a binary pair
+    d["medium"]["links"][0] = {"src": 0, "dst": 1, "matrix": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]]}
+
+
 def with_bool_coupling_matrices(d):
     d["medium"].update(kind="coupled_dmc", coupling=[
         {"src": 0, "dst": 1, "watch": 1, "matrices": [IDENTITY_OF_BOOLS] * 2}])
@@ -190,6 +195,7 @@ def with_value(key, value):
 BAD_CONFIGS = {
     "D_prime": without_d_prime,
     "modems": without_a_modem,
+    "modems (a receiver hears more letters than its pair has)": with_a_ternary_link,
     "medium": with_flip_above_one,
     "decode_rule": with_misspelled_rule,
     "trials": with_value("trials", 50),
@@ -441,6 +447,21 @@ def test_targets_must_share_block_lengths():
     second["block_lengths"] = [48]
     with pytest.raises(ConfigError, match="targets"):
         ExperimentConfig.from_dict(data)
+
+
+def test_an_infeasible_pair_leaves_the_others_separated(tmp_path):
+    # with the default slack, (2, 3) has no feasible plan at n = 32; it is
+    # recorded under its own key, and (0, 1) is still separated and measured
+    data = yaml.safe_load(TWO_PAIR.read_text())
+    del data["noninterference"]  # its untouched pair becomes a target here
+    data["targets"].append({"pair": [2, 3], "metric": "hamming", "D": 0.125, "D_prime": 0.2,
+                            "block_lengths": [32], "n": 32, "n_prime": 32})
+    record = cmd_separate(ExperimentConfig.from_dict(data), tmp_path, trials=1000)
+    (run,) = record.payload["runs"]
+    assert list(run["infeasible"]) == ["[2, 3]"]
+    assert list(run["pairs"]) == ["[0, 1]"]
+    (step,) = run["steps"]
+    assert step["pair"] == [0, 1] and step["rechecks"]["[2, 3]"]["ok"]
 
 
 def test_zero_trials_is_not_the_config_default(tmp_path):

@@ -19,7 +19,7 @@ from sepnet.netmodel import (
     rollout,
 )
 from sepnet.harness import ExperimentConfig, _PoisonMedium, _resize_target, cmd_separate
-from sepnet.probcore import Pmf
+from sepnet.probcore import Pmf, two_sample_test
 from sepnet import separation
 from sepnet.ratedist import DistortionBudget
 from sepnet.separation import (
@@ -460,6 +460,39 @@ class TestNoninterference:
         res = results[(2, 3)]
         assert res.tv_repro <= 0.02
         assert res.p_order1.min() > 1e-4
+
+
+    def test_tests_are_two_sample_test_on_each_repetition(self, root, hamming2):
+        # the p-values are two_sample_test on each lane's streams, and the
+        # distances are between bincounts pooled over every lane
+        system = two_pair_system(coupled=True)
+        target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, decode_rule="argmin")
+        plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
+        after = apply_separation(system, plan)
+        trials, lanes = 1000, 3
+        res = verify_noninterference(
+            system, after, [(2, 3)], trials, root.derive("ni"), repetitions=lanes
+        )[(2, 3)]
+        samples = trials * system.block_length
+        horizon = system.warmup + samples + max(system.latency_map.values()) + 1
+        streams = []
+        for side, net in (("ni_before", system), ("ni_after", after)):
+            traj = rollout(net, root.derive("ni").derive(side), lanes=lanes, horizon=horizon)
+            t0, lat = system.warmup, traj.latency_map[(2, 3)]
+            y = traj.repro[(2, 3)][t0 + lat : t0 + lat + samples]
+            x = traj.sources[(2, 3)][t0 : t0 + samples]
+            streams.append((y, 2 * x.astype(np.int64) + y))
+        (yb, jb), (ya, ja) = streams
+        for lane in range(lanes):
+            for p, b, a, letters, order in ((res.p_order1, yb, ya, 2, 1),
+                                            (res.p_order2, yb, ya, 2, 2),
+                                            (res.p_joint, jb, ja, 4, 1)):
+                rep = two_sample_test(b[:, lane], a[:, lane], letters, order)
+                assert p[lane] == rep.p_value
+        for tv, b, a, letters in ((res.tv_repro, yb, ya, 2), (res.tv_joint, jb, ja, 4)):
+            cb = np.bincount(b.reshape(-1), minlength=letters)
+            ca = np.bincount(a.reshape(-1), minlength=letters)
+            assert tv == 0.5 * float(np.abs(cb / cb.sum() - ca / ca.sum()).sum())
 
 
 class TestSeparateNetwork:
