@@ -29,7 +29,7 @@ from .ratedist import (
 )
 from .netmodel import (
     ForwardRelayModem,
-    MarkovMedium,
+    MediumKernel,
     NetworkSystem,
     PassthroughModem,
     Trajectory,

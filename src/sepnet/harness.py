@@ -9,6 +9,16 @@ so the digest is stable under key reordering; every stochastic estimate in
 a result record is a pure function of (config digest, seed root) and the
 trial count, which ``--trials`` (``trials=``) changes without moving either,
 so each measured guarantee in a payload records its ``trials``.
+
+The ``medium`` section is one list, ``links``; each entry names its link by
+``src`` and ``dst`` and gives one ``MediumKernel`` link in one of six forms:
+
+- ``flip: q``: a binary symmetric channel that flips with probability q;
+- ``matrix: M``: a stochastic matrix, row x read at sender input x;
+- ``watch: w, flips: [q_0, ...]``: flip probability q_a at user w's input a;
+- ``watch: w, matrices: [M_0, ...]``: matrix M_a at user w's input a;
+- ``gilbert_elliott: {flip_good, ...}``: ``gilbert_elliott_rule``'s chain;
+- ``transition: T, emission: E, initial: s``: state chain T from s, emitting E.
 """
 
 from __future__ import annotations
@@ -28,12 +38,11 @@ import yaml
 from .codec import CHANNEL_EMBEDDING, Codebook, RatePlan, zipf_message_pmf
 from .netmodel import (
     ForwardRelayModem,
-    CoupledDmcMedium,
-    DmcMedium,
     MarkovLinkRule,
-    MarkovMedium,
+    MediumKernel,
     NetworkSystem,
     PassthroughModem,
+    bsc_matrix,
     gilbert_elliott_rule,
     rollout,
 )
@@ -82,18 +91,26 @@ class ConfigError(ValueError):
     """Config failed validation; the message names the offending key."""
 
 
+# Each form of a ``medium.links`` entry: the key that names it, and the
+# keys it may give besides ``src`` and ``dst``.
+_LINK_FORMS = {
+    "flip": ("flip",),
+    "matrix": ("matrix",),
+    "flips": ("watch", "flips"),
+    "matrices": ("watch", "matrices"),
+    "gilbert_elliott": ("gilbert_elliott",),
+    "transition": ("transition", "emission", "initial"),
+}
+
 # Every key the parse reads, by section (and by kind, where the section has
 # kinds); any other key is a ConfigError.
 _KEYS = {
     "config": ("name", "users", "seed", "medium", "modems", "sources", "latency",
                "block_length", "warmup", "trials", "separate_trials", "recheck_trials",
                "targets", "rd", "noninterference"),
-    "medium": {"dmc": ("kind", "links"), "coupled_dmc": ("kind", "links", "coupling"),
-               "markov": ("kind", "rules")},
-    "medium.links": ("src", "dst", "flip", "matrix"),
-    "medium.coupling": ("src", "dst", "watch", "flips", "matrices"),
-    "medium.rules": ("src", "dst", "gilbert_elliott", "transition", "emission", "initial"),
-    "medium.rules.gilbert_elliott": ("flip_good", "flip_bad", "p_good_to_bad",
+    "medium": ("links",),
+    "medium.links": ("src", "dst", *dict.fromkeys(k for ks in _LINK_FORMS.values() for k in ks)),
+    "medium.links.gilbert_elliott": ("flip_good", "flip_bad", "p_good_to_bad",
                                      "p_bad_to_good", "initial"),
     "modems": {"passthrough": ("user", "kind", "send", "recv", "recv_links"),
                "relay": ("user", "kind", "in_link")},
@@ -109,29 +126,6 @@ _KEYS = {
 # a config), else the pure-Python one; both give the same dict.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _REQUIRED = object()
-
-
-def _bsc(q: float) -> np.ndarray:
-    return np.array([[1.0 - q, q], [q, 1.0 - q]])
-
-
-def _uses(where: str, entry: dict, key: str, others: tuple) -> bool:
-    """Whether the entry at ``where`` gives ``key`` rather than its
-    alternative ``others``; an entry that gives both is a ConfigError."""
-    if key not in entry:
-        return False
-    both = [k for k in others if k in entry]
-    if both:
-        raise ConfigError(f"{where}: '{key}' excludes {both}")
-    return True
-
-
-def _link_matrix(entry: dict) -> np.ndarray:
-    if _uses("medium.links", entry, "flip", ("matrix",)):
-        return _bsc(_float(entry["flip"]))
-    if "matrix" in entry:
-        return _floats(entry["matrix"])
-    raise ConfigError(f"medium.links: {entry} needs 'flip' or 'matrix'")
 
 
 def _checked(key: str, build):
@@ -261,57 +255,50 @@ def _metric(spec, size: int) -> DistortionMetric:
     )
 
 
-def _kind(where: str, entry, default: str) -> str:
-    """The ``kind`` of the entry at ``where``, whose other keys must be
-    those ``_KEYS`` accepts for that kind."""
-    kind = entry.get("kind", default) if isinstance(entry, dict) else default
-    if kind not in _KEYS[where]:
-        raise ConfigError(f"{where}.kind '{kind}' unknown")
-    _section(where, entry, _KEYS[where][kind])
-    return kind
+def _link(e: dict) -> tuple:
+    """One ``medium.links`` entry as a ``MediumKernel`` link (table,
+    watched, rule); it gives the keys of exactly one of ``_LINK_FORMS``."""
+    forms = [form for form in _LINK_FORMS if form in e]
+    if len(forms) != 1:
+        raise ConfigError(f"medium.links: link {_src_dst(e)} gives {forms}, needs exactly "
+                          f"one of {list(_LINK_FORMS)}")
+    form = forms[0]
+    others = [k for k in e if k not in ("src", "dst", *_LINK_FORMS[form])]
+    if others:
+        raise ConfigError(f"medium.links: '{form}' excludes {others}")
+    watched = (_int(e["watch"]),) if form in ("flips", "matrices") else ()
+    if form == "flip":
+        return bsc_matrix(_float(e["flip"])), (), None
+    if form == "flips":
+        return np.stack([bsc_matrix(_float(q)) for q in e["flips"]]), watched, None
+    if form in ("matrix", "matrices"):
+        return _floats(e[form]), watched, None
+    if form == "gilbert_elliott":
+        ge = _section("medium.links.gilbert_elliott", e["gilbert_elliott"],
+                      _KEYS["medium.links.gilbert_elliott"])
+        flips_and_switches = ("flip_good", "flip_bad", "p_good_to_bad", "p_bad_to_good")
+        rule = gilbert_elliott_rule(*(_float(ge[k]) for k in flips_and_switches),
+                                    _int(ge.get("initial", 0)))
+    else:
+        rule = MarkovLinkRule(_floats(e["transition"]), _floats(e["emission"]),
+                              _int(e.get("initial", 0)))
+    return rule.emission, (), rule
 
 
-def _coupling(e: dict) -> tuple:
-    if _uses("medium.coupling", e, "flips", ("matrices",)):
-        return _int(e["watch"]), np.stack([_bsc(_float(q)) for q in e["flips"]])
-    return _int(e["watch"]), _floats(e["matrices"])
-
-
-def _markov_rule(e: dict) -> MarkovLinkRule:
-    if _uses("medium.rules", e, "gilbert_elliott", ("transition", "emission", "initial")):
-        ge = _section("medium.rules.gilbert_elliott", e["gilbert_elliott"],
-                      _KEYS["medium.rules.gilbert_elliott"])
-        return gilbert_elliott_rule(
-            _float(ge["flip_good"]),
-            _float(ge["flip_bad"]),
-            _float(ge["p_good_to_bad"]),
-            _float(ge["p_bad_to_good"]),
-            _int(ge.get("initial", 0)),
-        )
-    return MarkovLinkRule(
-        _floats(e["transition"]),
-        _floats(e["emission"]),
-        _int(e.get("initial", 0)),
-    )
-
-
-def _medium(med: dict, users: int):
-    kind = _kind("medium", med, "dmc")
-    if kind == "markov":
-        rules = _keyed("medium.rules", med["rules"], _src_dst, _markov_rule)
-        return MarkovMedium(users, rules)
-    mats = _keyed("medium.links", med["links"], _src_dst, _link_matrix)
-    if kind == "dmc":
-        return DmcMedium(users, mats)
-    coupling = _keyed("medium.coupling", med.get("coupling", []), _src_dst, _coupling)
-    return CoupledDmcMedium(users, mats, coupling)
+def _medium(med: dict, users: int) -> MediumKernel:
+    links = _section("medium", med, _KEYS["medium"])["links"]
+    return MediumKernel(users, _keyed("medium.links", links, _src_dst, _link))
 
 
 def _modems(entries) -> tuple:
     modems = []
     for e in entries:
         user = _int(e["user"])
-        if _kind("modems", e, "passthrough") == "relay":
+        kind = e.get("kind", "passthrough")
+        if kind not in _KEYS["modems"]:
+            raise ConfigError(f"modems.kind '{kind}' unknown")
+        _section("modems", e, _KEYS["modems"][kind])
+        if kind == "relay":
             modems.append(ForwardRelayModem(user, _ints(e["in_link"])))
             continue
         send = _ints(e["send"]) if "send" in e else None
@@ -353,6 +340,9 @@ def _target(entry, sources: dict, block_length: int) -> tuple:
     psi, alpha = _get(t, "targets.psi", _positive, None), _get(t, "targets.alpha", _positive, None)
     rule = _get(t, "targets.decode_rule", str, "within_d")
     n = lengths[0] if n is None else n
+    # RatePlan derives psi from R(D) and R(D') only for equal block lengths
+    if psi is None and n_prime not in (None, n):
+        raise ConfigError(f"targets.psi: needed where n' = {n_prime} differs from n = {n}")
     # PairTarget rejects an unknown rule
     target = _checked("targets.decode_rule", lambda: PairTarget(
         pair, metric, level, level_prime, n, n_prime, psi, alpha, rule))
@@ -750,12 +740,12 @@ def _suite_codec(root: RandomnessHandle) -> dict:
     return {"ok": ok, "detail": f"regen={regen_ok}, gof pass={oks}"}
 
 
-class _PoisonMedium(DmcMedium):
+class _PoisonMedium(MediumKernel):
     """Two-user medium whose dynamic surface explodes on touch: planning and
     applying a separation must never reach it."""
 
     def __init__(self):
-        super().__init__(2, {(0, 1): np.eye(2)})
+        super().__init__(2, {(0, 1): (np.eye(2), (), None)})
 
     def start(self, lanes, seeds):
         raise AssertionError("separation transformer touched the medium")

@@ -21,8 +21,7 @@ over the whole horizon only the pairs' sources and reproductions.
 The medium has one model of a link, ``MediumKernel``: a stack of
 stochastic rows, where a cell's row has the mixed-radix digits the link's
 hidden state, then the inputs of the users it watches, then its sender's
-input. ``DmcMedium``, ``CoupledDmcMedium`` and ``MarkovMedium`` only
-build these stacks from their own arguments.
+input.
 
 Randomness is namespaced off a single root handle: one stream per source
 pair, one private stream per modem, and the medium's streams, derived per
@@ -67,17 +66,15 @@ from .probcore import (
 )
 
 __all__ = [
-    "CoupledDmcMedium",
-    "DmcMedium",
     "ForwardRelayModem",
     "MarkovLinkRule",
-    "MarkovMedium",
     "MediumKernel",
     "Modem",
     "ModemView",
     "NetworkSystem",
     "Trajectory",
     "WiringError",
+    "bsc_matrix",
     "gilbert_elliott_rule",
     "rollout",
 ]
@@ -105,13 +102,11 @@ def _input_alphabets(rows_of: dict) -> dict:
     return sizes
 
 
-def _check_stochastic(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise WiringError(f"{what} must be a matrix")
-    if np.any(mat < 0) or not np.allclose(mat.sum(axis=1), 1.0, atol=1e-9):
+def _check_stochastic(table: np.ndarray, what: str) -> None:
+    """Raise unless every row of ``table``, along its last axis, is a
+    probability vector."""
+    if np.any(table < 0) or not np.allclose(table.sum(axis=-1), 1.0, atol=1e-9):
         raise WiringError(f"{what} rows must be probability vectors")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -125,12 +120,14 @@ class MarkovLinkRule:
     initial_state: int = 0
 
     def __post_init__(self):
-        trans = _check_stochastic(self.transition, "state transition")
+        trans = np.asarray(self.transition, dtype=np.float64)
+        if trans.ndim != 2 or trans.shape[0] != trans.shape[1]:
+            raise WiringError("state transition must be a square matrix")
+        _check_stochastic(trans, "state transition")
         emission = np.asarray(self.emission, dtype=np.float64)
         if emission.ndim != 3 or emission.shape[0] != trans.shape[0]:
             raise WiringError("emission must be (states, k, k) matching transition")
-        for s in range(emission.shape[0]):
-            _check_stochastic(emission[s], f"emission[{s}]")
+        _check_stochastic(emission, "emission")
         if not 0 <= self.initial_state < trans.shape[0]:
             raise WiringError("initial state out of range")
         object.__setattr__(self, "transition", trans)
@@ -160,9 +157,10 @@ class MediumKernel:
     (see the module docstring), held in the state ``start`` makes.
 
     ``links`` maps (i, j) to ``(table, watched, rule)``: ``table`` has one
-    axis per digit and a last one over the output letters, ``watched`` is
-    a tuple of users and ``rule`` a ``MarkovLinkRule`` or None. The
-    constructors below build it from a matrix per link.
+    axis per digit and a last one over the output letters, whose rows are
+    probability vectors; ``watched`` is a tuple of users and ``rule`` a
+    ``MarkovLinkRule`` or None. The link of a ``rule`` alone is
+    ``(rule.emission, (), rule)``.
     """
 
     def __init__(self, num_users: int, links: dict):
@@ -176,6 +174,10 @@ class MediumKernel:
             if table.ndim != len(watched) + (rule is not None) + 2:
                 raise WiringError(f"link ({i},{j}) table has {table.ndim} axes, not one per "
                                   f"digit and one over the output letters")
+            _check_stochastic(table, f"link ({i},{j}) table")
+            if rule is not None and table.shape[0] != len(rule.transition):
+                raise WiringError(f"link ({i},{j}) table has {table.shape[0]} states, its "
+                                  f"rule {len(rule.transition)}")
             self._links[(i, j)] = _Link(_thresholds(table.reshape(-1, table.shape[-1])),
                                         table.shape, tuple(watched), rule)
         self._inputs = _input_alphabets({lk: link.shape[-2] for lk, link in self._links.items()})
@@ -240,55 +242,9 @@ class MediumKernel:
         return path[:-1]
 
 
-class DmcMedium(MediumKernel):
-    """Memoryless medium: each link applies its own stochastic matrix, so a
-    cell of link (i, j) reads row x, x user i's input one step before."""
-
-    def __init__(self, num_users: int, link_matrices: dict):
-        super().__init__(num_users, _matrix_links(link_matrices))
-
-
-def _matrix_links(link_matrices: dict) -> dict:
-    """``MediumKernel`` links of one stochastic matrix each."""
-    return {(i, j): (_check_stochastic(mat, f"link ({i},{j}) matrix"), (), None)
-            for (i, j), mat in link_matrices.items()}
-
-
-class CoupledDmcMedium(MediumKernel):
-    """Memoryless medium with cross-user interference.
-
-    A coupled link's matrix is selected per step by another user's last
-    medium input, so its statistics depend on that user's input law. This
-    exercises the requirement that an architecture change at one pair must
-    not disturb the law seen by others. ``coupling`` maps a link to (w,
-    stack): its cell reads matrix ``stack[a]``, a user w's input one step
-    before; the other links are as in ``DmcMedium``.
-    """
-
-    def __init__(self, num_users: int, link_matrices: dict, coupling: dict):
-        links = _matrix_links(link_matrices)
-        for link, (watch, stack) in coupling.items():
-            if link not in links:
-                raise WiringError(f"coupling references unknown link {link}")
-            stack, mat = np.asarray(stack, dtype=np.float64), links[link][0]
-            if stack.shape[1:] != mat.shape:
-                raise WiringError(f"coupling of link {link} needs matrices of shape "
-                                  f"{mat.shape}, got {stack.shape}")
-            for s in range(stack.shape[0]):
-                _check_stochastic(stack[s], f"coupled matrix {link}[{s}]")
-            links[link] = (stack, (int(watch),), None)
-        super().__init__(num_users, links)
-
-
-class MarkovMedium(MediumKernel):
-    """Medium with memory: each link carries an independent state chain.
-
-    At each step the link emits through its current state's matrix, then
-    the state advances, from the link's transition stream.
-    """
-
-    def __init__(self, num_users: int, link_rules: dict):
-        super().__init__(num_users, {lk: (r.emission, (), r) for lk, r in link_rules.items()})
+def bsc_matrix(q: float) -> np.ndarray:
+    """The binary symmetric channel that flips a letter with probability ``q``."""
+    return np.array([[1.0 - q, q], [q, 1.0 - q]])
 
 
 def gilbert_elliott_rule(
@@ -299,13 +255,11 @@ def gilbert_elliott_rule(
     initial_state: int = 0,
 ) -> MarkovLinkRule:
     """Two-state burst-noise flip channel (state 0 good, state 1 bad)."""
-    def bsc(q):
-        return np.array([[1 - q, q], [q, 1 - q]])
-
     trans = np.array(
         [[1 - p_good_to_bad, p_good_to_bad], [p_bad_to_good, 1 - p_bad_to_good]]
     )
-    return MarkovLinkRule(trans, np.stack([bsc(flip_good), bsc(flip_bad)]), initial_state)
+    emission = np.stack([bsc_matrix(flip_good), bsc_matrix(flip_bad)])
+    return MarkovLinkRule(trans, emission, initial_state)
 
 
 class ModemView:

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from sepnet.netmodel import (
-    DmcMedium,
     MediumKernel,
     Modem,
     NetworkSystem,
     PassthroughModem,
+    bsc_matrix as bsc,
     rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
 from sepnet.ratedist import hamming_metric
 
 ROOT_SEED = 20240801
-
-
-def bsc(q: float) -> np.ndarray:
-    return np.array([[1.0 - q, q], [q, 1.0 - q]])
 
 
 @pytest.fixture
@@ -40,7 +36,7 @@ def single_link_system(flip: float, source_probs=(0.5, 0.5), block_length=1000,
                        warmup=8) -> NetworkSystem:
     """Uncoded 2-user system over one binary symmetric link."""
     return NetworkSystem(
-        medium=DmcMedium(2, {(0, 1): bsc(flip)}),
+        medium=MediumKernel(2, {(0, 1): (bsc(flip), (), None)}),
         modems=(
             PassthroughModem(0, send_pair=(0, 1)),
             PassthroughModem(1, recv_pairs=[(0, 1)]),

@@ -82,7 +82,7 @@ def test_generated_words_equal_the_packed_sequential_draw(monkeypatch, root, wor
 
 
 @pytest.mark.parametrize("n, rows", [(64, 2047), (64, 2048), (64, 2049), (63, 5003), (48, 7001)])
-def test_full_slices_equal_the_packed_sequential_draw(root, workers, n, rows):
+def test_full_slices_equal_the_packed_sequential_draw(root, n, rows):
     pmf = Pmf.from_probs(LAWS[1])
     handle = root.derive("full-slices", n, rows)
     cb = Codebook.generate("source-compression", pmf, n, rows, handle)

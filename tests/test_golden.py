@@ -20,11 +20,9 @@ from conftest import bsc, recorded_rollout
 
 from sepnet.harness import ExperimentConfig
 from sepnet.netmodel import (
-    CoupledDmcMedium,
-    DmcMedium,
     ForwardRelayModem,
     MarkovLinkRule,
-    MarkovMedium,
+    MediumKernel,
     NetworkSystem,
     PassthroughModem,
 )
@@ -75,12 +73,10 @@ def ternary_systems() -> dict:
     the sampler's multi-column path, which no shipped config reaches."""
     mat = np.array([[0.7, 0.2, 0.1], [0.15, 0.6, 0.25], [0.05, 0.3, 0.65]])
     trans = np.array([[0.8, 0.15, 0.05], [0.2, 0.7, 0.1], [0.1, 0.3, 0.6]])
-    emission = np.stack([np.eye(3), mat, mat[::-1]])
+    rule = MarkovLinkRule(trans, np.stack([np.eye(3), mat, mat[::-1]]), initial_state=2)
     media = {
-        "ternary_dmc": DmcMedium(2, {(0, 1): mat}),
-        "ternary_markov": MarkovMedium(
-            2, {(0, 1): MarkovLinkRule(trans, emission, initial_state=2)}
-        ),
+        "ternary_dmc": MediumKernel(2, {(0, 1): (mat, (), None)}),
+        "ternary_markov": MediumKernel(2, {(0, 1): (rule.emission, (), rule)}),
     }
     return {
         name: NetworkSystem(
@@ -99,11 +95,11 @@ def coupled_relay_system():
     """Relay chain 0 -> 1 -> 2 plus a direct link (0, 2) whose matrix is
     picked by the relay's last input: a link that must wait for a user
     with an incoming link of its own."""
-    medium = CoupledDmcMedium(
-        3,
-        {(0, 1): bsc(0.05), (1, 2): bsc(0.05), (0, 2): bsc(0.2)},
-        {(0, 2): (1, np.stack([bsc(0.02), bsc(0.3)]))},
-    )
+    medium = MediumKernel(3, {
+        (0, 1): (bsc(0.05), (), None),
+        (1, 2): (bsc(0.05), (), None),
+        (0, 2): (np.stack([bsc(0.02), bsc(0.3)]), (1,), None),
+    })
     return NetworkSystem(
         medium=medium,
         modems=(PassthroughModem(0, send_pair=(0, 2)),

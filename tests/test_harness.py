@@ -6,6 +6,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -17,6 +18,7 @@ from sepnet.harness import (
     cmd_rd,
     cmd_separate,
 )
+from sepnet.netmodel import rollout
 from sepnet.probcore import RandomnessHandle
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -114,12 +116,11 @@ GILBERT_ELLIOTT = {"flip_good": 0.01, "flip_bad": 0.3, "p_good_to_bad": 0.1,
 
 
 def with_a_coupled_medium(d):
-    d["medium"].update(kind="coupled_dmc", coupling=[dict(COUPLING)])
+    d["medium"]["links"][0] = dict(COUPLING)
 
 
 def with_a_markov_medium(d):
-    rule = {"src": 0, "dst": 1, "gilbert_elliott": dict(GILBERT_ELLIOTT)}
-    d["medium"] = {"kind": "markov", "rules": [rule]}
+    d["medium"]["links"][0] = {"src": 0, "dst": 1, "gilbert_elliott": dict(GILBERT_ELLIOTT)}
 
 
 def with_recv_links(d):
@@ -139,16 +140,21 @@ def with_a_ternary_link(d):
 
 
 def with_bool_coupling_matrices(d):
-    d["medium"].update(kind="coupled_dmc", coupling=[
-        {"src": 0, "dst": 1, "watch": 1, "matrices": [IDENTITY_OF_BOOLS] * 2}])
+    d["medium"]["links"][0] = {"src": 0, "dst": 1, "watch": 1,
+                               "matrices": [IDENTITY_OF_BOOLS] * 2}
 
 
 def with_a_markov_rule(transition, emission):
     def edit(d):
-        d["medium"] = {"kind": "markov", "rules": [
-            {"src": 0, "dst": 1, "transition": transition, "emission": emission}]}
+        d["medium"]["links"][0] = {"src": 0, "dst": 1, "transition": transition,
+                                   "emission": emission}
 
     return edit
+
+
+def without_psi(d):
+    # single_bsc's target has n' = 0.75 n, where psi has no default
+    del d["targets"][0]["psi"]
 
 
 def section_at(d, path: str):
@@ -228,26 +234,26 @@ BAD_CONFIGS = {
     "noninterference.trial_blocks": with_value("noninterference.trial_blocks", 3000),
     "medium.links (twice)": with_a_link_twice,
     "medium.links (flip and matrix)": with_a_key_in("medium.links.0", "matrix", [[0, 1], [1, 0]]),
-    "medium.coupling (flips and matrices)": then(
+    "medium.links (flips and matrices)": then(
         with_a_coupled_medium,
-        with_a_key_in("medium.coupling.0", "matrices", [[[1, 0], [0, 1]]] * 2)),
-    "medium.rules (gilbert_elliott and transition)": then(
-        with_a_markov_medium, with_a_key_in("medium.rules.0", "transition", [[1.0]])),
+        with_a_key_in("medium.links.0", "matrices", [[[1, 0], [0, 1]]] * 2)),
+    "medium.links (gilbert_elliott and transition)": then(
+        with_a_markov_medium, with_a_key_in("medium.links.0", "transition", [[1.0]])),
+    "medium.links (watch without flips or matrices)": with_a_key_in("medium.links.0", "watch", 1),
+    "medium (flips without watch)": with_value("medium.links", [
+        {"src": 0, "dst": 1, "flips": [0.08, 0.14]}]),
     "latency (twice)": with_a_latency_twice,
-    "medium.coupling (twice)": then(with_a_coupled_medium,
-                                    with_the_first_entry_twice("medium.coupling")),
-    "medium.rules (twice)": then(with_a_markov_medium,
-                                 with_the_first_entry_twice("medium.rules")),
+    # a coupled link given twice: once by a flip, once by the user it watches
+    "medium.links (a coupled link twice)": with_value("medium.links", [
+        {"src": 0, "dst": 1, "flip": 0.11}, dict(COUPLING)]),
     "modems.recv_links (twice)": then(with_recv_links,
                                       with_the_first_entry_twice("modems.1.recv_links")),
     "medium.colour": with_a_key_in("medium"),
     "medium.links.colour": with_a_key_in("medium.links.0"),
     "medium.links.flp": with_a_key_in("medium.links.0", "flp", 0.2),
     "medium.coupling (on a dmc)": with_value("medium.coupling", [COUPLING]),
-    "medium.coupling.colour": then(with_a_coupled_medium, with_a_key_in("medium.coupling.0")),
-    "medium.rules.colour": then(with_a_markov_medium, with_a_key_in("medium.rules.0")),
-    "medium.rules.gilbert_elliott.colour": then(
-        with_a_markov_medium, with_a_key_in("medium.rules.0.gilbert_elliott")),
+    "medium.links.gilbert_elliott.colour": then(
+        with_a_markov_medium, with_a_key_in("medium.links.0.gilbert_elliott")),
     "modems.colour": with_a_key_in("modems.0"),
     "modems.recv_links.colour": then(with_recv_links, with_a_key_in("modems.1.recv_links.0")),
     "sources.colour": with_a_key_in("sources.0"),
@@ -263,6 +269,7 @@ BAD_CONFIGS = {
     "targets.psi (negative)": with_a_key_in("targets.0", "psi", -0.1),
     "targets.psi (zero)": with_a_key_in("targets.0", "psi", 0),
     "targets.alpha (negative)": with_a_key_in("targets.0", "alpha", -0.5),
+    "targets.psi (missing where n' differs from n)": without_psi,
     "rd.tol": with_value("rd.tol", -1),
     "medium.states": then(with_a_markov_medium, with_a_key_in("medium", "states", 2)),
     "noninterference.untouched (a target)": with_value("noninterference.untouched", [[0, 1]]),
@@ -275,9 +282,9 @@ BAD_CONFIGS = {
     "latency.steps (fractional)": with_a_key_in("latency.0", "steps", 3.5),
     "modems (fractional user)": with_a_key_in("modems.1", "user", 1.5),
     "medium (fractional watch)": then(with_a_coupled_medium,
-                                      with_a_key_in("medium.coupling.0", "watch", 1.5)),
+                                      with_a_key_in("medium.links.0", "watch", 1.5)),
     "medium (a bool initial state)": then(
-        with_a_markov_medium, with_a_key_in("medium.rules.0.gilbert_elliott", "initial", True)),
+        with_a_markov_medium, with_a_key_in("medium.links.0.gilbert_elliott", "initial", True)),
     # float keys take numbers only: float() reads true as 1.0 and false as 0.0
     "targets.D (a bool)": with_a_key_in("targets.0", "D", True),
     "targets.D_prime (a bool)": with_a_key_in("targets.0", "D_prime", True),
@@ -288,9 +295,9 @@ BAD_CONFIGS = {
     "rd.tol (a bool)": with_value("rd.tol", True),
     "medium (a bool flip)": with_a_key_in("medium.links.0", "flip", False),
     "medium (a bool coupling flip)": then(
-        with_a_coupled_medium, with_a_key_in("medium.coupling.0", "flips", [0.08, False])),
+        with_a_coupled_medium, with_a_key_in("medium.links.0", "flips", [0.08, False])),
     **{f"medium (a bool {key})": then(
-        with_a_markov_medium, with_a_key_in("medium.rules.0.gilbert_elliott", key, False))
+        with_a_markov_medium, with_a_key_in("medium.links.0.gilbert_elliott", key, False))
        for key in GILBERT_ELLIOTT},
     # array keys take numbers only: np.asarray reads true as 1.0, even among floats
     "medium (a bool matrix)": with_a_bool_matrix,
@@ -417,6 +424,29 @@ def test_baseline_without_targets_fails_naming_the_key(tmp_path, capsys):
 def test_bad_config_fails_validation_naming_the_key(key):
     with pytest.raises(ConfigError, match=named_key(key)):
         ExperimentConfig.from_dict(bad_config(key))
+
+
+# one binary symmetric channel of flip 0.11 in each form of a medium.links entry
+BSC_011 = [[0.89, 0.11], [0.11, 0.89]]
+ONE_CHANNEL_FORMS = {
+    "flip": {"flip": 0.11},
+    "matrix": {"matrix": BSC_011},
+    "flips": {"watch": 1, "flips": [0.11, 0.11]},
+    "matrices": {"watch": 1, "matrices": [BSC_011, BSC_011]},
+    "gilbert_elliott": {"gilbert_elliott": {**GILBERT_ELLIOTT, "flip_good": 0.11,
+                                            "flip_bad": 0.11}},
+    "transition": {"transition": [[1.0]], "emission": [BSC_011]},
+}
+
+
+@pytest.mark.parametrize("form", ONE_CHANNEL_FORMS)
+def test_every_link_form_of_one_channel_draws_alike(form):
+    # a link's outputs come from its own streams, whatever form gives it
+    data = single_bsc_data()
+    data["medium"]["links"][0] = {"src": 0, "dst": 1, **ONE_CHANNEL_FORMS[form]}
+    systems = [ExperimentConfig.from_dict(d).system for d in (single_bsc_data(), data)]
+    plain, other = (rollout(s, RandomnessHandle(7), lanes=3, horizon=300) for s in systems)
+    assert np.array_equal(other.repro[(0, 1)], plain.repro[(0, 1)])
 
 
 def test_untouched_pairs_must_not_be_targets():

@@ -1,8 +1,8 @@
 """Every name a sepnet module or a test file imports is used there (or
-re-exported in ``__all__``), and scipy is imported in one place only.
-Checked with the standard library's ``ast``. The package's ``__init__`` is
-left out of the unused-import check: its imports are the package's public
-names."""
+re-exported in ``__all__``), scipy is imported in one place only, and no
+sepnet class subclasses another only to define ``__init__``. Checked with
+the standard library's ``ast``. The package's ``__init__`` is left out of
+the unused-import check: its imports are the package's public names."""
 
 import ast
 from pathlib import Path
@@ -118,3 +118,40 @@ def test_scipy_is_imported_only_by_the_chi_square_tail():
     found = {p.name: scipy_imports(p.read_text()) for p in PACKAGE}
     assert {name: imports for name, imports in found.items() if imports} == {
         "probcore.py": [("_chi2_sf", "scipy.special")]}
+
+
+def constructor_only_subclasses(sources: dict) -> list[str]:
+    """``module.Class`` for each class in ``sources`` ({module name:
+    source}) that subclasses a class defined there and defines no method
+    but ``__init__``: a constructor that only rearranges its arguments
+    for the base class, which its callers can build themselves."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    classes = [(name, node) for name, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    defined = {node.name for _, node in classes}
+    found = []
+    for name, node in classes:
+        bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
+        methods = {f.name for f in node.body
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        if bases & defined and methods == {"__init__"}:
+            found.append(f"{name}.{node.name}")
+    return found
+
+
+def test_no_constructor_only_subclasses():
+    assert constructor_only_subclasses({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_checker_flags_a_constructor_only_subclass():
+    sources = {
+        "a": "class Base:\n    def f(self): pass\n",
+        "b": (
+            "from a import Base\n"
+            "class Only(Base):\n    def __init__(self): super().__init__()\n"
+            "class More(Base):\n    def __init__(self): pass\n    def g(self): pass\n"
+            "class Plain(Base):\n    x = 1\n"
+            "class Other(ValueError):\n    def __init__(self): pass\n"
+        ),
+    }
+    assert constructor_only_subclasses(sources) == ["b.Only"]

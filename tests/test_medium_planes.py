@@ -6,7 +6,7 @@ read from 16 planes, 64 cells to a word, and whose low 37 bits come from a
 tail stream, drawn only for the cells whose top bits tie a threshold. The
 contract test rebuilds every cell's k from the planes and the tail words
 it handed out and counts the columns from the floats; the law tests check
-each row of each medium kind's table by chi-square.
+each row of each form of link table by chi-square.
 """
 
 import math
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import bsc
 
-from sepnet.netmodel import CoupledDmcMedium, DmcMedium, MarkovLinkRule, MarkovMedium
+from sepnet.netmodel import MarkovLinkRule, MediumKernel
 from sepnet.probcore import (
     PLANES,
     TAIL_BITS,
@@ -177,15 +177,15 @@ def window(medium, link, iota_prev, seed):
 def test_dmc_rows_follow_their_law():
     mat = np.array([[0.7, 0.2, 0.1], [0.15, 0.6, 0.25], [0.05, 0.3, 0.65]])
     iota_prev = np.random.default_rng(1).integers(0, 3, (2, STEPS, LANES), dtype=np.int8)
-    out = window(DmcMedium(2, {(0, 1): mat}), (0, 1), iota_prev, 2)
+    out = window(MediumKernel(2, {(0, 1): (mat, (), None)}), (0, 1), iota_prev, 2)
     assert_rows_follow(out, iota_prev[0], mat)
 
 
 def test_coupled_rows_follow_their_law():
     # the link's row is its sender's input, its matrix the watched user's
     stack = np.stack([bsc(0.1), bsc(0.3), np.array([[0.6, 0.4], [0.45, 0.55]])])
-    medium = CoupledDmcMedium(3, {(0, 1): bsc(0.2), (2, 1): np.ones((3, 2)) / 2},
-                              {(0, 1): (2, stack)})
+    medium = MediumKernel(3, {(0, 1): (stack, (2,), None),
+                              (2, 1): (np.ones((3, 2)) / 2, (), None)})
     rng = np.random.default_rng(3)
     iota_prev = np.stack([rng.integers(0, 2, (STEPS, LANES)), np.zeros((STEPS, LANES)),
                           rng.integers(0, 3, (STEPS, LANES))]).astype(np.int8)
@@ -199,6 +199,6 @@ def test_markov_emission_rows_follow_their_law():
     emission = np.stack([bsc(0.05), bsc(0.4), np.array([[0.3, 0.7], [0.8, 0.2]])])
     rule = MarkovLinkRule(np.roll(np.eye(3), 1, axis=1), emission, initial_state=1)
     iota_prev = np.random.default_rng(5).integers(0, 2, (2, 3 * STEPS, LANES), dtype=np.int8)
-    out = window(MarkovMedium(2, {(0, 1): rule}), (0, 1), iota_prev, 6)
+    out = window(MediumKernel(2, {(0, 1): (emission, (), rule)}), (0, 1), iota_prev, 6)
     state = ((1 + np.arange(3 * STEPS)) % 3)[:, None]
     assert_rows_follow(out, state * 2 + iota_prev[0], emission.reshape(-1, 2))

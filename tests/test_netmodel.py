@@ -8,11 +8,8 @@ from conftest import bsc, recorded_rollout, single_link_system
 from test_golden import golden_system
 
 from sepnet.netmodel import (
-    CoupledDmcMedium,
-    DmcMedium,
     ForwardRelayModem,
     MarkovLinkRule,
-    MarkovMedium,
     MediumKernel,
     Modem,
     ModemView,
@@ -62,34 +59,53 @@ def first_change(a, b, axis=1) -> int:
     return int(changed[0]) if len(changed) else a.shape[-2]
 
 
+def matrix_links(matrices: dict) -> dict:
+    """Kernel links of one stochastic matrix each."""
+    return {link: (mat, (), None) for link, mat in matrices.items()}
+
+
+def markov_links(rules: dict) -> dict:
+    """Kernel links of one state chain each."""
+    return {link: (rule.emission, (), rule) for link, rule in rules.items()}
+
+
 class TestMediumConstruction:
     def test_non_stochastic_matrix_rejected(self):
-        with pytest.raises(WiringError):
-            DmcMedium(2, {(0, 1): np.array([[0.5, 0.6], [0.1, 0.9]])})
+        with pytest.raises(WiringError, match=r"link \(0,1\) table rows"):
+            MediumKernel(2, matrix_links({(0, 1): np.array([[0.5, 0.6], [0.1, 0.9]])}))
+        # rows summing below one: the first row would draw each letter at 0.5
+        with pytest.raises(WiringError, match=r"link \(0,1\) table rows"):
+            MediumKernel(2, matrix_links({(0, 1): [[0.5, 0.2], [0.1, 0.9]]}))
+        stack = np.stack([bsc(0.1), [[0.9, 0.1], [0.2, 0.2]]])
+        with pytest.raises(WiringError, match=r"link \(2,3\) table rows"):
+            MediumKernel(4, {(2, 3): (stack, (0,), None)})
 
     def test_unknown_user_rejected(self):
         with pytest.raises(WiringError):
-            DmcMedium(2, {(0, 5): np.eye(2)})
+            MediumKernel(2, matrix_links({(0, 5): np.eye(2)}))
 
     def test_coupling_watch_must_be_a_user(self):
-        links = {(0, 1): bsc(0.11), (2, 3): bsc(0.11)}
+        links = matrix_links({(0, 1): bsc(0.11)})
+        links[(2, 3)] = (np.stack([bsc(0.08), bsc(0.14)]), (7,), None)
         with pytest.raises(WiringError):
-            CoupledDmcMedium(4, links, {(2, 3): (7, np.stack([bsc(0.08), bsc(0.14)]))})
+            MediumKernel(4, links)
 
     def test_coupling_stack_must_fit_watch_and_link(self):
-        links = {(0, 1): bsc(0.11), (2, 3): bsc(0.11)}
+        # the watched user 0 sends two letters, and so does user 2 on (2, 1)
+        links = matrix_links({(0, 1): bsc(0.11), (2, 1): bsc(0.11)})
         for stack in (np.stack([np.eye(3), np.eye(3)]), np.stack([bsc(0.1)] * 3)):
+            links[(2, 3)] = (stack, (0,), None)
             with pytest.raises(WiringError):
-                CoupledDmcMedium(4, links, {(2, 3): (0, stack)})
+                MediumKernel(4, links)
 
     def test_out_links_must_read_one_input_alphabet(self):
         # a row the first link's table lacks would be sampled as no row
         with pytest.raises(WiringError, match="input letters"):
-            DmcMedium(3, {(0, 1): bsc(0.1), (0, 2): np.full((3, 2), 0.5)})
+            MediumKernel(3, matrix_links({(0, 1): bsc(0.1), (0, 2): np.full((3, 2), 0.5)}))
         rules = {(0, 1): gilbert_elliott_rule(0.01, 0.3, 0.05, 0.2),
                  (0, 2): MarkovLinkRule(np.eye(1), np.eye(3)[None])}
         with pytest.raises(WiringError, match="input letters"):
-            MarkovMedium(3, rules)
+            MediumKernel(3, markov_links(rules))
 
     def test_kernel_table_needs_an_axis_per_digit(self):
         # a watched user's input with no axis of its own would pick no row
@@ -101,6 +117,13 @@ class TestMediumConstruction:
     def test_markov_rule_validation(self):
         with pytest.raises(WiringError):
             MarkovLinkRule(np.array([[0.5, 0.5]]), np.stack([np.eye(2), np.eye(2)]))
+        # a third state reachable from two would read no emission row
+        with pytest.raises(WiringError, match="square"):
+            MarkovLinkRule(np.full((2, 3), 1 / 3), np.stack([np.eye(2), np.eye(2)]))
+        # the kernel's state axis must match the rule's states
+        rule = gilbert_elliott_rule(0.01, 0.3, 0.1, 0.1)
+        with pytest.raises(WiringError, match="states"):
+            MediumKernel(2, {(0, 1): (np.stack([np.eye(2)] * 3), (), rule)})
 
 
 class TestRollout:
@@ -190,9 +213,7 @@ class TestRollout:
             assert first[f"repro {pair}"] == T_HIT + system.latency_map[pair]
 
     def test_pair_stream_independence(self, root):
-        medium = DmcMedium(
-            4, {(0, 1): bsc(0.11), (2, 3): bsc(0.11)}
-        )
+        medium = MediumKernel(4, matrix_links({(0, 1): bsc(0.11), (2, 3): bsc(0.11)}))
         system = NetworkSystem(
             medium=medium,
             modems=(
@@ -214,7 +235,7 @@ class TestRollout:
 
     def test_wiring_error_before_simulation(self):
         system = NetworkSystem(
-            medium=DmcMedium(2, {(0, 1): np.eye(2)}),
+            medium=MediumKernel(2, matrix_links({(0, 1): np.eye(2)})),
             modems=(
                 PassthroughModem(0, send_pair=(0, 1)),
                 PassthroughModem(1, recv_pairs=[(1, 0)]),  # wrong direction
@@ -228,7 +249,7 @@ class TestRollout:
 
     def test_alphabet_mismatch_detected(self):
         system = NetworkSystem(
-            medium=DmcMedium(2, {(0, 1): np.eye(3) }),
+            medium=MediumKernel(2, matrix_links({(0, 1): np.eye(3)})),
             modems=(
                 PassthroughModem(0, send_pair=(0, 1)),
                 PassthroughModem(1, recv_pairs=[(0, 1)]),
@@ -244,7 +265,7 @@ class TestRollout:
 class TestRelayChain:
     def build(self, flip, first_hop=None):
         first_hop = bsc(flip) if first_hop is None else first_hop
-        medium = DmcMedium(3, {(0, 1): first_hop, (1, 2): bsc(flip)})
+        medium = MediumKernel(3, matrix_links({(0, 1): first_hop, (1, 2): bsc(flip)}))
         return NetworkSystem(
             medium=medium,
             modems=(
@@ -319,17 +340,17 @@ class TestMarkovMedium:
 
     def test_single_state_reduces_to_dmc(self, root):
         rule = MarkovLinkRule(np.array([[1.0]]), bsc(0.11)[None, :, :])
-        system = self.two_user(MarkovMedium(2, {(0, 1): rule}))
+        system = self.two_user(MediumKernel(2, markov_links({(0, 1): rule})))
         assert abs(self.flip_rate(system, root.derive("one")) - 0.11) <= 0.01
 
     def test_gilbert_elliott_long_run(self, root):
         # symmetric switching 0.1 -> stationary (0.5, 0.5); flip = 0.155
-        medium = MarkovMedium(2, {(0, 1): gilbert_elliott_rule(0.01, 0.3, 0.1, 0.1)})
+        medium = MediumKernel(2, markov_links({(0, 1): gilbert_elliott_rule(0.01, 0.3, 0.1, 0.1)}))
         assert abs(self.flip_rate(self.two_user(medium), root.derive("ge")) - 0.155) <= 0.015
 
     def test_absorbing_bad_state(self, root):
         rule = gilbert_elliott_rule(0.01, 0.3, 0.0, 0.0, initial_state=1)
-        medium = MarkovMedium(2, {(0, 1): rule})
+        medium = MediumKernel(2, markov_links({(0, 1): rule}))
         assert abs(self.flip_rate(self.two_user(medium), root.derive("abs")) - 0.3) <= 0.01
 
 
@@ -375,7 +396,7 @@ class TestWideAlphabets:
         )
 
     def test_noiseless_200_symbol_link_is_exact(self):
-        system = self.two_user(DmcMedium(2, {(0, 1): np.eye(200)}), 200)
+        system = self.two_user(MediumKernel(2, matrix_links({(0, 1): np.eye(200)})), 200)
         traj = rollout(system, RandomnessHandle(1), lanes=4, horizon=2000)
         x = traj.sources[(0, 1)][:-3]
         assert (x >= 128).sum() > 0
@@ -387,7 +408,7 @@ class TestWideAlphabets:
         transition = np.roll(np.eye(states), 1, axis=1)
         emission = np.stack([np.eye(2) if s < 128 else np.eye(2)[::-1] for s in range(states)])
         rule = MarkovLinkRule(transition, emission)
-        system = self.two_user(MarkovMedium(2, {(0, 1): rule}), 2)
+        system = self.two_user(MediumKernel(2, markov_links({(0, 1): rule})), 2)
         T = 1001
         _, inputs, links = recorded_rollout(system, root, lanes=2, horizon=T)
         sent = inputs[0, : T - 1]

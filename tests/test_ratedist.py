@@ -14,7 +14,7 @@ from scipy.stats import binom
 
 from conftest import single_link_system
 
-from sepnet.netmodel import DmcMedium, rollout
+from sepnet.netmodel import MediumKernel, rollout
 from sepnet.probcore import Alphabet, Pmf
 from sepnet.ratedist import (
     DistortionBudget,
@@ -96,7 +96,7 @@ class TestExcessDistortion:
     def test_identical_pairs_zero(self, root):
         system = dataclasses.replace(
             single_link_system(0.0, source_probs=(0.2, 0.3, 0.5), block_length=16),
-            medium=DmcMedium(2, {PAIR: np.eye(3)}),
+            medium=MediumKernel(2, {PAIR: (np.eye(3), (), None)}),
         )
         rep = measure_end_to_end(
             system, PAIR, DistortionBudget(0.0, hamming_metric(3)), 1000, root.derive("same")

@@ -12,8 +12,7 @@ from conftest import bsc, recorded_rollout, single_link_system
 
 from sepnet.codec import CARDINALITY_CAP, Codebook, RatePlan
 from sepnet.netmodel import (
-    DmcMedium,
-    CoupledDmcMedium,
+    MediumKernel,
     NetworkSystem,
     PassthroughModem,
     rollout,
@@ -48,15 +47,11 @@ def stock_guarantee(pair=(0, 1), n=32, eps=0.06):
 
 
 def two_pair_system(coupled=False):
-    links = {(0, 1): bsc(0.11), (2, 3): bsc(0.11)}
+    links = {(0, 1): (bsc(0.11), (), None), (2, 3): (bsc(0.11), (), None)}
     if coupled:
-        medium = CoupledDmcMedium(
-            4, links, {(2, 3): (0, np.stack([bsc(0.08), bsc(0.14)]))}
-        )
-    else:
-        medium = DmcMedium(4, links)
+        links[(2, 3)] = (np.stack([bsc(0.08), bsc(0.14)]), (0,), None)
     return NetworkSystem(
-        medium=medium,
+        medium=MediumKernel(4, links),
         modems=(
             PassthroughModem(0, send_pair=(0, 1)),
             PassthroughModem(1, recv_pairs=[(0, 1)]),
@@ -537,7 +532,7 @@ class TestSeparateNetwork:
             after = apply(current, plan)
             if plan.pair != (2, 3):
                 return after
-            noisy = DmcMedium(4, {(0, 1): bsc(0.3), (2, 3): bsc(0.11)})
+            noisy = MediumKernel(4, {(0, 1): (bsc(0.3), (), None), (2, 3): (bsc(0.11), (), None)})
             return dataclasses.replace(after, medium=noisy)
 
         monkeypatch.setattr(separation, "apply_separation", disturbing)

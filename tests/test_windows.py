@@ -12,8 +12,8 @@ from test_golden import golden_system, trajectory_digests
 
 from sepnet import netmodel
 from sepnet.netmodel import (
-    DmcMedium,
     ForwardRelayModem,
+    MediumKernel,
     NetworkSystem,
     PassthroughModem,
     _schedule,
@@ -75,7 +75,7 @@ def echo_system(flip):
     listens: a cycle 0 -> (0, 1) -> 1 -> (1, 0) -> 0 that data travels
     around, five steps from x[t] to the echo."""
     return NetworkSystem(
-        medium=DmcMedium(2, {(0, 1): bsc(flip), (1, 0): bsc(flip)}),
+        medium=MediumKernel(2, {(0, 1): (bsc(flip), (), None), (1, 0): (bsc(flip), (), None)}),
         modems=(PassthroughModem(0, send_pair=(0, 1), recv_pairs=[(1, 0)]),
                 ForwardRelayModem(1, in_link=(0, 1))),
         sources={(0, 1): Pmf.from_probs([0.5, 0.5]), (1, 0): Pmf.from_probs([0.5, 0.5])},
