@@ -33,7 +33,7 @@ from .netmodel import (
     NetworkSystem,
     PassthroughModem,
     Trajectory,
-    gilbert_elliott_rule,
+    gilbert_elliott_link,
     rollout,
 )
 from .codec import (

@@ -115,6 +115,9 @@ class RatePlan:
     psi/2. Validity requires psi > 0, the block-ratio condition
     n/n' > R_X'(D')/R_X(D) + psi, and that the source coder's message set
     fits inside the channel coder's (n*channel_rate >= n'*source_rate).
+    psi and alpha left None take the equal-block construction's choices:
+    psi = (R_X(D) - R_X'(D')) / (2 R_X(D)), which needs n' = n, and alpha =
+    R_X(D) / (R_X(D) + psi) * psi/2.
     """
 
     n: int
@@ -123,20 +126,27 @@ class RatePlan:
     level_prime: float
     rate_at_level: float        # R_X(D)
     rate_at_level_prime: float  # R_X'(D')
-    psi: float
-    alpha: float
+    psi: float | None = None
+    alpha: float | None = None
     channel_rate: float = field(init=False)
     source_rate: float = field(init=False)
 
     def __post_init__(self):
         if self.n < 1 or self.n_prime < 1:
             raise RatePlanError("block lengths must be >= 1")
+        if self.rate_at_level <= 0:
+            raise RatePlanError("R_X(D) must be > 0 for embedding to carry anything")
+        rate, rate_prime = self.rate_at_level, self.rate_at_level_prime
+        if self.psi is None:
+            if self.n_prime != self.n:
+                raise RatePlanError("psi has no default for unequal block lengths")
+            object.__setattr__(self, "psi", 0.5 * (rate - rate_prime) / rate)
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", rate / (rate + self.psi) * (self.psi / 2))
         if self.psi <= 0:
             raise RatePlanError("psi must be > 0")
         if self.alpha <= 0:
             raise RatePlanError("alpha must be > 0")
-        if self.rate_at_level <= 0:
-            raise RatePlanError("R_X(D) must be > 0 for embedding to carry anything")
         ratio = self.rate_at_level_prime / self.rate_at_level
         if not self.n / self.n_prime > ratio + self.psi:
             raise RatePlanError(
@@ -154,46 +164,6 @@ class RatePlan:
             )
         object.__setattr__(self, "channel_rate", channel_rate)
         object.__setattr__(self, "source_rate", source_rate)
-
-    @staticmethod
-    def default_psi(rate_at_level: float, rate_at_level_prime: float) -> float:
-        """Slack choice for the equal-block-length specialization."""
-        return 0.5 * (rate_at_level - rate_at_level_prime) / rate_at_level
-
-    @staticmethod
-    def default_alpha(rate_at_level: float, psi: float) -> float:
-        """Rate back-off implied by psi in the equal-block construction."""
-        return rate_at_level / (rate_at_level + psi) * (psi / 2)
-
-    @classmethod
-    def make(
-        cls,
-        n: int,
-        level: float,
-        level_prime: float,
-        rate_at_level: float,
-        rate_at_level_prime: float,
-        n_prime: int | None = None,
-        psi: float | None = None,
-        alpha: float | None = None,
-    ) -> "RatePlan":
-        n_prime = n if n_prime is None else n_prime
-        if psi is None:
-            if n_prime != n:
-                raise RatePlanError("psi has no default for unequal block lengths")
-            psi = cls.default_psi(rate_at_level, rate_at_level_prime)
-        if alpha is None:
-            alpha = cls.default_alpha(rate_at_level, psi)
-        return cls(
-            n=n,
-            n_prime=n_prime,
-            level=level,
-            level_prime=level_prime,
-            rate_at_level=rate_at_level,
-            rate_at_level_prime=rate_at_level_prime,
-            psi=psi,
-            alpha=alpha,
-        )
 
     @property
     def channel_cardinality(self) -> int:

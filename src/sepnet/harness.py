@@ -17,8 +17,20 @@ The ``medium`` section is one list, ``links``; each entry names its link by
 - ``matrix: M``: a stochastic matrix, row x read at sender input x;
 - ``watch: w, flips: [q_0, ...]``: flip probability q_a at user w's input a;
 - ``watch: w, matrices: [M_0, ...]``: matrix M_a at user w's input a;
-- ``gilbert_elliott: {flip_good, ...}``: ``gilbert_elliott_rule``'s chain;
+- ``gilbert_elliott: {flip_good, ...}``: ``gilbert_elliott_link``'s link;
 - ``transition: T, emission: E, initial: s``: state chain T from s, emitting E.
+
+Each ``targets`` entry gives one ``PairTarget``, from these keys:
+
+- ``pair``, ``D``, ``D_prime``: the pair and its levels (required);
+- ``metric``: ``hamming`` (the default) or a distortion table;
+- ``block_lengths``: the channel block lengths n that ``separate`` runs
+  at, default ``[block_length]``;
+- ``n_prime_ratio``: n'/n, 0 < ratio <= 1, default 1; at each n the
+  source blocks are n' = max(1, round(ratio * n)) symbols;
+- ``psi``, ``alpha``: the rate plan's slacks; ``psi`` is required where
+  the ratio is below 1;
+- ``decode_rule``: ``within_d`` (the default) or ``argmin``.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from .netmodel import (
     NetworkSystem,
     PassthroughModem,
     bsc_matrix,
-    gilbert_elliott_rule,
+    gilbert_elliott_link,
     rollout,
 )
 from .probcore import (
@@ -117,8 +129,8 @@ _KEYS = {
     "modems.recv_links": ("pair", "link"),
     "sources": ("src", "dst", "probs"),
     "latency": ("src", "dst", "steps"),
-    "targets": ("pair", "metric", "D", "D_prime", "block_lengths", "n", "n_prime",
-                "n_prime_ratio", "psi", "alpha", "decode_rule"),
+    "targets": ("pair", "metric", "D", "D_prime", "block_lengths", "n_prime_ratio", "psi",
+                "alpha", "decode_rule"),
     "rd": ("source", "metric", "grid", "tol"),
     "noninterference": ("untouched", "trials_blocks", "repetitions"),
 }
@@ -277,12 +289,10 @@ def _link(e: dict) -> tuple:
         ge = _section("medium.links.gilbert_elliott", e["gilbert_elliott"],
                       _KEYS["medium.links.gilbert_elliott"])
         flips_and_switches = ("flip_good", "flip_bad", "p_good_to_bad", "p_bad_to_good")
-        rule = gilbert_elliott_rule(*(_float(ge[k]) for k in flips_and_switches),
+        return gilbert_elliott_link(*(_float(ge[k]) for k in flips_and_switches),
                                     _int(ge.get("initial", 0)))
-    else:
-        rule = MarkovLinkRule(_floats(e["transition"]), _floats(e["emission"]),
-                              _int(e.get("initial", 0)))
-    return rule.emission, (), rule
+    rule = MarkovLinkRule(_floats(e["transition"]), _int(e.get("initial", 0)))
+    return _floats(e["emission"]), (), rule
 
 
 def _medium(med: dict, users: int) -> MediumKernel:
@@ -321,31 +331,19 @@ def _target(entry, sources: dict, block_length: int) -> tuple:
     t = _section("targets", entry, _KEYS["targets"])
     pair = _get(t, "targets.pair", lambda v: _known_pair(v, sources))
     size = sources[pair].alphabet.size
-    n = _get(t, "targets.n", _at_least(1), None)
-    # separate keeps the ratio n'/n at every block length, so n' needs n
-    for key in ("n_prime", "n_prime_ratio"):
-        if key in t and n is None:
-            raise ConfigError(f"targets.{key}: needs 'n'")
-    if "n_prime" in t and "n_prime_ratio" in t:
-        raise ConfigError("targets.n_prime_ratio: excludes 'n_prime'")
-    n_prime = _get(t, "targets.n_prime", _at_least(1), None)
-    n_prime = _get(t, "targets.n_prime_ratio",
-                   lambda v: _at_least(1)(round(_float(v) * n)), n_prime)
-    lengths = _get(t, "targets.block_lengths", _block_lengths,
-                   [n if n is not None else block_length])
+    lengths = _get(t, "targets.block_lengths", _block_lengths, [block_length])
     metric = _get(t, "targets.metric", lambda v: _metric(v, size), hamming_metric(size))
     # R(D) of the pair's source is defined only from its d_min on
     floor = _at_least(metric.d_min(sources[pair]), _float)
     level, level_prime = _get(t, "targets.D", floor), _get(t, "targets.D_prime", floor)
     psi, alpha = _get(t, "targets.psi", _positive, None), _get(t, "targets.alpha", _positive, None)
+    ratio = _get(t, "targets.n_prime_ratio", _float, 1.0)
     rule = _get(t, "targets.decode_rule", str, "within_d")
-    n = lengths[0] if n is None else n
-    # RatePlan derives psi from R(D) and R(D') only for equal block lengths
-    if psi is None and n_prime not in (None, n):
-        raise ConfigError(f"targets.psi: needed where n' = {n_prime} differs from n = {n}")
-    # PairTarget rejects an unknown rule
-    target = _checked("targets.decode_rule", lambda: PairTarget(
-        pair, metric, level, level_prime, n, n_prime, psi, alpha, rule))
+    # PairTarget names the field it rejects first in its message
+    try:
+        target = PairTarget(pair, metric, level, level_prime, lengths[0], ratio, psi, alpha, rule)
+    except ValueError as exc:
+        raise ConfigError(f"targets.{exc}") from exc
     return target, lengths
 
 
@@ -426,10 +424,9 @@ class ExperimentConfig:
         medium = _get(d, "medium", lambda v: _medium(v, users))
         modems = _get(d, "modems", _modems)
         warmup = _get(d, "warmup", _at_least(0), 8)
+        # building the system checks every modem's wiring
         system = _checked("modems", lambda: NetworkSystem(
             medium, modems, sources, block_length, latency, warmup))
-        for modem in system.modems:
-            _checked("modems", lambda: modem.check_wiring(system))
         parsed = [_target(t, sources, block_length) for t in _get(d, "targets", list, [])]
         targets = tuple(target for target, _ in parsed)
         pairs = [target.pair for target in targets]
@@ -620,7 +617,7 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
     trials = int(trials if trials is not None else config.separate_trials)
     payload = {"runs": [], "trend_rows": []}
     for n in config.block_lengths:
-        sized = [_resize_target(t, n) for t in config.targets]
+        sized = [dataclasses.replace(t, n=n) for t in config.targets]
         current, steps = separate_network(
             system,
             sized,
@@ -679,10 +676,6 @@ def cmd_separate(config: ExperimentConfig, out_dir, seed: int | None = None,
     return record
 
 
-def _resize_target(t: PairTarget, n: int) -> PairTarget:
-    return dataclasses.replace(t, n=n, n_prime=max(1, int(round(t.n_prime / t.n * n))))
-
-
 # --- verify suites ----------------------------------------------------------
 
 def _suite_probcore(root: RandomnessHandle) -> dict:
@@ -719,9 +712,9 @@ def _suite_ratedist() -> dict:
 
 def _suite_codec(root: RandomnessHandle) -> dict:
     pmf = Pmf.from_probs([0.5, 0.5])
-    plan = RatePlan.make(n=64, level=0.125, level_prime=0.2,
-                         rate_at_level=0.4564355568, rate_at_level_prime=0.2780719051,
-                         n_prime=48, psi=0.25, alpha=0.15)
+    plan = RatePlan(n=64, n_prime=48, level=0.125, level_prime=0.2,
+                    rate_at_level=0.4564355568, rate_at_level_prime=0.2780719051,
+                    psi=0.25, alpha=0.15)
     # the whole |Cc|-row codebook, not only the rows a separated pair draws
     cb = Codebook.generate(CHANNEL_EMBEDDING, pmf, plan.n, plan.channel_cardinality,
                            root.derive("cb"))
@@ -766,7 +759,7 @@ def _suite_separation(root: RandomnessHandle) -> dict:
         latency_map={(0, 1): 3},
     )
     guar = GuaranteeReport((0, 1), 0.125, 0.05, 0.01, 1000, 32, 50)
-    target = PairTarget((0, 1), metric, 0.125, 0.2, n=32, n_prime=32)
+    target = PairTarget((0, 1), metric, 0.125, 0.2, n=32)
     plan = plan_separation(system, guar, target, root.derive("common"))
     after = apply_separation(system, plan)
     locality = after.modems[0].inner is system.modems[0] and after.medium is system.medium
@@ -789,7 +782,7 @@ def _suite_negative_control(config: ExperimentConfig, root: RandomnessHandle) ->
         return {"ok": True, "detail": "skipped: no targets in config", "expected_fail": False}
     if not config.untouched:
         return {"ok": True, "detail": "skipped: no untouched pairs", "expected_fail": False}
-    small = _resize_target(config.targets[0], 32)
+    small = dataclasses.replace(config.targets[0], n=32)
     budget = DistortionBudget(small.level, small.metric)
     guar = measure_end_to_end(
         system, small.pair, budget, 1000, root.derive("nc_base"), block_length=32

@@ -75,7 +75,7 @@ __all__ = [
     "Trajectory",
     "WiringError",
     "bsc_matrix",
-    "gilbert_elliott_rule",
+    "gilbert_elliott_link",
     "rollout",
 ]
 
@@ -111,12 +111,12 @@ def _check_stochastic(table: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class MarkovLinkRule:
-    """Per-link hidden state chain: the state transition matrix (S, S) and
-    the emission table (S, K_in, K_out), a stochastic matrix from the
-    link's K_in input letters to its K_out output letters per state."""
+    """A link's hidden state chain: the state transition matrix (S, S) and
+    the state at step 1. It owns the chain only; what the link emits in
+    each state is its ``MediumKernel`` table, whose first axis is over the
+    S states."""
 
     transition: np.ndarray  # (S, S)
-    emission: np.ndarray    # (S, K_in, K_out)
     initial_state: int = 0
 
     def __post_init__(self):
@@ -124,14 +124,9 @@ class MarkovLinkRule:
         if trans.ndim != 2 or trans.shape[0] != trans.shape[1]:
             raise WiringError("state transition must be a square matrix")
         _check_stochastic(trans, "state transition")
-        emission = np.asarray(self.emission, dtype=np.float64)
-        if emission.ndim != 3 or emission.shape[0] != trans.shape[0]:
-            raise WiringError("emission must be (states, k, k) matching transition")
-        _check_stochastic(emission, "emission")
         if not 0 <= self.initial_state < trans.shape[0]:
             raise WiringError("initial state out of range")
         object.__setattr__(self, "transition", trans)
-        object.__setattr__(self, "emission", emission)
 
 
 class _Link(NamedTuple):
@@ -159,8 +154,8 @@ class MediumKernel:
     ``links`` maps (i, j) to ``(table, watched, rule)``: ``table`` has one
     axis per digit and a last one over the output letters, whose rows are
     probability vectors; ``watched`` is a tuple of users and ``rule`` a
-    ``MarkovLinkRule`` or None. The link of a ``rule`` alone is
-    ``(rule.emission, (), rule)``.
+    ``MarkovLinkRule`` or None. ``gilbert_elliott_link`` gives one such
+    triple.
     """
 
     def __init__(self, num_users: int, links: dict):
@@ -247,19 +242,21 @@ def bsc_matrix(q: float) -> np.ndarray:
     return np.array([[1.0 - q, q], [q, 1.0 - q]])
 
 
-def gilbert_elliott_rule(
+def gilbert_elliott_link(
     flip_good: float,
     flip_bad: float,
     p_good_to_bad: float,
     p_bad_to_good: float,
     initial_state: int = 0,
-) -> MarkovLinkRule:
-    """Two-state burst-noise flip channel (state 0 good, state 1 bad)."""
+) -> tuple:
+    """Two-state burst-noise flip channel (state 0 good, state 1 bad), as
+    the ``MediumKernel`` link ``(table, (), rule)``: a binary symmetric
+    channel per state, switched by the rule's chain."""
     trans = np.array(
         [[1 - p_good_to_bad, p_good_to_bad], [p_bad_to_good, 1 - p_bad_to_good]]
     )
-    emission = np.stack([bsc_matrix(flip_good), bsc_matrix(flip_bad)])
-    return MarkovLinkRule(trans, emission, initial_state)
+    table = np.stack([bsc_matrix(flip_good), bsc_matrix(flip_bad)])
+    return table, (), MarkovLinkRule(trans, initial_state)
 
 
 class ModemView:
@@ -308,7 +305,8 @@ class Modem(ABC):
     user: int
 
     def check_wiring(self, system: "NetworkSystem") -> None:
-        """Validate alphabet compatibility; raise WiringError on mismatch."""
+        """Validate alphabet compatibility; raise WiringError on mismatch.
+        ``NetworkSystem`` calls it when the system is built."""
 
     def start(self, view: ModemView):
         """Allocate per-rollout state."""
@@ -418,6 +416,11 @@ class ForwardRelayModem(Modem):
 class NetworkSystem:
     """Complete system description: medium, modems, sources, and timing.
 
+    Building one checks its wiring: one modem per user, latencies of known
+    pairs, and every modem's ``check_wiring``, so a system that exists is
+    wired and ``rollout`` checks nothing more. ``with_modems`` builds a new
+    system, so the modems it swaps in are checked there.
+
     ``latency_map`` gives the fixed per-pair reproduction delay: the
     reproduction of x[m] is read at y[m + L]. A pair's blocks are scored
     from x[warmup] on, ``block_length`` symbols each unless the measurement
@@ -440,6 +443,8 @@ class NetworkSystem:
         for pair in self.latency_map:
             if pair not in self.sources:
                 raise WiringError(f"latency entry for unknown pair {pair}")
+        for modem in self.modems:
+            modem.check_wiring(self)
 
     def modem_for(self, user: int) -> Modem:
         return self.modems[[m.user for m in self.modems].index(user)]
@@ -504,8 +509,6 @@ def rollout(
         raise ValueError("horizon and lanes must be >= 1")
     medium = system.medium
     N = medium.num_users
-    for modem in system.modems:
-        modem.check_wiring(system)
 
     sources = {}
     for pair, pmf in sorted(system.sources.items()):

@@ -89,9 +89,15 @@ class PairTarget:
     """Distortion target for one pair: tighten from level D to D' with
     channel blocks of n and source blocks of n' symbols.
 
-    D' may exceed D; what must hold strictly is R(D') < R(D). n is
-    required; n' defaults to n. The optional slack parameters and the
-    channel decode rule override the plan defaults.
+    D' may exceed D; what must hold strictly is R(D') < R(D). The target
+    owns n': it holds the ratio n'/n, 0 < ratio <= 1 (default 1, the
+    equal-block case), and n' = max(1, round(ratio * n)) at every n, so
+    ``dataclasses.replace(target, n=m)`` keeps the ratio at m. n' <= n
+    keeps one source block per channel window. psi is required below
+    ratio 1, where the rate plan has no default for it. The optional
+    slack parameters and the channel decode rule override the plan
+    defaults. A bad field raises ValueError, its message starting with
+    the field's name.
     """
 
     pair: tuple
@@ -99,16 +105,23 @@ class PairTarget:
     level: float
     level_prime: float
     n: int
-    n_prime: int | None = None
+    n_prime_ratio: float = 1.0
     psi: float | None = None
     alpha: float | None = None
     decode_rule: str = "within_d"
 
     def __post_init__(self):
+        if not 0 < self.n_prime_ratio <= 1:
+            raise ValueError(f"n_prime_ratio: {self.n_prime_ratio} is not in (0, 1]")
+        if self.psi is None and self.n_prime_ratio != 1:
+            raise ValueError(f"psi: needed where n_prime_ratio = {self.n_prime_ratio} is "
+                             f"below 1")
         if self.decode_rule not in DECODE_RULES:
-            raise ValueError(f"decode_rule {self.decode_rule!r} is not one of {DECODE_RULES}")
-        if self.n_prime is None:
-            object.__setattr__(self, "n_prime", self.n)
+            raise ValueError(f"decode_rule: {self.decode_rule!r} is not one of {DECODE_RULES}")
+
+    @property
+    def n_prime(self) -> int:
+        return max(1, round(self.n_prime_ratio * self.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +193,6 @@ class SeparationSendModem(Modem):
         self.user = inner.user
         self.inner = inner
         self.plan = plan
-
-    def check_wiring(self, system):
-        self.inner.check_wiring(system)
 
     def start(self, view: ModemView):
         T, B = view.horizon, view.lanes
@@ -272,9 +282,6 @@ class SeparationRecvModem(Modem):
         self.inner = inner
         self.plan = plan
 
-    def check_wiring(self, system):
-        self.inner.check_wiring(system)
-
     def start(self, view: ModemView):
         T, B = view.horizon, view.lanes
         view.telemetry["sep_recv"] = {"windows": []}
@@ -348,7 +355,7 @@ def plan_separation(
             f"{r_at_prime.rate:.6f} vs R({target.level}) = {r_at.rate:.6f}"
         )
     try:
-        rate_plan = RatePlan.make(
+        rate_plan = RatePlan(
             n=target.n,
             level=target.level,
             level_prime=target.level_prime,

@@ -59,9 +59,6 @@ class _InputLog(Modem):
     def __init__(self, inner: Modem, log: list):
         self.inner, self.user, self.log = inner, inner.user, log
 
-    def check_wiring(self, system):
-        self.inner.check_wiring(system)
-
     def start(self, view):
         return self.inner.start(view)
 

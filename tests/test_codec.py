@@ -30,11 +30,11 @@ def h2(p):
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def small_plan(n=32, n_prime=None, psi=None, alpha=None):
-    return RatePlan.make(
-        n=n, level=0.125, level_prime=0.2,
-        rate_at_level=R_125, rate_at_level_prime=R_200,
-        n_prime=n_prime, psi=psi, alpha=alpha,
+def small_plan(n=32, psi=None, alpha=None):
+    """An equal-block plan, n' = n."""
+    return RatePlan(
+        n=n, n_prime=n, level=0.125, level_prime=0.2,
+        rate_at_level=R_125, rate_at_level_prime=R_200, psi=psi, alpha=alpha,
     )
 
 
@@ -44,24 +44,20 @@ class TestMessageSetAndPlan:
         assert cardinality_for(0.26, 16) == 18
 
     def test_default_psi_matches_equal_block_choice(self):
-        plan = RatePlan.make(n=64, level=0.125, level_prime=0.2,
-                             rate_at_level=R_125, rate_at_level_prime=R_200)
+        plan = small_plan(n=64)
         assert plan.psi == pytest.approx(0.5 * (R_125 - R_200) / R_125)
         assert plan.alpha == pytest.approx(R_125 / (R_125 + plan.psi) * plan.psi / 2)
 
     def test_rate_condition_enforced(self):
         # n/n' must strictly exceed R'/R + psi
         with pytest.raises(RatePlanError):
-            RatePlan.make(n=32, level=0.125, level_prime=0.2,
-                          rate_at_level=R_125, rate_at_level_prime=R_200,
-                          n_prime=64, psi=0.25, alpha=0.1)
+            RatePlan(n=32, n_prime=64, level=0.125, level_prime=0.2,
+                     rate_at_level=R_125, rate_at_level_prime=R_200, psi=0.25, alpha=0.1)
 
     def test_nesting_enforced(self):
         # huge alpha starves the channel message set
         with pytest.raises(RatePlanError):
-            RatePlan.make(n=32, level=0.125, level_prime=0.2,
-                          rate_at_level=R_125, rate_at_level_prime=R_200,
-                          psi=0.01, alpha=0.44)
+            small_plan(psi=0.01, alpha=0.44)
 
     def test_psi_positive(self):
         with pytest.raises(RatePlanError):
@@ -69,9 +65,8 @@ class TestMessageSetAndPlan:
 
     def test_unequal_blocks_need_explicit_psi(self):
         with pytest.raises(RatePlanError):
-            RatePlan.make(n=32, level=0.125, level_prime=0.2,
-                          rate_at_level=R_125, rate_at_level_prime=R_200,
-                          n_prime=24)
+            RatePlan(n=32, n_prime=24, level=0.125, level_prime=0.2,
+                     rate_at_level=R_125, rate_at_level_prime=R_200)
 
 
 class TestChannelCodebook:
@@ -102,8 +97,7 @@ class TestChannelCodebook:
         assert p > 0.01
 
     def test_cap_guard(self, fair_coin, root):
-        plan = RatePlan.make(n=256, level=0.125, level_prime=0.2,
-                             rate_at_level=R_125, rate_at_level_prime=R_200)
+        plan = small_plan(n=256)
         with pytest.raises(CodebookCapError):
             build_channel_codebook(plan, fair_coin, root)
 
@@ -218,7 +212,7 @@ class TestSourceCodec:
         assert cb.entries[0].shape == (16,)
 
     def test_roundtrip_is_row_minimum(self, root):
-        cb = build_source_codebook(small_plan(n=16, n_prime=16), self.q_point(0.2),
+        cb = build_source_codebook(small_plan(n=16), self.q_point(0.2),
                                    root.derive("rt"))
         gen = root.derive("rtx").generator()
         x = gen.integers(0, 2, (1, 16)).astype(np.int8)
@@ -234,7 +228,7 @@ class TestSourceCodec:
 
     def test_overshoot_point_estimate(self, root):
         # codeword chosen for a fresh block exceeds D' + 0.05 rarely
-        plan = small_plan(n=32, n_prime=32)
+        plan = small_plan(n=32)
         cb = build_source_codebook(plan, self.q_point(0.2), root.derive("ov"))
         gen = root.derive("ovx").generator()
         blocks = gen.integers(0, 2, (1000, 32)).astype(np.int8)
@@ -246,10 +240,9 @@ class TestSourceCodec:
         # fixed rate margin; tested against the exhaustive-search encoder
         rates = {}
         for n_prime in (16, 32, 64):
-            plan = RatePlan.make(n=2 * n_prime, level=0.125, level_prime=0.3,
-                                 rate_at_level=R_125,
-                                 rate_at_level_prime=1 - h2(0.3),
-                                 n_prime=n_prime, psi=0.25, alpha=0.15)
+            plan = RatePlan(n=2 * n_prime, n_prime=n_prime, level=0.125, level_prime=0.3,
+                            rate_at_level=R_125, rate_at_level_prime=1 - h2(0.3),
+                            psi=0.25, alpha=0.15)
             cb = build_source_codebook(plan, self.q_point(0.3), root.derive("dec", n_prime))
             gen = root.derive("decx", n_prime).generator()
             blocks = gen.integers(0, 2, (2000, n_prime)).astype(np.int8)

@@ -73,10 +73,10 @@ def ternary_systems() -> dict:
     the sampler's multi-column path, which no shipped config reaches."""
     mat = np.array([[0.7, 0.2, 0.1], [0.15, 0.6, 0.25], [0.05, 0.3, 0.65]])
     trans = np.array([[0.8, 0.15, 0.05], [0.2, 0.7, 0.1], [0.1, 0.3, 0.6]])
-    rule = MarkovLinkRule(trans, np.stack([np.eye(3), mat, mat[::-1]]), initial_state=2)
+    markov = (np.stack([np.eye(3), mat, mat[::-1]]), (), MarkovLinkRule(trans, initial_state=2))
     media = {
         "ternary_dmc": MediumKernel(2, {(0, 1): (mat, (), None)}),
-        "ternary_markov": MediumKernel(2, {(0, 1): (rule.emission, (), rule)}),
+        "ternary_markov": MediumKernel(2, {(0, 1): markov}),
     }
     return {
         name: NetworkSystem(
@@ -113,8 +113,9 @@ def coupled_relay_system():
 
 def separated_single_bsc(decode_rule):
     config, system = config_system("single_bsc")
-    target = dataclasses.replace(config.targets[0], n=32, n_prime=24,
-                                 decode_rule=decode_rule)
+    # the config's n'/n = 0.75 gives n' = 24
+    target = dataclasses.replace(config.targets[0], n=32, decode_rule=decode_rule)
+    assert target.n_prime == 24
     guar = GuaranteeReport((0, 1), 0.125, 0.06, 0.01, 1000, 32, 60)
     root = RandomnessHandle(config.seed)
     plan = plan_separation(system, guar, target, root.derive("golden-common"))

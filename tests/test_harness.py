@@ -82,14 +82,6 @@ def with_a_latency_without_steps(d):
     del d["latency"][0]["steps"]
 
 
-def with_n_prime_ratio_but_no_n(d):
-    del d["targets"][0]["n"]
-
-
-def with_n_prime_ratio_and_n_prime(d):
-    d["targets"][0]["n_prime"] = 48
-
-
 def with_the_source_twice(d):
     d["sources"].append({"src": 0, "dst": 1, "probs": [0.9, 0.1]})
 
@@ -224,8 +216,12 @@ BAD_CONFIGS = {
     "sources": with_the_source_twice,
     "rd.source": with_value("rd.source", [0.5, 0.6]),
     "rd.grid": with_value("rd.grid", ["a"]),
-    "n_prime_ratio": with_n_prime_ratio_but_no_n,
-    "n_prime_ratio (with n_prime)": with_n_prime_ratio_and_n_prime,
+    # n' is n_prime_ratio * n at every block length; n and n' are not keys
+    "targets.n": with_a_key_in("targets.0", "n", 64),
+    "targets.n_prime": with_a_key_in("targets.0", "n_prime", 48),
+    # n' > n would carry one source block in two channel windows
+    "targets.n_prime_ratio (above one)": with_a_key_in("targets.0", "n_prime_ratio", 1.5),
+    "targets.n_prime_ratio (zero)": with_a_key_in("targets.0", "n_prime_ratio", 0),
     "separate_trial": with_value("separate_trial", 5),
     "recheck": with_value("recheck", False),
     "default_level": with_value("default_level", 0.1),
@@ -471,7 +467,7 @@ def test_targets_must_share_block_lengths():
     data = yaml.safe_load(TWO_PAIR.read_text())
     del data["noninterference"]  # its untouched pair becomes a target here
     second = {"pair": [2, 3], "metric": "hamming", "D": 0.2, "D_prime": 0.3,
-              "block_lengths": [32], "n": 32, "n_prime": 32, "decode_rule": "argmin"}
+              "block_lengths": [32], "decode_rule": "argmin"}
     data["targets"].append(second)
     ExperimentConfig.from_dict(data)
     second["block_lengths"] = [48]
@@ -485,7 +481,7 @@ def test_an_infeasible_pair_leaves_the_others_separated(tmp_path):
     data = yaml.safe_load(TWO_PAIR.read_text())
     del data["noninterference"]  # its untouched pair becomes a target here
     data["targets"].append({"pair": [2, 3], "metric": "hamming", "D": 0.125, "D_prime": 0.2,
-                            "block_lengths": [32], "n": 32, "n_prime": 32})
+                            "block_lengths": [32]})
     record = cmd_separate(ExperimentConfig.from_dict(data), tmp_path, trials=1000)
     (run,) = record.payload["runs"]
     assert list(run["infeasible"]) == ["[2, 3]"]

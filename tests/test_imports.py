@@ -1,5 +1,6 @@
 """Every name a sepnet module or a test file imports is used there (or
-re-exported in ``__all__``), scipy is imported in one place only, and no
+re-exported in ``__all__``), every name in a sepnet module's ``__all__``
+is bound there, scipy is imported in one place only, and no
 sepnet class subclasses another only to define ``__init__``. Checked with
 the standard library's ``ast``. The package's ``__init__`` is left out of
 the unused-import check: its imports are the package's public names."""
@@ -77,6 +78,39 @@ def test_checker_flags_an_unused_import():
         "    return math.pi + len(dumps(x))\n"
     )
     assert unused_imports(source) == ["line 3: loads"]
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in the module's ``__all__`` that no top-level import, def,
+    class or assignment of ``source`` binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(_exported(tree) - bound)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    # a renamed function cannot leave its old name in ``__all__``
+    assert unbound_exports(path.read_text()) == []
+
+
+def test_checker_flags_an_unbound_export():
+    source = (
+        "from json import dumps\n"
+        "__all__ = ['dumps', 'f', 'C', 'X', 'old_name']\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "X: int = 1\n"
+    )
+    assert unbound_exports(source) == ["old_name"]
 
 
 def scipy_imports(source: str) -> list[tuple[str, str]]:

@@ -197,7 +197,7 @@ def test_markov_emission_rows_follow_their_law():
     # a deterministic cycle of three states, so the state at each step is
     # known: the window starts in state 1 and advances one state a step
     emission = np.stack([bsc(0.05), bsc(0.4), np.array([[0.3, 0.7], [0.8, 0.2]])])
-    rule = MarkovLinkRule(np.roll(np.eye(3), 1, axis=1), emission, initial_state=1)
+    rule = MarkovLinkRule(np.roll(np.eye(3), 1, axis=1), initial_state=1)
     iota_prev = np.random.default_rng(5).integers(0, 2, (2, 3 * STEPS, LANES), dtype=np.int8)
     out = window(MediumKernel(2, {(0, 1): (emission, (), rule)}), (0, 1), iota_prev, 6)
     state = ((1 + np.arange(3 * STEPS)) % 3)[:, None]

@@ -16,7 +16,7 @@ from sepnet.netmodel import (
     NetworkSystem,
     PassthroughModem,
     WiringError,
-    gilbert_elliott_rule,
+    gilbert_elliott_link,
     rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
@@ -35,9 +35,6 @@ class FlippedSource(Modem):
 
     def __init__(self, inner, pair, t_hit):
         self.inner, self.user, self.pair, self.t_hit = inner, inner.user, pair, t_hit
-
-    def check_wiring(self, system):
-        self.inner.check_wiring(system)
 
     def start(self, view):
         source = view.sources[self.pair].copy()
@@ -62,11 +59,6 @@ def first_change(a, b, axis=1) -> int:
 def matrix_links(matrices: dict) -> dict:
     """Kernel links of one stochastic matrix each."""
     return {link: (mat, (), None) for link, mat in matrices.items()}
-
-
-def markov_links(rules: dict) -> dict:
-    """Kernel links of one state chain each."""
-    return {link: (rule.emission, (), rule) for link, rule in rules.items()}
 
 
 class TestMediumConstruction:
@@ -102,10 +94,10 @@ class TestMediumConstruction:
         # a row the first link's table lacks would be sampled as no row
         with pytest.raises(WiringError, match="input letters"):
             MediumKernel(3, matrix_links({(0, 1): bsc(0.1), (0, 2): np.full((3, 2), 0.5)}))
-        rules = {(0, 1): gilbert_elliott_rule(0.01, 0.3, 0.05, 0.2),
-                 (0, 2): MarkovLinkRule(np.eye(1), np.eye(3)[None])}
+        links = {(0, 1): gilbert_elliott_link(0.01, 0.3, 0.05, 0.2),
+                 (0, 2): (np.eye(3)[None], (), MarkovLinkRule(np.eye(1)))}
         with pytest.raises(WiringError, match="input letters"):
-            MediumKernel(3, markov_links(rules))
+            MediumKernel(3, links)
 
     def test_kernel_table_needs_an_axis_per_digit(self):
         # a watched user's input with no axis of its own would pick no row
@@ -116,14 +108,19 @@ class TestMediumConstruction:
 
     def test_markov_rule_validation(self):
         with pytest.raises(WiringError):
-            MarkovLinkRule(np.array([[0.5, 0.5]]), np.stack([np.eye(2), np.eye(2)]))
-        # a third state reachable from two would read no emission row
+            MarkovLinkRule(np.array([[0.5, 0.5]]))
+        # a third state reachable from two would have no state of its own
         with pytest.raises(WiringError, match="square"):
-            MarkovLinkRule(np.full((2, 3), 1 / 3), np.stack([np.eye(2), np.eye(2)]))
-        # the kernel's state axis must match the rule's states
-        rule = gilbert_elliott_rule(0.01, 0.3, 0.1, 0.1)
+            MarkovLinkRule(np.full((2, 3), 1 / 3))
+        with pytest.raises(WiringError, match="initial state"):
+            MarkovLinkRule(np.eye(2), initial_state=2)
+        # the kernel's state axis must match the rule's states, and its
+        # table, the link's one emission, must be stochastic
+        _, _, rule = gilbert_elliott_link(0.01, 0.3, 0.1, 0.1)
         with pytest.raises(WiringError, match="states"):
             MediumKernel(2, {(0, 1): (np.stack([np.eye(2)] * 3), (), rule)})
+        with pytest.raises(WiringError, match="table rows"):
+            MediumKernel(2, {(0, 1): (np.stack([np.eye(2), np.full((2, 2), 0.6)]), (), rule)})
 
 
 class TestRollout:
@@ -234,32 +231,31 @@ class TestRollout:
         assert corr <= 0.02
 
     def test_wiring_error_before_simulation(self):
-        system = NetworkSystem(
-            medium=MediumKernel(2, matrix_links({(0, 1): np.eye(2)})),
-            modems=(
-                PassthroughModem(0, send_pair=(0, 1)),
-                PassthroughModem(1, recv_pairs=[(1, 0)]),  # wrong direction
-            ),
-            sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
-            block_length=5,
-            latency_map={(0, 1): 3},
-        )
-        with pytest.raises(WiringError):
-            rollout(system, __import__("sepnet").RandomnessHandle(0), horizon=10)
+        # building the system checks every modem, so no rollout can start
+        with pytest.raises(WiringError, match=r"cannot receive pair \(1,0\)"):
+            NetworkSystem(
+                medium=MediumKernel(2, matrix_links({(0, 1): np.eye(2)})),
+                modems=(
+                    PassthroughModem(0, send_pair=(0, 1)),
+                    PassthroughModem(1, recv_pairs=[(1, 0)]),  # wrong direction
+                ),
+                sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
+                block_length=5,
+                latency_map={(0, 1): 3},
+            )
 
     def test_alphabet_mismatch_detected(self):
-        system = NetworkSystem(
-            medium=MediumKernel(2, matrix_links({(0, 1): np.eye(3)})),
-            modems=(
-                PassthroughModem(0, send_pair=(0, 1)),
-                PassthroughModem(1, recv_pairs=[(0, 1)]),
-            ),
-            sources={(0, 1): Pmf.from_probs([0.5, 0.5])},  # binary source
-            block_length=5,
-            latency_map={(0, 1): 3},
-        )
-        with pytest.raises(WiringError):
-            rollout(system, __import__("sepnet").RandomnessHandle(0), horizon=10)
+        with pytest.raises(WiringError, match="medium input alphabet 3"):
+            NetworkSystem(
+                medium=MediumKernel(2, matrix_links({(0, 1): np.eye(3)})),
+                modems=(
+                    PassthroughModem(0, send_pair=(0, 1)),
+                    PassthroughModem(1, recv_pairs=[(0, 1)]),
+                ),
+                sources={(0, 1): Pmf.from_probs([0.5, 0.5])},  # binary source
+                block_length=5,
+                latency_map={(0, 1): 3},
+            )
 
 
 class TestRelayChain:
@@ -283,11 +279,10 @@ class TestRelayChain:
         traj = rollout(system, root, lanes=2, horizon=100)
         assert np.array_equal(traj.sources[(0, 2)][:90], traj.repro[(0, 2)][5:95])
 
-    def test_relay_cannot_forward_a_wider_alphabet(self, root):
+    def test_relay_cannot_forward_a_wider_alphabet(self):
         # a ternary symbol heard on (0, 1) has no row in the binary (1, 2)
-        system = self.build(0.05, first_hop=np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]))
         with pytest.raises(WiringError, match="relay 1"):
-            rollout(system, root, lanes=2, horizon=10)
+            self.build(0.05, first_hop=np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]))
 
     def test_rollout_holds_one_window_of_the_medium(self, root):
         # past the sources and reproductions it returns, a rollout's memory
@@ -339,18 +334,18 @@ class TestMarkovMedium:
         return float((x != y).mean())
 
     def test_single_state_reduces_to_dmc(self, root):
-        rule = MarkovLinkRule(np.array([[1.0]]), bsc(0.11)[None, :, :])
-        system = self.two_user(MediumKernel(2, markov_links({(0, 1): rule})))
+        link = (bsc(0.11)[None, :, :], (), MarkovLinkRule(np.array([[1.0]])))
+        system = self.two_user(MediumKernel(2, {(0, 1): link}))
         assert abs(self.flip_rate(system, root.derive("one")) - 0.11) <= 0.01
 
     def test_gilbert_elliott_long_run(self, root):
         # symmetric switching 0.1 -> stationary (0.5, 0.5); flip = 0.155
-        medium = MediumKernel(2, markov_links({(0, 1): gilbert_elliott_rule(0.01, 0.3, 0.1, 0.1)}))
+        medium = MediumKernel(2, {(0, 1): gilbert_elliott_link(0.01, 0.3, 0.1, 0.1)})
         assert abs(self.flip_rate(self.two_user(medium), root.derive("ge")) - 0.155) <= 0.015
 
     def test_absorbing_bad_state(self, root):
-        rule = gilbert_elliott_rule(0.01, 0.3, 0.0, 0.0, initial_state=1)
-        medium = MediumKernel(2, markov_links({(0, 1): rule}))
+        link = gilbert_elliott_link(0.01, 0.3, 0.0, 0.0, initial_state=1)
+        medium = MediumKernel(2, {(0, 1): link})
         assert abs(self.flip_rate(self.two_user(medium), root.derive("abs")) - 0.3) <= 0.01
 
 
@@ -407,8 +402,8 @@ class TestWideAlphabets:
         states = 200
         transition = np.roll(np.eye(states), 1, axis=1)
         emission = np.stack([np.eye(2) if s < 128 else np.eye(2)[::-1] for s in range(states)])
-        rule = MarkovLinkRule(transition, emission)
-        system = self.two_user(MediumKernel(2, markov_links({(0, 1): rule})), 2)
+        link = (emission, (), MarkovLinkRule(transition))
+        system = self.two_user(MediumKernel(2, {(0, 1): link}), 2)
         T = 1001
         _, inputs, links = recorded_rollout(system, root, lanes=2, horizon=T)
         sent = inputs[0, : T - 1]

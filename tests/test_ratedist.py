@@ -94,9 +94,12 @@ class TestBlockDistortion:
 
 class TestExcessDistortion:
     def test_identical_pairs_zero(self, root):
+        # a ternary source and link, swapped in together: the system is
+        # checked whole when it is built
         system = dataclasses.replace(
-            single_link_system(0.0, source_probs=(0.2, 0.3, 0.5), block_length=16),
+            single_link_system(0.0, block_length=16),
             medium=MediumKernel(2, {PAIR: (np.eye(3), (), None)}),
+            sources={PAIR: Pmf.from_probs([0.2, 0.3, 0.5])},
         )
         rep = measure_end_to_end(
             system, PAIR, DistortionBudget(0.0, hamming_metric(3)), 1000, root.derive("same")

@@ -17,7 +17,7 @@ from sepnet.netmodel import (
     PassthroughModem,
     rollout,
 )
-from sepnet.harness import ExperimentConfig, _PoisonMedium, _resize_target, cmd_separate
+from sepnet.harness import ExperimentConfig, _PoisonMedium, cmd_separate
 from sepnet.probcore import Pmf, two_sample_test
 from sepnet import separation
 from sepnet.ratedist import DistortionBudget
@@ -97,13 +97,27 @@ class TestPlanSeparation:
     def test_relay_chain_plans_at_n64(self, root):
         # |Cc| is past the 2^20-row cap; only the |Cs| message rows are drawn
         config = ExperimentConfig.load(CONFIG_DIR / "relay_chain.yaml")
-        target = _resize_target(config.targets[0], 64)
+        target = dataclasses.replace(config.targets[0], n=64)
         guarantee = stock_guarantee(pair=target.pair, n=64)
         plan = plan_separation(config.system, guarantee, target, root.derive("relay"))
         rp = plan.rate_plan
         assert (rp.n, rp.n_prime) == (64, 48)
         assert rp.channel_cardinality == 5_555_090 > CARDINALITY_CAP
         assert plan.channel_cb.cardinality == rp.source_cardinality <= CARDINALITY_CAP
+
+    def test_target_owns_n_prime(self, hamming2):
+        # n' = max(1, round(ratio * n)) at every n: 0.75 gives the sizes
+        # separate runs the shipped configs at
+        target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, n_prime_ratio=0.75, psi=0.25)
+        assert [dataclasses.replace(target, n=n).n_prime for n in (32, 48, 64)] == [24, 36, 48]
+        assert dataclasses.replace(target, n_prime_ratio=0.01).n_prime == 1
+        assert PairTarget((0, 1), hamming2, 0.125, 0.2, n=32).n_prime == 32
+
+    @pytest.mark.parametrize("ratio", [1.5, 1 + 1e-9, 0.0, -0.75, math.nan])
+    def test_n_prime_must_not_exceed_n(self, hamming2, ratio):
+        # a channel window of n steps carries one source block of n' <= n
+        with pytest.raises(ValueError, match="n_prime_ratio"):
+            PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, n_prime_ratio=ratio, psi=0.25)
 
     def test_strictness_rejected(self, root, hamming2):
         system = single_link_system(0.11, block_length=32)
@@ -217,7 +231,7 @@ class TestApplySeparation:
         # noiseless medium, exact-match decode: the end-to-end reproduction
         # is bit-for-bit the source coder roundtrip
         system = single_link_system(0.0, block_length=32)
-        target = PairTarget((0, 1), hamming2, 0.0, 0.2, n=32, n_prime=24,
+        target = PairTarget((0, 1), hamming2, 0.0, 0.2, n=32, n_prime_ratio=0.75,
                             psi=0.3, alpha=0.6, decode_rule="within_d")
         guar = GuaranteeReport((0, 1), 0.0, 0.0, 0.0, 1000, 32, 0)
         plan = plan_separation(system, guar, target, root.derive("c"))
@@ -241,8 +255,8 @@ class TestApplySeparation:
     def test_degenerate_single_row_codebooks(self, root, hamming2, fair_coin):
         # one codeword, one reproduction row: output independent of the source
         system = single_link_system(0.0, block_length=8)
-        plan_rp = RatePlan.make(n=8, level=0.125, level_prime=0.2,
-                                rate_at_level=R_125, rate_at_level_prime=R_200)
+        plan_rp = RatePlan(n=8, n_prime=8, level=0.125, level_prime=0.2,
+                           rate_at_level=R_125, rate_at_level_prime=R_200)
         seed = root.derive("deg")
         chan_cb = Codebook.generate("channel-embedding", fair_coin, 8, 1, seed)
         src_cb = Codebook.generate("source-compression", fair_coin, 8, 1, seed)
@@ -287,7 +301,7 @@ class TestMeasureEndToEnd:
         # n' = 24 < n = 32 and within-D channel decoding, which fails often
         # over BSC(0.11) at D = 0.125
         system = single_link_system(0.11, block_length=32)
-        target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, n_prime=24, psi=0.3)
+        target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, n_prime_ratio=0.75, psi=0.3)
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
         return plan, apply_separation(system, plan)
 
@@ -523,8 +537,8 @@ class TestSeparateNetwork:
         system = two_pair_system(coupled=False)
         targets = [
             PairTarget((0, 1), hamming2, 0.125, 0.2, n=32, decode_rule="argmin"),
-            PairTarget((2, 3), hamming2, 0.125, 0.2, n=32, n_prime=24, psi=0.3, alpha=0.03,
-                       decode_rule="argmin"),
+            PairTarget((2, 3), hamming2, 0.125, 0.2, n=32, n_prime_ratio=0.75, psi=0.3,
+                       alpha=0.03, decode_rule="argmin"),
         ]
         apply = separation.apply_separation
 
@@ -546,9 +560,9 @@ class TestSeparateNetwork:
         # fluctuation costs ~1.2 * sqrt(p(1-p)/n') bits of rate, which the
         # uniform pair is immune to
         targets = [
-            PairTarget((0, 1), hamming2, 0.125, 0.2, n=48, n_prime=36,
+            PairTarget((0, 1), hamming2, 0.125, 0.2, n=48, n_prime_ratio=0.75,
                        psi=0.25, alpha=0.15, decode_rule="argmin"),
-            PairTarget((2, 3), hamming2, 0.125, 0.2, n=48, n_prime=32,
+            PairTarget((2, 3), hamming2, 0.125, 0.2, n=48, n_prime_ratio=2 / 3,
                        psi=0.6, alpha=0.03, decode_rule="argmin"),
         ]
         final, steps = separate_network(
