@@ -112,7 +112,8 @@ class RatePlan:
     """Rate bookkeeping tying the source coder to the embedding coder.
 
     ``channel_rate`` = R_X(D) - alpha and ``source_rate`` = R_X'(D') +
-    psi/2. Validity requires psi > 0, the block-ratio condition
+    psi/2. Validity requires n' <= n (a channel window carries one source
+    block), psi > 0, the block-ratio condition
     n/n' > R_X'(D')/R_X(D) + psi, and that the source coder's message set
     fits inside the channel coder's (n*channel_rate >= n'*source_rate).
     psi and alpha left None take the equal-block construction's choices:
@@ -134,6 +135,9 @@ class RatePlan:
     def __post_init__(self):
         if self.n < 1 or self.n_prime < 1:
             raise RatePlanError("block lengths must be >= 1")
+        if self.n_prime > self.n:
+            raise RatePlanError(f"n_prime: {self.n_prime} exceeds n = {self.n}; a channel "
+                                f"window carries one source block")
         if self.rate_at_level <= 0:
             raise RatePlanError("R_X(D) must be > 0 for embedding to carry anything")
         rate, rate_prime = self.rate_at_level, self.rate_at_level_prime

@@ -366,6 +366,9 @@ class PassthroughModem(Modem):
         for (i, j) in self.recv_pairs:
             if j != self.user:
                 raise WiringError(f"modem {self.user} cannot receive pair ({i},{j})")
+            if (i, j) not in system.sources:
+                raise WiringError(f"modem {self.user} receives pair ({i},{j}), "
+                                  "which has no source")
             link = self.recv_link[(i, j)]
             if link not in medium.links:
                 raise WiringError(f"no medium link {link} for pair ({i},{j})")
@@ -422,7 +425,9 @@ class NetworkSystem:
     system, so the modems it swaps in are checked there.
 
     ``latency_map`` gives the fixed per-pair reproduction delay: the
-    reproduction of x[m] is read at y[m + L]. A pair's blocks are scored
+    reproduction of x[m] is read at y[m + L]. A separated pair keeps its
+    entry, the delay of its inner modems, and is timed by its plan
+    (``separation.SeparationPlan.clock``). A pair's blocks are scored
     from x[warmup] on, ``block_length`` symbols each unless the measurement
     asks for another length. Sources for distinct pairs always draw from
     independent randomness streams.
@@ -449,12 +454,8 @@ class NetworkSystem:
     def modem_for(self, user: int) -> Modem:
         return self.modems[[m.user for m in self.modems].index(user)]
 
-    def with_modems(self, new_modems, latency_map=None) -> "NetworkSystem":
-        return replace(
-            self,
-            modems=tuple(new_modems),
-            latency_map=dict(latency_map if latency_map is not None else self.latency_map),
-        )
+    def with_modems(self, new_modems) -> "NetworkSystem":
+        return replace(self, modems=tuple(new_modems))
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,7 +469,6 @@ class Trajectory:
     sources: dict
     repro: dict
     telemetry: dict
-    latency_map: dict
     horizon: int
     lanes: int
 
@@ -585,7 +585,6 @@ def rollout(
         sources=sources,
         repro=repro,
         telemetry=telemetry,
-        latency_map=dict(system.latency_map),
         horizon=T,
         lanes=B,
     )

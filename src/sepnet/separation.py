@@ -143,20 +143,35 @@ class SeparationPlan:
 
     @property
     def latency(self) -> int:
-        """Steps from a source block's start to its decoded reproduction:
-        n' to collect the block, n to send its codeword, then the inner
-        latency. Exact for every block only when n' = n. Otherwise window w
-        carries the block at ``source_start(w)``, while its decode step is
-        ``latency`` + w*n, so the per-block delay cycles: single_bsc at
-        n = 32, n' = 24 gives 59, 67, 75, 59, ... against a declared 59."""
+        """Steps from the first source block's start to its decoded
+        reproduction: n' to collect the block, n to send its codeword, then
+        the inner latency. Every block's delay is this only when n' = n; in
+        general each window's steps are the ``clock``'s."""
         return self.rate_plan.n + self.rate_plan.n_prime + self.inner_latency
 
-    def source_start(self, window):
-        """Start of the source block that channel window ``window`` (an int
-        or an array) carries: the newest complete block at the window's
-        emit step n' + w*n, so w*n rounded down to a multiple of n'."""
+    def windows(self, horizon: int) -> int:
+        """The number of channel windows whose decode step lies before
+        ``horizon``."""
+        return max(0, -(-(horizon - self.latency) // self.rate_plan.n))
+
+    def clock(self, windows: int) -> tuple:
+        """The block clock of channel windows w = 0 .. ``windows`` - 1, three
+        int64 arrays:
+
+        - the start of the source block window w carries, the newest
+          complete one at its emit step: w*n rounded down to a multiple of
+          n' (n' <= n, so one block per window);
+        - the emit step n' + w*n, where the window's n channel steps begin;
+        - the decode step ``latency`` + w*n, where the block's n'
+          reproduced symbols begin, once the window has passed the inner
+          modems.
+
+        At n' = n each block's delay is ``latency``; below, it cycles:
+        single_bsc at n = 32, n' = 24 gives 59, 67, 75, 59, ...
+        """
         n, npr = self.rate_plan.n, self.rate_plan.n_prime
-        return window * n // npr * npr
+        wn = n * np.arange(windows, dtype=np.int64)
+        return wn // npr * npr, npr + wn, self.latency + wn
 
     def summary(self) -> dict:
         return {
@@ -177,16 +192,17 @@ class SeparationSendModem(Modem):
     """h'_s: source-code a block, embed the message as a codeword, and feed
     the codeword stream to the unchanged inner modem as its source.
 
-    Window w of the channel block clock covers steps [n' + w*n, n' + w*n +
-    n). At each window start the newest complete source block is encoded;
-    earlier unsent blocks are dropped when n' < n (the stream outpaces the
-    codec, which only matters for continuous runs). Only the windows whose
-    decode step ``plan.latency`` + w*n lies inside the horizon are
-    encoded. Before the first window and after the last encoded one the
-    simulated stream is fresh i.i.d. symbols from the source law, drawn in
-    one draw at the start, so the inner modem's input law is exact at
-    every step. All channel windows that start within one rollout window
-    are encoded in one search.
+    Channel window w starts at its emit step of ``SeparationPlan.clock``
+    and carries the source block that the clock assigns it; earlier unsent
+    blocks are dropped when n' < n (the stream outpaces the codec, which
+    only matters for continuous runs). Only the ``plan.windows(horizon)``
+    windows decoded within the horizon are encoded. Before the first window
+    and after the last one the simulated stream is fresh i.i.d. symbols
+    from the source law, drawn in one draw at the start, so the inner
+    modem's input law is exact at every step. All channel windows that
+    start within one rollout window are encoded in one search. Telemetry:
+    ``messages`` and ``roundtrip_avg``, (windows, lanes), and
+    ``sim_stream``, the inner modem's source.
     """
 
     def __init__(self, inner: Modem, plan: SeparationPlan):
@@ -196,66 +212,45 @@ class SeparationSendModem(Modem):
 
     def start(self, view: ModemView):
         T, B = view.horizon, view.lanes
-        pair = self.plan.pair
-        pmf = view.source_pmfs[pair]
-        n, npr = self.plan.rate_plan.n, self.plan.rate_plan.n_prime
+        plan = self.plan
+        pmf = view.source_pmfs[plan.pair]
+        windows = plan.windows(T)
+        src, emit, _ = plan.clock(windows)
         virt = np.zeros((T, B), dtype=pmf.alphabet.dtype)
-        head = min(npr, T)
-        # the emit step after the last window decoded within the horizon
-        emit_end = min(npr + n * max(0, -(-(T - self.plan.latency) // n)), T)
-        filler = sample_iid_array(pmf, (head + T - emit_end) * B, view.private_gen)
-        virt[:head], virt[emit_end:] = np.split(filler.reshape(-1, B), [head])
-        inner_sources = dict(view.sources)
-        inner_sources[pair] = virt
-        inner_view = ModemView(
-            user=view.user,
-            lanes=B,
-            horizon=T,
-            sources=inner_sources,
-            source_pmfs=view.source_pmfs,
-            link_in=view.link_in,
-            private_gen=view.private_gen,
-        )
-        view.telemetry["sep_send"] = {"windows": [], "sim_stream": virt}
+        # the encoded windows are back to back and end by the last one's
+        # decode step, inside the horizon
+        head, tail = (emit[0], emit[-1] + plan.rate_plan.n) if windows else (T, T)
+        filler = sample_iid_array(pmf, (head + T - tail) * B, view.private_gen)
+        virt[:head], virt[tail:] = np.split(filler.reshape(-1, B), [head])
+        inner_view = ModemView(user=view.user, lanes=B, horizon=T,
+                               sources={**view.sources, plan.pair: virt},
+                               source_pmfs=view.source_pmfs, link_in=view.link_in,
+                               private_gen=view.private_gen)
+        telemetry = view.telemetry["sep_send"] = {
+            "messages": np.zeros((windows, B), dtype=np.int64),
+            "roundtrip_avg": np.zeros((windows, B)),
+            "sim_stream": virt,
+        }
         return {
-            "virt": virt,
             "inner_view": inner_view,
             "inner_state": self.inner.start(inner_view),
-            "true_sources": view.sources[pair],
-            "windows": view.telemetry["sep_send"]["windows"],
-            "emit_end": emit_end,
+            "src": src,
+            "emit": emit,
+            **telemetry,  # filled window by window
         }
 
     def window(self, t0, t1, state, view):
         plan = self.plan
-        n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
-        emit = _clock_ticks(npr, n, t0, min(t1, state["emit_end"]))
-        if len(emit):
-            src = plan.source_start((emit - npr) // n)
-            x = _blocks(state["true_sources"], src, npr)
+        lo, hi = np.searchsorted(state["emit"], [t0, t1])
+        if hi > lo:
+            x = _blocks(view.sources[plan.pair], state["src"][lo:hi], plan.rate_plan.n_prime)
             messages, roundtrip = batch_min_distortion_rows(plan.source_cb, x, plan.metric)
-            messages = messages.reshape(len(emit), -1)
-            roundtrip = roundtrip.reshape(len(emit), -1)
-            for k, tau in enumerate(emit.tolist()):
-                end = min(tau + n, view.horizon)
-                state["virt"][tau:end] = plan.channel_cb.rows(messages[k]).T[: end - tau]
-                state["windows"].append(
-                    {
-                        "window": (tau - npr) // n,
-                        "src_start": int(src[k]),
-                        "emit_start": tau,
-                        "messages": messages[k],
-                        "roundtrip_avg": roundtrip[k],
-                    }
-                )
+            state["messages"][lo:hi] = messages.reshape(hi - lo, -1)
+            state["roundtrip_avg"][lo:hi] = roundtrip.reshape(hi - lo, -1)
+            words = plan.channel_cb.rows(state["messages"][lo:hi])
+            for tau, block in zip(state["emit"][lo:hi].tolist(), words):
+                state["sim_stream"][tau : tau + plan.rate_plan.n] = block.T
         return self.inner.window(t0, t1, state["inner_state"], state["inner_view"])
-
-
-def _clock_ticks(first: int, period: int, t0: int, t1: int) -> np.ndarray:
-    """Steps first + w*period (w >= 0) that fall in [t0, t1)."""
-    lo = max(0, -(-(t0 - first) // period))
-    hi = max(lo, -(-(t1 - first) // period))
-    return first + period * np.arange(lo, hi)
 
 
 def _blocks(stream: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
@@ -272,9 +267,12 @@ class SeparationRecvModem(Modem):
 
     The decoder shares the encoder's plan, so its codebooks are the common
     randomness of the pair. The plan's channel codebook holds only the
-    rows that carry messages, and decoding searches all of them. Block w
-    is decoded at step ``plan.latency`` + w*n. All channel blocks whose
-    decode step falls within one rollout window are decoded in one search.
+    rows that carry messages, and decoding searches all of them. Channel
+    window w is received over the n steps before its decode step of
+    ``SeparationPlan.clock`` and reproduced from that step on. All channel
+    windows whose decode step falls within one rollout window are decoded
+    in one search. Telemetry: ``codes``, (windows, lanes), the decoded
+    messages or ``NONE_WITHIN``/``AMBIGUOUS``.
     """
 
     def __init__(self, inner: Modem, plan: SeparationPlan):
@@ -284,12 +282,19 @@ class SeparationRecvModem(Modem):
 
     def start(self, view: ModemView):
         T, B = view.horizon, view.lanes
-        view.telemetry["sep_recv"] = {"windows": []}
+        plan = self.plan
+        windows = plan.windows(T)
+        telemetry = view.telemetry["sep_recv"] = {
+            "codes": np.zeros((windows, B), dtype=np.int64),
+        }
         return {
-            "ys": np.zeros((T, B), dtype=self.plan.channel_cb.gen_pmf.alphabet.dtype),
-            "emit": np.zeros((T, B), dtype=self.plan.source_cb.gen_pmf.alphabet.dtype),
+            "ys": np.zeros((T, B), dtype=plan.channel_cb.gen_pmf.alphabet.dtype),
+            # a block decoded near the horizon may run up to n' rows past it
+            "repro": np.zeros((T + plan.rate_plan.n_prime, B),
+                              dtype=plan.source_cb.gen_pmf.alphabet.dtype),
             "inner_state": self.inner.start(view),
-            "windows": view.telemetry["sep_recv"]["windows"],
+            "decode": plan.clock(windows)[2],
+            **telemetry,  # filled window by window
         }
 
     def window(self, t0, t1, state, view):
@@ -299,24 +304,17 @@ class SeparationRecvModem(Modem):
         if plan.pair in repro_map:
             state["ys"][t0:t1] = repro_map.pop(plan.pair)
         n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
-        decode = _clock_ticks(plan.latency, n, t0, t1)
-        if len(decode):
-            # block w was received over [n' + w*n + lat, n' + (w+1)*n + lat)
-            codes = _decode_blocks(
-                plan.channel_cb,
-                _blocks(state["ys"], decode - n, n),
-                plan.metric,
-                plan.rate_plan.level,
-                plan.decode_rule,
-            ).reshape(len(decode), -1)
-            safe = np.clip(codes, 0, plan.source_cb.cardinality - 1)
-            for k, tau in enumerate(decode.tolist()):
-                end = min(tau + npr, view.horizon)
-                state["emit"][tau:end] = plan.source_cb.rows(safe[k]).T[: end - tau]
-                state["windows"].append(
-                    {"window": (tau - plan.latency) // n, "decode_tau": tau, "codes": codes[k]}
-                )
-        repro_map[plan.pair] = state["emit"][t0:t1]
+        decode = state["decode"]
+        lo, hi = np.searchsorted(decode, [t0, t1])
+        if hi > lo:
+            received = _blocks(state["ys"], decode[lo:hi] - n, n)
+            state["codes"][lo:hi] = _decode_blocks(
+                plan.channel_cb, received, plan.metric, plan.rate_plan.level, plan.decode_rule
+            ).reshape(hi - lo, -1)
+            safe = np.clip(state["codes"][lo:hi], 0, plan.source_cb.cardinality - 1)
+            for tau, block in zip(decode[lo:hi].tolist(), plan.source_cb.rows(safe)):
+                state["repro"][tau : tau + npr] = block.T
+        repro_map[plan.pair] = state["repro"][t0:t1]
         return iota, repro_map
 
 
@@ -395,18 +393,13 @@ def plan_separation(
 
 def apply_separation(system: NetworkSystem, plan: SeparationPlan) -> NetworkSystem:
     """Wrap the system's modems of ``plan.pair`` in the plan's codec; every
-    other modem stays object-identical.
-
-    The pair's declared latency becomes ``plan.latency``, exact for every
-    block only when n' = n (see ``SeparationPlan.latency``).
-    ``measure_end_to_end`` scores a separated pair from the plan's block
-    clock, not from ``latency_map``.
-    """
+    other modem stays object-identical, and so does ``latency_map``: a
+    separated pair is timed by its plan's ``clock``."""
     wrappers = {plan.pair[0]: SeparationSendModem, plan.pair[1]: SeparationRecvModem}
     modems = [
         wrappers[m.user](m, plan) if m.user in wrappers else m for m in system.modems
     ]
-    return system.with_modems(modems, {**system.latency_map, plan.pair: plan.latency})
+    return system.with_modems(modems)
 
 
 def is_separated(system: NetworkSystem, pair: tuple) -> bool:
@@ -521,37 +514,39 @@ def measure_end_to_end(
     """Excess-distortion estimate for any pair of the (possibly transformed)
     system, from ``trials`` >= MIN_TRIALS blocks.
 
-    The scored blocks are fixed before the rollout: the k-th block start of
-    each lane compares the source from x_k with the reproduction from y_k.
-    A plain pair has blocks of ``block_length`` (default: the system's)
-    from the warm-up on, at its declared latency. A separated pair has one
-    block of n' per channel window w, from ``plan.source_start(w)``
-    against its decode step ``plan.latency`` + w*n; it ignores
+    The scored blocks are fixed before the rollout, and they are the block
+    starts the guarantee covers: the k-th block start of each lane, k = 0,
+    1, ..., compares the source from x_k with the reproduction from y_k. A
+    plain pair has blocks of n = ``block_length`` (default: the system's),
+    x_k = warmup + k*n and y_k = x_k + its declared latency. A separated
+    pair has one block of n' per channel window k of its plan's ``clock``,
+    x_k the window's source start and y_k its decode step; it ignores
     ``block_length`` and also reports the channel/source error split over
-    the same blocks. With a cap of _PLAIN_LANES lanes for a plain pair and
-    _SEPARATED_LANES for a separated one, the rollout runs ceil(trials /
-    cap) block starts of ceil(trials / starts) lanes, so fewer than one
-    block per start goes unscored. Trials fill the lanes of one block
-    start before the next. The rollout stops where the last scored block
-    ends; every draw is a prefix of the same stream, so a longer rollout
-    would score the same blocks bit for bit. Each block is scored where it
-    lies in the rollout's source and reproduction streams, with no copy,
-    and under c * Hamming by one mismatch count (``_block_distortions``).
+    the same blocks, from the wrappers' telemetry. With a cap of
+    _PLAIN_LANES lanes for a plain pair and _SEPARATED_LANES for a
+    separated one, the rollout runs ceil(trials / cap) block starts of
+    ceil(trials / starts) lanes, so fewer than one block per start goes
+    unscored. Trials fill the lanes of one block start before the next. The
+    rollout stops where the last scored block ends; every draw is a prefix
+    of the same stream, so a longer rollout would score the same blocks bit
+    for bit. Each block is scored where it lies in the rollout's source and
+    reproduction streams, with no copy, and under c * Hamming by one
+    mismatch count (``_block_distortions``).
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} trials")
     pair = tuple(pair)
     plan = system.modem_for(pair[0]).plan if is_separated(system, pair) else None
-    starts = np.arange(-(-trials // (_PLAIN_LANES if plan is None else _SEPARATED_LANES)))
-    lanes = -(-trials // len(starts))
+    starts = -(-trials // (_PLAIN_LANES if plan is None else _SEPARATED_LANES))
+    lanes = -(-trials // starts)
     if plan is None:
         n = int(block_length if block_length is not None else system.block_length)
-        x_starts = system.warmup + n * starts
+        x_starts = system.warmup + n * np.arange(starts)
         y_starts = x_starts + system.latency_map[pair]
     else:
         n = plan.rate_plan.n_prime
-        x_starts = plan.source_start(starts)
-        y_starts = plan.latency + starts * plan.rate_plan.n
+        x_starts, _, y_starts = plan.clock(starts)
+    # a separated rollout to the end of the last block decodes exactly these windows
     traj = rollout(system, seeds, lanes=lanes, horizon=int(y_starts[-1]) + n)
     avgs = _block_distortions(
         budget.metric, traj.sources[pair], traj.repro[pair], x_starts, y_starts, n
@@ -569,12 +564,10 @@ def measure_end_to_end(
     if plan is None:
         return GuaranteeReport(**report)
 
-    # both wrappers log windows 0, 1, ... in order; the first ones are scored
-    send = traj.telemetry[pair[0]]["sep_send"]["windows"][: len(starts)]
-    recv = traj.telemetry[pair[1]]["sep_recv"]["windows"][: len(starts)]
-    codes = np.concatenate([w["codes"] for w in recv])[:trials]
-    xi = codes != np.concatenate([w["messages"] for w in send])[:trials]
-    eta = np.concatenate([w["roundtrip_avg"] for w in send])[:trials] > budget.level
+    send = traj.telemetry[pair[0]]["sep_send"]
+    codes = traj.telemetry[pair[1]]["sep_recv"]["codes"].reshape(-1)[:trials]
+    xi = codes != send["messages"].reshape(-1)[:trials]
+    eta = send["roundtrip_avg"].reshape(-1)[:trials] > budget.level
     return SeparatedGuaranteeReport(
         **report,
         xi_hat=float(xi.mean()),
@@ -643,9 +636,9 @@ def verify_noninterference(
         pair = tuple(pair)
         size = before.sources[pair].alphabet.size
         joint = Alphabet(size * size)
+        lat = before.latency_map[pair]
         ys, joints = [], []
         for traj in trajs:
-            lat = traj.latency_map[pair]
             y = traj.repro[pair][t0 + lat : t0 + lat + samples]
             x = traj.sources[pair][t0 : t0 + samples].astype(joint.dtype, copy=False)
             # (lanes, samples), so that each repetition's stream is contiguous

@@ -63,6 +63,14 @@ class TestMessageSetAndPlan:
         with pytest.raises(RatePlanError):
             small_plan(psi=0.0)
 
+    def test_n_prime_must_not_exceed_n(self):
+        # every rate condition holds here (n/n' = 0.667 > R'/R + psi = 0.164),
+        # but a channel window of n cannot carry a source block of n' > n
+        with pytest.raises(RatePlanError, match="n_prime"):
+            RatePlan(n=32, n_prime=48, level=0.125, level_prime=0.4,
+                     rate_at_level=R_125, rate_at_level_prime=0.029,  # R(0.4)
+                     psi=0.1, alpha=0.05)
+
     def test_unequal_blocks_need_explicit_psi(self):
         with pytest.raises(RatePlanError):
             RatePlan(n=32, n_prime=24, level=0.125, level_prime=0.2,

@@ -40,8 +40,10 @@ def digest(arr) -> str:
     return h.hexdigest()[:16]
 
 
-def trajectory_digests(traj, medium_inputs, link_outputs) -> dict:
-    """Digests of a ``recorded_rollout``'s arrays."""
+def trajectory_digests(system, traj, medium_inputs, link_outputs) -> dict:
+    """Digests of a ``recorded_rollout`` of ``system``'s arrays; a separated
+    pair's window, source-start, emit and decode steps are its plan's
+    ``clock`` over the windows its wrappers log."""
     out = {"medium_inputs": digest(medium_inputs)}
     streams = {"sources": traj.sources, "link_outputs": link_outputs, "repro": traj.repro}
     for name, arrays in streams.items():
@@ -50,16 +52,16 @@ def trajectory_digests(traj, medium_inputs, link_outputs) -> dict:
     for user, tel in sorted(traj.telemetry.items()):
         if "sep_send" in tel:
             send = tel["sep_send"]
-            out[f"send{user}.sim_stream"] = digest(send["sim_stream"])
-            for field in ("window", "src_start", "emit_start", "messages", "roundtrip_avg"):
-                out[f"send{user}.{field}"] = digest(
-                    np.stack([np.asarray(w[field]) for w in send["windows"]])
-                )
+            src, emit, _ = system.modem_for(user).plan.clock(len(send["messages"]))
+            logged = {"window": np.arange(len(src)), "src_start": src, "emit_start": emit,
+                      "messages": send["messages"], "roundtrip_avg": send["roundtrip_avg"],
+                      "sim_stream": send["sim_stream"]}
+            out.update({f"send{user}.{field}": digest(arr) for field, arr in logged.items()})
         if "sep_recv" in tel:
-            for field in ("window", "decode_tau", "codes"):
-                out[f"recv{user}.{field}"] = digest(
-                    np.stack([np.asarray(w[field]) for w in tel["sep_recv"]["windows"]])
-                )
+            codes = tel["sep_recv"]["codes"]
+            *_, decode = system.modem_for(user).plan.clock(len(codes))
+            logged = {"window": np.arange(len(codes)), "decode_tau": decode, "codes": codes}
+            out.update({f"recv{user}.{field}": digest(arr) for field, arr in logged.items()})
     return out
 
 
@@ -219,4 +221,4 @@ def test_rollout_arrays_match_golden_digests(name):
     system = golden_system(name)
     recorded = recorded_rollout(system, RandomnessHandle(20240801).derive("golden", name),
                                 lanes=LANES, horizon=HORIZON)
-    assert trajectory_digests(*recorded) == GOLDEN[name]
+    assert trajectory_digests(system, *recorded) == GOLDEN[name]

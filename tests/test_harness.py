@@ -190,10 +190,18 @@ def with_value(key, value):
     return edit
 
 
+def relay_chain_receiving_a_pair_without_source(d):
+    # link (1, 2) exists, but pair (1, 2) has no source
+    d.clear()
+    d.update(yaml.safe_load(RELAY_CHAIN.read_text()))
+    d["modems"][2]["recv"].append([1, 2])
+
+
 BAD_CONFIGS = {
     "D_prime": without_d_prime,
     "modems": without_a_modem,
     "modems (a receiver hears more letters than its pair has)": with_a_ternary_link,
+    "modems (a receiver lists a pair with no source)": relay_chain_receiving_a_pair_without_source,
     "medium": with_flip_above_one,
     "decode_rule": with_misspelled_rule,
     "trials": with_value("trials", 50),
@@ -510,6 +518,14 @@ def test_exit_validation_on_bad_config(key, tmp_path):
     path.write_text(yaml.safe_dump(bad_config(key)))
     code = run_cli("baseline", "--config", path, "--out", tmp_path / "out")
     assert code == cli.EXIT_VALIDATION
+
+
+def test_exit_validation_names_a_received_pair_without_source(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(bad_config("modems (a receiver lists a pair with no source)")))
+    code = run_cli("baseline", "--config", path, "--out", tmp_path / "out")
+    assert code == cli.EXIT_VALIDATION
+    assert "receives pair (1,2), which has no source" in capsys.readouterr().err
 
 
 def test_exit_validation_on_missing_file(tmp_path):

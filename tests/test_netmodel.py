@@ -136,7 +136,7 @@ class TestRollout:
     def test_zero_flip_reproduces_exactly(self, root):
         system = single_link_system(0.0)
         traj = rollout(system, root, lanes=2, horizon=200)
-        lat = traj.latency_map[(0, 1)]
+        lat = system.latency_map[(0, 1)]
         assert np.array_equal(
             traj.sources[(0, 1)][: 200 - lat], traj.repro[(0, 1)][lat:]
         )
@@ -153,7 +153,7 @@ class TestRollout:
         # oracle: flips are Bernoulli(0.11) per transmitted symbol
         system = single_link_system(0.11)
         traj = rollout(system, root.derive("cross"), lanes=10, horizon=10_012)
-        lat = traj.latency_map[(0, 1)]
+        lat = system.latency_map[(0, 1)]
         x = traj.sources[(0, 1)][: 10_012 - lat]
         y = traj.repro[(0, 1)][lat:]
         flips = float((x != y).mean())
@@ -278,6 +278,13 @@ class TestRelayChain:
         system = self.build(0.0)
         traj = rollout(system, root, lanes=2, horizon=100)
         assert np.array_equal(traj.sources[(0, 2)][:90], traj.repro[(0, 2)][5:95])
+
+    def test_a_received_pair_needs_a_source(self):
+        # link (1, 2) exists, but pair (1, 2) has no source to reproduce
+        system = self.build(0.05)
+        receiver = PassthroughModem(2, recv_pairs=[(0, 2), (1, 2)], recv_links={(0, 2): (1, 2)})
+        with pytest.raises(WiringError, match=r"receives pair \(1,2\), which has no source"):
+            system.with_modems([*system.modems[:2], receiver])
 
     def test_relay_cannot_forward_a_wider_alphabet(self):
         # a ternary symbol heard on (0, 1) has no row in the binary (1, 2)

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from conftest import bsc, recorded_rollout, single_link_system
@@ -176,6 +178,35 @@ class TestPlanSeparation:
         assert after.medium is system.medium  # untouched, by identity
 
 
+def clock_plan(n: int, n_prime: int, inner_latency: int) -> SeparationPlan:
+    """A plan with only what its block clock reads: block lengths whose
+    rates leave every rate condition met at any n' <= n, and the inner
+    latency."""
+    rate_plan = RatePlan(n=n, n_prime=n_prime, level=0.1, level_prime=0.4, rate_at_level=1.0,
+                         rate_at_level_prime=0.01, psi=0.01, alpha=0.01)
+    return SeparationPlan((0, 1), rate_plan, None, None, None, "argmin", inner_latency, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 200), ratio=st.floats(0, 1, exclude_min=True),
+       inner_latency=st.integers(0, 40), horizon=st.integers(0, 3000))
+def test_block_clock_invariants(n, ratio, inner_latency, horizon):
+    n_prime = max(1, round(ratio * n))
+    plan = clock_plan(n, n_prime, inner_latency)
+    windows = plan.windows(horizon)
+    src, emit, decode = plan.clock(windows + 1)
+    # windows(T) counts exactly the windows that decode before T
+    assert np.all(decode[:-1] < horizon) and decode[-1] >= horizon
+    # each window carries the newest source block complete at its emit step
+    assert np.all(src + n_prime <= emit) and np.all(emit < src + 2 * n_prime)
+    assert np.all(src % n_prime == 0)
+    assert np.array_equal(decode, emit + n + inner_latency)
+    for steps in (src, emit, decode):
+        assert steps.dtype == np.int64 and np.all(np.diff(steps) > 0)
+    if n_prime == n:
+        assert np.all(decode - src == plan.latency)
+
+
 class TestApplySeparation:
     def test_locality(self, root, hamming2):
         system = two_pair_system()
@@ -204,7 +235,7 @@ class TestApplySeparation:
         for name in ("generate", "from_spec"):
             monkeypatch.setattr(Codebook, name, classmethod(no_draw))
         traj = rollout(after, root.derive("r"), lanes=2, horizon=300)
-        assert traj.telemetry[1]["sep_recv"]["windows"]
+        assert len(traj.telemetry[1]["sep_recv"]["codes"])
 
     def test_simulated_stream_feeds_inner_modem(self, root, hamming2):
         system = single_link_system(0.11, block_length=32)
@@ -237,18 +268,16 @@ class TestApplySeparation:
         plan = plan_separation(system, guar, target, root.derive("c"))
         after = apply_separation(system, plan)
         traj = rollout(after, root.derive("r"), lanes=3, horizon=700)
-        send = traj.telemetry[0]["sep_send"]["windows"]
-        recv = {w["window"]: w for w in traj.telemetry[1]["sep_recv"]["windows"]}
+        messages = traj.telemetry[0]["sep_send"]["messages"]
+        codes = traj.telemetry[1]["sep_recv"]["codes"]
+        assert np.array_equal(codes, messages)
+        *_, decode = plan.clock(len(codes))
         y = traj.repro[(0, 1)]
         checked = 0
-        for sw in send:
-            w = sw["window"]
-            if w not in recv or recv[w]["decode_tau"] + 24 > 700:
+        for td, sent in zip(decode, messages):
+            if td + 24 > 700:
                 continue
-            assert np.array_equal(recv[w]["codes"], sw["messages"])
-            td = recv[w]["decode_tau"]
-            roundtrip = plan.source_cb.entries[sw["messages"]]
-            assert np.array_equal(y[td : td + 24].T, roundtrip)
+            assert np.array_equal(y[td : td + 24].T, plan.source_cb.entries[sent])
             checked += 1
         assert checked >= 10
 
@@ -264,13 +293,12 @@ class TestApplySeparation:
                               inner_latency=3, guarantee=stock_guarantee(n=8))
         after = apply_separation(system, plan)
         traj = rollout(after, root.derive("r"), lanes=2, horizon=200)
-        recv_tel = traj.telemetry[1]["sep_recv"]["windows"]
-        assert len(recv_tel) >= 5
-        assert all(np.all(w["codes"] == 0) for w in recv_tel)
+        codes = traj.telemetry[1]["sep_recv"]["codes"]
+        assert len(codes) >= 5
+        assert np.all(codes == 0)
         y = traj.repro[(0, 1)]
         row = src_cb.entries[0]
-        for w in recv_tel:
-            td = w["decode_tau"]
+        for td in plan.clock(len(codes))[2]:
             if td + 8 <= 200:
                 assert np.array_equal(y[td : td + 8].T, np.tile(row, (2, 1)))
 
@@ -321,9 +349,8 @@ class TestMeasureEndToEnd:
         windows = 2  # 3000 trials at 2048 lanes per window
         assert horizon == plan.latency + (windows - 1) * 32 + 24
         # every window the receiver logs is scored, and only those
-        recv = traj.telemetry[1]["sep_recv"]["windows"]
-        assert [w["window"] for w in recv] == list(range(windows))
-        assert all(w["decode_tau"] + 24 <= horizon for w in recv)
+        assert plan.windows(horizon) == windows
+        assert traj.telemetry[1]["sep_recv"]["codes"].shape == (windows, traj.lanes)
         assert rep.trials == 3000
 
         # a plain pair: 10,000 trials are 3 blocks of 3,334 lanes, and the
@@ -348,18 +375,24 @@ class TestMeasureEndToEnd:
         measure_end_to_end(after, (0, 1), DistortionBudget(0.2, hamming2), 3000, root.derive("m"))
         [traj] = runs
         send = traj.telemetry[0]["sep_send"]
-        recv = traj.telemetry[1]["sep_recv"]["windows"]
+        codes = traj.telemetry[1]["sep_recv"]["codes"]
         # 3,000 trials are 2 windows of 1,500 lanes, every one of them scored
         assert traj.lanes == 1500
-        assert [w["window"] for w in send["windows"]] == [w["window"] for w in recv] == [0, 1]
+        assert send["messages"].shape == send["roundtrip_avg"].shape == codes.shape == (2, 1500)
         # past the last encoded window the simulated stream is fresh filler
         tail = send["sim_stream"][24 + 2 * 32 :]
         assert len(tail) == traj.horizon - 24 - 2 * 32 > 0 and 0 < tail.mean() < 1
-        # at any horizon, on either side of a decode step
-        for horizon in range(plan.latency + 3 * 32 - 1, plan.latency + 3 * 32 + 2):
+        # at any horizon, on either side of window 3's decode step
+        for horizon, windows in zip(range(plan.latency + 3 * 32 - 1, plan.latency + 3 * 32 + 2),
+                                    (3, 3, 4)):
             traj = rollout(after, root.derive("h", horizon), lanes=2, horizon=horizon)
-            sent = traj.telemetry[0]["sep_send"]["windows"]
-            assert len(sent) == len(traj.telemetry[1]["sep_recv"]["windows"])
+            send = traj.telemetry[0]["sep_send"]
+            assert send["messages"].shape == traj.telemetry[1]["sep_recv"]["codes"].shape
+            assert len(send["messages"]) == windows
+            # the last window decoded is the last one encoded
+            emit = plan.clock(windows)[1][-1]
+            sent = plan.channel_cb.rows(send["messages"][-1]).T
+            assert np.array_equal(send["sim_stream"][emit : emit + 32], sent)
 
     @pytest.mark.parametrize("trials", [1000, 2047, 2049, 3000, 4097, 10_000, 12_288])
     def test_lanes_leave_fewer_than_one_block_per_start_unscored(
@@ -487,7 +520,7 @@ class TestNoninterference:
         streams = []
         for side, net in (("ni_before", system), ("ni_after", after)):
             traj = rollout(net, root.derive("ni").derive(side), lanes=lanes, horizon=horizon)
-            t0, lat = system.warmup, traj.latency_map[(2, 3)]
+            t0, lat = system.warmup, system.latency_map[(2, 3)]
             y = traj.repro[(2, 3)][t0 + lat : t0 + lat + samples]
             x = traj.sources[(2, 3)][t0 : t0 + samples]
             streams.append((y, 2 * x.astype(np.int64) + y))

@@ -43,7 +43,7 @@ def run(monkeypatch):
     def run(system, lanes, horizon, window_steps=None):
         budget = default if window_steps is None else window_steps * lanes
         monkeypatch.setattr(netmodel, "WINDOW_LANE_STEPS", budget)
-        return trajectory_digests(*recorded_rollout(
+        return trajectory_digests(system, *recorded_rollout(
             system, RandomnessHandle(11).derive("windows"), lanes, horizon=horizon
         ))
 
