@@ -31,6 +31,10 @@ Each ``targets`` entry gives one ``PairTarget``, from these keys:
 - ``psi``, ``alpha``: the rate plan's slacks; ``psi`` is required where
   the ratio is below 1;
 - ``decode_rule``: ``within_d`` (the default) or ``argmin``.
+
+No key gives a pair's latency or the pairs the noninterference test
+covers: the system works out each reproduced pair's latency from the
+modems' wiring, and ``separate`` tests every reproduced pair not a target.
 """
 
 from __future__ import annotations
@@ -117,9 +121,9 @@ _LINK_FORMS = {
 # Every key the parse reads, by section (and by kind, where the section has
 # kinds); any other key is a ConfigError.
 _KEYS = {
-    "config": ("name", "users", "seed", "medium", "modems", "sources", "latency",
-               "block_length", "warmup", "trials", "separate_trials", "recheck_trials",
-               "targets", "rd", "noninterference"),
+    "config": ("name", "users", "seed", "medium", "modems", "sources", "block_length",
+               "warmup", "trials", "separate_trials", "recheck_trials", "targets", "rd",
+               "noninterference"),
     "medium": ("links",),
     "medium.links": ("src", "dst", *dict.fromkeys(k for ks in _LINK_FORMS.values() for k in ks)),
     "medium.links.gilbert_elliott": ("flip_good", "flip_bad", "p_good_to_bad",
@@ -128,11 +132,10 @@ _KEYS = {
                "relay": ("user", "kind", "in_link")},
     "modems.recv_links": ("pair", "link"),
     "sources": ("src", "dst", "probs"),
-    "latency": ("src", "dst", "steps"),
     "targets": ("pair", "metric", "D", "D_prime", "block_lengths", "n_prime_ratio", "psi",
                 "alpha", "decode_rule"),
     "rd": ("source", "metric", "grid", "tol"),
-    "noninterference": ("untouched", "trials_blocks", "repetitions"),
+    "noninterference": ("trials_blocks", "repetitions"),
 }
 # libyaml's safe loader when pyyaml was built with it (5-10x faster to parse
 # a config), else the pure-Python one; both give the same dict.
@@ -239,14 +242,6 @@ def _positive(value) -> float:
     return _float(value)
 
 
-def _known_pair(value, sources: dict) -> tuple:
-    """``value`` as a (src, dst) pair that has a source entry."""
-    pair = _ints(value)
-    if pair not in sources:
-        raise ValueError(f"pair {list(pair)} has no source entry")
-    return pair
-
-
 def _sources(entries, users: int) -> dict:
     out = _keyed("sources", entries, _src_dst, lambda s: Pmf.from_probs(_floats(s["probs"])))
     for i, j in out:
@@ -326,15 +321,18 @@ def _block_lengths(value) -> list:
     return lengths
 
 
-def _target(entry, sources: dict, block_length: int) -> tuple:
+def _target(entry, system: NetworkSystem) -> tuple:
     """One ``targets`` entry: its PairTarget and the block lengths it runs at."""
     t = _section("targets", entry, _KEYS["targets"])
-    pair = _get(t, "targets.pair", lambda v: _known_pair(v, sources))
-    size = sources[pair].alphabet.size
-    lengths = _get(t, "targets.block_lengths", _block_lengths, [block_length])
+    pair = _get(t, "targets.pair", _ints)
+    if pair not in system.latency_map:
+        raise ConfigError(f"targets.pair: {list(pair)} has no source or no modem reproducing it")
+    source = system.sources[pair]
+    size = source.alphabet.size
+    lengths = _get(t, "targets.block_lengths", _block_lengths, [system.block_length])
     metric = _get(t, "targets.metric", lambda v: _metric(v, size), hamming_metric(size))
     # R(D) of the pair's source is defined only from its d_min on
-    floor = _at_least(metric.d_min(sources[pair]), _float)
+    floor = _at_least(metric.d_min(source), _float)
     level, level_prime = _get(t, "targets.D", floor), _get(t, "targets.D_prime", floor)
     psi, alpha = _get(t, "targets.psi", _positive, None), _get(t, "targets.alpha", _positive, None)
     ratio = _get(t, "targets.n_prime_ratio", _float, 1.0)
@@ -392,7 +390,7 @@ class ExperimentConfig:
     trials: int  # baseline
     separate_trials: int
     recheck_trials: int
-    untouched: tuple  # noninterference pairs
+    untouched: tuple  # noninterference pairs: every reproduced pair not a target
     ni_trials_blocks: int
     ni_repetitions: int
     rd: RdSweep | None
@@ -415,19 +413,13 @@ class ExperimentConfig:
         users = _get(d, "users", _int)
         block_length = _get(d, "block_length", _at_least(1))
         sources = _get(d, "sources", lambda v: _sources(v, users))
-        latency = _get(d, "latency", lambda v: _keyed(
-            "latency", v, lambda e: _known_pair(_src_dst(e), sources),
-            lambda e: _get(e, "latency.steps", _at_least(0)),
-        ), {})
-        for pair in sources:
-            latency.setdefault(pair, 3)
         medium = _get(d, "medium", lambda v: _medium(v, users))
         modems = _get(d, "modems", _modems)
         warmup = _get(d, "warmup", _at_least(0), 8)
-        # building the system checks every modem's wiring
+        # building the system checks every modem's wiring and times each pair
         system = _checked("modems", lambda: NetworkSystem(
-            medium, modems, sources, block_length, latency, warmup))
-        parsed = [_target(t, sources, block_length) for t in _get(d, "targets", list, [])]
+            medium, modems, sources, block_length, warmup))
+        parsed = [_target(t, system) for t in _get(d, "targets", list, [])]
         targets = tuple(target for target, _ in parsed)
         pairs = [target.pair for target in targets]
         if len(set(pairs)) != len(pairs):
@@ -438,13 +430,6 @@ class ExperimentConfig:
             raise ConfigError(f"targets: block lengths {lengths} differ between targets")
         ni = _section("noninterference", d.get("noninterference", {}),
                       _KEYS["noninterference"])
-        untouched = _get(ni, "noninterference.untouched",
-                         lambda v: tuple(_known_pair(p, sources) for p in v), ())
-        # a target's law changes by design, so testing it for interference
-        # would detect the separation itself
-        both = sorted(set(untouched) & set(pairs))
-        if both:
-            raise ConfigError(f"noninterference.untouched: {both} are also targets")
         return cls(
             data=data,
             digest=_canonical_digest(data),
@@ -456,7 +441,9 @@ class ExperimentConfig:
             trials=_get(d, "trials", _at_least(MIN_TRIALS), 10_000),
             separate_trials=_get(d, "separate_trials", _at_least(MIN_TRIALS), 3000),
             recheck_trials=_get(d, "recheck_trials", _at_least(MIN_TRIALS), 2000),
-            untouched=untouched,
+            # a target's law changes by design, so testing it for
+            # interference would detect the separation itself
+            untouched=tuple(sorted(set(system.latency_map) - set(pairs))),
             ni_trials_blocks=_get(ni, "noninterference.trials_blocks",
                                   _at_least(MIN_TRIALS), 2000),
             ni_repetitions=_get(ni, "noninterference.repetitions", _at_least(1), 1),
@@ -756,7 +743,6 @@ def _suite_separation(root: RandomnessHandle) -> dict:
                 PassthroughModem(1, recv_pairs=[(0, 1)])),
         sources={(0, 1): pmf},
         block_length=32,
-        latency_map={(0, 1): 3},
     )
     guar = GuaranteeReport((0, 1), 0.125, 0.05, 0.01, 1000, 32, 50)
     target = PairTarget((0, 1), metric, 0.125, 0.2, n=32)

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import graphlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +71,7 @@ __all__ = [
     "MediumKernel",
     "Modem",
     "ModemView",
+    "ModemWrapper",
     "NetworkSystem",
     "Trajectory",
     "WiringError",
@@ -308,6 +309,15 @@ class Modem(ABC):
         """Validate alphabet compatibility; raise WiringError on mismatch.
         ``NetworkSystem`` calls it when the system is built."""
 
+    def carries(self, carried) -> tuple | None:
+        """(pair, d): this modem's medium input carries x[m] of the pair at
+        step m + d; None if it carries none. ``carried(u)`` is user u's."""
+        return None
+
+    def latencies(self, carried) -> dict:
+        """{pair: L}: this modem reproduces x[m] of the pair at step m + L."""
+        return {}
+
     def start(self, view: ModemView):
         """Allocate per-rollout state."""
         return None
@@ -379,6 +389,19 @@ class PassthroughModem(Modem):
                 raise WiringError(f"modem {self.user}: link {link} outputs {heard} letters, "
                                   f"more than pair ({i},{j}) has")
 
+    def carries(self, carried):
+        # the source one step late (``_delayed``)
+        return (self.send_pair, 1) if self.send_pair else None
+
+    def latencies(self, carried):
+        # one link step, then one late read of the link
+        heard = {pair: carried(link[0]) or (None, 0) for pair, link in self.recv_link.items()}
+        for pair, (sent, _) in heard.items():
+            if sent != pair:
+                raise WiringError(f"modem {self.user} hears pair {pair} on link "
+                                  f"{self.recv_link[pair]}, whose sender does not carry it")
+        return {pair: d + 2 for pair, (_, d) in heard.items()}
+
     def window(self, t0, t1, state, view):
         iota = None
         if self.send_pair:
@@ -411,45 +434,71 @@ class ForwardRelayModem(Modem):
                 f"its medium input takes {sent}"
             )
 
+    def carries(self, carried):
+        # one late read of its link, then the next link's step
+        heard = carried(self.in_link[0])
+        return None if heard is None else (heard[0], heard[1] + 2)
+
     def window(self, t0, t1, state, view):
         return view.link_in[self.in_link], {}
+
+
+class ModemWrapper(Modem):
+    """A modem that runs ``inner`` behind a codec or a log of its own: it
+    is ``inner``'s user and keeps ``inner``'s timing."""
+
+    def __init__(self, inner: Modem):
+        self.user = inner.user
+        self.inner = inner
+
+    def carries(self, carried):
+        return self.inner.carries(carried)
+
+    def latencies(self, carried):
+        return self.inner.latencies(carried)
 
 
 @dataclass(frozen=True)
 class NetworkSystem:
     """Complete system description: medium, modems, sources, and timing.
 
-    Building one checks its wiring: one modem per user, latencies of known
-    pairs, and every modem's ``check_wiring``, so a system that exists is
-    wired and ``rollout`` checks nothing more. ``with_modems`` builds a new
-    system, so the modems it swaps in are checked there.
+    Building one checks its wiring: one modem per user, every modem's
+    ``check_wiring``, no loop of relays, and each receiver hearing its pair
+    from a sender that carries it; so a system that exists is wired and
+    ``rollout`` checks nothing more. ``with_modems`` builds a new system.
 
-    ``latency_map`` gives the fixed per-pair reproduction delay: the
-    reproduction of x[m] is read at y[m + L]. A separated pair keeps its
-    entry, the delay of its inner modems, and is timed by its plan
-    (``separation.SeparationPlan.clock``). A pair's blocks are scored
-    from x[warmup] on, ``block_length`` symbols each unless the measurement
-    asks for another length. Sources for distinct pairs always draw from
-    independent randomness streams.
+    ``latency_map`` gives each reproduced pair's delay, worked out from the
+    wiring (``Modem.carries``, ``Modem.latencies``): the reproduction of
+    x[m] is read at y[m + L]. A separated pair keeps its inner modems'
+    delay and is timed by its plan (``separation.SeparationPlan.clock``).
+    A pair's blocks are scored from x[warmup] on, ``block_length`` symbols
+    each unless the measurement asks for another length. Sources for
+    distinct pairs always draw from independent randomness streams.
     """
 
     medium: MediumKernel
     modems: tuple
     sources: dict
     block_length: int
-    latency_map: dict
     warmup: int = 8
+    latency_map: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         users = [m.user for m in self.modems]
         if sorted(users) != list(range(self.medium.num_users)):
             raise WiringError("need exactly one modem per user 0..N-1")
         object.__setattr__(self, "modems", tuple(self.modems))
-        for pair in self.latency_map:
-            if pair not in self.sources:
-                raise WiringError(f"latency entry for unknown pair {pair}")
         for modem in self.modems:
             modem.check_wiring(self)
+
+        def carried(user, asked=()):
+            if user in asked:
+                raise WiringError(f"relay {user} hears itself through a loop of relays")
+            return self.modem_for(user).carries(lambda u: carried(u, (*asked, user)))
+
+        for modem in self.modems:
+            carried(modem.user)  # so that a loop of relays nobody hears fails too
+            self.latency_map.update(modem.latencies(carried))
 
     def modem_for(self, user: int) -> Modem:
         return self.modems[[m.user for m in self.modems].index(user)]

@@ -30,7 +30,7 @@ from .codec import (
     build_channel_codebook,
     build_source_codebook,
 )
-from .netmodel import Modem, ModemView, NetworkSystem, rollout
+from .netmodel import ModemView, ModemWrapper, NetworkSystem, rollout
 from .probcore import (
     Alphabet,
     RandomnessHandle,
@@ -188,7 +188,7 @@ class SeparationPlan:
         }
 
 
-class SeparationSendModem(Modem):
+class SeparationSendModem(ModemWrapper):
     """h'_s: source-code a block, embed the message as a codeword, and feed
     the codeword stream to the unchanged inner modem as its source.
 
@@ -205,9 +205,8 @@ class SeparationSendModem(Modem):
     ``sim_stream``, the inner modem's source.
     """
 
-    def __init__(self, inner: Modem, plan: SeparationPlan):
-        self.user = inner.user
-        self.inner = inner
+    def __init__(self, inner, plan: SeparationPlan):
+        super().__init__(inner)
         self.plan = plan
 
     def start(self, view: ModemView):
@@ -260,7 +259,7 @@ def _blocks(stream: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
     return rows.transpose(0, 2, 1).reshape(-1, n)
 
 
-class SeparationRecvModem(Modem):
+class SeparationRecvModem(ModemWrapper):
     """h'_r: run the unchanged inner modem, collect its reproduction stream
     (the simulated source as received), decode the embedded message per
     channel block, and emit the source-decoded block as the reproduction.
@@ -275,9 +274,8 @@ class SeparationRecvModem(Modem):
     messages or ``NONE_WITHIN``/``AMBIGUOUS``.
     """
 
-    def __init__(self, inner: Modem, plan: SeparationPlan):
-        self.user = inner.user
-        self.inner = inner
+    def __init__(self, inner, plan: SeparationPlan):
+        super().__init__(inner)
         self.plan = plan
 
     def start(self, view: ModemView):
@@ -393,8 +391,8 @@ def plan_separation(
 
 def apply_separation(system: NetworkSystem, plan: SeparationPlan) -> NetworkSystem:
     """Wrap the system's modems of ``plan.pair`` in the plan's codec; every
-    other modem stays object-identical, and so does ``latency_map``: a
-    separated pair is timed by its plan's ``clock``."""
+    other modem stays object-identical, and the wrappers keep the inner
+    delay (``ModemWrapper``), which the plan's ``clock`` reads."""
     wrappers = {plan.pair[0]: SeparationSendModem, plan.pair[1]: SeparationRecvModem}
     modems = [
         wrappers[m.user](m, plan) if m.user in wrappers else m for m in system.modems
@@ -518,11 +516,11 @@ def measure_end_to_end(
     starts the guarantee covers: the k-th block start of each lane, k = 0,
     1, ..., compares the source from x_k with the reproduction from y_k. A
     plain pair has blocks of n = ``block_length`` (default: the system's),
-    x_k = warmup + k*n and y_k = x_k + its declared latency. A separated
-    pair has one block of n' per channel window k of its plan's ``clock``,
-    x_k the window's source start and y_k its decode step; it ignores
-    ``block_length`` and also reports the channel/source error split over
-    the same blocks, from the wrappers' telemetry. With a cap of
+    x_k = warmup + k*n and y_k = x_k + its latency, worked out from the
+    wiring. A separated pair has one block of n' per channel window k of
+    its plan's ``clock``, x_k the window's source start and y_k its decode
+    step; it ignores ``block_length`` and reports the channel/source error
+    split over the same blocks, from the wrappers' telemetry. With a cap of
     _PLAIN_LANES lanes for a plain pair and _SEPARATED_LANES for a
     separated one, the rollout runs ceil(trials / cap) block starts of
     ceil(trials / starts) lanes, so fewer than one block per start goes

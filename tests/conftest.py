@@ -5,7 +5,7 @@ import pytest
 
 from sepnet.netmodel import (
     MediumKernel,
-    Modem,
+    ModemWrapper,
     NetworkSystem,
     PassthroughModem,
     bsc_matrix as bsc,
@@ -43,7 +43,6 @@ def single_link_system(flip: float, source_probs=(0.5, 0.5), block_length=1000,
         ),
         sources={(0, 1): Pmf.from_probs(list(source_probs))},
         block_length=block_length,
-        latency_map={(0, 1): 3},
         warmup=warmup,
     )
 
@@ -53,11 +52,12 @@ def bsc_system() -> NetworkSystem:
     return single_link_system(0.11)
 
 
-class _InputLog(Modem):
+class _InputLog(ModemWrapper):
     """Runs a modem unchanged and logs each window's medium input."""
 
-    def __init__(self, inner: Modem, log: list):
-        self.inner, self.user, self.log = inner, inner.user, log
+    def __init__(self, inner, log: list):
+        super().__init__(inner)
+        self.log = log
 
     def start(self, view):
         return self.inner.start(view)

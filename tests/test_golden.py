@@ -87,7 +87,6 @@ def ternary_systems() -> dict:
                     PassthroughModem(1, recv_pairs=[(0, 1)])),
             sources={(0, 1): Pmf.from_probs([0.5, 0.3, 0.2])},
             block_length=10,
-            latency_map={(0, 1): 3},
         )
         for name, medium in media.items()
     }
@@ -109,7 +108,6 @@ def coupled_relay_system():
                 PassthroughModem(2, recv_pairs=[(0, 2)])),
         sources={(0, 2): Pmf.from_probs([0.6, 0.4])},
         block_length=10,
-        latency_map={(0, 2): 3},
     )
 
 

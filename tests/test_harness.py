@@ -62,24 +62,12 @@ def with_a_target_without_pair(d):
     del d["targets"][0]["pair"]
 
 
-def with_a_latency_without_dst(d):
-    del d["latency"][0]["dst"]
-
-
-def with_a_one_user_untouched_pair(d):
-    d["noninterference"] = {"untouched": [[0]]}
-
-
 def with_the_target_twice(d):
     d["targets"].append(dict(d["targets"][0]))
 
 
 def with_block_length_as_a_word(d):
     d["block_length"] = "long"
-
-
-def with_a_latency_without_steps(d):
-    del d["latency"][0]["steps"]
 
 
 def with_the_source_twice(d):
@@ -96,10 +84,6 @@ def with_a_misspelled_target_key(d):
 
 def with_a_link_twice(d):
     d["medium"]["links"].append({"src": 0, "dst": 1, "flip": 0.4})
-
-
-def with_a_latency_twice(d):
-    d["latency"].append({"src": 0, "dst": 1, "steps": 7})
 
 
 COUPLING = {"src": 0, "dst": 1, "watch": 1, "flips": [0.08, 0.14]}
@@ -190,18 +174,48 @@ def with_value(key, value):
     return edit
 
 
-def relay_chain_receiving_a_pair_without_source(d):
+def on_relay_chain(edit):
+    """``edit`` made to relay_chain in place of single_bsc."""
+    def edit_relay_chain(d):
+        d.clear()
+        d.update(yaml.safe_load(RELAY_CHAIN.read_text()))
+        edit(d)
+
+    return edit_relay_chain
+
+
+@on_relay_chain
+def receiving_a_pair_without_source(d):
     # link (1, 2) exists, but pair (1, 2) has no source
-    d.clear()
-    d.update(yaml.safe_load(RELAY_CHAIN.read_text()))
     d["modems"][2]["recv"].append([1, 2])
+
+
+@on_relay_chain
+def with_a_relay_that_sends_nothing(d):
+    # user 2 hears pair (0, 2) on link (1, 2), and user 1 carries no pair
+    d["modems"][1] = {"user": 1, "kind": "passthrough"}
+
+
+@on_relay_chain
+def with_a_loop_of_relays(d):
+    # users 1 and 2 relay each other, so nothing ever enters the loop
+    d["medium"]["links"].append({"src": 2, "dst": 1, "flip": 0.05})
+    d["modems"][1:] = [{"user": 1, "kind": "relay", "in_link": [2, 1]},
+                       {"user": 2, "kind": "relay", "in_link": [1, 2]}]
+
+
+def with_a_deaf_receiver(d):
+    del d["modems"][1]["recv"]
 
 
 BAD_CONFIGS = {
     "D_prime": without_d_prime,
     "modems": without_a_modem,
     "modems (a receiver hears more letters than its pair has)": with_a_ternary_link,
-    "modems (a receiver lists a pair with no source)": relay_chain_receiving_a_pair_without_source,
+    "modems (a receiver lists a pair with no source)": receiving_a_pair_without_source,
+    "modems (a receiver hears a sender that does not carry its pair)":
+        with_a_relay_that_sends_nothing,
+    "modems (a loop of relays)": with_a_loop_of_relays,
     "medium": with_flip_above_one,
     "decode_rule": with_misspelled_rule,
     "trials": with_value("trials", 50),
@@ -211,13 +225,16 @@ BAD_CONFIGS = {
     "noninterference.repetitions": with_value("noninterference.repetitions", 0),
     "users": with_users_as_a_word,
     "targets.pair": with_a_target_without_pair,
-    "latency": with_a_latency_without_dst,
-    "noninterference.untouched": with_a_one_user_untouched_pair,
+    "targets.pair (a pair nobody reproduces)": with_a_deaf_receiver,
+    # the system works out each pair's latency, and separate tests every
+    # reproduced pair that is not a target: neither is a key any more
+    "latency": with_value("latency", [{"src": 0, "dst": 1, "steps": 3}]),
+    "noninterference.untouched": with_value("noninterference.untouched", []),
+    "noninterference.untouched (a target)": with_value("noninterference.untouched", [[0, 1]]),
     "targets": with_the_target_twice,
     "block_length": with_block_length_as_a_word,
     "block_length (zero)": with_value("block_length", 0),
     "seed": with_value("seed", "x"),
-    "latency (no steps)": with_a_latency_without_steps,
     "warmup": with_value("warmup", "x"),
     "horizon": with_value("horizon", "x"),
     "pair_of_interest": with_value("pair_of_interest", [5, 6]),
@@ -246,7 +263,6 @@ BAD_CONFIGS = {
     "medium.links (watch without flips or matrices)": with_a_key_in("medium.links.0", "watch", 1),
     "medium (flips without watch)": with_value("medium.links", [
         {"src": 0, "dst": 1, "flips": [0.08, 0.14]}]),
-    "latency (twice)": with_a_latency_twice,
     # a coupled link given twice: once by a flip, once by the user it watches
     "medium.links (a coupled link twice)": with_value("medium.links", [
         {"src": 0, "dst": 1, "flip": 0.11}, dict(COUPLING)]),
@@ -261,10 +277,8 @@ BAD_CONFIGS = {
     "modems.colour": with_a_key_in("modems.0"),
     "modems.recv_links.colour": then(with_recv_links, with_a_key_in("modems.1.recv_links.0")),
     "sources.colour": with_a_key_in("sources.0"),
-    "latency.colour": with_a_key_in("latency.0"),
     "targets.block_lengths": with_no_block_lengths,
     "warmup (negative)": with_value("warmup", -20),
-    "latency.steps": with_a_key_in("latency.0", "steps", -2),
     "targets.D (negative)": with_a_key_in("targets.0", "D", -0.1),
     "targets.D_prime (negative)": with_a_key_in("targets.0", "D_prime", -0.2),
     "targets.D (below the metric's floor)": then(
@@ -276,14 +290,12 @@ BAD_CONFIGS = {
     "targets.psi (missing where n' differs from n)": without_psi,
     "rd.tol": with_value("rd.tol", -1),
     "medium.states": then(with_a_markov_medium, with_a_key_in("medium", "states", 2)),
-    "noninterference.untouched (a target)": with_value("noninterference.untouched", [[0, 1]]),
     # integer keys take integral numbers only: int() would truncate these
     "block_length (fractional)": with_value("block_length", 1000.5),
     "users (fractional)": with_value("users", 2.7),
     "seed (a bool)": with_value("seed", True),
     "targets.block_lengths (fractional)": with_a_key_in("targets.0", "block_lengths", [32.9]),
     "sources (fractional src)": with_a_key_in("sources.0", "src", 0.6),
-    "latency.steps (fractional)": with_a_key_in("latency.0", "steps", 3.5),
     "modems (fractional user)": with_a_key_in("modems.1", "user", 1.5),
     "medium (fractional watch)": then(with_a_coupled_medium,
                                       with_a_key_in("medium.links.0", "watch", 1.5)),
@@ -453,12 +465,11 @@ def test_every_link_form_of_one_channel_draws_alike(form):
     assert np.array_equal(other.repro[(0, 1)], plain.repro[(0, 1)])
 
 
-def test_untouched_pairs_must_not_be_targets():
-    # separate would chi-square-test a pair whose law changes by design
+def test_noninterference_covers_every_reproduced_pair_not_a_target():
     data = yaml.safe_load(TWO_PAIR.read_text())
-    data["noninterference"]["untouched"] = [[2, 3], [0, 1]]
-    with pytest.raises(ConfigError, match="noninterference.untouched"):
-        ExperimentConfig.from_dict(data)
+    assert ExperimentConfig.from_dict(data).untouched == ((2, 3),)
+    data["targets"].append({"pair": [2, 3], "D": 0.2, "D_prime": 0.3, "block_lengths": [32]})
+    assert ExperimentConfig.from_dict(data).untouched == ()
 
 
 def test_relay_must_take_what_it_hears():
@@ -473,7 +484,6 @@ def test_relay_must_take_what_it_hears():
 def test_targets_must_share_block_lengths():
     # separate would run the second target at the first one's block lengths
     data = yaml.safe_load(TWO_PAIR.read_text())
-    del data["noninterference"]  # its untouched pair becomes a target here
     second = {"pair": [2, 3], "metric": "hamming", "D": 0.2, "D_prime": 0.3,
               "block_lengths": [32], "decode_rule": "argmin"}
     data["targets"].append(second)
@@ -487,7 +497,6 @@ def test_an_infeasible_pair_leaves_the_others_separated(tmp_path):
     # with the default slack, (2, 3) has no feasible plan at n = 32; it is
     # recorded under its own key, and (0, 1) is still separated and measured
     data = yaml.safe_load(TWO_PAIR.read_text())
-    del data["noninterference"]  # its untouched pair becomes a target here
     data["targets"].append({"pair": [2, 3], "metric": "hamming", "D": 0.125, "D_prime": 0.2,
                             "block_lengths": [32]})
     record = cmd_separate(ExperimentConfig.from_dict(data), tmp_path, trials=1000)

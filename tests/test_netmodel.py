@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,8 @@ from sepnet.netmodel import (
     ForwardRelayModem,
     MarkovLinkRule,
     MediumKernel,
-    Modem,
     ModemView,
+    ModemWrapper,
     NetworkSystem,
     PassthroughModem,
     WiringError,
@@ -29,12 +30,13 @@ CAUSALITY_SYSTEMS = ["single_bsc", "relay_chain", "gilbert_elliott", "two_pair_i
 T_HIT = 150
 
 
-class FlippedSource(Modem):
+class FlippedSource(ModemWrapper):
     """Wraps a sender and hands it a view whose ``pair`` source has the
     symbol at step ``t_hit`` flipped in every lane."""
 
     def __init__(self, inner, pair, t_hit):
-        self.inner, self.user, self.pair, self.t_hit = inner, inner.user, pair, t_hit
+        super().__init__(inner)
+        self.pair, self.t_hit = pair, t_hit
 
     def start(self, view):
         source = view.sources[self.pair].copy()
@@ -178,8 +180,8 @@ class TestRollout:
             ),
             sources=sys_a.sources,
             block_length=sys_a.block_length,
-            latency_map=sys_a.latency_map,
         )
+        assert sys_b.latency_map == {}  # a pair that nobody reproduces has no latency
         ta = rollout(sys_a, root, lanes=3, horizon=100)
         tb = rollout(sys_b, root, lanes=3, horizon=100)
         assert np.array_equal(ta.sources[(0, 1)], tb.sources[(0, 1)])
@@ -222,7 +224,6 @@ class TestRollout:
             sources={(0, 1): Pmf.from_probs([0.5, 0.5]),
                      (2, 3): Pmf.from_probs([0.5, 0.5])},
             block_length=100,
-            latency_map={(0, 1): 3, (2, 3): 3},
         )
         traj = rollout(system, root, lanes=1, horizon=100_000)
         a = traj.sources[(0, 1)][:, 0].astype(float)
@@ -241,7 +242,6 @@ class TestRollout:
                 ),
                 sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
                 block_length=5,
-                latency_map={(0, 1): 3},
             )
 
     def test_alphabet_mismatch_detected(self):
@@ -254,34 +254,36 @@ class TestRollout:
                 ),
                 sources={(0, 1): Pmf.from_probs([0.5, 0.5])},  # binary source
                 block_length=5,
-                latency_map={(0, 1): 3},
             )
 
 
-class TestRelayChain:
-    def build(self, flip, first_hop=None):
-        first_hop = bsc(flip) if first_hop is None else first_hop
-        medium = MediumKernel(3, matrix_links({(0, 1): first_hop, (1, 2): bsc(flip)}))
-        return NetworkSystem(
-            medium=medium,
-            modems=(
-                PassthroughModem(0, send_pair=(0, 2)),
-                ForwardRelayModem(1, in_link=(0, 1)),
-                PassthroughModem(2, recv_pairs=[(0, 2)], recv_links={(0, 2): (1, 2)}),
-            ),
-            sources={(0, 2): Pmf.from_probs([0.5, 0.5])},
-            block_length=1000,
-            latency_map={(0, 2): 5},
-        )
+def relay_chain(relays: int, flip: float = 0.0, first_hop=None) -> NetworkSystem:
+    """Pair (0, k + 1) through relays 1 .. k, each link a binary symmetric
+    channel of ``flip`` but the first, which is ``first_hop`` if given."""
+    last = relays + 1
+    pair = (0, last)
+    tables = {(u, u + 1): bsc(flip) for u in range(last)}
+    if first_hop is not None:
+        tables[(0, 1)] = first_hop
+    return NetworkSystem(
+        medium=MediumKernel(last + 1, matrix_links(tables)),
+        modems=(PassthroughModem(0, send_pair=pair),
+                *(ForwardRelayModem(u, in_link=(u - 1, u)) for u in range(1, last)),
+                PassthroughModem(last, recv_pairs=[pair], recv_links={pair: (last - 1, last)})),
+        sources={pair: Pmf.from_probs([0.5, 0.5])},
+        block_length=1000,
+    )
 
+
+class TestRelayChain:
     def test_noiseless_chain_delay_five(self, root):
-        system = self.build(0.0)
+        system = relay_chain(1)
         traj = rollout(system, root, lanes=2, horizon=100)
         assert np.array_equal(traj.sources[(0, 2)][:90], traj.repro[(0, 2)][5:95])
 
     def test_a_received_pair_needs_a_source(self):
         # link (1, 2) exists, but pair (1, 2) has no source to reproduce
-        system = self.build(0.05)
+        system = relay_chain(1, 0.05)
         receiver = PassthroughModem(2, recv_pairs=[(0, 2), (1, 2)], recv_links={(0, 2): (1, 2)})
         with pytest.raises(WiringError, match=r"receives pair \(1,2\), which has no source"):
             system.with_modems([*system.modems[:2], receiver])
@@ -289,13 +291,13 @@ class TestRelayChain:
     def test_relay_cannot_forward_a_wider_alphabet(self):
         # a ternary symbol heard on (0, 1) has no row in the binary (1, 2)
         with pytest.raises(WiringError, match="relay 1"):
-            self.build(0.05, first_hop=np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]))
+            relay_chain(1, 0.05, first_hop=np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]))
 
     def test_rollout_holds_one_window_of_the_medium(self, root):
         # past the sources and reproductions it returns, a rollout's memory
         # does not grow with the horizon: 3 users' inputs and 2 links'
         # outputs kept whole would add 5 * 3T * 256 bytes, 3.8 MB, from T to 4T
-        system = self.build(0.05)
+        system = relay_chain(1, 0.05)
 
         def excess(horizon):
             tracemalloc.start()
@@ -312,12 +314,42 @@ class TestRelayChain:
 
     def test_cascade_flip_probability(self, root):
         # two independent BSC(0.05) hops: end-to-end flip 2*0.05*0.95 = 0.095
-        system = self.build(0.05)
+        system = relay_chain(1, 0.05)
         traj = rollout(system, root.derive("chain"), lanes=10, horizon=10_005)
         x = traj.sources[(0, 2)][:10_000]
         y = traj.repro[(0, 2)][5:]
         flips = float((x != y).mean())
         assert abs(flips - 0.095) <= 0.01
+
+
+def noiseless(system: NetworkSystem) -> NetworkSystem:
+    """``system`` with every link handing on its sender's input unchanged."""
+    links = {lk: (np.broadcast_to(np.eye(link.shape[-1]), link.shape), link.watched, link.rule)
+             for lk, link in system.medium._links.items()}
+    return dataclasses.replace(system, medium=MediumKernel(system.medium.num_users, links))
+
+
+LATENCIES = {
+    **{f"{k}_relays": {(0, k + 1): 3 + 2 * k} for k in range(4)},
+    "two_pair_interference": {(0, 1): 3, (2, 3): 3},  # a watched link
+    "ternary_dmc": {(0, 1): 3},
+    "separated_argmin": {(0, 1): 3},  # its inner modems' delay
+}
+
+
+@pytest.mark.parametrize("name", LATENCIES)
+def test_latency_worked_out_from_the_wiring_is_the_engines_timing(name):
+    # over noiseless links x[m] reappears at step m + L
+    latencies = LATENCIES[name]
+    system = noiseless(golden_system(name)) if name[0].isalpha() else relay_chain(int(name[0]))
+    assert system.latency_map == latencies
+    traj = rollout(system, RandomnessHandle(9), lanes=3, horizon=300)
+    for pair, lat in latencies.items():
+        if is_separated(system, pair):  # its plan's clock reads the inner delay
+            codes = traj.telemetry[pair[1]]["sep_recv"]["codes"]
+            assert np.array_equal(codes, traj.telemetry[pair[0]]["sep_send"]["messages"])
+        else:
+            assert np.array_equal(traj.repro[pair][lat:], traj.sources[pair][:-lat])
 
 
 class TestMarkovMedium:
@@ -330,7 +362,6 @@ class TestMarkovMedium:
             ),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
             block_length=1000,
-            latency_map={(0, 1): 3},
             warmup=64,
         )
 
@@ -394,7 +425,6 @@ class TestWideAlphabets:
             ),
             sources={(0, 1): Pmf.uniform(size)},
             block_length=100,
-            latency_map={(0, 1): 3},
         )
 
     def test_noiseless_200_symbol_link_is_exact(self):

@@ -63,7 +63,6 @@ def two_pair_system(coupled=False):
         sources={(0, 1): Pmf.from_probs([0.5, 0.5]),
                  (2, 3): Pmf.from_probs([0.7, 0.3])},
         block_length=32,
-        latency_map={(0, 1): 3, (2, 3): 3},
     )
 
 
@@ -170,7 +169,6 @@ class TestPlanSeparation:
                     PassthroughModem(1, recv_pairs=[(0, 1)])),
             sources={(0, 1): Pmf.from_probs([0.5, 0.5])},
             block_length=32,
-            latency_map={(0, 1): 3},
         )
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))

@@ -71,25 +71,29 @@ def test_wide_rollout_is_cut_into_windows(name, run):
 
 
 def echo_system(flip):
-    """User 1 relays what it hears on (0, 1) back over (1, 0), where user 0
-    listens: a cycle 0 -> (0, 1) -> 1 -> (1, 0) -> 0 that data travels
-    around, five steps from x[t] to the echo."""
+    """A cycle 0 -> (0, 1) -> relay 1 -> (1, 2) -> 2 -> (2, 0) -> 0 that
+    data travels around: pair (0, 2) through the relay, five steps from
+    x[t] to its reproduction, and pair (2, 0) back over (2, 0), three."""
+    links = {link: (bsc(flip), (), None) for link in ((0, 1), (1, 2), (2, 0))}
     return NetworkSystem(
-        medium=MediumKernel(2, {(0, 1): (bsc(flip), (), None), (1, 0): (bsc(flip), (), None)}),
-        modems=(PassthroughModem(0, send_pair=(0, 1), recv_pairs=[(1, 0)]),
-                ForwardRelayModem(1, in_link=(0, 1))),
-        sources={(0, 1): Pmf.from_probs([0.5, 0.5]), (1, 0): Pmf.from_probs([0.5, 0.5])},
+        medium=MediumKernel(3, links),
+        modems=(PassthroughModem(0, send_pair=(0, 2), recv_pairs=[(2, 0)]),
+                ForwardRelayModem(1, in_link=(0, 1)),
+                PassthroughModem(2, send_pair=(2, 0), recv_pairs=[(0, 2)],
+                                 recv_links={(0, 2): (1, 2)})),
+        sources={(0, 2): Pmf.from_probs([0.5, 0.5]), (2, 0): Pmf.from_probs([0.5, 0.5])},
         block_length=10,
-        latency_map={(0, 1): 3, (1, 0): 5},
     )
 
 
 def test_cycle_falls_back_to_one_step_windows():
     system = echo_system(0.0)
     assert _schedule(system) is None
+    assert system.latency_map == {(0, 2): 5, (2, 0): 3}
     traj = rollout(system, RandomnessHandle(3), lanes=4, horizon=200)
-    assert traj.repro[(1, 0)][5:].any()
-    assert np.array_equal(traj.repro[(1, 0)][5:], traj.sources[(0, 1)][:-5])
+    for pair, lat in system.latency_map.items():
+        assert traj.repro[pair][lat:].any()
+        assert np.array_equal(traj.repro[pair][lat:], traj.sources[pair][:-lat])
 
 
 def test_cycle_rollout_ignores_a_requested_window(run):
