@@ -6,7 +6,8 @@ config digest plus the seed root (--seed overrides the config's seed).
 
 Exit codes: 0 success, 1 validation error (every config key is checked
 at load, and the message names the bad key), 2 runtime failure,
-3 acceptance failure (a verify suite did not pass, or ``separate`` found
+3 acceptance failure (a verify suite, today the wrong-law negative
+control on the config's first target, did not pass, or ``separate`` found
 no pair feasible at any block length; its record is written either way).
 """
 
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("rd", "rate-distortion sweep for the configured source"),
         ("baseline", "measure the untransformed system's guarantees"),
         ("separate", "apply the separation architecture and verify it"),
-        ("verify", "run the invariant suites"),
+        ("verify", "run the checks that read the config: the wrong-law negative control"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="YAML experiment config")

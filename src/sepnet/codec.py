@@ -74,7 +74,6 @@ __all__ = [
     "SOURCE_COMPRESSION",
     "build_channel_codebook",
     "build_source_codebook",
-    "zipf_message_pmf",
 ]
 
 # Desk-scale ceiling on the rows drawn for any codebook.
@@ -680,8 +679,3 @@ def build_source_codebook(
         SOURCE_COMPRESSION, q_star, plan.n_prime, plan.source_cardinality, c_seed
     )
 
-
-def zipf_message_pmf(cardinality: int, exponent: float) -> Pmf:
-    """Zipf-skewed message distribution over a message set."""
-    weights = (1.0 + np.arange(cardinality)) ** (-exponent)
-    return Pmf.from_probs(weights / weights.sum())

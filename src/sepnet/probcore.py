@@ -3,8 +3,8 @@
 Distributions, seeded sampling, empirical statistics, and the one
 two-sample test, ``two_sample_test``: a chi-square homogeneity test of two
 symbol arrays' k-gram counts. Every check in the package that two streams
-have the same law runs it, ``verify``'s calibration suite and the
-noninterference tests of ``separation`` alike.
+have the same law runs it: the noninterference tests of ``separation``,
+and with them ``verify``'s negative control.
 
 Every chi-square p-value comes from ``_chi2_sf``, which evaluates
 ``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf`` itself calls,
@@ -546,13 +546,6 @@ def chi_square_homogeneity(counts_a: np.ndarray, counts_b: np.ndarray, order: in
     p = float(_chi2_sf(stat, df))
     low = float(np.mean((ea < 5) | (eb < 5))) > 0.2
     return TestReport(stat, p, df, order, low)
-
-
-def _goodness_of_fit_p(counts: np.ndarray, probs: np.ndarray):
-    """Pearson chi-square p-value of ``counts`` against the law ``probs``, as
-    a numpy scalar: the bits ``scipy.stats.chisquare`` gives."""
-    expected = probs * counts.sum()
-    return _chi2_sf(((counts - expected) ** 2 / expected).sum(), counts.size - 1)
 
 
 def two_sample_test(a: np.ndarray, b: np.ndarray, letters: int, order: int = 1) -> TestReport:

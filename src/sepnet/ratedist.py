@@ -208,24 +208,36 @@ def rd_sweep(
     d_grid,
     tol: float = 1e-6,
     shape_tol: float = 1e-6,
-) -> list[RdPoint]:
-    """Evaluate R(D) on a grid and verify the curve shape.
+) -> tuple[list[RdPoint], list[str]]:
+    """Evaluate R(D) at each level of a grid and verify the curve shape.
 
-    The returned rates must be nonincreasing and convex (divided-difference
-    slopes nondecreasing within ``shape_tol``); a violation means the solver
-    misbehaved and raises rather than returning a silently bad curve.
+    Returns the points in the grid's order and one note per level below the
+    metric's d_min: such a level's point has NaN rate and slope, 0
+    iterations and ``converged`` False, and the sweep goes on. Over the
+    feasible levels the rates must be nonincreasing and convex
+    (divided-difference slopes nondecreasing within ``shape_tol``); a
+    violation means the solver misbehaved and raises rather than returning
+    a silently bad curve.
     """
-    grid = sorted(float(v) for v in d_grid)
-    points = [blahut_arimoto(source, metric, v, tol=tol) for v in grid]
-    rates = [pt.rate for pt in points]
-    for i in range(1, len(points)):
+    points, notes = [], []
+    for level in d_grid:
+        try:
+            points.append(blahut_arimoto(source, metric, float(level), tol=tol))
+        except InfeasibleDistortionError as exc:
+            points.append(RdPoint(float(level), math.nan, math.nan, 0, False, math.nan,
+                                  np.empty(0)))
+            notes.append(str(exc))
+    # one rate per distinct feasible level, in increasing D
+    curve = sorted({pt.distortion: pt.rate for pt in points if not math.isnan(pt.rate)}.items())
+    grid, rates = [d for d, _ in curve], [r for _, r in curve]
+    for i in range(1, len(rates)):
         if rates[i] > rates[i - 1] + shape_tol:
             raise RuntimeError(
                 f"R(D) not nonincreasing at D={grid[i]}: {rates[i-1]} -> {rates[i]}"
             )
-    for i in range(1, len(points) - 1):
+    for i in range(1, len(rates) - 1):
         left = (rates[i] - rates[i - 1]) / (grid[i] - grid[i - 1])
         right = (rates[i + 1] - rates[i]) / (grid[i + 1] - grid[i])
         if right < left - shape_tol / min(grid[i] - grid[i - 1], grid[i + 1] - grid[i]):
             raise RuntimeError(f"R(D) not convex near D={grid[i]}")
-    return points
+    return points, notes

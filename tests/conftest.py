@@ -11,7 +11,7 @@ from sepnet.netmodel import (
     bsc_matrix as bsc,
     rollout,
 )
-from sepnet.probcore import Pmf, RandomnessHandle
+from sepnet.probcore import Pmf, RandomnessHandle, _chi2_sf
 from sepnet.ratedist import hamming_metric
 
 ROOT_SEED = 20240801
@@ -130,3 +130,10 @@ def codebook_symbols(pmf: Pmf, rows: int, n: int, gen: np.random.Generator) -> n
     bits = np.unpackbits(raw.astype(">u8").view(np.uint8), axis=1).reshape(rows, w, 64)
     low = bits[:, -1, 64 * w - n :]
     return np.concatenate([bits[:, :-1].reshape(rows, -1), low], axis=1).astype(np.int8)
+
+
+def goodness_of_fit_p(counts: np.ndarray, probs: np.ndarray):
+    """Pearson chi-square p-value of ``counts`` against the law ``probs``, as
+    a numpy scalar: the bits ``scipy.stats.chisquare`` gives."""
+    expected = probs * counts.sum()
+    return _chi2_sf(((counts - expected) ** 2 / expected).sum(), counts.size - 1)

@@ -17,7 +17,6 @@ from sepnet.codec import (
     build_channel_codebook,
     build_source_codebook,
     cardinality_for,
-    zipf_message_pmf,
 )
 from sepnet.probcore import Pmf
 from sepnet.ratedist import blahut_arimoto, hamming_metric
@@ -257,9 +256,3 @@ class TestSourceCodec:
             _, avg = batch_min_distortion_rows(cb, blocks, self.metric)
             rates[n_prime] = float((avg > 0.3).mean())
         assert rates[16] > rates[32] > rates[64]
-
-
-def test_zipf_message_pmf_shape():
-    pmf = zipf_message_pmf(1000, 0.5)
-    assert pmf.probs[0] > pmf.probs[-1]
-    assert pmf.probs.sum() == pytest.approx(1.0)

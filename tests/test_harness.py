@@ -227,7 +227,7 @@ BAD_CONFIGS = {
     "targets.pair": with_a_target_without_pair,
     "targets.pair (a pair nobody reproduces)": with_a_deaf_receiver,
     # the system works out each pair's latency, and separate tests every
-    # reproduced pair that is not a target: neither is a key any more
+    # reproduced pair that it did not separate: neither is a key any more
     "latency": with_value("latency", [{"src": 0, "dst": 1, "steps": 3}]),
     "noninterference.untouched": with_value("noninterference.untouched", []),
     "noninterference.untouched (a target)": with_value("noninterference.untouched", [[0, 1]]),
@@ -465,11 +465,19 @@ def test_every_link_form_of_one_channel_draws_alike(form):
     assert np.array_equal(other.repro[(0, 1)], plain.repro[(0, 1)])
 
 
-def test_noninterference_covers_every_reproduced_pair_not_a_target():
+def test_noninterference_covers_every_reproduced_pair_not_a_target(tmp_path):
+    # separate tests every reproduced pair it did not separate, here none;
+    # the negative control tests every reproduced pair but its own target,
+    # the first, so it still tests (2, 3), a target it leaves plain
     data = yaml.safe_load(TWO_PAIR.read_text())
-    assert ExperimentConfig.from_dict(data).untouched == ((2, 3),)
-    data["targets"].append({"pair": [2, 3], "D": 0.2, "D_prime": 0.3, "block_lengths": [32]})
-    assert ExperimentConfig.from_dict(data).untouched == ()
+    data["targets"].append({"pair": [2, 3], "D": 0.2, "D_prime": 0.3, "block_lengths": [32],
+                            "decode_rule": "argmin", "psi": 0.1, "alpha": 0.05})
+    config = ExperimentConfig.from_dict(data)
+    (run,) = cmd_separate(config, tmp_path, trials=1000).payload["runs"]
+    assert list(run["pairs"]) == ["[0, 1]", "[2, 3]"] and "noninterference" not in run
+    control = harness._suite_negative_control(
+        config, RandomnessHandle(config.seed).derive("s5"))
+    assert control["ok"] and control["expected_fail"]
 
 
 def test_relay_must_take_what_it_hears():
@@ -505,6 +513,8 @@ def test_an_infeasible_pair_leaves_the_others_separated(tmp_path):
     assert list(run["pairs"]) == ["[0, 1]"]
     (step,) = run["steps"]
     assert step["pair"] == [0, 1] and step["rechecks"]["[2, 3]"]["ok"]
+    # (2, 3) stays plain, so the noninterference test covers it
+    assert list(run["noninterference"]) == ["[2, 3]"]
 
 
 def test_zero_trials_is_not_the_config_default(tmp_path):
@@ -519,6 +529,23 @@ def run_cli(*args) -> int:
 
 def test_exit_ok(tmp_path):
     assert run_cli("rd", "--config", SINGLE_BSC, "--out", tmp_path) == cli.EXIT_OK
+
+
+def test_rd_reports_an_infeasible_level_and_goes_on(tmp_path):
+    # a level below the metric's d_min (0 under Hamming) has no R(D): its
+    # row is NaN with a note, and the feasible levels are solved as ever
+    data = single_bsc_data()
+    shipped = cmd_rd(ExperimentConfig.from_dict(single_bsc_data()), tmp_path / "shipped")
+    data["rd"]["grid"] = [-0.05, *data["rd"]["grid"]]
+    path = tmp_path / "infeasible-level.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run_cli("rd", "--config", path, "--out", tmp_path / "out") == cli.EXIT_OK
+    (saved,) = (tmp_path / "out").glob("*/record.json")
+    payload = json.loads(saved.read_text())["payload"]
+    (first, *rest), notes = payload["rows"], payload["notes"]
+    assert first[0] == -0.05 and np.isnan(first[1:3]).all() and first[3:] == [0, False]
+    assert len(notes) == 1 and "-0.05" in notes[0]
+    assert rest == json.loads(shipped.to_json())["payload"]["rows"]
 
 
 @pytest.mark.parametrize("key", BAD_CONFIGS)
@@ -568,13 +595,8 @@ def test_exit_runtime_when_a_command_raises(tmp_path, monkeypatch):
 
 
 def test_exit_acceptance_when_a_suite_fails(tmp_path, monkeypatch):
-    def passing(*args):
-        return {"ok": True, "detail": "stub"}
-
-    for name in ("_suite_probcore", "_suite_codec", "_suite_separation",
-                 "_suite_negative_control"):
-        monkeypatch.setattr(harness, name, passing)
-    monkeypatch.setattr(harness, "_suite_ratedist", lambda: {"ok": False, "detail": "forced"})
+    monkeypatch.setattr(harness, "_suite_negative_control",
+                        lambda *args: {"ok": False, "detail": "forced"})
     code = run_cli("verify", "--config", SINGLE_BSC, "--out", tmp_path)
     assert code == cli.EXIT_ACCEPTANCE
 

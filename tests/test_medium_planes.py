@@ -17,14 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bsc
+from conftest import bsc, goodness_of_fit_p
 
 from sepnet.netmodel import MarkovLinkRule, MediumKernel
 from sepnet.probcore import (
     PLANES,
     TAIL_BITS,
     RandomnessHandle,
-    _goodness_of_fit_p,
     _cell_masks,
     _sample_planes,
     _thresholds,
@@ -164,7 +163,7 @@ def assert_rows_follow(out, row, table):
     for r, probs in enumerate(table):
         counts = np.bincount(out[row == r], minlength=len(probs))
         assert counts.sum() > 2000, r
-        assert _goodness_of_fit_p(counts, probs) > LAW_P, (r, counts, probs)
+        assert goodness_of_fit_p(counts, probs) > LAW_P, (r, counts, probs)
 
 
 def window(medium, link, iota_prev, seed):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, chisquare
 
-from conftest import codebook_symbols, sequential_draw
+from conftest import codebook_symbols, goodness_of_fit_p, sequential_draw
 
 from sepnet import probcore
 from sepnet.probcore import (
@@ -18,7 +18,6 @@ from sepnet.probcore import (
     chi_square_homogeneity,
     sample_iid,
     sample_iid_array,
-    _goodness_of_fit_p,
     _pack_planes,
     _reached,
     _run_shares,
@@ -267,6 +266,18 @@ class TestTwoSampleTest:
                 passed += 1
         assert passed >= 98
 
+    def test_same_law_calibration_at_order_two(self, root):
+        # a law that is not uniform, tested on its letters and on its
+        # disjoint pairs: 30 seeded repetitions, and a repetition passes
+        # when both p-values exceed 0.01
+        pmf = Pmf.from_probs([0.3, 0.7])
+        reps, passed = 30, 0
+        for k in range(reps):
+            a = sample_iid(pmf, 20_000, root.derive("cal2_a", k))
+            b = sample_iid(pmf, 20_000, root.derive("cal2_b", k))
+            passed += all(two_sample_test(a, b, 2, order).p_value > 0.01 for order in (1, 2))
+        assert passed >= 27
+
     def test_different_laws_rejected(self, root):
         a = sample_iid(Pmf.from_probs([0.9, 0.1]), 10_000, root.derive("pa"))
         b = sample_iid(Pmf.from_probs([0.5, 0.5]), 10_000, root.derive("pb"))
@@ -327,12 +338,12 @@ def test_goodness_of_fit_is_scipy_chisquare_bit_for_bit(df):
         cases.append(np.full(k, 7))
         laws.append(np.full(k, 1 / k))
     for counts, probs in zip(cases, laws):
-        p = _goodness_of_fit_p(counts, probs)
+        p = goodness_of_fit_p(counts, probs)
         assert isinstance(p, np.floating)
         assert p == chisquare(counts, probs * counts.sum()).pvalue
-    assert _goodness_of_fit_p(cases[2], laws[2]) == 0.0
+    assert goodness_of_fit_p(cases[2], laws[2]) == 0.0
     if k & (k - 1) == 0:
-        assert _goodness_of_fit_p(cases[3], laws[3]) == 1.0
+        assert goodness_of_fit_p(cases[3], laws[3]) == 1.0
 
 
 def test_wilson_half_width_matches_formula():

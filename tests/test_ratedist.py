@@ -222,19 +222,19 @@ class TestBlahutArimoto:
 class TestRdSweep:
     def test_matches_closed_form_pointwise(self, fair_coin, hamming2):
         grid = np.arange(0.05, 0.46, 0.05)
-        pts = rd_sweep(fair_coin, hamming2, grid, tol=1e-6)
+        pts, _ = rd_sweep(fair_coin, hamming2, grid, tol=1e-6)
         for pt, d in zip(pts, grid):
             assert pt.rate == pytest.approx(1 - h2(float(d)), abs=1e-4)
 
     def test_dmax_only_grid(self, fair_coin, hamming2):
-        pts = rd_sweep(fair_coin, hamming2, [0.5])
+        pts, _ = rd_sweep(fair_coin, hamming2, [0.5])
         assert pts[0].rate == 0.0
 
     def test_monotone_and_convex(self):
         p = Pmf.from_probs([0.15, 0.35, 0.5])
         metric = hamming_metric(3)
         grid = np.linspace(0.05, 0.6, 12)
-        pts = rd_sweep(p, metric, grid)
+        pts, _ = rd_sweep(p, metric, grid)
         rates = np.array([pt.rate for pt in pts])
         assert np.all(np.diff(rates) <= 1e-9)
         assert np.diff(rates, 2).min() >= -1e-6

@@ -19,7 +19,7 @@ from sepnet.netmodel import (
     PassthroughModem,
     rollout,
 )
-from sepnet.harness import ExperimentConfig, _PoisonMedium, cmd_separate
+from sepnet.harness import ExperimentConfig, cmd_separate
 from sepnet.probcore import Pmf, two_sample_test
 from sepnet import separation
 from sepnet.ratedist import DistortionBudget
@@ -64,6 +64,20 @@ def two_pair_system(coupled=False):
                  (2, 3): Pmf.from_probs([0.7, 0.3])},
         block_length=32,
     )
+
+
+class _PoisonMedium(MediumKernel):
+    """Two-user medium whose dynamic surface explodes on touch: planning and
+    applying a separation must never reach it."""
+
+    def __init__(self):
+        super().__init__(2, {(0, 1): (np.eye(2), (), None)})
+
+    def start(self, lanes, seeds):
+        raise AssertionError("separation transformer touched the medium")
+
+    def window(self, *args, **kwargs):
+        raise AssertionError("separation transformer touched the medium")
 
 
 class TestPlanSeparation:
