@@ -15,8 +15,11 @@ engine's temporaries whatever the horizon.
 The engine keeps one window of the medium: every user's medium inputs and
 every link's outputs live in (window + 1)-step buffers, allocated once per
 rollout and reused, whose row 0 holds the step before the window. Nothing
-reads them more than one step after they are written, so a rollout keeps
-over the whole horizon only the pairs' sources and reproductions.
+reads them more than one step after they are written. Over the whole
+horizon a rollout keeps the pairs' sources, which modems read whole
+(``ModemView``), and hands each window's reproductions to a consumer:
+by default one that collects them into whole-horizon arrays, or the
+caller's own, which keeps what it needs of them (``rollout``).
 
 The medium has one model of a link, ``MediumKernel``: a stack of
 stochastic rows, where a cell's row has the mixed-radix digits the link's
@@ -510,9 +513,11 @@ class NetworkSystem:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """What one (batched) rollout leaves to read, immutable: each pair's
-    source and reproduction, (horizon, lanes) arrays, and the modems'
-    telemetry. The medium inputs and link outputs live only in the engine's
-    window buffers (see ``rollout``) and are not kept.
+    source, a (horizon, lanes) array, the modems' telemetry and, from a
+    rollout without a consumer, each pair's reproduction, a (horizon,
+    lanes) array; ``repro`` is empty when a consumer took the reproductions
+    window by window (``rollout``). The medium inputs and link outputs live
+    only in the engine's window buffers and are not kept.
     """
 
     sources: dict
@@ -541,6 +546,7 @@ def rollout(
     lanes: int = 1,
     *,
     horizon: int,
+    consume=None,
 ) -> Trajectory:
     """Simulate the system for ``horizon`` steps across ``lanes`` replicas.
 
@@ -551,6 +557,16 @@ def rollout(
     (window + 1, lanes) buffer whose row 0 is carried over from the last
     row of the window before (0 before step 0). A link reads its inputs
     from these buffers and a modem its incoming links (``ModemView``).
+
+    After each window [t0, t1) the engine calls ``consume(t0, repro,
+    sources)``: ``repro`` maps each pair reproduced in the window to its
+    (t1 - t0, lanes) rows, valid only during the call, and ``sources`` is
+    the pairs' whole (horizon, lanes) sources, read-only. Without a
+    ``consume`` the rollout collects every pair's reproduction into a
+    (horizon, lanes) array of the ``Trajectory`` (0 where no modem
+    reproduces the pair), as the noninterference test and the golden
+    digests read them; with one it keeps no reproduction, and
+    ``Trajectory.repro`` is empty.
     """
     T = int(horizon)
     B = int(lanes)
@@ -563,6 +579,7 @@ def rollout(
     for pair, pmf in sorted(system.sources.items()):
         gen = seeds.derive("src", *pair).generator()
         sources[pair] = sample_iid_array(pmf, T * B, gen).reshape(T, B)
+        sources[pair].flags.writeable = False
 
     order = _schedule(system)
     W = max(1, WINDOW_LANE_STEPS // B)
@@ -578,10 +595,16 @@ def rollout(
         link: np.zeros((W + 1, B), dtype=medium.link_output_alphabet(link).dtype)
         for link in medium.links
     }
-    repro = {
-        pair: np.zeros((T, B), dtype=pmf.alphabet.dtype)
-        for pair, pmf in system.sources.items()
-    }
+    repro = {}
+    if consume is None:
+        repro = {
+            pair: np.zeros((T, B), dtype=pmf.alphabet.dtype)
+            for pair, pmf in system.sources.items()
+        }
+
+        def consume(t0, window, _sources):
+            for pair, arr in window.items():
+                repro[pair][t0 : t0 + len(arr)] = arr
 
     modems = {}
     for modem in system.modems:
@@ -609,6 +632,7 @@ def rollout(
         for arr in late.values():
             arr.flags.writeable = False
         lo = 1 if t0 == 0 else 0  # the medium is first consulted at step 1
+        repro_w = {}
         for node in order:
             if isinstance(node, tuple):
                 if steps > lo:
@@ -618,14 +642,12 @@ def rollout(
             modem, state, view = modems[node]
             for lk in view.link_in:  # in place: a wrapper's inner view shares the dict
                 view.link_in[lk] = late[lk]
-            iota_w, repro_w = modem.window(t0, t1, state, view)
+            iota_w, repro_u = modem.window(t0, t1, state, view)
             if iota_w is not None:
                 iota[node, 1 : steps + 1] = iota_w
-            for pair, arr in repro_w.items():
-                repro[pair][t0:t1] = arr
+            repro_w.update(repro_u)
+        consume(t0, repro_w, sources)
 
-    for arr in sources.values():
-        arr.flags.writeable = False
     for arr in repro.values():
         arr.flags.writeable = False
 

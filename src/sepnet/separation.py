@@ -65,7 +65,8 @@ MIN_TRIALS = 1000
 # Slack, on top of the summed confidence half-widths, that a remaining
 # pair's excess probability may rise by across a separation step.
 RECHECK_SLACK = 0.02
-# Block scoring counts at most this many cells of a block at a time.
+# Block scoring marks at most this many cells, times the table's nonzero
+# entries, at a time.
 _DISTORTION_CELLS = 1 << 20
 # Most lanes one block start of a measurement runs, plain and separated.
 _PLAIN_LANES = 4096
@@ -442,63 +443,83 @@ class SeparatedGuaranteeReport(GuaranteeReport):
     ambiguous_count: int = 0
 
 
-def _block_distortions(
-    metric: DistortionMetric,
-    x: np.ndarray,
-    y: np.ndarray,
-    x_starts: np.ndarray,
-    y_starts: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """Average distortion of each block x[a : a+n] against y[b : b+n],
-    per lane: (blocks, lanes) for the starts a, b.
+class _BlockScorer:
+    """Average distortion of each block x[a : a+n] against y[b : b+n], per
+    lane, for the starts a, b, scored as ``rollout`` hands over y window by
+    window: called as its ``consume``, the scorer counts the rows of
+    ``pair``'s reproduction that each window holds of every block, found by
+    a search over the non-decreasing y starts, against that pair's whole
+    source x in place. ``distortions()`` gives the (blocks, lanes) averages
+    once every window has passed.
 
     The codec's rules. Under c * Hamming (as ``codec._hamming_scale``
     detects it) the block's one count N of x != y gives N * c / n, the
     codec's expression, so eta and epsilon round alike; under the 0/1 table
     that is N / n. Under any other table it is the count-weighted sum_ab
-    d(a, b) * N_ab / n over the table's nonzero entries in order, N_ab
-    counting the block's cells x*K + y that equal a*K + b, and a letter
-    outside the table's alphabets, which no cell x*K + y can name, raises
-    ValueError. Each block is read in place, as slices of at most 255 rows
-    and ``_DISTORTION_CELLS`` cells, and counted into reused buffers; a
-    block that does not lie inside the streams raises ValueError.
+    d(a, b) * N_ab / n over the table's nonzero entries in order, summed
+    from zero, N_ab counting the block's cells x*K + y that equal a*K + b,
+    and a letter outside the table's alphabets, which no cell x*K + y can
+    name, raises ValueError. Rows are counted as slices of at most 255 rows,
+    each marked against every entry in one compare and counted per lane in
+    one sum, into reused buffers of at most ``_DISTORTION_CELLS`` marks. A
+    block that does not lie inside the horizon raises ValueError when the
+    scorer is made.
     """
-    table = metric.table
-    size = table.shape[1]
-    lanes = x.shape[1]
-    for starts, stream in ((x_starts, x), (y_starts, y)):
-        if np.any((starts < 0) | (starts > len(stream) - n)):
-            raise ValueError(f"a block of {n} runs outside the streams")
-    scale = _hamming_scale(metric, size)
-    hamming = scale is not None
-    entries = None if hamming else np.flatnonzero(table)
-    weights = [scale] if hamming else table.reshape(-1)[entries]
-    # a uint8 count of at most 255 rows cannot overflow
-    rows = max(1, min(n, 255, _DISTORTION_CELLS // lanes))
-    hits = np.empty((rows, lanes), dtype=bool)
-    cells = None if hamming else np.empty((rows, lanes), Alphabet(table.size).dtype)
-    total = np.zeros((len(x_starts), lanes))
-    for k, (a, b) in enumerate(zip(x_starts, y_starts)):
-        counts = np.zeros((len(weights), lanes), dtype=np.int32)
-        for r in range(0, n, rows):
-            m = min(rows, n - r)
-            xs, ys, hit = x[a + r : a + r + m], y[b + r : b + r + m], hits[:m]
-            if hamming:
-                np.not_equal(xs, ys, out=hit)
-                counts[0] += hit.view(np.uint8).sum(axis=0, dtype=np.uint8)
-                continue
-            if xs.max() >= table.shape[0] or ys.max() >= size:
-                raise ValueError(f"a letter is outside the metric's {table.shape[0]}-letter "
-                                 f"source or {size}-letter reproduction alphabet")
-            cell = np.multiply(xs, size, out=cells[:m], dtype=cells.dtype)
-            cell += ys
-            for i, e in enumerate(entries):
-                np.equal(cell, e, out=hit)
-                counts[i] += hit.view(np.uint8).sum(axis=0, dtype=np.uint8)
-        for weight, count in zip(weights, counts):
-            total[k] += weight * count
-    return total / n
+
+    def __init__(self, metric: DistortionMetric, pair: tuple, x_starts: np.ndarray,
+                 y_starts: np.ndarray, n: int, horizon: int, lanes: int):
+        table = metric.table
+        for starts in (x_starts, y_starts):
+            if np.any((starts < 0) | (starts > horizon - n)):
+                raise ValueError(f"a block of {n} runs outside the streams")
+        if np.any(np.diff(y_starts) < 0):
+            raise ValueError("the blocks' reproduction starts must not decrease")
+        self.metric, self.pair, self.n = metric, pair, n
+        self.x_starts, self.y_starts = x_starts, y_starts
+        scale = _hamming_scale(metric, table.shape[1])
+        entries = np.flatnonzero(table)
+        self.weights = [scale] if scale is not None else table.reshape(-1)[entries].tolist()
+        # the entries in the cells' dtype, one per plane of the marks: an
+        # int64 entry would widen every compare to int64
+        cells = Alphabet(table.size).dtype
+        self.entries = None if scale is not None else entries.astype(cells)[:, None, None]
+        # a uint8 count of at most 255 rows cannot overflow
+        rows = max(1, min(n, 255, _DISTORTION_CELLS // (lanes * max(1, len(self.weights)))))
+        self.hits = np.empty((len(self.weights), rows, lanes), dtype=bool)
+        self.cells = None if scale is not None else np.empty((rows, lanes), cells)
+        self.counts = np.zeros((len(self.weights), len(x_starts), lanes), dtype=np.int32)
+
+    def __call__(self, t0: int, repro: dict, sources: dict) -> None:
+        x, y, n = sources[self.pair], repro[self.pair], self.n
+        t1 = t0 + len(y)
+        letters, size = self.metric.table.shape
+        rows = self.hits.shape[1]
+        # the blocks with b < t1 and b + n > t0
+        lo = np.searchsorted(self.y_starts, t0 - n, side="right")
+        hi = np.searchsorted(self.y_starts, t1)
+        for k in range(lo, hi):
+            a, b = int(self.x_starts[k]), int(self.y_starts[k])
+            end = min(t1, b + n)
+            for r in range(max(t0, b), end, rows):
+                m = min(rows, end - r)
+                xs, ys, hits = x[a - b + r : a - b + r + m], y[r - t0 : r - t0 + m], self.hits[:, :m]
+                if self.entries is None:
+                    np.not_equal(xs, ys, out=hits[0])
+                else:
+                    if xs.max() >= letters or ys.max() >= size:
+                        raise ValueError(f"a letter is outside the metric's {letters}-letter "
+                                         f"source or {size}-letter reproduction alphabet")
+                    cell = np.multiply(xs, size, out=self.cells[:m], dtype=self.cells.dtype)
+                    cell += ys
+                    np.equal(cell, self.entries, out=hits)
+                self.counts[:, k] += hits.view(np.uint8).sum(axis=1, dtype=np.uint8)
+
+    def distortions(self) -> np.ndarray:
+        """The (blocks, lanes) average distortions."""
+        total = np.zeros(self.counts.shape[1:])
+        for weight, count in zip(self.weights, self.counts):
+            total += weight * count
+        return total / self.n
 
 
 def measure_end_to_end(
@@ -527,9 +548,13 @@ def measure_end_to_end(
     unscored. Trials fill the lanes of one block start before the next. The
     rollout stops where the last scored block ends; every draw is a prefix
     of the same stream, so a longer rollout would score the same blocks bit
-    for bit. Each block is scored where it lies in the rollout's source and
-    reproduction streams, with no copy, and under c * Hamming by one
-    mismatch count (``_block_distortions``).
+    for bit. The blocks are scored as the rollout passes them
+    (``_BlockScorer``, the rollout's consumer), each window's reproduction
+    against the rollout's whole source in place, under c * Hamming by one
+    mismatch count. So the measurement keeps the pairs' whole sources, which
+    the modems read, and one window of the reproduction; of a separated
+    pair, the receiving wrapper keeps its own whole-horizon arrays
+    (``SeparationRecvModem``).
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} trials")
@@ -545,10 +570,10 @@ def measure_end_to_end(
         n = plan.rate_plan.n_prime
         x_starts, _, y_starts = plan.clock(starts)
     # a separated rollout to the end of the last block decodes exactly these windows
-    traj = rollout(system, seeds, lanes=lanes, horizon=int(y_starts[-1]) + n)
-    avgs = _block_distortions(
-        budget.metric, traj.sources[pair], traj.repro[pair], x_starts, y_starts, n
-    ).reshape(-1)[:trials]
+    horizon = int(y_starts[-1]) + n
+    scorer = _BlockScorer(budget.metric, pair, x_starts, y_starts, n, horizon, lanes)
+    traj = rollout(system, seeds, lanes=lanes, horizon=horizon, consume=scorer)
+    avgs = scorer.distortions().reshape(-1)[:trials]
     exceed = int((avgs > budget.level).sum())
     report = dict(
         pair=pair,

@@ -13,6 +13,7 @@ from sepnet.netmodel import (
 )
 from sepnet.probcore import Pmf, RandomnessHandle, _chi2_sf
 from sepnet.ratedist import hamming_metric
+from sepnet.separation import _BlockScorer
 
 ROOT_SEED = 20240801
 
@@ -102,6 +103,20 @@ def recorded_rollout(system: NetworkSystem, seeds, lanes: int = 1, *, horizon: i
         link_outputs[link] = out
     return traj, medium_inputs, link_outputs
 
+
+
+def score_blocks(metric, x, y, x_starts, y_starts, n, cuts=()) -> np.ndarray:
+    """The (blocks, lanes) average distortions ``separation._BlockScorer``
+    gives blocks of the source ``x`` against the reproduction ``y``, both
+    (horizon, lanes), with ``y`` handed over as a rollout does, in windows
+    cut at the steps ``cuts`` (by default the whole horizon in one)."""
+    pair = (0, 1)
+    scorer = _BlockScorer(metric, pair, np.asarray(x_starts), np.asarray(y_starts), n,
+                          len(x), x.shape[1])
+    bounds = [0, *cuts, len(y)]
+    for t0, t1 in zip(bounds, bounds[1:]):
+        scorer(t0, {pair: y[t0:t1]}, {pair: x})
+    return scorer.distortions()
 
 
 def sequential_draw(pmf: Pmf, size: int, gen: np.random.Generator) -> np.ndarray:

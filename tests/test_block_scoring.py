@@ -1,7 +1,10 @@
-"""Block scoring reads each block where it lies in the trajectory and
+"""Block scoring counts each block as the rollout hands over its
+reproduction, window by window, against the source where it lies, and
 equals its rule on a gathered copy of the block bit for bit (c * N / n
 under c * Hamming, as the codec's search reads it, else the count-weighted
-sum), under any table, any block starts and any chunking of the rows."""
+sum), under any table, any block starts, any cut of the horizon into
+windows and any chunking of the rows; so does a whole measurement, which
+keeps one window of its reproduction."""
 
 import tracemalloc
 from unittest import mock
@@ -11,11 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import score_blocks
+from test_golden import golden_system
+
 from sepnet import separation
 from sepnet.codec import SOURCE_COMPRESSION, Codebook, batch_min_distortion_rows
+from sepnet.netmodel import rollout
 from sepnet.probcore import Alphabet, Pmf, RandomnessHandle
-from sepnet.ratedist import DistortionMetric, hamming_metric
-from sepnet.separation import _block_distortions
+from sepnet.ratedist import DistortionBudget, DistortionMetric, hamming_metric
+from sepnet.separation import is_separated, measure_end_to_end
 
 TABLES = {
     "hamming": hamming_metric(2).table,
@@ -24,6 +31,8 @@ TABLES = {
     "0.3-hamming": 0.3 * hamming_metric(2).table,
     "asymmetric": np.array([[0.1, 0.7], [2.3, 0.0]]),
     "ternary": np.array([[0.0, 0.5, 1.75], [0.2, 0.0, 0.0], [3.1, 1.0, 0.4]]),
+    # one letter each way: no nonzero entry to count against
+    "one-letter": hamming_metric(1).table,
 }
 
 
@@ -67,12 +76,30 @@ def starts(draw, n, blocks):
     return first + w * draw(st.integers(0, max(0, n - 1)))
 
 
+@st.composite
+def cuts(draw, horizon, y_starts, n):
+    """Steps where the rollout's windows end: after every row, every few
+    rows, inside each block (at its middle row), or nowhere but the
+    horizon."""
+    kind = draw(st.sampled_from(["row", "few", "split", "whole"]))
+    if kind == "row":
+        return list(range(1, horizon))
+    if kind == "few":
+        lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+        ends = np.cumsum(lengths * (horizon // sum(lengths) + 1))  # repeated past the horizon
+        return ends[ends < horizon].tolist()
+    if kind == "split":
+        return sorted({int(b) + max(1, n // 2) for b in y_starts} - {horizon})
+    return []
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(TABLES)), n=st.integers(1, 600),
        blocks=st.integers(1, 4), lanes=st.integers(1, 9),
        cells=st.sampled_from([None, 1, 7, 64]), seed=st.integers(0, 2**32 - 1))
 def test_in_place_scoring_equals_the_gathered_rule(data, name, n, blocks, lanes, cells, seed):
-    # cells: a cell budget that cuts each block into slices of one row or
+    # the reproduction comes in windows cut anywhere, and cells, a cell
+    # budget, cuts each window's rows of a block into slices of one row or
     # a few rows, or the default, where the 255-row cap cuts long blocks
     metric = metric_of(name)
     x_starts, y_starts = data.draw(starts(n, blocks)), data.draw(starts(n, blocks))
@@ -80,9 +107,10 @@ def test_in_place_scoring_equals_the_gathered_rule(data, name, n, blocks, lanes,
     horizon = int(max(x_starts.max(), y_starts.max())) + n + data.draw(st.integers(0, 3))
     x = rng.integers(0, metric.table.shape[0], (horizon, lanes), dtype=np.int8)
     y = rng.integers(0, metric.table.shape[1], (horizon, lanes), dtype=np.int8)
+    windows = data.draw(cuts(horizon, y_starts, n))
     budget = separation._DISTORTION_CELLS if cells is None else cells
     with mock.patch.object(separation, "_DISTORTION_CELLS", budget):
-        got = _block_distortions(metric, x, y, x_starts, y_starts, n)
+        got = score_blocks(metric, x, y, x_starts, y_starts, n, windows)
     want = gathered_reference(metric.table, x, y, x_starts, y_starts, n)
     assert got.shape == (blocks, lanes)
     assert np.array_equal(got, want)
@@ -95,7 +123,7 @@ def test_counts_run_past_a_byte(name, n):
     # must carry into the block's count without wrapping
     x, y = np.zeros((n, 3), dtype=np.int8), np.ones((n, 3), dtype=np.int8)
     metric = metric_of(name)
-    got = _block_distortions(metric, x, y, np.array([0]), np.array([0]), n)
+    got = score_blocks(metric, x, y, [0], [0], n)
     assert np.array_equal(got, np.full((1, 3), metric.table[0, 1] * n / n))
 
 
@@ -103,7 +131,7 @@ def test_counts_run_past_a_byte(name, n):
 def test_a_block_outside_the_streams_raises(x_start, y_start):
     x = np.zeros((10, 3), dtype=np.int8)
     with pytest.raises(ValueError, match="outside"):
-        _block_distortions(hamming_metric(2), x, x, np.array([x_start]), np.array([y_start]), 10)
+        score_blocks(hamming_metric(2), x, x, [x_start], [y_start], 10)
 
 
 @pytest.mark.parametrize("name, buffers", [("hamming", 1), ("asymmetric", 2)])
@@ -119,7 +147,7 @@ def test_scoring_copies_no_block(name, buffers):
     starts = np.array([0, 5])
     tracemalloc.start()
     try:
-        _block_distortions(metric_of(name), x, y, starts, starts[::-1], n)
+        score_blocks(metric_of(name), x, y, starts[::-1], starts, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -143,8 +171,7 @@ def test_search_distance_is_the_block_score(n, letters):
         blocks[d, :d] = (blocks[d, :d] + 1) % letters
     found, dist = batch_min_distortion_rows(codebook, blocks, metric)
     assert not found.any()
-    score = _block_distortions(metric, blocks.T, np.tile(row, (n + 1, 1)).T, np.array([0]),
-                               np.array([0]), n)[0]
+    score = score_blocks(metric, blocks.T, np.tile(row, (n + 1, 1)).T, [0], [0], n)[0]
     assert np.array_equal(score, np.arange(n + 1) / n)
     assert np.array_equal(dist, score)
 
@@ -155,10 +182,9 @@ def test_a_letter_the_table_cannot_score_raises(x, y):
     metric = DistortionMetric(Alphabet(2), Alphabet(2), np.array([[0.0, 1.0], [5.0, 0.0]]))
     xs, ys = np.full((4, 3), x, dtype=np.int8), np.full((4, 3), y, dtype=np.int8)
     with pytest.raises(ValueError, match="alphabet"):
-        _block_distortions(metric, xs, ys, np.array([0]), np.array([0]), 4)
+        score_blocks(metric, xs, ys, [0], [0], 4)
     # the 0/1 Hamming count is untouched: any two letters that differ count one
-    assert np.array_equal(
-        _block_distortions(hamming_metric(2), xs, ys, np.array([0]), np.array([0]), 4), [[1.0] * 3])
+    assert np.array_equal(score_blocks(hamming_metric(2), xs, ys, [0], [0], 4), [[1.0] * 3])
 
 
 def test_scaled_hamming_scores_round_as_the_search_does():
@@ -176,8 +202,61 @@ def test_scaled_hamming_scores_round_as_the_search_does():
         blocks[k, :n01] = 0  # block 0 where the row holds 1
         blocks[k, 20 : 20 + n10] = 1  # block 1 where the row holds 0
     _, dist = batch_min_distortion_rows(codebook, blocks, metric)
-    score = _block_distortions(metric, blocks.T, np.tile(row, (len(splits), 1)).T,
-                               np.array([0]), np.array([0]), n)[0]
+    score = score_blocks(metric, blocks.T, np.tile(row, (len(splits), 1)).T, [0], [0], n)[0]
     assert score[splits.index((1, 6))] == 7 * c / n == 0.052500000000000005
     assert np.array_equal(score, np.array([a + b for a, b in splits]) * c / n)
     assert np.array_equal(score, dist)
+
+
+@pytest.mark.parametrize("name, trials, block_length", [
+    ("single_bsc", 5000, 64),  # a plain pair: two block starts of 2500 lanes
+    ("separated_argmin", 3000, None),  # n' = 24 < n = 32: two windows of 1500 lanes
+])
+def test_a_weighted_budget_is_measured_by_the_gathered_rule(name, trials, block_length):
+    # measure_end_to_end scores its blocks as its rollout passes them; the
+    # same rollout collected whole, at the same seeds, lanes and horizon,
+    # and scored by the rule written out must judge every block alike, at
+    # levels that are some block's exact score. A scorer that read only the
+    # mismatch count would not: the asymmetric table weighs each cell
+    system, pair = golden_system(name), (0, 1)
+    seeds = RandomnessHandle(3).derive("weighted", name)
+    if is_separated(system, pair):
+        plan = system.modem_for(pair[0]).plan
+        starts = -(-trials // separation._SEPARATED_LANES)
+        n = plan.rate_plan.n_prime
+        x_starts, _, y_starts = plan.clock(starts)
+    else:
+        starts = -(-trials // separation._PLAIN_LANES)
+        n = block_length
+        x_starts = system.warmup + n * np.arange(starts)
+        y_starts = x_starts + system.latency_map[pair]
+    assert starts == 2
+    traj = rollout(system, seeds, lanes=-(-trials // starts), horizon=int(y_starts[-1]) + n)
+    metric = metric_of("asymmetric")
+    gathered = gathered_reference(metric.table, traj.sources[pair], traj.repro[pair],
+                                  x_starts, y_starts, n).reshape(-1)[:trials]
+    for level in np.quantile(gathered, [0.25, 0.5, 0.75], method="nearest"):
+        report = measure_end_to_end(system, pair, DistortionBudget(float(level), metric),
+                                    trials, seeds, block_length=block_length)
+        exceed = int((gathered > level).sum())
+        assert 0 < exceed < trials
+        assert report.exceed_count == exceed
+
+
+def test_a_measurement_keeps_one_window_of_its_reproduction():
+    # single_bsc at 16,384 trials: 4 block starts of 4,096 lanes, blocks of
+    # 1000, a rollout of 4,011 steps. The measurement holds the pair's
+    # source, 1 byte a (step, lane), and one window of the medium and of
+    # the reproduction; a whole-horizon reproduction would be 1 byte more
+    system = golden_system("single_bsc")
+    trials, lanes = 16_384, separation._PLAIN_LANES
+    horizon = system.warmup + 3 * system.block_length + system.latency_map[(0, 1)] + 1000
+    budget = DistortionBudget(0.125, hamming_metric(2))
+    tracemalloc.start()
+    try:
+        report = measure_end_to_end(system, (0, 1), budget, trials, RandomnessHandle(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.trials == trials
+    assert peak / (horizon * lanes) < 1.5

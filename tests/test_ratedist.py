@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from conftest import single_link_system
+from conftest import score_blocks, single_link_system
 
 from sepnet.netmodel import MediumKernel, rollout
 from sepnet.probcore import Alphabet, Pmf
@@ -25,7 +25,7 @@ from sepnet.ratedist import (
     rd_sweep,
 )
 from sepnet import separation
-from sepnet.separation import _block_distortions, measure_end_to_end
+from sepnet.separation import _BlockScorer, measure_end_to_end
 
 PAIR = (0, 1)
 
@@ -38,8 +38,7 @@ def block_avgs(x, y, metric) -> np.ndarray:
     """Average distortion of source row x[k] against reproduction row y[k],
     one block per row, each row in a lane of its own."""
     x, y = np.array(x, dtype=np.int8).T, np.array(y, dtype=np.int8).T
-    start = np.array([0])
-    return _block_distortions(metric, x, y, start, start, len(x)).reshape(-1)
+    return score_blocks(metric, x, y, [0], [0], len(x)).reshape(-1)
 
 
 class TestBlockDistortion:
@@ -65,7 +64,7 @@ class TestBlockDistortion:
         y = rng.integers(0, 3, (200, 4), dtype=np.int8)
         xs, ys, n = np.array([0, 20, 40, 97, 150]), np.array([3, 30, 41, 101, 180]), 16
         monkeypatch.setattr(separation, "_DISTORTION_CELLS", 2 * n * 4)
-        got = _block_distortions(metric, x, y, xs, ys, n)
+        got = score_blocks(metric, x, y, xs, ys, n, cuts=range(7, 200, 7))
         want = [[np.mean([table[x[a + i, lane], y[b + i, lane]] for i in range(n)])
                  for lane in range(4)] for a, b in zip(xs, ys)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -85,7 +84,8 @@ class TestBlockDistortion:
             metric = DistortionMetric(Alphabet(letters), Alphabet(letters), table.astype(float))
             cells = x[xs[:, None] + np.arange(n)] * letters + y[ys[:, None] + np.arange(n)]
             gathered = metric.table.reshape(-1).take(cells).mean(axis=1)
-            assert np.array_equal(_block_distortions(metric, x, y, xs, ys, n), gathered)
+            got = score_blocks(metric, x, y, xs, ys, n, cuts=range(64, 1400, 64))
+            assert np.array_equal(got, gathered)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -142,11 +142,11 @@ class TestExpectedDistortion:
     def test_flip_noise_mean(self, hamming2, root):
         # 100 lanes x 20 blocks of 200 symbols
         q, n = 0.15, 200
-        traj = rollout(single_link_system(q, block_length=n), root.derive("mean"),
-                       lanes=100, horizon=8 + 20 * n + 3)
         starts = 8 + n * np.arange(20)
-        avgs = _block_distortions(hamming2, traj.sources[PAIR], traj.repro[PAIR],
-                                  starts, starts + 3, n)
+        scorer = _BlockScorer(hamming2, PAIR, starts, starts + 3, n, 8 + 20 * n + 3, 100)
+        rollout(single_link_system(q, block_length=n), root.derive("mean"),
+                lanes=100, horizon=8 + 20 * n + 3, consume=scorer)
+        avgs = scorer.distortions()
         assert avgs.shape == (20, 100)
         assert avgs.mean() == pytest.approx(q, abs=0.01)
 
