@@ -321,6 +321,13 @@ def _target(entry, system: NetworkSystem) -> tuple:
     floor = _at_least(metric.d_min(source), _float)
     level, level_prime = _get(t, "targets.D", floor), _get(t, "targets.D_prime", floor)
     psi, alpha = _get(t, "targets.psi", _positive, None), _get(t, "targets.alpha", _positive, None)
+    # R(D) <= H(X), so a channel rate R(D) - alpha needs alpha below H(X)
+    probs = source.probs[source.probs > 0]
+    entropy = float(-(probs * np.log2(probs)).sum())
+    if alpha is not None and alpha >= entropy:
+        raise ConfigError(f"targets.alpha: {alpha} is at least H(X) = {entropy:.6g} bits of "
+                          f"pair {list(pair)}'s source, which bounds R(D), so the channel "
+                          f"rate R(D) - alpha could never be positive")
     ratio = _get(t, "targets.n_prime_ratio", _float, 1.0)
     rule = _get(t, "targets.decode_rule", str, "within_d")
     # PairTarget names the field it rejects first in its message

@@ -12,14 +12,18 @@ cycle falls back to windows of one step, where any order is causal.
 Windows hold at most ``WINDOW_LANE_STEPS`` lane-steps, which bounds the
 engine's temporaries whatever the horizon.
 
-The engine keeps one window of the medium: every user's medium inputs and
-every link's outputs live in (window + 1)-step buffers, allocated once per
-rollout and reused, whose row 0 holds the step before the window. Nothing
-reads them more than one step after they are written. Over the whole
-horizon a rollout keeps the pairs' sources, which modems read whole
-(``ModemView``), and hands each window's reproductions to a consumer:
-by default one that collects them into whole-horizon arrays, or the
-caller's own, which keeps what it needs of them (``rollout``).
+The engine keeps one window of every stream. Every user's medium inputs
+and every link's outputs live in (window + 1)-step buffers, allocated once
+per rollout and reused, whose row 0 holds the step before the window.
+Nothing reads them more than one step after they are written. Each pair's
+source is drawn one window at a time, and a modem sees only the window's
+rows (``ModemView``). After each window the engine hands the window's
+sources and reproductions to a consumer. By default the consumer collects
+them into whole-horizon arrays; a caller's own consumer keeps only what it
+needs of them (``rollout``). Whoever reads a stream's older rows keeps
+them itself (``_Tail``): a plain sender its last source row, a separated
+pair's wrappers the rows of the blocks they have not yet coded, and a
+measurement's scorer the source rows of its open blocks.
 
 The medium has one model of a link, ``MediumKernel``: a stack of
 stochastic rows, where a cell's row has the mixed-radix digits the link's
@@ -27,7 +31,10 @@ hidden state, then the inputs of the users it watches, then its sender's
 input.
 
 Randomness is namespaced off a single root handle: one stream per source
-pair, one private stream per modem, and the medium's streams, derived per
+pair, ``derive("src", *pair)``, whose horizon * lanes symbols in (step,
+lane) order are one ``sample_iid_array`` draw, read window by window
+(``probcore._IidStream``); one private stream per modem; and the medium's
+streams, derived per
 link from ``derive("medium").derive(i, j)`` for link (i, j). The link's
 cells are its outputs at steps tau >= 1, in (step, lane) order; cell c is
 step 1 + c // lanes, lane c % lanes. Every letter the medium draws
@@ -62,6 +69,7 @@ import numpy as np
 from .probcore import (
     Alphabet,
     RandomnessHandle,
+    _IidStream,
     _PlaneSampler,
     _reached,
     _thresholds,
@@ -266,18 +274,20 @@ def gilbert_elliott_link(
 class ModemView:
     """What a modem sees of one rollout.
 
-    Only the modem's own slices are present: its outgoing pairs' source
-    arrays, (horizon, lanes), and ``link_in``, its incoming links' outputs
-    one step late over the window it is stepping. During a call to
-    ``window(t0, t1, ...)``, ``link_in[link]`` is a read-only (t1 - t0,
-    lanes) array whose row k is the link's output at step t0 + k - 1, and
-    at step 0, which has none, is 0. The arrays are views of the engine's
-    window buffers and are valid only during the call: a modem that needs a
-    link's past beyond one step keeps its own copy. The medium state is
-    never exposed. A source is whole, so causality on it is the modem's
-    duty: its value at step tau may read source rows before tau only.
-    ``test_causality_source_perturbation`` in tests/test_netmodel.py checks
-    it for the senders of plain and separated pairs.
+    Only the modem's own slices are present, and only over the window
+    [t0, t1) it is stepping: ``sources``, its outgoing pairs' source rows,
+    and ``link_in``, its incoming links' outputs one step late. During a
+    call to ``window(t0, t1, ...)``, ``sources[pair]`` is a read-only
+    (t1 - t0, lanes) array whose row k is the source at step t0 + k, and
+    ``link_in[link]`` a read-only (t1 - t0, lanes) array whose row k is the
+    link's output at step t0 + k - 1, and at step 0, which has none, is 0.
+    Both are valid only during the call: a modem that reads a source row or
+    a link output of an earlier window keeps its own copy (``_Tail``). The
+    medium state is never exposed. A window holds source rows up to t1 - 1,
+    so causality on it is the modem's duty: its value at step tau may read
+    source rows before tau only. ``test_causality_source_perturbation`` in
+    tests/test_netmodel.py checks it for the senders of plain and separated
+    pairs.
     """
 
     __slots__ = (
@@ -335,15 +345,36 @@ class Modem(ABC):
         are."""
 
 
-def _delayed(stream: np.ndarray, t0: int, t1: int, first) -> np.ndarray:
-    """A source ``stream`` one step late over the window [t0, t1): step tau
-    reads row tau-1, and step 0, which has no earlier row, is ``first``."""
-    if t0 >= 1:
-        return stream[t0 - 1 : t1 - 1]
-    out = np.empty((t1, stream.shape[1]), dtype=stream.dtype)
-    out[0] = first
-    out[1:] = stream[: t1 - 1]
-    return out
+class _Tail:
+    """The rows of a (steps, lanes) stream, handed over window by window,
+    that a reader still needs: rows from ``start`` up to the end of the
+    window last added. The window's own rows are read in place; ``keep``
+    copies the rows kept past it, so the window may be reused after."""
+
+    def __init__(self):
+        self.start = self.t0 = 0
+        self.kept = None  # rows [start, t0), copied
+        self.window = None  # rows [t0, t1), the caller's
+
+    def add(self, t0: int, window: np.ndarray) -> None:
+        """The stream's rows [t0, t0 + len(window)); the rows before t0 are
+        the ones the last ``keep`` kept."""
+        self.t0, self.window = t0, window
+
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Rows [a, b), at or after ``start``: a view unless they straddle
+        the window's first row."""
+        if a >= self.t0:
+            return self.window[a - self.t0 : b - self.t0]
+        old = self.kept[a - self.start : b - self.start]
+        return old if b <= self.t0 else np.concatenate([old, self.window[: b - self.t0]])
+
+    def keep(self, start: int) -> None:
+        """Forget the rows before ``start`` and copy the window's rows from
+        there on; a ``start`` past the window keeps none."""
+        start = min(start, self.t0 + len(self.window))
+        self.kept = self.rows(start, self.t0 + len(self.window)).copy()
+        self.start = start
 
 
 class PassthroughModem(Modem):
@@ -352,7 +383,8 @@ class PassthroughModem(Modem):
 
     Before the first source symbol is available it emits fresh i.i.d.
     symbols from the source law, so the medium input law is exact from
-    step 0.
+    step 0. Of the source it keeps one row, the last of each window, which
+    the next window's first step sends.
     """
 
     def __init__(self, user: int, send_pair=None, recv_pairs=(), recv_links=None):
@@ -393,7 +425,7 @@ class PassthroughModem(Modem):
                                   f"more than pair ({i},{j}) has")
 
     def carries(self, carried):
-        # the source one step late (``_delayed``)
+        # the source one step late
         return (self.send_pair, 1) if self.send_pair else None
 
     def latencies(self, carried):
@@ -405,14 +437,24 @@ class PassthroughModem(Modem):
                                   f"{self.recv_link[pair]}, whose sender does not carry it")
         return {pair: d + 2 for pair, (_, d) in heard.items()}
 
+    def start(self, view):
+        # "last": the source row before the window, which its first step
+        # sends; "iota": a buffer for the window's medium inputs, reused,
+        # since the engine copies them
+        return {"last": None, "iota": np.empty((0, view.lanes))}
+
     def window(self, t0, t1, state, view):
         iota = None
         if self.send_pair:
-            first = 0
+            x = view.sources[self.send_pair]
             if t0 == 0:
                 pmf = view.source_pmfs[self.send_pair]
-                first = sample_iid_array(pmf, view.lanes, view.private_gen)
-            iota = _delayed(view.sources[self.send_pair], t0, t1, first)
+                state["last"] = sample_iid_array(pmf, view.lanes, view.private_gen)
+            if len(state["iota"]) < len(x):
+                state["iota"] = np.empty_like(x)
+            iota = state["iota"][: len(x)]
+            iota[0], iota[1:] = state["last"], x[:-1]
+            state["last"] = x[-1].copy()
         repro = {pair: view.link_in[self.recv_link[pair]] for pair in self.recv_pairs}
         return iota, repro
 
@@ -512,12 +554,12 @@ class NetworkSystem:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """What one (batched) rollout leaves to read, immutable: each pair's
-    source, a (horizon, lanes) array, the modems' telemetry and, from a
-    rollout without a consumer, each pair's reproduction, a (horizon,
-    lanes) array; ``repro`` is empty when a consumer took the reproductions
-    window by window (``rollout``). The medium inputs and link outputs live
-    only in the engine's window buffers and are not kept.
+    """What one (batched) rollout leaves to read, immutable: the modems'
+    telemetry and, from a rollout without a consumer, each pair's source
+    and reproduction, (horizon, lanes) arrays. ``sources`` and ``repro``
+    are empty when a consumer took the windows as they passed
+    (``rollout``). The medium inputs and link outputs live only in the
+    engine's window buffers and are not kept.
     """
 
     sources: dict
@@ -558,15 +600,21 @@ def rollout(
     row of the window before (0 before step 0). A link reads its inputs
     from these buffers and a modem its incoming links (``ModemView``).
 
+    Each pair's source is drawn one window at a time from its own stream
+    (``probcore._IidStream``), the same symbols as one draw of the whole
+    horizon. A modem sees the window's rows of its pairs' sources
+    (``ModemView``); whoever reads older rows keeps them.
+
     After each window [t0, t1) the engine calls ``consume(t0, repro,
     sources)``: ``repro`` maps each pair reproduced in the window to its
-    (t1 - t0, lanes) rows, valid only during the call, and ``sources`` is
-    the pairs' whole (horizon, lanes) sources, read-only. Without a
-    ``consume`` the rollout collects every pair's reproduction into a
-    (horizon, lanes) array of the ``Trajectory`` (0 where no modem
-    reproduces the pair), as the noninterference test and the golden
-    digests read them; with one it keeps no reproduction, and
-    ``Trajectory.repro`` is empty.
+    (t1 - t0, lanes) rows and ``sources`` each pair to its source rows, all
+    valid only during the call, the sources read-only. Without a
+    ``consume`` the rollout collects every pair's source and reproduction
+    into (horizon, lanes) arrays of the ``Trajectory`` (a reproduction 0
+    where no modem reproduces the pair), as the noninterference test and
+    the golden digests read them. With one it keeps neither, and the
+    ``Trajectory``'s ``sources`` and ``repro`` are empty: the rollout's
+    memory is then a few windows, whatever the horizon.
     """
     T = int(horizon)
     B = int(lanes)
@@ -575,11 +623,8 @@ def rollout(
     medium = system.medium
     N = medium.num_users
 
-    sources = {}
-    for pair, pmf in sorted(system.sources.items()):
-        gen = seeds.derive("src", *pair).generator()
-        sources[pair] = sample_iid_array(pmf, T * B, gen).reshape(T, B)
-        sources[pair].flags.writeable = False
+    streams = {pair: _IidStream(pmf, T * B, seeds.derive("src", *pair).generator())
+               for pair, pmf in sorted(system.sources.items())}
 
     order = _schedule(system)
     W = max(1, WINDOW_LANE_STEPS // B)
@@ -595,16 +640,16 @@ def rollout(
         link: np.zeros((W + 1, B), dtype=medium.link_output_alphabet(link).dtype)
         for link in medium.links
     }
-    repro = {}
+    sources, repro = {}, {}
     if consume is None:
-        repro = {
-            pair: np.zeros((T, B), dtype=pmf.alphabet.dtype)
-            for pair, pmf in system.sources.items()
-        }
+        for whole in (sources, repro):
+            whole.update((pair, np.zeros((T, B), dtype=pmf.alphabet.dtype))
+                         for pair, pmf in system.sources.items())
 
-        def consume(t0, window, _sources):
-            for pair, arr in window.items():
-                repro[pair][t0 : t0 + len(arr)] = arr
+        def consume(t0, window, window_sources):
+            for whole, arrays in ((repro, window), (sources, window_sources)):
+                for pair, arr in arrays.items():
+                    whole[pair][t0 : t0 + len(arr)] = arr
 
     modems = {}
     for modem in system.modems:
@@ -613,7 +658,7 @@ def rollout(
             user=u,
             lanes=B,
             horizon=T,
-            sources={p: a for p, a in sources.items() if p[0] == u},
+            sources={p: None for p in streams if p[0] == u},
             source_pmfs={p: f for p, f in system.sources.items() if p[0] == u},
             link_in={lk: None for lk in medium.links if lk[1] == u},
             private_gen=seeds.derive("modem", u).generator(),
@@ -629,7 +674,9 @@ def rollout(
             for buf in link_out.values():
                 buf[0] = buf[W]
         late = {lk: buf[:steps] for lk, buf in link_out.items()}
-        for arr in late.values():
+        window_sources = {pair: stream.read(steps * B).reshape(steps, B)
+                          for pair, stream in streams.items()}
+        for arr in (*late.values(), *window_sources.values()):
             arr.flags.writeable = False
         lo = 1 if t0 == 0 else 0  # the medium is first consulted at step 1
         repro_w = {}
@@ -642,13 +689,15 @@ def rollout(
             modem, state, view = modems[node]
             for lk in view.link_in:  # in place: a wrapper's inner view shares the dict
                 view.link_in[lk] = late[lk]
+            for pair in view.sources:
+                view.sources[pair] = window_sources[pair]
             iota_w, repro_u = modem.window(t0, t1, state, view)
             if iota_w is not None:
                 iota[node, 1 : steps + 1] = iota_w
             repro_w.update(repro_u)
-        consume(t0, repro_w, sources)
+        consume(t0, repro_w, window_sources)
 
-    for arr in repro.values():
+    for arr in (*sources.values(), *repro.values()):
         arr.flags.writeable = False
 
     telemetry = {v.user: v.telemetry for _, _, v in modems.values() if v.telemetry}

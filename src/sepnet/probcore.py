@@ -271,6 +271,41 @@ def sample_iid_array(
     return out.reshape(-1)
 
 
+class _IidStream:
+    """``sample_iid_array(pmf, total, gen)`` read in consecutive pieces of
+    any length, bit for bit: the pieces, joined, are that one draw.
+
+    Under any law but the fair coin a symbol is one raw word, so a piece
+    is a draw of its own. A fair-coin symbol is one bit of a raw word, and
+    the draw's last word, when it is partial, gives its low bits
+    (``_fair_rows``): so a piece draws whole words, but at the end of the
+    draw only the symbols left, and keeps the fewer than 64 symbols past
+    the piece for the next one."""
+
+    def __init__(self, pmf: Pmf, total: int, gen: np.random.Generator):
+        self.pmf, self.gen = pmf, gen
+        self.undrawn = int(total)  # symbols not yet drawn from ``gen``
+        self.fair = np.array_equal(pmf.probs, (0.5, 0.5))
+        self.spare = np.empty(0, dtype=pmf.alphabet.dtype)  # drawn, not yet read
+
+    def read(self, m: int) -> np.ndarray:
+        """The next ``m`` >= 1 symbols of the draw."""
+        if not 1 <= m <= self.undrawn + len(self.spare):
+            raise ValueError(f"cannot read {m} of the {self.undrawn + len(self.spare)} "
+                             f"symbols left")
+        if not self.fair:
+            self.undrawn -= m
+            return sample_iid_array(self.pmf, m, self.gen)
+        need = max(0, m - len(self.spare))
+        drawn = min(-(-need // 64) * 64, self.undrawn)
+        self.undrawn -= drawn
+        pool = sample_iid_array(self.pmf, drawn, self.gen)
+        if len(self.spare):
+            pool = np.concatenate([self.spare, pool])
+        self.spare = pool[m:].copy()
+        return pool[:m]
+
+
 def _fair_rows(bitgen, rows: int, n: int) -> np.ndarray:
     """``rows`` fair-coin rows of n symbols as planes (rows, 1, w), w =
     ceil(n / 64): row i is the raw words [i * w, (i + 1) * w) of

@@ -30,7 +30,7 @@ from .codec import (
     build_channel_codebook,
     build_source_codebook,
 )
-from .netmodel import ModemView, ModemWrapper, NetworkSystem, rollout
+from .netmodel import ModemView, ModemWrapper, NetworkSystem, _Tail, rollout
 from .probcore import (
     Alphabet,
     RandomnessHandle,
@@ -201,9 +201,13 @@ class SeparationSendModem(ModemWrapper):
     and after the last one the simulated stream is fresh i.i.d. symbols
     from the source law, drawn in one draw at the start, so the inner
     modem's input law is exact at every step. All channel windows that
-    start within one rollout window are encoded in one search. Telemetry:
-    ``messages`` and ``roundtrip_avg``, (windows, lanes), and
-    ``sim_stream``, the inner modem's source.
+    start within one rollout window are encoded in one search.
+
+    The wrapper keeps the source rows of the blocks it has not yet encoded,
+    at most n + n' rows, and the codeword rows that run past the rollout
+    window, at most n; it hands the inner modem the simulated stream one
+    rollout window at a time, as its ``ModemView.sources``. Telemetry:
+    ``messages`` and ``roundtrip_avg``, (windows, lanes).
     """
 
     def __init__(self, inner, plan: SeparationPlan):
@@ -216,41 +220,63 @@ class SeparationSendModem(ModemWrapper):
         pmf = view.source_pmfs[plan.pair]
         windows = plan.windows(T)
         src, emit, _ = plan.clock(windows)
-        virt = np.zeros((T, B), dtype=pmf.alphabet.dtype)
         # the encoded windows are back to back and end by the last one's
         # decode step, inside the horizon
-        head, tail = (emit[0], emit[-1] + plan.rate_plan.n) if windows else (T, T)
+        head, tail = (int(emit[0]), int(emit[-1]) + plan.rate_plan.n) if windows else (T, T)
         filler = sample_iid_array(pmf, (head + T - tail) * B, view.private_gen)
-        virt[:head], virt[tail:] = np.split(filler.reshape(-1, B), [head])
         inner_view = ModemView(user=view.user, lanes=B, horizon=T,
-                               sources={**view.sources, plan.pair: virt},
-                               source_pmfs=view.source_pmfs, link_in=view.link_in,
-                               private_gen=view.private_gen)
+                               sources=dict(view.sources), source_pmfs=view.source_pmfs,
+                               link_in=view.link_in, private_gen=view.private_gen)
         telemetry = view.telemetry["sep_send"] = {
             "messages": np.zeros((windows, B), dtype=np.int64),
             "roundtrip_avg": np.zeros((windows, B)),
-            "sim_stream": virt,
         }
         return {
             "inner_view": inner_view,
             "inner_state": self.inner.start(inner_view),
             "src": src,
             "emit": emit,
+            "head": head,
+            "tail": tail,
+            "filler": filler.reshape(-1, B),
+            "x": _Tail(),  # the source rows of blocks not yet encoded
+            # rows [t0, t0 + n) of the simulated stream, of codewords sent before t0
+            "carry": np.zeros((plan.rate_plan.n, B), dtype=pmf.alphabet.dtype),
             **telemetry,  # filled window by window
         }
 
     def window(self, t0, t1, state, view):
         plan = self.plan
-        lo, hi = np.searchsorted(state["emit"], [t0, t1])
+        n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
+        src, emit, head, tail = state["src"], state["emit"], state["head"], state["tail"]
+        x = state["x"]
+        x.add(t0, view.sources[plan.pair])
+        # rows [t0, t1 + n) of the simulated stream: the filler outside the
+        # encoded windows, the codewords sent before t0, then those sent now
+        steps = t1 - t0
+        sim = np.empty((steps + n, view.lanes), dtype=state["carry"].dtype)
+        sim[:n] = state["carry"]
+        if t0 < head:
+            sim[: min(t1, head) - t0] = state["filler"][t0 : min(t1, head)]
+        if t1 > tail:
+            a = max(t0, tail)
+            sim[a - t0 : steps] = state["filler"][head + a - tail : head + t1 - tail]
+        lo, hi = np.searchsorted(emit, [t0, t1])
         if hi > lo:
-            x = _blocks(view.sources[plan.pair], state["src"][lo:hi], plan.rate_plan.n_prime)
-            messages, roundtrip = batch_min_distortion_rows(plan.source_cb, x, plan.metric)
+            first = int(src[lo])
+            rows = x.rows(first, int(src[hi - 1]) + npr)
+            blocks = _blocks(rows, src[lo:hi] - first, npr)
+            messages, roundtrip = batch_min_distortion_rows(plan.source_cb, blocks, plan.metric)
             state["messages"][lo:hi] = messages.reshape(hi - lo, -1)
             state["roundtrip_avg"][lo:hi] = roundtrip.reshape(hi - lo, -1)
             words = plan.channel_cb.rows(state["messages"][lo:hi])
-            for tau, block in zip(state["emit"][lo:hi].tolist(), words):
-                state["sim_stream"][tau : tau + plan.rate_plan.n] = block.T
-        return self.inner.window(t0, t1, state["inner_state"], state["inner_view"])
+            for tau, block in zip((emit[lo:hi] - t0).tolist(), words):
+                sim[tau : tau + n] = block.T
+        x.keep(int(src[hi]) if hi < len(src) else t1)
+        state["carry"] = sim[steps:].copy()
+        inner_view = state["inner_view"]
+        inner_view.sources = {**view.sources, plan.pair: sim[:steps]}
+        return self.inner.window(t0, t1, state["inner_state"], inner_view)
 
 
 def _blocks(stream: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
@@ -271,8 +297,10 @@ class SeparationRecvModem(ModemWrapper):
     window w is received over the n steps before its decode step of
     ``SeparationPlan.clock`` and reproduced from that step on. All channel
     windows whose decode step falls within one rollout window are decoded
-    in one search. Telemetry: ``codes``, (windows, lanes), the decoded
-    messages or ``NONE_WITHIN``/``AMBIGUOUS``.
+    in one search. The wrapper keeps the received rows of the window it
+    has not yet decoded, at most n, and the decoded rows that run past the
+    rollout window, at most n'. Telemetry: ``codes``, (windows, lanes), the
+    decoded messages or ``NONE_WITHIN``/``AMBIGUOUS``.
     """
 
     def __init__(self, inner, plan: SeparationPlan):
@@ -280,16 +308,15 @@ class SeparationRecvModem(ModemWrapper):
         self.plan = plan
 
     def start(self, view: ModemView):
-        T, B = view.horizon, view.lanes
         plan = self.plan
-        windows = plan.windows(T)
+        windows = plan.windows(view.horizon)
         telemetry = view.telemetry["sep_recv"] = {
-            "codes": np.zeros((windows, B), dtype=np.int64),
+            "codes": np.zeros((windows, view.lanes), dtype=np.int64),
         }
         return {
-            "ys": np.zeros((T, B), dtype=plan.channel_cb.gen_pmf.alphabet.dtype),
-            # a block decoded near the horizon may run up to n' rows past it
-            "repro": np.zeros((T + plan.rate_plan.n_prime, B),
+            "ys": _Tail(),  # the received rows of windows not yet decoded
+            # rows [t0, t0 + n') of the reproduction, of blocks decoded before t0
+            "carry": np.zeros((plan.rate_plan.n_prime, view.lanes),
                               dtype=plan.source_cb.gen_pmf.alphabet.dtype),
             "inner_state": self.inner.start(view),
             "decode": plan.clock(windows)[2],
@@ -300,20 +327,27 @@ class SeparationRecvModem(ModemWrapper):
         iota, repro_map = self.inner.window(t0, t1, state["inner_state"], view)
         plan = self.plan
         repro_map = dict(repro_map)
-        if plan.pair in repro_map:
-            state["ys"][t0:t1] = repro_map.pop(plan.pair)
+        ys = state["ys"]
+        ys.add(t0, repro_map.pop(plan.pair))
         n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
         decode = state["decode"]
+        # rows [t0, t1 + n') of the reproduction: 0 between blocks
+        steps = t1 - t0
+        repro = np.zeros((steps + npr, view.lanes), dtype=state["carry"].dtype)
+        repro[:npr] = state["carry"]
         lo, hi = np.searchsorted(decode, [t0, t1])
         if hi > lo:
-            received = _blocks(state["ys"], decode[lo:hi] - n, n)
+            first = int(decode[lo]) - n
+            received = _blocks(ys.rows(first, int(decode[hi - 1])), decode[lo:hi] - n - first, n)
             state["codes"][lo:hi] = _decode_blocks(
                 plan.channel_cb, received, plan.metric, plan.rate_plan.level, plan.decode_rule
             ).reshape(hi - lo, -1)
             safe = np.clip(state["codes"][lo:hi], 0, plan.source_cb.cardinality - 1)
-            for tau, block in zip(decode[lo:hi].tolist(), plan.source_cb.rows(safe)):
-                state["repro"][tau : tau + npr] = block.T
-        repro_map[plan.pair] = state["repro"][t0:t1]
+            for tau, block in zip((decode[lo:hi] - t0).tolist(), plan.source_cb.rows(safe)):
+                repro[tau : tau + npr] = block.T
+        ys.keep(int(decode[hi]) - n if hi < len(decode) else t1)
+        state["carry"] = repro[steps:].copy()
+        repro_map[plan.pair] = repro[:steps]
         return iota, repro_map
 
 
@@ -445,12 +479,15 @@ class SeparatedGuaranteeReport(GuaranteeReport):
 
 class _BlockScorer:
     """Average distortion of each block x[a : a+n] against y[b : b+n], per
-    lane, for the starts a, b, scored as ``rollout`` hands over y window by
-    window: called as its ``consume``, the scorer counts the rows of
-    ``pair``'s reproduction that each window holds of every block, found by
-    a search over the non-decreasing y starts, against that pair's whole
-    source x in place. ``distortions()`` gives the (blocks, lanes) averages
-    once every window has passed.
+    lane, for the starts a, b, scored as ``rollout`` hands over x and y
+    window by window: called as its ``consume``, the scorer counts row i of
+    block k, x[a + i] against y[b + i], in the window that holds step
+    max(a, b) + i, where both rows have passed. It keeps the rows of x and
+    of y that its open blocks still need: of a measured pair, whose
+    reproduction comes after its source (by the pair's latency, or by a
+    plan's decode step less its source start), only source rows, at most
+    that offset. ``distortions()`` gives the (blocks, lanes) averages once
+    every window has passed.
 
     The codec's rules. Under c * Hamming (as ``codec._hamming_scale``
     detects it) the block's one count N of x != y gives N * c / n, the
@@ -472,10 +509,10 @@ class _BlockScorer:
         for starts in (x_starts, y_starts):
             if np.any((starts < 0) | (starts > horizon - n)):
                 raise ValueError(f"a block of {n} runs outside the streams")
-        if np.any(np.diff(y_starts) < 0):
-            raise ValueError("the blocks' reproduction starts must not decrease")
         self.metric, self.pair, self.n = metric, pair, n
         self.x_starts, self.y_starts = x_starts, y_starts
+        self.ready = np.maximum(x_starts, y_starts)  # where each block's row 0 has passed
+        self.x, self.y = _Tail(), _Tail()
         scale = _hamming_scale(metric, table.shape[1])
         entries = np.flatnonzero(table)
         self.weights = [scale] if scale is not None else table.reshape(-1)[entries].tolist()
@@ -490,29 +527,40 @@ class _BlockScorer:
         self.counts = np.zeros((len(self.weights), len(x_starts), lanes), dtype=np.int32)
 
     def __call__(self, t0: int, repro: dict, sources: dict) -> None:
-        x, y, n = sources[self.pair], repro[self.pair], self.n
-        t1 = t0 + len(y)
+        n = self.n
+        t1 = t0 + len(repro[self.pair])
+        self.x.add(t0, sources[self.pair])
+        self.y.add(t0, repro[self.pair])
         letters, size = self.metric.table.shape
         rows = self.hits.shape[1]
-        # the blocks with b < t1 and b + n > t0
-        lo = np.searchsorted(self.y_starts, t0 - n, side="right")
-        hi = np.searchsorted(self.y_starts, t1)
-        for k in range(lo, hi):
-            a, b = int(self.x_starts[k]), int(self.y_starts[k])
-            end = min(t1, b + n)
-            for r in range(max(t0, b), end, rows):
-                m = min(rows, end - r)
-                xs, ys, hits = x[a - b + r : a - b + r + m], y[r - t0 : r - t0 + m], self.hits[:, :m]
-                if self.entries is None:
-                    np.not_equal(xs, ys, out=hits[0])
-                else:
-                    if xs.max() >= letters or ys.max() >= size:
-                        raise ValueError(f"a letter is outside the metric's {letters}-letter "
-                                         f"source or {size}-letter reproduction alphabet")
-                    cell = np.multiply(xs, size, out=self.cells[:m], dtype=self.cells.dtype)
-                    cell += ys
-                    np.equal(cell, self.entries, out=hits)
-                self.counts[:, k] += hits.view(np.uint8).sum(axis=1, dtype=np.uint8)
+        # the blocks with rows ready in [t0, t1)
+        for k in np.flatnonzero((self.ready < t1) & (self.ready + n > t0)).tolist():
+            a, b, c = int(self.x_starts[k]), int(self.y_starts[k]), int(self.ready[k])
+            start, end = max(t0 - c, 0), min(t1 - c, n)
+            # cut where x or y rows enter the window: no slice joins kept rows
+            # to the window's, which would copy them
+            cuts = sorted({start, end, *(t0 - s for s in (a, b) if start < t0 - s < end)})
+            for lo, hi in zip(cuts, cuts[1:]):
+                for i in range(lo, hi, rows):
+                    m = min(rows, hi - i)
+                    xs, ys = self.x.rows(a + i, a + i + m), self.y.rows(b + i, b + i + m)
+                    hits = self.hits[:, :m]
+                    if self.entries is None:
+                        np.not_equal(xs, ys, out=hits[0])
+                    else:
+                        if xs.max() >= letters or ys.max() >= size:
+                            raise ValueError(f"a letter is outside the metric's {letters}-"
+                                             f"letter source or {size}-letter reproduction "
+                                             f"alphabet")
+                        cell = np.multiply(xs, size, out=self.cells[:m], dtype=self.cells.dtype)
+                        cell += ys
+                        np.equal(cell, self.entries, out=hits)
+                    self.counts[:, k] += hits.view(np.uint8).sum(axis=1, dtype=np.uint8)
+        # an open block's next row is t1 - c, or row 0 if it is not ready yet
+        todo = self.ready + n > t1
+        done = np.maximum(t1 - self.ready[todo], 0)
+        for tail, starts in ((self.x, self.x_starts), (self.y, self.y_starts)):
+            tail.keep(int((starts[todo] + done).min()) if todo.any() else t1)
 
     def distortions(self) -> np.ndarray:
         """The (blocks, lanes) average distortions."""
@@ -549,12 +597,14 @@ def measure_end_to_end(
     rollout stops where the last scored block ends; every draw is a prefix
     of the same stream, so a longer rollout would score the same blocks bit
     for bit. The blocks are scored as the rollout passes them
-    (``_BlockScorer``, the rollout's consumer), each window's reproduction
-    against the rollout's whole source in place, under c * Hamming by one
-    mismatch count. So the measurement keeps the pairs' whole sources, which
-    the modems read, and one window of the reproduction; of a separated
-    pair, the receiving wrapper keeps its own whole-horizon arrays
-    (``SeparationRecvModem``).
+    (``_BlockScorer``, the rollout's consumer), under c * Hamming by one
+    mismatch count. Nothing of the measurement grows with the horizon: the
+    rollout holds one window of every stream, the scorer the source rows
+    of its open blocks, at most the pair's offset from source to
+    reproduction, and a separated pair's wrappers the rows of the blocks
+    they have not yet coded (``SeparationSendModem``,
+    ``SeparationRecvModem``); only the wrappers' telemetry, a few numbers
+    per block, and the per-block counts grow with the trials.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} trials")

@@ -13,7 +13,7 @@ from sepnet.netmodel import (
 )
 from sepnet.probcore import Pmf, RandomnessHandle, _chi2_sf
 from sepnet.ratedist import hamming_metric
-from sepnet.separation import _BlockScorer
+from sepnet.separation import SeparationSendModem, _BlockScorer
 
 ROOT_SEED = 20240801
 
@@ -70,6 +70,38 @@ class _InputLog(ModemWrapper):
         return iota, repro
 
 
+class _SourceLog(ModemWrapper):
+    """Runs a modem unchanged and copies the rows of ``pair``'s source that
+    each window hands it into ``stream``, (horizon, lanes)."""
+
+    def __init__(self, inner, pair):
+        super().__init__(inner)
+        self.pair, self.stream = pair, None
+
+    def start(self, view):
+        dtype = view.source_pmfs[self.pair].alphabet.dtype
+        self.stream = np.zeros((view.horizon, view.lanes), dtype=dtype)
+        return self.inner.start(view)
+
+    def window(self, t0, t1, state, view):
+        self.stream[t0:t1] = view.sources[self.pair]
+        return self.inner.window(t0, t1, state, view)
+
+
+def log_simulated_streams(system: NetworkSystem):
+    """``system`` with the inner modem of each separated sender behind a
+    ``_SourceLog``, and those logs by user: after a rollout, a log's
+    ``stream`` is the simulated stream the wrapper handed its inner modem,
+    window by window. The rollout draws exactly as unlogged."""
+    logs, modems = {}, []
+    for modem in system.modems:
+        if isinstance(modem, SeparationSendModem):
+            logs[modem.user] = _SourceLog(modem.inner, modem.plan.pair)
+            modem = SeparationSendModem(logs[modem.user], modem.plan)
+        modems.append(modem)
+    return system.with_modems(modems), logs
+
+
 def recorded_rollout(system: NetworkSystem, seeds, lanes: int = 1, *, horizon: int):
     """``rollout`` of ``system``, plus what a trajectory does not keep: the
     medium inputs, (users, horizon, lanes), and each link's outputs,
@@ -108,14 +140,14 @@ def recorded_rollout(system: NetworkSystem, seeds, lanes: int = 1, *, horizon: i
 def score_blocks(metric, x, y, x_starts, y_starts, n, cuts=()) -> np.ndarray:
     """The (blocks, lanes) average distortions ``separation._BlockScorer``
     gives blocks of the source ``x`` against the reproduction ``y``, both
-    (horizon, lanes), with ``y`` handed over as a rollout does, in windows
+    (horizon, lanes), with both handed over as a rollout does, in windows
     cut at the steps ``cuts`` (by default the whole horizon in one)."""
     pair = (0, 1)
     scorer = _BlockScorer(metric, pair, np.asarray(x_starts), np.asarray(y_starts), n,
                           len(x), x.shape[1])
     bounds = [0, *cuts, len(y)]
     for t0, t1 in zip(bounds, bounds[1:]):
-        scorer(t0, {pair: y[t0:t1]}, {pair: x})
+        scorer(t0, {pair: y[t0:t1]}, {pair: x[t0:t1]})
     return scorer.distortions()
 
 

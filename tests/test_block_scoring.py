@@ -243,20 +243,37 @@ def test_a_weighted_budget_is_measured_by_the_gathered_rule(name, trials, block_
         assert report.exceed_count == exceed
 
 
-def test_a_measurement_keeps_one_window_of_its_reproduction():
-    # single_bsc at 16,384 trials: 4 block starts of 4,096 lanes, blocks of
-    # 1000, a rollout of 4,011 steps. The measurement holds the pair's
-    # source, 1 byte a (step, lane), and one window of the medium and of
-    # the reproduction; a whole-horizon reproduction would be 1 byte more
-    system = golden_system("single_bsc")
-    trials, lanes = 16_384, separation._PLAIN_LANES
-    horizon = system.warmup + 3 * system.block_length + system.latency_map[(0, 1)] + 1000
+def measurement_peak(trials: int) -> int:
+    """The tracemalloc peak of ``measure_end_to_end`` on single_bsc at
+    ``trials``, in bytes."""
     budget = DistortionBudget(0.125, hamming_metric(2))
     tracemalloc.start()
     try:
-        report = measure_end_to_end(system, (0, 1), budget, trials, RandomnessHandle(16))
+        report = measure_end_to_end(golden_system("single_bsc"), (0, 1), budget, trials,
+                                    RandomnessHandle(16))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.trials == trials
-    assert peak / (horizon * lanes) < 1.5
+    return peak
+
+
+def test_a_measurement_keeps_one_window_of_its_reproduction():
+    # single_bsc at 16,384 trials: 4 block starts of 4,096 lanes, blocks of
+    # 1000, a rollout of 4,011 steps. The measurement holds one window of
+    # the source, the medium and the reproduction, and the source rows of
+    # its open blocks, a few steps; a whole-horizon source or reproduction
+    # would be 1 byte a (step, lane) each
+    system = golden_system("single_bsc")
+    lanes = separation._PLAIN_LANES
+    horizon = system.warmup + 3 * system.block_length + system.latency_map[(0, 1)] + 1000
+    assert measurement_peak(16_384) / (horizon * lanes) < 0.5
+
+
+def test_a_measurements_memory_does_not_grow_with_its_horizon():
+    # 16,384 and 65,536 trials both run 4,096 lanes, over 4,011 and 16,011
+    # steps: the peak per lane must agree within 10%, where a whole-horizon
+    # stream would add 12,000 bytes a lane
+    small, large = (measurement_peak(trials) / separation._PLAIN_LANES
+                    for trials in (16_384, 65_536))
+    assert abs(large - small) <= 0.1 * small

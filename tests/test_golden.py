@@ -3,8 +3,9 @@
 Each shipped config, two small non-binary systems, a relay chain with a
 coupled bypass link, and single_bsc with its pair separated at n = 32 (both
 decode rules) are rolled out at a few lanes and a short horizon; the
-sha256 of every array the trajectory holds, and of the medium inputs and
-link outputs the rollout makes (read through ``conftest.recorded_rollout``),
+sha256 of every array the trajectory holds, of the medium inputs and link
+outputs the rollout makes (read through ``conftest.recorded_rollout``), and
+of a separated sender's simulated stream (``conftest.log_simulated_streams``)
 must match the value recorded here. A change that consumes a random stream
 differently fails this file and has to be declared as a golden break.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bsc, recorded_rollout
+from conftest import bsc, log_simulated_streams, recorded_rollout
 
 from sepnet.harness import ExperimentConfig
 from sepnet.netmodel import (
@@ -40,10 +41,15 @@ def digest(arr) -> str:
     return h.hexdigest()[:16]
 
 
-def trajectory_digests(system, traj, medium_inputs, link_outputs) -> dict:
-    """Digests of a ``recorded_rollout`` of ``system``'s arrays; a separated
-    pair's window, source-start, emit and decode steps are its plan's
-    ``clock`` over the windows its wrappers log."""
+def golden_digests(system, seeds, lanes: int, horizon: int) -> dict:
+    """Digests of the arrays of a ``recorded_rollout`` of ``system``; a
+    separated pair's simulated stream is the one its sender's inner modem
+    was handed (``log_simulated_streams``), and its window, source-start,
+    emit and decode steps are its plan's ``clock`` over the windows its
+    wrappers log."""
+    logged_system, sim = log_simulated_streams(system)
+    traj, medium_inputs, link_outputs = recorded_rollout(logged_system, seeds, lanes,
+                                                         horizon=horizon)
     out = {"medium_inputs": digest(medium_inputs)}
     streams = {"sources": traj.sources, "link_outputs": link_outputs, "repro": traj.repro}
     for name, arrays in streams.items():
@@ -55,7 +61,7 @@ def trajectory_digests(system, traj, medium_inputs, link_outputs) -> dict:
             src, emit, _ = system.modem_for(user).plan.clock(len(send["messages"]))
             logged = {"window": np.arange(len(src)), "src_start": src, "emit_start": emit,
                       "messages": send["messages"], "roundtrip_avg": send["roundtrip_avg"],
-                      "sim_stream": send["sim_stream"]}
+                      "sim_stream": sim[user].stream}
             out.update({f"send{user}.{field}": digest(arr) for field, arr in logged.items()})
         if "sep_recv" in tel:
             codes = tel["sep_recv"]["codes"]
@@ -216,7 +222,6 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_rollout_arrays_match_golden_digests(name):
-    system = golden_system(name)
-    recorded = recorded_rollout(system, RandomnessHandle(20240801).derive("golden", name),
-                                lanes=LANES, horizon=HORIZON)
-    assert trajectory_digests(system, *recorded) == GOLDEN[name]
+    digests = golden_digests(golden_system(name),
+                             RandomnessHandle(20240801).derive("golden", name), LANES, HORIZON)
+    assert digests == GOLDEN[name]

@@ -287,6 +287,8 @@ BAD_CONFIGS = {
     "targets.psi (negative)": with_a_key_in("targets.0", "psi", -0.1),
     "targets.psi (zero)": with_a_key_in("targets.0", "psi", 0),
     "targets.alpha (negative)": with_a_key_in("targets.0", "alpha", -0.5),
+    # R(D) <= H(X) = 1 bit of the fair coin: no channel rate R(D) - alpha is left
+    "targets.alpha (at least the source's entropy)": with_a_key_in("targets.0", "alpha", 5),
     "targets.psi (missing where n' differs from n)": without_psi,
     "rd.tol": with_value("rd.tol", -1),
     "medium.states": then(with_a_markov_medium, with_a_key_in("medium", "states", 2)),
@@ -602,9 +604,10 @@ def test_exit_acceptance_when_a_suite_fails(tmp_path, monkeypatch):
 
 
 def test_exit_acceptance_when_no_block_length_is_feasible(tmp_path):
-    # alpha = 5 leaves no channel rate at n = 32; the record is still written
+    # alpha = 0.9, below H(X) = 1 bit, loads but exceeds R(0.125) = 0.456,
+    # so it leaves no channel rate at n = 32; the record is still written
     data = single_bsc_data()
-    data["targets"][0].update(alpha=5, block_lengths=[32])
+    data["targets"][0].update(alpha=0.9, block_lengths=[32])
     path = tmp_path / "infeasible.yaml"
     path.write_text(yaml.safe_dump(data))
     out = tmp_path / "out"

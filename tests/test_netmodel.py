@@ -8,6 +8,7 @@ from scipy.stats import binom
 from conftest import bsc, recorded_rollout, single_link_system
 from test_golden import golden_system
 
+from sepnet import netmodel
 from sepnet.netmodel import (
     ForwardRelayModem,
     MarkovLinkRule,
@@ -21,7 +22,7 @@ from sepnet.netmodel import (
     rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
-from sepnet.ratedist import DistortionBudget
+from sepnet.ratedist import DistortionBudget, hamming_metric
 from sepnet.separation import _BlockScorer, is_separated, measure_end_to_end
 
 
@@ -32,23 +33,26 @@ T_HIT = 150
 
 class FlippedSource(ModemWrapper):
     """Wraps a sender and hands it a view whose ``pair`` source has the
-    symbol at step ``t_hit`` flipped in every lane."""
+    symbol at step ``t_hit`` flipped in every lane, in the window that
+    holds it."""
 
     def __init__(self, inner, pair, t_hit):
         super().__init__(inner)
         self.pair, self.t_hit = pair, t_hit
 
     def start(self, view):
-        source = view.sources[self.pair].copy()
-        source[self.t_hit] = (source[self.t_hit] + 1) % view.source_pmfs[self.pair].alphabet.size
-        inner_view = ModemView(view.user, view.lanes, view.horizon,
-                               {**view.sources, self.pair: source}, view.source_pmfs,
-                               view.link_in, view.private_gen)
+        inner_view = ModemView(view.user, view.lanes, view.horizon, dict(view.sources),
+                               view.source_pmfs, view.link_in, view.private_gen)
         inner_view.telemetry = view.telemetry
         return inner_view, self.inner.start(inner_view)
 
     def window(self, t0, t1, state, view):
         inner_view, inner_state = state
+        source = view.sources[self.pair]
+        if t0 <= self.t_hit < t1:
+            source, k = source.copy(), self.t_hit - t0
+            source[k] = (source[k] + 1) % view.source_pmfs[self.pair].alphabet.size
+        inner_view.sources = {**view.sources, self.pair: source}
         return self.inner.window(t0, t1, inner_state, inner_view)
 
 
@@ -300,6 +304,41 @@ class TestRelayChain:
         y = traj.repro[(0, 2)][5:]
         flips = float((x != y).mean())
         assert abs(flips - 0.095) <= 0.01
+
+
+def test_a_separated_rollout_holds_no_stream_whole(root, monkeypatch):
+    # a separated single_bsc rollout at 256 lanes, scored by a consumer,
+    # over 1,000 and 4,000 steps. Past the per-block numbers it returns
+    # (the wrappers' telemetry and the scorer's counts), its memory
+    # must not grow with the horizon: one whole (horizon, lanes) stream
+    # would add 768 kB from T to 4T, and the source, the simulated
+    # stream, the received stream and the reproduction 3 MB. Windows of
+    # 250 steps fill at both horizons, so the medium's and the codec's
+    # per-window buffers are the same size at each
+    monkeypatch.setattr(netmodel, "WINDOW_LANE_STEPS", 250 * 256)
+    system = golden_system("separated_argmin")
+    plan = system.modem_for(0).plan
+    n = plan.rate_plan.n_prime
+
+    def excess(horizon):
+        x_starts, _, y_starts = plan.clock(plan.windows(horizon - n))
+        tracemalloc.start()
+        try:
+            scorer = _BlockScorer(hamming_metric(2), (0, 1), x_starts, y_starts, n,
+                                  horizon, 256)
+            traj = rollout(system, root.derive("memory"), lanes=256, horizon=horizon,
+                           consume=scorer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.sources == traj.repro == {}
+        blocks = [a for tel in traj.telemetry.values() for f in tel.values()
+                  for a in f.values()]
+        return peak - sum(a.nbytes for a in (*blocks, scorer.counts))
+
+    excess(300)  # first-use caches
+    T = 1000
+    assert excess(4 * T) - excess(T) < 100_000
 
 
 def noiseless(system: NetworkSystem) -> NetworkSystem:

@@ -18,6 +18,7 @@ from sepnet.probcore import (
     chi_square_homogeneity,
     sample_iid,
     sample_iid_array,
+    _IidStream,
     _pack_planes,
     _reached,
     _run_shares,
@@ -225,6 +226,41 @@ def test_fair_draw_in_slices_off_the_word(root, n):
         out = sample_iid_array(Pmf.from_probs([0.5, 0.5]), n, gens[0])
     assert np.array_equal(out, sequential_draw(Pmf.from_probs([0.5, 0.5]), n, gens[1]))
     assert gens[0].bit_generator.state == gens[1].bit_generator.state
+
+
+LAWS = {"fair": (0.5, 0.5), "binary": (0.3, 0.7), "ternary": (0.5, 0.3, 0.2)}
+
+
+@st.composite
+def windows(draw):
+    """A horizon of 1-300 steps and the steps where its windows end."""
+    horizon = draw(st.integers(1, 300))
+    cuts = draw(st.sets(st.integers(1, horizon - 1), max_size=6)) if horizon > 1 else set()
+    return horizon, sorted(cuts)
+
+
+@settings(max_examples=60, deadline=None)
+# 303 fair symbols: the last word gives its low 47 bits, cut mid-word twice
+@example(law="fair", lanes=3, cut=(101, [1, 50]), seed=1)
+@given(law=st.sampled_from(sorted(LAWS)), lanes=st.sampled_from([1, 3, 64, 1500]),
+       cut=windows(), seed=st.integers(0, 2**32 - 1))
+def test_a_draw_read_window_by_window_is_the_whole_draw(law, lanes, cut, seed):
+    # a rollout reads its horizon * lanes source symbols window by window,
+    # cut at any steps: they must be the one whole draw's bits, the fair
+    # coin's partial last word read from its low bits, and leave the
+    # generator where the whole draw does
+    horizon, cuts = cut
+    pmf = Pmf.from_probs(LAWS[law])
+    gens = [RandomnessHandle(seed).generator() for _ in range(2)]
+    stream = _IidStream(pmf, horizon * lanes, gens[0])
+    bounds = [0, *cuts, horizon]
+    pieces = [stream.read((t1 - t0) * lanes) for t0, t1 in zip(bounds, bounds[1:])]
+    whole = sequential_draw(pmf, horizon * lanes, gens[1])
+    assert all(piece.dtype == pmf.alphabet.dtype for piece in pieces)
+    assert np.array_equal(np.concatenate(pieces), whole)
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+    with pytest.raises(ValueError, match="cannot read"):
+        stream.read(1)
 
 
 def test_a_worker_runs_its_own_shares_inline():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from conftest import bsc, recorded_rollout, single_link_system
+from conftest import bsc, log_simulated_streams, recorded_rollout, single_link_system
 
 from sepnet.codec import CARDINALITY_CAP, Codebook, RatePlan
 from sepnet.netmodel import (
@@ -253,9 +253,9 @@ class TestApplySeparation:
         system = single_link_system(0.11, block_length=32)
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
-        after = apply_separation(system, plan)
+        after, logs = log_simulated_streams(apply_separation(system, plan))
         traj, inputs, _ = recorded_rollout(after, root.derive("r"), lanes=2, horizon=300)
-        sim = traj.telemetry[0]["sep_send"]["sim_stream"]
+        sim = logs[0].stream
         # the wrapped modem relays the simulated stream, one step delayed
         assert np.array_equal(inputs[0, 1:], sim[:-1])
 
@@ -263,9 +263,9 @@ class TestApplySeparation:
         system = single_link_system(0.11, block_length=32)
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
-        after = apply_separation(system, plan)
-        traj = rollout(after, root.derive("gof"), lanes=4, horizon=2600)
-        sim = traj.telemetry[0]["sep_send"]["sim_stream"]
+        after, logs = log_simulated_streams(apply_separation(system, plan))
+        rollout(after, root.derive("gof"), lanes=4, horizon=2600)
+        sim = logs[0].stream
         counts = np.bincount(sim.reshape(-1), minlength=2)
         _, p = chisquare(counts, np.array([0.5, 0.5]) * counts.sum())
         assert p > 0.01
@@ -377,6 +377,7 @@ class TestMeasureEndToEnd:
 
     def test_sender_encodes_only_the_decoded_windows(self, root, hamming2, monkeypatch):
         plan, after = self.separated_within_d(root, hamming2)
+        after, logs = log_simulated_streams(after)
         runs = []
 
         def recorded(*args, **kwargs):
@@ -392,7 +393,7 @@ class TestMeasureEndToEnd:
         assert traj.lanes == 1500
         assert send["messages"].shape == send["roundtrip_avg"].shape == codes.shape == (2, 1500)
         # past the last encoded window the simulated stream is fresh filler
-        tail = send["sim_stream"][24 + 2 * 32 :]
+        tail = logs[0].stream[24 + 2 * 32 :]
         assert len(tail) == traj.horizon - 24 - 2 * 32 > 0 and 0 < tail.mean() < 1
         # at any horizon, on either side of window 3's decode step
         for horizon, windows in zip(range(plan.latency + 3 * 32 - 1, plan.latency + 3 * 32 + 2),
@@ -404,7 +405,7 @@ class TestMeasureEndToEnd:
             # the last window decoded is the last one encoded
             emit = plan.clock(windows)[1][-1]
             sent = plan.channel_cb.rows(send["messages"][-1]).T
-            assert np.array_equal(send["sim_stream"][emit : emit + 32], sent)
+            assert np.array_equal(logs[0].stream[emit : emit + 32], sent)
 
     @pytest.mark.parametrize("trials", [1000, 2047, 2049, 3000, 4097, 10_000, 12_288])
     def test_lanes_leave_fewer_than_one_block_per_start_unscored(

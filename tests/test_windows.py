@@ -7,8 +7,8 @@ steps, so the tests pick one by setting ``WINDOW_LANE_STEPS``."""
 import numpy as np
 import pytest
 
-from conftest import bsc, recorded_rollout
-from test_golden import golden_system, trajectory_digests
+from conftest import bsc
+from test_golden import golden_digests, golden_system
 
 from sepnet import netmodel
 from sepnet.netmodel import (
@@ -43,9 +43,7 @@ def run(monkeypatch):
     def run(system, lanes, horizon, window_steps=None):
         budget = default if window_steps is None else window_steps * lanes
         monkeypatch.setattr(netmodel, "WINDOW_LANE_STEPS", budget)
-        return trajectory_digests(system, *recorded_rollout(
-            system, RandomnessHandle(11).derive("windows"), lanes, horizon=horizon
-        ))
+        return golden_digests(system, RandomnessHandle(11).derive("windows"), lanes, horizon)
 
     return run
 
