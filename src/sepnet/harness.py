@@ -175,11 +175,14 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """``value`` as a float, and not a bool, which YAML reads from
-    ``true`` and ``false``."""
+    """``value`` as a finite float, not YAML's ``.nan`` or ``.inf``, and
+    not a bool, which YAML reads from ``true`` and ``false``."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{value!r} is not a number")
-    return float(value)
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
 
 
 def _floats(value) -> np.ndarray:
@@ -300,11 +303,15 @@ def _modems(entries) -> tuple:
     return tuple(modems)
 
 
-def _block_lengths(value) -> list:
-    lengths = [_at_least(1)(k) for k in value]
-    if not lengths:
-        raise ValueError("need at least one block length")
-    return lengths
+def _nonempty(parse, what: str):
+    """Parser of a nonempty list of values, each read by ``parse``."""
+    def parse_list(value):
+        values = [parse(v) for v in value]
+        if not values:
+            raise ValueError(f"need at least one {what}")
+        return values
+
+    return parse_list
 
 
 def _target(entry, system: NetworkSystem) -> tuple:
@@ -315,7 +322,8 @@ def _target(entry, system: NetworkSystem) -> tuple:
         raise ConfigError(f"targets.pair: {list(pair)} has no source or no modem reproducing it")
     source = system.sources[pair]
     size = source.alphabet.size
-    lengths = _get(t, "targets.block_lengths", _block_lengths, [system.block_length])
+    lengths = _get(t, "targets.block_lengths", _nonempty(_at_least(1), "block length"),
+                   [system.block_length])
     metric = _get(t, "targets.metric", lambda v: _metric(v, size), hamming_metric(size))
     # R(D) of the pair's source is defined only from its d_min on
     floor = _at_least(metric.d_min(source), _float)
@@ -355,7 +363,7 @@ def _rd(entry) -> RdSweep:
     return RdSweep(
         source=source,
         metric=_get(r, "rd.metric", lambda v: _metric(v, size), hamming_metric(size)),
-        grid=_get(r, "rd.grid", lambda v: tuple(_float(level) for level in v)),
+        grid=tuple(_get(r, "rd.grid", _nonempty(_float, "level"))),
         tol=_get(r, "rd.tol", _positive, 1e-6),
     )
 

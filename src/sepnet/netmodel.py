@@ -16,13 +16,11 @@ The engine keeps one window of every stream. Every user's medium inputs
 and every link's outputs live in (window + 1)-step buffers, allocated once
 per rollout and reused, whose row 0 holds the step before the window.
 Nothing reads them more than one step after they are written. Each pair's
-source is drawn one window at a time, and a modem sees only the window's
-rows (``ModemView``). After each window the engine hands the window's
-sources and reproductions to a consumer. By default the consumer collects
-them into whole-horizon arrays; a caller's own consumer keeps only what it
-needs of them (``rollout``). Whoever reads a stream's older rows keeps
-them itself (``_Tail``): a plain sender its last source row, a separated
-pair's wrappers the rows of the blocks they have not yet coded, and a
+source is drawn one window at a time. A window's rows reach a modem as the
+arguments of ``Modem.window``, then the rollout's consumer (``rollout``).
+Whoever reads older rows keeps them itself (``_Tail``): a plain sender its
+last source row, a separated pair's block recoders the rows of the blocks
+they have not yet coded, and a consumer what it reads later, as a
 measurement's scorer the source rows of its open blocks.
 
 The medium has one model of a link, ``MediumKernel``: a stack of
@@ -271,45 +269,21 @@ def gilbert_elliott_link(
     return table, (), MarkovLinkRule(trans, initial_state)
 
 
+@dataclass(eq=False, slots=True)
 class ModemView:
-    """What a modem sees of one rollout.
-
-    Only the modem's own slices are present, and only over the window
-    [t0, t1) it is stepping: ``sources``, its outgoing pairs' source rows,
-    and ``link_in``, its incoming links' outputs one step late. During a
-    call to ``window(t0, t1, ...)``, ``sources[pair]`` is a read-only
-    (t1 - t0, lanes) array whose row k is the source at step t0 + k, and
-    ``link_in[link]`` a read-only (t1 - t0, lanes) array whose row k is the
-    link's output at step t0 + k - 1, and at step 0, which has none, is 0.
-    Both are valid only during the call: a modem that reads a source row or
-    a link output of an earlier window keeps its own copy (``_Tail``). The
-    medium state is never exposed. A window holds source rows up to t1 - 1,
-    so causality on it is the modem's duty: its value at step tau may read
-    source rows before tau only. ``test_causality_source_perturbation`` in
-    tests/test_netmodel.py checks it for the senders of plain and separated
-    pairs.
+    """What a modem reads of one rollout when it starts (``Modem.start``):
+    its user, the lanes and horizon, the laws of the pairs it sends, its
+    private generator, and ``telemetry``, a dict it may fill, which the
+    ``Trajectory`` returns. Stream rows reach the modem only as the
+    arguments of ``Modem.window``, and the medium state never does.
     """
 
-    __slots__ = (
-        "user",
-        "lanes",
-        "horizon",
-        "sources",
-        "source_pmfs",
-        "link_in",
-        "private_gen",
-        "telemetry",
-    )
-
-    def __init__(self, user, lanes, horizon, sources, source_pmfs, link_in, private_gen):
-        self.user = user
-        self.lanes = lanes
-        self.horizon = horizon
-        self.sources = sources
-        self.source_pmfs = source_pmfs
-        self.link_in = link_in
-        self.private_gen = private_gen
-        self.telemetry = {}
+    user: int
+    lanes: int
+    horizon: int
+    source_pmfs: dict
+    private_gen: np.random.Generator
+    telemetry: dict = field(default_factory=dict)
 
 
 class Modem(ABC):
@@ -336,13 +310,20 @@ class Modem(ABC):
         return None
 
     @abstractmethod
-    def window(self, t0: int, t1: int, state, view: ModemView):
+    def window(self, t0: int, t1: int, state, sources: dict, link_in: dict):
         """Return (medium inputs or None, {pair: reproductions}) for the
-        steps [t0, t1), each array (t1 - t0, lanes). Row k of
-        ``view.link_in[link]`` is that link's output at step t0 + k - 1
-        (see ``ModemView``); the engine copies what it is returned before
-        the next call, so arrays of ``view.link_in`` may be returned as they
-        are."""
+        steps [t0, t1), each array (t1 - t0, lanes), from the window's rows
+        of the modem's own streams: ``sources[pair]``, whose row k is the
+        source at step t0 + k, for each pair it sends, and ``link_in[link]``,
+        whose row k is the output at step t0 + k - 1 (0 at step 0), for each
+        link into it. Both are read-only and valid only during the call: a
+        modem that reads a row of an earlier window keeps its own copy
+        (``_Tail``). Causality is the modem's duty: its value at step tau may
+        read source rows before tau only, as
+        ``test_causality_source_perturbation`` in tests/test_netmodel.py
+        checks for the senders of plain and separated pairs. The engine
+        copies what it is returned before the next call, so arrays of
+        ``link_in`` may be returned as they are."""
 
 
 class _Tail:
@@ -381,10 +362,10 @@ class PassthroughModem(Modem):
     """Uncoded modem: relays last source symbol into the medium and last
     received link symbol out as the reproduction.
 
-    Before the first source symbol is available it emits fresh i.i.d.
-    symbols from the source law, so the medium input law is exact from
-    step 0. Of the source it keeps one row, the last of each window, which
-    the next window's first step sends.
+    At step 0, before the first source symbol is available, it emits
+    fresh i.i.d. symbols from the source law, drawn at the start, so the
+    medium input law is exact from step 0. Of the source it keeps one row,
+    the last of each window, which the next window's first step sends.
     """
 
     def __init__(self, user: int, send_pair=None, recv_pairs=(), recv_links=None):
@@ -438,25 +419,22 @@ class PassthroughModem(Modem):
         return {pair: d + 2 for pair, (_, d) in heard.items()}
 
     def start(self, view):
-        # "last": the source row before the window, which its first step
-        # sends; "iota": a buffer for the window's medium inputs, reused,
-        # since the engine copies them
-        return {"last": None, "iota": np.empty((0, view.lanes))}
+        # "last": the source row the next window's first step sends, fresh at
+        # step 0; "iota": a reused buffer of medium inputs, which the engine copies
+        pmf = view.source_pmfs.get(self.send_pair)
+        last = None if pmf is None else sample_iid_array(pmf, view.lanes, view.private_gen)
+        return {"last": last, "iota": np.empty((0, view.lanes))}
 
-    def window(self, t0, t1, state, view):
+    def window(self, t0, t1, state, sources, link_in):
         iota = None
         if self.send_pair:
-            x = view.sources[self.send_pair]
-            if t0 == 0:
-                pmf = view.source_pmfs[self.send_pair]
-                state["last"] = sample_iid_array(pmf, view.lanes, view.private_gen)
+            x = sources[self.send_pair]
             if len(state["iota"]) < len(x):
                 state["iota"] = np.empty_like(x)
             iota = state["iota"][: len(x)]
             iota[0], iota[1:] = state["last"], x[:-1]
             state["last"] = x[-1].copy()
-        repro = {pair: view.link_in[self.recv_link[pair]] for pair in self.recv_pairs}
-        return iota, repro
+        return iota, {pair: link_in[self.recv_link[pair]] for pair in self.recv_pairs}
 
 
 class ForwardRelayModem(Modem):
@@ -484,8 +462,8 @@ class ForwardRelayModem(Modem):
         heard = carried(self.in_link[0])
         return None if heard is None else (heard[0], heard[1] + 2)
 
-    def window(self, t0, t1, state, view):
-        return view.link_in[self.in_link], {}
+    def window(self, t0, t1, state, sources, link_in):
+        return link_in[self.in_link], {}
 
 
 class ModemWrapper(Modem):
@@ -555,15 +533,11 @@ class NetworkSystem:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """What one (batched) rollout leaves to read, immutable: the modems'
-    telemetry and, from a rollout without a consumer, each pair's source
-    and reproduction, (horizon, lanes) arrays. ``sources`` and ``repro``
-    are empty when a consumer took the windows as they passed
-    (``rollout``). The medium inputs and link outputs live only in the
-    engine's window buffers and are not kept.
+    telemetry, by user, and the horizon and lanes it ran. The sources and
+    reproductions pass through the rollout's consumer (``rollout``), and the
+    medium inputs and link outputs live only in its window buffers.
     """
 
-    sources: dict
-    repro: dict
     telemetry: dict
     horizon: int
     lanes: int
@@ -588,9 +562,10 @@ def rollout(
     lanes: int = 1,
     *,
     horizon: int,
-    consume=None,
+    consume,
 ) -> Trajectory:
-    """Simulate the system for ``horizon`` steps across ``lanes`` replicas.
+    """Simulate the system for ``horizon`` steps across ``lanes`` replicas,
+    handing each window's streams to ``consume``.
 
     The horizon is stepped in windows of ``WINDOW_LANE_STEPS // lanes``
     steps (at least one, at most the horizon), or of one step on a graph
@@ -598,23 +573,18 @@ def rollout(
     medium inputs and link outputs are held for one window only: each in a
     (window + 1, lanes) buffer whose row 0 is carried over from the last
     row of the window before (0 before step 0). A link reads its inputs
-    from these buffers and a modem its incoming links (``ModemView``).
-
-    Each pair's source is drawn one window at a time from its own stream
-    (``probcore._IidStream``), the same symbols as one draw of the whole
-    horizon. A modem sees the window's rows of its pairs' sources
-    (``ModemView``); whoever reads older rows keeps them.
+    from these buffers, and a modem is handed its incoming links' rows and
+    its pairs' source rows (``Modem.window``). Each pair's source is drawn
+    one window at a time from its own stream (``probcore._IidStream``), the
+    same symbols as one draw of the whole horizon.
 
     After each window [t0, t1) the engine calls ``consume(t0, repro,
     sources)``: ``repro`` maps each pair reproduced in the window to its
     (t1 - t0, lanes) rows and ``sources`` each pair to its source rows, all
-    valid only during the call, the sources read-only. Without a
-    ``consume`` the rollout collects every pair's source and reproduction
-    into (horizon, lanes) arrays of the ``Trajectory`` (a reproduction 0
-    where no modem reproduces the pair), as the noninterference test and
-    the golden digests read them. With one it keeps neither, and the
-    ``Trajectory``'s ``sources`` and ``repro`` are empty: the rollout's
-    memory is then a few windows, whatever the horizon.
+    valid only during the call, the sources read-only. The consumer keeps
+    what it needs of them (a measurement's ``separation._BlockScorer`` the
+    rows of its open blocks), so the rollout's memory is a few windows,
+    whatever the horizon.
     """
     T = int(horizon)
     B = int(lanes)
@@ -640,17 +610,6 @@ def rollout(
         link: np.zeros((W + 1, B), dtype=medium.link_output_alphabet(link).dtype)
         for link in medium.links
     }
-    sources, repro = {}, {}
-    if consume is None:
-        for whole in (sources, repro):
-            whole.update((pair, np.zeros((T, B), dtype=pmf.alphabet.dtype))
-                         for pair, pmf in system.sources.items())
-
-        def consume(t0, window, window_sources):
-            for whole, arrays in ((repro, window), (sources, window_sources)):
-                for pair, arr in arrays.items():
-                    whole[pair][t0 : t0 + len(arr)] = arr
-
     modems = {}
     for modem in system.modems:
         u = modem.user
@@ -658,12 +617,12 @@ def rollout(
             user=u,
             lanes=B,
             horizon=T,
-            sources={p: None for p in streams if p[0] == u},
             source_pmfs={p: f for p, f in system.sources.items() if p[0] == u},
-            link_in={lk: None for lk in medium.links if lk[1] == u},
             private_gen=seeds.derive("modem", u).generator(),
         )
-        modems[u] = (modem, modem.start(view), view)
+        pairs = [p for p in streams if p[0] == u]
+        links = [lk for lk in medium.links if lk[1] == u]
+        modems[u] = (modem, modem.start(view), view, pairs, links)
     med_state = medium.start(B, seeds.derive("medium"))
 
     for t0 in range(0, T, W):
@@ -686,25 +645,14 @@ def rollout(
                     medium.window(node, med_state, iota[:, lo:steps],
                                   out=link_out[node][lo + 1 : steps + 1])
                 continue
-            modem, state, view = modems[node]
-            for lk in view.link_in:  # in place: a wrapper's inner view shares the dict
-                view.link_in[lk] = late[lk]
-            for pair in view.sources:
-                view.sources[pair] = window_sources[pair]
-            iota_w, repro_u = modem.window(t0, t1, state, view)
+            modem, state, _, pairs, links = modems[node]
+            iota_w, repro_u = modem.window(t0, t1, state,
+                                           {pair: window_sources[pair] for pair in pairs},
+                                           {lk: late[lk] for lk in links})
             if iota_w is not None:
                 iota[node, 1 : steps + 1] = iota_w
             repro_w.update(repro_u)
         consume(t0, repro_w, window_sources)
 
-    for arr in (*sources.values(), *repro.values()):
-        arr.flags.writeable = False
-
-    telemetry = {v.user: v.telemetry for _, _, v in modems.values() if v.telemetry}
-    return Trajectory(
-        sources=sources,
-        repro=repro,
-        telemetry=telemetry,
-        horizon=T,
-        lanes=B,
-    )
+    telemetry = {v.user: v.telemetry for _, _, v, *_ in modems.values() if v.telemetry}
+    return Trajectory(telemetry=telemetry, horizon=T, lanes=B)

@@ -145,9 +145,12 @@ def blahut_arimoto(
     achieved distortion brackets the target, then applies the tangent-line
     correction, which is exact on linear segments of the curve. ``converged``
     reflects whether the final inner loop met the duality-gap bound <= tol.
+    A NaN or infinite ``target_d`` raises ValueError.
     """
     if source.alphabet.size != metric.source_alphabet.size:
         raise ValueError("source pmf and metric disagree on the alphabet")
+    if not math.isfinite(target_d):
+        raise ValueError(f"distortion level {target_d} is not finite")
     p = source.probs
     d = metric.table
     dmin, dmax = metric.d_min(source), metric.d_max(source)

@@ -189,6 +189,47 @@ class SeparationPlan:
         }
 
 
+class _BlockRecoder:
+    """A separated pair's coding, window by window: block k of an input
+    stream, rows [a_k, a_k + m), becomes block k of the output, rows
+    [b_k, b_k + l), with a_k + m <= b_k. The blocks whose output starts in
+    a window [t0, t1) are coded there in one call ``code(lo, hi, blocks)``,
+    of blocks k = lo .. hi - 1 as (k-major, lanes) rows of m symbols, to
+    (hi - lo, lanes, l) output blocks. The recoder keeps the input rows of
+    the blocks not yet coded (``_Tail``) and the output rows that run past
+    the window, at most l. A sender recodes its source into its simulated
+    stream, a receiver its inner modem's reproduction into its own.
+    """
+
+    def __init__(self, in_starts, in_len, out_starts, out_len, code, lanes, dtype):
+        self.in_starts, self.in_len = in_starts, in_len
+        self.out_starts, self.out_len = out_starts, out_len
+        self.code = code
+        self.input = _Tail()
+        # rows [t0, t0 + out_len) of the output, of blocks coded before t0
+        self.carry = np.zeros((out_len, lanes), dtype=dtype)
+
+    def window(self, t0: int, rows: np.ndarray) -> np.ndarray:
+        """The output's rows over the steps of the input's ``rows`` from
+        ``t0`` on: the blocks' rows, 0 between them."""
+        steps, m = len(rows), self.in_len
+        t1 = t0 + steps
+        self.input.add(t0, rows)
+        out = np.zeros((steps + self.out_len, rows.shape[1]), dtype=self.carry.dtype)
+        out[: self.out_len] = self.carry
+        lo, hi = np.searchsorted(self.out_starts, [t0, t1])
+        if hi > lo:
+            first = int(self.in_starts[lo])
+            stream = self.input.rows(first, int(self.in_starts[hi - 1]) + m)
+            blocks = stream[self.in_starts[lo:hi, None] - first + np.arange(m)]  # (k, m, lanes)
+            coded = self.code(lo, hi, blocks.transpose(0, 2, 1).reshape(-1, m))
+            for tau, block in zip((self.out_starts[lo:hi] - t0).tolist(), coded):
+                out[tau : tau + self.out_len] = block.T
+        self.input.keep(int(self.in_starts[hi]) if hi < len(self.in_starts) else t1)
+        self.carry = out[steps:].copy()
+        return out[:steps]
+
+
 class SeparationSendModem(ModemWrapper):
     """h'_s: source-code a block, embed the message as a codeword, and feed
     the codeword stream to the unchanged inner modem as its source.
@@ -200,14 +241,11 @@ class SeparationSendModem(ModemWrapper):
     windows decoded within the horizon are encoded. Before the first window
     and after the last one the simulated stream is fresh i.i.d. symbols
     from the source law, drawn in one draw at the start, so the inner
-    modem's input law is exact at every step. All channel windows that
-    start within one rollout window are encoded in one search.
-
-    The wrapper keeps the source rows of the blocks it has not yet encoded,
-    at most n + n' rows, and the codeword rows that run past the rollout
-    window, at most n; it hands the inner modem the simulated stream one
-    rollout window at a time, as its ``ModemView.sources``. Telemetry:
-    ``messages`` and ``roundtrip_avg``, (windows, lanes).
+    modem's input law is exact at every step. A ``_BlockRecoder`` encodes
+    the channel windows that start in one rollout window in one search,
+    keeping at most n + n' source rows and n codeword rows, and the inner
+    modem is handed the simulated stream's rows in place of the source's.
+    Telemetry: ``messages`` and ``roundtrip_avg``, (windows, lanes).
     """
 
     def __init__(self, inner, plan: SeparationPlan):
@@ -223,67 +261,32 @@ class SeparationSendModem(ModemWrapper):
         # the encoded windows are back to back and end by the last one's
         # decode step, inside the horizon
         head, tail = (int(emit[0]), int(emit[-1]) + plan.rate_plan.n) if windows else (T, T)
-        filler = sample_iid_array(pmf, (head + T - tail) * B, view.private_gen)
-        inner_view = ModemView(user=view.user, lanes=B, horizon=T,
-                               sources=dict(view.sources), source_pmfs=view.source_pmfs,
-                               link_in=view.link_in, private_gen=view.private_gen)
-        telemetry = view.telemetry["sep_send"] = {
-            "messages": np.zeros((windows, B), dtype=np.int64),
-            "roundtrip_avg": np.zeros((windows, B)),
-        }
-        return {
-            "inner_view": inner_view,
-            "inner_state": self.inner.start(inner_view),
-            "src": src,
-            "emit": emit,
-            "head": head,
-            "tail": tail,
-            "filler": filler.reshape(-1, B),
-            "x": _Tail(),  # the source rows of blocks not yet encoded
-            # rows [t0, t0 + n) of the simulated stream, of codewords sent before t0
-            "carry": np.zeros((plan.rate_plan.n, B), dtype=pmf.alphabet.dtype),
-            **telemetry,  # filled window by window
-        }
+        # drawn before the inner modem starts, which may draw from the same generator
+        filler = sample_iid_array(pmf, (head + T - tail) * B, view.private_gen).reshape(-1, B)
+        messages = np.zeros((windows, B), dtype=np.int64)
+        roundtrip_avg = np.zeros((windows, B))
+        view.telemetry["sep_send"] = {"messages": messages, "roundtrip_avg": roundtrip_avg}
 
-    def window(self, t0, t1, state, view):
-        plan = self.plan
-        n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
-        src, emit, head, tail = state["src"], state["emit"], state["head"], state["tail"]
-        x = state["x"]
-        x.add(t0, view.sources[plan.pair])
-        # rows [t0, t1 + n) of the simulated stream: the filler outside the
-        # encoded windows, the codewords sent before t0, then those sent now
-        steps = t1 - t0
-        sim = np.empty((steps + n, view.lanes), dtype=state["carry"].dtype)
-        sim[:n] = state["carry"]
-        if t0 < head:
-            sim[: min(t1, head) - t0] = state["filler"][t0 : min(t1, head)]
-        if t1 > tail:
-            a = max(t0, tail)
-            sim[a - t0 : steps] = state["filler"][head + a - tail : head + t1 - tail]
-        lo, hi = np.searchsorted(emit, [t0, t1])
-        if hi > lo:
-            first = int(src[lo])
-            rows = x.rows(first, int(src[hi - 1]) + npr)
-            blocks = _blocks(rows, src[lo:hi] - first, npr)
-            messages, roundtrip = batch_min_distortion_rows(plan.source_cb, blocks, plan.metric)
-            state["messages"][lo:hi] = messages.reshape(hi - lo, -1)
-            state["roundtrip_avg"][lo:hi] = roundtrip.reshape(hi - lo, -1)
-            words = plan.channel_cb.rows(state["messages"][lo:hi])
-            for tau, block in zip((emit[lo:hi] - t0).tolist(), words):
-                sim[tau : tau + n] = block.T
-        x.keep(int(src[hi]) if hi < len(src) else t1)
-        state["carry"] = sim[steps:].copy()
-        inner_view = state["inner_view"]
-        inner_view.sources = {**view.sources, plan.pair: sim[:steps]}
-        return self.inner.window(t0, t1, state["inner_state"], inner_view)
+        def encode(lo, hi, blocks):
+            found, roundtrip = batch_min_distortion_rows(plan.source_cb, blocks, plan.metric)
+            messages[lo:hi] = found.reshape(hi - lo, -1)
+            roundtrip_avg[lo:hi] = roundtrip.reshape(hi - lo, -1)
+            return plan.channel_cb.rows(messages[lo:hi])
 
+        recoder = _BlockRecoder(src, plan.rate_plan.n_prime, emit, plan.rate_plan.n, encode, B,
+                                pmf.alphabet.dtype)
+        return recoder, (head, tail, filler), self.inner.start(view)
 
-def _blocks(stream: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
-    """Rows [a, a+n) of a (steps, lanes) stream for each start a, as
-    (len(starts) * lanes, n) blocks, start-major."""
-    rows = stream[starts[:, None] + np.arange(n)]  # (starts, n, lanes)
-    return rows.transpose(0, 2, 1).reshape(-1, n)
+    def window(self, t0, t1, state, sources, link_in):
+        recoder, (head, tail, filler), inner_state = state
+        # the simulated stream: the codewords, and the filler outside the
+        # encoded windows, its rows [0, head) at steps [0, head) and the rest
+        # from step tail on
+        sim = recoder.window(t0, sources[self.plan.pair])
+        for a, b, shift in ((t0, min(t1, head), 0), (max(t0, tail), t1, head - tail)):
+            if a < b:
+                sim[a - t0 : b - t0] = filler[a + shift : b + shift]
+        return self.inner.window(t0, t1, inner_state, {**sources, self.plan.pair: sim}, link_in)
 
 
 class SeparationRecvModem(ModemWrapper):
@@ -295,12 +298,11 @@ class SeparationRecvModem(ModemWrapper):
     randomness of the pair. The plan's channel codebook holds only the
     rows that carry messages, and decoding searches all of them. Channel
     window w is received over the n steps before its decode step of
-    ``SeparationPlan.clock`` and reproduced from that step on. All channel
-    windows whose decode step falls within one rollout window are decoded
-    in one search. The wrapper keeps the received rows of the window it
-    has not yet decoded, at most n, and the decoded rows that run past the
-    rollout window, at most n'. Telemetry: ``codes``, (windows, lanes), the
-    decoded messages or ``NONE_WITHIN``/``AMBIGUOUS``.
+    ``SeparationPlan.clock`` and reproduced from that step on, 0 between
+    blocks. A ``_BlockRecoder`` decodes the channel windows whose decode
+    step falls in one rollout window in one search, keeping at most n
+    received rows and n' decoded ones. Telemetry: ``codes``, (windows,
+    lanes), the decoded messages or ``NONE_WITHIN``/``AMBIGUOUS``.
     """
 
     def __init__(self, inner, plan: SeparationPlan):
@@ -309,46 +311,26 @@ class SeparationRecvModem(ModemWrapper):
 
     def start(self, view: ModemView):
         plan = self.plan
-        windows = plan.windows(view.horizon)
-        telemetry = view.telemetry["sep_recv"] = {
-            "codes": np.zeros((windows, view.lanes), dtype=np.int64),
-        }
-        return {
-            "ys": _Tail(),  # the received rows of windows not yet decoded
-            # rows [t0, t0 + n') of the reproduction, of blocks decoded before t0
-            "carry": np.zeros((plan.rate_plan.n_prime, view.lanes),
-                              dtype=plan.source_cb.gen_pmf.alphabet.dtype),
-            "inner_state": self.inner.start(view),
-            "decode": plan.clock(windows)[2],
-            **telemetry,  # filled window by window
-        }
+        n, windows = plan.rate_plan.n, plan.windows(view.horizon)
+        codes = np.zeros((windows, view.lanes), dtype=np.int64)
+        view.telemetry["sep_recv"] = {"codes": codes}
 
-    def window(self, t0, t1, state, view):
-        iota, repro_map = self.inner.window(t0, t1, state["inner_state"], view)
-        plan = self.plan
-        repro_map = dict(repro_map)
-        ys = state["ys"]
-        ys.add(t0, repro_map.pop(plan.pair))
-        n, npr = plan.rate_plan.n, plan.rate_plan.n_prime
-        decode = state["decode"]
-        # rows [t0, t1 + n') of the reproduction: 0 between blocks
-        steps = t1 - t0
-        repro = np.zeros((steps + npr, view.lanes), dtype=state["carry"].dtype)
-        repro[:npr] = state["carry"]
-        lo, hi = np.searchsorted(decode, [t0, t1])
-        if hi > lo:
-            first = int(decode[lo]) - n
-            received = _blocks(ys.rows(first, int(decode[hi - 1])), decode[lo:hi] - n - first, n)
-            state["codes"][lo:hi] = _decode_blocks(
+        def decode(lo, hi, received):
+            codes[lo:hi] = _decode_blocks(
                 plan.channel_cb, received, plan.metric, plan.rate_plan.level, plan.decode_rule
             ).reshape(hi - lo, -1)
-            safe = np.clip(state["codes"][lo:hi], 0, plan.source_cb.cardinality - 1)
-            for tau, block in zip((decode[lo:hi] - t0).tolist(), plan.source_cb.rows(safe)):
-                repro[tau : tau + npr] = block.T
-        ys.keep(int(decode[hi]) - n if hi < len(decode) else t1)
-        state["carry"] = repro[steps:].copy()
-        repro_map[plan.pair] = repro[:steps]
-        return iota, repro_map
+            return plan.source_cb.rows(np.clip(codes[lo:hi], 0, plan.source_cb.cardinality - 1))
+
+        decode_steps = plan.clock(windows)[2]
+        recoder = _BlockRecoder(decode_steps - n, n, decode_steps, plan.rate_plan.n_prime,
+                                decode, view.lanes, plan.source_cb.gen_pmf.alphabet.dtype)
+        return recoder, self.inner.start(view)
+
+    def window(self, t0, t1, state, sources, link_in):
+        recoder, inner_state = state
+        iota, repro = self.inner.window(t0, t1, inner_state, sources, link_in)
+        pair = self.plan.pair
+        return iota, {**repro, pair: recoder.window(t0, repro[pair])}
 
 
 def plan_separation(
@@ -601,10 +583,10 @@ def measure_end_to_end(
     mismatch count. Nothing of the measurement grows with the horizon: the
     rollout holds one window of every stream, the scorer the source rows
     of its open blocks, at most the pair's offset from source to
-    reproduction, and a separated pair's wrappers the rows of the blocks
-    they have not yet coded (``SeparationSendModem``,
-    ``SeparationRecvModem``); only the wrappers' telemetry, a few numbers
-    per block, and the per-block counts grow with the trials.
+    reproduction, and a separated pair's wrappers, in their block
+    recoders, the rows of the blocks they have not yet coded
+    (``_BlockRecoder``); only the wrappers' telemetry, a few numbers per
+    block, and the per-block counts grow with the trials.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} trials")
@@ -689,15 +671,30 @@ def verify_noninterference(
     stream at order 1 and 2, and the aligned per-letter (source,
     reproduction) joint law as the letters x * K + y of a K-letter source.
     The total variation distances pool all repetitions. ``trials`` counts
-    blocks; the stream length is trials * block_length.
+    blocks; the stream length is trials * block_length. Each rollout's
+    consumer keeps the source and reproduction of the tested pairs only.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need >= {MIN_TRIALS} blocks")
+    pairs = [tuple(pair) for pair in untouched_pairs]
     samples = trials * before.block_length
     max_lat = max(before.latency_map.values())
     T = before.warmup + samples + max_lat + 1
-    trajs = [rollout(before, seeds.derive("ni_before"), lanes=repetitions, horizon=T),
-             rollout(after, seeds.derive("ni_after"), lanes=repetitions, horizon=T)]
+
+    def streams(system, side_seeds) -> dict:
+        """{pair: (x, y)}, the tested pairs' streams in a rollout of ``system``."""
+        kept = {pair: tuple(np.empty((T, repetitions), before.sources[pair].alphabet.dtype)
+                            for _ in "xy") for pair in pairs}
+
+        def consume(t0, repro, sources):
+            for pair, (x, y) in kept.items():
+                x[t0 : t0 + len(sources[pair])] = sources[pair]
+                y[t0 : t0 + len(repro[pair])] = repro[pair]
+
+        rollout(system, side_seeds, lanes=repetitions, horizon=T, consume=consume)
+        return kept
+
+    runs = [streams(before, seeds.derive("ni_before")), streams(after, seeds.derive("ni_after"))]
 
     def tv(cb, ca):
         """Total variation between the laws of the counts ``cb`` and ``ca``."""
@@ -705,15 +702,14 @@ def verify_noninterference(
 
     results = {}
     t0 = before.warmup
-    for pair in untouched_pairs:
-        pair = tuple(pair)
+    for pair in pairs:
         size = before.sources[pair].alphabet.size
         joint = Alphabet(size * size)
         lat = before.latency_map[pair]
         ys, joints = [], []
-        for traj in trajs:
-            y = traj.repro[pair][t0 + lat : t0 + lat + samples]
-            x = traj.sources[pair][t0 : t0 + samples].astype(joint.dtype, copy=False)
+        for x, y in (run[pair] for run in runs):
+            y = y[t0 + lat : t0 + lat + samples]
+            x = x[t0 : t0 + samples].astype(joint.dtype, copy=False)
             # (lanes, samples), so that each repetition's stream is contiguous
             ys.append(np.ascontiguousarray(y.T))
             joints.append(np.ascontiguousarray((x * size + y).T))

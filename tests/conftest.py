@@ -1,3 +1,4 @@
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -63,8 +64,8 @@ class _InputLog(ModemWrapper):
     def start(self, view):
         return self.inner.start(view)
 
-    def window(self, t0, t1, state, view):
-        iota, repro = self.inner.window(t0, t1, state, view)
+    def window(self, t0, t1, state, sources, link_in):
+        iota, repro = self.inner.window(t0, t1, state, sources, link_in)
         if iota is not None:
             self.log.append((t0, t1, np.array(iota)))
         return iota, repro
@@ -83,9 +84,9 @@ class _SourceLog(ModemWrapper):
         self.stream = np.zeros((view.horizon, view.lanes), dtype=dtype)
         return self.inner.start(view)
 
-    def window(self, t0, t1, state, view):
-        self.stream[t0:t1] = view.sources[self.pair]
-        return self.inner.window(t0, t1, state, view)
+    def window(self, t0, t1, state, sources, link_in):
+        self.stream[t0:t1] = sources[self.pair]
+        return self.inner.window(t0, t1, state, sources, link_in)
 
 
 def log_simulated_streams(system: NetworkSystem):
@@ -102,12 +103,37 @@ def log_simulated_streams(system: NetworkSystem):
     return system.with_modems(modems), logs
 
 
+class Streams(NamedTuple):
+    """What ``collected_rollout`` gives: every pair's source and
+    reproduction, (horizon, lanes) arrays, and the modems' telemetry."""
+
+    sources: dict
+    repro: dict
+    telemetry: dict
+
+
+def collected_rollout(system: NetworkSystem, seeds, lanes: int = 1, *, horizon: int) -> Streams:
+    """``rollout`` of ``system`` whose consumer collects every pair's source
+    and reproduction whole, a reproduction 0 where no modem reproduces its
+    pair."""
+    sources, repro = ({pair: np.zeros((horizon, lanes), dtype=pmf.alphabet.dtype)
+                       for pair, pmf in system.sources.items()} for _ in range(2))
+
+    def consume(t0, window_repro, window_sources):
+        for whole, arrays in ((repro, window_repro), (sources, window_sources)):
+            for pair, arr in arrays.items():
+                whole[pair][t0 : t0 + len(arr)] = arr
+
+    traj = rollout(system, seeds, lanes, horizon=horizon, consume=consume)
+    return Streams(sources, repro, traj.telemetry)
+
+
 def recorded_rollout(system: NetworkSystem, seeds, lanes: int = 1, *, horizon: int):
-    """``rollout`` of ``system``, plus what a trajectory does not keep: the
-    medium inputs, (users, horizon, lanes), and each link's outputs,
-    (horizon, lanes), copied window by window as the engine makes them.
-    Every modem runs behind ``_InputLog``, and ``MediumKernel.window``
-    logs each link's outputs; the rollout draws exactly as unrecorded."""
+    """``collected_rollout`` of ``system``, plus the medium inputs, (users,
+    horizon, lanes), and each link's outputs, (horizon, lanes), copied
+    window by window as the engine makes them. Every modem runs behind
+    ``_InputLog``, and ``MediumKernel.window`` logs each link's outputs;
+    the rollout draws exactly as unrecorded."""
     medium = system.medium
     inputs = {m.user: [] for m in system.modems}
     outputs = {link: [] for link in medium.links}
@@ -120,7 +146,7 @@ def recorded_rollout(system: NetworkSystem, seeds, lanes: int = 1, *, horizon: i
 
     logging = system.with_modems([_InputLog(m, inputs[m.user]) for m in system.modems])
     with mock.patch.object(MediumKernel, "window", logged):
-        traj = rollout(logging, seeds, lanes, horizon=horizon)
+        traj = collected_rollout(logging, seeds, lanes, horizon=horizon)
     dtype = np.result_type(*(medium.user_input_alphabet(u).dtype for u in inputs))
     medium_inputs = np.zeros((medium.num_users, horizon, lanes), dtype=dtype)
     for user, log in inputs.items():

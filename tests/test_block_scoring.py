@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import score_blocks
+from conftest import collected_rollout, score_blocks
 from test_golden import golden_system
 
 from sepnet import separation
 from sepnet.codec import SOURCE_COMPRESSION, Codebook, batch_min_distortion_rows
-from sepnet.netmodel import rollout
 from sepnet.probcore import Alphabet, Pmf, RandomnessHandle
 from sepnet.ratedist import DistortionBudget, DistortionMetric, hamming_metric
 from sepnet.separation import is_separated, measure_end_to_end
@@ -231,7 +230,8 @@ def test_a_weighted_budget_is_measured_by_the_gathered_rule(name, trials, block_
         x_starts = system.warmup + n * np.arange(starts)
         y_starts = x_starts + system.latency_map[pair]
     assert starts == 2
-    traj = rollout(system, seeds, lanes=-(-trials // starts), horizon=int(y_starts[-1]) + n)
+    traj = collected_rollout(system, seeds, lanes=-(-trials // starts),
+                             horizon=int(y_starts[-1]) + n)
     metric = metric_of("asymmetric")
     gathered = gathered_reference(metric.table, traj.sources[pair], traj.repro[pair],
                                   x_starts, y_starts, n).reshape(-1)[:trials]

@@ -3,8 +3,9 @@
 Each shipped config, two small non-binary systems, a relay chain with a
 coupled bypass link, and single_bsc with its pair separated at n = 32 (both
 decode rules) are rolled out at a few lanes and a short horizon; the
-sha256 of every array the trajectory holds, of the medium inputs and link
-outputs the rollout makes (read through ``conftest.recorded_rollout``), and
+sha256 of every pair's source and reproduction, of the wrappers'
+telemetry, of the medium inputs and link outputs the rollout makes (all
+collected through ``conftest.recorded_rollout``), and
 of a separated sender's simulated stream (``conftest.log_simulated_streams``)
 must match the value recorded here. A change that consumes a random stream
 differently fails this file and has to be declared as a golden break.

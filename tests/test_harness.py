@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import collected_rollout
+
 from sepnet import cli, harness
 from sepnet.harness import (
     ConfigError,
@@ -18,7 +20,6 @@ from sepnet.harness import (
     cmd_rd,
     cmd_separate,
 )
-from sepnet.netmodel import rollout
 from sepnet.probcore import RandomnessHandle
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -311,6 +312,14 @@ BAD_CONFIGS = {
     "targets.n_prime_ratio (a bool)": with_a_key_in("targets.0", "n_prime_ratio", True),
     "rd.grid (a bool level)": with_value("rd.grid", [0.1, True]),
     "rd.tol (a bool)": with_value("rd.tol", True),
+    # float keys take finite numbers only: YAML reads .nan and .inf as floats
+    "targets.D (infinite)": with_a_key_in("targets.0", "D", float("inf")),
+    "targets.D_prime (infinite)": with_a_key_in("targets.0", "D_prime", float("inf")),
+    "targets.psi (infinite)": with_a_key_in("targets.0", "psi", float("inf")),
+    "rd.grid (not a number)": with_value("rd.grid", [0.1, float("nan")]),
+    "rd.grid (infinite)": with_value("rd.grid", [float("inf")]),
+    "rd.grid (empty)": with_value("rd.grid", []),
+    "rd.tol (infinite)": with_value("rd.tol", float("inf")),
     "medium (a bool flip)": with_a_key_in("medium.links.0", "flip", False),
     "medium (a bool coupling flip)": then(
         with_a_coupled_medium, with_a_key_in("medium.links.0", "flips", [0.08, False])),
@@ -463,7 +472,8 @@ def test_every_link_form_of_one_channel_draws_alike(form):
     data = single_bsc_data()
     data["medium"]["links"][0] = {"src": 0, "dst": 1, **ONE_CHANNEL_FORMS[form]}
     systems = [ExperimentConfig.from_dict(d).system for d in (single_bsc_data(), data)]
-    plain, other = (rollout(s, RandomnessHandle(7), lanes=3, horizon=300) for s in systems)
+    plain, other = (collected_rollout(s, RandomnessHandle(7), lanes=3, horizon=300)
+                    for s in systems)
     assert np.array_equal(other.repro[(0, 1)], plain.repro[(0, 1)])
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from conftest import bsc, recorded_rollout, single_link_system
+from conftest import bsc, collected_rollout, recorded_rollout, single_link_system
 from test_golden import golden_system
 
 from sepnet import netmodel
@@ -13,7 +13,6 @@ from sepnet.netmodel import (
     ForwardRelayModem,
     MarkovLinkRule,
     MediumKernel,
-    ModemView,
     ModemWrapper,
     NetworkSystem,
     PassthroughModem,
@@ -32,28 +31,23 @@ T_HIT = 150
 
 
 class FlippedSource(ModemWrapper):
-    """Wraps a sender and hands it a view whose ``pair`` source has the
-    symbol at step ``t_hit`` flipped in every lane, in the window that
-    holds it."""
+    """Wraps a sender and hands it ``pair``'s source with the symbol at
+    step ``t_hit`` flipped in every lane, in the window that holds it."""
 
     def __init__(self, inner, pair, t_hit):
         super().__init__(inner)
         self.pair, self.t_hit = pair, t_hit
 
     def start(self, view):
-        inner_view = ModemView(view.user, view.lanes, view.horizon, dict(view.sources),
-                               view.source_pmfs, view.link_in, view.private_gen)
-        inner_view.telemetry = view.telemetry
-        return inner_view, self.inner.start(inner_view)
+        return view.source_pmfs[self.pair].alphabet.size, self.inner.start(view)
 
-    def window(self, t0, t1, state, view):
-        inner_view, inner_state = state
-        source = view.sources[self.pair]
+    def window(self, t0, t1, state, sources, link_in):
+        size, inner_state = state
+        source = sources[self.pair]
         if t0 <= self.t_hit < t1:
             source, k = source.copy(), self.t_hit - t0
-            source[k] = (source[k] + 1) % view.source_pmfs[self.pair].alphabet.size
-        inner_view.sources = {**view.sources, self.pair: source}
-        return self.inner.window(t0, t1, inner_state, inner_view)
+            source[k] = (source[k] + 1) % size
+        return self.inner.window(t0, t1, inner_state, {**sources, self.pair: source}, link_in)
 
 
 def first_change(a, b, axis=1) -> int:
@@ -136,14 +130,13 @@ class TestRollout:
         system = single_link_system(0.11)
         scorer = _BlockScorer(hamming2, (0, 1), np.array([8]), np.array([8 + 3]), 1000,
                               1012, 100)
-        traj = rollout(system, root.derive("mean"), lanes=100, horizon=1012, consume=scorer)
-        assert traj.repro == {}
+        rollout(system, root.derive("mean"), lanes=100, horizon=1012, consume=scorer)
         assert abs(float(scorer.distortions().mean()) - 0.11) <= 0.02
 
     def test_empirical_crossover(self, root):
         # oracle: flips are Bernoulli(0.11) per transmitted symbol
         system = single_link_system(0.11)
-        traj = rollout(system, root.derive("cross"), lanes=10, horizon=10_012)
+        traj = collected_rollout(system, root.derive("cross"), lanes=10, horizon=10_012)
         lat = system.latency_map[(0, 1)]
         x = traj.sources[(0, 1)][: 10_012 - lat]
         y = traj.repro[(0, 1)][lat:]
@@ -171,8 +164,8 @@ class TestRollout:
             block_length=sys_a.block_length,
         )
         assert sys_b.latency_map == {}  # a pair that nobody reproduces has no latency
-        ta = rollout(sys_a, root, lanes=3, horizon=100)
-        tb = rollout(sys_b, root, lanes=3, horizon=100)
+        ta = collected_rollout(sys_a, root, lanes=3, horizon=100)
+        tb = collected_rollout(sys_b, root, lanes=3, horizon=100)
         assert np.array_equal(ta.sources[(0, 1)], tb.sources[(0, 1)])
 
     @pytest.mark.parametrize("name", CAUSALITY_SYSTEMS)
@@ -214,7 +207,7 @@ class TestRollout:
                      (2, 3): Pmf.from_probs([0.5, 0.5])},
             block_length=100,
         )
-        traj = rollout(system, root, lanes=1, horizon=100_000)
+        traj = collected_rollout(system, root, lanes=1, horizon=100_000)
         a = traj.sources[(0, 1)][:, 0].astype(float)
         b = traj.sources[(2, 3)][:, 0].astype(float)
         corr = abs(float(np.corrcoef(a, b)[0, 1]))
@@ -278,28 +271,28 @@ class TestRelayChain:
             relay_chain(1, 0.05, first_hop=np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]))
 
     def test_rollout_holds_one_window_of_the_medium(self, root):
-        # past the sources and reproductions it returns, a rollout's memory
-        # does not grow with the horizon: 3 users' inputs and 2 links'
-        # outputs kept whole would add 5 * 3T * 256 bytes, 3.8 MB, from T to 4T
+        # with a consumer that keeps nothing, a rollout's memory does not
+        # grow with the horizon: 3 users' inputs and 2 links' outputs kept
+        # whole would add 5 * 3T * 256 bytes, 3.8 MB, from T to 4T
         system = relay_chain(1, 0.05)
 
-        def excess(horizon):
+        def peak(horizon):
             tracemalloc.start()
             try:
-                traj = rollout(system, root.derive("memory"), lanes=256, horizon=horizon)
-                peak = tracemalloc.get_traced_memory()[1]
+                rollout(system, root.derive("memory"), lanes=256, horizon=horizon,
+                        consume=lambda *_: None)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return peak - sum(a.nbytes for a in (*traj.sources.values(), *traj.repro.values()))
 
-        excess(10)  # first-use caches
+        peak(10)  # first-use caches
         T = 1000
-        assert excess(4 * T) - excess(T) < 1 << 20
+        assert peak(4 * T) - peak(T) < 1 << 20
 
     def test_cascade_flip_probability(self, root):
         # two independent BSC(0.05) hops: end-to-end flip 2*0.05*0.95 = 0.095
         system = relay_chain(1, 0.05)
-        traj = rollout(system, root.derive("chain"), lanes=10, horizon=10_005)
+        traj = collected_rollout(system, root.derive("chain"), lanes=10, horizon=10_005)
         x = traj.sources[(0, 2)][:10_000]
         y = traj.repro[(0, 2)][5:]
         flips = float((x != y).mean())
@@ -331,7 +324,6 @@ def test_a_separated_rollout_holds_no_stream_whole(root, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traj.sources == traj.repro == {}
         blocks = [a for tel in traj.telemetry.values() for f in tel.values()
                   for a in f.values()]
         return peak - sum(a.nbytes for a in (*blocks, scorer.counts))
@@ -362,7 +354,7 @@ def test_latency_worked_out_from_the_wiring_is_the_engines_timing(name):
     latencies = LATENCIES[name]
     system = noiseless(golden_system(name)) if name[0].isalpha() else relay_chain(int(name[0]))
     assert system.latency_map == latencies
-    traj = rollout(system, RandomnessHandle(9), lanes=3, horizon=300)
+    traj = collected_rollout(system, RandomnessHandle(9), lanes=3, horizon=300)
     for pair, lat in latencies.items():
         if is_separated(system, pair):  # its plan's clock reads the inner delay
             codes = traj.telemetry[pair[1]]["sep_recv"]["codes"]
@@ -385,7 +377,7 @@ class TestMarkovMedium:
         )
 
     def flip_rate(self, system, root, n=100_000):
-        traj = rollout(system, root, lanes=1, horizon=n + 3)
+        traj = collected_rollout(system, root, lanes=1, horizon=n + 3)
         x = traj.sources[(0, 1)][:n, 0]
         y = traj.repro[(0, 1)][3:, 0]
         return float((x != y).mean())
@@ -448,7 +440,7 @@ class TestWideAlphabets:
 
     def test_noiseless_200_symbol_link_is_exact(self):
         system = self.two_user(MediumKernel(2, matrix_links({(0, 1): np.eye(200)})), 200)
-        traj = rollout(system, RandomnessHandle(1), lanes=4, horizon=2000)
+        traj = collected_rollout(system, RandomnessHandle(1), lanes=4, horizon=2000)
         x = traj.sources[(0, 1)][:-3]
         assert (x >= 128).sum() > 0
         assert np.array_equal(traj.repro[(0, 1)][3:], x)

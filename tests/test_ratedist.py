@@ -170,6 +170,14 @@ class TestBlahutArimoto:
         with pytest.raises(InfeasibleDistortionError):
             blahut_arimoto(fair_coin, hamming2, -0.01)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_a_level_that_is_not_finite_raises(self, fair_coin, hamming2, level):
+        # NaN compares false against every bound and +inf is above d_max:
+        # neither may come back as a point, let alone a converged one
+        with pytest.raises(ValueError, match="not finite") as info:
+            blahut_arimoto(fair_coin, hamming2, level)
+        assert not isinstance(info.value, InfeasibleDistortionError)
+
     def test_ternary_closed_form(self):
         pt = blahut_arimoto(Pmf.uniform(3), hamming_metric(3), 0.1, tol=1e-6)
         assert pt.rate == pytest.approx(math.log2(3) - h2(0.1) - 0.1, abs=1e-3)

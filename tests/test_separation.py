@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from conftest import bsc, log_simulated_streams, recorded_rollout, single_link_system
+from conftest import (
+    bsc,
+    collected_rollout,
+    log_simulated_streams,
+    recorded_rollout,
+    single_link_system,
+)
 
 from sepnet.codec import CARDINALITY_CAP, Codebook, RatePlan
 from sepnet.netmodel import (
@@ -246,7 +252,7 @@ class TestApplySeparation:
 
         for name in ("generate", "from_spec"):
             monkeypatch.setattr(Codebook, name, classmethod(no_draw))
-        traj = rollout(after, root.derive("r"), lanes=2, horizon=300)
+        traj = collected_rollout(after, root.derive("r"), lanes=2, horizon=300)
         assert len(traj.telemetry[1]["sep_recv"]["codes"])
 
     def test_simulated_stream_feeds_inner_modem(self, root, hamming2):
@@ -264,7 +270,7 @@ class TestApplySeparation:
         target = PairTarget((0, 1), hamming2, 0.125, 0.2, n=32)
         plan = plan_separation(system, stock_guarantee(), target, root.derive("c"))
         after, logs = log_simulated_streams(apply_separation(system, plan))
-        rollout(after, root.derive("gof"), lanes=4, horizon=2600)
+        collected_rollout(after, root.derive("gof"), lanes=4, horizon=2600)
         sim = logs[0].stream
         counts = np.bincount(sim.reshape(-1), minlength=2)
         _, p = chisquare(counts, np.array([0.5, 0.5]) * counts.sum())
@@ -279,7 +285,7 @@ class TestApplySeparation:
         guar = GuaranteeReport((0, 1), 0.0, 0.0, 0.0, 1000, 32, 0)
         plan = plan_separation(system, guar, target, root.derive("c"))
         after = apply_separation(system, plan)
-        traj = rollout(after, root.derive("r"), lanes=3, horizon=700)
+        traj = collected_rollout(after, root.derive("r"), lanes=3, horizon=700)
         messages = traj.telemetry[0]["sep_send"]["messages"]
         codes = traj.telemetry[1]["sep_recv"]["codes"]
         assert np.array_equal(codes, messages)
@@ -304,7 +310,7 @@ class TestApplySeparation:
         plan = SeparationPlan((0, 1), plan_rp, src_cb, chan_cb, hamming2, "argmin",
                               inner_latency=3, guarantee=stock_guarantee(n=8))
         after = apply_separation(system, plan)
-        traj = rollout(after, root.derive("r"), lanes=2, horizon=200)
+        traj = collected_rollout(after, root.derive("r"), lanes=2, horizon=200)
         codes = traj.telemetry[1]["sep_recv"]["codes"]
         assert len(codes) >= 5
         assert np.all(codes == 0)
@@ -398,7 +404,7 @@ class TestMeasureEndToEnd:
         # at any horizon, on either side of window 3's decode step
         for horizon, windows in zip(range(plan.latency + 3 * 32 - 1, plan.latency + 3 * 32 + 2),
                                     (3, 3, 4)):
-            traj = rollout(after, root.derive("h", horizon), lanes=2, horizon=horizon)
+            traj = collected_rollout(after, root.derive("h", horizon), lanes=2, horizon=horizon)
             send = traj.telemetry[0]["sep_send"]
             assert send["messages"].shape == traj.telemetry[1]["sep_recv"]["codes"].shape
             assert len(send["messages"]) == windows
@@ -532,7 +538,8 @@ class TestNoninterference:
         horizon = system.warmup + samples + max(system.latency_map.values()) + 1
         streams = []
         for side, net in (("ni_before", system), ("ni_after", after)):
-            traj = rollout(net, root.derive("ni").derive(side), lanes=lanes, horizon=horizon)
+            traj = collected_rollout(net, root.derive("ni").derive(side), lanes=lanes,
+                                     horizon=horizon)
             t0, lat = system.warmup, system.latency_map[(2, 3)]
             y = traj.repro[(2, 3)][t0 + lat : t0 + lat + samples]
             x = traj.sources[(2, 3)][t0 : t0 + samples]
@@ -556,8 +563,8 @@ class TestSeparateNetwork:
         final, steps = separate_network(system, [], root, root.derive("c"))
         assert final is system
         assert steps == []
-        t1 = rollout(system, root.derive("cmp"), lanes=2, horizon=500)
-        t2 = rollout(final, root.derive("cmp"), lanes=2, horizon=500)
+        t1 = collected_rollout(system, root.derive("cmp"), lanes=2, horizon=500)
+        t2 = collected_rollout(final, root.derive("cmp"), lanes=2, horizon=500)
         for pair in t1.repro:
             assert np.array_equal(t1.repro[pair], t2.repro[pair])
 

@@ -7,7 +7,7 @@ steps, so the tests pick one by setting ``WINDOW_LANE_STEPS``."""
 import numpy as np
 import pytest
 
-from conftest import bsc
+from conftest import bsc, collected_rollout
 from test_golden import golden_digests, golden_system
 
 from sepnet import netmodel
@@ -17,7 +17,6 @@ from sepnet.netmodel import (
     NetworkSystem,
     PassthroughModem,
     _schedule,
-    rollout,
 )
 from sepnet.probcore import Pmf, RandomnessHandle
 
@@ -88,7 +87,7 @@ def test_cycle_falls_back_to_one_step_windows():
     system = echo_system(0.0)
     assert _schedule(system) is None
     assert system.latency_map == {(0, 2): 5, (2, 0): 3}
-    traj = rollout(system, RandomnessHandle(3), lanes=4, horizon=200)
+    traj = collected_rollout(system, RandomnessHandle(3), lanes=4, horizon=200)
     for pair, lat in system.latency_map.items():
         assert traj.repro[pair][lat:].any()
         assert np.array_equal(traj.repro[pair][lat:], traj.sources[pair][:-lat])
